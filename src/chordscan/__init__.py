@@ -16,7 +16,8 @@ Quick start::
     chi = make_evaluator("exact", state)
     print(chi((0.2, 0.3)).value)
 
-or from the shell: ``chordscan scan --region=-1.6:1.6:161 --output field.csv``.
+or from the shell:
+``chordscan scan --region=-1.6:1.6 --resolution 161 --out field.csv``.
 """
 
 from .blindspots import (

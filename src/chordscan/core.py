@@ -103,7 +103,3 @@ def wedge(a, b):
     """
     return a[0] * b[1] - a[1] * b[0]
 
-
-def translate(x, xi) -> PhasePoint:
-    """Rigid translation of a phase point by a chord (group action)."""
-    return PhasePoint(x[0] + xi[0], x[1] + xi[1])

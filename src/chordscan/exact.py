@@ -25,9 +25,6 @@ from .core import Chord, ChordValue, Flag
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, _gl_nodes
 
-# The quantum state is parameterized by the same data as its classical curve.
-StateSpec = CurveSpec
-
 _MODULUS_SLACK = 1e-8  # |chi| may exceed 1 only by the quadrature tolerance
 
 
@@ -82,25 +79,23 @@ def hermite_psi(n: int, hbar: float, p):
     return (-1j) ** int(n) * hbar ** -0.25 * h
 
 
-def fock_chi_closed(n: int, hbar: float, xi) -> ChordValue:
-    """Closed-form chord function of the number state (no shear).
+def fock_chi_radial(n: int, hbar: float, rho):
+    """Vectorized |xi| -> chi_n profile of the closed form.
 
     chi_n(xi) = exp(-|xi|^2 / 4 hbar) L_n(|xi|^2 / 2 hbar); the Laguerre
     argument |xi|^2 / 2 hbar is pinned by the t = 0 overlap quadrature.
     """
-    rho2 = float(xi[0]) ** 2 + float(xi[1]) ** 2
-    val = float(np.exp(-rho2 / (4.0 * hbar)) * eval_laguerre(n, rho2 / (2.0 * hbar)))
-    return ChordValue(complex(val, 0.0))
-
-
-def fock_chi_radial(n: int, hbar: float, rho):
-    """Vectorized |xi| -> chi_n profile of the closed form."""
     rho = np.asarray(rho, dtype=float)
     rho2 = rho * rho
     return np.exp(-rho2 / (4.0 * hbar)) * eval_laguerre(n, rho2 / (2.0 * hbar))
 
 
-def _chi_row(state: StateSpec, xi_p: float, xi_q_row, quad: QuadratureSpec):
+def fock_chi_closed(n: int, hbar: float, xi) -> ChordValue:
+    """Closed-form chord function of the number state (no shear) at one chord."""
+    return ChordValue(complex(fock_chi_radial(n, hbar, np.hypot(xi[0], xi[1]))))
+
+
+def _chi_row(state: CurveSpec, xi_p: float, xi_q_row, quad: QuadratureSpec):
     """Overlap quadrature for one xi_p and a whole row of xi_q values.
 
     The integrand factorizes into a xi_q-independent profile times the plane
@@ -134,7 +129,7 @@ def _chi_row(state: StateSpec, xi_p: float, xi_q_row, quad: QuadratureSpec):
     )
 
 
-def evolved_chi(state: StateSpec, xi, quad: QuadratureSpec | None = None) -> ChordValue:
+def evolved_chi(state: CurveSpec, xi, quad: QuadratureSpec | None = None) -> ChordValue:
     """Chord function of the sheared number state by certified quadrature."""
     quad = quad or QuadratureSpec()
     val = complex(_chi_row(state, float(xi[0]), [float(xi[1])], quad)[0])
@@ -143,7 +138,7 @@ def evolved_chi(state: StateSpec, xi, quad: QuadratureSpec | None = None) -> Cho
     return ChordValue(val)
 
 
-def evolved_chi_grid(state: StateSpec, xi_p_axis, xi_q_axis,
+def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis,
                      quad: QuadratureSpec | None = None) -> np.ndarray:
     """Chord-function values on the tensor grid xi_p_axis x xi_q_axis."""
     quad = quad or QuadratureSpec()
@@ -163,7 +158,7 @@ class ExactEvaluator:
 
     name = "exact"
 
-    def __init__(self, state: StateSpec, quad: QuadratureSpec | None = None):
+    def __init__(self, state: CurveSpec, quad: QuadratureSpec | None = None):
         self.state = state
         self.quad = quad or QuadratureSpec()
 

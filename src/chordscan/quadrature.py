@@ -58,36 +58,15 @@ def periodic_mean(f, n0: int = 64, tol: float = 1e-12, max_doublings: int = 14):
     est = total / n
     prev = None
     for _ in range(max_doublings):
-        if prev is not None and np.max(np.abs(est - prev)) < tol:
-            return est, n
-        prev = est
         # refine: new nodes interleave the old ones, so reuse the running sum
         theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         total = total + np.sum(f(theta), axis=-1, dtype=complex)
         n *= 2
-        est = total / n
+        prev, est = est, total / n
+        if np.max(np.abs(est - prev)) < tol:
+            return est, n
     raise ConvergenceError(
         f"periodic mean did not settle to {tol:g} within {n} nodes",
-        last=est, previous=prev,
-    )
-
-
-def gauss_segment(f, a: float, b: float, n0: int = 32, tol: float = 1e-12,
-                  max_doublings: int = 8):
-    """Integral of a smooth integrand over [a, b] by Gauss-Legendre doubling."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    n = n0
-    prev = None
-    for _ in range(max_doublings + 1):
-        x, w = _gl_nodes(n)
-        est = half * np.sum(w * f(half * x + mid), axis=-1)
-        if prev is not None and np.max(np.abs(est - prev)) < tol:
-            return est, n
-        prev = est
-        n *= 2
-    raise ConvergenceError(
-        f"Gauss-Legendre integral on [{a:g}, {b:g}] did not settle to {tol:g}",
         last=est, previous=prev,
     )
 

@@ -33,6 +33,23 @@ Geometry conventions (frozen; every phase below depends on them)
   calibrate_maslov_offsets, which grid-searches the integer offsets against
   the closed-form ring chord function.
 
+Closed-form geometry of the cubic shear
+---------------------------------------
+With p = r cos(theta), both defects are trig polynomials of degree <= 2 in
+theta for any cubic H(p): the tangency defect x'(theta) ∧ xi, and the
+realization defect I(x(theta) + xi) - I, which is u^2 + (p + xi_p)^2 - r^2
+over 2 with u = r sin(theta) - A p + B, A = 6 t a3 xi_p and
+B = xi_q - t (3 a3 xi_p^2 + 2 a2 xi_p). Their real roots are therefore the
+unit-circle roots of a quartic in z = exp(i theta). _trig_roots samples a
+defect at five equispaced angles, reads off its exact harmonics by FFT,
+trims the coefficients that vanish (the degree drops on t = 0 curves, on the
+xi_p = 0 row and when a3 = 0) and takes the companion-matrix eigenvalues
+(Boyd, J. Eng. Math. 56, 2006). A root counts as a real angle when
+|ln|z|| <= sqrt(ROUND_OFF): a double root splits by the square root of the
+coefficients' round-off. The arc integral has the antiderivative
+
+    \\int x ∧ x' dtheta = r^2 theta + t (a3 p^3 - a1 p).
+
 The composite evaluator subtracts the asymptotics of the classical average
 and adds the full stationary-phase value,
 
@@ -42,9 +59,13 @@ so short chords inherit the classical average (the two stationary-phase terms
 cancel) while long chords inherit sp_full (chi_s and its own asymptotics
 cancel). Near caustics -- chords about to leave the curve, |h'| or the
 bracket collapsing -- square-root amplitudes diverge; values there are
-flagged NEAR_CAUSTIC and no uniform (Airy-type) repair is attempted. Chords
-longer than any chord of the curve have no realizations: sp_full is zero and
-the value is flagged EVANESCENT.
+flagged NEAR_CAUSTIC and no uniform (Airy-type) repair is attempted. A caustic
+is two realizations merging, two roots meeting on the unit circle; past it
+they leave the circle as a complex pair (z, 1/conj(z)). A chord whose roots
+include such a pair with |ln|z|| < REL_CAUSTIC_TOL grazes the curve
+(RealizationSet.grazing); with no real realizations left its value is flagged
+NEAR_CAUSTIC, and farther out, where no realization exists, sp_full is zero
+and the value is flagged EVANESCENT.
 """
 
 from __future__ import annotations
@@ -53,11 +74,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Chord, ChordValue, Flag, PhasePoint, wedge, worst_flag
 from .curves import CurveSpec
-from .quadrature import gauss_segment
 from .smallchord import chi_small
 
 TWO_PI = 2.0 * np.pi
@@ -68,61 +87,34 @@ REL_CAUSTIC_TOL = 1e-3
 # denominators below this are dropped from sums outright instead of producing
 # overflowing amplitudes; the flag still records the caustic
 DENOMINATOR_FLOOR = 1e-12
+# harmonics below ROUND_OFF times the largest one are round-off of the
+# five-point transform and are trimmed; a double root splits by the square
+# root of a coefficient error, so roots within sqrt(ROUND_OFF) of the unit
+# circle count as real
+ROUND_OFF = 1e-12
 
 
-def _bracketed_roots(fn, n0: int = 256, max_doublings: int = 3):
-    """All roots of a smooth 2 pi-periodic function.
+def _trig_roots(defect):
+    """Real roots of a trig polynomial of degree <= 2, and its nearest miss.
 
-    Scans ``n`` uniform samples for sign changes and polishes each bracket
-    with Brent's method; the scan is refined when it finds no roots at all,
-    so narrow dips are not silently missed. Returns (roots, min_abs) where
-    ``min_abs`` is the smallest sampled |fn| -- the caller's evidence for
-    "no roots anywhere" versus "a grazing root below scan resolution".
-
-    The bracketing endpoint may be the seam value 2 pi, where a periodic
-    integrand is not guaranteed to reproduce the sample at 0 to the last bit;
-    the polish therefore evaluates on wrapped angles.
+    Five equispaced samples of ``defect`` fix its harmonics c_-2 .. c_2
+    exactly, and the roots of f(theta) = sum c_m exp(i m theta) are the
+    unit-circle roots of the quartic z^2 f(z), the eigenvalues of its
+    companion matrix. Leading and trailing coefficients that are round-off
+    are trimmed first (for a real defect they vanish in pairs). Returns
+    (angles, miss): the real roots sorted in [0, 2 pi), and the smallest
+    |ln|z|| among the roots off the circle (inf if there are none).
     """
-    n = n0
-    for _ in range(max_doublings + 1):
-        theta = TWO_PI * np.arange(n) / n
-        values = fn(theta)
-        scalar = lambda x: float(fn(np.array([x % TWO_PI]))[0])
-        roots = []
-        for k in range(n):
-            a = theta[k]
-            b = theta[k + 1] if k + 1 < n else TWO_PI
-            fa = values[k]
-            fb = values[(k + 1) % n]
-            if fa == 0.0:
-                roots.append(a)
-            elif fa * fb < 0.0:
-                roots.append(brentq(scalar, a, b, xtol=1e-13) % TWO_PI)
-        deduped = []
-        for r in sorted(roots):
-            if not deduped:
-                deduped.append(r)
-                continue
-            gap = min(abs(r - deduped[-1]), TWO_PI - abs(r - deduped[-1]))
-            if gap > 1e-9 and min(abs(r - deduped[0]), TWO_PI - abs(r - deduped[0])) > 1e-9:
-                deduped.append(r)
-        if deduped:
-            return deduped, float(np.min(np.abs(values)))
-        n *= 2
-    return [], float(np.min(np.abs(values)))
-
-
-def _grazing_floor(fn_values, n: int, scale: float) -> float:
-    """Smallest dip a scan of n samples could have missed entirely.
-
-    Bounded by max |f''| (Delta/2)^2 / 2 with the curvature estimated from
-    the scan's own second differences; ``scale`` guards the degenerate case
-    of an essentially flat scan.
-    """
-    delta = TWO_PI / n
-    second = np.abs(fn_values - 2.0 * np.roll(fn_values, 1) + np.roll(fn_values, 2))
-    max_curv = float(np.max(second)) / (delta * delta)
-    return 0.5 * max(max_curv, 1e-6 * scale) * (0.5 * delta) ** 2
+    harmonics = np.fft.fft(defect(TWO_PI * np.arange(5) / 5)) / 5
+    quartic = harmonics[[2, 1, 0, 4, 3]]  # c_2 .. c_-2: powers z^4 .. z^0
+    scale = np.max(np.abs(quartic))
+    while quartic.size > 1 and max(abs(quartic[0]), abs(quartic[-1])) <= ROUND_OFF * scale:
+        quartic = quartic[1:-1]
+    roots = np.roots(quartic)
+    log_radius = np.abs(np.log(np.abs(roots)))
+    on_circle = log_radius <= math.sqrt(ROUND_OFF)
+    angles = np.sort(np.angle(roots[on_circle]) % TWO_PI)
+    return [float(a) for a in angles], float(np.min(log_radius[~on_circle], initial=np.inf))
 
 
 # -- tangencies and the short-chord asymptotics ----------------------------
@@ -145,7 +137,7 @@ def tangency_points(curve: CurveSpec, xi) -> list[Tangency]:
         dp, dq = curve.velocity(theta)
         return dp * xi[1] - dq * xi[0]
 
-    roots, _ = _bracketed_roots(parallel_defect)
+    roots, _ = _trig_roots(parallel_defect)
     tol = REL_CAUSTIC_TOL * 2.0 * curve.action  # fraction of r^2
     out = []
     for theta in roots:
@@ -168,7 +160,9 @@ def sp_small(curve: CurveSpec, xi) -> ChordValue:
     xi = np.asarray(xi, dtype=float)
     tangencies = tangency_points(curve, xi)
     total = 0.0 + 0.0j
-    flag = Flag.OK
+    # a closed curve is tangent to every direction at least twice; no
+    # tangency means xi = 0, where every angle is stationary
+    flag = Flag.OK if tangencies else Flag.NEAR_CAUSTIC
     for tan in tangencies:
         flag = worst_flag(flag, tan.flag)
         if abs(tan.curvature_wedge) < DENOMINATOR_FLOOR:
@@ -202,37 +196,39 @@ class Realization:
 @dataclass(frozen=True)
 class RealizationSet:
     realizations: tuple[Realization, ...]
-    grazing: bool  # no realizations found, but a grazing root may hide below scan resolution
+    grazing: bool  # a complex pair of roots lies within REL_CAUSTIC_TOL of the unit circle
 
 
 def _tip_angle(curve: CurveSpec, tip, theta_foot: float) -> float:
     """Parameter of the tip point, folded into (theta_foot, theta_foot + 2 pi].
 
-    cos(theta) = p / r fixes theta up to reflection; the shear leaves p(theta)
-    untouched, so the two candidates are disambiguated by their q residual.
+    The shear leaves p = r cos(theta) untouched and moves q by H'(p) t, so
+    u = q - H'(p) t = r sin(theta) and theta = atan2(u, p), well conditioned
+    at every angle.
     """
-    c = min(1.0, max(-1.0, tip[0] / curve.radius))
-    base = math.acos(c)
-    candidates = (base, TWO_PI - base)
-    residuals = [abs(curve.point(th)[1] - tip[1]) for th in candidates]
-    theta = candidates[int(np.argmin(residuals))]
-    if residuals[int(np.argmin(residuals))] > 1e-6 * curve.radius:
+    p = float(tip[0])
+    u = float(tip[1] - curve.drift(p) * curve.t)
+    miss = abs(math.hypot(p, u) - curve.radius)
+    if miss > 1e-6 * curve.radius:
         raise RuntimeError(
-            f"realization tip {tuple(tip)} is not on the curve "
-            f"(best q residual {min(residuals):.3e})")
+            f"realization tip {tuple(tip)} is not on the curve (radial miss {miss:.3e})")
+    theta = math.atan2(u, p)
     while theta <= theta_foot:
         theta += TWO_PI
     return theta
 
 
 def _arc_area(curve: CurveSpec, theta0: float, theta1: float) -> float:
-    def integrand(theta):
-        p, q = curve.point(theta)
-        dp, dq = curve.velocity(theta)
-        return p * dq - q * dp
+    """\\int_{theta0}^{theta1} x ∧ x' dtheta in closed form.
 
-    value, _ = gauss_segment(integrand, theta0, theta1, n0=64, tol=1e-12)
-    return float(value)
+    With p = r cos(theta) the integrand is r^2 + t (3 a3 p^2 - a1) dp/dtheta,
+    so its antiderivative is r^2 theta + t (a3 p^3 - a1 p).
+    """
+    _, a1, _, a3 = curve.alpha
+    p0 = curve.radius * math.cos(theta0)
+    p1 = curve.radius * math.cos(theta1)
+    return (2.0 * curve.action * (theta1 - theta0)
+            + curve.t * (a3 * (p1 ** 3 - p0 ** 3) - a1 * (p1 - p0)))
 
 
 def realization_geometry(curve: CurveSpec, theta_foot: float, xi) -> Realization:
@@ -263,21 +259,19 @@ def realization_geometry(curve: CurveSpec, theta_foot: float, xi) -> Realization
 
 def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
     xi = np.asarray(xi, dtype=float)
+    if not xi.any():
+        # every foot is its own tip; the level defect is pure round-off
+        return RealizationSet(realizations=(), grazing=True)
     target = curve.action
 
     def level_defect(theta):
         p, q = curve.point(theta)
         return curve.action_value((p + xi[0], q + xi[1])) - target
 
-    roots, min_h = _bracketed_roots(level_defect)
-    if not roots:
-        n_final = 256 * 2 ** 3
-        theta = TWO_PI * np.arange(n_final) / n_final
-        floor = _grazing_floor(level_defect(theta), n_final, target)
-        return RealizationSet(realizations=(), grazing=bool(min_h < floor))
+    roots, miss = _trig_roots(level_defect)
     return RealizationSet(
         realizations=tuple(realization_geometry(curve, th, xi) for th in roots),
-        grazing=False)
+        grazing=miss < REL_CAUSTIC_TOL)
 
 
 def sp_full(curve: CurveSpec, xi, _offsets: tuple[float, float] = (-2.0, -2.0)) -> ChordValue:

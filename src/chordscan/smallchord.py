@@ -43,8 +43,8 @@ def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis,
 
     Each curve sample contributes the separable factor
     exp(-i q xi_p / hbar) ⊗ exp(i p xi_q / hbar), so a pass over theta nodes
-    is a single matrix product; refinement interleaves midpoints, reusing the
-    accumulated sum of previous passes.
+    is a single matrix product; periodic_mean sees it as one stacked sample
+    on a trailing node axis of length 1 and certifies the doubling.
     """
     xi_p_axis = np.asarray(xi_p_axis, dtype=float)
     xi_q_axis = np.asarray(xi_q_axis, dtype=float)
@@ -53,19 +53,10 @@ def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis,
         p, q = curve.point(theta)
         left = np.exp(-1j / curve.hbar * np.outer(xi_p_axis, q))
         right = np.exp(1j / curve.hbar * np.outer(p, xi_q_axis))
-        return left @ right
+        return (left @ right)[..., np.newaxis]
 
-    n = n0
-    total = node_sum(2.0 * np.pi * np.arange(n) / n)
-    est = total / n
-    for _ in range(max_doublings):
-        total = total + node_sum(2.0 * np.pi * (np.arange(n) + 0.5) / n)
-        n *= 2
-        new = total / n
-        if np.max(np.abs(new - est)) < tol:
-            return new
-        est = new
-    raise RuntimeError(f"short-chord grid average stalled at {n} nodes")
+    mean, _ = periodic_mean(node_sum, n0=n0, tol=tol, max_doublings=max_doublings)
+    return mean
 
 
 # -- classical moments ----------------------------------------------------

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from chordscan.core import (Chord, ChordValue, Flag, PhasePoint, translate,
-                            wedge, worst_flag)
+from chordscan.core import Chord, ChordValue, Flag, wedge, worst_flag
 
 
 def test_wedge_antisymmetric():
@@ -28,10 +27,6 @@ def test_wedge_broadcasts():
 
 def test_chord_norm():
     assert Chord(3.0, 4.0).norm == pytest.approx(5.0)
-
-
-def test_translate():
-    assert translate(PhasePoint(1.0, 2.0), Chord(0.5, -1.0)) == PhasePoint(1.5, 1.0)
 
 
 def test_chord_value_components():

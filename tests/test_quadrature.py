@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chordscan.quadrature import (ConvergenceError, gauss_segment,
-                                  periodic_mean, richardson_derivative)
+from chordscan.quadrature import (ConvergenceError, periodic_mean,
+                                  richardson_derivative)
 
 
 def test_periodic_mean_trig_polynomial():
@@ -25,18 +25,6 @@ def test_periodic_mean_budget_exhaustion():
     # the failed certificate still reports its last two estimates
     assert err.value.last is not None
     assert err.value.previous is not None
-
-
-def test_gauss_segment_polynomial():
-    val, _ = gauss_segment(lambda x: x ** 3 - 2 * x + 1, -1.0, 2.0, tol=1e-13)
-    # antiderivative x^4/4 - x^2 + x across [-1, 2]
-    exact = (16 / 4 - 4 + 2) - (1 / 4 - 1 - 1)
-    assert val == pytest.approx(exact, abs=1e-12)
-
-
-def test_gauss_segment_budget_exhaustion():
-    with pytest.raises(ConvergenceError):
-        gauss_segment(np.exp, 0.0, 1.0, tol=0.0, max_doublings=1)
 
 
 @pytest.mark.parametrize("order,tol,accuracy", [

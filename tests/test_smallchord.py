@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from chordscan import (Flag, chi_small, chi_taylor, classical_moments,
-                       closest_blind_spot_estimate, make_evaluator,
-                       moments_from_chi, second_order_from_table)
+from chordscan import (ConvergenceError, Flag, chi_small, chi_taylor,
+                       classical_moments, closest_blind_spot_estimate,
+                       make_evaluator, moments_from_chi,
+                       second_order_from_table)
 from chordscan.smallchord import SecondOrderMoments, chi_small_grid
 
 # Ladder-operator / curve-average values for n = 5, hbar = 0.1 sheared for
@@ -43,7 +44,7 @@ def test_grid_average_matches_pointwise(sheared):
 
 
 def test_grid_average_stall_raises(sheared):
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ConvergenceError):
         chi_small_grid(sheared, [0.0, 0.5], [0.0, 0.5], tol=0.0,
                        max_doublings=1)
 
