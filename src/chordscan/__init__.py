@@ -44,7 +44,7 @@ from .exact import (
     hermite_psi,
 )
 from .gridscan import ChordFieldGrid, axis, scan_grid
-from .quadrature import ConvergenceError
+from .quadrature import ConvergenceError, NumericalError
 from .semiclassical import (
     chi_semiclassical,
     chord_realizations,
@@ -81,6 +81,7 @@ __all__ = [
     "MomentTable",
     "NodalCurve",
     "NodalSet",
+    "NumericalError",
     "PhasePoint",
     "QuadratureSpec",
     "SecondOrderMoments",

@@ -20,7 +20,7 @@ from .blindspots import find_blind_spots, first_zero_along, nodal_contours
 from .core import Flag
 from .curves import CurveSpec
 from .evaluators import make_evaluator
-from .exact import (correlation_C, evolved_chi, fock_chi_closed,
+from .exact import (ExactEvaluator, correlation_C, fock_chi_radial,
                     fourier_invariance_residual)
 from .gridscan import axis, scan_grid
 from .semiclassical import chi_semiclassical, sp_full
@@ -65,11 +65,10 @@ def criterion_normalization_and_symmetry(n_chords: int = 1000,
     exact = make_evaluator("exact", SHEARED_STATE)
     semi = make_evaluator("semiclassical", SHEARED_STATE)
 
-    worst_exact = abs(complex(exact((0.0, 0.0))) - 1.0)
-    for xi in chords:
-        a = complex(exact(xi))
-        b = complex(exact(-xi))
-        worst_exact = max(worst_exact, abs(a - b.conjugate()))
+    xi = np.vstack([(0.0, 0.0), chords, -chords])
+    values, _ = exact.evaluate(xi[:, 0], xi[:, 1])
+    plus, minus = values[1:n_chords + 1], values[n_chords + 1:]
+    worst_exact = max(abs(values[0] - 1.0), float(np.max(np.abs(plus - np.conj(minus)))))
 
     worst_semi = abs(complex(semi((0.0, 0.0))) - 1.0)
     for xi in chords:
@@ -87,15 +86,13 @@ def criterion_normalization_and_symmetry(n_chords: int = 1000,
 def criterion_oracle_cross_check() -> CriterionResult:
     """At t = 0 the overlap quadrature must reproduce the closed form."""
     worst = 0.0
-    radii = np.linspace(0.05, 3.0, 14)
-    angles = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
+    radii, angles = np.meshgrid(np.linspace(0.05, 3.0, 14),
+                                np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False))
+    xi_p, xi_q = radii * np.cos(angles), radii * np.sin(angles)
     for n in (0, 1, 5, 10):
-        state = CurveSpec(n=n, hbar=0.1)
-        for s in radii:
-            for a in angles:
-                xi = (s * math.cos(a), s * math.sin(a))
-                worst = max(worst, abs(complex(evolved_chi(state, xi))
-                                       - complex(fock_chi_closed(n, 0.1, xi))))
+        values, _ = ExactEvaluator(CurveSpec(n=n, hbar=0.1)).evaluate(xi_p, xi_q)
+        closed = fock_chi_radial(n, 0.1, np.hypot(xi_p, xi_q))
+        worst = max(worst, float(np.max(np.abs(values - closed))))
     return CriterionResult(name="quadrature oracle against closed ring form",
                            passed=worst <= 1e-8, measured=worst, tolerance=1e-8)
 
@@ -156,17 +153,16 @@ def criterion_cut_agreement(n_samples: int = 1000) -> CriterionResult:
     exact = make_evaluator("exact", SHEARED_STATE)
     semi = make_evaluator("semiclassical", SHEARED_STATE)
     ss = np.linspace(0.0, 2.0, n_samples)
-    abs_exact, abs_semi, kept = [], [], []
+    abs_semi, kept = [], []
     for s in ss:
-        xi = (s * u[0], s * u[1])
-        sc = semi(xi)
+        sc = semi((s * u[0], s * u[1]))
         if sc.flag is Flag.NEAR_CAUSTIC:
             continue
         kept.append(s)
-        abs_exact.append(abs(complex(exact(xi))) ** 2)
         abs_semi.append(abs(complex(sc)) ** 2)
-    abs_exact = np.asarray(abs_exact)
     abs_semi = np.asarray(abs_semi)
+    kept = np.asarray(kept)
+    abs_exact = np.abs(exact.evaluate(kept * u[0], kept * u[1])[0]) ** 2
     threshold = 0.03 * float(np.max(abs_exact))
     worst = float(np.max(np.abs(abs_semi - abs_exact)))
 

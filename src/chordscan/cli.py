@@ -9,7 +9,8 @@ key that marks them as outside the determinism guarantee.
 Options may come from ``KEY=VALUE`` lines in a config file (``--config``);
 explicit command-line flags win over the file, and the sidecar's ``config``
 block re-parses as such a file. Exit codes: 0 success, 1 configuration or
-parameter error, 2 failed verification, 3 numerical non-convergence.
+parameter error, 2 failed verification, 3 numerical failure (non-convergence
+or a result that breaks a property it must have, such as |chi| <= 1).
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all
 from .blindspots import find_blind_spots, nodal_contours
-from .core import FLAGS_BY_CODE
+from .core import FLAGS_BY_CODE, ChordValue
 from .curves import CurveSpec, InvalidStateError
 from .evaluators import EVALUATOR_NAMES, make_evaluator
 from .gridscan import axis, scan_grid
-from .quadrature import ConvergenceError
+from .quadrature import ConvergenceError, NumericalError
 from .smallchord import closest_blind_spot_estimate, moments_from_chi
 
 EXIT_OK = 0
@@ -192,6 +193,14 @@ def _cut_direction(opt: dict) -> np.ndarray:
     return d / norm
 
 
+def _along_ray(evaluator, xi_p, xi_q) -> list[ChordValue]:
+    """ChordValues at the chords (xi_p[k], xi_q[k]), in one batch where the evaluator has one."""
+    if hasattr(evaluator, "evaluate"):
+        values, flags = evaluator.evaluate(xi_p, xi_q)
+        return [ChordValue(complex(v), FLAGS_BY_CODE[int(f)]) for v, f in zip(values, flags)]
+    return [evaluator((p, q)) for p, q in zip(xi_p, xi_q)]
+
+
 def cmd_cut(args) -> int:
     opt = _merge(args)
     out = _require_out(opt, "cut")
@@ -204,7 +213,7 @@ def cmd_cut(args) -> int:
         raise ValueError("cut needs samples >= 1")
     ss = np.linspace(lo, hi, opt["samples"])
     started = time.perf_counter()
-    per_point = [[ev((s * d[0], s * d[1])) for ev in evaluators] for s in ss]
+    per_point = list(zip(*(_along_ray(ev, ss * d[0], ss * d[1]) for ev in evaluators)))
     elapsed = time.perf_counter() - started
 
     columns = ["s", "xi_p", "xi_q"]
@@ -392,6 +401,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"chordscan: did not converge: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    except NumericalError as exc:
+        print(f"chordscan: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
 
 

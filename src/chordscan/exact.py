@@ -8,7 +8,12 @@ quadrature that also covers the sheared state,
                  exp(-(i/hbar) (t [H(p+xi_p/2) - H(p-xi_p/2)] - p xi_q))
               psi_n(p - xi_p/2),
 
-with psi_n the momentum-representation oscillator eigenfunction. Grid-level
+with psi_n the momentum-representation oscillator eigenfunction. Every
+quadrature goes through one batched kernel: the chords of a call share one p
+window and one Gauss-Legendre node ladder, so a tensor grid is one
+(xi_p x nodes) @ (nodes x xi_q) product per node doubling, and one
+certificate covers the whole batch. ``ExactEvaluator.evaluate`` takes chord
+arrays; the pointwise and grid entry points wrap the same kernel. Grid-level
 certificates (the symplectic Fourier invariance of |chi|^2 and the chord
 correlation) are also implemented here because they only make sense against
 the exact field.
@@ -23,7 +28,7 @@ from scipy.special import eval_laguerre
 
 from .core import Chord, ChordValue, Flag
 from .curves import CurveSpec
-from .quadrature import ConvergenceError, _gl_nodes
+from .quadrature import ConvergenceError, NumericalError, _gl_nodes
 
 _MODULUS_SLACK = 1e-8  # |chi| may exceed 1 only by the quadrature tolerance
 
@@ -39,9 +44,9 @@ class QuadratureSpec:
     nodes            starting Gauss-Legendre node count (doubled until the
                      estimate settles)
     half_width_mult  integration half-width in units of the classical radius
-                     sqrt(hbar (2n+1)); the window is widened by |xi_p|/2 so
-                     both shifted wavefunctions stay covered
-    tol              absolute convergence tolerance on chi
+                     sqrt(hbar (2n+1)); the window is widened by max|xi_p|/2
+                     over the batch so every shifted wavefunction stays covered
+    tol              absolute convergence tolerance on chi, uniform over a batch
     max_doublings    refinement budget before ConvergenceError
     """
 
@@ -95,62 +100,87 @@ def fock_chi_closed(n: int, hbar: float, xi) -> ChordValue:
     return ChordValue(complex(fock_chi_radial(n, hbar, np.hypot(xi[0], xi[1]))))
 
 
-def _chi_row(state: CurveSpec, xi_p: float, xi_q_row, quad: QuadratureSpec):
-    """Overlap quadrature for one xi_p and a whole row of xi_q values.
+ROW_BLOCK = 16  # chords per profile block: a (block x nodes) array stays <= 1 MB at 4096 nodes
+
+
+def _profile(state: CurveSpec, p, xi_p):
+    """xi_q-independent factor of the integrand: rows xi_p, columns the nodes p."""
+    # both shifts p +- xi_p/2 in one flat array, so psi_n and H each take one
+    # pass of elementwise calls: their set-up is most of a one-chord batch
+    shifted = (p + np.multiply.outer((0.5, -0.5), xi_p)[..., None]).ravel()
+    psi = hermite_psi(state.n, state.hbar, shifted).reshape(2, xi_p.size, p.size)
+    profile = np.conj(psi[0]) * psi[1]
+    if state.t != 0.0:
+        h = state.hamiltonian(shifted).reshape(psi.shape)
+        profile *= np.exp(-1j / state.hbar * state.t * (h[0] - h[1]))
+    return profile
+
+
+def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
+    """Certified overlap quadrature for a batch of chords.
+
+    ``xi_p`` is a vector of chord components. With ``tensor`` the batch is
+    the grid xi_p x xi_q and the result has shape (xi_p.size, xi_q.size);
+    otherwise ``xi_q`` pairs with ``xi_p`` element by element and the result
+    is a vector.
 
     The integrand factorizes into a xi_q-independent profile times the plane
-    wave exp(i p xi_q / hbar), so a row costs one profile build plus a
-    matrix-vector product per refinement.
+    wave exp(i p xi_q / hbar). One p window, half-width
+    half_width_mult sqrt(hbar (2n+1)) + max|xi_p| / 2, covers every shifted
+    wavefunction of the batch, so all chords share the nodes: a tensor grid
+    costs one (xi_p x nodes) @ (nodes x xi_q) product per node count, a list
+    of chords one row-wise weighted sum. The node count doubles until the
+    whole batch moves by less than ``quad.tol``.
     """
-    xi_q_row = np.atleast_1d(np.asarray(xi_q_row, dtype=float))
+    xi_p = np.asarray(xi_p, dtype=float).ravel()
+    xi_q = np.asarray(xi_q, dtype=float).ravel()
+    shape = (xi_p.size, xi_q.size) if tensor else xi_p.shape
+    if 0 in shape:
+        return np.zeros(shape, dtype=complex)
     half_width = (quad.half_width_mult * np.sqrt(state.hbar * (2 * state.n + 1))
-                  + 0.5 * abs(xi_p))
+                  + 0.5 * np.max(np.abs(xi_p)))
     n = quad.nodes
     prev = None
     for _ in range(quad.max_doublings + 1):
         x, w = _gl_nodes(n)
         p = half_width * x
-        pp = p + 0.5 * xi_p
-        pm = p - 0.5 * xi_p
-        profile = (np.conj(hermite_psi(state.n, state.hbar, pp))
-                   * hermite_psi(state.n, state.hbar, pm))
-        if state.t != 0.0:
-            profile = profile * np.exp(-1j / state.hbar * state.t
-                                       * (state.hamiltonian(pp) - state.hamiltonian(pm)))
-        weighted = half_width * w * profile
-        est = np.exp(1j / state.hbar * np.outer(xi_q_row, p)) @ weighted
+        if tensor:
+            wave = np.exp(1j / state.hbar * np.outer(p, xi_q))
+        est = np.empty(shape, dtype=complex)
+        for lo in range(0, xi_p.size, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            weighted = half_width * w * _profile(state, p, xi_p[rows])
+            if tensor:
+                est[rows] = weighted @ wave
+            else:
+                wave = np.exp(1j / state.hbar * np.outer(xi_q[rows], p))
+                est[rows] = np.einsum("kn,kn->k", weighted, wave)
         if prev is not None and np.max(np.abs(est - prev)) < quad.tol:
-            return est
+            break
         prev = est
         n *= 2
-    raise ConvergenceError(
-        f"overlap quadrature stalled at {n} nodes (xi_p={xi_p:g})",
-        last=est, previous=prev,
-    )
+    else:
+        raise ConvergenceError(
+            f"overlap quadrature stalled at {n // 2} nodes over {xi_p.size} "
+            f"xi_p values (max |xi_p| {np.max(np.abs(xi_p)):g})",
+            last=est, previous=prev,
+        )
+    peak = np.max(np.abs(est))
+    if peak > 1.0 + _MODULUS_SLACK:
+        raise NumericalError(f"max |chi| = {peak} exceeds 1: quadrature is inconsistent")
+    return est
 
 
 def evolved_chi(state: CurveSpec, xi, quad: QuadratureSpec | None = None) -> ChordValue:
     """Chord function of the sheared number state by certified quadrature."""
     quad = quad or QuadratureSpec()
-    val = complex(_chi_row(state, float(xi[0]), [float(xi[1])], quad)[0])
-    if abs(val) > 1.0 + _MODULUS_SLACK:
-        raise RuntimeError(f"|chi({tuple(xi)})| = {abs(val)} exceeds 1: quadrature is inconsistent")
-    return ChordValue(val)
+    return ChordValue(complex(_overlap(state, xi[0], xi[1], quad, tensor=False)[0]))
 
 
 def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis,
                      quad: QuadratureSpec | None = None) -> np.ndarray:
     """Chord-function values on the tensor grid xi_p_axis x xi_q_axis."""
-    quad = quad or QuadratureSpec()
-    xi_p_axis = np.asarray(xi_p_axis, dtype=float)
-    xi_q_axis = np.asarray(xi_q_axis, dtype=float)
-    values = np.empty((xi_p_axis.size, xi_q_axis.size), dtype=complex)
-    for i, xi_p in enumerate(xi_p_axis):
-        values[i, :] = _chi_row(state, float(xi_p), xi_q_axis, quad)
-    peak = np.max(np.abs(values))
-    if peak > 1.0 + _MODULUS_SLACK:
-        raise RuntimeError(f"max |chi| = {peak} exceeds 1: quadrature is inconsistent")
-    return values
+    return _overlap(state, xi_p_axis, xi_q_axis, quad or QuadratureSpec(), tensor=True)
 
 
 class ExactEvaluator:
@@ -161,6 +191,15 @@ class ExactEvaluator:
     def __init__(self, state: CurveSpec, quad: QuadratureSpec | None = None):
         self.state = state
         self.quad = quad or QuadratureSpec()
+
+    def evaluate(self, xi_p, xi_q):
+        """(values, flags) at the chords (xi_p[k], xi_q[k]) of two same-shape arrays."""
+        xi_p = np.asarray(xi_p, dtype=float)
+        xi_q = np.asarray(xi_q, dtype=float)
+        if xi_p.shape != xi_q.shape:
+            raise ValueError(f"chord components differ in shape: {xi_p.shape} and {xi_q.shape}")
+        values = _overlap(self.state, xi_p, xi_q, self.quad, tensor=False).reshape(xi_p.shape)
+        return values, np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
 
     def __call__(self, xi) -> ChordValue:
         return evolved_chi(self.state, Chord(float(xi[0]), float(xi[1])), self.quad)
@@ -227,5 +266,5 @@ def correlation_C(grid, boundary_tol: float = 1e-8) -> np.ndarray:
     imag_peak = np.max(np.abs(c.imag))
     scale = max(np.max(np.abs(c.real)), 1e-300)
     if imag_peak > 1e-9 * scale:
-        raise RuntimeError(f"correlation came out non-real (max imag {imag_peak:.3e})")
+        raise NumericalError(f"correlation came out non-real (max imag {imag_peak:.3e})")
     return c.real

@@ -77,6 +77,7 @@ import numpy as np
 
 from .core import Chord, ChordValue, Flag, PhasePoint, wedge, worst_flag
 from .curves import CurveSpec
+from .quadrature import NumericalError
 from .smallchord import chi_small
 
 TWO_PI = 2.0 * np.pi
@@ -210,7 +211,7 @@ def _tip_angle(curve: CurveSpec, tip, theta_foot: float) -> float:
     u = float(tip[1] - curve.drift(p) * curve.t)
     miss = abs(math.hypot(p, u) - curve.radius)
     if miss > 1e-6 * curve.radius:
-        raise RuntimeError(
+        raise NumericalError(
             f"realization tip {tuple(tip)} is not on the curve (radial miss {miss:.3e})")
     theta = math.atan2(u, p)
     while theta <= theta_foot:

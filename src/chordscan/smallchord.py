@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Chord, ChordValue, Flag, PhasePoint, wedge
 from .curves import CurveSpec
-from .quadrature import periodic_mean, richardson_derivative
+from .quadrature import NumericalError, periodic_mean, richardson_derivative
 
 
 def chi_small(curve: CurveSpec, xi, tol: float = 1e-10) -> ChordValue:
@@ -201,7 +201,7 @@ def moments_from_chi(fn, hbar: float, h0: float | None = None,
     leak2 = max(abs(d2_p.imag), abs(d2_q.imag), abs(d2_d.imag)) * hbar * hbar
     scale = max(p2, q2, hbar)
     if leak > 1e-4 * scale or leak2 > 1e-4 * scale:
-        raise RuntimeError(
+        raise NumericalError(
             f"moment extraction inconsistent with a hermitian field "
             f"(leakage {leak:.2e}, {leak2:.2e} against scale {scale:.2e})")
 

@@ -271,3 +271,16 @@ def test_verify_exit_codes(tmp_path, monkeypatch, capsys):
     assert run("verify") == 2
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("command", [
+    ("scan", "--resolution", "5", "--region=-0.5:0.5"),
+    ("cut", "--slope", "0.8", "--samples", "4", "--range", "0:0.5"),
+])
+def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys, command):
+    """A broken guard (here |chi| <= 1 with its slack forced negative) is exit code 3."""
+    monkeypatch.setattr("chordscan.exact._MODULUS_SLACK", -1.0)
+    assert run(*command, "--out", str(tmp_path / "x.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chordscan: numerical failure:") and "exceeds 1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

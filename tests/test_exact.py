@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chordscan import (ConvergenceError, CurveSpec, ExactEvaluator,
-                       GridTooSmallError, QuadratureSpec, correlation_C,
+                       GridTooSmallError, NumericalError, QuadratureSpec, correlation_C,
                        evolved_chi, evolved_chi_grid, fock_chi_closed,
                        fourier_invariance_residual, hermite_psi, scan_grid)
 from chordscan.exact import fock_chi_radial
@@ -141,3 +141,93 @@ def test_truncated_region_is_refused(ring):
         fourier_invariance_residual(grid)
     with pytest.raises(GridTooSmallError):
         correlation_C(grid)
+
+
+# -- batched evaluation and seeded properties -----------------------------------
+
+STRONG = CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0)
+
+
+def _random_state(seed):
+    rng = np.random.default_rng(seed)
+    return CurveSpec(n=int(rng.integers(0, 9)), hbar=float(rng.uniform(0.05, 0.2)),
+                     alpha=tuple(rng.uniform(-1.0, 1.0, 4)), t=float(rng.uniform(0.0, 1.0)))
+
+
+@pytest.mark.parametrize("state", [CurveSpec(n=5, hbar=HBAR),
+                                   CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1),
+                                   STRONG], ids=["ring", "sheared", "t1"])
+def test_batched_evaluate_matches_pointwise_chords(state):
+    ev = ExactEvaluator(state)
+    rng = np.random.default_rng(2718)
+    chords = rng.uniform(-2.3, 2.3, size=(24, 2))
+    values, flags = ev.evaluate(chords[:, 0], chords[:, 1])
+    assert values.shape == flags.shape == (24,)
+    assert np.all(flags == 0)
+    pointwise = np.array([complex(ev(xi)) for xi in chords])
+    assert np.max(np.abs(values - pointwise)) < 1e-10
+
+
+@pytest.mark.parametrize("state,shape", [
+    (CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1), (9, 7)),
+    (STRONG, (6, 5)),
+], ids=["sheared", "t1"])
+def test_batched_grid_matches_pointwise(state, shape):
+    """One shared window and certificate for the grid; t = 1 rows need different node counts."""
+    ev = ExactEvaluator(state)
+    rng = np.random.default_rng(1618)
+    xp = np.sort(rng.uniform(-4.0, 4.0, shape[0]))
+    xq = np.sort(rng.uniform(-4.0, 4.0, shape[1]))
+    values, flags = ev.grid(xp, xq)
+    assert values.shape == flags.shape == shape
+    pointwise = np.array([[complex(ev((p, q))) for q in xq] for p in xp])
+    assert np.max(np.abs(values - pointwise)) < 1e-10
+    # the same chords as a same-shape batch
+    batch, _ = ev.evaluate(*np.meshgrid(xp, xq, indexing="ij"))
+    assert batch.shape == shape
+    assert np.max(np.abs(batch - values)) < 1e-10
+
+
+def test_evaluate_rejects_mismatched_shapes(sheared):
+    with pytest.raises(ValueError):
+        ExactEvaluator(sheared).evaluate(np.zeros(3), np.zeros(4))
+
+
+def test_empty_batch(sheared):
+    values, flags = ExactEvaluator(sheared).evaluate(np.zeros(0), np.zeros(0))
+    assert values.shape == flags.shape == (0,)
+    assert evolved_chi_grid(sheared, np.zeros(0), axis(-1.0, 1.0, 3)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_seeded_properties(seed):
+    """chi(0) = 1, chi(-xi) = chi(xi)* and |chi| <= 1 on random states and chords."""
+    state = _random_state(100 + seed)
+    rng = np.random.default_rng(seed)
+    chords = rng.uniform(-2.0, 2.0, size=(40, 2))
+    xi = np.vstack([(0.0, 0.0), chords, -chords])
+    values, _ = ExactEvaluator(state).evaluate(xi[:, 0], xi[:, 1])
+    assert abs(values[0] - 1.0) < 1e-10
+    assert np.max(np.abs(values[1:41] - np.conj(values[41:]))) < 1e-10
+    assert np.max(np.abs(values)) <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seeded_closed_form_at_zero_shear(seed):
+    rng = np.random.default_rng(500 + seed)
+    n, hbar = int(rng.integers(0, 12)), float(rng.uniform(0.05, 0.2))
+    state = CurveSpec(n=n, hbar=hbar, alpha=tuple(rng.uniform(-1.0, 1.0, 4)), t=0.0)
+    xi_p, xi_q = rng.uniform(-2.0, 2.0, size=(2, 6, 5))
+    values, _ = ExactEvaluator(state).evaluate(xi_p, xi_q)
+    assert values.shape == (6, 5)
+    closed = np.array([[complex(fock_chi_closed(n, hbar, (p, q))) for p, q in zip(rp, rq)]
+                       for rp, rq in zip(xi_p, xi_q)])
+    assert np.max(np.abs(values - closed)) < 1e-10
+
+
+def test_modulus_guard_raises_numerical_error(sheared, monkeypatch):
+    monkeypatch.setattr("chordscan.exact._MODULUS_SLACK", -1.0)
+    with pytest.raises(NumericalError, match="exceeds 1"):
+        evolved_chi(sheared, (0.3, 0.2))
+    with pytest.raises(NumericalError, match="exceeds 1"):
+        evolved_chi_grid(sheared, axis(-0.5, 0.5, 3), axis(-0.5, 0.5, 3))

@@ -1,8 +1,34 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss as numpy_leggauss
 
-from chordscan.quadrature import (ConvergenceError, periodic_mean,
-                                  richardson_derivative)
+from chordscan.quadrature import (ConvergenceError, NumericalError, _gl_nodes,
+                                  periodic_mean, richardson_derivative)
+
+
+@pytest.mark.parametrize("n", [8, 128, 150, 151, 512, 1024])
+def test_gl_nodes_match_numpy_leggauss(n):
+    x, w = _gl_nodes(n)
+    x_ref, w_ref = numpy_leggauss(n)
+    assert np.max(np.abs(x - x_ref)) < 1e-13
+    assert np.max(np.abs(w - w_ref)) < 1e-13
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_gl_nodes_integrate_even_powers(n):
+    """n nodes integrate x^m exactly for m < 2n; even powers carry the weights."""
+    x, w = _gl_nodes(n)
+    for k in range(0, 200, 7):
+        assert abs(math.fsum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) < 1e-12
+    assert abs(math.fsum(w * x ** 3)) < 1e-15
+
+
+def test_convergence_error_is_a_numerical_error():
+    assert issubclass(ConvergenceError, NumericalError)
+    assert issubclass(NumericalError, RuntimeError)
 
 
 def test_periodic_mean_trig_polynomial():
