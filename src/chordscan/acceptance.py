@@ -17,13 +17,12 @@ from numpy.polynomial.laguerre import lagroots
 from scipy.special import j0
 
 from .blindspots import find_blind_spots, first_zero_along, nodal_contours
-from .core import Flag
+from .core import FLAG_CODES, Flag
 from .curves import CurveSpec
 from .evaluators import make_evaluator
 from .exact import (ExactEvaluator, correlation_C, fock_chi_radial,
                     fourier_invariance_residual)
 from .gridscan import axis, scan_grid
-from .semiclassical import chi_semiclassical, sp_full
 from .smallchord import (chi_small, chi_taylor, classical_moments,
                          closest_blind_spot_estimate, moments_from_chi,
                          second_order_from_table)
@@ -70,11 +69,9 @@ def criterion_normalization_and_symmetry(n_chords: int = 1000,
     plus, minus = values[1:n_chords + 1], values[n_chords + 1:]
     worst_exact = max(abs(values[0] - 1.0), float(np.max(np.abs(plus - np.conj(minus)))))
 
-    worst_semi = abs(complex(semi((0.0, 0.0))) - 1.0)
-    for xi in chords:
-        a = complex(semi(xi))
-        b = complex(semi(-xi))
-        worst_semi = max(worst_semi, abs(a - b.conjugate()))
+    values, _ = semi.evaluate(xi[:, 0], xi[:, 1])
+    plus, minus = values[1:n_chords + 1], values[n_chords + 1:]
+    worst_semi = max(abs(values[0] - 1.0), float(np.max(np.abs(plus - np.conj(minus)))))
 
     passed = worst_exact <= 1e-10 and worst_semi <= 1e-8
     return CriterionResult(
@@ -153,15 +150,10 @@ def criterion_cut_agreement(n_samples: int = 1000) -> CriterionResult:
     exact = make_evaluator("exact", SHEARED_STATE)
     semi = make_evaluator("semiclassical", SHEARED_STATE)
     ss = np.linspace(0.0, 2.0, n_samples)
-    abs_semi, kept = [], []
-    for s in ss:
-        sc = semi((s * u[0], s * u[1]))
-        if sc.flag is Flag.NEAR_CAUSTIC:
-            continue
-        kept.append(s)
-        abs_semi.append(abs(complex(sc)) ** 2)
-    abs_semi = np.asarray(abs_semi)
-    kept = np.asarray(kept)
+    values, flags = semi.evaluate(ss * u[0], ss * u[1])
+    usable = flags != FLAG_CODES[Flag.NEAR_CAUSTIC]
+    kept = ss[usable]
+    abs_semi = np.abs(values[usable]) ** 2
     abs_exact = np.abs(exact.evaluate(kept * u[0], kept * u[1])[0]) ** 2
     threshold = 0.03 * float(np.max(abs_exact))
     worst = float(np.max(np.abs(abs_semi - abs_exact)))
@@ -265,20 +257,18 @@ def criterion_purity_invariance() -> CriterionResult:
 
 def criterion_regime_handoff() -> CriterionResult:
     """Short chords reduce to the classical average, mid-ring to pure SP."""
-    worst_short = 0.0
-    for s in (0.02, 0.04, 0.06, 0.08, 0.1):
-        for a in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-            xi = (s * math.cos(a), s * math.sin(a))
-            d = abs(complex(chi_semiclassical(SHEARED_STATE, xi))
-                    - complex(chi_small(SHEARED_STATE, xi)))
-            worst_short = max(worst_short, d)
-    worst_mid = 0.0
-    for s in (0.5, 0.9, 1.3, 1.7):
-        for a in np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False):
-            xi = (s * math.cos(a), s * math.sin(a))
-            d = abs(complex(chi_semiclassical(SHEARED_STATE, xi))
-                    - complex(sp_full(SHEARED_STATE, xi)))
-            worst_mid = max(worst_mid, d)
+    def ring_of_chords(radii, count):
+        s, a = np.meshgrid(radii, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False),
+                           indexing="ij")
+        return (s * np.cos(a)).ravel(), (s * np.sin(a)).ravel()
+
+    semi = make_evaluator("semiclassical", SHEARED_STATE)
+    short = ring_of_chords((0.02, 0.04, 0.06, 0.08, 0.1), 8)
+    worst_short = float(np.max(np.abs(
+        semi.evaluate(*short)[0] - make_evaluator("small", SHEARED_STATE).evaluate(*short)[0])))
+    mid = ring_of_chords((0.5, 0.9, 1.3, 1.7), 6)
+    worst_mid = float(np.max(np.abs(
+        semi.evaluate(*mid)[0] - make_evaluator("sp_full", SHEARED_STATE).evaluate(*mid)[0])))
     worst = max(worst_short, worst_mid)
     return CriterionResult(
         name="regime handoff at the origin and on the mid-ring",

@@ -26,6 +26,7 @@ from scipy.optimize import brentq
 
 from .core import Chord, Flag
 from .gridscan import ChordFieldGrid
+from .quadrature import NumericalError
 
 # a component whose largest modulus is this far under the field's own scale
 # is identically zero by symmetry: every point is nodal and no line is defined
@@ -108,7 +109,7 @@ def _cell_segments(comp, xp, xq, i, j):
         return [(crossings[u], crossings[v]) for u, v in pairs]
     # n == 1 or 3 would need a corner sitting exactly on zero; nudging the
     # component field (done by the caller) rules it out
-    raise RuntimeError(f"inconsistent crossing count {n} in cell ({i}, {j})")
+    raise NumericalError(f"inconsistent crossing count {n} in cell ({i}, {j})")
 
 
 def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
@@ -313,9 +314,9 @@ def first_zero_along(evaluator, direction, s_max: float, n_scan: int = 400,
             root = brentq(lambda x: along(x).real, prev_s, s, xtol=1e-13)
             residual = abs(along(root))
             if residual > tol:
-                raise RuntimeError(
+                raise NumericalError(
                     f"real part vanishes at s={root:.6f} but |chi|={residual:.2e}: "
                     "the ray does not carry a real field")
             return float(root)
         prev_s, prev_v = s, v
-    raise RuntimeError(f"no zero on the ray within s <= {s_max}")
+    raise NumericalError(f"no zero on the ray within s <= {s_max}")

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all
 from .blindspots import find_blind_spots, nodal_contours
-from .core import FLAGS_BY_CODE, ChordValue
+from .core import FLAGS_BY_CODE
 from .curves import CurveSpec, InvalidStateError
 from .evaluators import EVALUATOR_NAMES, make_evaluator
 from .gridscan import axis, scan_grid
@@ -128,8 +128,11 @@ def _config_echo(opt: dict, keys) -> dict:
 _STATE_KEYS = ("n", "hbar", "t", "alpha0", "alpha1", "alpha2", "alpha3")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_FLAG_NAMES = [FLAGS_BY_CODE[code].value for code in range(len(FLAGS_BY_CODE))]
+
+
+def _flag_names(codes) -> list[str]:
+    return [_FLAG_NAMES[code] for code in np.ravel(codes).tolist()]
 
 
 def _safe(name: str) -> str:
@@ -156,16 +159,15 @@ def cmd_scan(args) -> int:
     grid = scan_grid(evaluator, xp, xq)
     elapsed = time.perf_counter() - started
 
+    values = grid.values.ravel()
+    rows = zip(np.repeat(xp, xq.size).tolist(), np.tile(xq, xp.size).tolist(),
+               values.tolist(), np.angle(values).tolist(), _flag_names(grid.flags))
     with out.open("w") as fh:
         fh.write("xi_p,xi_q,re,im,abs2,phase,flag\n")
-        for i in range(xp.size):
-            for j in range(xq.size):
-                v = grid.values[i, j]
-                flag = FLAGS_BY_CODE[int(grid.flags[i, j])]
-                fh.write(",".join((
-                    _fmt(xp[i]), _fmt(xq[j]), _fmt(v.real), _fmt(v.imag),
-                    _fmt(abs(v) ** 2), _fmt(float(np.angle(v))),
-                    flag.value)) + "\n")
+        # |z| on the Python complex: np.abs rounds differently in the last digit
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+                      % (p, q, z.real, z.imag, abs(z) ** 2, phase, flag)
+                      for p, q, z, phase, flag in rows)
     _write_json(out.with_suffix(".json"), {
         "command": "scan", "version": __version__,
         "config": _config_echo(opt, _STATE_KEYS + ("evaluator", "region",
@@ -193,14 +195,6 @@ def _cut_direction(opt: dict) -> np.ndarray:
     return d / norm
 
 
-def _along_ray(evaluator, xi_p, xi_q) -> list[ChordValue]:
-    """ChordValues at the chords (xi_p[k], xi_q[k]), in one batch where the evaluator has one."""
-    if hasattr(evaluator, "evaluate"):
-        values, flags = evaluator.evaluate(xi_p, xi_q)
-        return [ChordValue(complex(v), FLAGS_BY_CODE[int(f)]) for v, f in zip(values, flags)]
-    return [evaluator((p, q)) for p, q in zip(xi_p, xi_q)]
-
-
 def cmd_cut(args) -> int:
     opt = _merge(args)
     out = _require_out(opt, "cut")
@@ -213,21 +207,22 @@ def cmd_cut(args) -> int:
         raise ValueError("cut needs samples >= 1")
     ss = np.linspace(lo, hi, opt["samples"])
     started = time.perf_counter()
-    per_point = list(zip(*(_along_ray(ev, ss * d[0], ss * d[1]) for ev in evaluators)))
+    outputs = [ev.evaluate(ss * d[0], ss * d[1]) for ev in evaluators]
     elapsed = time.perf_counter() - started
 
     columns = ["s", "xi_p", "xi_q"]
     for ev in evaluators:
         tag = _safe(ev.name)
         columns += [f"{tag}_re", f"{tag}_im", f"{tag}_abs2", f"{tag}_flag"]
+    row = "%.17g,%.17g,%.17g" + ",%.17g,%.17g,%.17g,%s" * len(evaluators) + "\n"
+    cells = [ss.tolist(), (ss * d[0]).tolist(), (ss * d[1]).tolist()]
+    for values, flags in outputs:
+        zs = values.tolist()
+        cells += [[z.real for z in zs], [z.imag for z in zs], [abs(z) ** 2 for z in zs],
+                  _flag_names(flags)]
     with out.open("w") as fh:
         fh.write(",".join(columns) + "\n")
-        for s, outs in zip(ss, per_point):
-            cells = [_fmt(s), _fmt(s * d[0]), _fmt(s * d[1])]
-            for cv in outs:
-                cells += [_fmt(cv.c), _fmt(cv.s), _fmt(abs(cv.value) ** 2),
-                          cv.flag.value]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(row % sample for sample in zip(*cells))
     _write_json(out.with_suffix(".json"), {
         "command": "cut", "version": __version__,
         "config": _config_echo(opt, _STATE_KEYS + ("evaluator", "range",

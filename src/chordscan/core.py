@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 
 class PhasePoint(NamedTuple):
     """Point of the classical phase plane, ordered (p, q)."""
@@ -69,6 +71,26 @@ FLAGS_BY_CODE = {code: flag for flag, code in FLAG_CODES.items()}
 def worst_flag(*flags: Flag) -> Flag:
     """The most severe of the given flags (OK < EVANESCENT < NEAR_CAUSTIC < ...)."""
     return max(flags, key=_FLAG_SEVERITY.__getitem__)
+
+
+_SEVERITY_BY_CODE = np.array([_FLAG_SEVERITY[FLAGS_BY_CODE[code]]
+                              for code in range(len(FLAGS_BY_CODE))])
+
+
+def worst_flag_codes(a, b) -> np.ndarray:
+    """Elementwise worst_flag of two arrays of flag codes."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    return np.where(_SEVERITY_BY_CODE[a] >= _SEVERITY_BY_CODE[b], a, b)
+
+
+def chord_arrays(xi_p, xi_q) -> tuple[np.ndarray, np.ndarray]:
+    """The components of a chord batch as two float arrays of one shape."""
+    xi_p = np.asarray(xi_p, dtype=float)
+    xi_q = np.asarray(xi_q, dtype=float)
+    if xi_p.shape != xi_q.shape:
+        raise ValueError(f"chord components differ in shape: {xi_p.shape} and {xi_q.shape}")
+    return xi_p, xi_q
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,43 @@
 """Uniform access to every chord-function evaluator.
 
-An evaluator is a callable mapping a chord (xi_p, xi_q) to a ChordValue; it
-carries ``name`` and ``state`` attributes, and may offer a vectorized
-``grid(xi_p_axis, xi_q_axis) -> (values, flags)`` fast path that scan_grid
-will pick up.
+The evaluator protocol:
+
+* ``name`` and ``state`` (a CurveSpec) attributes;
+* ``evaluate(xi_p, xi_q) -> (values, flag_codes)`` (required): the chords
+  (xi_p[k], xi_q[k]) of two same-shape arrays, evaluated in one batch, with
+  complex values and uint8 flag codes (core.FLAG_CODES) of that shape;
+  mismatched shapes are a ValueError and an empty batch gives empty arrays.
+  It is the one evaluation path.
+* ``evaluator((xi_p, xi_q)) -> ChordValue``: one chord, through the same
+  kernel;
+* ``grid(xi_p_axis, xi_q_axis) -> (values, flag_codes)`` (optional): a fast
+  path for the tensor grid xi_p_axis x xi_q_axis, which scan_grid uses when
+  present. The exact oracle and the classical average factor over the grid
+  into one matrix product per node count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FLAG_CODES, ChordValue
+from .core import ChordValue, chord_arrays
 from .curves import CurveSpec
 from .exact import ExactEvaluator
-from .semiclassical import chi_semiclassical, sp_full, sp_small
-from .smallchord import chi_small, chi_small_grid, chi_taylor, classical_moments
+from .semiclassical import (chi_semiclassical, semiclassical_values, sp_full,
+                            sp_full_values, sp_small, sp_small_values)
+from .smallchord import (chi_small, chi_small_grid, chi_small_points, chi_taylor,
+                         classical_moments, taylor_values)
 
 EVALUATOR_NAMES = ("exact", "small", "semiclassical", "sp_small", "sp_full", "taylor")
+
+
+def _batch(kernel, xi_p, xi_q):
+    """Run ``kernel`` on the flattened chord arrays and restore their shape."""
+    xi_p, xi_q = chord_arrays(xi_p, xi_q)
+    if xi_p.size == 0:
+        return np.zeros(xi_p.shape, dtype=complex), np.zeros(xi_p.shape, dtype=np.uint8)
+    values, flags = kernel(xi_p.ravel(), xi_q.ravel())
+    return values.reshape(xi_p.shape), flags.reshape(xi_p.shape)
 
 
 class SmallChordEvaluator:
@@ -27,6 +48,13 @@ class SmallChordEvaluator:
     def __init__(self, state: CurveSpec, tol: float = 1e-10):
         self.state = state
         self.tol = tol
+
+    def evaluate(self, xi_p, xi_q):
+        def kernel(xi_p, xi_q):
+            values = chi_small_points(self.state, xi_p, xi_q, tol=self.tol)
+            return values, np.zeros(values.shape, dtype=np.uint8)
+
+        return _batch(kernel, xi_p, xi_q)
 
     def __call__(self, xi) -> ChordValue:
         return chi_small(self.state, xi, tol=self.tol)
@@ -45,25 +73,39 @@ class TaylorEvaluator:
         self.name = f"taylor:{order}"
         self._moments = classical_moments(state, order=order)
 
+    def evaluate(self, xi_p, xi_q):
+        xi_p, xi_q = chord_arrays(xi_p, xi_q)
+        values = np.asarray(taylor_values(self._moments, self.state.hbar, xi_p, xi_q),
+                            dtype=complex)
+        return values, np.zeros(xi_p.shape, dtype=np.uint8)
+
     def __call__(self, xi) -> ChordValue:
         return chi_taylor(self._moments, self.state.hbar, xi)
 
 
-class _PointwiseEvaluator:
-    def __init__(self, state: CurveSpec, fn, name: str):
+class StationaryPhaseEvaluator:
+    """One bare stationary-phase sum: ``sp_small`` or ``sp_full``."""
+
+    _KERNELS = {"sp_small": (sp_small_values, sp_small), "sp_full": (sp_full_values, sp_full)}
+
+    def __init__(self, state: CurveSpec, name: str):
         self.state = state
-        self._fn = fn
         self.name = name
+        self._values, self._point = self._KERNELS[name]
+
+    def evaluate(self, xi_p, xi_q):
+        return _batch(lambda xi_p, xi_q: self._values(self.state, xi_p, xi_q), xi_p, xi_q)
 
     def __call__(self, xi) -> ChordValue:
-        return self._fn(self.state, xi)
+        return self._point(self.state, xi)
 
 
 class SemiclassicalEvaluator:
-    """Composite chi_s - sp_small + sp_full with a grid fast path.
+    """Composite chi_s - sp_small + sp_full.
 
-    On grids the classical average comes from the vectorized accumulation of
-    chi_small_grid and only the two stationary-phase sums run pointwise.
+    A chord batch takes its classical average from one stacked periodic
+    mean, a tensor grid from the rank-one accumulation of chi_small_grid;
+    the stationary-phase sums run once over the whole batch.
     """
 
     name = "semiclassical"
@@ -72,20 +114,22 @@ class SemiclassicalEvaluator:
         self.state = state
         self.tol = tol
 
+    def evaluate(self, xi_p, xi_q):
+        def kernel(xi_p, xi_q):
+            classical = chi_small_points(self.state, xi_p, xi_q, tol=self.tol)
+            return semiclassical_values(self.state, xi_p, xi_q, classical)
+
+        return _batch(kernel, xi_p, xi_q)
+
     def __call__(self, xi) -> ChordValue:
         return chi_semiclassical(self.state, xi, tol=self.tol)
 
     def grid(self, xi_p_axis, xi_q_axis):
         classical = chi_small_grid(self.state, xi_p_axis, xi_q_axis, tol=self.tol)
-        values = np.empty(classical.shape, dtype=complex)
-        flags = np.empty(classical.shape, dtype=np.uint8)
-        for i, xi_p in enumerate(xi_p_axis):
-            for j, xi_q in enumerate(xi_q_axis):
-                out = chi_semiclassical(self.state, (float(xi_p), float(xi_q)),
-                                        tol=self.tol, _classical=classical[i, j])
-                values[i, j] = out.value
-                flags[i, j] = FLAG_CODES[out.flag]
-        return values, flags
+        mesh_p, mesh_q = np.meshgrid(xi_p_axis, xi_q_axis, indexing="ij")
+        values, flags = semiclassical_values(self.state, mesh_p.ravel(), mesh_q.ravel(),
+                                             classical.ravel())
+        return values.reshape(classical.shape), flags.reshape(classical.shape)
 
 
 def make_evaluator(name: str, state: CurveSpec):
@@ -97,9 +141,9 @@ def make_evaluator(name: str, state: CurveSpec):
     if name == "semiclassical":
         return SemiclassicalEvaluator(state)
     if name in ("sp_small", "sp-small"):
-        return _PointwiseEvaluator(state, sp_small, "sp_small")
+        return StationaryPhaseEvaluator(state, "sp_small")
     if name in ("sp_full", "sp-full"):
-        return _PointwiseEvaluator(state, sp_full, "sp_full")
+        return StationaryPhaseEvaluator(state, "sp_full")
     if name.startswith("taylor"):
         _, _, suffix = name.partition(":")
         order = int(suffix) if suffix else 4

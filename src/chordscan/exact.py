@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_laguerre
 
-from .core import Chord, ChordValue, Flag
+from .core import Chord, ChordValue, Flag, chord_arrays
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, _gl_nodes
 
@@ -194,10 +194,7 @@ class ExactEvaluator:
 
     def evaluate(self, xi_p, xi_q):
         """(values, flags) at the chords (xi_p[k], xi_q[k]) of two same-shape arrays."""
-        xi_p = np.asarray(xi_p, dtype=float)
-        xi_q = np.asarray(xi_q, dtype=float)
-        if xi_p.shape != xi_q.shape:
-            raise ValueError(f"chord components differ in shape: {xi_p.shape} and {xi_q.shape}")
+        xi_p, xi_q = chord_arrays(xi_p, xi_q)
         values = _overlap(self.state, xi_p, xi_q, self.quad, tensor=False).reshape(xi_p.shape)
         return values, np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FLAGS_BY_CODE, FLAG_CODES, Flag, worst_flag
+from .core import FLAGS_BY_CODE, Flag, worst_flag
 
 
 @dataclass(frozen=True)
@@ -69,24 +69,18 @@ def axis(lo: float, hi: float, count: int) -> np.ndarray:
 def scan_grid(evaluator, xi_p_axis, xi_q_axis, extra_metadata: dict | None = None) -> ChordFieldGrid:
     """Evaluate a chord-function evaluator over a chord grid.
 
-    Uses the evaluator's vectorized ``grid`` method when it has one and falls
-    back to looping its pointwise call. The evaluator must expose ``state``
-    (a CurveSpec) and ``name``.
+    Uses the evaluator's tensor-grid fast path ``grid`` when it has one, and
+    otherwise one ``evaluate`` call on the whole mesh. The evaluator must
+    expose ``state`` (a CurveSpec) and ``name``.
     """
     xi_p_axis = np.asarray(xi_p_axis, dtype=float)
     xi_q_axis = np.asarray(xi_q_axis, dtype=float)
     if hasattr(evaluator, "grid"):
         values, flags = evaluator.grid(xi_p_axis, xi_q_axis)
-        values = np.asarray(values, dtype=complex)
-        flags = np.asarray(flags, dtype=np.uint8)
     else:
-        values = np.empty((xi_p_axis.size, xi_q_axis.size), dtype=complex)
-        flags = np.empty(values.shape, dtype=np.uint8)
-        for i, xi_p in enumerate(xi_p_axis):
-            for j, xi_q in enumerate(xi_q_axis):
-                out = evaluator((xi_p, xi_q))
-                values[i, j] = out.value
-                flags[i, j] = FLAG_CODES[out.flag]
+        values, flags = evaluator.evaluate(*np.meshgrid(xi_p_axis, xi_q_axis, indexing="ij"))
+    values = np.asarray(values, dtype=complex)
+    flags = np.asarray(flags, dtype=np.uint8)
     state = evaluator.state
     metadata = {
         "evaluator": evaluator.name,

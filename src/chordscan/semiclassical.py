@@ -40,15 +40,30 @@ theta for any cubic H(p): the tangency defect x'(theta) ∧ xi, and the
 realization defect I(x(theta) + xi) - I, which is u^2 + (p + xi_p)^2 - r^2
 over 2 with u = r sin(theta) - A p + B, A = 6 t a3 xi_p and
 B = xi_q - t (3 a3 xi_p^2 + 2 a2 xi_p). Their real roots are therefore the
-unit-circle roots of a quartic in z = exp(i theta). _trig_roots samples a
-defect at five equispaced angles, reads off its exact harmonics by FFT,
-trims the coefficients that vanish (the degree drops on t = 0 curves, on the
-xi_p = 0 row and when a3 = 0) and takes the companion-matrix eigenvalues
-(Boyd, J. Eng. Math. 56, 2006). A root counts as a real angle when
-|ln|z|| <= sqrt(ROUND_OFF): a double root splits by the square root of the
-coefficients' round-off. The arc integral has the antiderivative
+unit-circle roots of a quartic in z = exp(i theta) (Boyd, J. Eng. Math. 56,
+2006). The arc integral has the antiderivative
 
     \\int x ∧ x' dtheta = r^2 theta + t (a3 p^3 - a1 p).
+
+Batched evaluation
+------------------
+Every sum is evaluated for a whole array of chords at once.
+_unit_circle_roots samples a defect at five equispaced angles for all K
+chords, a (K, 5) array, and reads off the exact harmonics of every row with
+one FFT. It trims each row's leading and trailing coefficients that are
+round-off: a real defect loses them in pairs, so the trimmed degree is 4, 2
+or 0 (the degree drops on t = 0 curves, on the xi_p = 0 row and when
+a3 = 0). The rows are grouped by degree, the companion matrices of a group
+are built as np.roots builds them, and each group takes one stacked
+np.linalg.eigvals call. A root counts as a real angle when
+|ln|z|| <= sqrt(ROUND_OFF): a double root splits by the square root of the
+coefficients' round-off. Tip angle, arc area, bracket, h', sigma, curvature
+wedge and every flag rule are then computed over the flattened roots of the
+batch, and np.bincount folds the terms into per-chord sums in each chord's
+root order. tangency_points, chord_realizations, realization_geometry,
+sp_small, sp_full and chi_semiclassical are one-chord calls into the same
+kernel; sp_small_values, sp_full_values and semiclassical_values are its
+batch entry points.
 
 The composite evaluator subtracts the asymptotics of the classical average
 and adds the full stationary-phase value,
@@ -72,10 +87,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Chord, ChordValue, Flag, PhasePoint, wedge, worst_flag
+from .core import FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, PhasePoint, worst_flag_codes
 from .curves import CurveSpec
 from .quadrature import NumericalError
 from .smallchord import chi_small
@@ -94,28 +110,76 @@ DENOMINATOR_FLOOR = 1e-12
 # circle count as real
 ROUND_OFF = 1e-12
 
+# the five sample angles that fix a trig polynomial of degree <= 2
+_ANGLES = TWO_PI * np.arange(5) / 5
 
-def _trig_roots(defect):
-    """Real roots of a trig polynomial of degree <= 2, and its nearest miss.
+_OK = FLAG_CODES[Flag.OK]
+_NEAR_CAUSTIC = FLAG_CODES[Flag.NEAR_CAUSTIC]
+_EVANESCENT = FLAG_CODES[Flag.EVANESCENT]
 
-    Five equispaced samples of ``defect`` fix its harmonics c_-2 .. c_2
-    exactly, and the roots of f(theta) = sum c_m exp(i m theta) are the
-    unit-circle roots of the quartic z^2 f(z), the eigenvalues of its
-    companion matrix. Leading and trailing coefficients that are round-off
-    are trimmed first (for a real defect they vanish in pairs). Returns
-    (angles, miss): the real roots sorted in [0, 2 pi), and the smallest
-    |ln|z|| among the roots off the circle (inf if there are none).
+
+def _unit_circle_roots(samples):
+    """Real roots of K trig polynomials of degree <= 2, and each one's nearest miss.
+
+    Row k of the (K, 5) array ``samples`` holds defect k at the angles
+    2 pi j / 5, which fix its harmonics c_-2 .. c_2 exactly; the roots of
+    f(theta) = sum c_m exp(i m theta) are the unit-circle roots of the
+    quartic z^2 f(z), the eigenvalues of its companion matrix. Leading and
+    trailing coefficients that are round-off are trimmed first (for a real
+    defect they vanish in pairs, leaving degree 4, 2 or 0), and each degree
+    group takes one stacked eigenvalue call.
+
+    Returns (chord, theta, miss): the row and the angle in [0, 2 pi) of every
+    real root, the roots of each row in ascending angle (the order of its
+    sums), and per row the smallest |ln|z|| among the roots off the circle
+    (inf if there are none).
     """
-    harmonics = np.fft.fft(defect(TWO_PI * np.arange(5) / 5)) / 5
-    quartic = harmonics[[2, 1, 0, 4, 3]]  # c_2 .. c_-2: powers z^4 .. z^0
-    scale = np.max(np.abs(quartic))
-    while quartic.size > 1 and max(abs(quartic[0]), abs(quartic[-1])) <= ROUND_OFF * scale:
-        quartic = quartic[1:-1]
-    roots = np.roots(quartic)
-    log_radius = np.abs(np.log(np.abs(roots)))
-    on_circle = log_radius <= math.sqrt(ROUND_OFF)
-    angles = np.sort(np.angle(roots[on_circle]) % TWO_PI)
-    return [float(a) for a in angles], float(np.min(log_radius[~on_circle], initial=np.inf))
+    count = samples.shape[0]
+    harmonics = np.fft.fft(samples, axis=-1) / 5
+    quartic = harmonics[:, [2, 1, 0, 4, 3]]  # c_2 .. c_-2: powers z^4 .. z^0
+    size = np.abs(quartic)
+    floor = ROUND_OFF * np.max(size, axis=1)
+    degree = np.where(np.maximum(size[:, 0], size[:, 4]) > floor, 4,
+                      np.where(np.maximum(size[:, 1], size[:, 3]) > floor, 2, 0))
+    miss = np.full(count, np.inf)
+    chords, thetas = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for deg in (4, 2):
+        rows = np.flatnonzero(degree == deg)
+        if rows.size == 0:
+            continue
+        trim = (4 - deg) // 2
+        coeffs = quartic[rows, trim:5 - trim]
+        companion = np.zeros((rows.size, deg, deg), dtype=complex)
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        roots = np.linalg.eigvals(companion)
+        log_radius = np.abs(np.log(np.abs(roots)))
+        on_circle = log_radius <= math.sqrt(ROUND_OFF)
+        miss[rows] = np.min(np.where(on_circle, np.inf, log_radius), axis=1)
+        # off-circle roots sort last as inf and are dropped
+        theta = np.sort(np.where(on_circle, np.angle(roots) % TWO_PI, np.inf), axis=1)
+        real = np.isfinite(theta)
+        chords.append(np.broadcast_to(rows[:, np.newaxis], theta.shape)[real])
+        thetas.append(theta[real])
+    return np.concatenate(chords), np.concatenate(thetas), miss
+
+
+def _chord_sums(chord, terms, count: int) -> np.ndarray:
+    """Per-chord sums of ``terms``, each added in its order in the array."""
+    out = np.empty(count, dtype=complex)
+    out.real = np.bincount(chord, weights=terms.real, minlength=count)
+    out.imag = np.bincount(chord, weights=terms.imag, minlength=count)
+    return out
+
+
+def _any_per_chord(chord, mask, count: int) -> np.ndarray:
+    """Per chord: does any of its roots satisfy ``mask``?"""
+    return np.bincount(chord[mask], minlength=count) > 0
+
+
+def _single(xi):
+    """One chord as the pair of one-element component arrays the kernel takes."""
+    return np.array([float(xi[0])]), np.array([float(xi[1])])
 
 
 # -- tangencies and the short-chord asymptotics ----------------------------
@@ -131,24 +195,51 @@ class Tangency:
     flag: Flag
 
 
-def tangency_points(curve: CurveSpec, xi) -> list[Tangency]:
-    xi = np.asarray(xi, dtype=float)
+class _Tangencies(NamedTuple):
+    """Every tangency of a chord batch, one entry per root."""
 
-    def parallel_defect(theta):
-        dp, dq = curve.velocity(theta)
-        return dp * xi[1] - dq * xi[0]
+    chord: np.ndarray
+    theta: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    curvature_wedge: np.ndarray
+    caustic: np.ndarray
 
-    roots, _ = _trig_roots(parallel_defect)
+
+def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Tangencies:
+    dp, dq = curve.velocity(_ANGLES)
+    chord, theta, _ = _unit_circle_roots(dp * xi_q[:, None] - dq * xi_p[:, None])
+    ddp, ddq = curve.acceleration(theta)
+    curv = ddp * xi_q[chord] - ddq * xi_p[chord]
+    p, q = curve.point(theta)
     tol = REL_CAUSTIC_TOL * 2.0 * curve.action  # fraction of r^2
-    out = []
-    for theta in roots:
-        ddp, ddq = curve.acceleration(theta)
-        curv = float(ddp * xi[1] - ddq * xi[0])
-        p, q = curve.point(theta)
-        flag = Flag.NEAR_CAUSTIC if abs(curv) < tol else Flag.OK
-        out.append(Tangency(theta=float(theta), point=PhasePoint(float(p), float(q)),
-                            curvature_wedge=curv, flag=flag))
-    return out
+    return _Tangencies(chord, theta, p, q, curv, np.abs(curv) < tol)
+
+
+def tangency_points(curve: CurveSpec, xi) -> list[Tangency]:
+    tan = _tangencies(curve, *_single(xi))
+    return [Tangency(theta=float(theta), point=PhasePoint(float(p), float(q)),
+                     curvature_wedge=float(curv),
+                     flag=Flag.NEAR_CAUSTIC if caustic else Flag.OK)
+            for theta, p, q, curv, caustic in zip(tan.theta, tan.p, tan.q,
+                                                  tan.curvature_wedge, tan.caustic)]
+
+
+def sp_small_values(curve: CurveSpec, xi_p, xi_q):
+    """sp_small of every chord (xi_p[k], xi_q[k]) of two 1-d arrays: (values, flag codes)."""
+    count = xi_p.size
+    tan = _tangencies(curve, xi_p, xi_q)
+    kept = np.abs(tan.curvature_wedge) >= DENOMINATOR_FLOOR
+    chord, curv = tan.chord[kept], tan.curvature_wedge[kept]
+    phase = ((tan.p[kept] * xi_q[chord] - tan.q[kept] * xi_p[chord]) / curve.hbar
+             + 0.25 * np.pi * np.copysign(1.0, curv))
+    terms = np.sqrt(TWO_PI * curve.hbar / np.abs(curv)) / TWO_PI * np.exp(1j * phase)
+    # a closed curve is tangent to every direction at least twice; no
+    # tangency means xi = 0, where every angle is stationary
+    caustic = (_any_per_chord(tan.chord, tan.caustic, count)
+               | (np.bincount(tan.chord, minlength=count) == 0))
+    flags = np.where(caustic, _NEAR_CAUSTIC, _OK).astype(np.uint8)
+    return _chord_sums(chord, terms, count), flags
 
 
 def sp_small(curve: CurveSpec, xi) -> ChordValue:
@@ -158,21 +249,8 @@ def sp_small(curve: CurveSpec, xi) -> ChordValue:
         sqrt(2 pi hbar / |x'' ∧ xi|)
             exp[i x ∧ xi / hbar + i (pi/4) sign(x'' ∧ xi)].
     """
-    xi = np.asarray(xi, dtype=float)
-    tangencies = tangency_points(curve, xi)
-    total = 0.0 + 0.0j
-    # a closed curve is tangent to every direction at least twice; no
-    # tangency means xi = 0, where every angle is stationary
-    flag = Flag.OK if tangencies else Flag.NEAR_CAUSTIC
-    for tan in tangencies:
-        flag = worst_flag(flag, tan.flag)
-        if abs(tan.curvature_wedge) < DENOMINATOR_FLOOR:
-            continue
-        phase = (wedge(tan.point, xi) / curve.hbar
-                 + 0.25 * np.pi * math.copysign(1.0, tan.curvature_wedge))
-        total += (np.sqrt(TWO_PI * curve.hbar / abs(tan.curvature_wedge)) / TWO_PI
-                  * np.exp(1j * phase))
-    return ChordValue(complex(total), flag)
+    values, flags = sp_small_values(curve, *_single(xi))
+    return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
 
 
 # -- chord realizations and the full stationary phase ----------------------
@@ -200,79 +278,135 @@ class RealizationSet:
     grazing: bool  # a complex pair of roots lies within REL_CAUSTIC_TOL of the unit circle
 
 
-def _tip_angle(curve: CurveSpec, tip, theta_foot: float) -> float:
-    """Parameter of the tip point, folded into (theta_foot, theta_foot + 2 pi].
+class _Geometry(NamedTuple):
+    """Stationary-phase data of realization feet, one entry per foot."""
+
+    theta_foot: np.ndarray
+    theta_tip: np.ndarray
+    foot_p: np.ndarray
+    foot_q: np.ndarray
+    tip_p: np.ndarray
+    tip_q: np.ndarray
+    h_prime: np.ndarray
+    area: np.ndarray
+    bracket: np.ndarray
+    caustic: np.ndarray
+
+
+def _tip_angle(curve: CurveSpec, tip_p, tip_q, theta_foot):
+    """Parameters of the tip points, each folded into (theta_foot, theta_foot + 2 pi].
 
     The shear leaves p = r cos(theta) untouched and moves q by H'(p) t, so
     u = q - H'(p) t = r sin(theta) and theta = atan2(u, p), well conditioned
     at every angle.
     """
-    p = float(tip[0])
-    u = float(tip[1] - curve.drift(p) * curve.t)
-    miss = abs(math.hypot(p, u) - curve.radius)
-    if miss > 1e-6 * curve.radius:
+    u = tip_q - curve.drift(tip_p) * curve.t
+    miss = np.abs(np.hypot(tip_p, u) - curve.radius)
+    off = np.flatnonzero(miss > 1e-6 * curve.radius)
+    if off.size:
+        k = off[0]
         raise NumericalError(
-            f"realization tip {tuple(tip)} is not on the curve (radial miss {miss:.3e})")
-    theta = math.atan2(u, p)
-    while theta <= theta_foot:
-        theta += TWO_PI
+            f"realization tip {(float(tip_p[k]), float(tip_q[k]))} is not on the "
+            f"curve (radial miss {miss[k]:.3e})")
+    theta = np.arctan2(u, tip_p)
+    behind = theta <= theta_foot
+    while behind.any():
+        theta = np.where(behind, theta + TWO_PI, theta)
+        behind = theta <= theta_foot
     return theta
 
 
-def _arc_area(curve: CurveSpec, theta0: float, theta1: float) -> float:
+def _arc_area(curve: CurveSpec, theta0, theta1):
     """\\int_{theta0}^{theta1} x ∧ x' dtheta in closed form.
 
     With p = r cos(theta) the integrand is r^2 + t (3 a3 p^2 - a1) dp/dtheta,
     so its antiderivative is r^2 theta + t (a3 p^3 - a1 p).
     """
     _, a1, _, a3 = curve.alpha
-    p0 = curve.radius * math.cos(theta0)
-    p1 = curve.radius * math.cos(theta1)
+    p0 = curve.radius * np.cos(theta0)
+    p1 = curve.radius * np.cos(theta1)
     return (2.0 * curve.action * (theta1 - theta0)
             + curve.t * (a3 * (p1 ** 3 - p0 ** 3) - a1 * (p1 - p0)))
 
 
-def realization_geometry(curve: CurveSpec, theta_foot: float, xi) -> Realization:
-    """Assemble the full stationary-phase data of one realization foot."""
-    xi = np.asarray(xi, dtype=float)
-    foot = np.array(curve.point(theta_foot), dtype=float)
-    tip = foot + xi
-    theta_tip = _tip_angle(curve, tip, theta_foot)
-    area = 0.5 * (_arc_area(curve, theta_foot, theta_tip) + wedge(tip, foot))
+def _geometry(curve: CurveSpec, theta_foot, xi_p, xi_q) -> _Geometry:
+    """Stationary-phase data of the feet theta_foot[k] of the chords (xi_p[k], xi_q[k])."""
+    foot_p, foot_q = curve.point(theta_foot)
+    tip_p, tip_q = foot_p + xi_p, foot_q + xi_q
+    theta_tip = _tip_angle(curve, tip_p, tip_q, theta_foot)
+    area = 0.5 * (_arc_area(curve, theta_foot, theta_tip) + (tip_p * foot_q - tip_q * foot_p))
 
-    grad_tip = np.array(curve.action_gradient(tip), dtype=float)
-    grad_foot = np.array(curve.action_gradient(foot), dtype=float)
-    bracket = float(grad_tip[1] * grad_foot[0] - grad_tip[0] * grad_foot[1])
-    velocity_foot = np.array(curve.velocity(theta_foot), dtype=float)
-    h_prime = float(grad_tip @ velocity_foot)
+    grad_tip = curve.action_gradient((tip_p, tip_q))
+    grad_foot = curve.action_gradient((foot_p, foot_q))
+    bracket = grad_tip[1] * grad_foot[0] - grad_tip[0] * grad_foot[1]
+    vel_p, vel_q = curve.velocity(theta_foot)
+    h_prime = grad_tip[0] * vel_p + grad_tip[1] * vel_q
 
     scale = 2.0 * curve.action  # r^2, the natural size of both denominators
-    flag = (Flag.NEAR_CAUSTIC
-            if min(abs(bracket), abs(h_prime)) < REL_CAUSTIC_TOL * scale
-            else Flag.OK)
+    caustic = np.minimum(np.abs(bracket), np.abs(h_prime)) < REL_CAUSTIC_TOL * scale
+    return _Geometry(theta_foot, theta_tip, foot_p, foot_q, tip_p, tip_q,
+                     h_prime, area, bracket, caustic)
+
+
+def _realization(geo: _Geometry, k: int, xi) -> Realization:
+    foot = PhasePoint(float(geo.foot_p[k]), float(geo.foot_q[k]))
+    h_prime = float(geo.h_prime[k])
     return Realization(
-        theta_foot=float(theta_foot), theta_tip=float(theta_tip),
-        foot=PhasePoint(*foot), tip=PhasePoint(*tip),
-        midpoint=PhasePoint(*(foot + 0.5 * xi)),
+        theta_foot=float(geo.theta_foot[k]), theta_tip=float(geo.theta_tip[k]),
+        foot=foot, tip=PhasePoint(float(geo.tip_p[k]), float(geo.tip_q[k])),
+        midpoint=PhasePoint(foot.p + 0.5 * float(xi[0]), foot.q + 0.5 * float(xi[1])),
         h_prime=h_prime, sigma=math.copysign(1.0, h_prime),
-        area=float(area), bracket=bracket, flag=flag)
+        area=float(geo.area[k]), bracket=float(geo.bracket[k]),
+        flag=Flag.NEAR_CAUSTIC if geo.caustic[k] else Flag.OK)
+
+
+def realization_geometry(curve: CurveSpec, theta_foot: float, xi) -> Realization:
+    """Assemble the full stationary-phase data of one realization foot."""
+    xi_p, xi_q = _single(xi)
+    return _realization(_geometry(curve, np.array([float(theta_foot)]), xi_p, xi_q), 0, xi)
+
+
+def _realizations(curve: CurveSpec, xi_p, xi_q):
+    """(chord, geometry, grazing): every realization of a chord batch, and per chord
+    whether a complex root pair lies within REL_CAUSTIC_TOL of the unit circle."""
+    # at xi = 0 every foot is its own tip and the level defect is pure
+    # round-off: no realizations, and the chord counts as grazing
+    moving = np.flatnonzero((xi_p != 0.0) | (xi_q != 0.0))
+    p, q = curve.point(_ANGLES)
+    level = curve.action_value((p + xi_p[moving, None], q + xi_q[moving, None])) - curve.action
+    chord, theta, miss = _unit_circle_roots(level)
+    grazing = np.ones(xi_p.size, dtype=bool)
+    grazing[moving] = miss < REL_CAUSTIC_TOL
+    chord = moving[chord]
+    return chord, _geometry(curve, theta, xi_p[chord], xi_q[chord]), grazing
 
 
 def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
-    xi = np.asarray(xi, dtype=float)
-    if not xi.any():
-        # every foot is its own tip; the level defect is pure round-off
-        return RealizationSet(realizations=(), grazing=True)
-    target = curve.action
-
-    def level_defect(theta):
-        p, q = curve.point(theta)
-        return curve.action_value((p + xi[0], q + xi[1])) - target
-
-    roots, miss = _trig_roots(level_defect)
+    _, geo, grazing = _realizations(curve, *_single(xi))
     return RealizationSet(
-        realizations=tuple(realization_geometry(curve, th, xi) for th in roots),
-        grazing=miss < REL_CAUSTIC_TOL)
+        realizations=tuple(_realization(geo, k, xi) for k in range(geo.theta_foot.size)),
+        grazing=bool(grazing[0]))
+
+
+def sp_full_values(curve: CurveSpec, xi_p, xi_q, offsets=(-2.0, -2.0)):
+    """sp_full of every chord (xi_p[k], xi_q[k]) of two 1-d arrays: (values, flag codes)."""
+    count = xi_p.size
+    chord, geo, grazing = _realizations(curve, xi_p, xi_q)
+    kept = np.abs(geo.bracket) >= DENOMINATOR_FLOOR
+    sel = chord[kept]
+    sigma = np.copysign(1.0, geo.h_prime[kept])
+    offset = np.where(sigma > 0, offsets[0], offsets[1])
+    mid_p = geo.foot_p[kept] + 0.5 * xi_p[sel]
+    mid_q = geo.foot_q[kept] + 0.5 * xi_q[sel]
+    phase = ((geo.area[kept] + (mid_p * xi_q[sel] - mid_q * xi_p[sel])) / curve.hbar
+             + 0.25 * np.pi * (sigma + offset))
+    terms = (np.sqrt(TWO_PI * curve.hbar) / TWO_PI / np.sqrt(np.abs(geo.bracket[kept]))
+             * np.exp(1j * phase))
+    found = np.bincount(chord, minlength=count) > 0
+    caustic = _any_per_chord(chord, geo.caustic, count)
+    flags = np.where(found, np.where(caustic, _NEAR_CAUSTIC, _OK),
+                     np.where(grazing, _NEAR_CAUSTIC, _EVANESCENT)).astype(np.uint8)
+    return _chord_sums(sel, terms, count), flags
 
 
 def sp_full(curve: CurveSpec, xi, _offsets: tuple[float, float] = (-2.0, -2.0)) -> ChordValue:
@@ -282,46 +416,40 @@ def sp_full(curve: CurveSpec, xi, _offsets: tuple[float, float] = (-2.0, -2.0)) 
     sigma = +1 and sigma = -1 branches; the production value (-2, -2) is
     validated by calibrate_maslov_offsets and the closed-form ring tests.
     """
-    xi = np.asarray(xi, dtype=float)
-    found = chord_realizations(curve, xi)
-    if not found.realizations:
-        flag = Flag.NEAR_CAUSTIC if found.grazing else Flag.EVANESCENT
-        return ChordValue(0.0 + 0.0j, flag)
-    total = 0.0 + 0.0j
-    flag = Flag.OK
-    for real in found.realizations:
-        flag = worst_flag(flag, real.flag)
-        if abs(real.bracket) < DENOMINATOR_FLOOR:
-            continue
-        offset = _offsets[0] if real.sigma > 0 else _offsets[1]
-        phase = ((real.area + wedge(real.midpoint, xi)) / curve.hbar
-                 + 0.25 * np.pi * (real.sigma + offset))
-        total += (np.sqrt(TWO_PI * curve.hbar) / TWO_PI / np.sqrt(abs(real.bracket))
-                  * np.exp(1j * phase))
-    return ChordValue(complex(total), flag)
+    values, flags = sp_full_values(curve, *_single(xi), offsets=_offsets)
+    return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
+
+
+def semiclassical_values(curve: CurveSpec, xi_p, xi_q, classical):
+    """The composite chi_s - sp_small + sp_full of two 1-d chord arrays: (values, flag codes).
+
+    ``classical`` holds chi_s at the same chords.
+    """
+    asym, asym_flags = sp_small_values(curve, xi_p, xi_q)
+    full, full_flags = sp_full_values(curve, xi_p, xi_q)
+    # where both stationary-phase pieces are unreliable the classical average
+    # is the only trustworthy value (and is accurate for short chords, which
+    # is where this fires outside the caustic rim)
+    both_caustic = (asym_flags == _NEAR_CAUSTIC) & (full_flags == _NEAR_CAUSTIC)
+    values = np.where(both_caustic, classical, classical - asym + full)
+    flags = worst_flag_codes(asym_flags, full_flags)
+    origin = (xi_p == 0.0) & (xi_q == 0.0)
+    values[origin] = 1.0
+    flags[origin] = _OK
+    return values, flags
 
 
 def chi_semiclassical(curve: CurveSpec, xi, tol: float = 1e-10,
                       _classical: complex | None = None) -> ChordValue:
     """Composite semiclassical chord function chi_s - sp_small + sp_full.
 
-    ``_classical`` lets grid drivers pass in a vectorized-batch value of the
-    classical average instead of recomputing it chord by chord.
+    ``_classical`` lets a caller that already holds the classical average at
+    this chord pass it in instead of recomputing it.
     """
-    xi = np.asarray(xi, dtype=float)
-    if float(np.hypot(xi[0], xi[1])) == 0.0:
-        return ChordValue(1.0 + 0.0j, Flag.OK)
     classical = complex(_classical) if _classical is not None \
         else chi_small(curve, xi, tol=tol).value
-    asym = sp_small(curve, xi)
-    full = sp_full(curve, xi)
-    if asym.flag is Flag.NEAR_CAUSTIC and full.flag is Flag.NEAR_CAUSTIC:
-        # both stationary-phase pieces are unreliable; the classical average
-        # is the only trustworthy value (and is accurate for short chords,
-        # which is where this fires outside the caustic rim)
-        return ChordValue(classical, Flag.NEAR_CAUSTIC)
-    value = classical - asym.value + full.value
-    return ChordValue(value, worst_flag(asym.flag, full.flag))
+    values, flags = semiclassical_values(curve, *_single(xi), np.array([classical]))
+    return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
 
 
 def calibrate_maslov_offsets(n: int = 5, hbar: float = 0.1,
@@ -333,18 +461,18 @@ def calibrate_maslov_offsets(n: int = 5, hbar: float = 0.1,
     against the closed form. Development/validation tool; the winner is
     hard-coded into sp_full's default.
     """
-    from .exact import fock_chi_closed
+    from .exact import fock_chi_radial
 
     state = CurveSpec(n=n, hbar=hbar)
-    chords = [Chord(s * math.cos(a), s * math.sin(a))
-              for s in np.linspace(0.55, 1.45, 5) * state.radius
-              for a in (0.3, 2.1)]
-    reference = [complex(fock_chi_closed(n, hbar, c)) for c in chords]
+    radii, angles = np.meshgrid(np.linspace(0.55, 1.45, 5) * state.radius, (0.3, 2.1),
+                                indexing="ij")
+    xi_p, xi_q = (radii * np.cos(angles)).ravel(), (radii * np.sin(angles)).ravel()
+    reference = fock_chi_radial(n, hbar, np.hypot(xi_p, xi_q))
     best, best_err = None, np.inf
     for k_plus in search:
         for k_minus in search:
-            err = max(abs(complex(sp_full(state, c, _offsets=(k_plus, k_minus))) - ref)
-                      for c, ref in zip(chords, reference))
+            values, _ = sp_full_values(state, xi_p, xi_q, offsets=(k_plus, k_minus))
+            err = np.max(np.abs(values - reference))
             if err < best_err:
                 best, best_err = (k_plus, k_minus), err
     return best

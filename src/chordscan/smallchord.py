@@ -24,16 +24,26 @@ from .curves import CurveSpec
 from .quadrature import NumericalError, periodic_mean, richardson_derivative
 
 
-def chi_small(curve: CurveSpec, xi, tol: float = 1e-10) -> ChordValue:
-    """Classical curve average of the chord plane wave."""
-    xi_p, xi_q = float(xi[0]), float(xi[1])
+def chi_small_points(curve: CurveSpec, xi_p, xi_q, tol: float = 1e-10) -> np.ndarray:
+    """Classical curve average of the chord plane wave at the chords (xi_p[k], xi_q[k]).
+
+    One stacked periodic_mean over the 1-d chord arrays: the node count
+    doubles until every chord of the batch has settled to ``tol``.
+    """
+    xi_p = np.asarray(xi_p, dtype=float)[:, np.newaxis]
+    xi_q = np.asarray(xi_q, dtype=float)[:, np.newaxis]
 
     def plane_wave(theta):
         p, q = curve.point(theta)
         return np.exp(1j / curve.hbar * (p * xi_q - q * xi_p))
 
     mean, _ = periodic_mean(plane_wave, n0=64, tol=tol)
-    return ChordValue(complex(mean))
+    return mean
+
+
+def chi_small(curve: CurveSpec, xi, tol: float = 1e-10) -> ChordValue:
+    """Classical curve average of the chord plane wave at one chord."""
+    return ChordValue(complex(chi_small_points(curve, [float(xi[0])], [float(xi[1])], tol=tol)[0]))
 
 
 def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis,
@@ -100,18 +110,18 @@ def classical_moments(curve: CurveSpec, order: int = 4,
     return MomentTable(order=order, table=table)
 
 
-def chi_taylor(moments: MomentTable, hbar: float, xi, order: int | None = None) -> ChordValue:
+def taylor_values(moments: MomentTable, hbar: float, xi_p, xi_q, order: int | None = None):
     """Taylor polynomial of the chord function built from raw moments.
 
     chi(xi) = sum_n (1/n!) (i/hbar)^n <(x ∧ xi)^n>, with the wedge-power
     averages expanded binomially into the moment table. Feeding classical
     moments gives the short-chord expansion; the order is capped by the table.
+    ``xi_p`` and ``xi_q`` are numbers or same-shape arrays.
     """
     if order is None:
         order = moments.order
     if order > moments.order:
         raise ValueError(f"table of order {moments.order} cannot support order {order}")
-    xi_p, xi_q = float(xi[0]), float(xi[1])
     total = 0.0 + 0.0j
     for n in range(order + 1):
         # (x ∧ xi)^n = sum_k C(n,k) (p xi_q)^k (-q xi_p)^(n-k)
@@ -120,7 +130,12 @@ def chi_taylor(moments: MomentTable, hbar: float, xi, order: int | None = None) 
                          * xi_q ** k * xi_p ** (n - k)
                          for k in range(n + 1))
         total += (1j / hbar) ** n / math.factorial(n) * wedge_mean
-    return ChordValue(total)
+    return total
+
+
+def chi_taylor(moments: MomentTable, hbar: float, xi, order: int | None = None) -> ChordValue:
+    """taylor_values at one chord."""
+    return ChordValue(complex(taylor_values(moments, hbar, float(xi[0]), float(xi[1]), order)))
 
 
 # -- quantum moments from an evaluated chord function ----------------------

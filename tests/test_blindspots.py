@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_laguerre
 
-from chordscan import (CurveSpec, ExactEvaluator, Flag, axis,
+from chordscan import (CurveSpec, ExactEvaluator, Flag, NumericalError, axis,
                        find_blind_spots, first_zero_along, nodal_contours,
                        scan_grid)
 from chordscan.blindspots import NOISE_RATIO
@@ -187,11 +187,11 @@ class TestFirstZeroAlong:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_ray_without_zero(self, sheared):
-        with pytest.raises(RuntimeError, match="no zero"):
+        with pytest.raises(NumericalError, match="no zero"):
             first_zero_along(ExactEvaluator(sheared), (0.0, 1.0), s_max=0.1)
 
     def test_complex_ray_is_rejected(self, sheared):
         """Off the mean direction the field is genuinely complex, so a real
         crossing does not make the chord function vanish."""
-        with pytest.raises(RuntimeError, match="does not carry a real field"):
+        with pytest.raises(NumericalError, match="does not carry a real field"):
             first_zero_along(ExactEvaluator(sheared), (1.0, 0.0), s_max=2.0)

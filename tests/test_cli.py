@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from chordscan import cli
+from chordscan import CurveSpec, axis, cli, make_evaluator, scan_grid
 from chordscan.acceptance import CriterionResult
+from chordscan.core import FLAGS_BY_CODE
 
 
 def run(*argv):
@@ -93,12 +94,55 @@ def test_scan_roundtrip(tmp_path):
     assert "elapsed_seconds_nondeterministic" in meta
 
 
-def test_scan_is_deterministic(tmp_path):
+@pytest.mark.parametrize("evaluator", ["exact", "semiclassical", "sp_full"])
+def test_scan_is_deterministic(tmp_path, evaluator):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
         assert run("scan", "--region=-0.8:0.8", "--resolution", "7",
-                   "--evaluator", "exact", "--out", str(out)) == 0
+                   "--evaluator", evaluator, "--out", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _cell(x):
+    return f"{x:.17g}"
+
+
+def test_csv_rows_match_the_per_cell_format(tmp_path):
+    """Whole-row formatting writes the bytes of a per-cell join of the same
+    values (17 significant digits, |z| of the complex scalar)."""
+    state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
+    scan_out = tmp_path / "scan.csv"
+    assert run("scan", "--region=-2.3:2.3", "--resolution", "9",
+               "--evaluator", "semiclassical", "--out", str(scan_out)) == 0
+    xp = xq = axis(-2.3, 2.3, 9)
+    grid = scan_grid(make_evaluator("semiclassical", state), xp, xq)
+    lines = ["xi_p,xi_q,re,im,abs2,phase,flag"]
+    for i in range(xp.size):
+        for j in range(xq.size):
+            v = grid.values[i, j]
+            lines.append(",".join((
+                _cell(xp[i]), _cell(xq[j]), _cell(v.real), _cell(v.imag),
+                _cell(abs(v) ** 2), _cell(float(np.angle(v))),
+                FLAGS_BY_CODE[int(grid.flags[i, j])].value)))
+    assert scan_out.read_text() == "\n".join(lines) + "\n"
+    assert {"ok", "evanescent"} <= {line.rsplit(",", 1)[1] for line in lines[1:]}
+
+    cut_out = tmp_path / "cut.csv"
+    assert run("cut", "--slope", "0.8172", "--range", "0:2.6", "--samples", "14",
+               "--evaluator", "exact,sp_full", "--out", str(cut_out)) == 0
+    d = np.array([0.8172, 1.0]) / np.hypot(0.8172, 1.0)
+    ss = np.linspace(0.0, 2.6, 14)
+    columns = [make_evaluator(name, state).evaluate(ss * d[0], ss * d[1])
+               for name in ("exact", "sp_full")]
+    lines = [cut_out.read_text().splitlines()[0]]
+    for k, s in enumerate(ss):
+        cells = [_cell(s), _cell(s * d[0]), _cell(s * d[1])]
+        for values, flags in columns:
+            v = complex(values[k])
+            cells += [_cell(v.real), _cell(v.imag), _cell(abs(v) ** 2),
+                      FLAGS_BY_CODE[int(flags[k])].value]
+        lines.append(",".join(cells))
+    assert cut_out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_scan_smallest_grid(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chordscan.core import Chord, ChordValue, Flag, wedge, worst_flag
+from chordscan.core import (FLAG_CODES, FLAGS_BY_CODE, Chord, ChordValue, Flag, wedge,
+                            worst_flag, worst_flag_codes)
 
 
 def test_wedge_antisymmetric():
@@ -45,3 +46,11 @@ def test_chord_value_components():
 ])
 def test_worst_flag(flags, expected):
     assert worst_flag(*flags) is expected
+
+
+def test_worst_flag_codes_is_elementwise_worst_flag():
+    a, b = np.meshgrid(list(FLAGS_BY_CODE), list(FLAGS_BY_CODE))
+    got = worst_flag_codes(a, b)
+    want = [[FLAG_CODES[worst_flag(FLAGS_BY_CODE[x], FLAGS_BY_CODE[y])] for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
+    np.testing.assert_array_equal(got, want)

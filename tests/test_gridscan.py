@@ -36,20 +36,25 @@ def test_scan_records_metadata(sheared):
     assert grid.hbar == 0.1
 
 
-def test_pointwise_fallback_matches_vectorized(sheared):
-    """An evaluator without a grid method must scan to the same field."""
+def test_evaluate_path_matches_grid_fast_path(sheared):
+    """An evaluator without a grid method scans through one evaluate call on
+    the mesh, to the same field."""
     vec = make_evaluator("small", sheared)
-    xp, xq = axis(-0.6, 0.6, 5), axis(-0.6, 0.6, 5)
+    xp, xq = axis(-0.6, 0.6, 5), axis(-0.6, 0.7, 6)
     fast = scan_grid(vec, xp, xq)
 
-    class Pointwise:
-        name = "small-pointwise"
+    class BatchOnly:
+        name = "small-batch"
         state = sheared
+        calls = []
 
-        def __call__(self, xi):
-            return vec(xi)
+        def evaluate(self, xi_p, xi_q):
+            self.calls.append(xi_p.shape)
+            return vec.evaluate(xi_p, xi_q)
 
-    slow = scan_grid(Pointwise(), xp, xq)
+    batch = BatchOnly()
+    slow = scan_grid(batch, xp, xq)
+    assert batch.calls == [(5, 6)]
     np.testing.assert_allclose(slow.values, fast.values, atol=1e-9)
     np.testing.assert_array_equal(slow.flags, fast.flags)
 
