@@ -45,22 +45,21 @@ class SmallChordEvaluator:
 
     name = "small"
 
-    def __init__(self, state: CurveSpec, tol: float = 1e-10):
+    def __init__(self, state: CurveSpec):
         self.state = state
-        self.tol = tol
 
     def evaluate(self, xi_p, xi_q):
         def kernel(xi_p, xi_q):
-            values = chi_small_points(self.state, xi_p, xi_q, tol=self.tol)
+            values = chi_small_points(self.state, xi_p, xi_q)
             return values, np.zeros(values.shape, dtype=np.uint8)
 
         return _batch(kernel, xi_p, xi_q)
 
     def __call__(self, xi) -> ChordValue:
-        return chi_small(self.state, xi, tol=self.tol)
+        return chi_small(self.state, xi)
 
     def grid(self, xi_p_axis, xi_q_axis):
-        values = chi_small_grid(self.state, xi_p_axis, xi_q_axis, tol=self.tol)
+        values = chi_small_grid(self.state, xi_p_axis, xi_q_axis)
         return values, np.zeros(values.shape, dtype=np.uint8)
 
 
@@ -110,22 +109,21 @@ class SemiclassicalEvaluator:
 
     name = "semiclassical"
 
-    def __init__(self, state: CurveSpec, tol: float = 1e-10):
+    def __init__(self, state: CurveSpec):
         self.state = state
-        self.tol = tol
 
     def evaluate(self, xi_p, xi_q):
         def kernel(xi_p, xi_q):
-            classical = chi_small_points(self.state, xi_p, xi_q, tol=self.tol)
+            classical = chi_small_points(self.state, xi_p, xi_q)
             return semiclassical_values(self.state, xi_p, xi_q, classical)
 
         return _batch(kernel, xi_p, xi_q)
 
     def __call__(self, xi) -> ChordValue:
-        return chi_semiclassical(self.state, xi, tol=self.tol)
+        return chi_semiclassical(self.state, xi)
 
     def grid(self, xi_p_axis, xi_q_axis):
-        classical = chi_small_grid(self.state, xi_p_axis, xi_q_axis, tol=self.tol)
+        classical = chi_small_grid(self.state, xi_p_axis, xi_q_axis)
         mesh_p, mesh_q = np.meshgrid(xi_p_axis, xi_q_axis, indexing="ij")
         values, flags = semiclassical_values(self.state, mesh_p.ravel(), mesh_q.ravel(),
                                              classical.ravel())

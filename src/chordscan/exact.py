@@ -10,13 +10,15 @@ quadrature that also covers the sheared state,
 
 with psi_n the momentum-representation oscillator eigenfunction. Every
 quadrature goes through one batched kernel: the chords of a call share one p
-window and one Gauss-Legendre node ladder, so a tensor grid is one
-(xi_p x nodes) @ (nodes x xi_q) product per node doubling, and one
-certificate covers the whole batch. ``ExactEvaluator.evaluate`` takes chord
-arrays; the pointwise and grid entry points wrap the same kernel. Grid-level
-certificates (the symplectic Fourier invariance of |chi|^2 and the chord
-correlation) are also implemented here because they only make sense against
-the exact field.
+window and one nested trapezoid rule, run by quadrature.periodic_mean over
+the window mapped onto [0, 2 pi). The integrand is entire and decays like a
+Gaussian well inside the window, so the rule converges geometrically and each
+doubling reuses every node. A tensor grid is one (xi_p x nodes) @
+(nodes x xi_q) product per node pass, and one certificate covers the whole
+batch. ``ExactEvaluator.evaluate`` takes chord arrays; the pointwise and grid
+entry points wrap the same kernel. Grid-level certificates (the symplectic
+Fourier invariance of |chi|^2 and the chord correlation) are also implemented
+here because they only make sense against the exact field.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.special import eval_laguerre
 
 from .core import Chord, ChordValue, Flag, chord_arrays
 from .curves import CurveSpec
-from .quadrature import ConvergenceError, NumericalError, _gl_nodes
+from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
 _MODULUS_SLACK = 1e-8  # |chi| may exceed 1 only by the quadrature tolerance
 
@@ -41,8 +43,8 @@ class GridTooSmallError(ValueError):
 class QuadratureSpec:
     """Controls for the overlap quadrature.
 
-    nodes            starting Gauss-Legendre node count (doubled until the
-                     estimate settles)
+    nodes            starting trapezoid node count (doubled, reusing every
+                     node, until the estimate settles)
     half_width_mult  integration half-width in units of the classical radius
                      sqrt(hbar (2n+1)); the window is widened by max|xi_p|/2
                      over the batch so every shifted wavefunction stays covered
@@ -125,12 +127,14 @@ def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
     is a vector.
 
     The integrand factorizes into a xi_q-independent profile times the plane
-    wave exp(i p xi_q / hbar). One p window, half-width
-    half_width_mult sqrt(hbar (2n+1)) + max|xi_p| / 2, covers every shifted
-    wavefunction of the batch, so all chords share the nodes: a tensor grid
-    costs one (xi_p x nodes) @ (nodes x xi_q) product per node count, a list
-    of chords one row-wise weighted sum. The node count doubles until the
-    whole batch moves by less than ``quad.tol``.
+    wave exp(i p xi_q / hbar). One p window [-L, L), with
+    L = half_width_mult sqrt(hbar (2n+1)) + max|xi_p| / 2, covers every
+    shifted wavefunction of the batch, so all chords share the nodes: a
+    tensor grid costs one (xi_p x nodes) @ (nodes x xi_q) product per node
+    pass, a list of chords one row-wise weighted sum. periodic_mean maps the
+    window onto [0, 2 pi) and sees the node sums, scaled by 2L, as one
+    stacked sample on a trailing node axis of length 1; its nested trapezoid
+    doubling stops once the whole batch moves by less than ``quad.tol``.
     """
     xi_p = np.asarray(xi_p, dtype=float).ravel()
     xi_q = np.asarray(xi_q, dtype=float).ravel()
@@ -139,32 +143,31 @@ def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
         return np.zeros(shape, dtype=complex)
     half_width = (quad.half_width_mult * np.sqrt(state.hbar * (2 * state.n + 1))
                   + 0.5 * np.max(np.abs(xi_p)))
-    n = quad.nodes
-    prev = None
-    for _ in range(quad.max_doublings + 1):
-        x, w = _gl_nodes(n)
-        p = half_width * x
+
+    def node_sums(theta):
+        p = half_width * (theta / np.pi - 1.0)
         if tensor:
             wave = np.exp(1j / state.hbar * np.outer(p, xi_q))
-        est = np.empty(shape, dtype=complex)
+        sums = np.empty(shape, dtype=complex)
         for lo in range(0, xi_p.size, ROW_BLOCK):
             rows = slice(lo, lo + ROW_BLOCK)
-            weighted = half_width * w * _profile(state, p, xi_p[rows])
+            profile = _profile(state, p, xi_p[rows])
             if tensor:
-                est[rows] = weighted @ wave
+                sums[rows] = profile @ wave
             else:
                 wave = np.exp(1j / state.hbar * np.outer(xi_q[rows], p))
-                est[rows] = np.einsum("kn,kn->k", weighted, wave)
-        if prev is not None and np.max(np.abs(est - prev)) < quad.tol:
-            break
-        prev = est
-        n *= 2
-    else:
+                sums[rows] = np.einsum("kn,kn->k", profile, wave)
+        return (2.0 * half_width * sums)[..., np.newaxis]
+
+    try:
+        est, _ = periodic_mean(node_sums, n0=quad.nodes, tol=quad.tol,
+                               max_doublings=quad.max_doublings)
+    except ConvergenceError as err:
         raise ConvergenceError(
-            f"overlap quadrature stalled at {n // 2} nodes over {xi_p.size} "
-            f"xi_p values (max |xi_p| {np.max(np.abs(xi_p)):g})",
-            last=est, previous=prev,
-        )
+            f"overlap quadrature stalled at {quad.nodes << quad.max_doublings} nodes "
+            f"over {xi_p.size} xi_p values (max |xi_p| {np.max(np.abs(xi_p)):g})",
+            last=err.last, previous=err.previous,
+        ) from err
     peak = np.max(np.abs(est))
     if peak > 1.0 + _MODULUS_SLACK:
         raise NumericalError(f"max |chi| = {peak} exceeds 1: quadrature is inconsistent")

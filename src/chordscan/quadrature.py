@@ -1,10 +1,13 @@
 """Convergence-certified quadrature and differentiation helpers.
 
 Every estimate in the package that comes from a discretized integral or a
-finite difference goes through one of these routines: each refines until two
-successive refinements agree to tolerance and raises ConvergenceError (with
-the last two estimates attached) if the budget runs out, so callers never get
-an uncertified number.
+finite difference goes through one of two routines: periodic_mean for every
+integral (curve averages and the exact overlap quadrature alike) and
+richardson_derivative for every derivative. Each refines until two successive
+refinements agree to tolerance and raises ConvergenceError (with the last two
+estimates attached) if the budget runs out, so callers never get an
+uncertified number. _gl_nodes, a Gauss-Legendre rule, serves only as the
+tests' independent reference.
 
 NumericalError is the one type for a numerical result the package refuses to
 hand out: a stalled refinement (its subclass ConvergenceError) or a computed
@@ -38,6 +41,7 @@ class ConvergenceError(NumericalError):
 
 @lru_cache(maxsize=32)
 def _gl_nodes(n: int):
+    """Gauss-Legendre rule: the tests' reference, kept by name for the benchmark tracer."""
     x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -45,7 +49,10 @@ def _gl_nodes(n: int):
 
 
 def periodic_mean(f, n0: int = 64, tol: float = 1e-12, max_doublings: int = 14):
-    """Mean over [0, 2pi) of a smooth periodic integrand, by trapezoid doubling.
+    """Mean over [0, 2pi) of a smooth periodic integrand, by nested trapezoid doubling.
+
+    The integrand may also be a smooth one that decays to round-off at both
+    ends of a window mapped onto [0, 2pi), as the overlap quadrature's is.
 
     Parameters
     ----------
@@ -61,8 +68,9 @@ def periodic_mean(f, n0: int = 64, tol: float = 1e-12, max_doublings: int = 14):
     (mean, nodes) where ``mean`` has the shape of ``f``'s output minus the
     node axis.
 
-    The trapezoid rule is spectrally accurate for periodic integrands, so the
-    doubling certificate is conservative.
+    The trapezoid rule is spectrally accurate for both kinds of integrand
+    (Trefethen & Weideman, SIAM Rev. 56, 2014), so the doubling certificate
+    is conservative.
     """
     n = n0
     theta = 2.0 * np.pi * np.arange(n) / n

@@ -60,10 +60,9 @@ np.linalg.eigvals call. A root counts as a real angle when
 coefficients' round-off. Tip angle, arc area, bracket, h', sigma, curvature
 wedge and every flag rule are then computed over the flattened roots of the
 batch, and np.bincount folds the terms into per-chord sums in each chord's
-root order. tangency_points, chord_realizations, realization_geometry,
-sp_small, sp_full and chi_semiclassical are one-chord calls into the same
-kernel; sp_small_values, sp_full_values and semiclassical_values are its
-batch entry points.
+root order. tangency_points, chord_realizations, sp_small, sp_full and
+chi_semiclassical are one-chord calls into the same kernel; sp_small_values,
+sp_full_values and semiclassical_values are its batch entry points.
 
 The composite evaluator subtracts the asymptotics of the classical average
 and adds the full stationary-phase value,
@@ -360,12 +359,6 @@ def _realization(geo: _Geometry, k: int, xi) -> Realization:
         flag=Flag.NEAR_CAUSTIC if geo.caustic[k] else Flag.OK)
 
 
-def realization_geometry(curve: CurveSpec, theta_foot: float, xi) -> Realization:
-    """Assemble the full stationary-phase data of one realization foot."""
-    xi_p, xi_q = _single(xi)
-    return _realization(_geometry(curve, np.array([float(theta_foot)]), xi_p, xi_q), 0, xi)
-
-
 def _realizations(curve: CurveSpec, xi_p, xi_q):
     """(chord, geometry, grazing): every realization of a chord batch, and per chord
     whether a complex root pair lies within REL_CAUSTIC_TOL of the unit circle."""
@@ -389,7 +382,12 @@ def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
 
 
 def sp_full_values(curve: CurveSpec, xi_p, xi_q, offsets=(-2.0, -2.0)):
-    """sp_full of every chord (xi_p[k], xi_q[k]) of two 1-d arrays: (values, flag codes)."""
+    """sp_full of every chord (xi_p[k], xi_q[k]) of two 1-d arrays: (values, flag codes).
+
+    ``offsets`` are the quarter-turn constants added to the phase on the
+    sigma = +1 and sigma = -1 branches; the default (-2, -2) is validated by
+    calibrate_maslov_offsets and the closed-form ring tests.
+    """
     count = xi_p.size
     chord, geo, grazing = _realizations(curve, xi_p, xi_q)
     kept = np.abs(geo.bracket) >= DENOMINATOR_FLOOR
@@ -409,14 +407,9 @@ def sp_full_values(curve: CurveSpec, xi_p, xi_q, offsets=(-2.0, -2.0)):
     return _chord_sums(sel, terms, count), flags
 
 
-def sp_full(curve: CurveSpec, xi, _offsets: tuple[float, float] = (-2.0, -2.0)) -> ChordValue:
-    """Full stationary-phase chord function: a sum over chord realizations.
-
-    ``_offsets`` are the quarter-turn constants added to the phase on the
-    sigma = +1 and sigma = -1 branches; the production value (-2, -2) is
-    validated by calibrate_maslov_offsets and the closed-form ring tests.
-    """
-    values, flags = sp_full_values(curve, *_single(xi), offsets=_offsets)
+def sp_full(curve: CurveSpec, xi) -> ChordValue:
+    """Full stationary-phase chord function: a sum over chord realizations."""
+    values, flags = sp_full_values(curve, *_single(xi))
     return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
 
 
@@ -439,15 +432,9 @@ def semiclassical_values(curve: CurveSpec, xi_p, xi_q, classical):
     return values, flags
 
 
-def chi_semiclassical(curve: CurveSpec, xi, tol: float = 1e-10,
-                      _classical: complex | None = None) -> ChordValue:
-    """Composite semiclassical chord function chi_s - sp_small + sp_full.
-
-    ``_classical`` lets a caller that already holds the classical average at
-    this chord pass it in instead of recomputing it.
-    """
-    classical = complex(_classical) if _classical is not None \
-        else chi_small(curve, xi, tol=tol).value
+def chi_semiclassical(curve: CurveSpec, xi, tol: float = 1e-10) -> ChordValue:
+    """Composite semiclassical chord function chi_s - sp_small + sp_full."""
+    classical = chi_small(curve, xi, tol=tol).value
     values, flags = semiclassical_values(curve, *_single(xi), np.array([classical]))
     return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
 

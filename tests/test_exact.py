@@ -9,6 +9,7 @@ from chordscan import (ConvergenceError, CurveSpec, ExactEvaluator,
                        fourier_invariance_residual, hermite_psi, scan_grid)
 from chordscan.exact import fock_chi_radial
 from chordscan.gridscan import axis
+from chordscan.quadrature import _gl_nodes
 
 HBAR = 0.1
 
@@ -50,6 +51,36 @@ def test_quadrature_matches_closed_form(n):
         got = complex(evolved_chi(state, xi))
         want = complex(fock_chi_closed(n, HBAR, xi))
         assert abs(got - want) < 1e-10
+
+
+def _gauss_legendre_chi(state, xi_p, xi_q, half_width, nodes):
+    """The overlap integral by an independent Gauss-Legendre sum over [-half_width, half_width]."""
+    x, w = _gl_nodes(nodes)
+    p = half_width * x[:, None]
+    plus, minus = p + 0.5 * xi_p, p - 0.5 * xi_p
+    integrand = (np.conj(hermite_psi(state.n, state.hbar, plus))
+                 * hermite_psi(state.n, state.hbar, minus)
+                 * np.exp(-1j / state.hbar * (state.t * (state.hamiltonian(plus)
+                                                         - state.hamiltonian(minus))
+                                              - p * xi_q)))
+    return half_width * (w @ integrand)
+
+
+@pytest.mark.parametrize("state", [CurveSpec(n=5, hbar=HBAR),
+                                   CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1),
+                                   CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0)],
+                         ids=["ring", "sheared", "t1"])
+def test_trapezoid_matches_gauss_legendre(state):
+    """The nested trapezoid oracle against a Gauss-Legendre sum over the same window."""
+    rng = np.random.default_rng(1234)
+    radius, angle = np.sqrt(rng.uniform(0.0, 1.0, 30)), rng.uniform(0.0, 2 * np.pi, 30)
+    xi_p, xi_q = radius * np.cos(angle), radius * np.sin(angle)
+    half_width = 6.0 * np.sqrt(state.hbar * (2 * state.n + 1)) + 0.5 * np.max(np.abs(xi_p))
+    coarse = _gauss_legendre_chi(state, xi_p, xi_q, half_width, 512)
+    reference = _gauss_legendre_chi(state, xi_p, xi_q, half_width, 1024)
+    assert np.max(np.abs(reference - coarse)) < 1e-12  # the reference certifies itself
+    values, _ = ExactEvaluator(state).evaluate(xi_p, xi_q)
+    assert np.max(np.abs(values - reference)) < 1e-10
 
 
 def test_fock_chi_radial_matches_pointwise():
@@ -108,7 +139,7 @@ def test_quadrature_spec_rejects_unusable_controls(kwargs):
 
 def test_starved_quadrature_raises(sheared):
     starved = QuadratureSpec(nodes=8, tol=1e-14, max_doublings=0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="overlap"):
         evolved_chi(sheared, (0.5, 0.5), quad=starved)
 
 
@@ -209,6 +240,25 @@ def test_seeded_properties(seed):
     values, _ = ExactEvaluator(state).evaluate(xi[:, 0], xi[:, 1])
     assert abs(values[0] - 1.0) < 1e-10
     assert np.max(np.abs(values[1:41] - np.conj(values[41:]))) < 1e-10
+    assert np.max(np.abs(values)) <= 1.0 + 1e-10
+
+
+def test_strong_shear_grid_properties():
+    """At t = 5 the rows need thousands of nodes; chi(0) = 1, hermiticity and |chi| <= 1 hold."""
+    state = CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=5.0)
+    ev = ExactEvaluator(state)
+    rng = np.random.default_rng(55)
+    xp, xq = np.sort(rng.uniform(-2.3, 2.3, size=(2, 5)), axis=1)
+    values, flags = ev.grid(xp, xq)
+    mirrored, _ = ev.grid(-xp, -xq)
+    assert values.shape == flags.shape == (5, 5)
+    assert np.all(flags == 0)
+    # the origin shares its batch, window and certificate with the strong rows
+    mesh_p, mesh_q = np.meshgrid(xp, xq, indexing="ij")
+    batch, _ = ev.evaluate(np.append(0.0, mesh_p), np.append(0.0, mesh_q))
+    assert abs(batch[0] - 1.0) < 1e-10
+    assert np.max(np.abs(batch[1:] - values.ravel())) < 1e-10
+    assert np.max(np.abs(mirrored - np.conj(values))) < 1e-10
     assert np.max(np.abs(values)) <= 1.0 + 1e-10
 
 
