@@ -43,8 +43,8 @@ class GridTooSmallError(ValueError):
 class QuadratureSpec:
     """Controls for the overlap quadrature.
 
-    nodes            starting trapezoid node count (doubled, reusing every
-                     node, until the estimate settles)
+    nodes            least starting trapezoid node count (doubled, reusing
+                     every node, until the estimate settles)
     half_width_mult  integration half-width in units of the classical radius
                      sqrt(hbar (2n+1)); the window is widened by max|xi_p|/2
                      over the batch so every shifted wavefunction stays covered
@@ -121,28 +121,31 @@ def _profile(state: CurveSpec, p, xi_p):
 def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
     """Certified overlap quadrature for a batch of chords.
 
-    ``xi_p`` is a vector of chord components. With ``tensor`` the batch is
-    the grid xi_p x xi_q and the result has shape (xi_p.size, xi_q.size);
-    otherwise ``xi_q`` pairs with ``xi_p`` element by element and the result
-    is a vector.
+    With ``tensor`` the chords are the grid xi_p x xi_q, of shape
+    (xi_p.size, xi_q.size); otherwise xi_p[k] pairs with xi_q[k].
 
-    The integrand factorizes into a xi_q-independent profile times the plane
-    wave exp(i p xi_q / hbar). One p window [-L, L), with
-    L = half_width_mult sqrt(hbar (2n+1)) + max|xi_p| / 2, covers every
-    shifted wavefunction of the batch, so all chords share the nodes: a
-    tensor grid costs one (xi_p x nodes) @ (nodes x xi_q) product per node
-    pass, a list of chords one row-wise weighted sum. periodic_mean maps the
-    window onto [0, 2 pi) and sees the node sums, scaled by 2L, as one
-    stacked sample on a trailing node axis of length 1; its nested trapezoid
-    doubling stops once the whole batch moves by less than ``quad.tol``.
+    The integrand is a xi_q-independent profile times the plane wave
+    exp(i p xi_q / hbar). One window [-L, L), L = half_width_mult r +
+    max|xi_p| / 2 with r = sqrt(hbar (2n+1)), covers every shifted
+    wavefunction, so all chords share the nodes and one certificate: a grid
+    costs one (xi_p x nodes) @ (nodes x xi_q) product per node pass.
+
+    By Poisson summation an m-node rule returns the sum of chi(xi_p, xi_q + j D)
+    over integers j, with D = pi hbar m / L. Doubling removes only the odd j,
+    so when a j = +-2 alias of a far chord lands on the state both rules agree
+    on a wrong value. m therefore starts where D >= max|xi_q| + 4r: every
+    alias lies 4r or more from the origin, and the nearest one is odd.
     """
     xi_p = np.asarray(xi_p, dtype=float).ravel()
     xi_q = np.asarray(xi_q, dtype=float).ravel()
     shape = (xi_p.size, xi_q.size) if tensor else xi_p.shape
     if 0 in shape:
         return np.zeros(shape, dtype=complex)
-    half_width = (quad.half_width_mult * np.sqrt(state.hbar * (2 * state.n + 1))
-                  + 0.5 * np.max(np.abs(xi_p)))
+    radius = np.sqrt(state.hbar * (2 * state.n + 1))
+    half_width = quad.half_width_mult * radius + 0.5 * np.max(np.abs(xi_p))
+    n0 = quad.nodes
+    while np.pi * state.hbar * n0 / half_width < np.max(np.abs(xi_q)) + 4.0 * radius:
+        n0 *= 2
 
     def node_sums(theta):
         p = half_width * (theta / np.pi - 1.0)
@@ -160,12 +163,12 @@ def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
         return (2.0 * half_width * sums)[..., np.newaxis]
 
     try:
-        est, _ = periodic_mean(node_sums, n0=quad.nodes, tol=quad.tol,
+        est, _ = periodic_mean(node_sums, n0=n0, tol=quad.tol,
                                max_doublings=quad.max_doublings)
     except ConvergenceError as err:
         raise ConvergenceError(
-            f"overlap quadrature stalled at {quad.nodes << quad.max_doublings} nodes "
-            f"over {xi_p.size} xi_p values (max |xi_p| {np.max(np.abs(xi_p)):g})",
+            f"overlap quadrature over {xi_p.size} xi_p values "
+            f"(max |xi_p| {np.max(np.abs(xi_p)):g}) stalled: {err}",
             last=err.last, previous=err.previous,
         ) from err
     peak = np.max(np.abs(est))

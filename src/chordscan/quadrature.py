@@ -68,9 +68,9 @@ def periodic_mean(f, n0: int = 64, tol: float = 1e-12, max_doublings: int = 14):
     (mean, nodes) where ``mean`` has the shape of ``f``'s output minus the
     node axis.
 
-    The trapezoid rule is spectrally accurate for both kinds of integrand
-    (Trefethen & Weideman, SIAM Rev. 56, 2014), so the doubling certificate
-    is conservative.
+    The trapezoid rule converges geometrically for both kinds of integrand
+    (Trefethen & Weideman, SIAM Rev. 56, 2014). The certificate compares n and
+    2n nodes only, so ``n0`` must resolve the integrand's fastest oscillation.
     """
     n = n0
     theta = 2.0 * np.pi * np.arange(n) / n

@@ -432,9 +432,9 @@ def semiclassical_values(curve: CurveSpec, xi_p, xi_q, classical):
     return values, flags
 
 
-def chi_semiclassical(curve: CurveSpec, xi, tol: float = 1e-10) -> ChordValue:
+def chi_semiclassical(curve: CurveSpec, xi) -> ChordValue:
     """Composite semiclassical chord function chi_s - sp_small + sp_full."""
-    classical = chi_small(curve, xi, tol=tol).value
+    classical = chi_small(curve, xi).value
     values, flags = semiclassical_values(curve, *_single(xi), np.array([classical]))
     return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
 

@@ -83,6 +83,27 @@ def test_trapezoid_matches_gauss_legendre(state):
     assert np.max(np.abs(values - reference)) < 1e-10
 
 
+def test_far_chords_do_not_alias_onto_the_state(ring):
+    """Chords with xi_q near the alias spacing of a 128- or 256-node rule read ~0, not ~1.
+
+    The closed form is below 1e-119 there; an unresolved first rule puts the
+    plane wave's j = +-2 alias on the state at both node counts and passes
+    the doubling certificate with |chi| ~ 1 at (0, 12.78).
+    """
+    xi_q = np.array([11.0, 12.78, 14.0])
+    xi_p = np.zeros_like(xi_q)
+    closed = np.array([complex(fock_chi_closed(ring.n, ring.hbar, (0.0, q))) for q in xi_q])
+    half_width = 6.0 * np.sqrt(ring.hbar * (2 * ring.n + 1))
+    reference = _gauss_legendre_chi(ring, xi_p, xi_q, half_width, 1024)
+    assert np.max(np.abs(reference - closed)) < 1e-12  # 1024 nodes resolve the wave
+    batch, _ = ExactEvaluator(ring).evaluate(xi_p, xi_q)
+    single = np.array([complex(evolved_chi(ring, (0.0, q))) for q in xi_q])
+    row = evolved_chi_grid(ring, [0.0], xi_q)[0]
+    for values in (batch, single, row):
+        assert np.max(np.abs(values - closed)) < 1e-10
+        assert np.max(np.abs(values - reference)) < 1e-10
+
+
 def test_fock_chi_radial_matches_pointwise():
     rho = np.linspace(0.0, 3.0, 31)
     vals = fock_chi_radial(5, HBAR, rho)
@@ -139,7 +160,7 @@ def test_quadrature_spec_rejects_unusable_controls(kwargs):
 
 def test_starved_quadrature_raises(sheared):
     starved = QuadratureSpec(nodes=8, tol=1e-14, max_doublings=0)
-    with pytest.raises(ConvergenceError, match="overlap"):
+    with pytest.raises(ConvergenceError, match=r"overlap .* within \d+ nodes"):
         evolved_chi(sheared, (0.5, 0.5), quad=starved)
 
 
@@ -199,16 +220,20 @@ def test_batched_evaluate_matches_pointwise_chords(state):
     assert np.max(np.abs(values - pointwise)) < 1e-10
 
 
-@pytest.mark.parametrize("state,shape", [
-    (CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1), (9, 7)),
-    (STRONG, (6, 5)),
-], ids=["sheared", "t1"])
-def test_batched_grid_matches_pointwise(state, shape):
-    """One shared window and certificate for the grid; t = 1 rows need different node counts."""
+STRONGEST = CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=5.0)
+
+
+@pytest.mark.parametrize("state,shape,limit", [
+    (CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1), (9, 7), 4.0),
+    (STRONG, (6, 5), 4.0),
+    (STRONGEST, (5, 5), 2.3),
+], ids=["sheared", "t1", "t5"])
+def test_batched_grid_matches_pointwise(state, shape, limit):
+    """One shared window and certificate for the grid; sheared rows need different node counts."""
     ev = ExactEvaluator(state)
     rng = np.random.default_rng(1618)
-    xp = np.sort(rng.uniform(-4.0, 4.0, shape[0]))
-    xq = np.sort(rng.uniform(-4.0, 4.0, shape[1]))
+    xp = np.sort(rng.uniform(-limit, limit, shape[0]))
+    xq = np.sort(rng.uniform(-limit, limit, shape[1]))
     values, flags = ev.grid(xp, xq)
     assert values.shape == flags.shape == shape
     pointwise = np.array([[complex(ev((p, q))) for q in xq] for p in xp])
@@ -245,20 +270,14 @@ def test_seeded_properties(seed):
 
 def test_strong_shear_grid_properties():
     """At t = 5 the rows need thousands of nodes; chi(0) = 1, hermiticity and |chi| <= 1 hold."""
-    state = CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=5.0)
-    ev = ExactEvaluator(state)
+    ev = ExactEvaluator(STRONGEST)
     rng = np.random.default_rng(55)
     xp, xq = np.sort(rng.uniform(-2.3, 2.3, size=(2, 5)), axis=1)
-    values, flags = ev.grid(xp, xq)
+    # the origin shares its window and certificate with the strong rows
+    values = evolved_chi_grid(STRONGEST, np.append(0.0, xp), np.append(0.0, xq))
     mirrored, _ = ev.grid(-xp, -xq)
-    assert values.shape == flags.shape == (5, 5)
-    assert np.all(flags == 0)
-    # the origin shares its batch, window and certificate with the strong rows
-    mesh_p, mesh_q = np.meshgrid(xp, xq, indexing="ij")
-    batch, _ = ev.evaluate(np.append(0.0, mesh_p), np.append(0.0, mesh_q))
-    assert abs(batch[0] - 1.0) < 1e-10
-    assert np.max(np.abs(batch[1:] - values.ravel())) < 1e-10
-    assert np.max(np.abs(mirrored - np.conj(values))) < 1e-10
+    assert abs(values[0, 0] - 1.0) < 1e-10
+    assert np.max(np.abs(mirrored - np.conj(values[1:, 1:]))) < 1e-10
     assert np.max(np.abs(values)) <= 1.0 + 1e-10
 
 
