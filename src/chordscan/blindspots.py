@@ -6,7 +6,11 @@ resolved by the cell-center sign, segments chained through shared edge keys).
 Blind spots -- common zeros of both components -- are seeded from cells on
 which each component changes sign or vanishes, and polished by a damped
 Newton iteration on the underlying evaluator, so their final accuracy is set
-by the evaluator, not by the scan resolution.
+by the evaluator, not by the scan resolution. All seeds are polished in
+lockstep, one ``evaluate`` call per stage (Jacobian stencils, each damping
+halving, the final values), so the number of calls is set by the Newton
+steps and not by the number of seeds; the ray scan of ``first_zero_along``
+is one call as well.
 
 Both sign tests first clear samples whose modulus is below a noise floor
 (``NOISE_RATIO`` times the field scale) to exactly zero. A component that is
@@ -205,39 +209,95 @@ class BlindSpotSearch:
         return self.spots[0]
 
 
-def _newton_polish(evaluator, seed, step, tol, max_iter=40):
-    xi = np.array(seed, dtype=float)
+def _chi(evaluator, points):
+    """chi at ``points``, whose last axis holds (xi_p, xi_q), in one evaluate call."""
+    values, _ = evaluator.evaluate(points[..., 0], points[..., 1])
+    return values
 
-    def f(v):
-        z = complex(evaluator((v[0], v[1])))
-        return np.array([z.real, z.imag]), abs(z)
 
-    fv, mag = f(xi)
+# Jacobian stencil of one Newton step: the chord offsets +e_p, -e_p, +e_q, -e_q
+_JACOBIAN_OFFSETS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+_HALVINGS = 8
+
+
+def _newton_polish(evaluator, seeds, step, tol, max_iter=40):
+    """Damped Newton on (Re chi, Im chi) from every seed at once.
+
+    The seeds move in lockstep, one evaluate call per stage: the four-chord
+    central-difference Jacobians of all seeds still searching, then one call
+    per damping halving over the seeds whose step has not yet reduced |chi|.
+    Each seed follows the rules of a lone iteration: it stops once
+    |chi| < tol (its iteration count is the number of steps taken), when its
+    Jacobian is singular, when 8 halvings fail to reduce |chi|, or after
+    ``max_iter`` steps.
+
+    Returns (xi, mag, iterations): final chords (n, 2), |chi| there (n,) and
+    iteration counts (n,).
+    """
+    xi = np.array(seeds, dtype=float).reshape(-1, 2)
+    value = _chi(evaluator, xi)
+    mag = np.abs(value)
+    iterations = np.full(len(xi), max_iter)
+    active = np.arange(len(xi))
     for it in range(1, max_iter + 1):
-        if mag < tol:
-            return xi, mag, it - 1
-        jac = np.empty((2, 2))
+        converged = mag[active] < tol
+        iterations[active[converged]] = it - 1
+        active = active[~converged]
+        if active.size == 0:
+            break
+        z = _chi(evaluator, xi[active, None, :] + step * _JACOBIAN_OFFSETS)
+        jac = np.empty((active.size, 2, 2))
         for k in range(2):
-            e = np.zeros(2)
-            e[k] = step
-            fp, _ = f(xi + e)
-            fm, _ = f(xi - e)
-            jac[:, k] = (fp - fm) / (2.0 * step)
-        try:
-            delta = np.linalg.solve(jac, -fv)
-        except np.linalg.LinAlgError:
-            return xi, mag, it
+            dz = z[:, 2 * k] - z[:, 2 * k + 1]  # componentwise: f(xi + e_k) - f(xi - e_k)
+            jac[:, 0, k] = dz.real / (2.0 * step)
+            jac[:, 1, k] = dz.imag / (2.0 * step)
+        # a zero LU pivot, which np.linalg.solve refuses, ends the search
+        solvable = np.linalg.det(jac) != 0.0
+        iterations[active[~solvable]] = it
+        trying = active[solvable]
+        rhs = -np.stack([value[trying].real, value[trying].imag], axis=-1)
+        delta = np.linalg.solve(jac[solvable], rhs[..., None])[..., 0]
         lam = 1.0
-        for _ in range(8):
-            cand = xi + lam * delta
-            fc, mc = f(cand)
-            if mc < mag:
-                xi, fv, mag = cand, fc, mc
+        for _ in range(_HALVINGS):
+            if trying.size == 0:
                 break
+            cand = xi[trying] + lam * delta
+            z = _chi(evaluator, cand)
+            mc = np.abs(z)
+            better = mc < mag[trying]
+            taken = trying[better]
+            xi[taken] = cand[better]
+            value[taken] = z[better]
+            mag[taken] = mc[better]
+            trying, delta = trying[~better], delta[~better]
             lam *= 0.5
-        else:
-            return xi, mag, it  # damping failed; stuck
-    return xi, mag, max_iter
+        iterations[trying] = it  # damping failed; stuck
+        active = np.setdiff1d(active[solvable], trying, assume_unique=True)
+    return xi, mag, iterations
+
+
+def _sign_change_cells(comp: np.ndarray) -> np.ndarray:
+    """Cells [i, i+1] x [j, j+1] whose corners satisfy min <= 0 <= max, not all 0."""
+    corners = np.stack([comp[:-1, :-1], comp[1:, :-1], comp[:-1, 1:], comp[1:, 1:]])
+    return ((corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+            & corners.any(axis=0))
+
+
+def _seed_chords(grid: ChordFieldGrid) -> np.ndarray:
+    """Centers (n, 2) of the seed cells of ``find_blind_spots``, row-major."""
+    scale = float(np.max(np.abs(grid.values)))
+    re = _floored(grid.values.real, scale)
+    im = _floored(grid.values.imag, scale)
+    if (float(np.max(np.abs(im))) < DEGENERACY_RATIO * scale
+            or float(np.max(np.abs(re))) < DEGENERACY_RATIO * scale):
+        # a vanishing component turns isolated zeros into whole nodal lines
+        raise ValueError(
+            "a field component is identically zero by symmetry; blind spots "
+            "are not isolated points (trace nodal_contours instead)")
+    xp, xq = grid.xi_p_axis, grid.xi_q_axis
+    cell_i, cell_j = np.nonzero(_sign_change_cells(re) & _sign_change_cells(im))
+    return np.stack([0.5 * (xp[cell_i] + xp[cell_i + 1]),
+                     0.5 * (xq[cell_j] + xq[cell_j + 1])], axis=-1)
 
 
 def find_blind_spots(evaluator, grid: ChordFieldGrid,
@@ -249,44 +309,32 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
     scale) are set to zero, the cell's four corner values of Re chi and of
     Im chi each satisfy min <= 0 <= max without being all zero. A component
     that vanishes on a cell edge has a zero in that cell, so the cells on
-    both sides of a nodal row count. Each seed cell's center starts a damped
-    Newton iteration on the evaluator; converged roots closer than one cell
-    diagonal are merged. Spots are returned sorted by distance from the
+    both sides of a nodal row count. The seed cells' centers, in row-major
+    order, start a lockstep damped Newton iteration on the evaluator that
+    makes O(Newton steps x halvings) ``evaluate`` calls whatever the number
+    of seeds. Converged roots closer than one cell diagonal to an earlier
+    seed's root are merged. Spots are returned sorted by distance from the
     origin.
     """
-    scale = float(np.max(np.abs(grid.values)))
-    re = _floored(grid.values.real, scale)
-    im = _floored(grid.values.imag, scale)
-    if (float(np.max(np.abs(im))) < DEGENERACY_RATIO * scale
-            or float(np.max(np.abs(re))) < DEGENERACY_RATIO * scale):
-        # a vanishing component turns isolated zeros into whole nodal lines
-        raise ValueError(
-            "a field component is identically zero by symmetry; blind spots "
-            "are not isolated points (trace nodal_contours instead)")
+    seeds = _seed_chords(grid)
+    if len(seeds) == 0:
+        return BlindSpotSearch(spots=(), n_seeds=0, tol=tol)
+
     xp, xq = grid.xi_p_axis, grid.xi_q_axis
-
-    def sign_change(c, i, j):
-        block = c[i:i + 2, j:j + 2]
-        return block.min() <= 0.0 <= block.max() and block.any()
-
-    seeds = [(0.5 * (xp[i] + xp[i + 1]), 0.5 * (xq[j] + xq[j + 1]))
-             for i in range(len(xp) - 1) for j in range(len(xq) - 1)
-             if sign_change(re, i, j) and sign_change(im, i, j)]
-
     width = max(xp[-1] - xp[0], xq[-1] - xq[0])
     step = 1e-6 * width
     cell_diag = math.hypot(xp[1] - xp[0], xq[1] - xq[0])
-    found = []
-    for seed in seeds:
-        xi, mag, iters = _newton_polish(evaluator, seed, step, tol)
-        if mag >= tol:
+    xi, mag, iterations = _newton_polish(evaluator, seeds, step, tol)
+    kept = []
+    for k in np.flatnonzero(mag < tol):
+        if any(math.hypot(xi[k, 0] - xi[j, 0], xi[k, 1] - xi[j, 1]) < cell_diag
+               for j in kept):
             continue
-        if any(math.hypot(xi[0] - s.chord.xi_p, xi[1] - s.chord.xi_q) < cell_diag
-               for s in found):
-            continue
-        found.append(BlindSpot(chord=Chord(float(xi[0]), float(xi[1])),
-                               value=complex(evaluator((xi[0], xi[1]))),
-                               iterations=iters))
+        kept.append(k)
+    values = _chi(evaluator, xi[kept])
+    found = [BlindSpot(chord=Chord(float(xi[k, 0]), float(xi[k, 1])),
+                       value=complex(v), iterations=int(iterations[k]))
+             for k, v in zip(kept, values)]
     found.sort(key=lambda s: s.radius)
     return BlindSpotSearch(spots=tuple(found), n_seeds=len(seeds), tol=tol)
 
@@ -294,6 +342,10 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
 def first_zero_along(evaluator, direction, s_max: float, n_scan: int = 400,
                      tol: float = 1e-9) -> float:
     """First zero of the chord function along the ray xi = s * direction.
+
+    The ``n_scan`` samples s_max / n_scan, ..., s_max are evaluated in one
+    ``evaluate`` call; the first sign change of Re chi between neighbours is
+    refined by brentq through one-chord calls of the evaluator.
 
     Valid along directions where the field is real (for example the mean
     direction of the state, where chi is the characteristic function of a
@@ -307,16 +359,15 @@ def first_zero_along(evaluator, direction, s_max: float, n_scan: int = 400,
         return complex(evaluator((s * u[0], s * u[1])))
 
     ss = np.linspace(0.0, s_max, n_scan + 1)[1:]
-    prev_s, prev_v = ss[0], along(ss[0])
-    for s in ss[1:]:
-        v = along(s)
-        if (prev_v.real > 0) != (v.real > 0):
-            root = brentq(lambda x: along(x).real, prev_s, s, xtol=1e-13)
-            residual = abs(along(root))
-            if residual > tol:
-                raise NumericalError(
-                    f"real part vanishes at s={root:.6f} but |chi|={residual:.2e}: "
-                    "the ray does not carry a real field")
-            return float(root)
-        prev_s, prev_v = s, v
-    raise NumericalError(f"no zero on the ray within s <= {s_max}")
+    positive = _chi(evaluator, ss[:, None] * u).real > 0
+    crossings = np.flatnonzero(positive[1:] != positive[:-1])
+    if crossings.size == 0:
+        raise NumericalError(f"no zero on the ray within s <= {s_max}")
+    k = crossings[0]
+    root = brentq(lambda x: along(x).real, ss[k], ss[k + 1], xtol=1e-13)
+    residual = abs(along(root))
+    if residual > tol:
+        raise NumericalError(
+            f"real part vanishes at s={root:.6f} but |chi|={residual:.2e}: "
+            "the ray does not carry a real field")
+    return float(root)

@@ -7,9 +7,11 @@ The evaluator protocol:
   (xi_p[k], xi_q[k]) of two same-shape arrays, evaluated in one batch, with
   complex values and uint8 flag codes (core.FLAG_CODES) of that shape;
   mismatched shapes are a ValueError and an empty batch gives empty arrays.
-  It is the one evaluation path.
+  It is the one evaluation path, and all that scan_grid, moments_from_chi
+  and the blind-spot polish need;
 * ``evaluator((xi_p, xi_q)) -> ChordValue``: one chord, through the same
-  kernel;
+  kernel; first_zero_along refines its root with it (its ray scan is one
+  ``evaluate`` call);
 * ``grid(xi_p_axis, xi_q_axis) -> (values, flag_codes)`` (optional): a fast
   path for the tensor grid xi_p_axis x xi_q_axis, which scan_grid uses when
   present. The exact oracle and the classical average factor over the grid

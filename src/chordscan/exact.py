@@ -171,6 +171,10 @@ def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
             f"(max |xi_p| {np.max(np.abs(xi_p)):g}) stalled: {err}",
             last=err.last, previous=err.previous,
         ) from err
+    # at xi_p = 0 the shear phase cancels and the integrand is
+    # |psi_n(p)|^2 exp(i p xi_q / hbar) with |psi_n|^2 even, so Im chi is 0
+    # exactly; the quadrature leaves round-off of either sign there
+    est.imag[xi_p == 0.0] = 0.0
     peak = np.max(np.abs(est))
     if peak > 1.0 + _MODULUS_SLACK:
         raise NumericalError(f"max |chi| = {peak} exceeds 1: quadrature is inconsistent")

@@ -175,26 +175,28 @@ def second_order_from_table(moments: MomentTable) -> SecondOrderMoments:
                               q2=moments.raw(2, 0), pq=moments.raw(1, 1))
 
 
-def moments_from_chi(fn, hbar: float, h0: float | None = None,
+def moments_from_chi(evaluator, hbar: float, h0: float | None = None,
                      tol: float = 1e-8) -> SecondOrderMoments:
     """Extract mean and raw second moments by differentiating chi at 0.
 
     <q^m> = (i hbar)^m d^m chi / d xi_p^m |_0 and
     <p^m> = (-i hbar)^m d^m chi / d xi_q^m |_0; the symmetrized cross moment
     comes from the diagonal direction, 2 chi_pq = chi_dd - chi_pp - chi_qq.
-    ``fn`` maps (xi_p, xi_q) to a complex value (ChordValue accepted).
+    ``evaluator`` needs only ``evaluate(xi_p, xi_q)``: each of the five
+    derivatives takes every Richardson stencil point along its direction in
+    one call.
     """
     if h0 is None:
         h0 = 0.5 * math.sqrt(hbar)
 
-    def val(xi_p, xi_q):
-        return complex(fn((xi_p, xi_q)))
-
     errors = {}
 
     def deriv(direction, m, key):
-        d, err = richardson_derivative(lambda s: val(*(s * direction[0], s * direction[1])),
-                                       order=m, h0=h0, tol=tol)
+        def along(s):
+            values, _ = evaluator.evaluate(s * direction[0], s * direction[1])
+            return values
+
+        d, err = richardson_derivative(along, order=m, h0=h0, tol=tol)
         errors[key] = err
         return d
 

@@ -9,8 +9,10 @@ from scipy.special import roots_laguerre
 from chordscan import (CurveSpec, ExactEvaluator, Flag, NumericalError, axis,
                        find_blind_spots, first_zero_along, nodal_contours,
                        scan_grid)
-from chordscan.blindspots import NOISE_RATIO
+from chordscan.blindspots import (_HALVINGS, NOISE_RATIO, _newton_polish,
+                                  _seed_chords)
 from chordscan.gridscan import ChordFieldGrid
+from chordscan.smallchord import moments_from_chi
 
 # First zero of the vertical cut of the sheared reference state: the cut is
 # the momentum-marginal characteristic function, left invariant by the shear,
@@ -195,3 +197,143 @@ class TestFirstZeroAlong:
         crossing does not make the chord function vanish."""
         with pytest.raises(NumericalError, match="does not carry a real field"):
             first_zero_along(ExactEvaluator(sheared), (1.0, 0.0), s_max=2.0)
+
+
+class CountingEvaluator:
+    """Records the size of every ``evaluate`` batch and counts one-chord calls."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.batches = []
+        self.single = 0
+
+    def evaluate(self, xi_p, xi_q):
+        self.batches.append(np.size(xi_p))
+        return self.evaluator.evaluate(xi_p, xi_q)
+
+    def __call__(self, xi):
+        self.single += 1
+        return self.evaluator(xi)
+
+
+# the sheared report state on its recipe region, and the n = 3 variant
+REPORT_STATES = {
+    "sheared": (CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1), 0.45),
+    "n3": (CurveSpec(n=3, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.2), 0.6),
+}
+
+
+def _report_seeds(ev, half, rng):
+    """The report's seed-cell centers, each moved at random within its cell."""
+    ax = axis(-half, half, 41)
+    seeds = _seed_chords(scan_grid(ev, ax, ax))
+    cell = ax[1] - ax[0]
+    return seeds + rng.uniform(-0.5 * cell, 0.5 * cell, seeds.shape)
+
+
+class TestBatchPaths:
+    @pytest.mark.parametrize("max_iter", [40, 3])
+    @pytest.mark.parametrize("name", sorted(REPORT_STATES))
+    def test_lone_and_lockstep_polish_agree(self, name, max_iter):
+        """Polishing each seed alone and all seeds in lockstep gives the same
+        iteration counts, the same rejects and the same roots."""
+        state, half = REPORT_STATES[name]
+        ev = ExactEvaluator(state)
+        seeds = _report_seeds(ev, half, np.random.default_rng(11))
+        step = 2e-6 * half  # as find_blind_spots sets it for this region
+        xi, mag, iters = _newton_polish(ev, seeds, step, 1e-8, max_iter=max_iter)
+        # the full budget polishes every seed; three steps leave some rejected
+        assert np.any(mag >= 1e-8) == (max_iter == 3)
+        # a root far outside the scanned region can sit in the tail, where
+        # |chi| itself is below tol and the field does not pin the point down
+        pinned = (mag < 1e-8) & np.all(np.abs(xi) <= 2.0 * half, axis=1)
+        assert pinned.any()
+        for k, seed in enumerate(seeds):
+            xi1, mag1, iters1 = _newton_polish(ev, seed[None, :], step, 1e-8,
+                                               max_iter=max_iter)
+            assert iters1[0] == iters[k]
+            assert (mag1[0] < 1e-8) == (mag[k] < 1e-8)
+            if pinned[k]:
+                assert np.max(np.abs(xi1[0] - xi[k])) < 1e-12
+
+    def test_singular_jacobian_stops_only_its_seed(self):
+        """chi = (xi_p + 1) + i xi_p xi_q does not vary with xi_q on xi_p = 0,
+        so a seed there stops after one step; its neighbour still converges."""
+        class Field:
+            def evaluate(self, xi_p, xi_q):
+                values = (xi_p + 1.0) + 1j * xi_p * xi_q
+                return values, np.zeros(np.shape(values), dtype=np.uint8)
+
+        seeds = np.array([[0.0, 0.2], [0.5, 0.2]])
+        xi, mag, iters = _newton_polish(Field(), seeds, 1e-6, 1e-8)
+        assert iters[0] == 1 and mag[0] == 1.0
+        np.testing.assert_array_equal(xi[0], seeds[0])
+        assert mag[1] < 1e-8
+        np.testing.assert_allclose(xi[1], (-1.0, 0.0), atol=1e-8)
+        lone = _newton_polish(Field(), seeds[1:], 1e-6, 1e-8)
+        assert lone[2][0] == iters[1]
+
+    def test_stuck_seeds_stop_where_damping_fails(self):
+        """With tol = 0 no seed converges: each one stops at the step where 8
+        halvings no longer reduce |chi|, at the root up to round-off."""
+        class Field:
+            def evaluate(self, xi_p, xi_q):
+                values = (xi_p - 0.3) + 1j * (xi_q + 0.2) * (1.0 + xi_p ** 2)
+                return values, np.zeros(np.shape(values), dtype=np.uint8)
+
+        seeds = np.random.default_rng(13).uniform(-1.0, 1.0, (6, 2))
+        xi, mag, iters = _newton_polish(Field(), seeds, 1e-6, 0.0)
+        assert np.all(iters < 40)
+        np.testing.assert_allclose(xi, np.tile((0.3, -0.2), (6, 1)), atol=1e-12)
+        for k, seed in enumerate(seeds):
+            assert _newton_polish(Field(), seed[None, :], 1e-6, 0.0)[2][0] == iters[k]
+
+    def test_polish_calls_do_not_grow_with_the_seeds(self):
+        """Lockstep polish makes one call per stage: tripling the seeds
+        triples the batches, not the calls."""
+        state, half = REPORT_STATES["sheared"]
+        seeds = np.random.default_rng(12).uniform(-half, half, (8, 2))
+        once = CountingEvaluator(ExactEvaluator(state))
+        _, _, iters = _newton_polish(once, seeds, 1e-6, 1e-8)
+        thrice = CountingEvaluator(ExactEvaluator(state))
+        _, _, iters3 = _newton_polish(thrice, np.tile(seeds, (3, 1)), 1e-6, 1e-8)
+        np.testing.assert_array_equal(iters3, np.tile(iters, 3))
+        assert len(thrice.batches) == len(once.batches)
+        assert thrice.batches == [3 * b for b in once.batches]
+        assert len(once.batches) <= 1 + (1 + _HALVINGS) * max(iters)
+        assert once.single == thrice.single == 0
+
+    def test_search_calls(self, sheared_scan, search):
+        ev, grid = sheared_scan
+        counting = CountingEvaluator(ev)
+        again = find_blind_spots(counting, grid, tol=1e-8)
+        assert [s.chord for s in again.spots] == [s.chord for s in search.spots]
+        assert counting.single == 0
+        # one batch of seeds, then a Jacobian stencil of 4 chords per seed
+        assert counting.batches[:2] == [54, 4 * 54]
+        assert counting.batches[-1] == len(search.spots)
+        assert len(counting.batches) < search.n_seeds
+
+    def test_grid_without_seed_cells(self, sheared):
+        """Re chi > 0 everywhere: no seed cell, no evaluation, an empty search."""
+        xp = axis(-0.5, 0.5, 9)
+        values = (2.0 + np.add.outer(xp, xp)) + 1j * np.add.outer(xp, -xp)
+        grid = ChordFieldGrid(xp, xp, values, np.zeros(values.shape, np.uint8), 0.1)
+        counting = CountingEvaluator(ExactEvaluator(sheared))
+        found = find_blind_spots(counting, grid)
+        assert found.n_seeds == 0
+        assert found.spots == ()
+        assert counting.batches == [] and counting.single == 0
+
+    def test_ray_scan_is_one_call(self, sheared):
+        counting = CountingEvaluator(ExactEvaluator(sheared))
+        got = first_zero_along(counting, (0.0, 1.0), s_max=0.5, n_scan=400)
+        assert got == pytest.approx(FIRST_ZERO, abs=1e-10)
+        assert counting.batches == [400]
+        assert counting.single > 0  # brentq refines through one-chord calls
+
+    def test_moments_take_one_call_per_derivative(self, sheared):
+        counting = CountingEvaluator(ExactEvaluator(sheared))
+        moments_from_chi(counting, sheared.hbar)
+        assert len(counting.batches) == 5
+        assert counting.single == 0

@@ -94,6 +94,18 @@ def test_scan_roundtrip(tmp_path):
     assert "elapsed_seconds_nondeterministic" in meta
 
 
+def test_exact_scan_axis_row_phase(tmp_path):
+    """On the xi_p = 0 row Im chi is exactly 0, so the phase is 0 or pi and
+    never the -pi that a negative round-off would give."""
+    out = tmp_path / "t5.csv"
+    assert run("scan", "--t", "5", "--resolution", "21", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    row = [r for r in rows if float(r[0]) == 0.0]
+    assert len(row) == 21
+    assert all(float(r[3]) == 0.0 for r in row)
+    assert {float(r[5]) for r in row} == {0.0, np.pi}
+
+
 @pytest.mark.parametrize("evaluator", ["exact", "semiclassical", "sp_full"])
 def test_scan_is_deterministic(tmp_path, evaluator):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

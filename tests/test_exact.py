@@ -300,3 +300,26 @@ def test_modulus_guard_raises_numerical_error(sheared, monkeypatch):
         evolved_chi(sheared, (0.3, 0.2))
     with pytest.raises(NumericalError, match="exceeds 1"):
         evolved_chi_grid(sheared, axis(-0.5, 0.5, 3), axis(-0.5, 0.5, 3))
+
+
+# Re chi on the xi_p = 0 row of the t = 5 state on the 21-point axis of
+# [-2.3, 2.3], at xi_q = 0, 0.23, ..., 2.3, as the overlap quadrature gave it
+# before Im chi was set to 0 there (the row is even in xi_q).
+T5_AXIS_ROW = (1.0000000000000002, -0.0022171790728555572, -0.2456952017131549,
+               0.30460262383283748, -0.17132857086593833, -0.086764959537880701,
+               0.24102133150996885, -0.032949216869110787, -0.25563970647988177,
+               -0.17645944008488629, -0.06026261098541906)
+
+
+def test_axis_row_is_real_and_unchanged():
+    """On xi_p = 0 chi is the characteristic function of |psi_n(p)|^2: Im chi
+    is exactly 0 on both kernel paths, and Re chi keeps its earlier values."""
+    ax = axis(-2.3, 2.3, 21)
+    want = np.concatenate([T5_AXIS_ROW[:0:-1], T5_AXIS_ROW])
+    row = evolved_chi_grid(STRONGEST, ax, ax)[10]
+    chords, _ = ExactEvaluator(STRONGEST).evaluate(np.zeros_like(ax), ax)
+    for values in (row, chords):
+        assert np.all(values.imag == 0.0)
+        assert np.max(np.abs(values.real - want)) < 1e-12
+    # the shear leaves the momentum marginal, so the unsheared closed form holds
+    assert np.max(np.abs(row.real - fock_chi_radial(5, HBAR, np.abs(ax)))) < 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss as numpy_leggauss
 
-from chordscan.quadrature import (ConvergenceError, NumericalError, _gl_nodes,
+from chordscan.quadrature import (_STENCILS, ConvergenceError, NumericalError, _gl_nodes,
                                   periodic_mean, richardson_derivative)
 
 
@@ -58,9 +58,17 @@ def test_periodic_mean_budget_exhaustion():
     (1, 1e-9, 5e-9), (2, 1e-9, 5e-8), (3, 1e-6, 1e-5), (4, 1e-6, 1e-4),
 ])
 def test_richardson_derivative_exp(order, tol, accuracy):
-    d, err = richardson_derivative(np.exp, order=order, h0=0.4, tol=tol)
+    calls = []
+
+    def f(s):
+        calls.append(s.shape)
+        return np.exp(s)
+
+    d, err = richardson_derivative(f, order=order, h0=0.4, tol=tol)
     assert d == pytest.approx(1.0, abs=accuracy)
     assert err < 10 * tol
+    # one call on every level's stencil, early exit or not
+    assert calls == [(6, len(_STENCILS[order]))]
 
 
 def test_richardson_derivative_complex():

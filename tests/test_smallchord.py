@@ -118,9 +118,13 @@ class TestQuantumMoments:
 
     def test_non_hermitian_field_refused(self):
         # a real-valued exponential leaks a real first derivative
+        class RealExponential:
+            def evaluate(self, xi_p, xi_q):
+                values = np.exp(xi_p + 0.5 * xi_q).astype(complex)
+                return values, np.zeros(values.shape, dtype=np.uint8)
+
         with pytest.raises(RuntimeError, match="hermitian"):
-            moments_from_chi(lambda xi: complex(np.exp(xi[0] + 0.5 * xi[1])),
-                             hbar=0.1)
+            moments_from_chi(RealExponential(), hbar=0.1)
 
 
 def test_second_order_from_table(sheared):
