@@ -10,7 +10,8 @@ ladder-operator moment values -- never against this package's own outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.laguerre import lagroots
@@ -44,6 +45,8 @@ class CriterionResult:
     measured: float
     tolerance: float
     detail: str = ""
+    # wall time of the criterion, set by run_all; not part of the result
+    elapsed_seconds: float = field(default=0.0, compare=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -293,7 +296,9 @@ CRITERIA = (
 def run_all(report=print) -> list[CriterionResult]:
     results = []
     for criterion in CRITERIA:
+        started = time.perf_counter()
         result = criterion()
+        result = replace(result, elapsed_seconds=time.perf_counter() - started)
         results.append(result)
         if report is not None:
             report(result.line())

@@ -1,8 +1,10 @@
 """Nodal lines and blind spots of a chord-function field.
 
 Nodal lines of the real and imaginary components are traced from a scanned
-grid by marching squares (linear interpolation along cell edges, saddle cells
-resolved by the cell-center sign, segments chained through shared edge keys).
+grid by marching squares in whole arrays: the crossed grid edges and their
+linearly interpolated points are found in one pass over the edges, each cell
+joins its crossed edges by its case (saddle cells resolved by the cell-center
+sign), and the segments are chained through integer edge ids.
 Blind spots -- common zeros of both components -- are seeded from cells on
 which each component changes sign or vanishes, and polished by a damped
 Newton iteration on the underlying evaluator, so their final accuracy is set
@@ -68,54 +70,6 @@ class NodalSet:
         return self.flag is Flag.DEGENERATE_SYMMETRY
 
 
-def _edge_point(axis_a, axis_b, va, vb):
-    t = va / (va - vb)
-    return axis_a + t * (axis_b - axis_a)
-
-
-def _cell_segments(comp, xp, xq, i, j):
-    """Marching-squares segments for the cell [i, i+1] x [j, j+1].
-
-    Returns a list of ((key_a, pt_a), (key_b, pt_b)) pairs, where keys label
-    grid edges exactly, so chaining across cells is lossless.
-    """
-    a = comp[i, j]
-    b = comp[i + 1, j]
-    c = comp[i + 1, j + 1]
-    d = comp[i, j + 1]
-    crossings = {}
-    if (a > 0) != (b > 0):
-        crossings["bottom"] = (("p", i, j),
-                               (_edge_point(xp[i], xp[i + 1], a, b), xq[j]))
-    if (b > 0) != (c > 0):
-        crossings["right"] = (("q", i + 1, j),
-                              (xp[i + 1], _edge_point(xq[j], xq[j + 1], b, c)))
-    if (d > 0) != (c > 0):
-        crossings["top"] = (("p", i, j + 1),
-                            (_edge_point(xp[i], xp[i + 1], d, c), xq[j + 1]))
-    if (a > 0) != (d > 0):
-        crossings["left"] = (("q", i, j),
-                             (xp[i], _edge_point(xq[j], xq[j + 1], a, d)))
-    n = len(crossings)
-    if n == 0:
-        return []
-    if n == 2:
-        (ka, pa), (kb, pb) = crossings.values()
-        return [((ka, pa), (kb, pb))]
-    if n == 4:
-        # saddle: corners alternate in sign; the center decides which corner
-        # pair the nodal lines isolate
-        center = 0.25 * (a + b + c + d)
-        if (center > 0) == (a > 0):
-            pairs = (("bottom", "right"), ("top", "left"))
-        else:
-            pairs = (("bottom", "left"), ("right", "top"))
-        return [(crossings[u], crossings[v]) for u, v in pairs]
-    # n == 1 or 3 would need a corner sitting exactly on zero; nudging the
-    # component field (done by the caller) rules it out
-    raise NumericalError(f"inconsistent crossing count {n} in cell ({i}, {j})")
-
-
 def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
     """Trace the nodal lines of one component of a scanned field."""
     comp = grid.component(component)
@@ -128,56 +82,70 @@ def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
     # does not follow the signs of round-off
     tiny = 1e-14 * scale
     comp = np.where(_floored(comp, scale) == 0.0, tiny, comp)
-
+    pos = comp > 0
     xp, xq = grid.xi_p_axis, grid.xi_q_axis
-    segments = []
-    for i in range(len(xp) - 1):
-        for j in range(len(xq) - 1):
-            segments.extend(_cell_segments(comp, xp, xq, i, j))
 
-    # chain segments through shared edge keys
-    coords = {}
+    # edge ids: xi_p-edges (i, j)-(i+1, j) first, then xi_q-edges
+    # (i, j)-(i, j+1), each row-major; each crossed edge's point once
+    cross_p = pos[:-1, :] != pos[1:, :]
+    cross_q = pos[:, :-1] != pos[:, 1:]
+    id_p = np.arange(cross_p.size).reshape(cross_p.shape)
+    id_q = cross_p.size + np.arange(cross_q.size).reshape(cross_q.shape)
+    points = np.empty((cross_p.size + cross_q.size, 2))
+    i, j = np.nonzero(cross_p)
+    va, vb = comp[i, j], comp[i + 1, j]
+    points[id_p[i, j]] = np.stack([xp[i] + va / (va - vb) * (xp[i + 1] - xp[i]), xq[j]], -1)
+    i, j = np.nonzero(cross_q)
+    va, vb = comp[i, j], comp[i, j + 1]
+    points[id_q[i, j]] = np.stack([xp[i], xq[j] + va / (va - vb) * (xq[j + 1] - xq[j])], -1)
+
+    # per cell, its edges in bottom, right, top, left order; a boolean changes
+    # value an even number of times around the four corners, so a cell has
+    # 0, 2 or 4 crossings. Two crossings are joined in that order; a saddle's
+    # center sign decides which corner pair its two segments isolate.
+    edges = np.stack([id_p[:, :-1], id_q[1:, :], id_p[:, 1:], id_q[:-1, :]], -1)
+    crossed = np.stack([cross_p[:, :-1], cross_q[1:, :], cross_p[:, 1:], cross_q[:-1, :]], -1)
+    count = crossed.sum(-1)
+    segments = np.full(count.shape + (2, 2), -1)
+    segments[count == 2, 0] = edges[count == 2][crossed[count == 2]].reshape(-1, 2)
+    center = 0.25 * (comp[:-1, :-1] + comp[1:, :-1] + comp[1:, 1:] + comp[:-1, 1:])
+    saddle = count == 4
+    bottom, right, top, left = edges[saddle].T
+    same = ((center > 0) == pos[:-1, :-1])[saddle]
+    segments[saddle, 0] = np.stack([bottom, np.where(same, right, left)], -1)
+    segments[saddle, 1] = np.where(same[:, None], np.stack([top, left], -1),
+                                   np.stack([right, top], -1))
+    segments = segments.reshape(-1, 2)
+    segments = segments[segments[:, 0] >= 0].tolist()
+
+    # chain segments through shared edges; each edge joins at most two cells,
+    # so it has at most two neighbours, kept in order of first appearance
     links = {}
-    for (ka, pa), (kb, pb) in segments:
-        coords[ka] = pa
-        coords[kb] = pb
-        links.setdefault(ka, []).append(kb)
-        links.setdefault(kb, []).append(ka)
+    for u, v in segments:
+        links.setdefault(u, []).append(v)
+        links.setdefault(v, []).append(u)
 
-    def walk(start, first):
-        path = [start, first]
-        seen_pairs = {frozenset((start, first))}
-        while True:
-            here = path[-1]
-            nxt = [k for k in links[here] if frozenset((here, k)) not in seen_pairs]
-            if not nxt:
-                return path, False
-            path.append(nxt[0])
-            seen_pairs.add(frozenset((here, nxt[0])))
-            if path[-1] == path[0]:
-                return path, True
-
-    consumed = set()
     curves = []
+    consumed = set()
 
-    def emit(path, closed):
-        for k in path:
-            consumed.add(k)
-        pts = np.array([coords[k] for k in path])
-        curves.append(NodalCurve(points=pts, closed=closed))
+    def trace(start):
+        path = [start, links[start][0]]
+        while path[-1] != start:
+            nxt = [k for k in links[path[-1]] if k != path[-2]]
+            if not nxt:
+                break
+            path.append(nxt[0])
+        consumed.update(path)
+        curves.append(NodalCurve(points=points[path], closed=path[-1] == start))
 
-    # open curves first (endpoints have a single neighbour)
+    # open curves first (endpoints have a single neighbour), from sorted
+    # endpoints; whatever remains sits on closed loops
     for key in sorted(k for k, nb in links.items() if len(nb) == 1):
-        if key in consumed:
-            continue
-        path, closed = walk(key, links[key][0])
-        emit(path, closed)
-    # whatever remains sits on closed loops
+        if key not in consumed:
+            trace(key)
     for key in sorted(links):
-        if key in consumed:
-            continue
-        path, closed = walk(key, links[key][0])
-        emit(path, closed)
+        if key not in consumed:
+            trace(key)
 
     curves.sort(key=lambda c: -len(c.points))
     return NodalSet(component=component, curves=tuple(curves), flag=Flag.OK)
@@ -313,8 +281,11 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
     order, start a lockstep damped Newton iteration on the evaluator that
     makes O(Newton steps x halvings) ``evaluate`` calls whatever the number
     of seeds. Converged roots closer than one cell diagonal to an earlier
-    seed's root are merged. Spots are returned sorted by distance from the
-    origin.
+    seed's root are merged. A root is kept only if it is a resolved zero,
+    |grad chi| * cell diagonal >= ``DEGENERACY_RATIO`` * max|chi| on the
+    grid; this drops points of the decayed tail, where |chi| itself is below
+    ``tol``. Roots outside the scanned region are not otherwise dropped.
+    Spots are returned sorted by distance from the origin.
     """
     seeds = _seed_chords(grid)
     if len(seeds) == 0:
@@ -331,10 +302,16 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
                for j in kept):
             continue
         kept.append(k)
-    values = _chi(evaluator, xi[kept])
+    # one call gives each kept root's value and Jacobian stencil. A root is a
+    # resolved zero only if the field changes across a cell diagonal by
+    # DEGENERACY_RATIO of its scale: in the decayed tail |chi| itself is
+    # below tol and Newton stops wherever it ran to.
+    z = _chi(evaluator, xi[kept, None, :] + step * np.vstack([(0.0, 0.0), _JACOBIAN_OFFSETS]))
+    gradient = np.hypot(np.abs(z[:, 1] - z[:, 2]), np.abs(z[:, 3] - z[:, 4])) / (2.0 * step)
+    resolved = gradient * cell_diag >= DEGENERACY_RATIO * float(np.max(np.abs(grid.values)))
     found = [BlindSpot(chord=Chord(float(xi[k, 0]), float(xi[k, 1])),
                        value=complex(v), iterations=int(iterations[k]))
-             for k, v in zip(kept, values)]
+             for k, v, ok in zip(kept, z[:, 0], resolved) if ok]
     found.sort(key=lambda s: s.radius)
     return BlindSpotSearch(spots=tuple(found), n_seeds=len(seeds), tol=tol)
 

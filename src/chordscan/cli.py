@@ -317,6 +317,7 @@ def cmd_verify(args) -> int:
                 "name": r.name, "passed": bool(r.passed),
                 "measured": float(r.measured), "tolerance": float(r.tolerance),
                 "detail": r.detail,
+                "elapsed_seconds_nondeterministic": r.elapsed_seconds,
             } for r in results],
         })
     return EXIT_OK if not failed else EXIT_ACCEPTANCE

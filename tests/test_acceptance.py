@@ -5,6 +5,8 @@ on failure) and is asserted individually, so a regression names the exact
 claim it broke.
 """
 
+import time
+
 import pytest
 
 from chordscan.acceptance import CRITERIA
@@ -33,6 +35,7 @@ def test_run_all_reports_one_line_per_criterion(monkeypatch):
                                           measured=0.0, tolerance=1.0)
 
     def fake_fail():
+        time.sleep(0.005)
         return acceptance.CriterionResult(name="stub_bad", passed=False,
                                           measured=2.0, tolerance=1.0,
                                           detail="still reported")
@@ -41,6 +44,7 @@ def test_run_all_reports_one_line_per_criterion(monkeypatch):
     lines = []
     results = acceptance.run_all(report=lines.append)
     assert [r.passed for r in results] == [True, False]
+    assert results[0].elapsed_seconds >= 0.0 and results[1].elapsed_seconds >= 0.005
     assert lines[0].startswith("PASS  stub_ok")
     assert lines[1].startswith("FAIL  stub_bad")
     assert "still reported" in lines[1]

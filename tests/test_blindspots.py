@@ -81,6 +81,114 @@ class TestNodalContours:
         assert ns.curves == ()
 
 
+def _edge_of(point, xp, xq):
+    """The grid edge a nodal point lies on: ("p", i, j) for the xi_p-edge
+    (i, j)-(i+1, j), ("q", i, j) for the xi_q-edge (i, j)-(i, j+1)."""
+    x, y = point
+    on_p, on_q = np.flatnonzero(xq == y), np.flatnonzero(xp == x)
+    assert on_p.size + on_q.size == 1, f"{point} is not inside one grid edge"
+    if on_p.size:
+        return ("p", int(np.searchsorted(xp, x)) - 1, int(on_p[0]))
+    return ("q", int(on_q[0]), int(np.searchsorted(xq, y)) - 1)
+
+
+def _cells_of(edge):
+    kind, i, j = edge
+    return {(i, j - 1), (i, j)} if kind == "p" else {(i - 1, j), (i, j)}
+
+
+def _check_marching_squares(grid, component):
+    """Check a traced nodal set against the grid it came from, whatever the
+    tracer's internals. Returns the number of saddle cells split each way."""
+    comp = grid.component(component)
+    xp, xq = grid.xi_p_axis, grid.xi_q_axis
+    assert np.all(np.abs(comp) >= NOISE_RATIO * np.max(np.abs(grid.values)))
+    pos = comp > 0
+
+    def interpolated(edge):
+        kind, i, j = edge
+        if kind == "p":
+            va, vb = comp[i, j], comp[i + 1, j]
+            return (xp[i] + va / (va - vb) * (xp[i + 1] - xp[i]), xq[j])
+        va, vb = comp[i, j], comp[i, j + 1]
+        return (xp[i], xq[j] + va / (va - vb) * (xq[j + 1] - xq[j]))
+
+    crossed = ({("p", int(i), int(j)) for i, j in zip(*np.nonzero(pos[:-1] != pos[1:]))}
+               | {("q", int(i), int(j)) for i, j in zip(*np.nonzero(pos[:, :-1] != pos[:, 1:]))})
+    traced, joined = [], {}
+    for curve in nodal_contours(grid, component).curves:
+        edges = [_edge_of(pt, xp, xq) for pt in curve.points]
+        for pt, edge in zip(curve.points, edges):
+            assert tuple(pt) == interpolated(edge)  # bit for bit
+        if curve.closed:
+            np.testing.assert_array_equal(curve.points[-1], curve.points[0])
+        traced.extend(edges[:-1] if curve.closed else edges)
+        for a, b in zip(edges, edges[1:]):
+            (cell,) = _cells_of(a) & _cells_of(b)  # consecutive points share a cell
+            joined.setdefault(cell, set()).add(frozenset((a, b)))
+    # every crossed edge gives exactly one curve point
+    assert len(traced) == len(set(traced)) and set(traced) == crossed
+
+    want, split = {}, {True: 0, False: 0}
+    for i in range(len(xp) - 1):
+        for j in range(len(xq) - 1):
+            b, r, t, l = ("p", i, j), ("q", i + 1, j), ("p", i, j + 1), ("q", i, j)
+            hit = [e for e in (b, r, t, l) if e in crossed]
+            if len(hit) == 2:
+                want[(i, j)] = {frozenset(hit)}
+            elif len(hit) == 4:
+                # the cell-center sign decides which corners the lines isolate
+                center = 0.25 * (comp[i, j] + comp[i + 1, j] + comp[i + 1, j + 1] + comp[i, j + 1])
+                same = bool((center > 0) == pos[i, j])
+                split[same] += 1
+                want[(i, j)] = ({frozenset((b, r)), frozenset((t, l))} if same
+                                else {frozenset((b, l)), frozenset((r, t))})
+            else:
+                assert not hit
+    assert joined == want
+    return split
+
+
+@pytest.fixture(scope="module")
+def ring_field():
+    """The ring-field recipe's grid: 161 x 161 over [-1.75, 1.75]^2."""
+    ax = axis(-1.75, 1.75, 161)
+    state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.0)
+    return scan_grid(ExactEvaluator(state), ax, ax)
+
+
+class TestMarchingSquaresProperties:
+    def test_random_fields(self):
+        """Seeded random fields of random shape and spacing, both components;
+        at this density many cells are saddles, split both ways."""
+        rng = np.random.default_rng(20261018)
+        splits = {True: 0, False: 0}
+        for _ in range(12):
+            nx, ny = rng.integers(2, 30, 2)
+            values = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
+            grid = ChordFieldGrid(np.sort(rng.uniform(-1, 1, nx)),
+                                  np.sort(rng.uniform(-1, 1, ny)), values,
+                                  np.zeros(values.shape, np.uint8), 0.1)
+            for component in ("real", "imag"):
+                for same, n in _check_marching_squares(grid, component).items():
+                    splits[same] += n
+        assert splits[True] > 10 and splits[False] > 10
+
+    def test_saddle_field(self):
+        xp = axis(-1.0, 1.0, 10)  # even: no sample sits on the nodal cross
+        split = _check_marching_squares(_synthetic(xp[:, None] * xp[None, :], xp), "real")
+        assert split == {True: 0, False: 1}
+
+    def test_ring_field(self, ring_field):
+        assert _check_marching_squares(ring_field, "real") == {True: 0, False: 0}
+
+    def test_ring_field_nodal_set(self, ring_field):
+        """The benchmark's ring step: five closed curves, longest first."""
+        ns = nodal_contours(ring_field, "real")
+        assert [(len(c), c.closed) for c in ns.curves] == [
+            (581, True), (437, True), (309, True), (197, True), (85, True)]
+
+
 @pytest.fixture(scope="module")
 def sheared_scan():
     state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
@@ -158,6 +266,29 @@ class TestBlindSpots:
         for a, b in zip(got.curves, want.curves):
             assert a.closed == b.closed
             np.testing.assert_array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("resolution", [37, 51])
+    def test_decayed_tail_is_not_a_spot(self, sheared, search, resolution):
+        """From these grids Newton runs two seeds into the Gaussian tail until
+        |chi| itself is below tol, at (+-3.11, +-3.30) for 37^2 and at
+        (+-7.53, +-4.46) for 51^2. The field does not change there across a
+        cell, so those points are not resolved zeros; the genuine spots stay."""
+        ev = ExactEvaluator(sheared)
+        ax = axis(-0.45, 0.45, resolution)
+        found = find_blind_spots(ev, scan_grid(ev, ax, ax), tol=1e-8)
+        assert len(found.spots) == len(search.spots) == 10
+        # |chi| < tol pins each root to about tol / |grad chi|
+        for got, want in zip(found.spots, search.spots):
+            assert abs(got.radius - want.radius) < 1e-7
+
+    def test_spots_outside_the_region_are_kept(self):
+        """The n = 3 report has a genuine spot beyond its +-0.6 region."""
+        state, half = REPORT_STATES["n3"]
+        ev = ExactEvaluator(state)
+        ax = axis(-half, half, 41)
+        found = find_blind_spots(ev, scan_grid(ev, ax, ax), tol=1e-8)
+        assert (found.n_seeds, len(found.spots)) == (48, 12)
+        assert max(max(abs(s.chord.xi_p), abs(s.chord.xi_q)) for s in found.spots) > half
 
     def test_symmetric_field_is_refused(self, ring):
         ev = ExactEvaluator(ring)
@@ -311,7 +442,8 @@ class TestBatchPaths:
         assert counting.single == 0
         # one batch of seeds, then a Jacobian stencil of 4 chords per seed
         assert counting.batches[:2] == [54, 4 * 54]
-        assert counting.batches[-1] == len(search.spots)
+        # the last call holds each kept spot and its Jacobian stencil
+        assert counting.batches[-1] == 5 * len(search.spots)
         assert len(counting.batches) < search.n_seeds
 
     def test_grid_without_seed_cells(self, sheared):

@@ -322,6 +322,7 @@ def test_verify_exit_codes(tmp_path, monkeypatch, capsys):
     assert run("verify", "--out", str(table)) == 0
     written = json.loads(table.read_text())
     assert written["passed"] and written["criteria"][0]["name"] == "stub"
+    assert written["criteria"][0]["elapsed_seconds_nondeterministic"] >= 0.0
     monkeypatch.setattr(cli, "run_all",
                         lambda report: [report(r.line()) or r for r in _fake_results(False)])
     assert run("verify") == 2
