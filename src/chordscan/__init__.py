@@ -35,7 +35,6 @@ from .evaluators import EVALUATOR_NAMES, make_evaluator
 from .exact import (
     ExactEvaluator,
     GridTooSmallError,
-    QuadratureSpec,
     correlation_C,
     evolved_chi,
     evolved_chi_grid,
@@ -83,7 +82,6 @@ __all__ = [
     "NodalSet",
     "NumericalError",
     "PhasePoint",
-    "QuadratureSpec",
     "SecondOrderMoments",
     "axis",
     "chi_semiclassical",

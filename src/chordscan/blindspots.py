@@ -42,6 +42,9 @@ DEGENERACY_RATIO = 1e-8
 # a zero and carry no sign
 NOISE_RATIO = 1e-12
 
+RAY_SAMPLES = 400  # first_zero_along's ray scan
+RAY_TOL = 1e-9  # largest |chi| first_zero_along accepts at a root
+
 
 def _floored(comp: np.ndarray, scale: float) -> np.ndarray:
     """``comp`` with every sample below the noise floor set to exactly 0."""
@@ -316,18 +319,17 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
     return BlindSpotSearch(spots=tuple(found), n_seeds=len(seeds), tol=tol)
 
 
-def first_zero_along(evaluator, direction, s_max: float, n_scan: int = 400,
-                     tol: float = 1e-9) -> float:
+def first_zero_along(evaluator, direction, s_max: float) -> float:
     """First zero of the chord function along the ray xi = s * direction.
 
-    The ``n_scan`` samples s_max / n_scan, ..., s_max are evaluated in one
+    The RAY_SAMPLES samples s_max / RAY_SAMPLES, ..., s_max are evaluated in one
     ``evaluate`` call; the first sign change of Re chi between neighbours is
     refined by brentq through one-chord calls of the evaluator.
 
     Valid along directions where the field is real (for example the mean
     direction of the state, where chi is the characteristic function of a
-    marginal distribution); a residual imaginary part above ``tol`` at the
-    root is rejected.
+    marginal distribution); a residual |chi| above RAY_TOL at the root is
+    rejected.
     """
     u = np.asarray(direction, dtype=float)
     u = u / np.hypot(u[0], u[1])
@@ -335,7 +337,7 @@ def first_zero_along(evaluator, direction, s_max: float, n_scan: int = 400,
     def along(s):
         return complex(evaluator((s * u[0], s * u[1])))
 
-    ss = np.linspace(0.0, s_max, n_scan + 1)[1:]
+    ss = np.linspace(0.0, s_max, RAY_SAMPLES + 1)[1:]
     positive = _chi(evaluator, ss[:, None] * u).real > 0
     crossings = np.flatnonzero(positive[1:] != positive[:-1])
     if crossings.size == 0:
@@ -343,7 +345,7 @@ def first_zero_along(evaluator, direction, s_max: float, n_scan: int = 400,
     k = crossings[0]
     root = brentq(lambda x: along(x).real, ss[k], ss[k + 1], xtol=1e-13)
     residual = abs(along(root))
-    if residual > tol:
+    if residual > RAY_TOL:
         raise NumericalError(
             f"real part vanishes at s={root:.6f} but |chi|={residual:.2e}: "
             "the ray does not carry a real field")

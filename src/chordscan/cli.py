@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,18 +40,25 @@ EXIT_ACCEPTANCE = 2
 EXIT_NONCONVERGED = 3
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"interval {text!r} must be LO:HI")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = _finite(parts[0]), _finite(parts[1])
     if not hi > lo:
         raise ValueError(f"interval {text!r} must have LO < HI")
     return lo, hi
 
 
 def _parse_direction(text: str) -> tuple[float, float]:
-    parts = [float(v) for v in text.split(",")]
+    parts = [_finite(v) for v in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"direction {text!r} must be DP,DQ")
     return tuple(parts)
@@ -59,7 +67,7 @@ def _parse_direction(text: str) -> tuple[float, float]:
 _CONVERTERS = {
     "n": int, "hbar": float, "t": float,
     "alpha0": float, "alpha1": float, "alpha2": float, "alpha3": float,
-    "evaluator": str, "out": str, "tol": float, "slope": float,
+    "evaluator": str, "out": str, "tol": float, "slope": _finite,
     "region": _parse_interval, "resolution": int,
     "range": _parse_interval, "samples": int,
     "direction": _parse_direction,
@@ -315,7 +323,9 @@ def cmd_verify(args) -> int:
             "criteria": [{
                 # criteria measure with numpy, whose bool does not serialize
                 "name": r.name, "passed": bool(r.passed),
-                "measured": float(r.measured), "tolerance": float(r.tolerance),
+                # standard JSON has no Infinity or NaN: such a measurement is null
+                "measured": float(r.measured) if math.isfinite(r.measured) else None,
+                "tolerance": float(r.tolerance),
                 "detail": r.detail,
                 "elapsed_seconds_nondeterministic": r.elapsed_seconds,
             } for r in results],
@@ -364,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="chord function along a ray -> CSV "
                               "(comma-separated evaluators for comparisons)")
     add_common(cut, with_grid=False)
-    cut.add_argument("--slope", type=float, help="cut xi_p = SLOPE * xi_q")
+    cut.add_argument("--slope", type=_finite, help="cut xi_p = SLOPE * xi_q")
     cut.add_argument("--direction", type=_parse_direction, metavar="DP,DQ")
     cut.add_argument("--range", type=_parse_interval, metavar="LO:HI",
                      help="arc-length range along the ray (default 0:2.3)")

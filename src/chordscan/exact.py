@@ -23,43 +23,23 @@ here because they only make sense against the exact field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import eval_laguerre
 
-from .core import Chord, ChordValue, Flag, chord_arrays
+from .core import Chord, ChordValue, chord_arrays
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
+OVERLAP_NODES = 128  # least first trapezoid rule (see _overlap)
+OVERLAP_WINDOW = 6.0  # p window half-width in classical radii, before max|xi_p| / 2
+OVERLAP_TOL = 1e-10  # on chi between successive doublings, uniform over a batch
+OVERLAP_DOUBLINGS = 8  # before ConvergenceError; 128 * 2**8 nodes also caps the first rule
+BOUNDARY_TOL = 1e-8  # largest |chi|^2 on a grid edge that the certificates accept
 _MODULUS_SLACK = 1e-8  # |chi| may exceed 1 only by the quadrature tolerance
 
 
 class GridTooSmallError(ValueError):
     """The scanned region does not contain the support of |chi|^2."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the overlap quadrature.
-
-    nodes            least starting trapezoid node count (doubled, reusing
-                     every node, until the estimate settles)
-    half_width_mult  integration half-width in units of the classical radius
-                     sqrt(hbar (2n+1)); the window is widened by max|xi_p|/2
-                     over the batch so every shifted wavefunction stays covered
-    tol              absolute convergence tolerance on chi, uniform over a batch
-    max_doublings    refinement budget before ConvergenceError
-    """
-
-    nodes: int = 128
-    half_width_mult: float = 6.0
-    tol: float = 1e-10
-    max_doublings: int = 8
-
-    def __post_init__(self):
-        if self.nodes < 8 or self.half_width_mult <= 1.0 or self.tol <= 0:
-            raise ValueError(f"unusable quadrature controls: {self}")
 
 
 def hermite_psi(n: int, hbar: float, p):
@@ -118,14 +98,14 @@ def _profile(state: CurveSpec, p, xi_p):
     return profile
 
 
-def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
+def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
     """Certified overlap quadrature for a batch of chords.
 
     With ``tensor`` the chords are the grid xi_p x xi_q, of shape
     (xi_p.size, xi_q.size); otherwise xi_p[k] pairs with xi_q[k].
 
     The integrand is a xi_q-independent profile times the plane wave
-    exp(i p xi_q / hbar). One window [-L, L), L = half_width_mult r +
+    exp(i p xi_q / hbar). One window [-L, L), L = OVERLAP_WINDOW r +
     max|xi_p| / 2 with r = sqrt(hbar (2n+1)), covers every shifted
     wavefunction, so all chords share the nodes and one certificate: a grid
     costs one (xi_p x nodes) @ (nodes x xi_q) product per node pass.
@@ -134,7 +114,8 @@ def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
     over integers j, with D = pi hbar m / L. Doubling removes only the odd j,
     so when a j = +-2 alias of a far chord lands on the state both rules agree
     on a wrong value. m therefore starts where D >= max|xi_q| + 4r: every
-    alias lies 4r or more from the origin, and the nearest one is odd.
+    alias lies 4r or more from the origin, and the nearest one is odd. A first
+    rule past the node budget raises ConvergenceError before any node pass.
     """
     xi_p = np.asarray(xi_p, dtype=float).ravel()
     xi_q = np.asarray(xi_q, dtype=float).ravel()
@@ -142,9 +123,15 @@ def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
     if 0 in shape:
         return np.zeros(shape, dtype=complex)
     radius = np.sqrt(state.hbar * (2 * state.n + 1))
-    half_width = quad.half_width_mult * radius + 0.5 * np.max(np.abs(xi_p))
-    n0 = quad.nodes
-    while np.pi * state.hbar * n0 / half_width < np.max(np.abs(xi_q)) + 4.0 * radius:
+    half_width = OVERLAP_WINDOW * radius + 0.5 * np.max(np.abs(xi_p))
+    reach = np.max(np.abs(xi_q)) + 4.0 * radius
+    budget = OVERLAP_NODES * 2 ** OVERLAP_DOUBLINGS
+    if not np.pi * state.hbar * budget / half_width >= reach:  # nan and overflow fail too
+        raise ConvergenceError(
+            f"overlap quadrature for |xi_p| up to {np.max(np.abs(xi_p)):g} and |xi_q| up to "
+            f"{np.max(np.abs(xi_q)):g} needs a first rule of more than {budget} nodes")
+    n0 = OVERLAP_NODES
+    while np.pi * state.hbar * n0 / half_width < reach:
         n0 *= 2
 
     def node_sums(theta):
@@ -163,8 +150,8 @@ def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
         return (2.0 * half_width * sums)[..., np.newaxis]
 
     try:
-        est, _ = periodic_mean(node_sums, n0=n0, tol=quad.tol,
-                               max_doublings=quad.max_doublings)
+        est, _ = periodic_mean(node_sums, n0=n0, tol=OVERLAP_TOL,
+                               max_doublings=OVERLAP_DOUBLINGS)
     except ConvergenceError as err:
         raise ConvergenceError(
             f"overlap quadrature over {xi_p.size} xi_p values "
@@ -181,16 +168,14 @@ def _overlap(state: CurveSpec, xi_p, xi_q, quad: QuadratureSpec, tensor: bool):
     return est
 
 
-def evolved_chi(state: CurveSpec, xi, quad: QuadratureSpec | None = None) -> ChordValue:
+def evolved_chi(state: CurveSpec, xi) -> ChordValue:
     """Chord function of the sheared number state by certified quadrature."""
-    quad = quad or QuadratureSpec()
-    return ChordValue(complex(_overlap(state, xi[0], xi[1], quad, tensor=False)[0]))
+    return ChordValue(complex(_overlap(state, xi[0], xi[1], tensor=False)[0]))
 
 
-def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis,
-                     quad: QuadratureSpec | None = None) -> np.ndarray:
+def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
     """Chord-function values on the tensor grid xi_p_axis x xi_q_axis."""
-    return _overlap(state, xi_p_axis, xi_q_axis, quad or QuadratureSpec(), tensor=True)
+    return _overlap(state, xi_p_axis, xi_q_axis, tensor=True)
 
 
 class ExactEvaluator:
@@ -198,21 +183,20 @@ class ExactEvaluator:
 
     name = "exact"
 
-    def __init__(self, state: CurveSpec, quad: QuadratureSpec | None = None):
+    def __init__(self, state: CurveSpec):
         self.state = state
-        self.quad = quad or QuadratureSpec()
 
     def evaluate(self, xi_p, xi_q):
         """(values, flags) at the chords (xi_p[k], xi_q[k]) of two same-shape arrays."""
         xi_p, xi_q = chord_arrays(xi_p, xi_q)
-        values = _overlap(self.state, xi_p, xi_q, self.quad, tensor=False).reshape(xi_p.shape)
+        values = _overlap(self.state, xi_p, xi_q, tensor=False).reshape(xi_p.shape)
         return values, np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
 
     def __call__(self, xi) -> ChordValue:
-        return evolved_chi(self.state, Chord(float(xi[0]), float(xi[1])), self.quad)
+        return evolved_chi(self.state, Chord(float(xi[0]), float(xi[1])))
 
     def grid(self, xi_p_axis, xi_q_axis):
-        values = evolved_chi_grid(self.state, xi_p_axis, xi_q_axis, self.quad)
+        values = evolved_chi_grid(self.state, xi_p_axis, xi_q_axis)
         flags = np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
         return values, flags
 
@@ -238,15 +222,15 @@ def _symplectic_dft(g, xi_p_axis, xi_q_axis, hbar: float, sign: int):
     return scale * (kernel @ g.T @ np.conj(kernel))
 
 
-def _require_contained(abs2, boundary_tol: float):
+def _require_contained(abs2):
     edge = max(abs2[0, :].max(), abs2[-1, :].max(), abs2[:, 0].max(), abs2[:, -1].max())
-    if edge > boundary_tol:
+    if edge > BOUNDARY_TOL:
         raise GridTooSmallError(
             f"grid too small: |chi|^2 reaches {edge:.3e} on the boundary "
-            f"(tolerance {boundary_tol:g}); enlarge the region")
+            f"(tolerance {BOUNDARY_TOL:g}); enlarge the region")
 
 
-def fourier_invariance_residual(grid, boundary_tol: float = 1e-8) -> float:
+def fourier_invariance_residual(grid) -> float:
     """Relative L2 defect of the self-reciprocity of |chi|^2.
 
     For a pure state, |chi|^2 is its own symplectic Fourier transform; the
@@ -255,20 +239,20 @@ def fourier_invariance_residual(grid, boundary_tol: float = 1e-8) -> float:
     correlation_C at xi = 0).
     """
     abs2 = np.abs(grid.values) ** 2
-    _require_contained(abs2, boundary_tol)
+    _require_contained(abs2)
     transformed = _symplectic_dft(abs2, grid.xi_p_axis, grid.xi_q_axis,
                                   grid.hbar, sign=+1)
     return float(np.linalg.norm(transformed - abs2) / np.linalg.norm(abs2))
 
 
-def correlation_C(grid, boundary_tol: float = 1e-8) -> np.ndarray:
+def correlation_C(grid) -> np.ndarray:
     """Chord autocorrelation C(xi) = (1/2 pi hbar) \\int d^2 eta |chi(eta)|^2 e^{-i xi∧eta / hbar}.
 
     Real and even; C(0) equals the state purity (1 for a normalized pure
     field). For a pure state C coincides with |chi|^2 pointwise.
     """
     abs2 = np.abs(grid.values) ** 2
-    _require_contained(abs2, boundary_tol)
+    _require_contained(abs2)
     c = _symplectic_dft(abs2, grid.xi_p_axis, grid.xi_q_axis, grid.hbar, sign=-1)
     imag_peak = np.max(np.abs(c.imag))
     scale = max(np.max(np.abs(c.real)), 1e-300)

@@ -23,12 +23,16 @@ from .core import Chord, ChordValue, Flag, PhasePoint, wedge
 from .curves import CurveSpec
 from .quadrature import NumericalError, periodic_mean, richardson_derivative
 
+AVERAGE_NODES = 64  # first rule of the classical average, on chord lists and grids alike
+AVERAGE_TOL = 1e-10  # on chi_s between successive doublings, uniform over a batch
+AVERAGE_DOUBLINGS = 12  # before ConvergenceError: at most 64 * 2**12 nodes
+MOMENT_TOL = 1e-12  # on each classical moment <q^j p^k>
 
-def chi_small_points(curve: CurveSpec, xi_p, xi_q, tol: float = 1e-10) -> np.ndarray:
+
+def chi_small_points(curve: CurveSpec, xi_p, xi_q) -> np.ndarray:
     """Classical curve average of the chord plane wave at the chords (xi_p[k], xi_q[k]).
 
-    One stacked periodic_mean over the 1-d chord arrays: the node count
-    doubles until every chord of the batch has settled to ``tol``.
+    One stacked periodic_mean over the 1-d chord arrays.
     """
     xi_p = np.asarray(xi_p, dtype=float)[:, np.newaxis]
     xi_q = np.asarray(xi_q, dtype=float)[:, np.newaxis]
@@ -37,18 +41,17 @@ def chi_small_points(curve: CurveSpec, xi_p, xi_q, tol: float = 1e-10) -> np.nda
         p, q = curve.point(theta)
         return np.exp(1j / curve.hbar * (p * xi_q - q * xi_p))
 
-    mean, _ = periodic_mean(plane_wave, n0=64, tol=tol)
+    mean, _ = periodic_mean(plane_wave, n0=AVERAGE_NODES, tol=AVERAGE_TOL,
+                            max_doublings=AVERAGE_DOUBLINGS)
     return mean
 
 
-def chi_small(curve: CurveSpec, xi, tol: float = 1e-10) -> ChordValue:
+def chi_small(curve: CurveSpec, xi) -> ChordValue:
     """Classical curve average of the chord plane wave at one chord."""
-    return ChordValue(complex(chi_small_points(curve, [float(xi[0])], [float(xi[1])], tol=tol)[0]))
+    return ChordValue(complex(chi_small_points(curve, [float(xi[0])], [float(xi[1])])[0]))
 
 
-def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis,
-                   n0: int = 256, tol: float = 1e-10,
-                   max_doublings: int = 10) -> np.ndarray:
+def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
     """chi_s on a tensor grid by rank-one accumulation.
 
     Each curve sample contributes the separable factor
@@ -65,7 +68,8 @@ def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis,
         right = np.exp(1j / curve.hbar * np.outer(p, xi_q_axis))
         return (left @ right)[..., np.newaxis]
 
-    mean, _ = periodic_mean(node_sum, n0=n0, tol=tol, max_doublings=max_doublings)
+    mean, _ = periodic_mean(node_sum, n0=AVERAGE_NODES, tol=AVERAGE_TOL,
+                            max_doublings=AVERAGE_DOUBLINGS)
     return mean
 
 
@@ -92,8 +96,7 @@ class MomentTable:
         return PhasePoint(self.raw(0, 1), self.raw(1, 0))
 
 
-def classical_moments(curve: CurveSpec, order: int = 4,
-                      tol: float = 1e-12) -> MomentTable:
+def classical_moments(curve: CurveSpec, order: int = 4) -> MomentTable:
     """Uniform-angle averages <q^j p^k> for all j + k <= order."""
     if order < 1:
         raise ValueError("need order >= 1")
@@ -103,7 +106,7 @@ def classical_moments(curve: CurveSpec, order: int = 4,
         p, q = curve.point(theta)
         return np.stack([q ** j * p ** k for j, k in pairs])
 
-    means, _ = periodic_mean(monomials, n0=64, tol=tol)
+    means, _ = periodic_mean(monomials, n0=64, tol=MOMENT_TOL)
     table = np.full((order + 1, order + 1), np.nan)
     for (j, k), m in zip(pairs, means.real):
         table[j, k] = m

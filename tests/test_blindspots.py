@@ -459,7 +459,7 @@ class TestBatchPaths:
 
     def test_ray_scan_is_one_call(self, sheared):
         counting = CountingEvaluator(ExactEvaluator(sheared))
-        got = first_zero_along(counting, (0.0, 1.0), s_max=0.5, n_scan=400)
+        got = first_zero_along(counting, (0.0, 1.0), s_max=0.5)
         assert got == pytest.approx(FIRST_ZERO, abs=1e-10)
         assert counting.batches == [400]
         assert counting.single > 0  # brentq refines through one-chord calls

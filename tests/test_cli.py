@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line driver (in process via main)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,32 @@ def test_parse_interval():
         cli._parse_interval("0:1:2")
     with pytest.raises(ValueError):
         cli._parse_interval("2:1")
+    for text in ("-inf:inf", "0:nan"):
+        with pytest.raises(ValueError, match="finite"):
+            cli._parse_interval(text)
+
+
+@pytest.mark.parametrize("command", [
+    ("scan", "--region=-inf:inf"),
+    ("scan", "--region=-1.7e308:1.7e308", "--resolution", "3"),
+    ("cut", "--direction", "nan,1"),
+    ("cut", "--slope", "inf"),
+    ("cut", "--slope", "1", "--range=0:inf"),
+])
+def test_non_finite_chords_are_a_config_error(tmp_path, capsys, command):
+    try:
+        code = run(*command, "--out", str(tmp_path / "x.csv"))
+    except SystemExit as err:  # argparse rejects a flag's value itself
+        code = err.code
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_non_finite_slope_in_a_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("slope=nan\n")
+    assert run("cut", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 1
 
 
 def test_load_config(tmp_path):
@@ -315,6 +342,24 @@ def _fake_results(ok):
                             detail="stub")]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_table_is_standard_json(tmp_path, monkeypatch):
+    """A non-finite measurement is written as null, not as Infinity or NaN."""
+    results = [CriterionResult(name=name, passed=False, measured=value,
+                               tolerance=1.0, detail="stub")
+               for name, value in (("inf", math.inf), ("nan", np.float64(np.nan)),
+                                   ("finite", np.float64(0.25)))]
+    monkeypatch.setattr(cli, "run_all", lambda report: results)
+    table = tmp_path / "verify.json"
+    assert run("verify", "--out", str(table)) == 2
+    written = json.loads(table.read_text(), parse_constant=_reject_constant)
+    assert [c["measured"] for c in written["criteria"]] == [None, None, 0.25]
+    assert [c["tolerance"] for c in written["criteria"]] == [1.0] * 3
+
+
 def test_verify_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_all",
                         lambda report: [report(r.line()) or r for r in _fake_results(True)])
@@ -328,6 +373,17 @@ def test_verify_exit_codes(tmp_path, monkeypatch, capsys):
     assert run("verify") == 2
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("command", [
+    ("scan", "--region=-1e300:1e300", "--resolution", "3"),
+    ("cut", "--direction", "0,1", "--range", "0:1e300", "--samples", "2"),
+])
+def test_chords_past_the_node_budget_exit_3(tmp_path, capsys, command):
+    assert run(*command, "--out", str(tmp_path / "x.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chordscan: did not converge:") and "32768 nodes" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from chordscan import (ConvergenceError, CurveSpec, ExactEvaluator,
-                       GridTooSmallError, NumericalError, QuadratureSpec, correlation_C,
+                       GridTooSmallError, NumericalError, correlation_C,
                        evolved_chi, evolved_chi_grid, fock_chi_closed,
                        fourier_invariance_residual, hermite_psi, scan_grid)
+from chordscan import exact
 from chordscan.exact import fock_chi_radial
 from chordscan.gridscan import axis
 from chordscan.quadrature import _gl_nodes
@@ -150,18 +151,55 @@ def test_evaluator_interface(sheared):
 # -- quadrature controls -------------------------------------------------------
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(nodes=4), dict(half_width_mult=0.5), dict(tol=0.0), dict(tol=-1e-9),
+def test_starved_quadrature_raises(sheared, monkeypatch):
+    monkeypatch.setattr(exact, "OVERLAP_DOUBLINGS", 0)
+    with pytest.raises(ConvergenceError, match=r"overlap .* within 128 nodes"):
+        evolved_chi(sheared, (0.5, 0.5))
+
+
+def _first_rules(monkeypatch):
+    """Record the first node count of every overlap quadrature."""
+    seen = []
+    original = exact.periodic_mean
+
+    def recording(f, n0, **kwargs):
+        seen.append(n0)
+        return original(f, n0=n0, **kwargs)
+
+    monkeypatch.setattr(exact, "periodic_mean", recording)
+    return seen
+
+
+@pytest.mark.parametrize("xi_p, xi_q, start", [
+    ([0.0], [0.0], 128),
+    ([0.0], [12.78], 512),
+    ([3.0, -1.0], [20.0, 0.5], 1024),
+    ([0.0], [1000.0], 32768),
 ])
-def test_quadrature_spec_rejects_unusable_controls(kwargs):
-    with pytest.raises(ValueError):
-        QuadratureSpec(**kwargs)
+def test_first_rule_clears_the_aliases(sheared, monkeypatch, xi_p, xi_q, start):
+    seen = _first_rules(monkeypatch)
+    ExactEvaluator(sheared).evaluate(xi_p, xi_q)
+    assert seen == [start]
 
 
-def test_starved_quadrature_raises(sheared):
-    starved = QuadratureSpec(nodes=8, tol=1e-14, max_doublings=0)
-    with pytest.raises(ConvergenceError, match=r"overlap .* within \d+ nodes"):
-        evolved_chi(sheared, (0.5, 0.5), quad=starved)
+def test_grid_first_rule(sheared, monkeypatch):
+    seen = _first_rules(monkeypatch)
+    evolved_chi_grid(sheared, axis(-2.3, 2.3, 161), axis(-2.3, 2.3, 161))
+    assert seen == [256]
+
+
+def test_first_rule_past_the_budget_raises_before_any_node_pass(sheared, monkeypatch):
+    seen = _first_rules(monkeypatch)
+    radius = np.sqrt(sheared.hbar * (2 * sheared.n + 1))
+    # the farthest xi_q whose first rule fits in 128 * 2**8 nodes
+    edge = np.pi * sheared.hbar * 32768 / (6.0 * radius) - 4.0 * radius
+    for xi in [(0.0, edge * (1 + 1e-9)), (0.0, 2000.0), (1e300, 0.0),
+               (0.0, -1e300), (np.nan, 0.0), (0.0, np.inf)]:
+        with pytest.raises(ConvergenceError, match="more than 32768 nodes"):
+            evolved_chi(sheared, xi)
+    assert seen == []
+    monkeypatch.undo()
+    evolved_chi(sheared, (0.0, edge * (1 - 1e-9)))
 
 
 # -- Fourier self-consistency ---------------------------------------------------

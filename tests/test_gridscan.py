@@ -12,6 +12,14 @@ def test_axis_rejects_bad_ranges():
         axis(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan), (-1.7e308, 1.7e308),
+])
+def test_axis_rejects_non_finite_ends(lo, hi):
+    with pytest.raises(ValueError):
+        axis(lo, hi, 5)
+
+
 def test_axis_endpoints():
     a = axis(-1.5, 2.5, 9)
     assert a[0] == -1.5 and a[-1] == 2.5 and a.size == 9

@@ -10,7 +10,9 @@ from chordscan import (ConvergenceError, Flag, chi_small, chi_taylor,
                        classical_moments, closest_blind_spot_estimate,
                        make_evaluator, moments_from_chi,
                        second_order_from_table)
-from chordscan.smallchord import SecondOrderMoments, chi_small_grid
+from chordscan import smallchord
+from chordscan.gridscan import axis
+from chordscan.smallchord import SecondOrderMoments, chi_small_grid, chi_small_points
 
 # Ladder-operator / curve-average values for n = 5, hbar = 0.1 sheared for
 # t = 0.1 under H = p + p^2 + p^3 (I = 0.55, r^2 = 1.1):
@@ -43,10 +45,30 @@ def test_grid_average_matches_pointwise(sheared):
             complex(chi_small(sheared, (xp[i], xq[j]))), abs=1e-9)
 
 
-def test_grid_average_stall_raises(sheared):
-    with pytest.raises(ConvergenceError):
-        chi_small_grid(sheared, [0.0, 0.5], [0.0, 0.5], tol=0.0,
-                       max_doublings=1)
+def test_grid_average_stall_raises(sheared, monkeypatch):
+    monkeypatch.setattr(smallchord, "AVERAGE_TOL", 0.0)
+    monkeypatch.setattr(smallchord, "AVERAGE_DOUBLINGS", 1)
+    with pytest.raises(ConvergenceError, match="within 128 nodes"):
+        chi_small_grid(sheared, [0.0, 0.5], [0.0, 0.5])
+
+
+def test_grid_and_list_routes_stop_at_one_node_count(sheared, monkeypatch):
+    """The classical average of a chord set settles where its route does not matter."""
+    stops = []
+    original = smallchord.periodic_mean
+
+    def recording(f, **kwargs):
+        mean, nodes = original(f, **kwargs)
+        stops.append(nodes)
+        return mean, nodes
+
+    monkeypatch.setattr(smallchord, "periodic_mean", recording)
+    xp = axis(-2.3, 2.3, 41)
+    grid = chi_small_grid(sheared, xp, xp)
+    mesh_p, mesh_q = np.meshgrid(xp, xp, indexing="ij")
+    listed = chi_small_points(sheared, mesh_p.ravel(), mesh_q.ravel())
+    assert stops == [256, 256]
+    assert np.max(np.abs(grid.ravel() - listed)) < 1e-14
 
 
 class TestClassicalMoments:
