@@ -288,8 +288,11 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
     |grad chi| * cell diagonal >= ``DEGENERACY_RATIO`` * max|chi| on the
     grid; this drops points of the decayed tail, where |chi| itself is below
     ``tol``. Roots outside the scanned region are not otherwise dropped.
-    Spots are returned sorted by distance from the origin.
+    Spots are returned sorted by distance from the origin. ``tol`` must be
+    finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     seeds = _seed_chords(grid)
     if len(seeds) == 0:
         return BlindSpotSearch(spots=(), n_seeds=0, tol=tol)

@@ -253,6 +253,8 @@ def cmd_blindspots(args) -> int:
     """
     opt = _merge(args)
     out = _require_out(opt, "blindspots")
+    if not (math.isfinite(opt["tol"]) and opt["tol"] > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {opt['tol']!r}")
     state = _state(opt)
     evaluator = make_evaluator(opt["evaluator"], state)
     # the stationary-phase sums are singular at the origin, so moments (and

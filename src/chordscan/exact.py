@@ -11,9 +11,10 @@ quadrature that also covers the sheared state,
 with psi_n the momentum-representation oscillator eigenfunction. Every
 quadrature goes through one batched kernel: the chords of a call share one p
 window and one nested trapezoid rule, run by quadrature.periodic_mean over
-the window mapped onto [0, 2 pi). The integrand is entire and decays like a
-Gaussian well inside the window, so the rule converges geometrically and each
-doubling reuses every node. A tensor grid is one (xi_p x nodes) @
+the window mapped onto [0, 2 pi). The integrand is entire, and past the
+classical radius it decays like a Gaussian of width sqrt(hbar), to round-off
+inside the window; so the rule converges geometrically and each doubling
+reuses every node. A tensor grid is one (xi_p x nodes) @
 (nodes x xi_q) product per node pass, and one certificate covers the whole
 batch. ``ExactEvaluator.evaluate`` takes chord arrays; the pointwise and grid
 entry points wrap the same kernel. Grid-level certificates (the symplectic
@@ -30,10 +31,9 @@ from .core import Chord, ChordValue, chord_arrays
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
-OVERLAP_NODES = 128  # least first trapezoid rule (see _overlap)
-OVERLAP_WINDOW = 6.0  # p window half-width in classical radii, before max|xi_p| / 2
+OVERLAP_TAIL = 8.0  # p window half-width past the classical radius, in sqrt(hbar)
 OVERLAP_TOL = 1e-10  # on chi between successive doublings, uniform over a batch
-OVERLAP_DOUBLINGS = 8  # before ConvergenceError; 128 * 2**8 nodes also caps the first rule
+OVERLAP_MAX_NODES = 32768  # largest trapezoid rule before ConvergenceError
 BOUNDARY_TOL = 1e-8  # largest |chi|^2 on a grid edge that the certificates accept
 _MODULUS_SLACK = 1e-8  # |chi| may exceed 1 only by the quadrature tolerance
 
@@ -82,7 +82,7 @@ def fock_chi_closed(n: int, hbar: float, xi) -> ChordValue:
     return ChordValue(complex(fock_chi_radial(n, hbar, np.hypot(xi[0], xi[1]))))
 
 
-ROW_BLOCK = 16  # chords per profile block: a (block x nodes) array stays <= 1 MB at 4096 nodes
+BLOCK_ELEMENTS = 2048  # chords x nodes per profile block: 16 rows of a 128-node rule
 
 
 def _profile(state: CurveSpec, p, xi_p):
@@ -105,17 +105,22 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
     (xi_p.size, xi_q.size); otherwise xi_p[k] pairs with xi_q[k].
 
     The integrand is a xi_q-independent profile times the plane wave
-    exp(i p xi_q / hbar). One window [-L, L), L = OVERLAP_WINDOW r +
-    max|xi_p| / 2 with r = sqrt(hbar (2n+1)), covers every shifted
-    wavefunction, so all chords share the nodes and one certificate: a grid
-    costs one (xi_p x nodes) @ (nodes x xi_q) product per node pass.
+    exp(i p xi_q / hbar). Past the classical radius r = sqrt(hbar (2n+1)) the
+    Hermite functions fall like a Gaussian of width sqrt(hbar), so one window
+    [-L, L), L = r + OVERLAP_TAIL sqrt(hbar) + max|xi_p| / 2, covers every
+    shifted wavefunction down to a factor exp(-OVERLAP_TAIL^2 / 2) of its
+    peak. All chords share the nodes and one certificate: a grid costs one
+    (xi_p x nodes) @ (nodes x xi_q) product per node pass, and a chord list
+    builds each distinct xi_p's profile once per pass.
 
     By Poisson summation an m-node rule returns the sum of chi(xi_p, xi_q + j D)
     over integers j, with D = pi hbar m / L. Doubling removes only the odd j,
     so when a j = +-2 alias of a far chord lands on the state both rules agree
-    on a wrong value. m therefore starts where D >= max|xi_q| + 4r: every
-    alias lies 4r or more from the origin, and the nearest one is odd. A first
-    rule past the node budget raises ConvergenceError before any node pass.
+    on a wrong value. The first rule is therefore the least power of two with
+    D >= max|xi_q| + 4r: every alias lies 4r or more from the origin, and the
+    nearest one is odd. No rule passes OVERLAP_MAX_NODES; a batch whose first
+    rule leaves no room for one doubling under it raises ConvergenceError
+    before any node pass.
     """
     xi_p = np.asarray(xi_p, dtype=float).ravel()
     xi_q = np.asarray(xi_q, dtype=float).ravel()
@@ -123,35 +128,43 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
     if 0 in shape:
         return np.zeros(shape, dtype=complex)
     radius = np.sqrt(state.hbar * (2 * state.n + 1))
-    half_width = OVERLAP_WINDOW * radius + 0.5 * np.max(np.abs(xi_p))
+    half_width = radius + OVERLAP_TAIL * np.sqrt(state.hbar) + 0.5 * np.max(np.abs(xi_p))
     reach = np.max(np.abs(xi_q)) + 4.0 * radius
-    budget = OVERLAP_NODES * 2 ** OVERLAP_DOUBLINGS
-    if not np.pi * state.hbar * budget / half_width >= reach:  # nan and overflow fail too
+    # the certificate compares the first rule with its doubling
+    if not np.pi * state.hbar * (OVERLAP_MAX_NODES // 2) / half_width >= reach:  # nan, overflow too
         raise ConvergenceError(
             f"overlap quadrature for |xi_p| up to {np.max(np.abs(xi_p)):g} and |xi_q| up to "
-            f"{np.max(np.abs(xi_q)):g} needs a first rule of more than {budget} nodes")
-    n0 = OVERLAP_NODES
+            f"{np.max(np.abs(xi_q)):g} needs more than {OVERLAP_MAX_NODES} nodes")
+    n0 = 1
     while np.pi * state.hbar * n0 / half_width < reach:
         n0 *= 2
+    if not tensor:
+        # chords sorted by xi_p, so that a block's repeated xi_p sit together
+        # and share one profile row; group[k] numbers the distinct xi_p
+        order = np.argsort(xi_p, kind="stable")
+        distinct, group = np.unique(xi_p[order], return_inverse=True)
 
     def node_sums(theta):
         p = half_width * (theta / np.pi - 1.0)
+        rows = max(1, BLOCK_ELEMENTS // p.size)
+        sums = np.empty(shape, dtype=complex)
         if tensor:
             wave = np.exp(1j / state.hbar * np.outer(p, xi_q))
-        sums = np.empty(shape, dtype=complex)
-        for lo in range(0, xi_p.size, ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            profile = _profile(state, p, xi_p[rows])
-            if tensor:
-                sums[rows] = profile @ wave
-            else:
-                wave = np.exp(1j / state.hbar * np.outer(xi_q[rows], p))
-                sums[rows] = np.einsum("kn,kn->k", profile, wave)
+            for lo in range(0, xi_p.size, rows):
+                block = slice(lo, lo + rows)
+                sums[block] = _profile(state, p, xi_p[block]) @ wave
+        else:
+            for lo in range(0, xi_p.size, rows):
+                chords, ids = order[lo:lo + rows], group[lo:lo + rows]
+                first = ids[0]
+                profile = _profile(state, p, distinct[first:ids[-1] + 1])[ids - first]
+                wave = np.exp(1j / state.hbar * np.outer(xi_q[chords], p))
+                sums[chords] = np.einsum("kn,kn->k", profile, wave)
         return (2.0 * half_width * sums)[..., np.newaxis]
 
     try:
         est, _ = periodic_mean(node_sums, n0=n0, tol=OVERLAP_TOL,
-                               max_doublings=OVERLAP_DOUBLINGS)
+                               max_doublings=(OVERLAP_MAX_NODES // n0).bit_length() - 1)
     except ConvergenceError as err:
         raise ConvergenceError(
             f"overlap quadrature over {xi_p.size} xi_p values "

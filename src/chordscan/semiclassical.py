@@ -366,8 +366,11 @@ def _realizations(curve: CurveSpec, xi_p, xi_q):
     # round-off: no realizations, and the chord counts as grazing
     moving = np.flatnonzero((xi_p != 0.0) | (xi_q != 0.0))
     p, q = curve.point(_ANGLES)
-    level = curve.action_value((p + xi_p[moving, None], q + xi_q[moving, None])) - curve.action
-    chord, theta, miss = _unit_circle_roots(level)
+    # far past the curve the defect's quartic overflows: those rows get
+    # non-finite harmonics, which trim to degree 0, so no roots and no grazing
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = curve.action_value((p + xi_p[moving, None], q + xi_q[moving, None])) - curve.action
+        chord, theta, miss = _unit_circle_roots(level)
     grazing = np.ones(xi_p.size, dtype=bool)
     grazing[moving] = miss < REL_CAUSTIC_TOL
     chord = moving[chord]

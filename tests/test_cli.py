@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,17 @@ def test_blindspots_report(tmp_path):
     assert 0.5 < report["estimate_over_nearest"] < 1.0
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_blindspots_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol):
+    out = tmp_path / "spots.json"
+    assert run("blindspots", "--tol", tol, "--region=-0.3:0.3", "--resolution", "11",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chordscan: tol must be finite and positive")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_blindspots_degenerate_outcome(tmp_path):
     """t = 0 is symmetric: the report carries nodal radii, not a failure."""
     out = tmp_path / "rings.json"
@@ -384,6 +396,20 @@ def test_chords_past_the_node_budget_exit_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("chordscan: did not converge:") and "32768 nodes" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_long_chords_of_sp_full_raise_no_warnings(tmp_path):
+    """A cut far past the curve overflows the level quartic; the kernel reads
+    it as no realization without a RuntimeWarning."""
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("cut", "--slope", "1", "--range=0:1e300", "--samples", "3",
+                   "--evaluator", "sp_full", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert [row[3:] for row in rows] == [["0", "0", "0", "near_caustic"],
+                                         ["0", "0", "0", "evanescent"],
+                                         ["0", "0", "0", "evanescent"]]
 
 
 @pytest.mark.parametrize("command", [

@@ -39,6 +39,19 @@ def test_hermite_psi_rejects_bad_index():
         hermite_psi(-1, HBAR, 0.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 80, 160])
+@pytest.mark.parametrize("hbar", [0.01, 0.1, 1.0])
+def test_overlap_window_reaches_the_tail(n, hbar):
+    """psi_n at the edge of the overlap window r + OVERLAP_TAIL sqrt(hbar) is
+    below 1e-17 of its peak: the one truncation the doubling certificate
+    cannot see, since both rules share the window."""
+    radius = np.sqrt(hbar * (2 * n + 1))
+    half_width = radius + exact.OVERLAP_TAIL * np.sqrt(hbar)
+    peak = np.max(np.abs(hermite_psi(n, hbar, np.linspace(-half_width, half_width, 20001))))
+    edge = np.abs(hermite_psi(n, hbar, np.array([-half_width, half_width])))
+    assert np.all(edge < 1e-17 * peak)
+
+
 # -- closed form vs quadrature ------------------------------------------------
 
 
@@ -52,6 +65,17 @@ def test_quadrature_matches_closed_form(n):
         got = complex(evolved_chi(state, xi))
         want = complex(fock_chi_closed(n, HBAR, xi))
         assert abs(got - want) < 1e-10
+
+
+def test_large_n_grid_matches_closed_form():
+    """n = 80 at hbar = 0.006832298 (the radius of n = 5 at hbar = 0.1): the
+    window and first rule scale with the state, not with the n = 5 cases."""
+    state = CurveSpec(n=80, hbar=0.006832298)
+    radius = np.sqrt(state.hbar * (2 * state.n + 1))
+    ax = axis(-2.3 * radius, 2.3 * radius, 21)
+    values = evolved_chi_grid(state, ax, ax)
+    rho = np.hypot(*np.meshgrid(ax, ax, indexing="ij"))
+    assert np.max(np.abs(values - fock_chi_radial(state.n, state.hbar, rho))) < 1e-10
 
 
 def _gauss_legendre_chi(state, xi_p, xi_q, half_width, nodes):
@@ -76,7 +100,8 @@ def test_trapezoid_matches_gauss_legendre(state):
     rng = np.random.default_rng(1234)
     radius, angle = np.sqrt(rng.uniform(0.0, 1.0, 30)), rng.uniform(0.0, 2 * np.pi, 30)
     xi_p, xi_q = radius * np.cos(angle), radius * np.sin(angle)
-    half_width = 6.0 * np.sqrt(state.hbar * (2 * state.n + 1)) + 0.5 * np.max(np.abs(xi_p))
+    half_width = (np.sqrt(state.hbar * (2 * state.n + 1)) + 8.0 * np.sqrt(state.hbar)
+                  + 0.5 * np.max(np.abs(xi_p)))
     coarse = _gauss_legendre_chi(state, xi_p, xi_q, half_width, 512)
     reference = _gauss_legendre_chi(state, xi_p, xi_q, half_width, 1024)
     assert np.max(np.abs(reference - coarse)) < 1e-12  # the reference certifies itself
@@ -85,16 +110,17 @@ def test_trapezoid_matches_gauss_legendre(state):
 
 
 def test_far_chords_do_not_alias_onto_the_state(ring):
-    """Chords with xi_q near the alias spacing of a 128- or 256-node rule read ~0, not ~1.
+    """Chords with xi_q near an alias spacing of a small rule read ~0, not ~1.
 
     The closed form is below 1e-119 there; an unresolved first rule puts the
     plane wave's j = +-2 alias on the state at both node counts and passes
-    the doubling certificate with |chi| ~ 1 at (0, 12.78).
+    the doubling certificate with |chi| ~ 1 at (0, 11.0), with 64 and 128
+    nodes over the window r + 8 sqrt(hbar).
     """
     xi_q = np.array([11.0, 12.78, 14.0])
     xi_p = np.zeros_like(xi_q)
     closed = np.array([complex(fock_chi_closed(ring.n, ring.hbar, (0.0, q))) for q in xi_q])
-    half_width = 6.0 * np.sqrt(ring.hbar * (2 * ring.n + 1))
+    half_width = np.sqrt(ring.hbar * (2 * ring.n + 1)) + 8.0 * np.sqrt(ring.hbar)
     reference = _gauss_legendre_chi(ring, xi_p, xi_q, half_width, 1024)
     assert np.max(np.abs(reference - closed)) < 1e-12  # 1024 nodes resolve the wave
     batch, _ = ExactEvaluator(ring).evaluate(xi_p, xi_q)
@@ -151,10 +177,11 @@ def test_evaluator_interface(sheared):
 # -- quadrature controls -------------------------------------------------------
 
 
-def test_starved_quadrature_raises(sheared, monkeypatch):
-    monkeypatch.setattr(exact, "OVERLAP_DOUBLINGS", 0)
+def test_starved_quadrature_raises(monkeypatch):
+    # at t = 1 the chord (0.5, 0.5) starts at 64 nodes and settles at 256
+    monkeypatch.setattr(exact, "OVERLAP_MAX_NODES", 128)
     with pytest.raises(ConvergenceError, match=r"overlap .* within 128 nodes"):
-        evolved_chi(sheared, (0.5, 0.5))
+        evolved_chi(CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0), (0.5, 0.5))
 
 
 def _first_rules(monkeypatch):
@@ -171,10 +198,10 @@ def _first_rules(monkeypatch):
 
 
 @pytest.mark.parametrize("xi_p, xi_q, start", [
-    ([0.0], [0.0], 128),
-    ([0.0], [12.78], 512),
-    ([3.0, -1.0], [20.0, 0.5], 1024),
-    ([0.0], [1000.0], 32768),
+    ([0.0], [0.0], 64),
+    ([0.0], [12.78], 256),
+    ([3.0, -1.0], [20.0, 0.5], 512),
+    ([0.0], [1000.0], 16384),
 ])
 def test_first_rule_clears_the_aliases(sheared, monkeypatch, xi_p, xi_q, start):
     seen = _first_rules(monkeypatch)
@@ -185,14 +212,15 @@ def test_first_rule_clears_the_aliases(sheared, monkeypatch, xi_p, xi_q, start):
 def test_grid_first_rule(sheared, monkeypatch):
     seen = _first_rules(monkeypatch)
     evolved_chi_grid(sheared, axis(-2.3, 2.3, 161), axis(-2.3, 2.3, 161))
-    assert seen == [256]
+    assert seen == [128]
 
 
 def test_first_rule_past_the_budget_raises_before_any_node_pass(sheared, monkeypatch):
     seen = _first_rules(monkeypatch)
     radius = np.sqrt(sheared.hbar * (2 * sheared.n + 1))
-    # the farthest xi_q whose first rule fits in 128 * 2**8 nodes
-    edge = np.pi * sheared.hbar * 32768 / (6.0 * radius) - 4.0 * radius
+    # the farthest xi_q whose first rule leaves one doubling under 32768 nodes
+    half_width = radius + 8.0 * np.sqrt(sheared.hbar)
+    edge = np.pi * sheared.hbar * 16384 / half_width - 4.0 * radius
     for xi in [(0.0, edge * (1 + 1e-9)), (0.0, 2000.0), (1e300, 0.0),
                (0.0, -1e300), (np.nan, 0.0), (0.0, np.inf)]:
         with pytest.raises(ConvergenceError, match="more than 32768 nodes"):
@@ -280,6 +308,19 @@ def test_batched_grid_matches_pointwise(state, shape, limit):
     batch, _ = ev.evaluate(*np.meshgrid(xp, xq, indexing="ij"))
     assert batch.shape == shape
     assert np.max(np.abs(batch - values)) < 1e-10
+
+
+def test_newton_stencils_match_one_chord_calls(sheared):
+    """A batch laid out as Newton's Jacobian stencils, (p +- h, q) and
+    (p, q +- h) about each seed, repeats each seed's xi_p; the chords that
+    share one profile row read what they read alone."""
+    seeds = np.array([[0.2082, 0.0], [0.0, 0.2296], [-0.15, 0.15], [0.31, -0.07]])
+    offsets = 1e-6 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    chords = (seeds[:, None, :] + offsets).reshape(-1, 2)
+    assert np.unique(chords[:, 0]).size < chords.shape[0]
+    values, _ = ExactEvaluator(sheared).evaluate(chords[:, 0], chords[:, 1])
+    single = np.array([complex(evolved_chi(sheared, xi)) for xi in chords])
+    assert np.max(np.abs(values - single)) < 1e-14
 
 
 def test_evaluate_rejects_mismatched_shapes(sheared):
