@@ -7,8 +7,8 @@ The evaluator protocol:
   (xi_p[k], xi_q[k]) of two same-shape arrays, evaluated in one batch, with
   complex values and uint8 flag codes (core.FLAG_CODES) of that shape;
   mismatched shapes are a ValueError and an empty batch gives empty arrays.
-  It is the one evaluation path, and all that scan_grid, moments_from_chi
-  and the blind-spot polish need;
+  It is the one evaluation path, and all that scan_grid and the blind-spot
+  polish need (moments_from_chi also reads ``state`` for its step);
 * ``evaluator((xi_p, xi_q)) -> ChordValue``: one chord, through the same
   kernel; first_zero_along refines its root with it (its ray scan is one
   ``evaluate`` call);
@@ -25,10 +25,11 @@ import numpy as np
 from .core import ChordValue, chord_arrays
 from .curves import CurveSpec
 from .exact import ExactEvaluator
+from .quadrature import NumericalError
 from .semiclassical import (chi_semiclassical, semiclassical_values, sp_full,
                             sp_full_values, sp_small, sp_small_values)
-from .smallchord import (chi_small, chi_small_grid, chi_small_points, chi_taylor,
-                         classical_moments, taylor_values)
+from .smallchord import (chi_small, chi_small_grid, chi_small_points, classical_moments,
+                         taylor_values)
 
 EVALUATOR_NAMES = ("exact", "small", "semiclassical", "sp_small", "sp_full", "taylor")
 
@@ -76,12 +77,20 @@ class TaylorEvaluator:
 
     def evaluate(self, xi_p, xi_q):
         xi_p, xi_q = chord_arrays(xi_p, xi_q)
-        values = np.asarray(taylor_values(self._moments, self.state.hbar, xi_p, xi_q),
-                            dtype=complex)
+        # far chords overflow the polynomial; such a value is refused, not flagged
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(taylor_values(self._moments, self.state.hbar, xi_p, xi_q),
+                                dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            k = bad[0]
+            raise NumericalError(f"{self.name} value at chord ({xi_p.flat[k]:.6g}, "
+                                 f"{xi_q.flat[k]:.6g}) is not finite")
         return values, np.zeros(xi_p.shape, dtype=np.uint8)
 
     def __call__(self, xi) -> ChordValue:
-        return chi_taylor(self._moments, self.state.hbar, xi)
+        values, _ = self.evaluate(float(xi[0]), float(xi[1]))
+        return ChordValue(complex(values))
 
 
 class StationaryPhaseEvaluator:

@@ -3,11 +3,11 @@
 Every estimate in the package that comes from a discretized integral or a
 finite difference goes through one of two routines: periodic_mean for every
 integral (curve averages and the exact overlap quadrature alike) and
-richardson_derivative for every derivative. Each refines until two successive
-refinements agree to tolerance and raises ConvergenceError (with the last two
-estimates attached) if the budget runs out, so callers never get an
-uncertified number. _gl_nodes, a Gauss-Legendre rule, serves only as the
-tests' independent reference.
+richardson_derivative for every derivative. Each certifies its value by the
+difference of two successive refinements and raises ConvergenceError (with
+the last two estimates attached) if none is within tolerance, so callers
+never get an uncertified number. _gl_nodes, a Gauss-Legendre rule, serves
+only as the tests' independent reference.
 
 NumericalError is the one type for a numerical result the package refuses to
 hand out: a stalled refinement (its subclass ConvergenceError) or a computed
@@ -106,10 +106,11 @@ def richardson_derivative(f, order: int, h0: float, tol: float = 1e-8,
 
     ``f`` is vectorized over offsets: it maps an array of offsets s to the
     array of f(s), and is called once, on the stencil points of every level.
-    The step is halved up to ``levels`` times; the table stops at the first
-    level whose last two diagonal entries agree to ``tol``, their difference
-    being the error estimate. Raises ConvergenceError (suggesting a different
-    starting step) if no level does.
+    The step is halved ``levels - 1`` times. Each level's error estimate is
+    the difference of its diagonal entry from the previous level's, and, as
+    in Ridders' method, the entry with the smallest estimate is returned,
+    with that estimate, once it is below ``tol``. Raises ConvergenceError
+    (suggesting a different starting step) if no level's is.
     """
     if order not in _STENCILS:
         raise ValueError(f"derivative order {order} not supported (1..4)")
@@ -119,6 +120,7 @@ def richardson_derivative(f, order: int, h0: float, tol: float = 1e-8,
 
     diag = []
     rows = []
+    best = (None, np.inf)
     for i, h in enumerate(steps):
         row = [sum(c * v for (_, c), v in zip(stencil, samples[i])) / h ** order]
         for j in range(1, i + 1):
@@ -126,10 +128,10 @@ def richardson_derivative(f, order: int, h0: float, tol: float = 1e-8,
             row.append((fac * row[j - 1] - rows[i - 1][j - 1]) / (fac - 1.0))
         rows.append(row)
         diag.append(row[-1])
-        if i >= 1:
-            err = abs(diag[-1] - diag[-2])
-            if err < tol:
-                return diag[-1], err
+        if i >= 1 and abs(diag[-1] - diag[-2]) < best[1]:
+            best = (diag[-1], abs(diag[-1] - diag[-2]))
+    if best[1] < tol:
+        return best
     raise ConvergenceError(
         f"derivative (order {order}) did not converge to {tol:g}; "
         f"try a starting step different from {h0:g}",

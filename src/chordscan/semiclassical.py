@@ -41,7 +41,9 @@ realization defect I(x(theta) + xi) - I, which is u^2 + (p + xi_p)^2 - r^2
 over 2 with u = r sin(theta) - A p + B, A = 6 t a3 xi_p and
 B = xi_q - t (3 a3 xi_p^2 + 2 a2 xi_p). Their real roots are therefore the
 unit-circle roots of a quartic in z = exp(i theta) (Boyd, J. Eng. Math. 56,
-2006). The arc integral has the antiderivative
+2006), or, since the defects are real, the real roots of a real quartic in
+the half angle tau = tan((theta - phi) / 2). The arc integral has the
+antiderivative
 
     \\int x ∧ x' dtheta = r^2 theta + t (a3 p^3 - a1 p).
 
@@ -49,13 +51,18 @@ Batched evaluation
 ------------------
 Every sum is evaluated for a whole array of chords at once.
 _unit_circle_roots samples a defect at five equispaced angles for all K
-chords, a (K, 5) array, and reads off the exact harmonics of every row with
-one FFT. It trims each row's leading and trailing coefficients that are
-round-off: a real defect loses them in pairs, so the trimmed degree is 4, 2
-or 0 (the degree drops on t = 0 curves, on the xi_p = 0 row and when
-a3 = 0). The rows are grouped by degree, the companion matrices of a group
-are built as np.roots builds them, and each group takes one stacked
-np.linalg.eigvals call. A root counts as a real angle when
+chords, a (K, 5) array. Each row is rotated to g(s) = f(phi + s), with
+phi + pi the angle of its largest |sample|, and one gathered einsum reads
+the exact real harmonics (a0, a1, b1, a2, b2) of g off the samples through
+the fixed 5 x 5 map of the row's rotation. Harmonics that are round-off are
+trimmed by their rotation-invariant moduli: c_2 and c_-2 go together, so
+the degree is 4, 2 or 0 (it drops on t = 0 curves, on the xi_p = 0 row and
+when a3 = 0). In tau = tan(s/2), (1 + tau^2)^(deg/2) g is a real polynomial
+whose leading coefficient is g(pi), the largest sample, so no root is lost
+at tau = infinity even where theta = phi + pi is a root. The rows are
+grouped by degree, and each group takes one stacked real np.linalg.eigvals
+call on its companion matrices. Each root maps back to
+z = exp(i phi) (1 + i tau) / (1 - i tau), and counts as a real angle when
 |ln|z|| <= sqrt(ROUND_OFF): a double root splits by the square root of the
 coefficients' round-off. Tip angle, arc area, bracket, h', sigma, curvature
 wedge and every flag rule are then computed over the flattened roots of the
@@ -104,13 +111,31 @@ REL_CAUSTIC_TOL = 1e-3
 # overflowing amplitudes; the flag still records the caustic
 DENOMINATOR_FLOOR = 1e-12
 # harmonics below ROUND_OFF times the largest one are round-off of the
-# five-point transform and are trimmed; a double root splits by the square
+# five-point samples and are trimmed; a double root splits by the square
 # root of a coefficient error, so roots within sqrt(ROUND_OFF) of the unit
 # circle count as real
 ROUND_OFF = 1e-12
 
 # the five sample angles that fix a trig polynomial of degree <= 2
 _ANGLES = TWO_PI * np.arange(5) / 5
+# _HARMONICS[j] maps the five samples of f to the real harmonics
+# (a0, a1, b1, a2, b2) of g(s) = f(_ANGLES[j] - pi + s), the row rotated so
+# that its sample j sits at s = pi
+_SHIFT = _ANGLES[np.newaxis, :] - _ANGLES[:, np.newaxis] + np.pi
+_HARMONICS = np.stack([np.full_like(_SHIFT, 0.2), 0.4 * np.cos(_SHIFT), 0.4 * np.sin(_SHIFT),
+                       0.4 * np.cos(2.0 * _SHIFT), 0.4 * np.sin(2.0 * _SHIFT)], axis=1)
+# (1 + tau^2)^(deg/2) g(s) with tau = tan(s/2), as coefficients of tau^deg .. tau^0
+# from the harmonics (a0, a1, b1, a2, b2) it keeps
+_HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
+                            [0.0, 0.0, 2.0, 0.0, -4.0],
+                            [2.0, 0.0, 0.0, -6.0, 0.0],
+                            [0.0, 0.0, 2.0, 0.0, 4.0],
+                            [1.0, 1.0, 0.0, 1.0, 0.0]]),
+               2: np.array([[1.0, -1.0, 0.0],
+                            [0.0, 0.0, 2.0],
+                            [1.0, 1.0, 0.0]])}
+# exp(i phi) of each rotation: tau = 0 is the angle phi = _ANGLES[j] - pi
+_ROTATION = np.exp(1j * (_ANGLES - np.pi))
 
 _OK = FLAG_CODES[Flag.OK]
 _NEAR_CAUSTIC = FLAG_CODES[Flag.NEAR_CAUSTIC]
@@ -121,12 +146,16 @@ def _unit_circle_roots(samples):
     """Real roots of K trig polynomials of degree <= 2, and each one's nearest miss.
 
     Row k of the (K, 5) array ``samples`` holds defect k at the angles
-    2 pi j / 5, which fix its harmonics c_-2 .. c_2 exactly; the roots of
-    f(theta) = sum c_m exp(i m theta) are the unit-circle roots of the
-    quartic z^2 f(z), the eigenvalues of its companion matrix. Leading and
-    trailing coefficients that are round-off are trimmed first (for a real
-    defect they vanish in pairs, leaving degree 4, 2 or 0), and each degree
-    group takes one stacked eigenvalue call.
+    2 pi j / 5, which fix it exactly. Each row is rotated to
+    g(s) = f(phi + s) with phi + pi at its largest |sample|; in the half
+    angle tau = tan(s/2), (1 + tau^2)^2 g is a real quartic whose leading
+    coefficient is that sample, so it never vanishes and no root runs off
+    to tau = infinity. Leading harmonics that are round-off are trimmed
+    first (a real defect loses c_2 and c_-2 together, leaving degree 4, 2
+    or 0), and each degree group takes one stacked real eigenvalue call on
+    its companion matrices. A root tau is the point
+    z = exp(i phi) (1 + i tau) / (1 - i tau) of the unit-circle quartic
+    z^2 f(z), and real angles are its roots on the circle.
 
     Returns (chord, theta, miss): the row and the angle in [0, 2 pi) of every
     real root, the roots of each row in ascending angle (the order of its
@@ -134,24 +163,23 @@ def _unit_circle_roots(samples):
     (inf if there are none).
     """
     count = samples.shape[0]
-    harmonics = np.fft.fft(samples, axis=-1) / 5
-    quartic = harmonics[:, [2, 1, 0, 4, 3]]  # c_2 .. c_-2: powers z^4 .. z^0
-    size = np.abs(quartic)
-    floor = ROUND_OFF * np.max(size, axis=1)
-    degree = np.where(np.maximum(size[:, 0], size[:, 4]) > floor, 4,
-                      np.where(np.maximum(size[:, 1], size[:, 3]) > floor, 2, 0))
+    top = np.argmax(np.abs(samples), axis=1)
+    harmonics = np.einsum("khj,kj->kh", _HARMONICS[top], samples)
+    pair = 0.5 * np.hypot(harmonics[:, 1::2], harmonics[:, 2::2])  # |c_1|, |c_2|
+    floor = ROUND_OFF * np.maximum(np.abs(harmonics[:, 0]), np.max(pair, axis=1))
+    degree = np.where(pair[:, 1] > floor, 4, np.where(pair[:, 0] > floor, 2, 0))
     miss = np.full(count, np.inf)
     chords, thetas = [np.zeros(0, dtype=int)], [np.zeros(0)]
     for deg in (4, 2):
         rows = np.flatnonzero(degree == deg)
         if rows.size == 0:
             continue
-        trim = (4 - deg) // 2
-        coeffs = quartic[rows, trim:5 - trim]
-        companion = np.zeros((rows.size, deg, deg), dtype=complex)
+        coeffs = harmonics[rows, :deg + 1] @ _HALF_ANGLE[deg].T
+        companion = np.zeros((rows.size, deg, deg))
         companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
         companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-        roots = np.linalg.eigvals(companion)
+        tau = np.linalg.eigvals(companion)
+        roots = _ROTATION[top[rows], np.newaxis] * (1.0 + 1j * tau) / (1.0 - 1j * tau)
         log_radius = np.abs(np.log(np.abs(roots)))
         on_circle = log_radius <= math.sqrt(ROUND_OFF)
         miss[rows] = np.min(np.where(on_circle, np.inf, log_radius), axis=1)

@@ -185,12 +185,18 @@ def moments_from_chi(evaluator, hbar: float, h0: float | None = None,
     <q^m> = (i hbar)^m d^m chi / d xi_p^m |_0 and
     <p^m> = (-i hbar)^m d^m chi / d xi_q^m |_0; the symmetrized cross moment
     comes from the diagonal direction, 2 chi_pq = chi_dd - chi_pp - chi_qq.
-    ``evaluator`` needs only ``evaluate(xi_p, xi_q)``: each of the five
-    derivatives takes every Richardson stencil point along its direction in
-    one call.
+    ``evaluator`` needs ``evaluate(xi_p, xi_q)`` and ``state``: each of the
+    five derivatives takes every Richardson stencil point along its direction
+    in one call.
+
+    chi varies on the scale hbar / r of the curve's radius r, so an m-th
+    derivative is of size (r / hbar)^m: the first step is h0 = (1/2)
+    sqrt(11) hbar / r (sqrt(hbar) / 2 at n = 5), and ``tol`` is relative,
+    asked of each m-th derivative as tol (r / hbar)^m.
     """
+    scale = evaluator.state.radius / hbar
     if h0 is None:
-        h0 = 0.5 * math.sqrt(hbar)
+        h0 = 0.5 * math.sqrt(11.0) / scale
 
     errors = {}
 
@@ -199,7 +205,7 @@ def moments_from_chi(evaluator, hbar: float, h0: float | None = None,
             values, _ = evaluator.evaluate(s * direction[0], s * direction[1])
             return values
 
-        d, err = richardson_derivative(along, order=m, h0=h0, tol=tol)
+        d, err = richardson_derivative(along, order=m, h0=h0, tol=tol * scale ** m)
         errors[key] = err
         return d
 

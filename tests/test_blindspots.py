@@ -335,6 +335,7 @@ class CountingEvaluator:
 
     def __init__(self, evaluator):
         self.evaluator = evaluator
+        self.state = evaluator.state
         self.batches = []
         self.single = 0
 

@@ -412,6 +412,17 @@ def test_long_chords_of_sp_full_raise_no_warnings(tmp_path):
                                          ["0", "0", "0", "evanescent"]]
 
 
+def test_long_chords_of_taylor_exit_3(tmp_path, capsys):
+    """Far out the Taylor polynomial overflows; its NaN is refused, not flagged ok."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("cut", "--slope", "1", "--range=0:1e300", "--samples", "3",
+                   "--evaluator", "taylor:4", "--out", str(tmp_path / "x.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chordscan: numerical failure:") and "not finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ("scan", "--resolution", "5", "--region=-0.5:0.5"),
     ("cut", "--slope", "0.8", "--samples", "4", "--range", "0:0.5"),

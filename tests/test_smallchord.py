@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from chordscan import (ConvergenceError, Flag, chi_small, chi_taylor,
+from chordscan import (ConvergenceError, CurveSpec, Flag, chi_small, chi_taylor,
                        classical_moments, closest_blind_spot_estimate,
                        make_evaluator, moments_from_chi,
                        second_order_from_table)
@@ -138,9 +138,28 @@ class TestQuantumMoments:
                                    "d2_diag"}
         assert all(err < 1e-8 for err in mom.errors.values())
 
-    def test_non_hermitian_field_refused(self):
+    def test_large_n_moments(self):
+        """At n = 80 chi varies on the scale hbar / r, 7.6 times finer than at
+        n = 5: the first step and the tolerance follow that scale."""
+        n, hbar = 80, 0.006832298
+        state = CurveSpec(n=n, hbar=hbar, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
+        mom = moments_from_chi(make_evaluator("exact", state), hbar)
+        action = (n + 0.5) * hbar
+        p4 = hbar ** 2 / 4 * (6 * n * n + 6 * n + 3)
+        assert mom.mean.q == pytest.approx(0.1 * (1 + 3 * action), abs=1e-7)
+        assert mom.mean.p == pytest.approx(0.0, abs=1e-8)
+        assert mom.p2 == pytest.approx(action, abs=1e-7)
+        assert mom.q2 == pytest.approx(action + 0.01 * (1 + 10 * action + 9 * p4), abs=1e-6)
+        assert mom.pq == pytest.approx(0.2 * action, abs=1e-6)
+        scale = state.radius / hbar
+        for key, err in mom.errors.items():
+            assert err < 1e-8 * scale ** int(key[1])
+
+    def test_non_hermitian_field_refused(self, sheared):
         # a real-valued exponential leaks a real first derivative
         class RealExponential:
+            state = sheared
+
             def evaluate(self, xi_p, xi_q):
                 values = np.exp(xi_p + 0.5 * xi_q).astype(complex)
                 return values, np.zeros(values.shape, dtype=np.uint8)
