@@ -32,6 +32,12 @@ RING_STATE = CurveSpec(n=5, hbar=0.1)
 SHEARED_STATE = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
 # reference cut through the sheared state's blind-spot field: xi_p = m xi_q
 CUT_SLOPE = 0.8172
+CUT_SAMPLES = 1000
+# random chords of the normalization and symmetry check, and their seed
+SYMMETRY_CHORDS = 1000
+SYMMETRY_SEED = 20240814
+# grid points per axis on which the ring state's nodal rings are traced
+RING_RESOLUTION = 400
 
 MEAN_Q = 0.265          # t (3 a3 <p^2> + a1) with <p^2> = hbar (n + 1/2)
 SECOND_P = 0.55         # hbar (n + 1/2)
@@ -59,21 +65,20 @@ def _cut_direction() -> np.ndarray:
     return d / np.hypot(d[0], d[1])
 
 
-def criterion_normalization_and_symmetry(n_chords: int = 1000,
-                                         seed: int = 20240814) -> CriterionResult:
+def criterion_normalization_and_symmetry() -> CriterionResult:
     """chi(0) = 1 and chi(-xi) = chi(xi)* for the exact and composite routes."""
-    rng = np.random.default_rng(seed)
-    chords = rng.uniform(-1.9, 1.9, size=(n_chords, 2))
+    rng = np.random.default_rng(SYMMETRY_SEED)
+    chords = rng.uniform(-1.9, 1.9, size=(SYMMETRY_CHORDS, 2))
     exact = make_evaluator("exact", SHEARED_STATE)
     semi = make_evaluator("semiclassical", SHEARED_STATE)
 
     xi = np.vstack([(0.0, 0.0), chords, -chords])
     values, _ = exact.evaluate(xi[:, 0], xi[:, 1])
-    plus, minus = values[1:n_chords + 1], values[n_chords + 1:]
+    plus, minus = values[1:SYMMETRY_CHORDS + 1], values[SYMMETRY_CHORDS + 1:]
     worst_exact = max(abs(values[0] - 1.0), float(np.max(np.abs(plus - np.conj(minus)))))
 
     values, _ = semi.evaluate(xi[:, 0], xi[:, 1])
-    plus, minus = values[1:n_chords + 1], values[n_chords + 1:]
+    plus, minus = values[1:SYMMETRY_CHORDS + 1], values[SYMMETRY_CHORDS + 1:]
     worst_semi = max(abs(values[0] - 1.0), float(np.max(np.abs(plus - np.conj(minus)))))
 
     passed = worst_exact <= 1e-10 and worst_semi <= 1e-8
@@ -112,7 +117,7 @@ def criterion_small_chord_bessel() -> CriterionResult:
 def criterion_ellipse_accuracy_ratio() -> CriterionResult:
     """Ellipse estimate over true first nodal radius lands near 0.83."""
     exact = make_evaluator("exact", SHEARED_STATE)
-    moments = moments_from_chi(exact, SHEARED_STATE.hbar)
+    moments = moments_from_chi(exact)
     estimate = closest_blind_spot_estimate(moments, SHEARED_STATE.hbar)
     mp, mq = moments.mean
     nodal = first_zero_along(exact, (mp, mq), s_max=0.4)
@@ -123,17 +128,17 @@ def criterion_ellipse_accuracy_ratio() -> CriterionResult:
         detail=f"estimate {estimate.radius:.6f}, nodal {nodal:.6f}, window [0.80, 0.86]")
 
 
-def criterion_nodal_ring_structure(resolution: int = 400) -> CriterionResult:
+def criterion_nodal_ring_structure() -> CriterionResult:
     """The ring state's real part carries exactly five closed nodal rings."""
     half = 1.75
-    ax = axis(-half, half, resolution)
+    ax = axis(-half, half, RING_RESOLUTION)
     grid = scan_grid(make_evaluator("exact", RING_STATE), ax, ax)
     contours = nodal_contours(grid, "real")
     closed = [c for c in contours.curves if c.closed]
 
     roots = np.sort(lagroots([0.0] * 5 + [1.0]))
     expected = np.sqrt(2.0 * RING_STATE.hbar * roots)
-    cell = 2.0 * half / (resolution - 1)
+    cell = 2.0 * half / (RING_RESOLUTION - 1)
     if len(closed) != 5:
         return CriterionResult(name="five closed nodal rings with Laguerre radii",
                                passed=False, measured=float(len(closed)), tolerance=5.0,
@@ -147,12 +152,12 @@ def criterion_nodal_ring_structure(resolution: int = 400) -> CriterionResult:
         detail=f"radii {np.array2string(measured_radii, precision=5)}")
 
 
-def criterion_cut_agreement(n_samples: int = 1000) -> CriterionResult:
+def criterion_cut_agreement() -> CriterionResult:
     """Composite and exact intensities agree along the reference cut."""
     u = _cut_direction()
     exact = make_evaluator("exact", SHEARED_STATE)
     semi = make_evaluator("semiclassical", SHEARED_STATE)
-    ss = np.linspace(0.0, 2.0, n_samples)
+    ss = np.linspace(0.0, 2.0, CUT_SAMPLES)
     values, flags = semi.evaluate(ss * u[0], ss * u[1])
     usable = flags != FLAG_CODES[Flag.NEAR_CAUSTIC]
     kept = ss[usable]
@@ -212,8 +217,7 @@ def criterion_moment_triangle() -> CriterionResult:
     """Classical averages and origin derivatives give the same first moments."""
     table = classical_moments(SHEARED_STATE, order=4)
     classical = second_order_from_table(table)
-    quantum = moments_from_chi(make_evaluator("exact", SHEARED_STATE),
-                               SHEARED_STATE.hbar)
+    quantum = moments_from_chi(make_evaluator("exact", SHEARED_STATE))
     checks = {
         "classical <q>": (classical.mean.q, MEAN_Q, 1e-6),
         "quantum <q>": (quantum.mean.q, MEAN_Q, 1e-6),

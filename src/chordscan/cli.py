@@ -64,23 +64,38 @@ def _parse_direction(text: str) -> tuple[float, float]:
     return tuple(parts)
 
 
-_CONVERTERS = {
-    "n": int, "hbar": float, "t": float,
-    "alpha0": float, "alpha1": float, "alpha2": float, "alpha3": float,
-    "evaluator": str, "out": str, "tol": float, "slope": _finite,
-    "region": _parse_interval, "resolution": int,
-    "range": _parse_interval, "samples": int,
-    "direction": _parse_direction,
-}
-
-_DEFAULTS = {
-    "n": 5, "hbar": 0.1, "t": 0.1,
-    "alpha0": 0.0, "alpha1": 1.0, "alpha2": 1.0, "alpha3": 1.0,
-    "evaluator": "exact", "tol": 1e-8,
+# Every option of scan, cut and blindspots, declared once: key -> (converter,
+# default as config-file text or None for no default, help). The argparse
+# flags, the --config keys and the sidecar's config echo all come from here.
+_OPTIONS = {
+    "n": (int, "5", "quantum number"),
+    "hbar": (float, "0.1", "action scale"),
+    **{f"alpha{k}": (float, v, f"H(p) coefficient of p^{k}")
+       for k, v in enumerate(("0", "1", "1", "1"))},
+    "t": (float, "0.1", "shear evolution time"),
+    "evaluator": (str, "exact", f"one of {', '.join(EVALUATOR_NAMES)}; taylor "
+                                "takes an order suffix, e.g. taylor:4"),
+    "out": (str, None, "output file (JSON sidecar for CSV outputs)"),
     # wide enough to contain the longest chord (the diameter caustic) of the
     # default state with room to spare
-    "region": (-2.3, 2.3), "resolution": 161,
-    "range": (0.0, 2.3), "samples": 401,
+    "region": (_parse_interval, "-2.3:2.3", "square chord region LO:HI, both axes"),
+    "resolution": (int, "161", "grid points per axis"),
+    "slope": (_finite, None, "cut xi_p = SLOPE * xi_q"),
+    "direction": (_parse_direction, None, "cut along the direction DP,DQ"),
+    "range": (_parse_interval, "0:2.3", "arc-length range LO:HI along the ray"),
+    "samples": (int, "401", "sample count"),
+    "tol": (float, "1e-8", "|chi| convergence target"),
+}
+
+_STATE_KEYS = ("n", "hbar", "alpha0", "alpha1", "alpha2", "alpha3", "t")
+
+# The options of each command: its flags besides --config and --out, and the
+# keys its sidecar echoes (out is not echoed, so a rerun from the echo writes
+# wherever its own --out says).
+_COMMAND_KEYS = {
+    "scan": _STATE_KEYS + ("evaluator", "region", "resolution"),
+    "cut": _STATE_KEYS + ("evaluator", "slope", "direction", "range", "samples"),
+    "blindspots": _STATE_KEYS + ("evaluator", "region", "resolution", "tol"),
 }
 
 
@@ -95,20 +110,23 @@ def load_config(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONVERTERS:
+        if key not in _OPTIONS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _CONVERTERS[key](value.strip())
+        values[key] = _OPTIONS[key][0](value.strip())
     return values
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """Resolve options: explicit flags beat config-file values beat defaults."""
-    merged = dict(getattr(args, "_config_values", {}))
-    for key in _CONVERTERS:
+    """Resolve options: explicit flags beat config-file values beat defaults.
+    Every command that merges options writes a file, so ``out`` is required."""
+    merged = load_config(args.config) if args.config else {}
+    for key, (convert, default, _) in _OPTIONS.items():
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
-    for key, value in _DEFAULTS.items():
-        merged.setdefault(key, value)
+        elif default is not None:
+            merged.setdefault(key, convert(default))
+    if "out" not in merged:
+        raise ValueError(f"{args.command} needs --out FILE")
     return merged
 
 
@@ -118,22 +136,29 @@ def _state(opt: dict) -> CurveSpec:
                             opt["alpha2"], opt["alpha3"]))
 
 
-def _config_echo(opt: dict, keys) -> dict:
-    """Canonical config block: every value re-parses as a KEY=VALUE line."""
+def _config_echo(opt: dict, command: str) -> dict:
+    """Canonical config block: every option of the command that is set, as
+    KEY=VALUE text that re-parses to the same value."""
     echo = {}
-    for key in keys:
-        v = opt[key]
+    for key in _COMMAND_KEYS[command]:
+        v = opt.get(key)
         if isinstance(v, tuple):
-            sep = ":" if key in ("region", "range") else ","
+            sep = ":" if _OPTIONS[key][0] is _parse_interval else ","
             echo[key] = sep.join(f"{x:.17g}" for x in v)
         elif isinstance(v, float):
             echo[key] = f"{v:.17g}"
-        else:
+        elif v is not None:
             echo[key] = str(v)
     return echo
 
 
-_STATE_KEYS = ("n", "hbar", "t", "alpha0", "alpha1", "alpha2", "alpha3")
+def _write_report(path: Path, command: str, opt: dict, elapsed: float,
+                  fields: dict) -> None:
+    """The JSON a command writes: its own fields plus the command, version,
+    config echo and wall time that every sidecar and report carries."""
+    _write_json(path, {"command": command, "version": __version__,
+                       "config": _config_echo(opt, command),
+                       "elapsed_seconds_nondeterministic": elapsed, **fields})
 
 
 _FLAG_NAMES = [FLAGS_BY_CODE[code].value for code in range(len(FLAGS_BY_CODE))]
@@ -151,15 +176,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _require_out(opt: dict, command: str) -> Path:
-    if "out" not in opt:
-        raise ValueError(f"{command} needs --out FILE")
-    return Path(opt["out"])
-
-
 def cmd_scan(args) -> int:
     opt = _merge(args)
-    out = _require_out(opt, "scan")
+    out = Path(opt["out"])
     lo, hi = opt["region"]
     xp = xq = axis(lo, hi, opt["resolution"])
     evaluator = make_evaluator(opt["evaluator"], _state(opt))
@@ -176,14 +195,10 @@ def cmd_scan(args) -> int:
         fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
                       % (p, q, z.real, z.imag, abs(z) ** 2, phase, flag)
                       for p, q, z, phase, flag in rows)
-    _write_json(out.with_suffix(".json"), {
-        "command": "scan", "version": __version__,
-        "config": _config_echo(opt, _STATE_KEYS + ("evaluator", "region",
-                                                   "resolution")),
+    _write_report(out.with_suffix(".json"), "scan", opt, elapsed, {
         "parameters": grid.metadata,
         "flag_counts": {f.value: c for f, c in grid.flag_counts().items()},
         "rows": int(xp.size * xq.size),
-        "elapsed_seconds_nondeterministic": elapsed,
     })
     print(f"scan: {xp.size} x {xq.size} chords with {evaluator.name} -> "
           f"{out} (+ {out.with_suffix('.json').name}) in {elapsed:.1f}s")
@@ -205,7 +220,7 @@ def _cut_direction(opt: dict) -> np.ndarray:
 
 def cmd_cut(args) -> int:
     opt = _merge(args)
-    out = _require_out(opt, "cut")
+    out = Path(opt["out"])
     d = _cut_direction(opt)
     names = [name.strip() for name in opt["evaluator"].split(",")]
     state = _state(opt)
@@ -231,14 +246,10 @@ def cmd_cut(args) -> int:
     with out.open("w") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(row % sample for sample in zip(*cells))
-    _write_json(out.with_suffix(".json"), {
-        "command": "cut", "version": __version__,
-        "config": _config_echo(opt, _STATE_KEYS + ("evaluator", "range",
-                                                   "samples")),
+    _write_report(out.with_suffix(".json"), "cut", opt, elapsed, {
         "direction": [float(d[0]), float(d[1])],
         "evaluators": [ev.name for ev in evaluators],
         "rows": int(ss.size),
-        "elapsed_seconds_nondeterministic": elapsed,
     })
     print(f"cut: {ss.size} chords along ({d[0]:.4f}, {d[1]:.4f}) with "
           f"{', '.join(ev.name for ev in evaluators)} -> {out} in {elapsed:.1f}s")
@@ -252,7 +263,7 @@ def cmd_blindspots(args) -> int:
     zeros; that is reported as a structured degenerate outcome, not an error.
     """
     opt = _merge(args)
-    out = _require_out(opt, "blindspots")
+    out = Path(opt["out"])
     if not (math.isfinite(opt["tol"]) and opt["tol"] > 0.0):
         raise ValueError(f"tol must be finite and positive, got {opt['tol']!r}")
     state = _state(opt)
@@ -266,12 +277,9 @@ def cmd_blindspots(args) -> int:
 
     started = time.perf_counter()
     grid = scan_grid(evaluator, grid_axis, grid_axis)
-    moments = moments_from_chi(pointlike, state.hbar)
+    moments = moments_from_chi(pointlike)
     estimate = closest_blind_spot_estimate(moments, state.hbar)
     report = {
-        "command": "blindspots", "version": __version__,
-        "config": _config_echo(opt, _STATE_KEYS + ("evaluator", "region",
-                                                   "resolution", "tol")),
         "moments": {
             "mean_p": moments.mean.p, "mean_q": moments.mean.q,
             "p2": moments.p2, "q2": moments.q2, "pq": moments.pq,
@@ -306,8 +314,7 @@ def cmd_blindspots(args) -> int:
             report["nearest_radius"] = search.nearest().radius
             report["estimate_over_nearest"] = (estimate.radius
                                                / search.nearest().radius)
-    report["elapsed_seconds_nondeterministic"] = time.perf_counter() - started
-    _write_json(out, report)
+    _write_report(out, "blindspots", opt, time.perf_counter() - started, report)
     kind = ("degenerate (nodal circles)" if estimate.degenerate
             else f"{len(report['located_spots'])} spots")
     print(f"blindspots: {kind} -> {out}")
@@ -350,45 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_common(p, with_grid=True):
+    for command, func, summary in (
+            ("scan", cmd_scan, "chord-function field on a grid -> CSV"),
+            ("cut", cmd_cut, "chord function along a ray -> CSV "
+                             "(comma-separated evaluators for comparisons)"),
+            ("blindspots", cmd_blindspots,
+             "moments, ellipse estimate, zeros -> JSON report")):
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="KEY=VALUE file; flags override it")
-        p.add_argument("--n", type=int, help="quantum number (default 5)")
-        p.add_argument("--hbar", type=float, help="action scale (default 0.1)")
-        for k in range(4):
-            p.add_argument(f"--alpha{k}", type=float,
-                           help=f"H(p) coefficient of p^{k} (default {_DEFAULTS[f'alpha{k}']:g})")
-        p.add_argument("--t", type=float, help="shear evolution time (default 0.1)")
-        p.add_argument("--evaluator", metavar="NAME",
-                       help=f"one of {', '.join(EVALUATOR_NAMES)} (default exact); "
-                            "taylor takes an order suffix, e.g. taylor:4")
-        p.add_argument("--out", help="output file (JSON sidecar for CSV outputs)")
-        if with_grid:
-            p.add_argument("--region", type=_parse_interval, metavar="LO:HI",
-                           help="square chord region, both axes (default -2.3:2.3)")
-            p.add_argument("--resolution", type=int, metavar="K",
-                           help="grid points per axis (default 161)")
-
-    scan = sub.add_parser("scan", help="chord-function field on a grid -> CSV")
-    add_common(scan)
-    scan.set_defaults(func=cmd_scan)
-
-    cut = sub.add_parser("cut",
-                         help="chord function along a ray -> CSV "
-                              "(comma-separated evaluators for comparisons)")
-    add_common(cut, with_grid=False)
-    cut.add_argument("--slope", type=_finite, help="cut xi_p = SLOPE * xi_q")
-    cut.add_argument("--direction", type=_parse_direction, metavar="DP,DQ")
-    cut.add_argument("--range", type=_parse_interval, metavar="LO:HI",
-                     help="arc-length range along the ray (default 0:2.3)")
-    cut.add_argument("--samples", type=int, help="sample count (default 401)")
-    cut.set_defaults(func=cmd_cut)
-
-    spots = sub.add_parser("blindspots",
-                           help="moments, ellipse estimate, zeros -> JSON report")
-    add_common(spots)
-    spots.add_argument("--tol", type=float,
-                       help="|chi| convergence target (default 1e-8)")
-    spots.set_defaults(func=cmd_blindspots)
+        for key in _COMMAND_KEYS[command] + ("out",):
+            convert, default, text = _OPTIONS[key]
+            p.add_argument(f"--{key}", type=convert, help=text if default is None
+                           else f"{text} (default {default})")
+        p.set_defaults(func=func)
 
     verify = sub.add_parser("verify", help="run the acceptance battery")
     verify.add_argument("--out", help="also write the table as JSON")
@@ -401,8 +382,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args._config_values = load_config(args.config)
         return args.func(args)
     except (InvalidStateError, ValueError, OSError) as exc:
         print(f"chordscan: {exc}", file=sys.stderr)

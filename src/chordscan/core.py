@@ -39,49 +39,37 @@ class Chord(NamedTuple):
 
 
 class Flag(enum.Enum):
-    """Qualifier attached to evaluated chord-function values.
+    """Qualifier attached to evaluated chord-function values, least severe first.
 
     OK                   value trusted at the evaluator's stated accuracy
-    NEAR_CAUSTIC         a stationary-phase denominator fell below tolerance
     EVANESCENT           chord longer than any chord of the curve (no real
                          realizations; semiclassical value decays)
+    NEAR_CAUSTIC         a stationary-phase denominator fell below tolerance
     DEGENERATE_SYMMETRY  a quantity is identically zero by symmetry, so a
                          derived object (nodal line, blind-spot direction)
                          is not defined
     """
 
     OK = "ok"
-    NEAR_CAUSTIC = "near_caustic"
     EVANESCENT = "evanescent"
+    NEAR_CAUSTIC = "near_caustic"
     DEGENERATE_SYMMETRY = "degenerate_symmetry"
 
 
-_FLAG_SEVERITY = {
-    Flag.OK: 0,
-    Flag.EVANESCENT: 1,
-    Flag.NEAR_CAUSTIC: 2,
-    Flag.DEGENERATE_SYMMETRY: 3,
-}
-
-# Stable small-int codes used when flags are stored in arrays / CSV output.
+# Small-int codes used when flags are stored in arrays. A flag's code is its
+# severity (the declaration order above); outputs carry the flag names.
 FLAG_CODES = {flag: code for code, flag in enumerate(Flag)}
 FLAGS_BY_CODE = {code: flag for flag, code in FLAG_CODES.items()}
 
 
 def worst_flag(*flags: Flag) -> Flag:
     """The most severe of the given flags (OK < EVANESCENT < NEAR_CAUSTIC < ...)."""
-    return max(flags, key=_FLAG_SEVERITY.__getitem__)
-
-
-_SEVERITY_BY_CODE = np.array([_FLAG_SEVERITY[FLAGS_BY_CODE[code]]
-                              for code in range(len(FLAGS_BY_CODE))])
+    return max(flags, key=FLAG_CODES.__getitem__)
 
 
 def worst_flag_codes(a, b) -> np.ndarray:
     """Elementwise worst_flag of two arrays of flag codes."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    return np.where(_SEVERITY_BY_CODE[a] >= _SEVERITY_BY_CODE[b], a, b)
+    return np.maximum(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
 
 
 def chord_arrays(xi_p, xi_q) -> tuple[np.ndarray, np.ndarray]:

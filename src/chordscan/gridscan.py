@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FLAGS_BY_CODE, Flag, worst_flag
+from .core import FLAGS_BY_CODE, Flag
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class ChordFieldGrid:
 
     @property
     def worst_flag(self) -> Flag:
-        return worst_flag(*(FLAGS_BY_CODE[int(c)] for c in np.unique(self.flags)))
+        return FLAGS_BY_CODE[int(np.max(self.flags))]  # codes ascend with severity
 
     def flag_counts(self) -> dict[Flag, int]:
         codes, counts = np.unique(self.flags, return_counts=True)
@@ -66,7 +66,7 @@ def axis(lo: float, hi: float, count: int) -> np.ndarray:
     return out
 
 
-def scan_grid(evaluator, xi_p_axis, xi_q_axis, extra_metadata: dict | None = None) -> ChordFieldGrid:
+def scan_grid(evaluator, xi_p_axis, xi_q_axis) -> ChordFieldGrid:
     """Evaluate a chord-function evaluator over a chord grid.
 
     Uses the evaluator's tensor-grid fast path ``grid`` when it has one, and
@@ -88,8 +88,6 @@ def scan_grid(evaluator, xi_p_axis, xi_q_axis, extra_metadata: dict | None = Non
         "xi_p": [float(xi_p_axis[0]), float(xi_p_axis[-1]), int(xi_p_axis.size)],
         "xi_q": [float(xi_q_axis[0]), float(xi_q_axis[-1]), int(xi_q_axis.size)],
     }
-    if extra_metadata:
-        metadata.update(extra_metadata)
     return ChordFieldGrid(xi_p_axis=xi_p_axis, xi_q_axis=xi_q_axis,
                           values=values, flags=flags, hbar=state.hbar,
                           metadata=metadata)

@@ -178,22 +178,23 @@ def second_order_from_table(moments: MomentTable) -> SecondOrderMoments:
                               q2=moments.raw(2, 0), pq=moments.raw(1, 1))
 
 
-def moments_from_chi(evaluator, hbar: float, h0: float | None = None,
+def moments_from_chi(evaluator, h0: float | None = None,
                      tol: float = 1e-8) -> SecondOrderMoments:
     """Extract mean and raw second moments by differentiating chi at 0.
 
     <q^m> = (i hbar)^m d^m chi / d xi_p^m |_0 and
     <p^m> = (-i hbar)^m d^m chi / d xi_q^m |_0; the symmetrized cross moment
     comes from the diagonal direction, 2 chi_pq = chi_dd - chi_pp - chi_qq.
-    ``evaluator`` needs ``evaluate(xi_p, xi_q)`` and ``state``: each of the
-    five derivatives takes every Richardson stencil point along its direction
-    in one call.
+    ``evaluator`` needs ``evaluate(xi_p, xi_q)`` and ``state``, which gives
+    hbar and the radius r: each of the five derivatives takes every
+    Richardson stencil point along its direction in one call.
 
     chi varies on the scale hbar / r of the curve's radius r, so an m-th
     derivative is of size (r / hbar)^m: the first step is h0 = (1/2)
     sqrt(11) hbar / r (sqrt(hbar) / 2 at n = 5), and ``tol`` is relative,
     asked of each m-th derivative as tol (r / hbar)^m.
     """
+    hbar = evaluator.state.hbar
     scale = evaluator.state.radius / hbar
     if h0 is None:
         h0 = 0.5 * math.sqrt(11.0) / scale

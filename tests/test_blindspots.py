@@ -467,6 +467,6 @@ class TestBatchPaths:
 
     def test_moments_take_one_call_per_derivative(self, sheared):
         counting = CountingEvaluator(ExactEvaluator(sheared))
-        moments_from_chi(counting, sheared.hbar)
+        moments_from_chi(counting)
         assert len(counting.batches) == 5
         assert counting.single == 0

@@ -208,18 +208,37 @@ def test_config_file_with_flag_override(tmp_path):
     assert meta["parameters"]["t"] == 0.3              # file survives
 
 
-def test_sidecar_config_reparses_to_the_same_run(tmp_path):
+def _report_without_timing(path):
+    report = json.loads(path.read_text())
+    del report["elapsed_seconds_nondeterministic"]
+    return report
+
+
+@pytest.mark.parametrize("command", [
+    ("scan", "--region=-0.6:0.6", "--resolution", "4", "--evaluator", "small",
+     "--t", "0.05"),
+    ("cut", "--slope", "0.8172", "--range", "0:1", "--samples", "5",
+     "--evaluator", "exact,small"),
+    ("cut", "--direction", "0.3,1", "--range=-0.5:0.5", "--samples", "5",
+     "--evaluator", "small", "--alpha2", "0.5"),
+    ("blindspots", "--region=-0.3:0.3", "--resolution", "15", "--tol", "1e-9"),
+], ids=["scan", "cut-slope", "cut-direction", "blindspots"])
+def test_sidecar_config_reparses_to_the_same_run(tmp_path, command):
     """The sidecar's config block is itself a valid config file that
-    reproduces the run bit for bit."""
-    first = tmp_path / "first.csv"
-    assert run("scan", "--region=-0.6:0.6", "--resolution", "4",
-               "--evaluator", "small", "--t", "0.05", "--out", str(first)) == 0
+    reproduces the run bit for bit (a report up to its wall time)."""
+    suffix = ".json" if command[0] == "blindspots" else ".csv"
+    first, second = tmp_path / f"first{suffix}", tmp_path / f"second{suffix}"
+    assert run(*command, "--out", str(first)) == 0
     echo = json.loads(first.with_suffix(".json").read_text())["config"]
     cfg = tmp_path / "echo.cfg"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in echo.items()))
-    second = tmp_path / "second.csv"
-    assert run("scan", "--config", str(cfg), "--out", str(second)) == 0
-    assert first.read_bytes() == second.read_bytes()
+    assert run(command[0], "--config", str(cfg), "--out", str(second)) == 0
+    if suffix == ".json":
+        assert _report_without_timing(first) == _report_without_timing(second)
+    else:
+        assert first.read_bytes() == second.read_bytes()
+        assert (_report_without_timing(first.with_suffix(".json"))
+                == _report_without_timing(second.with_suffix(".json")))
 
 
 def test_missing_config_file(tmp_path):

@@ -125,7 +125,7 @@ class TestTaylor:
 class TestQuantumMoments:
     def test_exact_oracle_moments(self, sheared):
         """Differentiating the oracle recovers the ladder-operator moments."""
-        mom = moments_from_chi(make_evaluator("exact", sheared), sheared.hbar)
+        mom = moments_from_chi(make_evaluator("exact", sheared))
         assert mom.mean.q == pytest.approx(0.265, abs=1e-7)
         assert mom.mean.p == pytest.approx(0.0, abs=1e-8)
         assert mom.p2 == pytest.approx(0.55, abs=1e-7)
@@ -133,7 +133,7 @@ class TestQuantumMoments:
         assert mom.pq == pytest.approx(0.11, abs=1e-6)
 
     def test_derivative_errors_reported(self, sheared):
-        mom = moments_from_chi(make_evaluator("exact", sheared), sheared.hbar)
+        mom = moments_from_chi(make_evaluator("exact", sheared))
         assert set(mom.errors) == {"d1_xi_p", "d1_xi_q", "d2_xi_p", "d2_xi_q",
                                    "d2_diag"}
         assert all(err < 1e-8 for err in mom.errors.values())
@@ -143,7 +143,7 @@ class TestQuantumMoments:
         n = 5: the first step and the tolerance follow that scale."""
         n, hbar = 80, 0.006832298
         state = CurveSpec(n=n, hbar=hbar, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
-        mom = moments_from_chi(make_evaluator("exact", state), hbar)
+        mom = moments_from_chi(make_evaluator("exact", state))
         action = (n + 0.5) * hbar
         p4 = hbar ** 2 / 4 * (6 * n * n + 6 * n + 3)
         assert mom.mean.q == pytest.approx(0.1 * (1 + 3 * action), abs=1e-7)
@@ -165,7 +165,7 @@ class TestQuantumMoments:
                 return values, np.zeros(values.shape, dtype=np.uint8)
 
         with pytest.raises(RuntimeError, match="hermitian"):
-            moments_from_chi(RealExponential(), hbar=0.1)
+            moments_from_chi(RealExponential())
 
 
 def test_second_order_from_table(sheared):
@@ -183,7 +183,7 @@ def test_second_order_from_table(sheared):
 
 class TestBlindSpotEstimate:
     def test_sheared_state_ellipse(self, sheared):
-        mom = moments_from_chi(make_evaluator("exact", sheared), sheared.hbar)
+        mom = moments_from_chi(make_evaluator("exact", sheared))
         est = closest_blind_spot_estimate(mom, sheared.hbar)
         assert not est.degenerate
         assert est.flag is Flag.OK
