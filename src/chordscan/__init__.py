@@ -8,6 +8,11 @@ exact quadrature oracle, a short-chord classical average, and a
 stationary-phase composite -- and extracts the structures that make the
 function useful: moments, nodal lines, and blind spots (isolated zeros).
 
+Each route is one ``Evaluator`` (``make_evaluator``): a name plus a batch
+kernel. The one-chord functions evolved_chi, chi_small, chi_semiclassical,
+tangency_points and chord_realizations stay only for the benchmark's tracer,
+until it reads counters kept by the library (ROADMAP item 1).
+
 Quick start::
 
     from chordscan import CurveSpec, make_evaluator
@@ -29,7 +34,7 @@ from .blindspots import (
     first_zero_along,
     nodal_contours,
 )
-from .core import Chord, ChordValue, Flag, PhasePoint, wedge, worst_flag
+from .core import Chord, ChordValue, Evaluator, Flag, PhasePoint, wedge, worst_flag
 from .curves import CurveSpec, InvalidStateError
 from .evaluators import EVALUATOR_NAMES, make_evaluator
 from .exact import (
@@ -38,25 +43,17 @@ from .exact import (
     correlation_C,
     evolved_chi,
     evolved_chi_grid,
-    fock_chi_closed,
     fourier_invariance_residual,
     hermite_psi,
 )
 from .gridscan import ChordFieldGrid, axis, scan_grid
 from .quadrature import ConvergenceError, NumericalError
-from .semiclassical import (
-    chi_semiclassical,
-    chord_realizations,
-    sp_full,
-    sp_small,
-    tangency_points,
-)
+from .semiclassical import chi_semiclassical, chord_realizations, tangency_points
 from .smallchord import (
     BlindSpotEstimate,
     MomentTable,
     SecondOrderMoments,
     chi_small,
-    chi_taylor,
     classical_moments,
     closest_blind_spot_estimate,
     moments_from_chi,
@@ -73,6 +70,7 @@ __all__ = [
     "ConvergenceError",
     "CurveSpec",
     "EVALUATOR_NAMES",
+    "Evaluator",
     "ExactEvaluator",
     "Flag",
     "GridTooSmallError",
@@ -86,7 +84,6 @@ __all__ = [
     "axis",
     "chi_semiclassical",
     "chi_small",
-    "chi_taylor",
     "chord_realizations",
     "classical_moments",
     "closest_blind_spot_estimate",
@@ -95,7 +92,6 @@ __all__ = [
     "evolved_chi_grid",
     "find_blind_spots",
     "first_zero_along",
-    "fock_chi_closed",
     "fourier_invariance_residual",
     "hermite_psi",
     "make_evaluator",
@@ -103,8 +99,6 @@ __all__ = [
     "nodal_contours",
     "scan_grid",
     "second_order_from_table",
-    "sp_full",
-    "sp_small",
     "tangency_points",
     "wedge",
     "worst_flag",

@@ -24,9 +24,8 @@ from .evaluators import make_evaluator
 from .exact import (ExactEvaluator, correlation_C, fock_chi_radial,
                     fourier_invariance_residual)
 from .gridscan import axis, scan_grid
-from .smallchord import (chi_small, chi_taylor, classical_moments,
-                         closest_blind_spot_estimate, moments_from_chi,
-                         second_order_from_table)
+from .smallchord import (chi_small, classical_moments, closest_blind_spot_estimate,
+                         moments_from_chi, second_order_from_table, taylor_values)
 
 RING_STATE = CurveSpec(n=5, hbar=0.1)
 SHEARED_STATE = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
@@ -235,7 +234,7 @@ def criterion_moment_triangle() -> CriterionResult:
     direction = np.array([0.37, 0.93])
     direction = direction / np.hypot(*direction)
     ss = np.geomspace(3e-3, 3e-2, 7)
-    errs = [abs(complex(chi_taylor(table, SHEARED_STATE.hbar, s * direction, order=order))
+    errs = [abs(complex(taylor_values(table, SHEARED_STATE.hbar, *(s * direction), order=order))
                 - complex(chi_small(SHEARED_STATE, s * direction)))
             for s in ss]
     slope = float(np.polyfit(np.log(ss), np.log(errs), 1)[0])

@@ -6,11 +6,12 @@ sidecar echoing the full configuration; the blind-spot command and the
 verifier write JSON reports. Wall-clock timings appear only in JSON, under a
 key that marks them as outside the determinism guarantee.
 
-Options may come from ``KEY=VALUE`` lines in a config file (``--config``);
-explicit command-line flags win over the file, and the sidecar's ``config``
-block re-parses as such a file. Exit codes: 0 success, 1 configuration or
-parameter error, 2 failed verification, 3 numerical failure (non-convergence
-or a result that breaks a property it must have, such as |chi| <= 1).
+Options may come from ``KEY=VALUE`` lines of the command's own keys in a
+config file (``--config``); explicit flags win over the file, and the
+sidecar's ``config`` block re-parses as such a file. Exit codes: 0 success, 1
+configuration or parameter error, 2 failed verification, 3 numerical failure
+(non-convergence or a result that breaks a property it must have, such as
+|chi| <= 1).
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ _COMMAND_KEYS = {
 }
 
 
-def load_config(path: str) -> dict:
-    """Read KEY=VALUE lines; '#' starts a comment, blank lines are skipped."""
+def load_config(path: str, command: str) -> dict:
+    """Read KEY=VALUE lines of ``command``'s options; '#' starts a comment,
+    blank lines are skipped, and a key the command does not take is an error."""
+    keys = _COMMAND_KEYS[command] + ("out",)
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -110,8 +113,8 @@ def load_config(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _OPTIONS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
         values[key] = _OPTIONS[key][0](value.strip())
     return values
 
@@ -119,7 +122,7 @@ def load_config(path: str) -> dict:
 def _merge(args: argparse.Namespace) -> dict:
     """Resolve options: explicit flags beat config-file values beat defaults.
     Every command that merges options writes a file, so ``out`` is required."""
-    merged = load_config(args.config) if args.config else {}
+    merged = load_config(args.config, args.command) if args.config else {}
     for key, (convert, default, _) in _OPTIONS.items():
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)

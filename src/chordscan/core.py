@@ -72,15 +72,6 @@ def worst_flag_codes(a, b) -> np.ndarray:
     return np.maximum(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
 
 
-def chord_arrays(xi_p, xi_q) -> tuple[np.ndarray, np.ndarray]:
-    """The components of a chord batch as two float arrays of one shape."""
-    xi_p = np.asarray(xi_p, dtype=float)
-    xi_q = np.asarray(xi_q, dtype=float)
-    if xi_p.shape != xi_q.shape:
-        raise ValueError(f"chord components differ in shape: {xi_p.shape} and {xi_q.shape}")
-    return xi_p, xi_q
-
-
 @dataclass(frozen=True)
 class ChordValue:
     """A chord-function value together with its quality flag.
@@ -103,6 +94,46 @@ class ChordValue:
 
     def __complex__(self) -> complex:
         return complex(self.value)
+
+
+def unflagged(values) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, flag codes)`` with every value flagged OK."""
+    return values, np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
+
+
+class Evaluator:
+    """One route to the chord function of ``state``: a name plus a batch kernel.
+
+    ``kernel(xi_p, xi_q) -> (values, flag codes)`` evaluates the chords
+    (xi_p[k], xi_q[k]) of two 1-d float arrays, with complex values and uint8
+    flag codes (FLAG_CODES). ``grid(xi_p_axis, xi_q_axis)``, when not None,
+    does the same for the tensor grid xi_p_axis x xi_q_axis, and scan_grid
+    takes it instead of one ``evaluate`` call on the mesh.
+    """
+
+    def __init__(self, name: str, state, kernel, grid=None):
+        self.name = name
+        self.state = state
+        self.kernel = kernel
+        self.grid = grid
+
+    def evaluate(self, xi_p, xi_q) -> tuple[np.ndarray, np.ndarray]:
+        """(values, flag codes) at the chords (xi_p[k], xi_q[k]) of two same-shape arrays.
+
+        Mismatched shapes are a ValueError; an empty batch gives empty arrays.
+        """
+        xi_p, xi_q = np.asarray(xi_p, dtype=float), np.asarray(xi_q, dtype=float)
+        if xi_p.shape != xi_q.shape:
+            raise ValueError(f"chord components differ in shape: {xi_p.shape} and {xi_q.shape}")
+        if xi_p.size == 0:
+            return unflagged(np.zeros(xi_p.shape, dtype=complex))
+        values, flags = self.kernel(xi_p.ravel(), xi_q.ravel())
+        return values.reshape(xi_p.shape), flags.reshape(xi_p.shape)
+
+    def __call__(self, xi) -> ChordValue:
+        """The chord xi = (xi_p, xi_q) alone, as a batch of one."""
+        values, flags = self.evaluate(xi[0], xi[1])
+        return ChordValue(complex(values), FLAGS_BY_CODE[int(flags)])
 
 
 def wedge(a, b):

@@ -16,10 +16,13 @@ classical radius it decays like a Gaussian of width sqrt(hbar), to round-off
 inside the window; so the rule converges geometrically and each doubling
 reuses every node. A tensor grid is one (xi_p x nodes) @
 (nodes x xi_q) product per node pass, and one certificate covers the whole
-batch. ``ExactEvaluator.evaluate`` takes chord arrays; the pointwise and grid
-entry points wrap the same kernel. Grid-level certificates (the symplectic
-Fourier invariance of |chi|^2 and the chord correlation) are also implemented
-here because they only make sense against the exact field.
+batch. ExactEvaluator is the core.Evaluator of this kernel: a chord batch
+calls it directly, a tensor grid goes through evolved_chi_grid and one chord
+through evolved_chi. Those two names stay apart only for the benchmark's
+tracer, until it reads counters kept by the library (ROADMAP item 1).
+Grid-level certificates (the symplectic Fourier invariance of |chi|^2 and the
+chord correlation) are also implemented here because they only make sense
+against the exact field.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import eval_laguerre
 
-from .core import Chord, ChordValue, chord_arrays
+from .core import ChordValue, Evaluator, unflagged
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
@@ -75,11 +78,6 @@ def fock_chi_radial(n: int, hbar: float, rho):
     rho = np.asarray(rho, dtype=float)
     rho2 = rho * rho
     return np.exp(-rho2 / (4.0 * hbar)) * eval_laguerre(n, rho2 / (2.0 * hbar))
-
-
-def fock_chi_closed(n: int, hbar: float, xi) -> ChordValue:
-    """Closed-form chord function of the number state (no shear) at one chord."""
-    return ChordValue(complex(fock_chi_radial(n, hbar, np.hypot(xi[0], xi[1]))))
 
 
 BLOCK_ELEMENTS = 2048  # chords x nodes per profile block: 16 rows of a 128-node rule
@@ -191,27 +189,21 @@ def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
     return _overlap(state, xi_p_axis, xi_q_axis, tensor=True)
 
 
-class ExactEvaluator:
-    """Callable chord-function oracle for a given state."""
+class ExactEvaluator(Evaluator):
+    """The certified overlap quadrature as an evaluator of ``state``.
 
-    name = "exact"
+    A chord batch and a tensor grid each take one ``_overlap`` call; a single
+    chord goes through evolved_chi. Every value is flagged OK.
+    """
 
     def __init__(self, state: CurveSpec):
-        self.state = state
-
-    def evaluate(self, xi_p, xi_q):
-        """(values, flags) at the chords (xi_p[k], xi_q[k]) of two same-shape arrays."""
-        xi_p, xi_q = chord_arrays(xi_p, xi_q)
-        values = _overlap(self.state, xi_p, xi_q, tensor=False).reshape(xi_p.shape)
-        return values, np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
+        super().__init__(
+            "exact", state,
+            lambda xi_p, xi_q: unflagged(_overlap(state, xi_p, xi_q, tensor=False)),
+            lambda xi_p_axis, xi_q_axis: unflagged(evolved_chi_grid(state, xi_p_axis, xi_q_axis)))
 
     def __call__(self, xi) -> ChordValue:
-        return evolved_chi(self.state, Chord(float(xi[0]), float(xi[1])))
-
-    def grid(self, xi_p_axis, xi_q_axis):
-        values = evolved_chi_grid(self.state, xi_p_axis, xi_q_axis)
-        flags = np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
-        return values, flags
+        return evolved_chi(self.state, xi)
 
 
 # -- grid-level certificates ---------------------------------------------

@@ -69,13 +69,13 @@ def axis(lo: float, hi: float, count: int) -> np.ndarray:
 def scan_grid(evaluator, xi_p_axis, xi_q_axis) -> ChordFieldGrid:
     """Evaluate a chord-function evaluator over a chord grid.
 
-    Uses the evaluator's tensor-grid fast path ``grid`` when it has one, and
-    otherwise one ``evaluate`` call on the whole mesh. The evaluator must
-    expose ``state`` (a CurveSpec) and ``name``.
+    Uses the evaluator's tensor-grid fast path ``grid`` when it has one that
+    is not None, and otherwise one ``evaluate`` call on the whole mesh. The
+    evaluator must expose ``state`` (a CurveSpec) and ``name``.
     """
     xi_p_axis = np.asarray(xi_p_axis, dtype=float)
     xi_q_axis = np.asarray(xi_q_axis, dtype=float)
-    if hasattr(evaluator, "grid"):
+    if getattr(evaluator, "grid", None) is not None:
         values, flags = evaluator.grid(xi_p_axis, xi_q_axis)
     else:
         values, flags = evaluator.evaluate(*np.meshgrid(xi_p_axis, xi_q_axis, indexing="ij"))

@@ -67,9 +67,10 @@ z = exp(i phi) (1 + i tau) / (1 - i tau), and counts as a real angle when
 coefficients' round-off. Tip angle, arc area, bracket, h', sigma, curvature
 wedge and every flag rule are then computed over the flattened roots of the
 batch, and np.bincount folds the terms into per-chord sums in each chord's
-root order. tangency_points, chord_realizations, sp_small, sp_full and
-chi_semiclassical are one-chord calls into the same kernel; sp_small_values,
-sp_full_values and semiclassical_values are its batch entry points.
+root order. sp_small_values, sp_full_values and semiclassical_values are its
+batch entry points, the evaluators' kernels. The one-chord calls
+tangency_points, chord_realizations and chi_semiclassical stay only for the
+benchmark's tracer, until it reads library counters (ROADMAP item 1).
 
 The composite evaluator subtracts the asymptotics of the classical average
 and adds the full stationary-phase value,
@@ -253,7 +254,13 @@ def tangency_points(curve: CurveSpec, xi) -> list[Tangency]:
 
 
 def sp_small_values(curve: CurveSpec, xi_p, xi_q):
-    """sp_small of every chord (xi_p[k], xi_q[k]) of two 1-d arrays: (values, flag codes)."""
+    """Stationary-phase asymptotics of the classical average chi_s: (values, flag codes).
+
+    At every chord (xi_p[k], xi_q[k]) of two 1-d arrays, (1/2 pi) times the
+    sum over tangencies of
+        sqrt(2 pi hbar / |x'' ∧ xi|)
+            exp[i x ∧ xi / hbar + i (pi/4) sign(x'' ∧ xi)].
+    """
     count = xi_p.size
     tan = _tangencies(curve, xi_p, xi_q)
     kept = np.abs(tan.curvature_wedge) >= DENOMINATOR_FLOOR
@@ -267,17 +274,6 @@ def sp_small_values(curve: CurveSpec, xi_p, xi_q):
                | (np.bincount(tan.chord, minlength=count) == 0))
     flags = np.where(caustic, _NEAR_CAUSTIC, _OK).astype(np.uint8)
     return _chord_sums(chord, terms, count), flags
-
-
-def sp_small(curve: CurveSpec, xi) -> ChordValue:
-    """Stationary-phase asymptotics of the classical average chi_s.
-
-    (1/2 pi) sum over tangencies of
-        sqrt(2 pi hbar / |x'' ∧ xi|)
-            exp[i x ∧ xi / hbar + i (pi/4) sign(x'' ∧ xi)].
-    """
-    values, flags = sp_small_values(curve, *_single(xi))
-    return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
 
 
 # -- chord realizations and the full stationary phase ----------------------
@@ -413,10 +409,11 @@ def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
 
 
 def sp_full_values(curve: CurveSpec, xi_p, xi_q, offsets=(-2.0, -2.0)):
-    """sp_full of every chord (xi_p[k], xi_q[k]) of two 1-d arrays: (values, flag codes).
+    """Full stationary-phase chord function, a sum over chord realizations: (values, flag codes).
 
-    ``offsets`` are the quarter-turn constants added to the phase on the
-    sigma = +1 and sigma = -1 branches; the default (-2, -2) is validated by
+    At every chord (xi_p[k], xi_q[k]) of two 1-d arrays. ``offsets`` are the
+    quarter-turn constants added to the phase on the sigma = +1 and
+    sigma = -1 branches; the default (-2, -2) is validated by
     calibrate_maslov_offsets and the closed-form ring tests.
     """
     count = xi_p.size
@@ -436,12 +433,6 @@ def sp_full_values(curve: CurveSpec, xi_p, xi_q, offsets=(-2.0, -2.0)):
     flags = np.where(found, np.where(caustic, _NEAR_CAUSTIC, _OK),
                      np.where(grazing, _NEAR_CAUSTIC, _EVANESCENT)).astype(np.uint8)
     return _chord_sums(sel, terms, count), flags
-
-
-def sp_full(curve: CurveSpec, xi) -> ChordValue:
-    """Full stationary-phase chord function: a sum over chord realizations."""
-    values, flags = sp_full_values(curve, *_single(xi))
-    return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
 
 
 def semiclassical_values(curve: CurveSpec, xi_p, xi_q, classical):
@@ -477,7 +468,7 @@ def calibrate_maslov_offsets(n: int = 5, hbar: float = 0.1,
     Evaluates sp_full with every integer offset pair on mid-ring chords of
     the unsheared state and returns the pair minimizing the worst-case error
     against the closed form. Development/validation tool; the winner is
-    hard-coded into sp_full's default.
+    hard-coded into sp_full_values' default.
     """
     from .exact import fock_chi_radial
 

@@ -27,6 +27,7 @@ AVERAGE_NODES = 64  # first rule of the classical average, on chord lists and gr
 AVERAGE_TOL = 1e-10  # on chi_s between successive doublings, uniform over a batch
 AVERAGE_DOUBLINGS = 12  # before ConvergenceError: at most 64 * 2**12 nodes
 MOMENT_TOL = 1e-12  # on each classical moment <q^j p^k>
+DERIVATIVE_TOL = 1e-8  # on the m-th derivative of chi at 0, relative to its size (r / hbar)^m
 
 
 def chi_small_points(curve: CurveSpec, xi_p, xi_q) -> np.ndarray:
@@ -136,11 +137,6 @@ def taylor_values(moments: MomentTable, hbar: float, xi_p, xi_q, order: int | No
     return total
 
 
-def chi_taylor(moments: MomentTable, hbar: float, xi, order: int | None = None) -> ChordValue:
-    """taylor_values at one chord."""
-    return ChordValue(complex(taylor_values(moments, hbar, float(xi[0]), float(xi[1]), order)))
-
-
 # -- quantum moments from an evaluated chord function ----------------------
 
 
@@ -178,8 +174,7 @@ def second_order_from_table(moments: MomentTable) -> SecondOrderMoments:
                               q2=moments.raw(2, 0), pq=moments.raw(1, 1))
 
 
-def moments_from_chi(evaluator, h0: float | None = None,
-                     tol: float = 1e-8) -> SecondOrderMoments:
+def moments_from_chi(evaluator) -> SecondOrderMoments:
     """Extract mean and raw second moments by differentiating chi at 0.
 
     <q^m> = (i hbar)^m d^m chi / d xi_p^m |_0 and
@@ -190,14 +185,13 @@ def moments_from_chi(evaluator, h0: float | None = None,
     Richardson stencil point along its direction in one call.
 
     chi varies on the scale hbar / r of the curve's radius r, so an m-th
-    derivative is of size (r / hbar)^m: the first step is h0 = (1/2)
-    sqrt(11) hbar / r (sqrt(hbar) / 2 at n = 5), and ``tol`` is relative,
-    asked of each m-th derivative as tol (r / hbar)^m.
+    derivative is of size (r / hbar)^m: the first step is (1/2) sqrt(11)
+    hbar / r (sqrt(hbar) / 2 at n = 5), and each m-th derivative is asked to
+    DERIVATIVE_TOL (r / hbar)^m.
     """
     hbar = evaluator.state.hbar
     scale = evaluator.state.radius / hbar
-    if h0 is None:
-        h0 = 0.5 * math.sqrt(11.0) / scale
+    h0 = 0.5 * math.sqrt(11.0) / scale
 
     errors = {}
 
@@ -206,7 +200,7 @@ def moments_from_chi(evaluator, h0: float | None = None,
             values, _ = evaluator.evaluate(s * direction[0], s * direction[1])
             return values
 
-        d, err = richardson_derivative(along, order=m, h0=h0, tol=tol * scale ** m)
+        d, err = richardson_derivative(along, order=m, h0=h0, tol=DERIVATIVE_TOL * scale ** m)
         errors[key] = err
         return d
 

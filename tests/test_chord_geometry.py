@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chordscan import (CurveSpec, Flag, axis, chord_realizations, make_evaluator, sp_full,
-                       sp_small, tangency_points, wedge)
+from chordscan import (CurveSpec, Flag, axis, chord_realizations, make_evaluator,
+                       tangency_points, wedge)
 from chordscan.core import FLAGS_BY_CODE
 from chordscan.semiclassical import (_ANGLES, REL_CAUSTIC_TOL, ROUND_OFF, _arc_area,
                                      _unit_circle_roots)
@@ -98,8 +98,8 @@ def test_partial_arc_area_matches_quadrature(name):
 def test_zero_chord_is_flagged_caustic(name):
     """At xi = 0 every angle is stationary: both bare sums are unusable."""
     curve = STATES[name]
-    assert sp_small(curve, (0.0, 0.0)).flag is Flag.NEAR_CAUSTIC
-    assert sp_full(curve, (0.0, 0.0)).flag is Flag.NEAR_CAUSTIC
+    assert make_evaluator("sp_small", curve)((0.0, 0.0)).flag is Flag.NEAR_CAUSTIC
+    assert make_evaluator("sp_full", curve)((0.0, 0.0)).flag is Flag.NEAR_CAUSTIC
 
 
 # -- the half-angle root solver against a per-row np.roots reference -----------

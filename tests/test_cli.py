@@ -62,7 +62,7 @@ def test_load_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment\n\nevaluator = small\nregion=-1:1  # inline\n"
                    "resolution=5\n")
-    values = cli.load_config(str(cfg))
+    values = cli.load_config(str(cfg), "scan")
     assert values == {"evaluator": "small", "region": (-1.0, 1.0),
                       "resolution": 5}
 
@@ -71,14 +71,33 @@ def test_load_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("evaluatr=small\n")
     with pytest.raises(ValueError, match="unknown key"):
-        cli.load_config(str(cfg))
+        cli.load_config(str(cfg), "scan")
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("cut", "slope=1\nresolution=7\nrange=0:0.1\nsamples=3\n", "resolution"),
+    ("scan", "region=-0.1:0.1\nsamples=5\nresolution=3\n", "samples"),
+], ids=["cut", "scan"])
+def test_config_key_of_another_command_is_a_config_error(tmp_path, capsys, command, text,
+                                                         key):
+    """A key that only another command takes is refused on one stderr line
+    naming the file, the line and the key; without it the run succeeds."""
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"chordscan: {cfg}:2: unknown key {key!r} for {command}\n"
+    assert not out.exists()
+    cfg.write_text("".join(line + "\n" for line in text.splitlines()
+                           if not line.startswith(key)))
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 0
 
 
 def test_load_config_rejects_bare_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("small\n")
     with pytest.raises(ValueError, match="KEY=VALUE"):
-        cli.load_config(str(cfg))
+        cli.load_config(str(cfg), "scan")
 
 
 def test_bad_flag_value_is_a_config_error(tmp_path):

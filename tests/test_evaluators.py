@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from chordscan import (EVALUATOR_NAMES, CurveSpec, Flag, NumericalError, axis,
-                       chi_semiclassical, make_evaluator)
+from chordscan import (EVALUATOR_NAMES, CurveSpec, ExactEvaluator, Flag, NumericalError, axis,
+                       chi_semiclassical, exact, make_evaluator, scan_grid, smallchord)
 from chordscan.core import FLAG_CODES
 from chordscan.semiclassical import _tip_angle
 
@@ -65,6 +67,37 @@ def test_semiclassical_grid_fast_path_matches_pointwise(sheared):
             assert flags[i, j] == FLAG_CODES[want.flag]
 
 
+def test_kernels_look_up_the_traced_functions_when_they_run(sheared, monkeypatch):
+    """Counting wrappers installed after the evaluators are built see every
+    route, as the benchmark's tracer does; a kernel that captured a function
+    object when it was built would bypass them."""
+    built = {name: make_evaluator(name, sheared) for name in ("exact", "small", "semiclassical")}
+    oracle = ExactEvaluator(sheared)
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(exact, "evolved_chi")
+    count(exact, "evolved_chi_grid")
+    count(smallchord, "chi_small_grid")
+    ax = axis(-0.5, 0.5, 5)
+    oracle((0.2, 0.1))
+    assert calls == {"evolved_chi": 1}
+    scan_grid(built["exact"], ax, ax)
+    assert calls == {"evolved_chi": 1, "evolved_chi_grid": 1}
+    for name in ("small", "semiclassical"):
+        calls.clear()
+        scan_grid(built[name], ax, ax)
+        assert calls == {"chi_small_grid": 1}
+
+
 # -- the batch protocol -----------------------------------------------------------
 
 BATCH_STATES = {
@@ -101,6 +134,12 @@ def test_evaluate_matches_one_chord_calls(name, state_name):
         # the special chords reach every flag the kernel sets
         assert {FLAG_CODES[f] for f in (Flag.OK, Flag.NEAR_CAUSTIC, Flag.EVANESCENT)} \
             <= set(flags.tolist())
+    # a one-chord call is that chord evaluated alone, bit for bit, and a 0-d
+    # chord gives 0-d arrays
+    alone = [ev.evaluate(xi_p, xi_q) for xi_p, xi_q in chords]
+    assert all(v.shape == f.shape == () for v, f in alone)
+    np.testing.assert_array_equal([v for v, _ in alone], [out.value for out in points])
+    np.testing.assert_array_equal([f for _, f in alone], [FLAG_CODES[out.flag] for out in points])
 
 
 @pytest.mark.parametrize("name", EVALUATOR_NAMES)

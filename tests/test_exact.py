@@ -5,7 +5,7 @@ import pytest
 
 from chordscan import (ConvergenceError, CurveSpec, ExactEvaluator,
                        GridTooSmallError, NumericalError, correlation_C,
-                       evolved_chi, evolved_chi_grid, fock_chi_closed,
+                       evolved_chi, evolved_chi_grid,
                        fourier_invariance_residual, hermite_psi, scan_grid)
 from chordscan import exact
 from chordscan.exact import fock_chi_radial
@@ -63,7 +63,7 @@ def test_quadrature_matches_closed_form(n):
     for _ in range(25):
         xi = rng.uniform(-2.0, 2.0, size=2)
         got = complex(evolved_chi(state, xi))
-        want = complex(fock_chi_closed(n, HBAR, xi))
+        want = fock_chi_radial(n, HBAR, np.hypot(*xi))
         assert abs(got - want) < 1e-10
 
 
@@ -119,7 +119,7 @@ def test_far_chords_do_not_alias_onto_the_state(ring):
     """
     xi_q = np.array([11.0, 12.78, 14.0])
     xi_p = np.zeros_like(xi_q)
-    closed = np.array([complex(fock_chi_closed(ring.n, ring.hbar, (0.0, q))) for q in xi_q])
+    closed = fock_chi_radial(ring.n, ring.hbar, xi_q)
     half_width = np.sqrt(ring.hbar * (2 * ring.n + 1)) + 8.0 * np.sqrt(ring.hbar)
     reference = _gauss_legendre_chi(ring, xi_p, xi_q, half_width, 1024)
     assert np.max(np.abs(reference - closed)) < 1e-12  # 1024 nodes resolve the wave
@@ -135,7 +135,7 @@ def test_fock_chi_radial_matches_pointwise():
     rho = np.linspace(0.0, 3.0, 31)
     vals = fock_chi_radial(5, HBAR, rho)
     for r, v in zip(rho, vals):
-        assert v == pytest.approx(complex(fock_chi_closed(5, HBAR, (r, 0.0))).real)
+        assert v == pytest.approx(fock_chi_radial(5, HBAR, r))
 
 
 def test_normalization_at_zero_chord(sheared):
@@ -368,8 +368,7 @@ def test_seeded_closed_form_at_zero_shear(seed):
     xi_p, xi_q = rng.uniform(-2.0, 2.0, size=(2, 6, 5))
     values, _ = ExactEvaluator(state).evaluate(xi_p, xi_q)
     assert values.shape == (6, 5)
-    closed = np.array([[complex(fock_chi_closed(n, hbar, (p, q))) for p, q in zip(rp, rq)]
-                       for rp, rq in zip(xi_p, xi_q)])
+    closed = fock_chi_radial(n, hbar, np.hypot(xi_p, xi_q))
     assert np.max(np.abs(values - closed)) < 1e-10
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chordscan import (CurveSpec, Flag, chi_semiclassical, chi_small,
-                       chord_realizations, evolved_chi, fock_chi_closed,
-                       sp_full, sp_small, tangency_points, wedge)
+                       chord_realizations, evolved_chi, make_evaluator, tangency_points, wedge)
+from chordscan.exact import fock_chi_radial
 from chordscan.semiclassical import calibrate_maslov_offsets
 
 
@@ -74,9 +74,10 @@ def test_chord_longer_than_diameter_has_no_realizations(ring):
 def test_sp_small_approaches_classical_average(ring):
     """The short-chord stationary phase tracks the exact curve average with
     an error falling off as the phase r |xi| / hbar grows."""
+    sp_small = make_evaluator("sp_small", ring)
     errs = []
     for s in (0.3, 0.5, 0.8):
-        worst = max(abs(complex(sp_small(ring, (s * math.cos(a), s * math.sin(a))))
+        worst = max(abs(complex(sp_small((s * math.cos(a), s * math.sin(a))))
                         - complex(chi_small(ring, (s * math.cos(a), s * math.sin(a)))))
                     for a in np.linspace(0.0, 3.0, 7))
         errs.append(worst)
@@ -86,9 +87,10 @@ def test_sp_small_approaches_classical_average(ring):
 
 @pytest.mark.parametrize("s", [0.5, 0.9, 1.3, 1.7])
 def test_sp_full_matches_closed_form_mid_ring(ring, s):
+    sp_full = make_evaluator("sp_full", ring)
     for a in np.linspace(0.1, 3.0, 6):
         xi = (s * math.cos(a), s * math.sin(a))
-        err = abs(complex(sp_full(ring, xi)) - complex(fock_chi_closed(5, 0.1, xi)))
+        err = abs(complex(sp_full(xi)) - fock_chi_radial(5, 0.1, s))
         assert err < 0.02
 
 
@@ -102,11 +104,12 @@ def test_branch_offsets_recovered_by_calibration():
 
 
 def test_flags_across_the_longest_chord(ring):
+    sp_full = make_evaluator("sp_full", ring)
     d = 2 * ring.radius
-    assert sp_full(ring, (0.0, d - 1e-7)).flag is Flag.NEAR_CAUSTIC
-    assert sp_full(ring, (0.0, d + 1e-7)).flag is Flag.NEAR_CAUSTIC  # grazing
-    assert sp_full(ring, (0.0, d + 1e-4)).flag is Flag.EVANESCENT
-    assert sp_full(ring, (0.0, d + 0.3)).flag is Flag.EVANESCENT
+    assert sp_full((0.0, d - 1e-7)).flag is Flag.NEAR_CAUSTIC
+    assert sp_full((0.0, d + 1e-7)).flag is Flag.NEAR_CAUSTIC  # grazing
+    assert sp_full((0.0, d + 1e-4)).flag is Flag.EVANESCENT
+    assert sp_full((0.0, d + 0.3)).flag is Flag.EVANESCENT
 
 
 def test_composite_is_evanescent_beyond_the_rim(ring):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from chordscan import (ConvergenceError, CurveSpec, Flag, chi_small, chi_taylor,
+from chordscan import (ConvergenceError, CurveSpec, Flag, chi_small,
                        classical_moments, closest_blind_spot_estimate,
                        make_evaluator, moments_from_chi,
                        second_order_from_table)
 from chordscan import smallchord
 from chordscan.gridscan import axis
-from chordscan.smallchord import SecondOrderMoments, chi_small_grid, chi_small_points
+from chordscan.smallchord import (SecondOrderMoments, chi_small_grid, chi_small_points,
+                                  taylor_values)
 
 # Ladder-operator / curve-average values for n = 5, hbar = 0.1 sheared for
 # t = 0.1 under H = p + p^2 + p^3 (I = 0.55, r^2 = 1.1):
@@ -98,28 +99,28 @@ class TestClassicalMoments:
 class TestTaylor:
     def test_zero_chord_is_one(self, sheared):
         m = classical_moments(sheared, order=4)
-        assert complex(chi_taylor(m, sheared.hbar, (0.0, 0.0))) == 1.0
+        assert complex(taylor_values(m, sheared.hbar, 0.0, 0.0)) == 1.0
 
     def test_matches_average_at_short_chords(self, sheared):
         # the leading truncation term is (r |xi| / hbar)^7 / 7! ~ 1e-8 here
         m = classical_moments(sheared, order=6)
         for xi in [(0.02, 0.01), (-0.015, 0.02), (0.01, -0.025)]:
             want = complex(chi_small(sheared, xi))
-            got = complex(chi_taylor(m, sheared.hbar, xi))
+            got = complex(taylor_values(m, sheared.hbar, *xi))
             assert abs(got - want) < 5e-8
 
     def test_truncation_error_shrinks_with_order(self, sheared):
         m = classical_moments(sheared, order=6)
         xi = (0.04, 0.03)
         want = complex(chi_small(sheared, xi))
-        errs = [abs(complex(chi_taylor(m, sheared.hbar, xi, order=k)) - want)
+        errs = [abs(complex(taylor_values(m, sheared.hbar, *xi, order=k)) - want)
                 for k in (2, 4, 6)]
         assert errs[0] > errs[1] > errs[2]
 
     def test_order_capped_by_table(self, sheared):
         m = classical_moments(sheared, order=2)
         with pytest.raises(ValueError):
-            chi_taylor(m, sheared.hbar, (0.1, 0.1), order=4)
+            taylor_values(m, sheared.hbar, 0.1, 0.1, order=4)
 
 
 class TestQuantumMoments:
