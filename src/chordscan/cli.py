@@ -1,10 +1,15 @@
 """Command-line driver: grid scans, cuts, blind-spot reports, verification.
 
-Scans and cuts write CSV with 17 significant digits (doubles round-trip
-exactly, so identical configurations give bit-identical files) plus a JSON
+Scans and cuts write CSV through one writer, ``_write_csv``, plus a JSON
 sidecar echoing the full configuration; the blind-spot command and the
-verifier write JSON reports. Wall-clock timings appear only in JSON, under a
-key that marks them as outside the determinism guarantee.
+verifier write JSON reports. Every number in a CSV is the bytes of
+``"%.17g" % x`` (doubles round-trip exactly, so identical configurations give
+bit-identical files). The writer formats whole columns with numpy,
+CSV_BLOCK_ROWS rows at a time: a fast path takes the 17 digits of each finite
+value in FAST_RANGE from an exact double-double product, and zeros, nan, inf,
+values outside FAST_RANGE and near-ties at the 17th digit fall back to
+``"%.17g"`` itself. Wall-clock timings appear only in JSON, under a key that
+marks them as outside the determinism guarantee.
 
 Options may come from ``KEY=VALUE`` lines of the command's own keys in a
 config file (``--config``); explicit flags win over the file, and the
@@ -17,10 +22,12 @@ configuration or parameter error, 2 failed verification, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -164,11 +171,163 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
                        "elapsed_seconds_nondeterministic": elapsed, **fields})
 
 
-_FLAG_NAMES = [FLAGS_BY_CODE[code].value for code in range(len(FLAGS_BY_CODE))]
+# -- CSV -------------------------------------------------------------------------
+# Every number is written as "%.17g" writes it. CPython's routine costs about
+# 1 us a float past 14 digits (its bignum path), so a column is formatted in
+# bulk: for finite FAST_RANGE values the 17 digits round(|x| 10^(16-E)) come
+# from an exact (Dekker) product with a double-double 10^k, whose error is
+# below 1e-14 of the last digit, and the %g layout is put together from masks
+# and text picked from small tables. Zeros, nan, inf, values outside FAST_RANGE
+# and rounding fractions within TIE_MARGIN of one half (exact ties occur, e.g.
+# 2251799813685247.75) go to "%.17g" itself.
+
+CSV_BLOCK_ROWS = 4096
+FAST_RANGE = (1e-280, 1e280)
+TIE_MARGIN = 1e-9
+
+_FLAG_BYTES = np.array([FLAGS_BY_CODE[code].value for code in range(len(FLAGS_BY_CODE))],
+                       dtype="S")
+_K_MIN, _K_MAX = -265, 297  # 10^(16-E) for every E of FAST_RANGE, one step to spare
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+_E_MIN = -330  # below the least exponent of a double; the exponent table starts here
+# a formatted float's bytes: prefix, digits before the point, point, digits
+# after it, exponent; the longest "%.17g" text has 24
+_CELL = 6 + 17 + 1 + 16 + 5
 
 
-def _flag_names(codes) -> list[str]:
-    return [_FLAG_NAMES[code] for code in np.ravel(codes).tolist()]
+def _split(a):
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+@functools.cache
+def _tables():
+    """Built on first use.
+    - 10^k for k in [_K_MIN, _K_MAX] as double-doubles high + low (high the
+      exact rational rounded once, low the exact remainder rounded once) with
+      the split halves of high, one row per k;
+    - the text and trailing-zero count of every 4-digit group;
+    - the prefix of the text, "-" and "0.000" cut to the leading zeros of
+      positional E = -1 ... -4, by (negative, zeros + 1 or 0);
+    - the exponent text "e-05", "e+123", by E - _E_MIN, and a last row of NUL;
+    - byte masks of the digits before the point, by their count, and after it,
+      by the point's position and the count of digits shown."""
+    high, low = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        p, q = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = p / q  # int / int rounds correctly
+        num, den = h.as_integer_ratio()
+        high.append(h)
+        low.append((p * den - num * q) / (q * den))
+    high = np.array(high)
+    powers = np.column_stack([high, low, *_split(high)])
+    group = np.arange(10000)
+    text = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    trailing = sum((group % p == 0).astype(np.int64) for p in (10, 100, 1000, 10000))
+    prefix = np.array([sign + lead for sign in (b"", b"-")
+                       for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")], dtype="S6")
+    exponent = np.array([b"e%+03d" % e for e in range(_E_MIN, -_E_MIN + 1)] + [b""], dtype="S5")
+    place = np.arange(17)
+    before = np.where(place < np.arange(18)[:, None], 255, 0).astype(np.uint8)
+    point, shown = np.divmod(np.arange(18 * 18), 18)
+    after = np.where((place[1:] >= point[:, None]) & (place[1:] < shown[:, None]),
+                     255, 0).astype(np.uint8)
+    return (powers, text.view(np.uint32).ravel(), trailing,
+            prefix.view(np.uint8).reshape(-1, 6), exponent.view(np.uint8).reshape(-1, 5),
+            before, after)
+
+
+def _scaled(a, e, powers):
+    """a 10^(16-e) as an unevaluated sum high + low (Dekker's exact product
+    with the table's high part plus a times its low part)."""
+    high, low, high_h, high_l = powers.take(16 - e - _K_MIN, axis=0).T
+    a_h, a_l = _split(a)
+    p = a * high
+    return p, ((a_h * high_h - p) + a_h * high_l + a_l * high_h) + a_l * high_l + a * low
+
+
+def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.17g" % v`` of each float of ``x`` into the rows of ``out``
+    (x.size by _CELL bytes), NUL wherever the text has no byte."""
+    powers, group_text, group_trailing, prefix, exponent, before, after = _tables()
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    fast = (a >= FAST_RANGE[0]) & (a <= FAST_RANGE[1])
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    high, low = _scaled(a, e, powers)
+    # log10 can miss a power of ten by one: step e until 1e16 <= high + low < 1e17
+    step = (((high > 1e17) | ((high == 1e17) & (low >= 0))).astype(np.int64)
+            - ((high < 1e16) | ((high == 1e16) & (low < 0))))
+    if step.any():
+        e += step
+        high, low = _scaled(a, e, powers)
+    whole = np.floor(low)
+    frac = low - whole
+    digits = high.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) >= TIE_MARGIN) & (digits >= 10**16) & (digits <= 10**17)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    e += carry
+
+    groups = np.empty((x.size, 5), dtype=np.int64)  # 20 digits, the first three zero
+    for j in range(4, -1, -1):
+        quotient = digits // 10000
+        groups[:, j] = digits - 10000 * quotient
+        digits = quotient
+    text = group_text.take(groups).view(np.uint8).reshape(x.size, 20)[:, 3:]
+    trailing = group_trailing.take(groups)  # 4 for a group of zeros
+    zeros = trailing[:, 0]  # the first group is never 0
+    for j in range(1, 5):
+        zeros = np.where(trailing[:, j] == 4, zeros + 4, trailing[:, j])
+    m = 17 - zeros
+    # %g: positional for -4 <= E < 17 with the point after digit E + 1 (none for
+    # E < 0, whose "0.000" is in the prefix), scientific with the point after
+    # digit 1 otherwise; trailing zeros go, those of the integer part stay
+    sci = (e < -4) | (e > 16)
+    point = np.where(sci, 1, np.where(e < 0, 17, e + 1))
+    shown = np.where(sci | (e < 0), m, np.maximum(m, e + 1))
+    lead = np.where(sci | (e >= 0), 0, -e)
+    out[:, :6] = prefix.take((x < 0) * 5 + lead, axis=0)
+    np.bitwise_and(text, before.take(np.minimum(point, shown), axis=0), out=out[:, 6:23])
+    out[:, 23] = np.where(shown > point, ord("."), 0)
+    np.bitwise_and(text[:, 1:], after.take(point * 18 + shown, axis=0), out=out[:, 24:40])
+    out[:, 40:] = exponent.take(np.where(sci, e - _E_MIN, -1), axis=0)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        slow_text = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype=f"S{_CELL}")
+        out[slow] = slow_text.view(np.uint8).reshape(slow.size, _CELL)
+
+
+def _abs2(values: np.ndarray) -> np.ndarray:
+    """``abs(z) ** 2`` of each Python complex z: np.abs, and numpy's square or
+    power of the modulus, differ from it in the last bit on some values."""
+    return np.fromiter(map(pow, map(abs, values.tolist()), repeat(2)), float, values.size)
+
+
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Header line, then one row per entry of the equal-length columns: a float
+    column as ``"%.17g"`` writes it, a bytes column as its text. Rows are
+    formatted and written CSV_BLOCK_ROWS at a time."""
+    widths = [_CELL if c.dtype.kind == "f" else c.itemsize for c in columns]
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            table = np.empty((len(block[0]), sum(widths) + len(widths)), dtype=np.uint8)
+            at = 0
+            for c, width in zip(block, widths):
+                if c.dtype.kind == "f":
+                    _format_floats(c, table[:, at:at + width])
+                else:
+                    table[:, at:at + width] = c.view(np.uint8).reshape(-1, width)
+                table[:, at + width] = ord(",")
+                at += width + 1
+            table[:, -1] = ord("\n")
+            # NUL pads every cell to its column's width and never occurs in the text
+            fh.write(table[table != 0].tobytes())
 
 
 def _safe(name: str) -> str:
@@ -190,14 +349,9 @@ def cmd_scan(args) -> int:
     elapsed = time.perf_counter() - started
 
     values = grid.values.ravel()
-    rows = zip(np.repeat(xp, xq.size).tolist(), np.tile(xq, xp.size).tolist(),
-               values.tolist(), np.angle(values).tolist(), _flag_names(grid.flags))
-    with out.open("w") as fh:
-        fh.write("xi_p,xi_q,re,im,abs2,phase,flag\n")
-        # |z| on the Python complex: np.abs rounds differently in the last digit
-        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-                      % (p, q, z.real, z.imag, abs(z) ** 2, phase, flag)
-                      for p, q, z, phase, flag in rows)
+    _write_csv(out, ["xi_p", "xi_q", "re", "im", "abs2", "phase", "flag"], [
+        np.repeat(xp, xq.size), np.tile(xq, xp.size), values.real, values.imag,
+        _abs2(values), np.angle(values), _FLAG_BYTES[grid.flags.ravel()]])
     _write_report(out.with_suffix(".json"), "scan", opt, elapsed, {
         "parameters": grid.metadata,
         "flag_counts": {f.value: c for f, c in grid.flag_counts().items()},
@@ -236,19 +390,13 @@ def cmd_cut(args) -> int:
     outputs = [ev.evaluate(ss * d[0], ss * d[1]) for ev in evaluators]
     elapsed = time.perf_counter() - started
 
-    columns = ["s", "xi_p", "xi_q"]
-    for ev in evaluators:
+    header = ["s", "xi_p", "xi_q"]
+    columns = [ss, ss * d[0], ss * d[1]]
+    for ev, (values, flags) in zip(evaluators, outputs):
         tag = _safe(ev.name)
-        columns += [f"{tag}_re", f"{tag}_im", f"{tag}_abs2", f"{tag}_flag"]
-    row = "%.17g,%.17g,%.17g" + ",%.17g,%.17g,%.17g,%s" * len(evaluators) + "\n"
-    cells = [ss.tolist(), (ss * d[0]).tolist(), (ss * d[1]).tolist()]
-    for values, flags in outputs:
-        zs = values.tolist()
-        cells += [[z.real for z in zs], [z.imag for z in zs], [abs(z) ** 2 for z in zs],
-                  _flag_names(flags)]
-    with out.open("w") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(row % sample for sample in zip(*cells))
+        header += [f"{tag}_re", f"{tag}_im", f"{tag}_abs2", f"{tag}_flag"]
+        columns += [values.real, values.imag, _abs2(values), _FLAG_BYTES[flags]]
+    _write_csv(out, header, columns)
     _write_report(out.with_suffix(".json"), "cut", opt, elapsed, {
         "direction": [float(d[0]), float(d[1])],
         "evaluators": [ev.name for ev in evaluators],

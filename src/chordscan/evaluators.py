@@ -14,14 +14,14 @@ library (ROADMAP item 1).
 
 from __future__ import annotations
 
+import re
 from functools import partial
 
 import numpy as np
 
-from . import semiclassical, smallchord
+from . import exact, semiclassical, smallchord
 from .core import Evaluator, unflagged
 from .curves import CurveSpec
-from .exact import ExactEvaluator
 from .quadrature import NumericalError
 
 EVALUATOR_NAMES = ("exact", "small", "semiclassical", "sp_small", "sp_full", "taylor")
@@ -50,7 +50,8 @@ _KERNELS = {
 
 
 def _taylor(state: CurveSpec, order: int) -> Evaluator:
-    """Short-chord Taylor polynomial of the classical moments, refused where it overflows."""
+    """Short-chord Taylor polynomial of the classical moments, refused where it
+    overflows or leaves |chi| <= 1, which every state's chord function obeys."""
     name = f"taylor:{order}"
     moments = smallchord.classical_moments(state, order=order)
 
@@ -64,21 +65,29 @@ def _taylor(state: CurveSpec, order: int) -> Evaluator:
             k = bad[0]
             raise NumericalError(f"{name} value at chord ({xi_p[k]:.6g}, "
                                  f"{xi_q[k]:.6g}) is not finite")
+        modulus = np.abs(values)
+        bad = np.flatnonzero(modulus > 1.0 + exact._MODULUS_SLACK)
+        if bad.size:
+            k = bad[0]
+            raise NumericalError(f"{name} |chi| = {modulus[k]:.6g} at chord ({xi_p[k]:.6g}, "
+                                 f"{xi_q[k]:.6g}) exceeds 1: the chord is past the "
+                                 "polynomial's range")
         return unflagged(values)
 
     return Evaluator(name, state, kernel)
 
 
 def make_evaluator(name: str, state: CurveSpec) -> Evaluator:
-    """Build an evaluator by name; Taylor orders spell ``taylor:K``."""
+    """Build an evaluator by name; Taylor orders spell ``taylor:K`` with an
+    integer K >= 1, and plain ``taylor`` is ``taylor:4``."""
     name = {"sp-small": "sp_small", "sp-full": "sp_full"}.get(name, name)
     if name == "exact":
-        return ExactEvaluator(state)
+        return exact.ExactEvaluator(state)
     if name in _KERNELS:
         kernel, grid = _KERNELS[name]
         return Evaluator(name, state, partial(kernel, state),
                          None if grid is None else partial(grid, state))
-    if name.startswith("taylor"):
-        _, _, suffix = name.partition(":")
-        return _taylor(state, int(suffix) if suffix else 4)
+    taylor = re.fullmatch(r"taylor(?::([1-9][0-9]*))?", name)
+    if taylor:
+        return _taylor(state, int(taylor[1] or 4))
     raise ValueError(f"unknown evaluator {name!r}; known: {', '.join(EVALUATOR_NAMES)}")

@@ -166,26 +166,45 @@ def _cell(x):
     return f"{x:.17g}"
 
 
-def test_csv_rows_match_the_per_cell_format(tmp_path):
-    """Whole-row formatting writes the bytes of a per-cell join of the same
-    values (17 significant digits, |z| of the complex scalar)."""
-    state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
-    scan_out = tmp_path / "scan.csv"
-    assert run("scan", "--region=-2.3:2.3", "--resolution", "9",
-               "--evaluator", "semiclassical", "--out", str(scan_out)) == 0
-    xp = xq = axis(-2.3, 2.3, 9)
-    grid = scan_grid(make_evaluator("semiclassical", state), xp, xq)
-    lines = ["xi_p,xi_q,re,im,abs2,phase,flag"]
-    for i in range(xp.size):
-        for j in range(xq.size):
-            v = grid.values[i, j]
-            lines.append(",".join((
-                _cell(xp[i]), _cell(xq[j]), _cell(v.real), _cell(v.imag),
-                _cell(abs(v) ** 2), _cell(float(np.angle(v))),
-                FLAGS_BY_CODE[int(grid.flags[i, j])].value)))
-    assert scan_out.read_text() == "\n".join(lines) + "\n"
-    assert {"ok", "evanescent"} <= {line.rsplit(",", 1)[1] for line in lines[1:]}
+def _branch(cell):
+    """The "%.17g" layout a numeric cell took."""
+    if float(cell) == 0.0:
+        return "zero"
+    if "e" in cell:
+        return "scientific"
+    return "positional E >= 0" if abs(float(cell)) >= 1.0 else "positional -4 <= E < 0"
 
+
+def test_csv_rows_match_the_per_cell_format(tmp_path):
+    """The bulk writer writes the bytes of a per-cell join of the same values
+    (17 significant digits, |z| of the complex scalar). Between them the scans
+    and the cut reach every layout of "%.17g" and negative values; exact zeros
+    come from evanescent semiclassical cells and the xi_p = 0 row at t = 0."""
+    numeric = []
+    for t, evaluator in ((0.1, "semiclassical"), (0.0, "exact")):
+        state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
+        scan_out = tmp_path / f"scan-{evaluator}.csv"
+        assert run("scan", "--region=-2.3:2.3", "--resolution", "9", "--t", str(t),
+                   "--evaluator", evaluator, "--out", str(scan_out)) == 0
+        xp = xq = axis(-2.3, 2.3, 9)
+        grid = scan_grid(make_evaluator(evaluator, state), xp, xq)
+        lines = ["xi_p,xi_q,re,im,abs2,phase,flag"]
+        for i in range(xp.size):
+            for j in range(xq.size):
+                v = grid.values[i, j]
+                lines.append(",".join((
+                    _cell(xp[i]), _cell(xq[j]), _cell(v.real), _cell(v.imag),
+                    _cell(abs(v) ** 2), _cell(float(np.angle(v))),
+                    FLAGS_BY_CODE[int(grid.flags[i, j])].value)))
+        assert scan_out.read_text() == "\n".join(lines) + "\n"
+        numeric += [cell for line in lines[1:] for cell in line.split(",")[:-1]]
+        if evaluator == "semiclassical":
+            assert {"ok", "evanescent"} <= {line.rsplit(",", 1)[1] for line in lines[1:]}
+        else:
+            assert all(line.split(",")[3] == "0" for line in lines[1:]
+                       if line.startswith("0,"))
+
+    state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
     cut_out = tmp_path / "cut.csv"
     assert run("cut", "--slope", "0.8172", "--range", "0:2.6", "--samples", "14",
                "--evaluator", "exact,sp_full", "--out", str(cut_out)) == 0
@@ -202,6 +221,37 @@ def test_csv_rows_match_the_per_cell_format(tmp_path):
                       FLAGS_BY_CODE[int(flags[k])].value]
         lines.append(",".join(cells))
     assert cut_out.read_text() == "\n".join(lines) + "\n"
+    numeric += [cell for line in lines[1:] for cell in line.split(",")
+                if not cell[0].isalpha()]
+
+    assert {_branch(cell) for cell in numeric} == {
+        "zero", "scientific", "positional E >= 0", "positional -4 <= E < 0"}
+    assert any(cell.startswith("-") and _branch(cell) != "zero" for cell in numeric)
+
+
+def test_bulk_format_matches_the_per_value_format(tmp_path):
+    """The writer's float columns are "%.17g" of each value, also where its fast
+    path does not apply: a million doubles drawn over every exponent and sign,
+    with zeros, infinities, nan, subnormals, powers of ten and their
+    neighbours, integers above 2^53 and exact ties at the 17th digit."""
+    rng = np.random.default_rng(20261018)
+    powers = 10.0 ** np.arange(-323, 309)
+    special = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072009e-308,
+         2.2250738585072014e-308, 1.7976931348623157e308],
+        rng.integers(1, 2**52, 1000).view(np.float64),  # subnormals
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        2.0**53 + rng.integers(0, 2**40, 1000) * 2.0,  # integers above 2^53
+        # in [2^50, 2^51) quarters are exact: 16 integer digits and .25 or .75
+        # make an exact tie at the 17th digit, resolved down or up to even
+        2.0**50 + rng.integers(0, 2**50, 1000) + rng.choice([0.25, 0.75], 1000),
+        [2251799813685247.75, 1e16 + 2, 1e17 - 16, 123456789012345678.0],
+    ])
+    drawn = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    x = np.concatenate([special, -special, drawn])
+    out = tmp_path / "x.csv"
+    cli._write_csv(out, ["x"], [x])
+    assert out.read_text() == "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist())
 
 
 def test_scan_smallest_grid(tmp_path):
@@ -459,6 +509,25 @@ def test_long_chords_of_taylor_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("chordscan: numerical failure:") and "not finite" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_taylor_values_above_one_exit_3(tmp_path, capsys):
+    """At s = 1, 2 and 3 the order-4 polynomial reads |chi|^2 of 2.3e4 to 1.9e8;
+    |chi| <= 1 holds for every state, so the cut is refused, not flagged ok."""
+    assert run("cut", "--slope", "1", "--range=0:3", "--samples", "4",
+               "--evaluator", "taylor:4", "--out", str(tmp_path / "x.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("chordscan: numerical failure: taylor:4") and "exceeds 1" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["taylorx", "taylor:", "taylor:0", "wigner"])
+def test_unknown_evaluator_is_a_config_error(tmp_path, capsys, name):
+    assert run("cut", "--slope", "1", "--range=0:0.1", "--samples", "2",
+               "--evaluator", name, "--out", str(tmp_path / "x.csv")) == 1
+    err = capsys.readouterr().err
+    assert err == (f"chordscan: unknown evaluator {name!r}; known: exact, small, "
+                   "semiclassical, sp_small, sp_full, taylor\n")
 
 
 @pytest.mark.parametrize("command", [

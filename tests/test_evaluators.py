@@ -21,7 +21,8 @@ def test_factory_protocol(sheared, name):
     ev = make_evaluator(name, sheared)
     assert ev.state is sheared
     assert isinstance(ev.name, str) and ev.name
-    out = ev((0.4, 0.3))
+    scale = TAYLOR_SCALE if name.startswith("taylor") else 1.0
+    out = ev((0.4 * scale, 0.3 * scale))
     assert np.isfinite(complex(out))
 
 
@@ -40,6 +41,10 @@ def test_unknown_name_rejected(sheared):
         make_evaluator("wigner", sheared)
     with pytest.raises(ValueError):
         make_evaluator("taylor:x", sheared)
+    # a Taylor order is an integer K >= 1 after one colon, or none
+    for name in ("taylorx", "taylor:", "taylor:0", "taylor:-1", "taylor:2.5"):
+        with pytest.raises(ValueError, match="unknown evaluator"):
+            make_evaluator(name, sheared)
 
 
 def test_routes_agree_at_short_chords(sheared):
@@ -107,6 +112,13 @@ BATCH_STATES = {
 }
 
 
+# taylor:K refuses a chord past its polynomial's range (|chi| > 1), which for
+# these states begins near |xi| = 0.3; the protocol tests take it on their
+# chords scaled by this factor, and test_taylor_refuses_values_above_one on
+# the chords themselves
+TAYLOR_SCALE = 0.05
+
+
 def batch_chords(state, seed):
     """Seeded chords plus the special ones: xi = 0, the xi_p = 0 row, and
     chords just inside, at and past the ring's diameter (near-caustic,
@@ -124,6 +136,8 @@ def test_evaluate_matches_one_chord_calls(name, state_name):
     state = BATCH_STATES[state_name]
     ev = make_evaluator(name, state)
     chords = batch_chords(state, seed=sorted(BATCH_STATES).index(state_name))
+    if name == "taylor":
+        chords = chords * TAYLOR_SCALE
     values, flags = ev.evaluate(chords[:, 0], chords[:, 1])
     assert values.shape == flags.shape == (len(chords),)
     assert flags.dtype == np.uint8
@@ -146,11 +160,26 @@ def test_evaluate_matches_one_chord_calls(name, state_name):
 def test_evaluate_keeps_the_batch_shape(sheared, name):
     ev = make_evaluator(name, sheared)
     xi_p, xi_q = np.meshgrid(axis(-1.2, 1.2, 4), axis(-0.9, 0.6, 3), indexing="ij")
+    if name == "taylor":
+        xi_p, xi_q = xi_p * TAYLOR_SCALE, xi_q * TAYLOR_SCALE
     values, flags = ev.evaluate(xi_p, xi_q)
     assert values.shape == flags.shape == (4, 3)
     flat, flat_flags = ev.evaluate(xi_p.ravel(), xi_q.ravel())
     np.testing.assert_array_equal(values.ravel(), flat)
     np.testing.assert_array_equal(flags.ravel(), flat_flags)
+
+
+@pytest.mark.parametrize("state_name", BATCH_STATES)
+def test_taylor_refuses_values_above_one(state_name):
+    """Past its range the polynomial grows without bound while |chi| <= 1 holds
+    for every state, so a batch or a one-chord call there is refused."""
+    state = BATCH_STATES[state_name]
+    ev = make_evaluator("taylor", state)
+    chords = batch_chords(state, seed=sorted(BATCH_STATES).index(state_name))
+    with pytest.raises(NumericalError, match="exceeds 1"):
+        ev.evaluate(chords[:, 0], chords[:, 1])
+    with pytest.raises(NumericalError, match="exceeds 1"):
+        ev((2.5, 2.5))
 
 
 @pytest.mark.parametrize("name", EVALUATOR_NAMES)
