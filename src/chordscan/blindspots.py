@@ -172,7 +172,6 @@ class BlindSpot:
 class BlindSpotSearch:
     spots: tuple[BlindSpot, ...]
     n_seeds: int
-    tol: float
 
     def nearest(self) -> BlindSpot:
         if not self.spots:
@@ -189,9 +188,10 @@ def _chi(evaluator, points):
 # Jacobian stencil of one Newton step: the chord offsets +e_p, -e_p, +e_q, -e_q
 _JACOBIAN_OFFSETS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 _HALVINGS = 8
+NEWTON_MAX_ITER = 40  # Newton steps a seed may take before it is rejected
 
 
-def _newton_polish(evaluator, seeds, step, tol, max_iter=40):
+def _newton_polish(evaluator, seeds, step, tol):
     """Damped Newton on (Re chi, Im chi) from every seed at once.
 
     The seeds move in lockstep, one evaluate call per stage: the four-chord
@@ -199,8 +199,8 @@ def _newton_polish(evaluator, seeds, step, tol, max_iter=40):
     per damping halving over the seeds whose step has not yet reduced |chi|.
     Each seed follows the rules of a lone iteration: it stops once
     |chi| < tol (its iteration count is the number of steps taken), when its
-    Jacobian is singular, when 8 halvings fail to reduce |chi|, or after
-    ``max_iter`` steps.
+    Jacobian is singular, when _HALVINGS halvings fail to reduce |chi|, or
+    after NEWTON_MAX_ITER steps.
 
     Returns (xi, mag, iterations): final chords (n, 2), |chi| there (n,) and
     iteration counts (n,).
@@ -208,9 +208,9 @@ def _newton_polish(evaluator, seeds, step, tol, max_iter=40):
     xi = np.array(seeds, dtype=float).reshape(-1, 2)
     value = _chi(evaluator, xi)
     mag = np.abs(value)
-    iterations = np.full(len(xi), max_iter)
+    iterations = np.full(len(xi), NEWTON_MAX_ITER)
     active = np.arange(len(xi))
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         converged = mag[active] < tol
         iterations[active[converged]] = it - 1
         active = active[~converged]
@@ -295,7 +295,7 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     seeds = _seed_chords(grid)
     if len(seeds) == 0:
-        return BlindSpotSearch(spots=(), n_seeds=0, tol=tol)
+        return BlindSpotSearch(spots=(), n_seeds=0)
 
     xp, xq = grid.xi_p_axis, grid.xi_q_axis
     width = max(xp[-1] - xp[0], xq[-1] - xq[0])
@@ -319,7 +319,7 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
                        value=complex(v), iterations=int(iterations[k]))
              for k, v, ok in zip(kept, z[:, 0], resolved) if ok]
     found.sort(key=lambda s: s.radius)
-    return BlindSpotSearch(spots=tuple(found), n_seeds=len(seeds), tol=tol)
+    return BlindSpotSearch(spots=tuple(found), n_seeds=len(seeds))
 
 
 def first_zero_along(evaluator, direction, s_max: float) -> float:

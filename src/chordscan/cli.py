@@ -8,8 +8,9 @@ bit-identical files). The writer formats whole columns with numpy,
 CSV_BLOCK_ROWS rows at a time: a fast path takes the 17 digits of each finite
 value in FAST_RANGE from an exact double-double product, and zeros, nan, inf,
 values outside FAST_RANGE and near-ties at the 17th digit fall back to
-``"%.17g"`` itself. Wall-clock timings appear only in JSON, under a key that
-marks them as outside the determinism guarantee.
+``"%.17g"`` itself, as do a scan's axis columns, once per axis value.
+Wall-clock timings appear only in JSON, under a key that marks them as
+outside the determinism guarantee.
 
 Options may come from ``KEY=VALUE`` lines of the command's own keys in a
 config file (``--config``); explicit flags win over the file, and the
@@ -349,8 +350,10 @@ def cmd_scan(args) -> int:
     elapsed = time.perf_counter() - started
 
     values = grid.values.ravel()
+    # the axis columns repeat the axis's values: each is formatted once
+    ticks = np.array([b"%.17g" % v for v in xp.tolist()])
     _write_csv(out, ["xi_p", "xi_q", "re", "im", "abs2", "phase", "flag"], [
-        np.repeat(xp, xq.size), np.tile(xq, xp.size), values.real, values.imag,
+        np.repeat(ticks, xq.size), np.tile(ticks, xp.size), values.real, values.imag,
         _abs2(values), np.angle(values), _FLAG_BYTES[grid.flags.ravel()]])
     _write_report(out.with_suffix(".json"), "scan", opt, elapsed, {
         "parameters": grid.metadata,

@@ -80,7 +80,6 @@ def _taylor(state: CurveSpec, order: int) -> Evaluator:
 def make_evaluator(name: str, state: CurveSpec) -> Evaluator:
     """Build an evaluator by name; Taylor orders spell ``taylor:K`` with an
     integer K >= 1, and plain ``taylor`` is ``taylor:4``."""
-    name = {"sp-small": "sp_small", "sp-full": "sp_full"}.get(name, name)
     if name == "exact":
         return exact.ExactEvaluator(state)
     if name in _KERNELS:

@@ -98,24 +98,25 @@ _STENCILS = {
     3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
     4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
+# rows of the Richardson table: the starting step and five halvings of it
+RICHARDSON_LEVELS = 6
 
 
-def richardson_derivative(f, order: int, h0: float, tol: float = 1e-8,
-                          levels: int = 6):
+def richardson_derivative(f, order: int, h0: float, tol: float = 1e-8):
     """n-th derivative of ``f`` at 0 by central differences + Richardson table.
 
     ``f`` is vectorized over offsets: it maps an array of offsets s to the
     array of f(s), and is called once, on the stencil points of every level.
-    The step is halved ``levels - 1`` times. Each level's error estimate is
-    the difference of its diagonal entry from the previous level's, and, as
-    in Ridders' method, the entry with the smallest estimate is returned,
-    with that estimate, once it is below ``tol``. Raises ConvergenceError
+    The step is halved RICHARDSON_LEVELS - 1 times. Each level's error
+    estimate is the difference of its diagonal entry from the previous
+    level's, and, as in Ridders' method, the entry with the smallest estimate
+    is returned, with that estimate, once it is below ``tol``. Raises ConvergenceError
     (suggesting a different starting step) if no level's is.
     """
     if order not in _STENCILS:
         raise ValueError(f"derivative order {order} not supported (1..4)")
     stencil = _STENCILS[order]
-    steps = [h0 / 2 ** i for i in range(levels)]
+    steps = [h0 / 2 ** i for i in range(RICHARDSON_LEVELS)]
     samples = np.asarray(f(np.array([[k * h for k, _ in stencil] for h in steps])))
 
     diag = []

@@ -26,12 +26,13 @@ Geometry conventions (frozen; every phase below depends on them)
       sqrt(2 pi hbar) / (2 pi) |bracket|^(-1/2)
           exp[ i (A + midpoint ∧ xi) / hbar + i (pi/4) (sigma - 2) ],
 
-  with sigma = sign(h') and midpoint the chord midpoint. The quarter-turn
-  offset (sigma - 2) is pinned two independent ways: analytically by matching
-  both branches to the J_0 asymptotics on the unsheared ring (hermiticity
-  forces the two branch constants to differ by pi), and numerically by
-  calibrate_maslov_offsets, which grid-searches the integer offsets against
-  the closed-form ring chord function.
+  with sigma = sign(h') and midpoint the chord midpoint. The Maslov phase
+  (pi/4)(sigma - 2) is fixed by the geometry (Berry & Mount, Rep. Prog. Phys.
+  35, 1972). It is pinned analytically by matching both branches to the J_0
+  asymptotics on the unsheared ring (hermiticity forces the two branch
+  constants to differ by pi), and the tests grid-search the integer
+  quarter-turn offset of each branch against the closed-form ring chord
+  function and land on this phase.
 
 Closed-form geometry of the cubic shear
 ---------------------------------------
@@ -408,24 +409,22 @@ def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
         grazing=bool(grazing[0]))
 
 
-def sp_full_values(curve: CurveSpec, xi_p, xi_q, offsets=(-2.0, -2.0)):
+def sp_full_values(curve: CurveSpec, xi_p, xi_q):
     """Full stationary-phase chord function, a sum over chord realizations: (values, flag codes).
 
-    At every chord (xi_p[k], xi_q[k]) of two 1-d arrays. ``offsets`` are the
-    quarter-turn constants added to the phase on the sigma = +1 and
-    sigma = -1 branches; the default (-2, -2) is validated by
-    calibrate_maslov_offsets and the closed-form ring tests.
+    At every chord (xi_p[k], xi_q[k]) of two 1-d arrays, each realization
+    weighted as in the module docstring, Maslov phase (pi/4)(sigma - 2)
+    included.
     """
     count = xi_p.size
     chord, geo, grazing = _realizations(curve, xi_p, xi_q)
     kept = np.abs(geo.bracket) >= DENOMINATOR_FLOOR
     sel = chord[kept]
     sigma = np.copysign(1.0, geo.h_prime[kept])
-    offset = np.where(sigma > 0, offsets[0], offsets[1])
     mid_p = geo.foot_p[kept] + 0.5 * xi_p[sel]
     mid_q = geo.foot_q[kept] + 0.5 * xi_q[sel]
     phase = ((geo.area[kept] + (mid_p * xi_q[sel] - mid_q * xi_p[sel])) / curve.hbar
-             + 0.25 * np.pi * (sigma + offset))
+             + 0.25 * np.pi * (sigma - 2.0))
     terms = (np.sqrt(TWO_PI * curve.hbar) / TWO_PI / np.sqrt(np.abs(geo.bracket[kept]))
              * np.exp(1j * phase))
     found = np.bincount(chord, minlength=count) > 0
@@ -459,29 +458,3 @@ def chi_semiclassical(curve: CurveSpec, xi) -> ChordValue:
     classical = chi_small(curve, xi).value
     values, flags = semiclassical_values(curve, *_single(xi), np.array([classical]))
     return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])
-
-
-def calibrate_maslov_offsets(n: int = 5, hbar: float = 0.1,
-                             search: range = range(-3, 4)) -> tuple[int, int]:
-    """Recover the branch quarter-turn offsets from the closed-form ring.
-
-    Evaluates sp_full with every integer offset pair on mid-ring chords of
-    the unsheared state and returns the pair minimizing the worst-case error
-    against the closed form. Development/validation tool; the winner is
-    hard-coded into sp_full_values' default.
-    """
-    from .exact import fock_chi_radial
-
-    state = CurveSpec(n=n, hbar=hbar)
-    radii, angles = np.meshgrid(np.linspace(0.55, 1.45, 5) * state.radius, (0.3, 2.1),
-                                indexing="ij")
-    xi_p, xi_q = (radii * np.cos(angles)).ravel(), (radii * np.sin(angles)).ravel()
-    reference = fock_chi_radial(n, hbar, np.hypot(xi_p, xi_q))
-    best, best_err = None, np.inf
-    for k_plus in search:
-        for k_minus in search:
-            values, _ = sp_full_values(state, xi_p, xi_q, offsets=(k_plus, k_minus))
-            err = np.max(np.abs(values - reference))
-            if err < best_err:
-                best, best_err = (k_plus, k_minus), err
-    return best

@@ -366,14 +366,15 @@ def _report_seeds(ev, half, rng):
 class TestBatchPaths:
     @pytest.mark.parametrize("max_iter", [40, 3])
     @pytest.mark.parametrize("name", sorted(REPORT_STATES))
-    def test_lone_and_lockstep_polish_agree(self, name, max_iter):
+    def test_lone_and_lockstep_polish_agree(self, name, max_iter, monkeypatch):
         """Polishing each seed alone and all seeds in lockstep gives the same
         iteration counts, the same rejects and the same roots."""
+        monkeypatch.setattr("chordscan.blindspots.NEWTON_MAX_ITER", max_iter)
         state, half = REPORT_STATES[name]
         ev = ExactEvaluator(state)
         seeds = _report_seeds(ev, half, np.random.default_rng(11))
         step = 2e-6 * half  # as find_blind_spots sets it for this region
-        xi, mag, iters = _newton_polish(ev, seeds, step, 1e-8, max_iter=max_iter)
+        xi, mag, iters = _newton_polish(ev, seeds, step, 1e-8)
         # the full budget polishes every seed; three steps leave some rejected
         assert np.any(mag >= 1e-8) == (max_iter == 3)
         # a root far outside the scanned region can sit in the tail, where
@@ -381,8 +382,7 @@ class TestBatchPaths:
         pinned = (mag < 1e-8) & np.all(np.abs(xi) <= 2.0 * half, axis=1)
         assert pinned.any()
         for k, seed in enumerate(seeds):
-            xi1, mag1, iters1 = _newton_polish(ev, seed[None, :], step, 1e-8,
-                                               max_iter=max_iter)
+            xi1, mag1, iters1 = _newton_polish(ev, seed[None, :], step, 1e-8)
             assert iters1[0] == iters[k]
             assert (mag1[0] < 1e-8) == (mag[k] < 1e-8)
             if pinned[k]:

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +406,22 @@ def test_blindspots_report(tmp_path):
     assert 0.5 < report["estimate_over_nearest"] < 1.0
 
 
+def test_taylor_blindspots_inside_the_polynomial_range(tmp_path):
+    """taylor:8 locates the innermost spots on a region inside its polynomial's
+    range; the recipe's +-0.45 reaches chords where its |chi| exceeds 1."""
+    out = tmp_path / "spots.json"
+    recipe = Path(__file__).resolve().parents[1] / "recipes" / "blindspot-report.cfg"
+    assert run("blindspots", "--config", str(recipe), "--evaluator", "taylor:8",
+               "--region=-0.25:0.25", "--out", str(out)) == 0
+    spots = json.loads(out.read_text())["located_spots"]
+    assert len(spots) == 6
+    # three +/- pairs, sorted by radius; the exact route's innermost spots
+    # sit at radii 0.2082 and 0.2296
+    radii = [spot["radius"] for spot in spots]
+    assert radii[0] == pytest.approx(0.2082, abs=1e-3)
+    assert radii[2] == pytest.approx(0.2296, abs=1e-3)
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_blindspots_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol):
     out = tmp_path / "spots.json"
@@ -521,7 +538,7 @@ def test_taylor_values_above_one_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["taylorx", "taylor:", "taylor:0", "wigner"])
+@pytest.mark.parametrize("name", ["taylorx", "taylor:", "taylor:0", "wigner", "sp-full"])
 def test_unknown_evaluator_is_a_config_error(tmp_path, capsys, name):
     assert run("cut", "--slope", "1", "--range=0:0.1", "--samples", "2",
                "--evaluator", name, "--out", str(tmp_path / "x.csv")) == 1

@@ -31,9 +31,11 @@ def test_taylor_order_in_name(sheared):
     assert make_evaluator("taylor", sheared).name == "taylor:4"
 
 
-def test_dashed_spellings_accepted(sheared):
-    assert make_evaluator("sp-small", sheared).name == "sp_small"
-    assert make_evaluator("sp-full", sheared).name == "sp_full"
+def test_dashed_spellings_rejected(sheared):
+    """Each route has one spelling, the one EVALUATOR_NAMES lists."""
+    for name in ("sp-small", "sp-full"):
+        with pytest.raises(ValueError, match="unknown evaluator"):
+            make_evaluator(name, sheared)
 
 
 def test_unknown_name_rejected(sheared):

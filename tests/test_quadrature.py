@@ -84,4 +84,4 @@ def test_richardson_unsupported_order():
 
 def test_richardson_budget_exhaustion():
     with pytest.raises(ConvergenceError):
-        richardson_derivative(np.exp, order=1, h0=0.1, tol=0.0, levels=3)
+        richardson_derivative(np.exp, order=1, h0=0.1, tol=0.0)

@@ -8,7 +8,7 @@ import pytest
 from chordscan import (CurveSpec, Flag, chi_semiclassical, chi_small,
                        chord_realizations, evolved_chi, make_evaluator, tangency_points, wedge)
 from chordscan.exact import fock_chi_radial
-from chordscan.semiclassical import calibrate_maslov_offsets
+from chordscan.semiclassical import DENOMINATOR_FLOOR
 
 
 # -- tangencies ----------------------------------------------------------------
@@ -94,10 +94,32 @@ def test_sp_full_matches_closed_form_mid_ring(ring, s):
         assert err < 0.02
 
 
-def test_branch_offsets_recovered_by_calibration():
-    """Grid-searching the quarter-turn constants against the closed form
-    lands on the hard-coded production pair."""
-    assert calibrate_maslov_offsets() == (-2, -2)
+def test_branch_offsets_recovered_by_calibration(ring):
+    """Grid-searching the quarter-turn offsets k of each branch, phase
+    (pi/4)(sigma + k), against the closed form on mid-ring chords lands on
+    (-2, -2), the Maslov phase (pi/4)(sigma - 2) that sp_full uses."""
+    radii, angles = np.meshgrid(np.linspace(0.55, 1.45, 5) * ring.radius, (0.3, 2.1),
+                                indexing="ij")
+    chords = np.stack([(radii * np.cos(angles)).ravel(), (radii * np.sin(angles)).ravel()], -1)
+    reference = fock_chi_radial(5, 0.1, np.hypot(chords[:, 0], chords[:, 1]))
+    realizations = [[real for real in chord_realizations(ring, xi).realizations
+                     if abs(real.bracket) >= DENOMINATOR_FLOOR] for xi in chords]
+
+    def sums(offsets):
+        return np.array([
+            sum(math.sqrt(2 * math.pi * ring.hbar) / (2 * math.pi) / math.sqrt(abs(real.bracket))
+                * np.exp(1j * ((real.area + wedge(real.midpoint, xi)) / ring.hbar
+                               + 0.25 * math.pi * (real.sigma
+                                                   + offsets[0 if real.sigma > 0 else 1])))
+                for real in found)
+            for xi, found in zip(chords, realizations)])
+
+    search = range(-3, 4)
+    errors = {(k_plus, k_minus): np.max(np.abs(sums((k_plus, k_minus)) - reference))
+              for k_plus in search for k_minus in search}
+    assert min(errors, key=errors.get) == (-2, -2)
+    values, _ = make_evaluator("sp_full", ring).evaluate(chords[:, 0], chords[:, 1])
+    np.testing.assert_allclose(sums((-2, -2)), values, rtol=0.0, atol=1e-12)
 
 
 # -- flags ------------------------------------------------------------------------
