@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import Chord, Flag
+from .core import Chord
 from .gridscan import ChordFieldGrid
 from .quadrature import NumericalError
 
@@ -64,13 +63,8 @@ class NodalCurve:
 
 @dataclass(frozen=True)
 class NodalSet:
-    component: str
     curves: tuple[NodalCurve, ...]
-    flag: Flag
-
-    @property
-    def degenerate(self) -> bool:
-        return self.flag is Flag.DEGENERATE_SYMMETRY
+    degenerate: bool  # the component is identically zero: no line is defined
 
 
 def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
@@ -78,8 +72,7 @@ def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
     comp = grid.component(component)
     scale = float(np.max(np.abs(grid.values)))
     if float(np.max(np.abs(comp))) < DEGENERACY_RATIO * scale:
-        return NodalSet(component=component, curves=(),
-                        flag=Flag.DEGENERATE_SYMMETRY)
+        return NodalSet(curves=(), degenerate=True)
     # nudge zeros (exact or within the noise floor) off the lattice to one
     # fixed side, so every cell has 0, 2 or 4 crossings and the traced line
     # does not follow the signs of round-off
@@ -151,7 +144,7 @@ def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
             trace(key)
 
     curves.sort(key=lambda c: -len(c.points))
-    return NodalSet(component=component, curves=tuple(curves), flag=Flag.OK)
+    return NodalSet(curves=tuple(curves), degenerate=False)
 
 
 # -- blind spots ------------------------------------------------------------
@@ -346,6 +339,8 @@ def first_zero_along(evaluator, direction, s_max: float) -> float:
     if crossings.size == 0:
         raise NumericalError(f"no zero on the ray within s <= {s_max}")
     k = crossings[0]
+    # imported here: scipy.optimize would add ~0.26 s to every chordscan process
+    from scipy.optimize import brentq
     root = brentq(lambda x: along(x).real, ss[k], ss[k + 1], xtol=1e-13)
     residual = abs(along(root))
     if residual > RAY_TOL:

@@ -28,7 +28,6 @@ import json
 import math
 import sys
 import time
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -303,9 +302,8 @@ def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:
-    """``abs(z) ** 2`` of each Python complex z: np.abs, and numpy's square or
-    power of the modulus, differ from it in the last bit on some values."""
-    return np.fromiter(map(pow, map(abs, values.tolist()), repeat(2)), float, values.size)
+    """|z|^2 as hypot(re, im) ** 2 (np.abs of a complex differs from hypot in the last bit)."""
+    return np.hypot(values.real, values.imag) ** 2
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -356,7 +354,7 @@ def cmd_scan(args) -> int:
         np.repeat(ticks, xq.size), np.tile(ticks, xp.size), values.real, values.imag,
         _abs2(values), np.angle(values), _FLAG_BYTES[grid.flags.ravel()]])
     _write_report(out.with_suffix(".json"), "scan", opt, elapsed, {
-        "parameters": grid.metadata,
+        "evaluator": evaluator.name,
         "flag_counts": {f.value: c for f, c in grid.flag_counts().items()},
         "rows": int(xp.size * xq.size),
     })

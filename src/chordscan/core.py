@@ -41,19 +41,15 @@ class Chord(NamedTuple):
 class Flag(enum.Enum):
     """Qualifier attached to evaluated chord-function values, least severe first.
 
-    OK                   value trusted at the evaluator's stated accuracy
-    EVANESCENT           chord longer than any chord of the curve (no real
-                         realizations; semiclassical value decays)
-    NEAR_CAUSTIC         a stationary-phase denominator fell below tolerance
-    DEGENERATE_SYMMETRY  a quantity is identically zero by symmetry, so a
-                         derived object (nodal line, blind-spot direction)
-                         is not defined
+    OK            value trusted at the evaluator's stated accuracy
+    EVANESCENT    chord longer than any chord of the curve (no real
+                  realizations; semiclassical value decays)
+    NEAR_CAUSTIC  a stationary-phase denominator fell below tolerance
     """
 
     OK = "ok"
     EVANESCENT = "evanescent"
     NEAR_CAUSTIC = "near_caustic"
-    DEGENERATE_SYMMETRY = "degenerate_symmetry"
 
 
 # Small-int codes used when flags are stored in arrays. A flag's code is its
@@ -63,7 +59,7 @@ FLAGS_BY_CODE = {code: flag for flag, code in FLAG_CODES.items()}
 
 
 def worst_flag(*flags: Flag) -> Flag:
-    """The most severe of the given flags (OK < EVANESCENT < NEAR_CAUSTIC < ...)."""
+    """The most severe of the given flags (OK < EVANESCENT < NEAR_CAUSTIC)."""
     return max(flags, key=FLAG_CODES.__getitem__)
 
 

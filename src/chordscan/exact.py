@@ -125,7 +125,7 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
     shape = (xi_p.size, xi_q.size) if tensor else xi_p.shape
     if 0 in shape:
         return np.zeros(shape, dtype=complex)
-    radius = np.sqrt(state.hbar * (2 * state.n + 1))
+    radius = state.radius
     half_width = radius + OVERLAP_TAIL * np.sqrt(state.hbar) + 0.5 * np.max(np.abs(xi_p))
     reach = np.max(np.abs(xi_q)) + 4.0 * radius
     # the certificate compares the first rule with its doubling

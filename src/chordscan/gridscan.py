@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class ChordFieldGrid:
     values: np.ndarray
     flags: np.ndarray
     hbar: float
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         nshape = (self.xi_p_axis.size, self.xi_q_axis.size)
@@ -71,7 +70,7 @@ def scan_grid(evaluator, xi_p_axis, xi_q_axis) -> ChordFieldGrid:
 
     Uses the evaluator's tensor-grid fast path ``grid`` when it has one that
     is not None, and otherwise one ``evaluate`` call on the whole mesh. The
-    evaluator must expose ``state`` (a CurveSpec) and ``name``.
+    evaluator must expose ``state`` (a CurveSpec).
     """
     xi_p_axis = np.asarray(xi_p_axis, dtype=float)
     xi_q_axis = np.asarray(xi_q_axis, dtype=float)
@@ -81,13 +80,5 @@ def scan_grid(evaluator, xi_p_axis, xi_q_axis) -> ChordFieldGrid:
         values, flags = evaluator.evaluate(*np.meshgrid(xi_p_axis, xi_q_axis, indexing="ij"))
     values = np.asarray(values, dtype=complex)
     flags = np.asarray(flags, dtype=np.uint8)
-    state = evaluator.state
-    metadata = {
-        "evaluator": evaluator.name,
-        "n": state.n, "hbar": state.hbar, "alpha": list(state.alpha), "t": state.t,
-        "xi_p": [float(xi_p_axis[0]), float(xi_p_axis[-1]), int(xi_p_axis.size)],
-        "xi_q": [float(xi_q_axis[0]), float(xi_q_axis[-1]), int(xi_q_axis.size)],
-    }
     return ChordFieldGrid(xi_p_axis=xi_p_axis, xi_q_axis=xi_q_axis,
-                          values=values, flags=flags, hbar=state.hbar,
-                          metadata=metadata)
+                          values=values, flags=flags, hbar=evaluator.state.hbar)

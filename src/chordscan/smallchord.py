@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Chord, ChordValue, Flag, PhasePoint, wedge
+from .core import Chord, ChordValue, PhasePoint
 from .curves import CurveSpec
 from .quadrature import NumericalError, periodic_mean, richardson_derivative
 
@@ -248,7 +248,6 @@ class BlindSpotEstimate:
     level: float
     spots: tuple[Chord, ...]
     degenerate: bool
-    flag: Flag
 
     @property
     def radius(self) -> float:
@@ -268,10 +267,8 @@ def closest_blind_spot_estimate(moments: SecondOrderMoments,
     mp, mq = moments.mean
     norm = math.hypot(mp, mq)
     if norm < 1e-8 * math.sqrt(moments.p2 + moments.q2):
-        return BlindSpotEstimate(matrix=m, level=level, spots=(),
-                                 degenerate=True, flag=Flag.DEGENERATE_SYMMETRY)
+        return BlindSpotEstimate(matrix=m, level=level, spots=(), degenerate=True)
     u = np.array([mp, mq]) / norm
     s = math.sqrt(level / float(u @ m @ u))
     spots = (Chord(s * u[0], s * u[1]), Chord(-s * u[0], -s * u[1]))
-    return BlindSpotEstimate(matrix=m, level=level, spots=spots,
-                             degenerate=False, flag=Flag.OK)
+    return BlindSpotEstimate(matrix=m, level=level, spots=spots, degenerate=False)

@@ -135,8 +135,9 @@ def test_scan_roundtrip(tmp_path):
 
     meta = json.loads(out.with_suffix(".json").read_text())
     assert meta["command"] == "scan"
-    assert meta["parameters"]["evaluator"] == "small"
-    assert meta["parameters"]["t"] == 0.1  # spec default is the sheared state
+    assert meta["evaluator"] == "small"
+    assert float(meta["config"]["t"]) == 0.1  # spec default is the sheared state
+    assert "parameters" not in meta
     assert meta["rows"] == 25
     assert meta["flag_counts"] == {"ok": 25}
     assert "elapsed_seconds_nondeterministic" in meta
@@ -274,8 +275,8 @@ def test_config_file_with_flag_override(tmp_path):
                    f"out={out}\n")
     assert run("scan", "--config", str(cfg), "--evaluator", "exact") == 0
     meta = json.loads(out.with_suffix(".json").read_text())
-    assert meta["parameters"]["evaluator"] == "exact"  # flag wins
-    assert meta["parameters"]["t"] == 0.3              # file survives
+    assert meta["evaluator"] == "exact"        # flag wins
+    assert float(meta["config"]["t"]) == 0.3  # file survives
 
 
 def _report_without_timing(path):

@@ -42,7 +42,6 @@ def test_chord_value_components():
     ((Flag.OK,), Flag.OK),
     ((Flag.OK, Flag.EVANESCENT), Flag.EVANESCENT),
     ((Flag.EVANESCENT, Flag.NEAR_CAUSTIC, Flag.OK), Flag.NEAR_CAUSTIC),
-    ((Flag.NEAR_CAUSTIC, Flag.DEGENERATE_SYMMETRY), Flag.DEGENERATE_SYMMETRY),
 ])
 def test_worst_flag(flags, expected):
     assert worst_flag(*flags) is expected

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chordscan import (CurveSpec, Flag, chi_semiclassical, chi_small,
+from chordscan import (Flag, chi_semiclassical, chi_small,
                        chord_realizations, evolved_chi, make_evaluator, tangency_points, wedge)
 from chordscan.exact import fock_chi_radial
 from chordscan.semiclassical import DENOMINATOR_FLOOR
