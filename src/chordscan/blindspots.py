@@ -184,7 +184,7 @@ _HALVINGS = 8
 NEWTON_MAX_ITER = 40  # Newton steps a seed may take before it is rejected
 
 
-def _newton_polish(evaluator, seeds, step, tol):
+def _newton_polish(evaluator, seeds, step, tol, box):
     """Damped Newton on (Re chi, Im chi) from every seed at once.
 
     The seeds move in lockstep, one evaluate call per stage: the four-chord
@@ -192,8 +192,10 @@ def _newton_polish(evaluator, seeds, step, tol):
     per damping halving over the seeds whose step has not yet reduced |chi|.
     Each seed follows the rules of a lone iteration: it stops once
     |chi| < tol (its iteration count is the number of steps taken), when its
-    Jacobian is singular, when _HALVINGS halvings fail to reduce |chi|, or
-    after NEWTON_MAX_ITER steps.
+    Jacobian is singular, when _HALVINGS halvings fail to reduce |chi|, when
+    a damped candidate leaves ``box`` = (low, high), the chords with
+    low <= (xi_p, xi_q) <= high componentwise (that candidate is never
+    evaluated), or after NEWTON_MAX_ITER steps.
 
     Returns (xi, mag, iterations): final chords (n, 2), |chi| there (n,) and
     iteration counts (n,).
@@ -222,10 +224,14 @@ def _newton_polish(evaluator, seeds, step, tol):
         rhs = -np.stack([value[trying].real, value[trying].imag], axis=-1)
         delta = np.linalg.solve(jac[solvable], rhs[..., None])[..., 0]
         lam = 1.0
+        stopped = []
         for _ in range(_HALVINGS):
+            cand = xi[trying] + lam * delta
+            inside = np.all((cand >= box[0]) & (cand <= box[1]), axis=1)
+            stopped.append(trying[~inside])
+            trying, delta, cand = trying[inside], delta[inside], cand[inside]
             if trying.size == 0:
                 break
-            cand = xi[trying] + lam * delta
             z = _chi(evaluator, cand)
             mc = np.abs(z)
             better = mc < mag[trying]
@@ -235,8 +241,9 @@ def _newton_polish(evaluator, seeds, step, tol):
             mag[taken] = mc[better]
             trying, delta = trying[~better], delta[~better]
             lam *= 0.5
-        iterations[trying] = it  # damping failed; stuck
-        active = np.setdiff1d(active[solvable], trying, assume_unique=True)
+        stopped = np.concatenate(stopped + [trying])  # left the box, or damping failed
+        iterations[stopped] = it
+        active = np.setdiff1d(active[solvable], stopped, assume_unique=True)
     return xi, mag, iterations
 
 
@@ -276,13 +283,17 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
     both sides of a nodal row count. The seed cells' centers, in row-major
     order, start a lockstep damped Newton iteration on the evaluator that
     makes O(Newton steps x halvings) ``evaluate`` calls whatever the number
-    of seeds. Converged roots closer than one cell diagonal to an earlier
-    seed's root are merged. A root is kept only if it is a resolved zero,
+    of seeds. The iteration is confined to the scanned region widened by
+    one region width on every side: a seed whose damped step would leave
+    that box stops unevaluated and is rejected, so a near-singular Jacobian
+    cannot fling one chord far outside the state and fail the whole batch.
+    Converged roots closer than one cell diagonal to an earlier seed's root
+    are merged. A root is kept only if it is a resolved zero,
     |grad chi| * cell diagonal >= ``DEGENERACY_RATIO`` * max|chi| on the
     grid; this drops points of the decayed tail, where |chi| itself is below
-    ``tol``. Roots outside the scanned region are not otherwise dropped.
-    Spots are returned sorted by distance from the origin. ``tol`` must be
-    finite and positive.
+    ``tol``. Roots outside the scanned region but inside the box are not
+    otherwise dropped. Spots are returned sorted by distance from the
+    origin. ``tol`` must be finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -294,7 +305,8 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
     width = max(xp[-1] - xp[0], xq[-1] - xq[0])
     step = 1e-6 * width
     cell_diag = math.hypot(xp[1] - xp[0], xq[1] - xq[0])
-    xi, mag, iterations = _newton_polish(evaluator, seeds, step, tol)
+    box = (np.array([xp[0], xq[0]]) - width, np.array([xp[-1], xq[-1]]) + width)
+    xi, mag, iterations = _newton_polish(evaluator, seeds, step, tol, box)
     kept = []
     for k in np.flatnonzero(mag < tol):
         if any(math.hypot(xi[k, 0] - xi[j, 0], xi[k, 1] - xi[j, 1]) < cell_diag

@@ -80,9 +80,6 @@ class CurveSpec:
         _, _, a2, a3 = self.alpha
         return 6.0 * a3 * p + 2.0 * a2
 
-    def drift_d2(self, p):
-        return 6.0 * self.alpha[3]
-
     # -- parameterization ------------------------------------------------
     #
     # theta runs over [0, 2pi); the orientation is the one that makes
@@ -103,17 +100,6 @@ class CurveSpec:
         dp = -r * np.sin(theta)
         dq = r * np.cos(theta) + self.drift_d1(p) * dp * self.t
         return dp, dq
-
-    def acceleration(self, theta):
-        """d^2 x / d theta^2."""
-        theta = np.asarray(theta, dtype=float)
-        r = self.radius
-        p = r * np.cos(theta)
-        dp = -r * np.sin(theta)
-        ddp = -r * np.cos(theta)
-        ddq = -r * np.sin(theta) + self.t * (self.drift_d2(p) * dp * dp
-                                             + self.drift_d1(p) * ddp)
-        return ddp, ddq
 
     # -- action function ---------------------------------------------------
 

@@ -65,8 +65,9 @@ grouped by degree, and each group takes one stacked real np.linalg.eigvals
 call on its companion matrices. Each root maps back to
 z = exp(i phi) (1 + i tau) / (1 - i tau), and counts as a real angle when
 |ln|z|| <= sqrt(ROUND_OFF): a double root splits by the square root of the
-coefficients' round-off. Tip angle, arc area, bracket, h', sigma, curvature
-wedge and every flag rule are then computed over the flattened roots of the
+coefficients' round-off. h' and x'' ∧ xi are the defects' slopes g'(s) at
+their roots, read off the same harmonics. Tip angle, arc area, bracket,
+sigma and every flag rule are then computed over the flattened roots of the
 batch, and np.bincount folds the terms into per-chord sums in each chord's
 root order. sp_small_values, sp_full_values and semiclassical_values are its
 batch entry points, the evaluators' kernels. The one-chord calls
@@ -159,10 +160,10 @@ def _unit_circle_roots(samples):
     z = exp(i phi) (1 + i tau) / (1 - i tau) of the unit-circle quartic
     z^2 f(z), and real angles are its roots on the circle.
 
-    Returns (chord, theta, miss): the row and the angle in [0, 2 pi) of every
-    real root, the roots of each row in ascending angle (the order of its
-    sums), and per row the smallest |ln|z|| among the roots off the circle
-    (inf if there are none).
+    Returns (chord, theta, miss, slope): the row and the angle in [0, 2 pi)
+    of every real root, the roots of each row in ascending angle (the order
+    of its sums); per row the smallest |ln|z|| among the roots off the
+    circle (inf if there are none); and per root its defect's slope there.
     """
     count = samples.shape[0]
     top = np.argmax(np.abs(samples), axis=1)
@@ -171,7 +172,7 @@ def _unit_circle_roots(samples):
     floor = ROUND_OFF * np.maximum(np.abs(harmonics[:, 0]), np.max(pair, axis=1))
     degree = np.where(pair[:, 1] > floor, 4, np.where(pair[:, 0] > floor, 2, 0))
     miss = np.full(count, np.inf)
-    chords, thetas = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    chords, thetas, slopes = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
     for deg in (4, 2):
         rows = np.flatnonzero(degree == deg)
         if rows.size == 0:
@@ -188,9 +189,16 @@ def _unit_circle_roots(samples):
         # off-circle roots sort last as inf and are dropped
         theta = np.sort(np.where(on_circle, np.angle(roots) % TWO_PI, np.inf), axis=1)
         real = np.isfinite(theta)
-        chords.append(np.broadcast_to(rows[:, np.newaxis], theta.shape)[real])
+        chord = np.broadcast_to(rows[:, np.newaxis], theta.shape)[real]
+        # df/dtheta = g'(s) at s = theta - phi, from the harmonics the quartic kept
+        _, a1, b1, a2, b2 = (harmonics[chord] * (np.arange(5) <= deg)).T
+        s = (theta - _ANGLES[top[rows], np.newaxis] + np.pi)[real]
+        cos, sin = np.cos(s), np.sin(s)
+        slopes.append(b1 * cos - a1 * sin
+                      + 2.0 * b2 * (cos + sin) * (cos - sin) - 4.0 * a2 * sin * cos)
+        chords.append(chord)
         thetas.append(theta[real])
-    return np.concatenate(chords), np.concatenate(thetas), miss
+    return np.concatenate(chords), np.concatenate(thetas), miss, np.concatenate(slopes)
 
 
 def _chord_sums(chord, terms, count: int) -> np.ndarray:
@@ -237,9 +245,8 @@ class _Tangencies(NamedTuple):
 
 def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Tangencies:
     dp, dq = curve.velocity(_ANGLES)
-    chord, theta, _ = _unit_circle_roots(dp * xi_q[:, None] - dq * xi_p[:, None])
-    ddp, ddq = curve.acceleration(theta)
-    curv = ddp * xi_q[chord] - ddq * xi_p[chord]
+    # the slope of the defect x' ∧ xi is the curvature wedge x'' ∧ xi
+    chord, theta, _, curv = _unit_circle_roots(dp * xi_q[:, None] - dq * xi_p[:, None])
     p, q = curve.point(theta)
     tol = REL_CAUSTIC_TOL * 2.0 * curve.action  # fraction of r^2
     return _Tangencies(chord, theta, p, q, curv, np.abs(curv) < tol)
@@ -353,7 +360,7 @@ def _arc_area(curve: CurveSpec, theta0, theta1):
             + curve.t * (a3 * (p1 ** 3 - p0 ** 3) - a1 * (p1 - p0)))
 
 
-def _geometry(curve: CurveSpec, theta_foot, xi_p, xi_q) -> _Geometry:
+def _geometry(curve: CurveSpec, theta_foot, h_prime, xi_p, xi_q) -> _Geometry:
     """Stationary-phase data of the feet theta_foot[k] of the chords (xi_p[k], xi_q[k])."""
     foot_p, foot_q = curve.point(theta_foot)
     tip_p, tip_q = foot_p + xi_p, foot_q + xi_q
@@ -363,8 +370,6 @@ def _geometry(curve: CurveSpec, theta_foot, xi_p, xi_q) -> _Geometry:
     grad_tip = curve.action_gradient((tip_p, tip_q))
     grad_foot = curve.action_gradient((foot_p, foot_q))
     bracket = grad_tip[1] * grad_foot[0] - grad_tip[0] * grad_foot[1]
-    vel_p, vel_q = curve.velocity(theta_foot)
-    h_prime = grad_tip[0] * vel_p + grad_tip[1] * vel_q
 
     scale = 2.0 * curve.action  # r^2, the natural size of both denominators
     caustic = np.minimum(np.abs(bracket), np.abs(h_prime)) < REL_CAUSTIC_TOL * scale
@@ -395,11 +400,11 @@ def _realizations(curve: CurveSpec, xi_p, xi_q):
     # non-finite harmonics, which trim to degree 0, so no roots and no grazing
     with np.errstate(over="ignore", invalid="ignore"):
         level = curve.action_value((p + xi_p[moving, None], q + xi_q[moving, None])) - curve.action
-        chord, theta, miss = _unit_circle_roots(level)
+        chord, theta, miss, h_prime = _unit_circle_roots(level)
     grazing = np.ones(xi_p.size, dtype=bool)
     grazing[moving] = miss < REL_CAUSTIC_TOL
     chord = moving[chord]
-    return chord, _geometry(curve, theta, xi_p[chord], xi_q[chord]), grazing
+    return chord, _geometry(curve, theta, h_prime, xi_p[chord], xi_q[chord]), grazing
 
 
 def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:

@@ -27,7 +27,7 @@ AVERAGE_NODES = 64  # first rule of the classical average, on chord lists and gr
 AVERAGE_TOL = 1e-10  # on chi_s between successive doublings, uniform over a batch
 AVERAGE_DOUBLINGS = 12  # before ConvergenceError: at most 64 * 2**12 nodes
 MOMENT_TOL = 1e-12  # on each classical moment <q^j p^k>
-DERIVATIVE_TOL = 1e-8  # on the m-th derivative of chi at 0, relative to its size (r / hbar)^m
+DERIVATIVE_TOL = 1e-8  # on the m-th derivative of chi at 0, relative to its size (R / hbar)^m
 
 
 def chi_small_points(curve: CurveSpec, xi_p, xi_q) -> np.ndarray:
@@ -181,16 +181,19 @@ def moments_from_chi(evaluator) -> SecondOrderMoments:
     <p^m> = (-i hbar)^m d^m chi / d xi_q^m |_0; the symmetrized cross moment
     comes from the diagonal direction, 2 chi_pq = chi_dd - chi_pp - chi_qq.
     ``evaluator`` needs ``evaluate(xi_p, xi_q)`` and ``state``, which gives
-    hbar and the radius r: each of the five derivatives takes every
+    hbar and the classical curve: each of the five derivatives takes every
     Richardson stencil point along its direction in one call.
 
-    chi varies on the scale hbar / r of the curve's radius r, so an m-th
-    derivative is of size (r / hbar)^m: the first step is (1/2) sqrt(11)
-    hbar / r (sqrt(hbar) / 2 at n = 5), and each m-th derivative is asked to
-    DERIVATIVE_TOL (r / hbar)^m.
+    chi varies on the scale hbar / R of the curve's RMS distance from the
+    origin, R = sqrt(<p^2> + <q^2>) over the classical curve, so an m-th
+    derivative is of size (R / hbar)^m: the first step is (1/2) sqrt(11)
+    hbar / R (sqrt(hbar) / 2 on the n = 5 ring, where R is the radius r), and
+    each m-th derivative is asked to DERIVATIVE_TOL (R / hbar)^m. A shear
+    moves the mean to |<q>| of order t, and R follows it where r does not.
     """
     hbar = evaluator.state.hbar
-    scale = evaluator.state.radius / hbar
+    classical = classical_moments(evaluator.state, order=2)
+    scale = math.sqrt(classical.raw(0, 2) + classical.raw(2, 0)) / hbar
     h0 = 0.5 * math.sqrt(11.0) / scale
 
     errors = {}

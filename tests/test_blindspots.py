@@ -19,6 +19,9 @@ from chordscan.smallchord import moments_from_chi
 # so it vanishes first at sqrt(2 hbar z_1) with z_1 the smallest Laguerre root.
 FIRST_ZERO = 0.22959107984333416
 
+# the (low, high) box of a Newton polish that may go anywhere
+UNBOUNDED = (-np.inf, np.inf)
+
 
 def _synthetic(real_field, xp):
     values = real_field + 1j * np.ones_like(real_field)
@@ -373,7 +376,7 @@ class TestBatchPaths:
         ev = ExactEvaluator(state)
         seeds = _report_seeds(ev, half, np.random.default_rng(11))
         step = 2e-6 * half  # as find_blind_spots sets it for this region
-        xi, mag, iters = _newton_polish(ev, seeds, step, 1e-8)
+        xi, mag, iters = _newton_polish(ev, seeds, step, 1e-8, UNBOUNDED)
         # the full budget polishes every seed; three steps leave some rejected
         assert np.any(mag >= 1e-8) == (max_iter == 3)
         # a root far outside the scanned region can sit in the tail, where
@@ -381,7 +384,7 @@ class TestBatchPaths:
         pinned = (mag < 1e-8) & np.all(np.abs(xi) <= 2.0 * half, axis=1)
         assert pinned.any()
         for k, seed in enumerate(seeds):
-            xi1, mag1, iters1 = _newton_polish(ev, seed[None, :], step, 1e-8)
+            xi1, mag1, iters1 = _newton_polish(ev, seed[None, :], step, 1e-8, UNBOUNDED)
             assert iters1[0] == iters[k]
             assert (mag1[0] < 1e-8) == (mag[k] < 1e-8)
             if pinned[k]:
@@ -396,12 +399,12 @@ class TestBatchPaths:
                 return values, np.zeros(np.shape(values), dtype=np.uint8)
 
         seeds = np.array([[0.0, 0.2], [0.5, 0.2]])
-        xi, mag, iters = _newton_polish(Field(), seeds, 1e-6, 1e-8)
+        xi, mag, iters = _newton_polish(Field(), seeds, 1e-6, 1e-8, UNBOUNDED)
         assert iters[0] == 1 and mag[0] == 1.0
         np.testing.assert_array_equal(xi[0], seeds[0])
         assert mag[1] < 1e-8
         np.testing.assert_allclose(xi[1], (-1.0, 0.0), atol=1e-8)
-        lone = _newton_polish(Field(), seeds[1:], 1e-6, 1e-8)
+        lone = _newton_polish(Field(), seeds[1:], 1e-6, 1e-8, UNBOUNDED)
         assert lone[2][0] == iters[1]
 
     def test_stuck_seeds_stop_where_damping_fails(self):
@@ -413,11 +416,49 @@ class TestBatchPaths:
                 return values, np.zeros(np.shape(values), dtype=np.uint8)
 
         seeds = np.random.default_rng(13).uniform(-1.0, 1.0, (6, 2))
-        xi, mag, iters = _newton_polish(Field(), seeds, 1e-6, 0.0)
+        xi, mag, iters = _newton_polish(Field(), seeds, 1e-6, 0.0, UNBOUNDED)
         assert np.all(iters < 40)
         np.testing.assert_allclose(xi, np.tile((0.3, -0.2), (6, 1)), atol=1e-12)
         for k, seed in enumerate(seeds):
-            assert _newton_polish(Field(), seed[None, :], 1e-6, 0.0)[2][0] == iters[k]
+            assert _newton_polish(Field(), seed[None, :], 1e-6, 0.0, UNBOUNDED)[2][0] == iters[k]
+
+    def test_runaway_seed_stops_at_the_box(self):
+        """Re chi = (xi_p - c)^2 - h^2 has a root in each of the cells
+        [0.2, 0.3] and [0.3, 0.4] of a 0.1 grid. The second cell's center sits
+        h^2 / 400 past the parabola's vertex c, where the slope is h^2 / 200:
+        Newton from there jumps 200, 100 region widths. The evaluator refuses
+        any chord outside the region widened by one width on every side, as
+        an overlap quadrature past its node budget would."""
+        h = 0.05
+        c = 0.35 - h * h / 400.0
+
+        class Field:
+            def evaluate(self, xi_p, xi_q):
+                if np.any(np.abs(xi_p) > 3.0) or np.any(np.abs(xi_q) > 3.0):
+                    raise NumericalError(f"chord outside the box: |xi_p| up to "
+                                         f"{np.max(np.abs(xi_p)):.3g}")
+                values = ((xi_p - c) ** 2 - h * h) + 1j * (xi_q - 0.03)
+                return values, np.zeros(np.shape(values), dtype=np.uint8)
+
+        xp = axis(-1.0, 1.0, 21)
+        values, _ = Field().evaluate(*np.meshgrid(xp, xp, indexing="ij"))
+        grid = ChordFieldGrid(xp, xp, values, np.zeros(values.shape, np.uint8), 0.1)
+        seeds = _seed_chords(grid)
+        np.testing.assert_allclose(seeds, [(0.25, 0.05), (0.35, 0.05)])
+        step = 1e-6 * 2.0  # as find_blind_spots sets it for this region
+        with pytest.raises(NumericalError, match="outside the box"):
+            _newton_polish(Field(), seeds, step, 1e-10, UNBOUNDED)
+
+        found = find_blind_spots(Field(), grid, tol=1e-10)
+        assert found.n_seeds == 2
+        assert len(found.spots) == 1
+        # the other seed's spot is the one it reaches alone, with no box
+        xi, mag, iters = _newton_polish(Field(), seeds[:1], step, 1e-10, UNBOUNDED)
+        spot = found.spots[0]
+        assert (spot.chord.xi_p, spot.chord.xi_q) == (xi[0, 0], xi[0, 1])
+        assert spot.iterations == iters[0]
+        assert spot.chord.xi_p == pytest.approx(c - h, abs=1e-12)
+        assert spot.chord.xi_q == pytest.approx(0.03, abs=1e-12)
 
     def test_polish_calls_do_not_grow_with_the_seeds(self):
         """Lockstep polish makes one call per stage: tripling the seeds
@@ -425,9 +466,10 @@ class TestBatchPaths:
         state, half = REPORT_STATES["sheared"]
         seeds = np.random.default_rng(12).uniform(-half, half, (8, 2))
         once = CountingEvaluator(ExactEvaluator(state))
-        _, _, iters = _newton_polish(once, seeds, 1e-6, 1e-8)
+        _, _, iters = _newton_polish(once, seeds, 1e-6, 1e-8, UNBOUNDED)
         thrice = CountingEvaluator(ExactEvaluator(state))
-        _, _, iters3 = _newton_polish(thrice, np.tile(seeds, (3, 1)), 1e-6, 1e-8)
+        _, _, iters3 = _newton_polish(thrice, np.tile(seeds, (3, 1)), 1e-6, 1e-8,
+                                     UNBOUNDED)
         np.testing.assert_array_equal(iters3, np.tile(iters, 3))
         assert len(thrice.batches) == len(once.batches)
         assert thrice.batches == [3 * b for b in once.batches]

@@ -135,7 +135,7 @@ def reference_roots(row):
 
 
 def assert_matches_reference(samples):
-    chord, theta, miss = _unit_circle_roots(samples)
+    chord, theta, miss, _ = _unit_circle_roots(samples)
     for k, row in enumerate(samples):
         want, want_miss = reference_roots(row)
         got = theta[chord == k]
@@ -160,6 +160,37 @@ def test_roots_match_np_roots_on_the_complex_quartic(name):
     assert_matches_reference(samples)
 
 
+@pytest.mark.parametrize("name", ROOT_STATES)
+def test_root_slopes_are_the_stationary_phase_denominators(name):
+    """The slope the solve returns at each root is the defect's theta-derivative:
+    h' = grad I(tip) . x'(theta) at a realization foot, and the curvature wedge
+    x''(theta) ∧ xi at a tangency. Errors count against the row's largest sample."""
+    curve = ROOT_STATES[name]
+    scale = 2.6 * curve.radius
+    chords = np.random.default_rng(20 + sorted(ROOT_STATES).index(name)).uniform(
+        -scale, scale, size=(300, 2))
+    samples = defect_samples(curve, chords[:, 0], chords[:, 1])
+    row, theta, _, slope = _unit_circle_roots(samples)
+    size = np.max(np.abs(samples), axis=1)[row]
+    xi_p, xi_q = chords[row % len(chords)].T
+    tangency = row < len(chords)
+
+    foot_p, foot_q = curve.point(theta)
+    grad_p, grad_q = curve.action_gradient((foot_p + xi_p, foot_q + xi_q))
+    vel_p, vel_q = curve.velocity(theta)
+    h_prime = grad_p * vel_p + grad_q * vel_q
+    h = 1e-6
+    ahead, behind = curve.velocity(theta + h), curve.velocity(theta - h)
+    acc_p, acc_q = (ahead[0] - behind[0]) / (2 * h), (ahead[1] - behind[1]) / (2 * h)
+    wedge_fd = acc_p * xi_q - acc_q * xi_p
+
+    assert tangency.any() and (~tangency).any()
+    level_err = np.abs(slope - h_prime)[~tangency] / size[~tangency]
+    tangency_err = np.abs(slope - wedge_fd)[tangency] / size[tangency]
+    assert np.max(level_err) < 1e-12
+    assert np.max(tangency_err) < 1e-8
+
+
 def test_every_rotation_gives_the_same_roots():
     """A cyclic shift of the samples is f(theta + 2 pi m / 5): it moves the
     largest sample, and so the rotation, through all five indices, and
@@ -167,12 +198,12 @@ def test_every_rotation_gives_the_same_roots():
     curve = STATES["t1"]
     samples = defect_samples(curve, np.array([0.7]), np.array([-0.4]))
     for row in samples:
-        _, base, base_miss = _unit_circle_roots(row[None, :])
+        _, base, base_miss, _ = _unit_circle_roots(row[None, :])
         tops = set()
         for m in range(5):
             shifted = np.roll(row, -m)[None, :]
             tops.add(int(np.argmax(np.abs(shifted))))
-            _, theta, miss = _unit_circle_roots(shifted)
+            _, theta, miss, _ = _unit_circle_roots(shifted)
             assert theta.size == base.size
             moved = np.sort((base - 2.0 * np.pi * m / 5) % (2.0 * np.pi))
             gap = np.abs(np.angle(np.exp(1j * (theta[:, None] - moved[None, :]))))
@@ -190,7 +221,7 @@ def test_degree_two_rows(name, xi_p):
     samples = defect_samples(curve, np.array(xi_p), np.array([0.3, -1.1, 2.0, 5.0]))
     harmonics = np.fft.fft(samples, axis=1) / 5
     assert np.all(np.abs(harmonics[:, 2]) <= ROUND_OFF * np.max(np.abs(harmonics), axis=1))
-    chord, _, _ = _unit_circle_roots(samples)
+    chord, _, _, _ = _unit_circle_roots(samples)
     assert set(np.bincount(chord, minlength=len(samples))) <= {0, 2}
     assert_matches_reference(samples)
 
@@ -198,7 +229,7 @@ def test_degree_two_rows(name, xi_p):
 def test_degree_zero_rows_have_no_roots():
     """Constant rows (xi = 0's tangency defect is all zeros) trim to degree 0."""
     samples = np.array([[0.0] * 5, [1.5] * 5, [-2.0 + 1e-15, -2.0, -2.0, -2.0, -2.0]])
-    chord, theta, miss = _unit_circle_roots(samples)
+    chord, theta, miss, _ = _unit_circle_roots(samples)
     assert chord.size == 0 and theta.size == 0
     assert np.all(miss == np.inf)
 

@@ -407,6 +407,27 @@ def test_blindspots_report(tmp_path):
     assert 0.5 < report["estimate_over_nearest"] < 1.0
 
 
+def test_stationary_phase_blindspots_polish_with_the_oracle(tmp_path):
+    """sp_full scans the field, but its sum is singular at the origin, where the
+    moments are taken: moments and Newton polish run on exact instead."""
+    out = tmp_path / "spots.json"
+    assert run("blindspots", "--evaluator", "sp_full", "--region=-0.3:0.3",
+               "--resolution", "21", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["scan_evaluator"] == "sp_full"
+    assert report["polish_evaluator"] == "exact"
+    assert report["moments"]["mean_q"] == pytest.approx(0.265, abs=1e-6)
+    spots = np.array([[s["xi_p"], s["xi_q"]] for s in report["located_spots"]])
+    # two seeds head for the pair at (0, +-1.59), past the Newton box of +-0.9,
+    # and stop there
+    assert (report["n_seeds"], len(spots)) == (28, 6)
+    exact = make_evaluator("exact", CurveSpec(n=5, hbar=0.1, t=0.1))
+    values, _ = exact.evaluate(spots[:, 0], spots[:, 1])
+    assert np.all(np.abs(values) < 1e-6)
+    for row in spots:
+        assert np.min(np.hypot(*(spots + row).T)) < 1e-6
+
+
 def test_taylor_blindspots_inside_the_polynomial_range(tmp_path):
     """taylor:8 locates the innermost spots on a region inside its polynomial's
     range; the recipe's +-0.45 reaches chords where its |chi| exceeds 1."""

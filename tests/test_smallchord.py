@@ -156,6 +156,17 @@ class TestQuantumMoments:
         for key, err in mom.errors.items():
             assert err < 1e-8 * scale ** int(key[1])
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0])
+    def test_strongly_sheared_moments(self, t):
+        """The shear moves the mean to <q> = t (3 a3 <p^2> + a1) = 2.65 t, and
+        chi's phase turns by <q> xi_p / hbar: the first step and the tolerance
+        follow the curve's RMS radius, which grows with the mean."""
+        state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
+        mom = moments_from_chi(make_evaluator("exact", state))
+        assert mom.mean.p == pytest.approx(0.0, abs=1e-6)
+        assert mom.p2 == pytest.approx(0.55, abs=1e-6)
+        assert mom.mean.q == pytest.approx(2.65 * t, abs=1e-6)
+
     def test_non_hermitian_field_refused(self, sheared):
         # a real-valued exponential leaks a real first derivative
         class RealExponential:
