@@ -12,27 +12,27 @@ Geometry conventions (frozen; every phase below depends on them)
   translated by xi without leaving the curve: the foot x(theta_-) and tip
   x(theta_-) + xi = x(theta_+) span an actual chord of the curve. theta_+ is
   always placed in (theta_-, theta_- + 2 pi].
-* Each realization carries the symplectic area A between the arc
-  theta_- -> theta_+ and the straight chord back,
+* Each realization carries the action
 
-      A = (1/2) [ \\int_{theta_-}^{theta_+} x ∧ x' dtheta + tip ∧ foot ],
+      S = (1/2) [ \\int_{theta_-}^{theta_+} x ∧ x' dtheta + foot ∧ xi ],
 
-  the transversality derivative h' = dI(x(theta) + xi)/dtheta at theta_-
-  (I is the conserved-action function whose level set is the curve), and the
-  two-point bracket {I at tip, I at foot} (for a circle its modulus is chord
-  length times distance of the chord from the center).
+  the symplectic area between the arc theta_- -> theta_+ and the straight
+  chord back plus the midpoint term midpoint ∧ xi, and the transversality
+  derivative h' = dI(x(theta) + xi)/dtheta at theta_- (I is the
+  conserved-action function whose level set is the curve).
+* The curve is parameterized by the flow of its own action,
+  x'(theta) = (-dI/dq, dI/dp), so h' = grad I(tip) . x'(theta_-) is also the
+  two-point bracket {I at tip, I at foot}: one denominator serves.
 * The full stationary-phase weight of a realization is
 
-      sqrt(2 pi hbar) / (2 pi) |bracket|^(-1/2)
-          exp[ i (A + midpoint ∧ xi) / hbar + i (pi/4) (sigma - 2) ],
+      sqrt(2 pi hbar / |h'|) / (2 pi) exp[ i S / hbar + i (pi/4) (sigma - 2) ],
 
-  with sigma = sign(h') and midpoint the chord midpoint. The Maslov phase
-  (pi/4)(sigma - 2) is fixed by the geometry (Berry & Mount, Rep. Prog. Phys.
-  35, 1972). It is pinned analytically by matching both branches to the J_0
-  asymptotics on the unsheared ring (hermiticity forces the two branch
-  constants to differ by pi), and the tests grid-search the integer
-  quarter-turn offset of each branch against the closed-form ring chord
-  function and land on this phase.
+  with sigma = sign(h'). The Maslov phase (pi/4)(sigma - 2) is fixed by the
+  geometry (Berry & Mount, Rep. Prog. Phys. 35, 1972). It is pinned
+  analytically by matching both branches to the J_0 asymptotics on the
+  unsheared ring (hermiticity forces the two branch constants to differ by
+  pi), and the tests grid-search the integer quarter-turn offset of each
+  branch against the closed-form ring chord function and land on this phase.
 
 Closed-form geometry of the cubic shear
 ---------------------------------------
@@ -66,9 +66,11 @@ call on its companion matrices. Each root maps back to
 z = exp(i phi) (1 + i tau) / (1 - i tau), and counts as a real angle when
 |ln|z|| <= sqrt(ROUND_OFF): a double root splits by the square root of the
 coefficients' round-off. h' and x'' ∧ xi are the defects' slopes g'(s) at
-their roots, read off the same harmonics. Tip angle, arc area, bracket,
-sigma and every flag rule are then computed over the flattened roots of the
-batch, and np.bincount folds the terms into per-chord sums in each chord's
+their roots, read off the same harmonics. Each root is then one record
+(chord, theta, action, slope), and one sum serves tangencies and
+realizations alike: np.bincount folds
+sqrt(2 pi hbar / |slope|) / (2 pi) exp[i action / hbar + i (pi/4) (sign(slope) + m)],
+m = 0 for sp_small and -2 for sp_full, into per-chord sums in each chord's
 root order. sp_small_values, sp_full_values and semiclassical_values are its
 batch entry points, the evaluators' kernels. The one-chord calls
 tangency_points, chord_realizations and chi_semiclassical stay only for the
@@ -81,15 +83,15 @@ and adds the full stationary-phase value,
 
 so short chords inherit the classical average (the two stationary-phase terms
 cancel) while long chords inherit sp_full (chi_s and its own asymptotics
-cancel). Near caustics -- chords about to leave the curve, |h'| or the
-bracket collapsing -- square-root amplitudes diverge; values there are
-flagged NEAR_CAUSTIC and no uniform (Airy-type) repair is attempted. A caustic
-is two realizations merging, two roots meeting on the unit circle; past it
-they leave the circle as a complex pair (z, 1/conj(z)). A chord whose roots
-include such a pair with |ln|z|| < REL_CAUSTIC_TOL grazes the curve
-(RealizationSet.grazing); with no real realizations left its value is flagged
-NEAR_CAUSTIC, and farther out, where no realization exists, sp_full is zero
-and the value is flagged EVANESCENT.
+cancel). Near caustics -- chords about to leave the curve, |h'| collapsing --
+square-root amplitudes diverge; values there are flagged NEAR_CAUSTIC and no
+uniform (Airy-type) repair is attempted. A caustic is two realizations
+merging, two roots meeting on the unit circle; past it they leave the circle
+as a complex pair (z, 1/conj(z)). A chord whose roots include such a pair
+with |ln|z|| < REL_CAUSTIC_TOL grazes the curve (RealizationSet.grazing);
+with no real realizations left its value is flagged NEAR_CAUSTIC, and
+farther out, where no realization exists, sp_full is zero and the value is
+flagged EVANESCENT.
 """
 
 from __future__ import annotations
@@ -201,22 +203,50 @@ def _unit_circle_roots(samples):
     return np.concatenate(chords), np.concatenate(thetas), miss, np.concatenate(slopes)
 
 
-def _chord_sums(chord, terms, count: int) -> np.ndarray:
-    """Per-chord sums of ``terms``, each added in its order in the array."""
-    out = np.empty(count, dtype=complex)
-    out.real = np.bincount(chord, weights=terms.real, minlength=count)
-    out.imag = np.bincount(chord, weights=terms.imag, minlength=count)
-    return out
-
-
-def _any_per_chord(chord, mask, count: int) -> np.ndarray:
-    """Per chord: does any of its roots satisfy ``mask``?"""
-    return np.bincount(chord[mask], minlength=count) > 0
-
-
 def _single(xi):
     """One chord as the pair of one-element component arrays the kernel takes."""
     return np.array([float(xi[0])]), np.array([float(xi[1])])
+
+
+class _Roots(NamedTuple):
+    """The stationary points of a chord batch, one entry per root."""
+
+    chord: np.ndarray
+    theta: np.ndarray
+    action: np.ndarray  # hbar times the stationary phase
+    slope: np.ndarray  # the defect's slope at the root: the stationary-phase denominator
+
+
+def _caustic(curve: CurveSpec, slope):
+    """Roots whose denominator is below REL_CAUSTIC_TOL times r^2, its natural size."""
+    return np.abs(slope) < REL_CAUSTIC_TOL * 2.0 * curve.action
+
+
+def _stationary_sum(curve: CurveSpec, roots: _Roots, maslov: int, xi_p, xi_q):
+    """(values, caustic) of the chords (xi_p[k], xi_q[k]): per chord, the sum over its roots of
+
+        sqrt(2 pi hbar / |slope|) / (2 pi) exp[i action / hbar + i (pi/4) (sign(slope) + maslov)],
+
+    added in root order, roots with |slope| below DENOMINATOR_FLOOR left out;
+    and whether any of its roots is caustic. A term that is not finite (the
+    phase of a chord far past the curve overflows) raises NumericalError.
+    """
+    count = xi_p.size
+    kept = np.abs(roots.slope) >= DENOMINATOR_FLOOR
+    chord, slope = roots.chord[kept], roots.slope[kept]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = roots.action[kept] / curve.hbar + 0.25 * np.pi * (np.copysign(1.0, slope) + maslov)
+        terms = np.sqrt(TWO_PI * curve.hbar / np.abs(slope)) / TWO_PI * np.exp(1j * phase)
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if bad.size:
+        k = chord[bad[0]]
+        raise NumericalError(f"stationary-phase term at chord ({xi_p[k]:.6g}, {xi_q[k]:.6g}) "
+                             "is not finite")
+    values = np.empty(count, dtype=complex)
+    values.real = np.bincount(chord, weights=terms.real, minlength=count)
+    values.imag = np.bincount(chord, weights=terms.imag, minlength=count)
+    caustic = np.bincount(roots.chord[_caustic(curve, roots.slope)], minlength=count) > 0
+    return values, caustic
 
 
 # -- tangencies and the short-chord asymptotics ----------------------------
@@ -232,33 +262,23 @@ class Tangency:
     flag: Flag
 
 
-class _Tangencies(NamedTuple):
-    """Every tangency of a chord batch, one entry per root."""
-
-    chord: np.ndarray
-    theta: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    curvature_wedge: np.ndarray
-    caustic: np.ndarray
-
-
-def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Tangencies:
+def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Roots:
+    """Every tangency of a chord batch, its action x ∧ xi and curvature wedge x'' ∧ xi."""
     dp, dq = curve.velocity(_ANGLES)
     # the slope of the defect x' ∧ xi is the curvature wedge x'' ∧ xi
     chord, theta, _, curv = _unit_circle_roots(dp * xi_q[:, None] - dq * xi_p[:, None])
     p, q = curve.point(theta)
-    tol = REL_CAUSTIC_TOL * 2.0 * curve.action  # fraction of r^2
-    return _Tangencies(chord, theta, p, q, curv, np.abs(curv) < tol)
+    return _Roots(chord, theta, p * xi_q[chord] - q * xi_p[chord], curv)
 
 
 def tangency_points(curve: CurveSpec, xi) -> list[Tangency]:
-    tan = _tangencies(curve, *_single(xi))
+    roots = _tangencies(curve, *_single(xi))
+    p, q = curve.point(roots.theta)
     return [Tangency(theta=float(theta), point=PhasePoint(float(p), float(q)),
                      curvature_wedge=float(curv),
                      flag=Flag.NEAR_CAUSTIC if caustic else Flag.OK)
-            for theta, p, q, curv, caustic in zip(tan.theta, tan.p, tan.q,
-                                                  tan.curvature_wedge, tan.caustic)]
+            for theta, p, q, curv, caustic in zip(roots.theta, p, q, roots.slope,
+                                                  _caustic(curve, roots.slope))]
 
 
 def sp_small_values(curve: CurveSpec, xi_p, xi_q):
@@ -269,19 +289,12 @@ def sp_small_values(curve: CurveSpec, xi_p, xi_q):
         sqrt(2 pi hbar / |x'' ∧ xi|)
             exp[i x ∧ xi / hbar + i (pi/4) sign(x'' ∧ xi)].
     """
-    count = xi_p.size
-    tan = _tangencies(curve, xi_p, xi_q)
-    kept = np.abs(tan.curvature_wedge) >= DENOMINATOR_FLOOR
-    chord, curv = tan.chord[kept], tan.curvature_wedge[kept]
-    phase = ((tan.p[kept] * xi_q[chord] - tan.q[kept] * xi_p[chord]) / curve.hbar
-             + 0.25 * np.pi * np.copysign(1.0, curv))
-    terms = np.sqrt(TWO_PI * curve.hbar / np.abs(curv)) / TWO_PI * np.exp(1j * phase)
+    roots = _tangencies(curve, xi_p, xi_q)
+    values, caustic = _stationary_sum(curve, roots, 0, xi_p, xi_q)
     # a closed curve is tangent to every direction at least twice; no
     # tangency means xi = 0, where every angle is stationary
-    caustic = (_any_per_chord(tan.chord, tan.caustic, count)
-               | (np.bincount(tan.chord, minlength=count) == 0))
-    flags = np.where(caustic, _NEAR_CAUSTIC, _OK).astype(np.uint8)
-    return _chord_sums(chord, terms, count), flags
+    caustic |= np.bincount(roots.chord, minlength=xi_p.size) == 0
+    return values, np.where(caustic, _NEAR_CAUSTIC, _OK).astype(np.uint8)
 
 
 # -- chord realizations and the full stationary phase ----------------------
@@ -295,11 +308,9 @@ class Realization:
     theta_tip: float
     foot: PhasePoint
     tip: PhasePoint
-    midpoint: PhasePoint
     h_prime: float
     sigma: float
-    area: float
-    bracket: float
+    action: float
     flag: Flag
 
 
@@ -307,21 +318,6 @@ class Realization:
 class RealizationSet:
     realizations: tuple[Realization, ...]
     grazing: bool  # a complex pair of roots lies within REL_CAUSTIC_TOL of the unit circle
-
-
-class _Geometry(NamedTuple):
-    """Stationary-phase data of realization feet, one entry per foot."""
-
-    theta_foot: np.ndarray
-    theta_tip: np.ndarray
-    foot_p: np.ndarray
-    foot_q: np.ndarray
-    tip_p: np.ndarray
-    tip_q: np.ndarray
-    h_prime: np.ndarray
-    area: np.ndarray
-    bracket: np.ndarray
-    caustic: np.ndarray
 
 
 def _tip_angle(curve: CurveSpec, tip_p, tip_q, theta_foot):
@@ -360,38 +356,10 @@ def _arc_area(curve: CurveSpec, theta0, theta1):
             + curve.t * (a3 * (p1 ** 3 - p0 ** 3) - a1 * (p1 - p0)))
 
 
-def _geometry(curve: CurveSpec, theta_foot, h_prime, xi_p, xi_q) -> _Geometry:
-    """Stationary-phase data of the feet theta_foot[k] of the chords (xi_p[k], xi_q[k])."""
-    foot_p, foot_q = curve.point(theta_foot)
-    tip_p, tip_q = foot_p + xi_p, foot_q + xi_q
-    theta_tip = _tip_angle(curve, tip_p, tip_q, theta_foot)
-    area = 0.5 * (_arc_area(curve, theta_foot, theta_tip) + (tip_p * foot_q - tip_q * foot_p))
-
-    grad_tip = curve.action_gradient((tip_p, tip_q))
-    grad_foot = curve.action_gradient((foot_p, foot_q))
-    bracket = grad_tip[1] * grad_foot[0] - grad_tip[0] * grad_foot[1]
-
-    scale = 2.0 * curve.action  # r^2, the natural size of both denominators
-    caustic = np.minimum(np.abs(bracket), np.abs(h_prime)) < REL_CAUSTIC_TOL * scale
-    return _Geometry(theta_foot, theta_tip, foot_p, foot_q, tip_p, tip_q,
-                     h_prime, area, bracket, caustic)
-
-
-def _realization(geo: _Geometry, k: int, xi) -> Realization:
-    foot = PhasePoint(float(geo.foot_p[k]), float(geo.foot_q[k]))
-    h_prime = float(geo.h_prime[k])
-    return Realization(
-        theta_foot=float(geo.theta_foot[k]), theta_tip=float(geo.theta_tip[k]),
-        foot=foot, tip=PhasePoint(float(geo.tip_p[k]), float(geo.tip_q[k])),
-        midpoint=PhasePoint(foot.p + 0.5 * float(xi[0]), foot.q + 0.5 * float(xi[1])),
-        h_prime=h_prime, sigma=math.copysign(1.0, h_prime),
-        area=float(geo.area[k]), bracket=float(geo.bracket[k]),
-        flag=Flag.NEAR_CAUSTIC if geo.caustic[k] else Flag.OK)
-
-
 def _realizations(curve: CurveSpec, xi_p, xi_q):
-    """(chord, geometry, grazing): every realization of a chord batch, and per chord
-    whether a complex root pair lies within REL_CAUSTIC_TOL of the unit circle."""
+    """(roots, grazing): every realization foot of a chord batch, its action
+    (1/2) [arc + foot ∧ xi] and h', and per chord whether a complex root pair
+    lies within REL_CAUSTIC_TOL of the unit circle."""
     # at xi = 0 every foot is its own tip and the level defect is pure
     # round-off: no realizations, and the chord counts as grazing
     moving = np.flatnonzero((xi_p != 0.0) | (xi_q != 0.0))
@@ -404,13 +372,30 @@ def _realizations(curve: CurveSpec, xi_p, xi_q):
     grazing = np.ones(xi_p.size, dtype=bool)
     grazing[moving] = miss < REL_CAUSTIC_TOL
     chord = moving[chord]
-    return chord, _geometry(curve, theta, h_prime, xi_p[chord], xi_q[chord]), grazing
+    foot_p, foot_q = curve.point(theta)
+    dp, dq = xi_p[chord], xi_q[chord]
+    theta_tip = _tip_angle(curve, foot_p + dp, foot_q + dq, theta)
+    action = 0.5 * (_arc_area(curve, theta, theta_tip) + (foot_p * dq - foot_q * dp))
+    return _Roots(chord, theta, action, h_prime), grazing
 
 
 def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
-    _, geo, grazing = _realizations(curve, *_single(xi))
+    xi_p, xi_q = _single(xi)
+    roots, grazing = _realizations(curve, xi_p, xi_q)
+    foot_p, foot_q = curve.point(roots.theta)
+    tip_p, tip_q = foot_p + xi_p, foot_q + xi_q
+    theta_tip = _tip_angle(curve, tip_p, tip_q, roots.theta)
+    caustic = _caustic(curve, roots.slope)
     return RealizationSet(
-        realizations=tuple(_realization(geo, k, xi) for k in range(geo.theta_foot.size)),
+        realizations=tuple(
+            Realization(theta_foot=float(roots.theta[k]), theta_tip=float(theta_tip[k]),
+                        foot=PhasePoint(float(foot_p[k]), float(foot_q[k])),
+                        tip=PhasePoint(float(tip_p[k]), float(tip_q[k])),
+                        h_prime=float(roots.slope[k]),
+                        sigma=math.copysign(1.0, roots.slope[k]),
+                        action=float(roots.action[k]),
+                        flag=Flag.NEAR_CAUSTIC if caustic[k] else Flag.OK)
+            for k in range(roots.theta.size)),
         grazing=bool(grazing[0]))
 
 
@@ -421,22 +406,12 @@ def sp_full_values(curve: CurveSpec, xi_p, xi_q):
     weighted as in the module docstring, Maslov phase (pi/4)(sigma - 2)
     included.
     """
-    count = xi_p.size
-    chord, geo, grazing = _realizations(curve, xi_p, xi_q)
-    kept = np.abs(geo.bracket) >= DENOMINATOR_FLOOR
-    sel = chord[kept]
-    sigma = np.copysign(1.0, geo.h_prime[kept])
-    mid_p = geo.foot_p[kept] + 0.5 * xi_p[sel]
-    mid_q = geo.foot_q[kept] + 0.5 * xi_q[sel]
-    phase = ((geo.area[kept] + (mid_p * xi_q[sel] - mid_q * xi_p[sel])) / curve.hbar
-             + 0.25 * np.pi * (sigma - 2.0))
-    terms = (np.sqrt(TWO_PI * curve.hbar) / TWO_PI / np.sqrt(np.abs(geo.bracket[kept]))
-             * np.exp(1j * phase))
-    found = np.bincount(chord, minlength=count) > 0
-    caustic = _any_per_chord(chord, geo.caustic, count)
+    roots, grazing = _realizations(curve, xi_p, xi_q)
+    values, caustic = _stationary_sum(curve, roots, -2, xi_p, xi_q)
+    found = np.bincount(roots.chord, minlength=xi_p.size) > 0
     flags = np.where(found, np.where(caustic, _NEAR_CAUSTIC, _OK),
                      np.where(grazing, _NEAR_CAUSTIC, _EVANESCENT)).astype(np.uint8)
-    return _chord_sums(sel, terms, count), flags
+    return values, flags
 
 
 def semiclassical_values(curve: CurveSpec, xi_p, xi_q, classical):

@@ -30,6 +30,19 @@ MOMENT_TOL = 1e-12  # on each classical moment <q^j p^k>
 DERIVATIVE_TOL = 1e-8  # on the m-th derivative of chi at 0, relative to its size (R / hbar)^m
 
 
+def _finite_phase(compute, name):
+    """The plane-wave phase i x ∧ xi / hbar that ``compute()`` returns, computed
+    without warnings. A chord far past the curve overflows it, and no doubling
+    of the average would settle, so a phase that is not finite raises
+    NumericalError for the chord ``name(i, j)`` of its element (i, j)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = compute()
+    bad = np.argwhere(~np.isfinite(phase))
+    if bad.size:
+        raise NumericalError(f"plane-wave phase at {name(*bad[0])} is not finite")
+    return phase
+
+
 def chi_small_points(curve: CurveSpec, xi_p, xi_q) -> np.ndarray:
     """Classical curve average of the chord plane wave at the chords (xi_p[k], xi_q[k]).
 
@@ -40,7 +53,8 @@ def chi_small_points(curve: CurveSpec, xi_p, xi_q) -> np.ndarray:
 
     def plane_wave(theta):
         p, q = curve.point(theta)
-        return np.exp(1j / curve.hbar * (p * xi_q - q * xi_p))
+        return np.exp(_finite_phase(lambda: 1j / curve.hbar * (p * xi_q - q * xi_p),
+                                    lambda k, _: f"chord ({xi_p[k, 0]:.6g}, {xi_q[k, 0]:.6g})"))
 
     mean, _ = periodic_mean(plane_wave, n0=AVERAGE_NODES, tol=AVERAGE_TOL,
                             max_doublings=AVERAGE_DOUBLINGS)
@@ -65,8 +79,10 @@ def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
 
     def node_sum(theta):
         p, q = curve.point(theta)
-        left = np.exp(-1j / curve.hbar * np.outer(xi_p_axis, q))
-        right = np.exp(1j / curve.hbar * np.outer(p, xi_q_axis))
+        left = np.exp(_finite_phase(lambda: -1j / curve.hbar * np.outer(xi_p_axis, q),
+                                    lambda k, _: f"xi_p = {xi_p_axis[k]:.6g}"))
+        right = np.exp(_finite_phase(lambda: 1j / curve.hbar * np.outer(p, xi_q_axis),
+                                     lambda _, k: f"xi_q = {xi_q_axis[k]:.6g}"))
         return (left @ right)[..., np.newaxis]
 
     mean, _ = periodic_mean(node_sum, n0=AVERAGE_NODES, tol=AVERAGE_TOL,

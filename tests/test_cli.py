@@ -527,24 +527,37 @@ def test_chords_past_the_node_budget_exit_3(tmp_path, capsys, command):
 
 def test_long_chords_of_sp_full_raise_no_warnings(tmp_path):
     """A cut far past the curve overflows the level quartic; the kernel reads
-    it as no realization without a RuntimeWarning."""
+    it as no realization without a RuntimeWarning. The tangency phases of
+    sp_small stay finite there."""
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("cut", "--slope", "1", "--range=0:1e300", "--samples", "3",
                    "--evaluator", "sp_full", "--out", str(out)) == 0
+        assert run("cut", "--slope", "1", "--range=0:1e300", "--samples", "3",
+                   "--evaluator", "sp_small", "--out", str(tmp_path / "small.csv")) == 0
     _, rows = read_csv(out)
     assert [row[3:] for row in rows] == [["0", "0", "0", "near_caustic"],
                                          ["0", "0", "0", "evanescent"],
                                          ["0", "0", "0", "evanescent"]]
+    _, rows = read_csv(tmp_path / "small.csv")
+    assert all(math.isfinite(float(value)) for row in rows for value in row[:6])
 
 
-def test_long_chords_of_taylor_exit_3(tmp_path, capsys):
-    """Far out the Taylor polynomial overflows; its NaN is refused, not flagged ok."""
+@pytest.mark.parametrize("evaluator, reach", [
+    pytest.param("taylor:4", "1e300", id="taylor:4"),
+    pytest.param("sp_small", "1e308", id="sp_small"),
+    pytest.param("small", "1e308", id="small"),
+    pytest.param("semiclassical", "1e308", id="semiclassical"),
+])
+def test_long_chords_that_overflow_exit_3(tmp_path, capsys, evaluator, reach):
+    """Far out the Taylor polynomial, the tangency phase x ∧ xi / hbar and the
+    classical average's plane-wave phase overflow; the non-finite value is
+    refused, not flagged ok or run to the node cap."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("cut", "--slope", "1", "--range=0:1e300", "--samples", "3",
-                   "--evaluator", "taylor:4", "--out", str(tmp_path / "x.csv")) == 3
+        assert run("cut", "--slope", "1", f"--range=0:{reach}", "--samples", "3",
+                   "--evaluator", evaluator, "--out", str(tmp_path / "x.csv")) == 3
     err = capsys.readouterr().err
     assert err.startswith("chordscan: numerical failure:") and "not finite" in err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -77,6 +77,23 @@ def test_action_gradient_matches_finite_differences(sheared, x):
     np.testing.assert_allclose(got, (fd_p, fd_q), atol=1e-8)
 
 
+@pytest.mark.parametrize("curve", [
+    CurveSpec(n=5, hbar=0.1, t=0.0),
+    CurveSpec(n=5, hbar=0.1, t=0.1),
+    CurveSpec(n=5, hbar=0.1, t=5.0),
+    CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 0.0), t=0.3),
+], ids=["ring", "t0.1", "t5", "a3=0"])
+def test_velocity_is_the_action_flow(curve):
+    """x'(theta) = (-dI/dq, dI/dp): the parameter is the flow time of the
+    action, so the realization slope h' is also the two-point bracket."""
+    theta = np.linspace(0.0, 2 * np.pi, 37)
+    grad_p, grad_q = curve.action_gradient(curve.point(theta))
+    dp, dq = curve.velocity(theta)
+    speed = np.max(np.hypot(dp, dq))
+    np.testing.assert_allclose(dp, -grad_q, rtol=0.0, atol=1e-14 * speed)
+    np.testing.assert_allclose(dq, grad_p, rtol=0.0, atol=1e-14 * speed)
+
+
 def test_point_vectorizes(ring):
     theta = np.linspace(0, 2 * np.pi, 50)
     p, q = ring.point(theta)

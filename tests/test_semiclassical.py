@@ -8,7 +8,7 @@ import pytest
 from chordscan import (Flag, chi_semiclassical, chi_small,
                        chord_realizations, evolved_chi, make_evaluator, tangency_points, wedge)
 from chordscan.exact import fock_chi_radial
-from chordscan.semiclassical import DENOMINATOR_FLOOR
+from chordscan.semiclassical import DENOMINATOR_FLOOR, _realizations, _Roots, _stationary_sum
 
 
 # -- tangencies ----------------------------------------------------------------
@@ -53,11 +53,8 @@ def test_mid_ring_chord_has_two_realizations(sheared):
         assert sheared.action_value(real.tip) == pytest.approx(sheared.action,
                                                                abs=1e-10)
         np.testing.assert_allclose(real.tip, np.add(real.foot, xi), atol=1e-9)
-        np.testing.assert_allclose(real.midpoint,
-                                   np.add(real.foot, np.multiply(xi, 0.5)),
-                                   atol=1e-9)
         assert real.sigma in (-1.0, 1.0)
-        assert abs(real.bracket) > 1e-3
+        assert abs(real.h_prime) > 1e-3
     sigmas = sorted(r.sigma for r in found.realizations)
     assert sigmas == [-1.0, 1.0]
 
@@ -102,17 +99,17 @@ def test_branch_offsets_recovered_by_calibration(ring):
                                 indexing="ij")
     chords = np.stack([(radii * np.cos(angles)).ravel(), (radii * np.sin(angles)).ravel()], -1)
     reference = fock_chi_radial(5, 0.1, np.hypot(chords[:, 0], chords[:, 1]))
-    realizations = [[real for real in chord_realizations(ring, xi).realizations
-                     if abs(real.bracket) >= DENOMINATOR_FLOOR] for xi in chords]
+    roots, _ = _realizations(ring, chords[:, 0], chords[:, 1])
+    kept = np.abs(roots.slope) >= DENOMINATOR_FLOOR
+    chord, action, slope = roots.chord[kept], roots.action[kept], roots.slope[kept]
+    sigma = np.sign(slope)
+    amplitude = np.sqrt(2 * math.pi * ring.hbar / np.abs(slope)) / (2 * math.pi)
 
     def sums(offsets):
-        return np.array([
-            sum(math.sqrt(2 * math.pi * ring.hbar) / (2 * math.pi) / math.sqrt(abs(real.bracket))
-                * np.exp(1j * ((real.area + wedge(real.midpoint, xi)) / ring.hbar
-                               + 0.25 * math.pi * (real.sigma
-                                                   + offsets[0 if real.sigma > 0 else 1])))
-                for real in found)
-            for xi, found in zip(chords, realizations)])
+        phase = action / ring.hbar + 0.25 * math.pi * (sigma + np.where(sigma > 0, *offsets))
+        out = np.zeros(len(chords), dtype=complex)
+        np.add.at(out, chord, amplitude * np.exp(1j * phase))
+        return out
 
     search = range(-3, 4)
     errors = {(k_plus, k_minus): np.max(np.abs(sums((k_plus, k_minus)) - reference))
@@ -120,6 +117,21 @@ def test_branch_offsets_recovered_by_calibration(ring):
     assert min(errors, key=errors.get) == (-2, -2)
     values, _ = make_evaluator("sp_full", ring).evaluate(chords[:, 0], chords[:, 1])
     np.testing.assert_allclose(sums((-2, -2)), values, rtol=0.0, atol=1e-12)
+
+
+def test_roots_below_the_denominator_floor_add_nothing_but_flag_caustic(ring):
+    """The shared sum leaves out a root whose slope is below DENOMINATOR_FLOOR,
+    and still flags its chord caustic."""
+    xi_p, xi_q = np.array([0.5, 0.5]), np.array([0.2, 0.2])
+    roots = _Roots(chord=np.array([0, 0, 1]), theta=np.zeros(3),
+                   action=np.array([0.03, 0.07, 0.03]),
+                   slope=np.array([0.4, 0.1 * DENOMINATOR_FLOOR, 0.4]))
+    for maslov in (0, -2):
+        values, caustic = _stationary_sum(ring, roots, maslov, xi_p, xi_q)
+        assert abs(values[1]) == pytest.approx(math.sqrt(2 * math.pi * ring.hbar / 0.4)
+                                               / (2 * math.pi), rel=1e-15)
+        assert values[0] == values[1]
+        assert caustic.tolist() == [True, False]
 
 
 # -- flags ------------------------------------------------------------------------
