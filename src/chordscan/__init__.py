@@ -58,6 +58,7 @@ from .smallchord import (
     closest_blind_spot_estimate,
     moments_from_chi,
     second_order_from_table,
+    state_moments,
 )
 
 __all__ = [
@@ -99,6 +100,7 @@ __all__ = [
     "nodal_contours",
     "scan_grid",
     "second_order_from_table",
+    "state_moments",
     "tangency_points",
     "wedge",
     "worst_flag",

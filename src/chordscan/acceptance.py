@@ -25,7 +25,7 @@ from .exact import (ExactEvaluator, correlation_C, fock_chi_radial,
                     fourier_invariance_residual)
 from .gridscan import axis, scan_grid
 from .smallchord import (classical_moments, closest_blind_spot_estimate, moments_from_chi,
-                         second_order_from_table, taylor_values)
+                         second_order_from_table, state_moments, taylor_values)
 
 RING_STATE = CurveSpec(n=5, hbar=0.1)
 SHEARED_STATE = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
@@ -114,7 +114,7 @@ def criterion_small_chord_bessel() -> CriterionResult:
 def criterion_ellipse_accuracy_ratio() -> CriterionResult:
     """Ellipse estimate over true first nodal radius lands near 0.83."""
     exact = make_evaluator("exact", SHEARED_STATE)
-    moments = moments_from_chi(exact)
+    moments = state_moments(SHEARED_STATE)
     estimate = closest_blind_spot_estimate(moments, SHEARED_STATE.hbar)
     mp, mq = moments.mean
     nodal = first_zero_along(exact, (mp, mq), s_max=0.4)

@@ -6,9 +6,10 @@ verifier write JSON reports. Every number in a CSV is the bytes of
 ``"%.17g" % x`` (doubles round-trip exactly, so identical configurations give
 bit-identical files). The writer formats whole columns with numpy,
 CSV_BLOCK_ROWS rows at a time: a fast path takes the 17 digits of each finite
-value in FAST_RANGE from an exact double-double product, and zeros, nan, inf,
-values outside FAST_RANGE and near-ties at the 17th digit fall back to
-``"%.17g"`` itself, as do a scan's axis columns, once per axis value.
+value in FAST_RANGE from an exact double-double product, a zero is "0" or
+"-0", and nan, inf, values outside FAST_RANGE and near-ties at the 17th
+digit fall back to ``"%.17g"`` itself, as do a scan's axis columns, once per
+axis value.
 Wall-clock timings appear only in JSON, under a key that marks them as
 outside the determinism guarantee.
 
@@ -40,7 +41,7 @@ from .curves import CurveSpec, InvalidStateError
 from .evaluators import EVALUATOR_NAMES, make_evaluator
 from .gridscan import axis, scan_grid
 from .quadrature import ConvergenceError, NumericalError
-from .smallchord import closest_blind_spot_estimate, moments_from_chi
+from .smallchord import closest_blind_spot_estimate, state_moments
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -177,9 +178,10 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
 # bulk: for finite FAST_RANGE values the 17 digits round(|x| 10^(16-E)) come
 # from an exact (Dekker) product with a double-double 10^k, whose error is
 # below 1e-14 of the last digit, and the %g layout is put together from masks
-# and text picked from small tables. Zeros, nan, inf, values outside FAST_RANGE
-# and rounding fractions within TIE_MARGIN of one half (exact ties occur, e.g.
-# 2251799813685247.75) go to "%.17g" itself.
+# and text picked from small tables. A zero is "0" or "-0", as "%.17g" writes
+# it (Im chi is 0.0 wherever chi is real by symmetry). Nan, inf, values
+# outside FAST_RANGE and rounding fractions within TIE_MARGIN of one half
+# (exact ties occur, e.g. 2251799813685247.75) go to "%.17g" itself.
 
 CSV_BLOCK_ROWS = 4096
 FAST_RANGE = (1e-280, 1e280)
@@ -193,6 +195,7 @@ _E_MIN = -330  # below the least exponent of a double; the exponent table starts
 # a formatted float's bytes: prefix, digits before the point, point, digits
 # after it, exponent; the longest "%.17g" text has 24
 _CELL = 6 + 17 + 1 + 16 + 5
+_ZERO_TEXT = np.array([b"0", b"-0"], dtype=f"S{_CELL}").view(np.uint8).reshape(2, _CELL)
 
 
 def _split(a):
@@ -295,7 +298,9 @@ def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
     np.bitwise_and(text[:, 1:], after.take(point * 18 + shown, axis=0), out=out[:, 24:40])
     out[:, 40:] = exponent.take(np.where(sci, e - _E_MIN, -1), axis=0)
 
-    slow = np.flatnonzero(~fast)
+    zero = np.flatnonzero(x == 0.0)
+    out[zero] = _ZERO_TEXT.take(np.signbit(x[zero]).view(np.uint8), axis=0)
+    slow = np.flatnonzero(~fast & (x != 0.0))
     if slow.size:
         slow_text = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype=f"S{_CELL}")
         out[slow] = slow_text.view(np.uint8).reshape(slow.size, _CELL)
@@ -420,8 +425,9 @@ def cmd_blindspots(args) -> int:
         raise ValueError(f"tol must be finite and positive, got {opt['tol']!r}")
     state = _state(opt)
     evaluator = make_evaluator(opt["evaluator"], state)
-    # the stationary-phase sums are singular at the origin, so moments (and
-    # Newton polish) fall back to the oracle for them
+    # the moments are the state's own, in closed form, whatever the evaluator;
+    # the stationary-phase sums are singular at the origin, so for them the
+    # Newton polish runs on the oracle
     pointlike = evaluator if evaluator.name.split(":")[0] in (
         "exact", "small", "semiclassical", "taylor") else make_evaluator("exact", state)
     lo, hi = opt["region"]
@@ -429,7 +435,7 @@ def cmd_blindspots(args) -> int:
 
     started = time.perf_counter()
     grid = scan_grid(evaluator, grid_axis, grid_axis)
-    moments = moments_from_chi(pointlike)
+    moments = state_moments(state)
     estimate = closest_blind_spot_estimate(moments, state.hbar)
     report = {
         "moments": {

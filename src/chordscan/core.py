@@ -97,6 +97,24 @@ def unflagged(values) -> tuple[np.ndarray, np.ndarray]:
     return values, np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
 
 
+def real_by_symmetry(state, values, xi_p) -> None:
+    """Set Im to +0.0, in place, wherever a symmetry makes the chord function real.
+
+    On xi_p = 0, chi is the characteristic function of the momentum
+    distribution, which the shear q -> q + t H'(p) leaves at the even
+    |psi_n(p)|^2: chi is real there for every state. An unsheared state
+    (t = 0, or a1 = a2 = a3 = 0) is the number state itself, whose chi is
+    real everywhere. Every route leaves round-off of either sign in Im there,
+    and np.angle reads a negative Re with Im = -0.0 as -pi, so the rule writes
+    +0.0. ``xi_p`` matches the leading axis of ``values``: the chords' own
+    xi_p for a batch, the xi_p axis for a tensor grid.
+    """
+    if state.t == 0.0 or not any(state.alpha[1:]):
+        values.imag[...] = 0.0
+    else:
+        values.imag[np.asarray(xi_p) == 0.0] = 0.0
+
+
 class Evaluator:
     """One route to the chord function of ``state``: a name plus a batch kernel.
 
@@ -124,6 +142,7 @@ class Evaluator:
         if xi_p.size == 0:
             return unflagged(np.zeros(xi_p.shape, dtype=complex))
         values, flags = self.kernel(xi_p.ravel(), xi_q.ravel())
+        real_by_symmetry(self.state, values, xi_p.ravel())
         return values.reshape(xi_p.shape), flags.reshape(xi_p.shape)
 
     def __call__(self, xi) -> ChordValue:

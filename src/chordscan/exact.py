@@ -169,10 +169,6 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
             f"(max |xi_p| {np.max(np.abs(xi_p)):g}) stalled: {err}",
             last=err.last, previous=err.previous,
         ) from err
-    # at xi_p = 0 the shear phase cancels and the integrand is
-    # |psi_n(p)|^2 exp(i p xi_q / hbar) with |psi_n|^2 even, so Im chi is 0
-    # exactly; the quadrature leaves round-off of either sign there
-    est.imag[xi_p == 0.0] = 0.0
     peak = np.max(np.abs(est))
     if peak > 1.0 + _MODULUS_SLACK:
         raise NumericalError(f"max |chi| = {peak} exceeds 1: quadrature is inconsistent")
@@ -180,8 +176,9 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
 
 
 def evolved_chi(state: CurveSpec, xi) -> ChordValue:
-    """Chord function of the sheared number state by certified quadrature."""
-    return ChordValue(complex(_overlap(state, xi[0], xi[1], tensor=False)[0]))
+    """Chord function of the sheared number state at one chord: a batch of one."""
+    values, _ = ExactEvaluator(state).evaluate(xi[0], xi[1])
+    return ChordValue(complex(values))
 
 
 def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:

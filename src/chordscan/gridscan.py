@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FLAGS_BY_CODE, Flag
+from .core import FLAGS_BY_CODE, Flag, real_by_symmetry
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,8 @@ def scan_grid(evaluator, xi_p_axis, xi_q_axis) -> ChordFieldGrid:
     else:
         values, flags = evaluator.evaluate(*np.meshgrid(xi_p_axis, xi_q_axis, indexing="ij"))
     values = np.asarray(values, dtype=complex)
+    # a grid kernel bypasses evaluate, which applies the rule to its batches
+    real_by_symmetry(evaluator.state, values, xi_p_axis)
     flags = np.asarray(flags, dtype=np.uint8)
     return ChordFieldGrid(xi_p_axis=xi_p_axis, xi_q_axis=xi_q_axis,
                           values=values, flags=flags, hbar=evaluator.state.hbar)

@@ -1,12 +1,14 @@
 """Convergence-certified quadrature and differentiation helpers.
 
-Every estimate in the package that comes from a discretized integral or a
+Every estimate in the package that comes from a refined integral or a
 finite difference goes through one of two routines: periodic_mean for every
-integral (curve averages and the exact overlap quadrature alike) and
-richardson_derivative for every derivative. Each certifies its value by the
-difference of two successive refinements and raises ConvergenceError (with
-the last two estimates attached) if none is within tolerance, so callers
-never get an uncertified number. _gl_nodes, a Gauss-Legendre rule, serves
+integral that needs a certificate (curve averages and the exact overlap
+quadrature alike) and richardson_derivative for every derivative. Each
+certifies its value by the difference of two successive refinements and
+raises ConvergenceError (with the last two estimates attached) if none is
+within tolerance, so callers never get an uncertified number. The classical
+moments need neither: each is a trigonometric polynomial on the curve, which
+one trapezoid sum integrates exactly. _gl_nodes, a Gauss-Legendre rule, serves
 only as the tests' independent reference.
 
 NumericalError is the one type for a numerical result the package refuses to

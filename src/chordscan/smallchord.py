@@ -6,10 +6,13 @@ classical average over the quantized curve,
     chi_s(xi) = (1/2 pi) \\oint dtheta exp[i x(theta) ∧ xi / hbar],
 
 (J_0(r |xi| / hbar) for an unsheared ring). Its Taylor coefficients at the
-origin are classical moments of the curve; the quantum moments come instead
-from differentiating an evaluated chord function at the origin. Truncating
-either expansion at second order and solving for the nearest zero along the
-mean direction yields the blind-spot ellipse estimate.
+origin are classical moments of the curve, each one exact trapezoid sum. The
+quantum moments are the state's own: state_moments gives the mean and second
+moments of the sheared number state in closed form, and moments_from_chi,
+which differentiates an evaluated chord function at the origin, stays as the
+cross-check of that. Truncating the expansion at second order and solving for
+the nearest zero along the mean direction yields the blind-spot ellipse
+estimate.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from .quadrature import NumericalError, periodic_mean, richardson_derivative
 AVERAGE_NODES = 64  # first rule of the classical average, on chord lists and grids alike
 AVERAGE_TOL = 1e-10  # on chi_s between successive doublings, uniform over a batch
 AVERAGE_DOUBLINGS = 12  # before ConvergenceError: at most 64 * 2**12 nodes
-MOMENT_TOL = 1e-12  # on each classical moment <q^j p^k>
-DERIVATIVE_TOL = 1e-8  # on the m-th derivative of chi at 0, relative to its size (R / hbar)^m
+DERIVATIVE_TOL = 1e-8  # moments_from_chi: m-th derivative of chi at 0, relative to (R / hbar)^m
 
 
 def _finite_phase(compute, name):
@@ -114,19 +116,22 @@ class MomentTable:
 
 
 def classical_moments(curve: CurveSpec, order: int = 4) -> MomentTable:
-    """Uniform-angle averages <q^j p^k> for all j + k <= order."""
+    """Uniform-angle averages <q^j p^k> for all j + k <= order, in one trapezoid sum.
+
+    On the curve p is a trigonometric polynomial of degree 1 in theta and q,
+    through H'(p), one of degree 2, so q^j p^k has degree at most 2 order. The
+    trapezoid sum on 2 order + 1 equispaced nodes is exact for such a
+    polynomial, since the first frequency that aliases onto the mean is
+    2 order + 1: each moment is that sum, with round-off its only error.
+    """
     if order < 1:
         raise ValueError("need order >= 1")
-    pairs = [(j, k) for j in range(order + 1) for k in range(order + 1 - j)]
-
-    def monomials(theta):
-        p, q = curve.point(theta)
-        return np.stack([q ** j * p ** k for j, k in pairs])
-
-    means, _ = periodic_mean(monomials, n0=64, tol=MOMENT_TOL)
+    nodes = 2 * order + 1
+    p, q = curve.point(2.0 * np.pi * np.arange(nodes) / nodes)
     table = np.full((order + 1, order + 1), np.nan)
-    for (j, k), m in zip(pairs, means.real):
-        table[j, k] = m
+    for j in range(order + 1):
+        for k in range(order + 1 - j):
+            table[j, k] = np.sum(q ** j * p ** k) / nodes
     return MomentTable(order=order, table=table)
 
 
@@ -153,7 +158,7 @@ def taylor_values(moments: MomentTable, hbar: float, xi_p, xi_q, order: int | No
     return total
 
 
-# -- quantum moments from an evaluated chord function ----------------------
+# -- quantum moments: from the state, and from an evaluated chord function --
 
 
 @dataclass(frozen=True)
@@ -190,8 +195,36 @@ def second_order_from_table(moments: MomentTable) -> SecondOrderMoments:
                               q2=moments.raw(2, 0), pq=moments.raw(1, 1))
 
 
+def state_moments(state: CurveSpec) -> SecondOrderMoments:
+    """Mean and raw second moments of the sheared number state, in closed form.
+
+    In the Heisenberg picture p is conserved and q_t = q + t H'(p). The number
+    state's Wigner function is rotationally symmetric, so the odd moments of p
+    vanish and <{q, f(p)}> = 0. With P2 = <p^2> = hbar (n + 1/2) and
+    P4 = <p^4> = (3/4) hbar^2 (2 n^2 + 2 n + 1):
+
+        <p> = 0,  <q> = t (a1 + 3 a3 P2),  <pq>_sym = 2 a2 t P2,
+        <q^2> = P2 + t^2 [a1^2 + (4 a2^2 + 6 a1 a3) P2 + 9 a3^2 P4].
+
+    The classical curve has <p^4> = (3/8) r^4, smaller than P4 by
+    (3/8) hbar^2, so its <q^2> falls short of this one by
+    (27/8) (a3 t hbar)^2; its other moments here are equal.
+    """
+    n, hbar, t = state.n, state.hbar, state.t
+    _, a1, a2, a3 = state.alpha
+    p2 = hbar * (n + 0.5)
+    p4 = 0.75 * hbar * hbar * (2 * n * n + 2 * n + 1)
+    return SecondOrderMoments(
+        mean=PhasePoint(0.0, t * (a1 + 3.0 * a3 * p2)), p2=p2,
+        q2=p2 + t * t * (a1 * a1 + (4.0 * a2 * a2 + 6.0 * a1 * a3) * p2 + 9.0 * a3 * a3 * p4),
+        pq=2.0 * a2 * t * p2)
+
+
 def moments_from_chi(evaluator) -> SecondOrderMoments:
     """Extract mean and raw second moments by differentiating chi at 0.
+
+    The cross-check of state_moments: it reads the moments off an evaluated
+    chord function, so it tests that function's derivatives at the origin.
 
     <q^m> = (i hbar)^m d^m chi / d xi_p^m |_0 and
     <p^m> = (-i hbar)^m d^m chi / d xi_q^m |_0; the symmetrized cross moment

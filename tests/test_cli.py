@@ -408,8 +408,9 @@ def test_blindspots_report(tmp_path):
 
 
 def test_stationary_phase_blindspots_polish_with_the_oracle(tmp_path):
-    """sp_full scans the field, but its sum is singular at the origin, where the
-    moments are taken: moments and Newton polish run on exact instead."""
+    """sp_full scans the field, but its sum is singular at the origin, where
+    Newton stencils of the innermost spots reach: the polish runs on exact
+    instead. The moments are the state's own, whatever the evaluator."""
     out = tmp_path / "spots.json"
     assert run("blindspots", "--evaluator", "sp_full", "--region=-0.3:0.3",
                "--resolution", "21", "--out", str(out)) == 0
@@ -426,6 +427,34 @@ def test_stationary_phase_blindspots_polish_with_the_oracle(tmp_path):
     assert np.all(np.abs(values) < 1e-6)
     for row in spots:
         assert np.min(np.hypot(*(spots + row).T)) < 1e-6
+
+
+def test_composite_blind_spot_report(tmp_path):
+    """The composite scans and polishes the recipe's field itself: its 10
+    spots lie within 3e-3 of the exact route's."""
+    recipe = Path(__file__).resolve().parents[1] / "recipes" / "blindspot-report.cfg"
+    spots = {}
+    for evaluator in ("exact", "semiclassical"):
+        out = tmp_path / f"{evaluator}.json"
+        assert run("blindspots", "--config", str(recipe), "--evaluator", evaluator,
+                   "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["polish_evaluator"] == evaluator
+        spots[evaluator] = np.array([[s["xi_p"], s["xi_q"]] for s in report["located_spots"]])
+    assert len(spots["semiclassical"]) == len(spots["exact"]) == 10
+    for row in spots["semiclassical"]:
+        assert np.min(np.hypot(*(spots["exact"] - row).T)) < 3e-3
+
+
+@pytest.mark.parametrize("t, evaluator", [("1", "taylor:12"), ("5", "taylor:8")])
+def test_taylor_scans_at_strong_shear(tmp_path, t, evaluator):
+    """The classical moments reach 1e5 to 1e17 here; each is one exact sum, so
+    no round-off has to settle below an absolute tolerance."""
+    out = tmp_path / "taylor.csv"
+    assert run("scan", "--t", t, "--evaluator", evaluator, "--resolution", "5",
+               "--region=-0.001:0.001", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 25 and {r[-1] for r in rows} == {"ok"}
 
 
 def test_taylor_blindspots_inside_the_polynomial_range(tmp_path):

@@ -206,3 +206,37 @@ def test_batched_radial_miss_guard(sheared):
     p[1] *= 1.001
     with pytest.raises(NumericalError, match="radial miss"):
         _tip_angle(sheared, p, q, foot)
+
+
+# states whose chi is real everywhere (unsheared: t = 0, or H without the
+# p-dependent terms) and the sheared state, real on the xi_p = 0 row only
+SYMMETRIC_STATES = {
+    "ring": CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.0),
+    "flat_h": CurveSpec(n=5, hbar=0.1, alpha=(0.3, 0.0, 0.0, 0.0), t=0.1),
+    "sheared": CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1),
+}
+
+
+@pytest.mark.parametrize("state_name", sorted(SYMMETRIC_STATES))
+@pytest.mark.parametrize("name", EVALUATOR_NAMES)
+def test_chi_real_by_symmetry_reads_plus_pi(state_name, name):
+    """Where a symmetry makes chi real, every route writes Im = +0.0 on the
+    grid and the batch paths alike, so a cell with Re chi < 0 has phase +pi,
+    never the -pi of a negative round-off."""
+    state = SYMMETRIC_STATES[state_name]
+    ev = make_evaluator("taylor:12" if name == "taylor" else name, state)
+    ax = axis(-0.35, 0.35, 15)
+    # past the first nodal ring at 0.2296, where Re chi < 0; the sheared
+    # state is taken on three rows, since taylor:12 exceeds |chi| = 1 at the
+    # corners of the square
+    xi_p = ax if state_name != "sheared" else np.array([-0.05, 0.0, 0.05])
+    grid = scan_grid(ev, xi_p, ax).values
+    listed, _ = ev.evaluate(*np.meshgrid(xi_p, ax, indexing="ij"))
+    for values in (grid, listed):
+        real = values if state_name != "sheared" else values[xi_p == 0.0]
+        assert np.all(real.imag == 0.0) and not np.any(np.signbit(real.imag))
+        negative = real.real < 0.0
+        assert np.count_nonzero(negative) >= 4
+        assert np.all(np.angle(real[negative]) == np.pi)
+    if state_name == "sheared":
+        assert np.all(grid[xi_p != 0.0].imag != 0.0)

@@ -391,10 +391,11 @@ T5_AXIS_ROW = (1.0000000000000002, -0.0022171790728555572, -0.2456952017131549,
 
 def test_axis_row_is_real_and_unchanged():
     """On xi_p = 0 chi is the characteristic function of |psi_n(p)|^2: Im chi
-    is exactly 0 on both kernel paths, and Re chi keeps its earlier values."""
+    is exactly 0 on the grid and chord-batch paths (core.real_by_symmetry),
+    and Re chi keeps its earlier values."""
     ax = axis(-2.3, 2.3, 21)
     want = np.concatenate([T5_AXIS_ROW[:0:-1], T5_AXIS_ROW])
-    row = evolved_chi_grid(STRONGEST, ax, ax)[10]
+    row = scan_grid(ExactEvaluator(STRONGEST), ax, ax).values[10]
     chords, _ = ExactEvaluator(STRONGEST).evaluate(np.zeros_like(ax), ax)
     for values in (row, chords):
         assert np.all(values.imag == 0.0)

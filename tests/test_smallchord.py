@@ -9,7 +9,7 @@ from scipy.special import j0
 from chordscan import (ConvergenceError, CurveSpec, chi_small,
                        classical_moments, closest_blind_spot_estimate,
                        make_evaluator, moments_from_chi,
-                       second_order_from_table)
+                       second_order_from_table, state_moments)
 from chordscan import smallchord
 from chordscan.gridscan import axis
 from chordscan.smallchord import (SecondOrderMoments, chi_small_grid, chi_small_points,
@@ -88,6 +88,37 @@ class TestClassicalMoments:
         assert mean.p == pytest.approx(0.0, abs=1e-12)
         assert mean.q == pytest.approx(0.265, abs=1e-10)
 
+    def test_one_sum_matches_the_doubling_where_it_settled(self):
+        """At t = 5 the order-12 moments reach 1e17, so a doubling certified to
+        an absolute 1e-12 never settles for all of them; each entry that does
+        settle agrees with the one exact sum within round-off."""
+        state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=5.0)
+        order = 12
+        pairs = [(j, k) for j in range(order + 1) for k in range(order + 1 - j)]
+
+        def monomials(theta):
+            p, q = state.point(theta)
+            return np.stack([q ** j * p ** k for j, k in pairs])
+
+        # the nested trapezoid doubling from 64 nodes, each entry taken at the
+        # first doubling that moves it by less than 1e-12
+        n = 64
+        total = np.sum(monomials(2.0 * np.pi * np.arange(n) / n), axis=-1)
+        est = total / n
+        settled = np.full(len(pairs), np.nan)
+        for _ in range(8):
+            total = total + np.sum(monomials(2.0 * np.pi * (np.arange(n) + 0.5) / n), axis=-1)
+            n *= 2
+            prev, est = est, total / n
+            new = np.isnan(settled) & (np.abs(est - prev) < 1e-12)
+            settled[new] = est[new]
+        table = classical_moments(state, order=order).table
+        got = np.array([table[j, k] for j, k in pairs])
+        kept = ~np.isnan(settled)
+        assert 0 < np.count_nonzero(kept) < len(pairs)
+        largest = np.max(np.abs(got))
+        assert np.max(np.abs(got[kept] - settled[kept])) <= 1e-15 * largest
+
     def test_out_of_table_access(self, sheared):
         m = classical_moments(sheared, order=2)
         with pytest.raises(ValueError):
@@ -160,12 +191,43 @@ class TestQuantumMoments:
     def test_strongly_sheared_moments(self, t):
         """The shear moves the mean to <q> = t (3 a3 <p^2> + a1) = 2.65 t, and
         chi's phase turns by <q> xi_p / hbar: the first step and the tolerance
-        follow the curve's RMS radius, which grows with the mean."""
+        of moments_from_chi follow the curve's RMS radius, which grows with the
+        mean. The closed form gives the same moments."""
         state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
-        mom = moments_from_chi(make_evaluator("exact", state))
-        assert mom.mean.p == pytest.approx(0.0, abs=1e-6)
-        assert mom.p2 == pytest.approx(0.55, abs=1e-6)
-        assert mom.mean.q == pytest.approx(2.65 * t, abs=1e-6)
+        for mom in (moments_from_chi(make_evaluator("exact", state)), state_moments(state)):
+            assert mom.mean.p == pytest.approx(0.0, abs=1e-6)
+            assert mom.p2 == pytest.approx(0.55, abs=1e-6)
+            assert mom.mean.q == pytest.approx(2.65 * t, abs=1e-6)
+
+    @pytest.mark.parametrize("n, hbar, t", [(5, 0.1, 0.1), (5, 0.1, 1.0), (5, 0.1, 5.0),
+                                            (3, 0.1, 0.2), (80, 0.006832298, 0.1),
+                                            (5, 0.1, 0.0)])
+    def test_state_moments_agree_with_the_fock_product_and_chi(self, n, hbar, t):
+        """The closed form against <n|x_t x_t|n> in a truncated Fock basis, with
+        q_t = q + t H'(p), and against the derivatives of the exact chi at 0.
+        An error bound on a moment of degree m is a multiple of R^m, R^2 the
+        sum <p^2> + <q^2>, the scale moments_from_chi works in."""
+        state = CurveSpec(n=n, hbar=hbar, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
+        size = n + 8  # every product below reaches at most n + 4 quanta
+        lower = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+        q = math.sqrt(hbar / 2) * (lower + lower.T)
+        p = 1j * math.sqrt(hbar / 2) * (lower.T - lower)
+        _, a1, a2, a3 = state.alpha
+        q_t = q + t * (a1 * np.eye(size) + 2 * a2 * p + 3 * a3 * p @ p)
+        fock = SecondOrderMoments(mean=(p[n, n].real, q_t[n, n].real),
+                                  p2=(p @ p)[n, n].real, q2=(q_t @ q_t)[n, n].real,
+                                  pq=(0.5 * (p @ q_t + q_t @ p))[n, n].real)
+        closed = state_moments(state)
+        scale = math.sqrt(closed.p2 + closed.q2)
+        for other, tol in ((fock, 1e-12), (moments_from_chi(make_evaluator("exact", state)), 1e-10)):
+            np.testing.assert_allclose(other.mean, closed.mean, rtol=0, atol=tol * scale)
+            np.testing.assert_allclose([other.p2, other.q2, other.pq],
+                                       [closed.p2, closed.q2, closed.pq],
+                                       rtol=0, atol=tol * scale ** 2)
+        # the classical curve's <p^4> is (3/8) hbar^2 below the quantum one
+        classical = classical_moments(state, order=2).raw(2, 0)
+        assert closed.q2 - classical == pytest.approx(27 / 8 * (a3 * t * hbar) ** 2,
+                                                      rel=0, abs=1e-12 * scale ** 2)
 
     def test_non_hermitian_field_refused(self, sheared):
         # a real-valued exponential leaks a real first derivative
