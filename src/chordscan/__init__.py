@@ -4,7 +4,8 @@ The chord function of a state is the expectation value of the phase-space
 translation by minus the chord; sampled over chords it carries the same
 information as the state itself. This package evaluates it for
 Bohr-quantized states of cubic-in-momentum Hamiltonians three ways -- an
-exact quadrature oracle, a short-chord classical average, and a
+exact oracle (a closed form per chord, and the overlap quadrature where its
+round-off bound refuses it), a short-chord classical average, and a
 stationary-phase composite -- and extracts the structures that make the
 function useful: moments, nodal lines, and blind spots (isolated zeros).
 

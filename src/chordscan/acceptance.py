@@ -18,10 +18,10 @@ from numpy.polynomial.laguerre import lagroots
 from scipy.special import j0
 
 from .blindspots import find_blind_spots, first_zero_along, nodal_contours
-from .core import FLAG_CODES, Flag
+from .core import FLAG_CODES, Flag, real_by_symmetry
 from .curves import CurveSpec
 from .evaluators import make_evaluator
-from .exact import (ExactEvaluator, correlation_C, fock_chi_radial,
+from .exact import (_closed_form, _overlap, correlation_C, fock_chi_radial,
                     fourier_invariance_residual)
 from .gridscan import axis, scan_grid
 from .smallchord import (classical_moments, closest_blind_spot_estimate, moments_from_chi,
@@ -41,6 +41,10 @@ RING_RESOLUTION = 400
 MEAN_Q = 0.265          # t (3 a3 <p^2> + a1) with <p^2> = hbar (n + 1/2)
 SECOND_P = 0.55         # hbar (n + 1/2)
 ELLIPSE_RADIUS = math.sqrt(2.0 * 0.1 ** 2 / SECOND_P)  # 0.190693...
+# sheared states on which the closed form meets the quadrature, and the grid points per axis
+SHEARED_ANCHORS = tuple(replace(SHEARED_STATE, t=t) for t in (0.1, 1.0, 5.0)) + (
+    replace(SHEARED_STATE, n=3, t=0.2),)
+SHEARED_ANCHOR_RESOLUTION = 21
 
 
 @dataclass(frozen=True)
@@ -88,17 +92,35 @@ def criterion_normalization_and_symmetry() -> CriterionResult:
 
 
 def criterion_oracle_cross_check() -> CriterionResult:
-    """At t = 0 the overlap quadrature must reproduce the closed form."""
+    """At t = 0 the overlap quadrature must reproduce the closed ring form."""
     worst = 0.0
     radii, angles = np.meshgrid(np.linspace(0.05, 3.0, 14),
                                 np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False))
-    xi_p, xi_q = radii * np.cos(angles), radii * np.sin(angles)
+    xi_p, xi_q = (radii * np.cos(angles)).ravel(), (radii * np.sin(angles)).ravel()
     for n in (0, 1, 5, 10):
-        values, _ = ExactEvaluator(CurveSpec(n=n, hbar=0.1)).evaluate(xi_p, xi_q)
+        state = CurveSpec(n=n, hbar=0.1)
+        values = _overlap(state, xi_p, xi_q, tensor=False)
+        real_by_symmetry(state, values, xi_p)
         closed = fock_chi_radial(n, 0.1, np.hypot(xi_p, xi_q))
         worst = max(worst, float(np.max(np.abs(values - closed))))
     return CriterionResult(name="quadrature oracle against closed ring form",
                            passed=worst <= 1e-8, measured=worst, tolerance=1e-8)
+
+
+def criterion_sheared_closed_form() -> CriterionResult:
+    """Under shear the Gaussian-Hermite closed form must reproduce the overlap quadrature."""
+    ax = axis(-4.0, 4.0, SHEARED_ANCHOR_RESOLUTION)
+    worst = worst_bound = 0.0
+    for state in SHEARED_ANCHORS:
+        closed, bound = _closed_form(state, ax[:, np.newaxis], ax)
+        quadrature = _overlap(state, ax, ax, tensor=True)
+        worst = max(worst, float(np.max(np.abs(closed - quadrature))))
+        worst_bound = max(worst_bound, float(np.max(bound)))
+    return CriterionResult(
+        name="closed form against the quadrature under shear",
+        passed=worst <= 1e-12, measured=worst, tolerance=1e-12,
+        detail=f"n = 5 at t = 0.1, 1, 5 and n = 3 at t = 0.2 on {ax.size}² chords "
+               f"over ±4, largest round-off bound {worst_bound:.1e}")
 
 
 def criterion_small_chord_bessel() -> CriterionResult:
@@ -283,6 +305,7 @@ def criterion_regime_handoff() -> CriterionResult:
 CRITERIA = (
     criterion_normalization_and_symmetry,
     criterion_oracle_cross_check,
+    criterion_sheared_closed_form,
     criterion_small_chord_bessel,
     criterion_ellipse_accuracy_ratio,
     criterion_nodal_ring_structure,

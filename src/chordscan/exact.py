@@ -1,27 +1,37 @@
 """Exact reference evaluators for the chord function.
 
-Two independent routes to the same object live here and cross-check each
-other: a closed form for the unsheared number state, and a direct overlap
-quadrature that also covers the sheared state,
+The exact chord function of the sheared number state is the overlap
 
     chi(xi) = \\int dp  psi_n*(p + xi_p/2)
                  exp(-(i/hbar) (t [H(p+xi_p/2) - H(p-xi_p/2)] - p xi_q))
               psi_n(p - xi_p/2),
 
-with psi_n the momentum-representation oscillator eigenfunction. Every
-quadrature goes through one batched kernel: the chords of a call share one p
-window and one nested trapezoid rule, run by quadrature.periodic_mean over
-the window mapped onto [0, 2 pi). The integrand is entire, and past the
-classical radius it decays like a Gaussian of width sqrt(hbar), to round-off
-inside the window; so the rule converges geometrically and each doubling
-reuses every node. A tensor grid is one (xi_p x nodes) @
-(nodes x xi_q) product per node pass, and one certificate covers the whole
-batch. ExactEvaluator is the core.Evaluator of this kernel: a chord batch
-calls it directly, a tensor grid goes through evolved_chi_grid and one chord
-through evolved_chi. Those two names stay apart only for the benchmark's
-tracer, until it reads counters kept by the library (ROADMAP item 1).
-Grid-level certificates (the symplectic Fourier invariance of |chi|^2 and the
-chord correlation) are also implemented here because they only make sense
+with psi_n the momentum-representation oscillator eigenfunction. For a
+cubic H the shear phase is quadratic in p, so the overlap is a Gaussian
+integral of two Hermite functions with an O(n) closed form per chord
+(_closed_form). That sum cancels terms that grow with |xi| / sqrt(hbar) and
+with n, so each value carries a bound on its round-off, and a chord takes the
+closed form only where the bound is within OVERLAP_TOL. Every other chord
+(at large n most chords inside the ring, and every non-finite one) goes to
+the certified overlap quadrature, _overlap: the chords of a call share one p
+window and one nested trapezoid rule, run by quadrature.periodic_mean over the
+window mapped onto [0, 2 pi). The integrand is entire, and past the classical
+radius it decays like a Gaussian of width sqrt(hbar), to round-off inside
+the window; so the rule converges geometrically and each doubling reuses
+every node. A tensor grid is one (xi_p x nodes) @ (nodes x xi_q) product
+per node pass, and one certificate covers the whole batch.
+
+An accepted value depends on its chord alone; a refused one depends on the
+other refused chords of its call, through the shared window and certificate.
+ExactEvaluator is the core.Evaluator of the two routes: a chord batch calls
+it directly, a tensor grid goes through evolved_chi_grid (the closed form
+built once per xi_p row, the refused chords' rows and columns as one tensor
+quadrature) and one chord through evolved_chi. Those two names stay apart
+only for the benchmark's tracer, until it reads counters kept by the library
+(ROADMAP item 1). fock_chi_radial is the unsheared state's Laguerre form,
+which the tests and the acceptance battery use as an anchor. Grid-level
+certificates (the symplectic Fourier invariance of |chi|^2 and the chord
+correlation) are also implemented here because they only make sense
 against the exact field.
 """
 
@@ -35,10 +45,12 @@ from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
 OVERLAP_TAIL = 8.0  # p window half-width past the classical radius, in sqrt(hbar)
-OVERLAP_TOL = 1e-10  # on chi between successive doublings, uniform over a batch
+OVERLAP_TOL = 1e-10  # on chi: the closed form's largest accepted round-off bound, and the
+# quadrature's change between successive doublings, uniform over a batch
 OVERLAP_MAX_NODES = 32768  # largest trapezoid rule before ConvergenceError
 BOUNDARY_TOL = 1e-8  # largest |chi|^2 on a grid edge that the certificates accept
 _MODULUS_SLACK = 1e-8  # |chi| may exceed 1 only by the quadrature tolerance
+ROUNDOFF_FACTOR = 8.0  # closed-form round-off, in eps per Hermite order and per unit of exponent
 
 
 class GridTooSmallError(ValueError):
@@ -169,10 +181,96 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
             f"(max |xi_p| {np.max(np.abs(xi_p)):g}) stalled: {err}",
             last=err.last, previous=err.previous,
         ) from err
-    peak = np.max(np.abs(est))
-    if peak > 1.0 + _MODULUS_SLACK:
-        raise NumericalError(f"max |chi| = {peak} exceeds 1: quadrature is inconsistent")
     return est
+
+
+def _closed_form(state: CurveSpec, xi_p, xi_q):
+    """The overlap in closed form at the chords xi_p, xi_q broadcast together, and its round-off.
+
+    The shear phase t [H(p + xi_p/2) - H(p - xi_p/2)] - p xi_q is quadratic
+    in p, so in u = p / sqrt(hbar) the overlap is a Gaussian integral of
+    h_n(u + s) h_n(u - s), and the generating function of the h_n turns it
+    into an O(n) sum (Bargmann, Commun. Pure Appl. Math. 14, 1961):
+
+        chi = c^(-n-1/2) exp(-s^2 + i phi0 - phi1^2 / 4c)
+              sum_m n!/(n-m)! c^m E_m(mu+) E_m(mu-),
+
+    s = xi_p / 2 sqrt(hbar), phi0 = -t xi_p (a1 + a3 xi_p^2 / 4) / hbar,
+    phi1 = (xi_q - 2 t a2 xi_p) / sqrt(hbar), c = 1 + 3 i t a3 xi_p,
+    mu+- = +-sqrt(2) s + i phi1 / (sqrt(2) c), and (m + 1) E_{m+1} =
+    mu E_m + (1/c - 1) E_{m-1} from E_0 = 1, E_1 = mu. The weights are
+    integers where c = 1, so chi(0) = 1 exactly. Every factor of xi_p alone
+    has the shape of xi_p, so a tensor grid (xi_p as a column, xi_q as a row)
+    builds it once per row, and each chord costs one complex exponential and
+    the two recurrences.
+
+    The recurrences cancel terms of size |mu| ~ |xi| / sqrt(hbar), more so as
+    n grows, so each value comes with a bound on its round-off: the same
+    recurrences and sum on magnitudes, times the prefactor's modulus and
+    ROUNDOFF_FACTOR eps (n + 1 + s^2 + |phi0| + phi1^2 / 4|c|), the last
+    terms for the exponent's own round-off. A chord whose prefactor or sum
+    overflows has a bound of inf or nan.
+    """
+    _, a1, a2, a3 = state.alpha
+    n, t, root = state.n, state.t, np.sqrt(state.hbar)
+    xi_p, xi_q = np.asarray(xi_p, dtype=float), np.asarray(xi_q, dtype=float)
+    with np.errstate(all="ignore"):
+        # factors of xi_p alone
+        s = xi_p / (2.0 * root)
+        phi0 = -t * xi_p * (a1 + 0.25 * a3 * xi_p * xi_p) / state.hbar
+        c = 1.0 + 3j * t * a3 * xi_p
+        inv_c = 1.0 / c
+        d = inv_c - 1.0
+        scale = c ** -(n + 0.5)
+        # factors of the chord
+        phi1 = (xi_q - 2.0 * t * a2 * xi_p) / root
+        nu = phi1 * (1j / np.sqrt(2.0) * inv_c)
+        mu = np.empty((2,) + nu.shape, dtype=complex)
+        np.add(nu, np.sqrt(2.0) * s, out=mu[0])
+        np.subtract(nu, np.sqrt(2.0) * s, out=mu[1])
+        prefactor = scale * np.exp((1j * phi0 - s * s) - phi1 * phi1 * (0.25 * inv_c))
+
+        size, size_d, size_c = np.abs(mu), np.abs(d), np.abs(c)
+        # E_0 = 1 and E_1 = mu; the sum starts from its m = 0 term, 1
+        e_prev, e, m_e_prev, m_e = 1.0, mu, 1.0, size
+        total = m_total = weight = m_weight = 1.0
+        for m in range(1, n + 1):
+            weight, m_weight = weight * (c * (n + 1 - m)), m_weight * (size_c * (n + 1 - m))
+            total = total + weight * (e[0] * e[1])
+            m_total = m_total + m_weight * (m_e[0] * m_e[1])
+            if m < n:
+                step = 1.0 / (m + 1)
+                e, e_prev = (mu * e + d * e_prev) * step, e
+                m_e, m_e_prev = (size * m_e + size_d * m_e_prev) * step, m_e
+        phase_size = s * s + np.abs(phi0) + phi1 * phi1 / (4.0 * size_c)
+        bound = (np.abs(prefactor) * m_total
+                 * (ROUNDOFF_FACTOR * np.finfo(float).eps * (n + 1.0 + phase_size)))
+        return prefactor * total, bound
+
+
+def _certified(state: CurveSpec, xi_p, xi_q):
+    """Closed-form values at chords broadcast from xi_p and xi_q, and where their bound refuses them.
+
+    A chord is refused when its round-off bound exceeds OVERLAP_TOL, the
+    quadrature's own tolerance, or is not finite, or its value is not finite.
+    """
+    values, bound = _closed_form(state, xi_p, xi_q)
+    return values, ~((bound <= OVERLAP_TOL) & np.isfinite(values))
+
+
+def _modulus_checked(values):
+    peak = np.max(np.abs(values), initial=0.0)
+    if peak > 1.0 + _MODULUS_SLACK:
+        raise NumericalError(f"max |chi| = {peak} exceeds 1: the exact route is inconsistent")
+    return values
+
+
+def _exact_chords(state: CurveSpec, xi_p, xi_q):
+    """Chord-list kernel: the closed form, and the quadrature for the chords it refuses."""
+    values, refused = _certified(state, xi_p, xi_q)
+    if refused.any():
+        values[refused] = _overlap(state, xi_p[refused], xi_q[refused], tensor=False)
+    return _modulus_checked(values)
 
 
 def evolved_chi(state: CurveSpec, xi) -> ChordValue:
@@ -182,21 +280,34 @@ def evolved_chi(state: CurveSpec, xi) -> ChordValue:
 
 
 def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
-    """Chord-function values on the tensor grid xi_p_axis x xi_q_axis."""
-    return _overlap(state, xi_p_axis, xi_q_axis, tensor=True)
+    """Chord-function values on the tensor grid xi_p_axis x xi_q_axis.
+
+    The closed form takes every chord its bound accepts. The refused chords
+    go to one tensor quadrature over the rows and columns that hold them.
+    """
+    xi_p_axis = np.asarray(xi_p_axis, dtype=float).ravel()
+    xi_q_axis = np.asarray(xi_q_axis, dtype=float).ravel()
+    values, refused = _certified(state, xi_p_axis[:, np.newaxis], xi_q_axis)
+    if refused.any():
+        rows, cols = refused.any(axis=1), refused.any(axis=0)
+        block = np.ix_(rows, cols)
+        quadrature = _overlap(state, xi_p_axis[rows], xi_q_axis[cols], tensor=True)
+        values[block] = np.where(refused[block], quadrature, values[block])
+    return _modulus_checked(values)
 
 
 class ExactEvaluator(Evaluator):
-    """The certified overlap quadrature as an evaluator of ``state``.
+    """The exact chord function as an evaluator of ``state``.
 
-    A chord batch and a tensor grid each take one ``_overlap`` call; a single
-    chord goes through evolved_chi. Every value is flagged OK.
+    A chord batch takes one ``_exact_chords`` call and a tensor grid one
+    evolved_chi_grid call; a single chord goes through evolved_chi. Every
+    value is flagged OK.
     """
 
     def __init__(self, state: CurveSpec):
         super().__init__(
             "exact", state,
-            lambda xi_p, xi_q: unflagged(_overlap(state, xi_p, xi_q, tensor=False)),
+            lambda xi_p, xi_q: unflagged(_exact_chords(state, xi_p, xi_q)),
             lambda xi_p_axis, xi_q_axis: unflagged(evolved_chi_grid(state, xi_p_axis, xi_q_axis)))
 
     def __call__(self, xi) -> ChordValue:

@@ -23,8 +23,8 @@ def test_criterion(criterion):
 
 def test_battery_is_complete():
     names = [c.__name__ for c in CRITERIA]
-    assert len(names) == 10
-    assert len(set(names)) == 10
+    assert len(names) == 11
+    assert len(set(names)) == 11
 
 
 def test_run_all_reports_one_line_per_criterion(monkeypatch):

@@ -231,6 +231,20 @@ class TestBlindSpots:
                           for other in search.spots)
             assert partner < 1e-6
 
+    def test_each_spot_reads_the_same_bits_beside_its_stencil(self, sheared_scan, search):
+        """An exact value the closed form accepts depends on its chord alone:
+        each root reads the same bits alone, beside its +-1e-6 Jacobian
+        stencil and beside the other roots."""
+        ev, _ = sheared_scan
+        roots = np.array([[s.chord.xi_p, s.chord.xi_q] for s in search.spots])
+        together, _ = ev.evaluate(roots[:, 0], roots[:, 1])
+        offsets = np.array([[0.0, 0.0], [1e-6, 0.0], [-1e-6, 0.0], [0.0, 1e-6], [0.0, -1e-6]])
+        for root, beside_roots in zip(roots, together):
+            alone, _ = ev.evaluate(root[:1], root[1:])
+            stencil = root + offsets
+            beside_stencil, _ = ev.evaluate(stencil[:, 0], stencil[:, 1])
+            assert beside_stencil[0] == alone[0] == beside_roots
+
     def test_nearest_pair_location(self, search):
         nearest = search.nearest()
         assert nearest.radius == pytest.approx(0.20820598674613511, rel=1e-6)

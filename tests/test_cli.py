@@ -548,7 +548,11 @@ def test_verify_exit_codes(tmp_path, monkeypatch, capsys):
     ("cut", "--direction", "0,1", "--range", "0:1e300", "--samples", "2"),
 ])
 def test_chords_past_the_node_budget_exit_3(tmp_path, capsys, command):
-    assert run(*command, "--out", str(tmp_path / "x.csv")) == 3
+    """The closed form refuses the 1e300 chords without a RuntimeWarning, and
+    the quadrature it hands them to refuses them too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*command, "--out", str(tmp_path / "x.csv")) == 3
     err = capsys.readouterr().err
     assert err.startswith("chordscan: did not converge:") and "32768 nodes" in err
     assert err.count("\n") == 1 and "Traceback" not in err

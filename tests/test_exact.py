@@ -1,4 +1,4 @@
-"""Certified-quadrature oracle and its Fourier self-consistency checks."""
+"""Exact oracle: the closed form, the certified quadrature behind it, and the Fourier self-consistency checks."""
 
 import numpy as np
 import pytest
@@ -105,7 +105,7 @@ def test_trapezoid_matches_gauss_legendre(state):
     coarse = _gauss_legendre_chi(state, xi_p, xi_q, half_width, 512)
     reference = _gauss_legendre_chi(state, xi_p, xi_q, half_width, 1024)
     assert np.max(np.abs(reference - coarse)) < 1e-12  # the reference certifies itself
-    values, _ = ExactEvaluator(state).evaluate(xi_p, xi_q)
+    values = exact._overlap(state, xi_p, xi_q, tensor=False)
     assert np.max(np.abs(values - reference)) < 1e-10
 
 
@@ -123,9 +123,9 @@ def test_far_chords_do_not_alias_onto_the_state(ring):
     half_width = np.sqrt(ring.hbar * (2 * ring.n + 1)) + 8.0 * np.sqrt(ring.hbar)
     reference = _gauss_legendre_chi(ring, xi_p, xi_q, half_width, 1024)
     assert np.max(np.abs(reference - closed)) < 1e-12  # 1024 nodes resolve the wave
-    batch, _ = ExactEvaluator(ring).evaluate(xi_p, xi_q)
-    single = np.array([complex(evolved_chi(ring, (0.0, q))) for q in xi_q])
-    row = evolved_chi_grid(ring, [0.0], xi_q)[0]
+    batch = exact._overlap(ring, xi_p, xi_q, tensor=False)
+    single = np.array([exact._overlap(ring, [0.0], [q], tensor=False)[0] for q in xi_q])
+    row = exact._overlap(ring, [0.0], xi_q, tensor=True)[0]
     for values in (batch, single, row):
         assert np.max(np.abs(values - closed)) < 1e-10
         assert np.max(np.abs(values - reference)) < 1e-10
@@ -174,6 +174,72 @@ def test_evaluator_interface(sheared):
     assert np.all(flags == 0)  # the oracle never degrades
 
 
+# -- Gaussian-Hermite closed form against the quadrature ------------------------
+
+# the quadrature's own round-off: below 4e-15 against a 60-digit evaluation of
+# the closed form's sum, on n = 5 to 80 at t = 0 to 1
+QUADRATURE_ROUNDOFF = 1e-14
+
+
+def _seeded_chords(seed, count, reach):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-reach, reach, size=(2, count))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 5.0])
+@pytest.mark.parametrize("n", [0, 1, 3, 5, 8])
+def test_closed_form_matches_the_quadrature(n, t):
+    state = CurveSpec(n=n, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
+    xi_p, xi_q = _seeded_chords(700 + n, 40, 3.0)
+    closed, bound = exact._closed_form(state, xi_p, xi_q)
+    quadrature = exact._overlap(state, xi_p, xi_q, tensor=False)
+    error = np.abs(closed - quadrature)
+    assert np.all(bound <= exact.OVERLAP_TOL)
+    assert np.all(error <= bound + QUADRATURE_ROUNDOFF)
+    if n <= 5:  # at n = 8 the sum's cancellation leaves up to 1.2e-13 past the ring
+        assert np.max(error) < 1e-13
+
+
+@pytest.mark.parametrize("n", [10, 14, 20])
+def test_round_off_bound_holds(n):
+    """Every chord the bound accepts is within its bound of the quadrature;
+    at these n the bound both accepts chords near 1e-10 and refuses some."""
+    state = CurveSpec(n=n, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0)
+    xi_p, xi_q = _seeded_chords(800 + n, 200, 2.5 * state.radius)
+    closed, bound = exact._closed_form(state, xi_p, xi_q)
+    accepted = bound <= exact.OVERLAP_TOL
+    assert np.any(accepted & (bound > 1e-12)) and not np.all(accepted)
+    quadrature = exact._overlap(state, xi_p[accepted], xi_q[accepted], tensor=False)
+    assert np.all(np.abs(closed[accepted] - quadrature) <= bound[accepted] + QUADRATURE_ROUNDOFF)
+
+
+def test_refused_chords_go_to_the_quadrature():
+    """At n = 80 the recurrences lose every digit inside the ring: the bound
+    refuses those chords, and the chord list and the grid hand them to the
+    quadrature while the accepted ones keep the closed form."""
+    state = CurveSpec(n=80, hbar=0.006832298, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
+    xi_p, xi_q = _seeded_chords(880, 60, 3.0)
+    closed, bound = exact._closed_form(state, xi_p, xi_q)
+    refused = ~(bound <= exact.OVERLAP_TOL)
+    assert np.any(refused) and not np.all(refused)
+    values, _ = ExactEvaluator(state).evaluate(xi_p, xi_q)
+    assert np.array_equal(values[~refused], closed[~refused])
+    assert np.array_equal(values[refused],
+                          exact._overlap(state, xi_p[refused], xi_q[refused], tensor=False))
+    assert np.max(np.abs(values[refused] - closed[refused])) > 1.0
+
+    ax = axis(-3.0, 3.0, 15)
+    closed, bound = exact._closed_form(state, ax[:, np.newaxis], ax)
+    refused = ~(bound <= exact.OVERLAP_TOL)
+    rows, cols = refused.any(axis=1), refused.any(axis=0)
+    assert not np.all(rows) or not np.all(cols)
+    grid = evolved_chi_grid(state, ax, ax)
+    quadrature = exact._overlap(state, ax[rows], ax[cols], tensor=True)
+    assert np.array_equal(grid[~refused], closed[~refused])
+    assert np.array_equal(grid[np.ix_(rows, cols)][refused[np.ix_(rows, cols)]],
+                          quadrature[refused[np.ix_(rows, cols)]])
+
+
 # -- quadrature controls -------------------------------------------------------
 
 
@@ -181,7 +247,8 @@ def test_starved_quadrature_raises(monkeypatch):
     # at t = 1 the chord (0.5, 0.5) starts at 64 nodes and settles at 256
     monkeypatch.setattr(exact, "OVERLAP_MAX_NODES", 128)
     with pytest.raises(ConvergenceError, match=r"overlap .* within 128 nodes"):
-        evolved_chi(CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0), (0.5, 0.5))
+        exact._overlap(CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0),
+                       [0.5], [0.5], tensor=False)
 
 
 def _first_rules(monkeypatch):
@@ -205,13 +272,13 @@ def _first_rules(monkeypatch):
 ])
 def test_first_rule_clears_the_aliases(sheared, monkeypatch, xi_p, xi_q, start):
     seen = _first_rules(monkeypatch)
-    ExactEvaluator(sheared).evaluate(xi_p, xi_q)
+    exact._overlap(sheared, xi_p, xi_q, tensor=False)
     assert seen == [start]
 
 
 def test_grid_first_rule(sheared, monkeypatch):
     seen = _first_rules(monkeypatch)
-    evolved_chi_grid(sheared, axis(-2.3, 2.3, 161), axis(-2.3, 2.3, 161))
+    exact._overlap(sheared, axis(-2.3, 2.3, 161), axis(-2.3, 2.3, 161), tensor=True)
     assert seen == [128]
 
 
@@ -224,10 +291,10 @@ def test_first_rule_past_the_budget_raises_before_any_node_pass(sheared, monkeyp
     for xi in [(0.0, edge * (1 + 1e-9)), (0.0, 2000.0), (1e300, 0.0),
                (0.0, -1e300), (np.nan, 0.0), (0.0, np.inf)]:
         with pytest.raises(ConvergenceError, match="more than 32768 nodes"):
-            evolved_chi(sheared, xi)
+            exact._overlap(sheared, [xi[0]], [xi[1]], tensor=False)
     assert seen == []
     monkeypatch.undo()
-    evolved_chi(sheared, (0.0, edge * (1 - 1e-9)))
+    exact._overlap(sheared, [0.0], [edge * (1 - 1e-9)], tensor=False)
 
 
 # -- Fourier self-consistency ---------------------------------------------------
@@ -318,8 +385,8 @@ def test_newton_stencils_match_one_chord_calls(sheared):
     offsets = 1e-6 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     chords = (seeds[:, None, :] + offsets).reshape(-1, 2)
     assert np.unique(chords[:, 0]).size < chords.shape[0]
-    values, _ = ExactEvaluator(sheared).evaluate(chords[:, 0], chords[:, 1])
-    single = np.array([complex(evolved_chi(sheared, xi)) for xi in chords])
+    values = exact._overlap(sheared, chords[:, 0], chords[:, 1], tensor=False)
+    single = np.array([exact._overlap(sheared, [p], [q], tensor=False)[0] for p, q in chords])
     assert np.max(np.abs(values - single)) < 1e-14
 
 
