@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import periodic_mean
-
 
 class InvalidStateError(ValueError):
     """State or curve parameters outside the supported domain."""
@@ -117,13 +115,3 @@ class CurveSpec:
         p, q = x[0], x[1]
         u = q - self.drift(p) * self.t
         return (p - u * self.drift_d1(p) * self.t, u)
-
-    def enclosed_area(self) -> float:
-        """Signed area (1/2) \\oint x ∧ dx; equals 2 pi I for any shear time."""
-        def integrand(theta):
-            p, q = self.point(theta)
-            dp, dq = self.velocity(theta)
-            return p * dq - q * dp
-
-        mean, _ = periodic_mean(integrand, n0=64, tol=1e-12)
-        return float(np.pi * mean.real)

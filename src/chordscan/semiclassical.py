@@ -60,15 +60,22 @@ trimmed by their rotation-invariant moduli: c_2 and c_-2 go together, so
 the degree is 4, 2 or 0 (it drops on t = 0 curves, on the xi_p = 0 row and
 when a3 = 0). In tau = tan(s/2), (1 + tau^2)^(deg/2) g is a real polynomial
 whose leading coefficient is g(pi), the largest sample, so no root is lost
-at tau = infinity even where theta = phi + pi is a root. The rows are
-grouped by degree, and each group takes one stacked real np.linalg.eigvals
-call on its companion matrices. Each root maps back to
-z = exp(i phi) (1 + i tau) / (1 - i tau), and counts as a real angle when
-|ln|z|| <= sqrt(ROUND_OFF): a double root splits by the square root of the
-coefficients' round-off. h' and x'' ∧ xi are the defects' slopes g'(s) at
-their roots, read off the same harmonics. Each root is then one record
-(chord, theta, action, slope), and one sum serves tangencies and
-realizations alike: np.bincount folds
+at tau = infinity even where theta = phi + pi is a root. Its coefficients
+come from the samples through one fixed 5 x 5 map per rotation, and its
+roots in closed form: a quartic row splits by Ferrari's resolvent cubic
+into two real quadratics, a quadratic row is one, each is solved by the
+quadratic formula without cancellation, and a quartic's roots take one
+Newton step on it. A real root that the coefficients' round-off could move
+by more than _SHAKY eps (next to a double root: near caustics) takes one
+more Newton step, against coefficients kept to twice double precision
+and with a compensated residual, so its angle answers to the samples. No
+iterative eigenvalue solve (and no BLAS or LAPACK call) is involved. Each
+root maps back to z = exp(i phi) (1 + i tau) / (1 - i tau), and counts as a
+real angle when |ln|z|| <= sqrt(ROUND_OFF): a double root splits by the
+square root of the coefficients' round-off. h' and x'' ∧ xi are the
+defects' slopes g'(s) at their roots, read off the same harmonics. Each
+root is then one record (chord, theta, action, slope), and one sum serves
+tangencies and realizations alike: np.bincount folds
 sqrt(2 pi hbar / |slope|) / (2 pi) exp[i action / hbar + i (pi/4) (sign(slope) + m)],
 m = 0 for sp_small and -2 for sp_full, into per-chord sums in each chord's
 root order. sp_small_values, sp_full_values and semiclassical_values are its
@@ -98,6 +105,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -139,6 +147,56 @@ _HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
                2: np.array([[1.0, -1.0, 0.0],
                             [0.0, 0.0, 2.0],
                             [1.0, 1.0, 0.0]])}
+# Veltkamp's factor 2^27 + 1: x * _SPLIT - (x * _SPLIT - x) is x's upper half
+_SPLIT = 134217729.0
+# a real root that its coefficients' round-off could move by more than
+# _SHAKY eps is refined against coefficients kept to twice double precision
+_SHAKY = 100.0
+
+
+def _split(x):
+    """x as big + small, halves whose products with other halves are exact (Veltkamp)."""
+    scaled = _SPLIT * x
+    big = scaled - (scaled - x)
+    return big, x - big
+
+
+def _tau_map(half_angle):
+    """The map from the five samples, in order from the top one, to the
+    coefficients (1 + tau^2)^(deg/2) g keeps: _HALF_ANGLE[deg] times the
+    harmonics of rotation 0, from the closed forms of cos and sin at
+    multiples of 2 pi / 5 to 40 digits.
+
+    Returns (hi, big, small, lo), each of shape (5, deg + 1), row m for the
+    sample m places after the top one: hi + lo is the map to about 32
+    digits, and big + small = hi (_split).
+    """
+    with localcontext() as context:
+        context.prec = 40
+        root5 = Decimal(5).sqrt()
+        cos = [Decimal(1), (root5 - 1) / 4, -(root5 + 1) / 4, -(root5 + 1) / 4, (root5 - 1) / 4]
+        sin = [Decimal(0), (10 + 2 * root5).sqrt() / 4, (10 - 2 * root5).sqrt() / 4,
+               -(10 - 2 * root5).sqrt() / 4, -(10 + 2 * root5).sqrt() / 4]
+        # (a0, a1, b1, a2, b2) per sample m at s = pi + 2 pi m / 5, where
+        # cos k s and sin k s are (-1)^k times their values at 2 pi k m / 5
+        harmonics = [[Decimal(1) / 5] * 5] + [
+            [Decimal(2 * sign) / 5 * table[k * m % 5] for m in range(5)]
+            for k, sign in ((1, -1), (2, 1)) for table in (cos, sin)]
+        exact = [[sum(int(weight) * row[m] for weight, row in zip(coefficient, harmonics))
+                  for coefficient in half_angle] for m in range(5)]
+        hi = np.array([[float(value) for value in row] for row in exact])
+        lo = np.array([[float(value - Decimal(float(value))) for value in row] for row in exact])
+    return (hi, *_split(hi), lo)
+
+
+# per degree, the map from the samples to the tau-coefficients (_tau_map)
+_TAU = {deg: _tau_map(half_angle) for deg, half_angle in _HALF_ANGLE.items()}
+# _FROM_TOP[j] lists the samples in order from sample j
+_FROM_TOP = (np.arange(5)[:, np.newaxis] + np.arange(5)) % 5
+# _TAU_ROTATED[deg][j] is _TAU[deg]'s hi for rotation j, coefficient by sample:
+# one fixed map from a row's samples to its tau-coefficients
+_TAU_ROTATED = {deg: np.stack([np.roll(parts[0].T, j, axis=1) for j in range(5)])
+                for deg, parts in _TAU.items()}
 # exp(i phi) of each rotation: tau = 0 is the angle phi = _ANGLES[j] - pi
 _ROTATION = np.exp(1j * (_ANGLES - np.pi))
 
@@ -147,6 +205,161 @@ _NEAR_CAUSTIC = FLAG_CODES[Flag.NEAR_CAUSTIC]
 _EVANESCENT = FLAG_CODES[Flag.EVANESCENT]
 
 
+def _quadratic_roots(b, c):
+    """Both roots of tau^2 + b tau + c for real arrays b and c: complex, shape b.shape + (2,).
+
+    The root of larger modulus, -b/2 - sign(b) sqrt(b^2/4 - c), adds terms
+    of one sign, and the other is c over it, so neither cancels.
+    """
+    big = -0.5 * b - np.copysign(1.0, b) * np.sqrt(0.25 * b * b - c + 0j)
+    return np.stack([big, np.where(big == 0.0, 0.0, c / big)], axis=-1)
+
+
+def _resolvent_root(p, q, r):
+    """The largest real root S of Ferrari's resolvent cubic S^3 + 2p S^2 + (p^2 - 4r) S - q^2.
+
+    The cubic is -q^2 <= 0 at S = 0, so S >= 0. With three real roots the
+    trigonometric form gives the largest; with one, Cardano's form with the
+    cube root whose terms do not cancel. One Newton step on the cubic, kept
+    where it lowers |cubic|, then settles the last digits.
+    """
+    c2, c1, c0 = 2.0 * p, p * p - 4.0 * r, -q * q
+    # S = x - c2/3 gives the depressed cubic x^3 + P x + Q
+    big_p = c1 - c2 * c2 / 3.0
+    big_q = c2 * (2.0 * c2 * c2 - 9.0 * c1) / 27.0 + c0
+    disc = 0.25 * big_q * big_q + big_p * big_p * big_p / 27.0
+    m = np.sqrt(np.maximum(-big_p / 3.0, 0.0))
+    cosine = np.minimum(np.maximum(-0.5 * big_q / (m * m * m), -1.0), 1.0)
+    trig = 2.0 * m * np.cos(np.arccos(cosine) / 3.0)
+    u = np.cbrt(-0.5 * big_q - np.copysign(np.sqrt(np.maximum(disc, 0.0)), big_q))
+    cardano = np.where(u == 0.0, 0.0, u - big_p / (3.0 * u))
+    s = np.where((disc <= 0.0) & (m > 0.0), trig, cardano) - c2 / 3.0
+    value = ((s + c2) * s + c1) * s + c0
+    step = s - value / ((3.0 * s + 2.0 * c2) * s + c1)
+    better = np.abs(((step + c2) * step + c1) * step + c0) < np.abs(value)
+    return np.maximum(np.where(better, step, s), 0.0)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _quartic_roots(coeffs):
+    """The four complex roots of each real quartic coeffs[k, 0] tau^4 + ... + coeffs[k, 4].
+
+    Ferrari: with tau = y - a/4 the monic quartic becomes y^4 + p y^2 + q y + r,
+    which splits into the real quadratics (y^2 + s y + u)(y^2 - s y + v) with
+    s^2 = S, the largest root of the resolvent cubic, u + v = p + S,
+    s (v - u) = q and uv = r. As s -> 0 (q -> 0, a biquadratic) v - u = q/s
+    is ill-conditioned; u and v are then better read as the roots of
+    x^2 - (p + S) x + r, v - u with the sign of q. Each row keeps the pair
+    that misses its unused relation (uv = r, or s (v - u) = q) least: a
+    simplified form of Orellana & De Michele's Algorithm 1010 (ACM TOMS
+    46(2), 2020), which picks among split formulas by the error each leaves
+    in the quartic's coefficients. One Newton step on the quartic, kept
+    where it lowers the residual, then polishes each root: the split's
+    roots can be off by far more than the quartic's round-off relative to
+    their own size, which a root near tau = 0 shows.
+    """
+    monic = coeffs[:, 1:] / coeffs[:, :1]
+    a, b, c, d = monic.T
+    a2 = a * a
+    p = b - 0.375 * a2
+    q = c - 0.5 * a * b + 0.125 * a2 * a
+    r = d - 0.25 * a * c + a2 * (b / 16.0 - 3.0 * a2 / 256.0)
+    big_s = _resolvent_root(p, q, r)
+    s = np.sqrt(big_s)
+    half = 0.5 * (p + big_s)
+    gap = 0.5 * q / s
+    # x^2 - (p + S) x + r without cancellation: far = half + sign(half) root
+    # is the root of larger modulus, and it is v where half and q agree in sign
+    far = half + np.copysign(np.sqrt(np.maximum(half * half - r, 0.0)), half)
+    near = np.where(far == 0.0, 0.0, r / far)
+    agree = np.signbit(q) == np.signbit(half)
+    u2, v2 = np.where(agree, near, far), np.where(agree, far, near)
+    split = np.abs((half - gap) * (half + gap) - r) <= np.abs(s * (v2 - u2) - q)
+    factors = np.stack([np.where(split, half - gap, u2), np.where(split, half + gap, v2)], axis=1)
+    tau = _quadratic_roots(np.stack([s, -s], axis=1), factors).reshape(-1, 4) - 0.25 * a[:, None]
+    # the quartic and its slope at tau, by Horner
+    a, b, c, d = (column[:, None] for column in (a, b, c, d))
+    value, slope = tau + a, 1.0
+    for coefficient in (b, c, d):
+        slope = slope * tau + value
+        value = value * tau + coefficient
+    step = tau - value / slope
+    moved = (((step + a) * step + b) * step + c) * step + d
+    return np.where(np.abs(moved) < np.abs(value), step, tau)
+
+
+def _tau_coefficients(rolled, deg):
+    """The tau-coefficients of the rows ``rolled`` (K, 5), samples in order from
+    the top one, as (high, low), each (K, deg + 1).
+
+    high + low is the samples' exact image under _TAU[deg] to about twice
+    double precision: every product's rounding error is recovered exactly
+    (Dekker), every addition's too (Knuth's TwoSum), and the map's own low
+    part is added, as in Ogita, Rump and Oishi's Dot2. The map's sums
+    cancel where the defect is small next to its samples, which is where a
+    near-double root needs them.
+    """
+    hi, big, small, lo = (part[:, np.newaxis] for part in _TAU[deg])
+    x = rolled.T[:, :, np.newaxis]
+    x_big, x_small = _split(x)
+    product = hi * x
+    carry = ((big * x_big - product) + big * x_small + small * x_big) + small * x_small + lo * x
+    total, carry = product[0], carry.sum(axis=0)
+    for term in product[1:]:
+        added = total + term
+        back = added - total
+        carry += (total - (added - back)) + (term - back)
+        total = added
+    high = total + carry
+    return high, carry - (high - total)
+
+
+def _shaky(tau):
+    """Rows of ``tau`` (K, R), the roots of polynomials of degree R, with a real
+    root that their coefficients' round-off could move by more than _SHAKY eps.
+
+    The leading coefficient c_0 is the row's largest sample, the scale of
+    every coefficient's round-off, so a root tau_i moves by up to about
+    eps |c_0| sum_k |tau_i|^k / |p'(tau_i)|, and p'(tau_i) is
+    c_0 prod_{j != i} (tau_i - tau_j): at most eps (1 + |tau_i|)^R over the
+    product of its distances to the other roots.
+    """
+    gap = np.abs(tau[:, :, np.newaxis] - tau[:, np.newaxis, :])
+    spread = np.prod(np.where(np.eye(tau.shape[1], dtype=bool), 1.0, gap), axis=2)
+    return np.any((tau.imag == 0.0) & ((1.0 + np.abs(tau.real)) ** tau.shape[1] > _SHAKY * spread),
+                  axis=1)
+
+
+def _polish(high, low, tau):
+    """Each real root in ``tau`` (K, R) after one Newton step on the polynomials
+    high + low, their coefficients in two (K, R + 1) parts.
+
+    The residual is Horner's sum with every product's and every addition's
+    rounding error carried along (Graillat, Langlois and Louvet's
+    compensated Horner), so next to a double root, where a plain residual
+    is round-off, it still measures high + low. A step is kept where it is
+    under half the distance to the row's nearest other root, so no two
+    roots can meet; complex roots are returned as they are.
+    """
+    x = tau.real
+    x_big, x_small = _split(x)
+    value, carry, slope = high[:, :1], low[:, :1], 0.0
+    for k in range(1, high.shape[1]):
+        slope = slope * x + (value + carry)
+        product = value * x
+        v_big, v_small = _split(value)
+        error = ((v_big * x_big - product) + v_big * x_small + v_small * x_big) + v_small * x_small
+        value = product + high[:, k:k + 1]
+        back = value - product
+        error += (product - (value - back)) + (high[:, k:k + 1] - back)
+        carry = carry * x + error + low[:, k:k + 1]
+    step = (value + carry) / slope
+    gap = np.abs(tau[:, :, np.newaxis] - tau[:, np.newaxis, :])
+    nearest = np.min(np.where(np.eye(tau.shape[1], dtype=bool), np.inf, gap), axis=2)
+    return np.where((tau.imag == 0.0) & (np.abs(step) < 0.5 * nearest), x - step, tau)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _unit_circle_roots(samples):
     """Real roots of K trig polynomials of degree <= 2, and each one's nearest miss.
 
@@ -157,8 +370,12 @@ def _unit_circle_roots(samples):
     coefficient is that sample, so it never vanishes and no root runs off
     to tau = infinity. Leading harmonics that are round-off are trimmed
     first (a real defect loses c_2 and c_-2 together, leaving degree 4, 2
-    or 0), and each degree group takes one stacked real eigenvalue call on
-    its companion matrices. A root tau is the point
+    or 0). The coefficients come through the fixed map _TAU_ROTATED of the
+    row's rotation. Quartic rows are solved in closed form by Ferrari's
+    split into two real quadratics (_quartic_roots), quadratic rows by the
+    quadratic formula, and rows with a root that round-off could move far
+    (_shaky) are refined in twice double precision (_tau_coefficients,
+    _polish). A root tau is the point
     z = exp(i phi) (1 + i tau) / (1 - i tau) of the unit-circle quartic
     z^2 f(z), and real angles are its roots on the circle.
 
@@ -179,11 +396,16 @@ def _unit_circle_roots(samples):
         rows = np.flatnonzero(degree == deg)
         if rows.size == 0:
             continue
-        coeffs = harmonics[rows, :deg + 1] @ _HALF_ANGLE[deg].T
-        companion = np.zeros((rows.size, deg, deg))
-        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-        tau = np.linalg.eigvals(companion)
+        coeffs = np.einsum("kdj,kj->kd", _TAU_ROTATED[deg][top[rows]], samples[rows])
+        if deg == 4:
+            tau = _quartic_roots(coeffs)
+        else:
+            tau = _quadratic_roots(coeffs[:, 1] / coeffs[:, 0], coeffs[:, 2] / coeffs[:, 0])
+        shaky = np.flatnonzero(_shaky(tau))
+        if shaky.size:
+            # those rows' samples in order from their top one
+            rolled = samples[rows[shaky, np.newaxis], _FROM_TOP[top[rows[shaky]]]]
+            tau[shaky] = _polish(*_tau_coefficients(rolled, deg), tau[shaky])
         roots = _ROTATION[top[rows], np.newaxis] * (1.0 + 1j * tau) / (1.0 - 1j * tau)
         log_radius = np.abs(np.log(np.abs(roots)))
         on_circle = log_radius <= math.sqrt(ROUND_OFF)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chordscan import CurveSpec
@@ -16,3 +17,15 @@ def ring():
 @pytest.fixture
 def sheared():
     return SHEARED
+
+
+@pytest.fixture
+def enclosed_area():
+    """(1/2) ∮ x ∧ dx of a curve by the 16-node trapezoid rule, exact here:
+    x ∧ x' is a trig polynomial of degree 3 in theta."""
+    def area(curve):
+        theta = 2.0 * np.pi * np.arange(16) / 16
+        p, q = curve.point(theta)
+        dp, dq = curve.velocity(theta)
+        return np.pi * np.mean(p * dq - q * dp)
+    return area

@@ -8,9 +8,9 @@ from scipy.integrate import quad
 
 from chordscan import (CurveSpec, Flag, axis, chord_realizations, make_evaluator,
                        tangency_points, wedge)
-from chordscan.core import FLAGS_BY_CODE
-from chordscan.semiclassical import (_ANGLES, REL_CAUSTIC_TOL, ROUND_OFF, _arc_area,
-                                     _unit_circle_roots)
+from chordscan.core import FLAG_CODES, FLAGS_BY_CODE
+from chordscan.semiclassical import (_ANGLES, _HARMONICS, _TAU_ROTATED, REL_CAUSTIC_TOL, ROUND_OFF,
+                                     _arc_area, _quartic_roots, _unit_circle_roots)
 
 # The ring (t = 0) and a3 = 0 keep both defects at degree 1 in theta, and
 # so does the xi_p = 0 row on every state: the quartic in z drops to a
@@ -71,11 +71,11 @@ def test_roots_zero_the_defect_and_match_a_dense_scan(name, equation):
 
 
 @pytest.mark.parametrize("name", STATES)
-def test_full_period_arc_area_is_twice_the_enclosed_area(name):
+def test_full_period_arc_area_is_twice_the_enclosed_area(name, enclosed_area):
     curve = STATES[name]
     for theta0 in np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, 5):
         assert _arc_area(curve, theta0, theta0 + 2.0 * np.pi) == pytest.approx(
-            2.0 * curve.enclosed_area(), abs=1e-12)
+            2.0 * enclosed_area(curve), abs=1e-12)
 
 
 @pytest.mark.parametrize("name", STATES)
@@ -106,6 +106,9 @@ def test_zero_chord_is_flagged_caustic(name):
 
 
 ROOT_STATES = {**STATES, "t5": CurveSpec(n=5, hbar=0.1, t=5.0)}
+# the solve's own backward error is about eps; the bound also absorbs the
+# difference between the kernel's harmonics and np.fft's
+BACKWARD_EPS = 16
 
 
 def defect_samples(curve, xi_p, xi_q):
@@ -117,16 +120,24 @@ def defect_samples(curve, xi_p, xi_q):
     return np.concatenate([tangency, level])
 
 
-def reference_roots(row):
-    """(angles, miss) of one defect row from np.roots on the complex quartic z^2 f(z)."""
+def reference_polynomial(row):
+    """z^2 f(z) of one defect row as its coefficients c_2 .. c_-2, round-off harmonics trimmed."""
     harmonics = np.fft.fft(row) / 5
-    quartic = harmonics[[2, 1, 0, 4, 3]]  # c_2 .. c_-2
+    quartic = harmonics[[2, 1, 0, 4, 3]]
     size = np.abs(quartic)
     floor = ROUND_OFF * size.max()
-    if max(size[0], size[4]) <= floor:
-        quartic = quartic[1:4]
-        if max(size[1], size[3]) <= floor:
-            return np.zeros(0), np.inf
+    if max(size[0], size[4]) > floor:
+        return quartic
+    if max(size[1], size[3]) > floor:
+        return quartic[1:4]
+    return quartic[2:3]
+
+
+def reference_roots(row):
+    """(angles, miss) of one defect row from np.roots on the complex quartic z^2 f(z)."""
+    quartic = reference_polynomial(row)
+    if quartic.size == 1:
+        return np.zeros(0), np.inf
     roots = np.roots(quartic)
     log_radius = np.abs(np.log(np.abs(roots)))
     on_circle = log_radius <= math.sqrt(ROUND_OFF)
@@ -134,17 +145,24 @@ def reference_roots(row):
     return np.sort(np.angle(roots[on_circle]) % (2.0 * np.pi)), miss
 
 
-def assert_matches_reference(samples):
+def assert_matches_reference(samples, tol=1e-10):
+    """Every row's real roots match np.roots within ``tol`` in angle, and each
+    root's backward error, |z^2 f(z)| over the sum of |c_k|, is a few eps."""
     chord, theta, miss, _ = _unit_circle_roots(samples)
     for k, row in enumerate(samples):
         want, want_miss = reference_roots(row)
         got = theta[chord == k]
         assert got.size == want.size, f"row {k}: {got} against {want}"
         assert np.all(np.diff(got) >= 0.0)
-        # compare on the circle: a root at the seam may read 0 or 2 pi
-        gap = np.abs(np.angle(np.exp(1j * (got[:, None] - want[None, :]))))
-        assert np.all(np.min(gap, axis=1, initial=np.inf) < 1e-10), f"row {k}"
+        # root by root, in order around the circle: a root at the seam may
+        # read 0 or 2 pi, which shifts one list by a place
+        gap = [np.max(np.abs(np.angle(np.exp(1j * (got - np.roll(want, shift))))))
+               for shift in range(got.size)]
+        assert min(gap, default=0.0) < tol, f"row {k}: {got} against {want}"
         assert (miss[k] < REL_CAUSTIC_TOL) == (want_miss < REL_CAUSTIC_TOL), f"row {k}"
+        quartic = reference_polynomial(row)
+        backward = np.abs(np.polyval(quartic, np.exp(1j * got))) / np.sum(np.abs(quartic))
+        assert np.all(backward < BACKWARD_EPS * np.finfo(float).eps), f"row {k}: {backward}"
 
 
 @pytest.mark.parametrize("name", ROOT_STATES)
@@ -212,11 +230,124 @@ def test_every_rotation_gives_the_same_roots():
         assert tops == set(range(5))
 
 
+# Rows on which a closed-form quartic solve can lose accuracy, with the
+# angle tolerance each root is fixed to. The first two biquadratic rows are
+# even about _ANGLES[3], their largest sample, so the rotated quartic in tau
+# has no odd powers up to round-off (q ~ 1e-15 in Ferrari's split); in the
+# second f(phi) and f(phi + pi) differ in sign, so the resolvent's largest
+# root is about q^2 and the split's slope s = sqrt(S) about 1e-16.
+EVEN = _ANGLES[3]
+
+
+def trig_row(f):
+    return f(_ANGLES)[np.newaxis, :]
+
+
+HARD_ROWS = {
+    "biquadratic": (trig_row(lambda th: np.cos(2 * (th - EVEN)) + 0.3 * np.cos(th - EVEN) - 0.2),
+                    1e-10),
+    "biquadratic with s ~ 1e-16": (
+        trig_row(lambda th: np.cos(th - EVEN) + 0.3 * np.cos(2 * (th - EVEN))), 1e-10),
+    # even about its largest sample, angle 0, with b1 = b2 = 0 exactly: q = 0,
+    # and since f(0) f(pi) < 0 the resolvent's largest root is 0, so q/s is 0/0
+    "exact biquadratic": (np.array([[-0.2551051925430211, -0.014356350703761858,
+                                     0.11282986206319016, 0.11282986206319019,
+                                     -0.014356350703761782]]), 1e-10),
+    # a double root is fixed only to sqrt(eps), by np.roots too
+    "double root": (trig_row(lambda th: (1 - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))), 1e-7),
+    "near-double root": (
+        trig_row(lambda th: (np.cos(1e-5) - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))), 1e-10),
+    "near-double pair off the circle": (
+        trig_row(lambda th: (1 + 1e-10 - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))), 1e-10),
+    # both defects of the t = 5 chord whose two realizations lie 1.8e-4 apart in theta
+    "t = 5 caustic chord": (defect_samples(ROOT_STATES["t5"], np.array([-1.40875]),
+                                           np.array([1.46625])), 1e-10),
+    # a t = 1 tangency defect with a root near tau = 0, which Ferrari's split
+    # alone leaves 1e-8 off relative to its size
+    "root near tau = 0": (defect_samples(ROOT_STATES["t1"], np.array([-0.9903044602161104]),
+                                         np.array([-0.376633789790795]))[:1], 1e-10),
+    # c_2 = 1e-7 c_1: two roots near z = 0 and z = infinity, where tau is near -+i
+    "roots near tau = +-i": (
+        trig_row(lambda th: np.cos(th - 1.1) + 0.3 + 1e-7 * np.cos(2 * th + 0.4)), 1e-10),
+    # four roots 0.03 apart, at 1.3 + (-0.045, -0.015, 0.015, 0.045)
+    "clustered quadruple root": (trig_row(lambda th: (np.cos(0.03) - np.cos(th - 1.285))
+                                          * (np.cos(0.03) - np.cos(th - 1.315))), 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", HARD_ROWS)
+def test_hard_rows_match_np_roots(name):
+    samples, tol = HARD_ROWS[name]
+    assert_matches_reference(samples, tol=tol)
+
+
+@pytest.mark.parametrize("name", HARD_ROWS)
+def test_quartic_roots_are_backward_stable(name):
+    """Every root tau of a quartic row solves it to a few eps of its terms,
+    |p(tau)| <= BACKWARD_EPS eps sum_k |c_k| |tau|^(4 - k): a relative test,
+    which the angles hide for a root near tau = 0."""
+    for row in HARD_ROWS[name][0]:
+        top = int(np.argmax(np.abs(row)))
+        harmonics = _HARMONICS[top] @ row
+        pair = 0.5 * np.hypot(harmonics[1::2], harmonics[2::2])
+        if pair[1] <= ROUND_OFF * max(abs(harmonics[0]), pair.max()):
+            continue  # a quadratic row
+        coeffs = _TAU_ROTATED[4][top] @ row
+        tau = _quartic_roots(coeffs[np.newaxis, :])[0]
+        backward = np.abs(np.polyval(coeffs, tau)) / np.polyval(np.abs(coeffs), np.abs(tau))
+        assert np.all(backward < BACKWARD_EPS * np.finfo(float).eps), f"{tau}: {backward}"
+
+
+def test_feet_near_a_caustic_match_a_40_digit_solve():
+    """At the t = 5 grid chord (-1.40875, 1.46625) the two realizations lie
+    1.8e-4 apart with h' = -+0.16, where the float tau-coefficients' round-off
+    moves each foot by 1.5e-12 and sp_full by 3.6e-9. Refined against the
+    coefficients kept to twice double precision, the feet are as close as
+    the samples allow. The references are 40-digit mpmath roots of the
+    level defect on the exact curve and the stationary-phase sum over them."""
+    curve = ROOT_STATES["t5"]
+    xi = (-1.40875, 1.46625)
+    feet = [real.theta_foot for real in chord_realizations(curve, xi).realizations]
+    np.testing.assert_allclose(feet, [5.062909530829972578474326, 5.063091242038196785684541],
+                               rtol=0.0, atol=5e-14)
+    value = make_evaluator("sp_full", curve)(xi).value
+    assert abs(value - (-0.44131060676662443666 - 0.062024860540003245117j)) < 2e-10
+
+
+SEVEN_STATES = {
+    "ring": CurveSpec(n=5, hbar=0.1, t=0.0),
+    "t0.1": CurveSpec(n=5, hbar=0.1, t=0.1),
+    "t1": CurveSpec(n=5, hbar=0.1, t=1.0),
+    "t5": CurveSpec(n=5, hbar=0.1, t=5.0),
+    "a3_zero": CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 0.0), t=0.3),
+    "n80": CurveSpec(n=80, hbar=0.006832298, t=0.1),
+    "n3": CurveSpec(n=3, hbar=0.1, t=0.2),
+}
+
+
+@pytest.mark.parametrize("evaluator", ["sp_small", "sp_full", "semiclassical"])
+@pytest.mark.parametrize("name", SEVEN_STATES)
+def test_stationary_phase_runs_without_an_eigenvalue_solver(monkeypatch, name, evaluator):
+    """The roots are in closed form: no chord needs np.linalg.eigvals."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    chords = np.random.default_rng(5).uniform(-2.5, 2.5, size=(400, 2))
+    grid_axis = axis(-2.3, 2.3, 21)
+    mesh_p, mesh_q = np.meshgrid(grid_axis, grid_axis, indexing="ij")
+    xi_p = np.concatenate([chords[:, 0], mesh_p.ravel()])
+    xi_q = np.concatenate([chords[:, 1], mesh_q.ravel()])
+    values, flags = make_evaluator(evaluator, SEVEN_STATES[name]).evaluate(xi_p, xi_q)
+    assert np.all(np.isfinite(values))
+    assert np.any(flags == FLAG_CODES[Flag.OK])
+
+
 @pytest.mark.parametrize("name,xi_p", [("ring", (0.5, -0.2, 0.0, 1.0)),
                                        ("sheared", (0.0,) * 4), ("t5", (0.0,) * 4)])
 def test_degree_two_rows(name, xi_p):
     """On the ring and on the xi_p = 0 row both defects have degree 1 in
-    theta: two real roots or none, from the 2 x 2 companion."""
+    theta: two real roots or none, from the quadratic formula."""
     curve = ROOT_STATES[name]
     samples = defect_samples(curve, np.array(xi_p), np.array([0.3, -1.1, 2.0, 5.0]))
     harmonics = np.fft.fft(samples, axis=1) / 5

@@ -54,10 +54,10 @@ def test_velocity_and_acceleration_match_finite_differences(t, theta):
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1, -0.3])
-def test_enclosed_area_is_shear_invariant(t):
+def test_enclosed_area_is_shear_invariant(t, enclosed_area):
     """The shear has unit Jacobian, so the loop keeps its area 2 pi I."""
     curve = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
-    assert curve.enclosed_area() == pytest.approx(2 * math.pi * 0.55, rel=1e-11)
+    assert enclosed_area(curve) == pytest.approx(2 * math.pi * 0.55, rel=1e-11)
 
 
 def test_curve_is_level_set_of_action_value(sheared):
