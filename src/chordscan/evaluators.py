@@ -3,16 +3,17 @@
 Each route is one core.Evaluator, a name plus a batch kernel (exact, small
 and semiclassical add a tensor-grid kernel), so shape checks, empty batches,
 the Im = +0.0 rule where chi is real and the one-chord call are written once.
-``evaluate`` is the one evaluation path: scan_grid, the blind-spot polish
-and moments_from_chi, the cross-check of the moments, need nothing else. The
-moments of a blind-spot report come from the state
-(smallchord.state_moments), not from any evaluator; ``taylor:K`` is the
+``evaluate`` is the one evaluation path: scan_grid, the blind-spot polish and
+moments_from_chi need nothing else. small and semiclassical size chi_s's
+trapezoid rule per chord, so a chord reads the same bits alone as in any
+batch; their grid kernels take the grid's largest rule. A blind-spot
+report's moments come from smallchord.state_moments; ``taylor:K`` is the
 Taylor polynomial of the classical curve's moments. A kernel looks library
-functions up when it runs, not when the evaluator is built, so a wrapper
-installed later sees every call: the benchmark's tracer wraps evolved_chi,
-evolved_chi_grid and chi_small_grid. Those names, with chi_small,
-chi_semiclassical, tangency_points and chord_realizations, stay only until
-the benchmark reads counters kept by the library (ROADMAP item 1).
+functions up when it runs, so a wrapper installed later sees every call: the
+benchmark's tracer wraps evolved_chi, evolved_chi_grid and chi_small_grid.
+Those names, with chi_small, chi_semiclassical, tangency_points and
+chord_realizations, stay only until the benchmark reads counters kept by the
+library (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """Convergence-certified quadrature and differentiation helpers.
 
 Every estimate in the package that comes from a refined integral or a
-finite difference goes through one of two routines: periodic_mean for every
-integral that needs a certificate (curve averages and the exact overlap
-quadrature alike) and richardson_derivative for every derivative. Each
-certifies its value by the difference of two successive refinements and
-raises ConvergenceError (with the last two estimates attached) if none is
-within tolerance, so callers never get an uncertified number. The classical
-moments need neither: each is a trigonometric polynomial on the curve, which
-one trapezoid sum integrates exactly. _gl_nodes, a Gauss-Legendre rule, serves
-only as the tests' independent reference.
+finite difference goes through one of two routines: periodic_mean for the
+overlap quadrature, the one integral certified by refinement, and
+richardson_derivative for every derivative. Each certifies its value by the
+difference of two successive refinements and raises ConvergenceError (with
+the last two estimates attached) if none is within tolerance, so callers
+never get an uncertified number. Curve averages need neither: the classical
+moments are trigonometric polynomials, which one trapezoid sum integrates
+exactly, and chi_s is one trapezoid pass on a node count fixed in advance.
+_gl_nodes, a Gauss-Legendre rule, serves only as the tests' reference.
 
 NumericalError is the one type for a numerical result the package refuses to
 hand out: a stalled refinement (its subclass ConvergenceError) or a computed
@@ -50,29 +50,19 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def periodic_mean(f, n0: int = 64, tol: float = 1e-12, max_doublings: int = 14):
+def periodic_mean(f, n0: int, tol: float, max_doublings: int):
     """Mean over [0, 2pi) of a smooth periodic integrand, by nested trapezoid doubling.
 
-    The integrand may also be a smooth one that decays to round-off at both
-    ends of a window mapped onto [0, 2pi), as the overlap quadrature's is.
-
-    Parameters
-    ----------
-    f : callable
-        Maps an array of angles to an array of samples; the *last* axis must
-        be the node axis (stacked integrands are averaged together).
-    tol : float
-        Absolute tolerance on the change between successive doublings,
-        measured uniformly over any stacked components.
-
-    Returns
-    -------
-    (mean, nodes) where ``mean`` has the shape of ``f``'s output minus the
-    node axis.
-
-    The trapezoid rule converges geometrically for both kinds of integrand
-    (Trefethen & Weideman, SIAM Rev. 56, 2014). The certificate compares n and
-    2n nodes only, so ``n0`` must resolve the integrand's fastest oscillation.
+    The integrand may also decay to round-off at both ends of a window mapped
+    onto [0, 2pi), as the overlap quadrature's does. ``f`` maps an array of
+    angles to samples whose *last* axis is the node axis (stacked integrands
+    are averaged together). From ``n0`` nodes each doubling adds the
+    interleaved ones, until two estimates differ by less than ``tol`` over
+    every component; after ``max_doublings`` it raises ConvergenceError.
+    Returns (mean, nodes). The trapezoid rule converges geometrically for both
+    kinds of integrand (Trefethen & Weideman, SIAM Rev. 56, 2014); the
+    certificate compares n and 2n nodes only, so ``n0`` must resolve the
+    integrand's fastest oscillation.
     """
     n = n0
     theta = 2.0 * np.pi * np.arange(n) / n

@@ -5,14 +5,14 @@ classical average over the quantized curve,
 
     chi_s(xi) = (1/2 pi) \\oint dtheta exp[i x(theta) ∧ xi / hbar],
 
-(J_0(r |xi| / hbar) for an unsheared ring). Its Taylor coefficients at the
-origin are classical moments of the curve, each one exact trapezoid sum. The
-quantum moments are the state's own: state_moments gives the mean and second
-moments of the sheared number state in closed form, and moments_from_chi,
-which differentiates an evaluated chord function at the origin, stays as the
-cross-check of that. Truncating the expansion at second order and solving for
-the nearest zero along the mean direction yields the blind-spot ellipse
-estimate.
+(J_0(r |xi| / hbar) for an unsheared ring), one trapezoid pass per chord on
+a node count its phase's Bessel tail fixes in advance. Its Taylor
+coefficients at the origin are classical moments of the curve, each one
+exact trapezoid sum. The quantum moments are the state's own: state_moments
+gives them in closed form, and moments_from_chi, which differentiates an
+evaluated chord function at the origin, cross-checks it. Truncating the
+expansion at second order and solving for the nearest zero along the mean
+direction yields the blind-spot ellipse estimate.
 """
 
 from __future__ import annotations
@@ -24,42 +24,58 @@ import numpy as np
 
 from .core import Chord, ChordValue, PhasePoint
 from .curves import CurveSpec
-from .quadrature import NumericalError, periodic_mean, richardson_derivative
+from .quadrature import ConvergenceError, NumericalError, richardson_derivative
 
-AVERAGE_NODES = 64  # first rule of the classical average, on chord lists and grids alike
-AVERAGE_TOL = 1e-10  # on chi_s between successive doublings, uniform over a batch
-AVERAGE_DOUBLINGS = 12  # before ConvergenceError: at most 64 * 2**12 nodes
+AVERAGE_MAX_NODES = 64 * 2 ** 12  # classical average: a chord whose rule needs more is refused
 DERIVATIVE_TOL = 1e-8  # moments_from_chi: m-th derivative of chi at 0, relative to (R / hbar)^m
 
 
-def _finite_phase(compute, name):
-    """The plane-wave phase i x ∧ xi / hbar that ``compute()`` returns, computed
-    without warnings. A chord far past the curve overflows it, and no doubling
-    of the average would settle, so a phase that is not finite raises
-    NumericalError for the chord ``name(i, j)`` of its element (i, j)."""
+def _average_nodes(curve: CurveSpec, xi_p, xi_q) -> np.ndarray:
+    """Trapezoid nodes for chi_s at each chord (xi_p[k], xi_q[k]), from its phase's Bessel tail.
+
+    On the curve x ∧ xi / hbar = -c + a cos(theta + phi) - b cos 2 theta, with
+    c = t (a1 + 3 a3 r^2 / 2) xi_p / hbar, a = r |(xi_q - 2 t a2 xi_p, xi_p)| / hbar
+    and b = 3 t a3 r^2 xi_p / 2 hbar, so its slope is at most omega = a + 2 |b|.
+    By Jacobi-Anger an N-node rule errs by the plane wave's Fourier coefficients
+    at multiples of N, which past omega fall like a Bessel tail (Trefethen &
+    Weideman, SIAM Rev. 56, 2014); N = 2^ceil(log2(omega + 10 omega^(1/3) + 32)),
+    largest over a rectangle at a corner, omega being convex in xi. A phase
+    bound |c| + omega that is not finite is a NumericalError, and N past
+    AVERAGE_MAX_NODES a ConvergenceError.
+    """
+    _, a1, a2, a3 = curve.alpha
+    r, t = curve.radius, curve.t
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = compute()
-    bad = np.argwhere(~np.isfinite(phase))
-    if bad.size:
-        raise NumericalError(f"plane-wave phase at {name(*bad[0])} is not finite")
-    return phase
+        omega = (r * np.hypot(xi_q - 2.0 * t * a2 * xi_p, xi_p)
+                 + 3.0 * abs(t * a3) * r * r * np.abs(xi_p)) / curve.hbar
+        offset = t * (a1 + 1.5 * a3 * r * r) * xi_p / curve.hbar
+        bad = np.flatnonzero(~np.isfinite(omega + np.abs(offset)))
+        if bad.size:
+            raise NumericalError(f"plane-wave phase at chord ({xi_p[bad[0]]:.6g}, "
+                                 f"{xi_q[bad[0]]:.6g}) is not finite")
+        nodes = 2.0 ** np.ceil(np.log2(omega + 10.0 * np.cbrt(omega) + 32.0))
+    far = np.flatnonzero(nodes > AVERAGE_MAX_NODES)
+    if far.size:
+        raise ConvergenceError(f"classical average at chord ({xi_p[far[0]]:.6g}, "
+                               f"{xi_q[far[0]]:.6g}) needs more than {AVERAGE_MAX_NODES} nodes")
+    return nodes.astype(int)
 
 
 def chi_small_points(curve: CurveSpec, xi_p, xi_q) -> np.ndarray:
     """Classical curve average of the chord plane wave at the chords (xi_p[k], xi_q[k]).
 
-    One stacked periodic_mean over the 1-d chord arrays.
+    One trapezoid pass per node count, in blocks of at most AVERAGE_MAX_NODES
+    samples; each row is summed alone, so a chord reads the same bits in any batch.
     """
-    xi_p = np.asarray(xi_p, dtype=float)[:, np.newaxis]
-    xi_q = np.asarray(xi_q, dtype=float)[:, np.newaxis]
-
-    def plane_wave(theta):
-        p, q = curve.point(theta)
-        return np.exp(_finite_phase(lambda: 1j / curve.hbar * (p * xi_q - q * xi_p),
-                                    lambda k, _: f"chord ({xi_p[k, 0]:.6g}, {xi_q[k, 0]:.6g})"))
-
-    mean, _ = periodic_mean(plane_wave, n0=AVERAGE_NODES, tol=AVERAGE_TOL,
-                            max_doublings=AVERAGE_DOUBLINGS)
+    xi_p, xi_q = np.asarray(xi_p, dtype=float), np.asarray(xi_q, dtype=float)
+    nodes = _average_nodes(curve, xi_p, xi_q)
+    mean = np.empty(xi_p.shape, dtype=complex)
+    for n in np.unique(nodes):
+        p, q = curve.point(2.0 * np.pi * np.arange(n) / n)
+        chords = np.flatnonzero(nodes == n)
+        for lo in range(0, chords.size, AVERAGE_MAX_NODES // n):
+            k = chords[lo:lo + AVERAGE_MAX_NODES // n, np.newaxis]
+            mean[k[:, 0]] = np.exp(1j / curve.hbar * (p * xi_q[k] - q * xi_p[k])).sum(-1) / n
     return mean
 
 
@@ -71,25 +87,18 @@ def chi_small(curve: CurveSpec, xi) -> ChordValue:
 def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
     """chi_s on a tensor grid by rank-one accumulation.
 
-    Each curve sample contributes the separable factor
-    exp(-i q xi_p / hbar) ⊗ exp(i p xi_q / hbar), so a pass over theta nodes
-    is a single matrix product; periodic_mean sees it as one stacked sample
-    on a trailing node axis of length 1 and certifies the doubling.
+    Each curve sample contributes the separable factor exp(-i q xi_p / hbar)
+    ⊗ exp(i p xi_q / hbar), so the one trapezoid pass, on the largest node
+    count of the grid's chords (a corner's), is a single matrix product.
     """
-    xi_p_axis = np.asarray(xi_p_axis, dtype=float)
-    xi_q_axis = np.asarray(xi_q_axis, dtype=float)
-
-    def node_sum(theta):
-        p, q = curve.point(theta)
-        left = np.exp(_finite_phase(lambda: -1j / curve.hbar * np.outer(xi_p_axis, q),
-                                    lambda k, _: f"xi_p = {xi_p_axis[k]:.6g}"))
-        right = np.exp(_finite_phase(lambda: 1j / curve.hbar * np.outer(p, xi_q_axis),
-                                     lambda _, k: f"xi_q = {xi_q_axis[k]:.6g}"))
-        return (left @ right)[..., np.newaxis]
-
-    mean, _ = periodic_mean(node_sum, n0=AVERAGE_NODES, tol=AVERAGE_TOL,
-                            max_doublings=AVERAGE_DOUBLINGS)
-    return mean
+    xi_p_axis, xi_q_axis = np.asarray(xi_p_axis, dtype=float), np.asarray(xi_q_axis, dtype=float)
+    corner_p, corner_q = np.meshgrid([xi_p_axis.min(), xi_p_axis.max()],
+                                     [xi_q_axis.min(), xi_q_axis.max()])
+    n = np.max(_average_nodes(curve, corner_p.ravel(), corner_q.ravel()))
+    p, q = curve.point(2.0 * np.pi * np.arange(n) / n)
+    left = np.exp(-1j / curve.hbar * np.outer(xi_p_axis, q))
+    right = np.exp(1j / curve.hbar * np.outer(p, xi_q_axis))
+    return (left @ right) / n
 
 
 # -- classical moments ----------------------------------------------------

@@ -33,7 +33,8 @@ def test_convergence_error_is_a_numerical_error():
 
 def test_periodic_mean_trig_polynomial():
     """Trapezoid doubling is exact (to roundoff) for low trig polynomials."""
-    mean, nodes = periodic_mean(lambda t: np.cos(t) ** 2 + 3.0, tol=1e-13)
+    mean, nodes = periodic_mean(lambda t: np.cos(t) ** 2 + 3.0, n0=64, tol=1e-13,
+                                max_doublings=14)
     assert mean.real == pytest.approx(3.5, abs=1e-13)
     assert mean.imag == pytest.approx(0.0, abs=1e-15)
     assert nodes >= 64
@@ -41,13 +42,13 @@ def test_periodic_mean_trig_polynomial():
 
 def test_periodic_mean_stacked():
     mean, _ = periodic_mean(lambda t: np.stack([np.sin(t) ** 2, np.cos(4 * t)]),
-                            tol=1e-13)
+                            n0=64, tol=1e-13, max_doublings=14)
     np.testing.assert_allclose(mean.real, [0.5, 0.0], atol=1e-13)
 
 
 def test_periodic_mean_budget_exhaustion():
     with pytest.raises(ConvergenceError) as err:
-        periodic_mean(np.cos, tol=0.0, max_doublings=2)
+        periodic_mean(np.cos, n0=64, tol=0.0, max_doublings=2)
     # the failed certificate still reports its last two estimates
     assert err.value.last is not None
     assert err.value.previous is not None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from chordscan import (ConvergenceError, CurveSpec, chi_small,
+from chordscan import (ConvergenceError, CurveSpec, NumericalError, chi_small,
                        classical_moments, closest_blind_spot_estimate,
                        make_evaluator, moments_from_chi,
                        second_order_from_table, state_moments)
@@ -46,30 +46,86 @@ def test_grid_average_matches_pointwise(sheared):
             complex(chi_small(sheared, (xp[i], xq[j]))), abs=1e-9)
 
 
-def test_grid_average_stall_raises(sheared, monkeypatch):
-    monkeypatch.setattr(smallchord, "AVERAGE_TOL", 0.0)
-    monkeypatch.setattr(smallchord, "AVERAGE_DOUBLINGS", 1)
-    with pytest.raises(ConvergenceError, match="within 128 nodes"):
-        chi_small_grid(sheared, [0.0, 0.5], [0.0, 0.5])
+def test_chord_past_the_node_cap_raises_before_any_node_pass(sheared, monkeypatch):
+    """At (35355, 35355) the rule asks for more than 262 144 nodes: the chord
+    is refused, on either route, before the curve is sampled."""
+    assert smallchord.AVERAGE_MAX_NODES == 262144
+
+    def sampled(self, theta):
+        raise AssertionError("the curve was sampled")
+
+    monkeypatch.setattr(CurveSpec, "point", sampled)
+    with pytest.raises(ConvergenceError, match="needs more than 262144 nodes"):
+        chi_small_points(sheared, [0.0, 35355.0], [0.0, 35355.0])
+    with pytest.raises(ConvergenceError, match="needs more than 262144 nodes"):
+        chi_small_grid(sheared, [0.0, 35355.0], [0.0, 35355.0])
 
 
-def test_grid_and_list_routes_stop_at_one_node_count(sheared, monkeypatch):
-    """The classical average of a chord set settles where its route does not matter."""
-    stops = []
-    original = smallchord.periodic_mean
+@pytest.mark.parametrize("route", [chi_small_points, chi_small_grid])
+def test_a_drift_that_overflows_is_refused(route):
+    """t a1 overflows, so every curve point's q does: the phase bound is not
+    finite even where the node count would be small."""
+    state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1e200, 0.0, 0.0), t=1e200)
+    with pytest.raises(NumericalError, match="plane-wave phase at chord .* is not finite"):
+        route(state, [0.0, 0.5], [0.0, 0.5])
 
-    def recording(f, **kwargs):
-        mean, nodes = original(f, **kwargs)
-        stops.append(nodes)
-        return mean, nodes
 
-    monkeypatch.setattr(smallchord, "periodic_mean", recording)
+def test_grid_takes_the_largest_node_count_of_its_chords(sheared, monkeypatch):
+    """The grid route makes one pass on its chords' largest node count, and
+    agrees with the chord-list route, which gives each chord its own."""
     xp = axis(-2.3, 2.3, 41)
-    grid = chi_small_grid(sheared, xp, xp)
     mesh_p, mesh_q = np.meshgrid(xp, xp, indexing="ij")
+    nodes = smallchord._average_nodes(sheared, mesh_p.ravel(), mesh_q.ravel())
+    passes = []
+    original = CurveSpec.point
+
+    def recording(self, theta):
+        passes.append(np.size(theta))
+        return original(self, theta)
+
+    monkeypatch.setattr(CurveSpec, "point", recording)
+    grid = chi_small_grid(sheared, xp, xp)
+    assert passes == [np.max(nodes)] == [128]
+    passes.clear()
     listed = chi_small_points(sheared, mesh_p.ravel(), mesh_q.ravel())
-    assert stops == [256, 256]
+    assert passes == sorted(set(nodes))
     assert np.max(np.abs(grid.ravel() - listed)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [5, 20, 80, 160])
+@pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 5.0])
+def test_node_count_resolves_the_average_to_round_off(n, t):
+    """Both routes lie within eps (max |xi|) (max |x|) / hbar, the round-off of
+    the largest phase, of a trapezoid rule on four times the grid's nodes."""
+    state = CurveSpec(n=n, hbar=1.1 / (2 * n + 1), alpha=(0.0, 1.0, 1.0, 1.0), t=t)
+    xp = axis(-2.3, 2.3, 61)
+    mesh_p, mesh_q = np.meshgrid(xp, xp, indexing="ij")
+    nodes = 4 * np.max(smallchord._average_nodes(state, mesh_p.ravel(), mesh_q.ravel()))
+    reference = np.zeros((xp.size, xp.size), dtype=complex)
+    for lo in range(0, nodes, 8192):
+        p, q = state.point(2.0 * np.pi * np.arange(lo, min(lo + 8192, nodes)) / nodes)
+        reference += (np.exp(-1j / state.hbar * np.outer(xp, q))
+                      @ np.exp(1j / state.hbar * np.outer(p, xp)))
+    reference /= nodes
+    p, q = state.point(2.0 * np.pi * np.arange(nodes) / nodes)
+    bound = np.finfo(float).eps * np.max(np.hypot(xp, xp)) * np.max(np.hypot(p, q)) / state.hbar
+    assert np.max(np.abs(chi_small_grid(state, xp, xp) - reference)) <= bound
+    listed = chi_small_points(state, mesh_p.ravel(), mesh_q.ravel())
+    assert np.max(np.abs(listed - reference.ravel())) <= bound
+
+
+@pytest.mark.parametrize("name", ["small", "semiclassical"])
+@pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+def test_each_chord_reads_the_same_bits_alone_and_in_a_batch(name, t):
+    """Each chord's node count is its own, so the rest of a batch cannot move its bits."""
+    evaluator = make_evaluator(name, CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=t))
+    xp = axis(-2.3, 2.3, 21)
+    mesh_p, mesh_q = (mesh.ravel() for mesh in np.meshgrid(xp, xp, indexing="ij"))
+    batch, batch_flags = evaluator.evaluate(mesh_p, mesh_q)
+    for k in range(mesh_p.size):
+        alone, flags = evaluator.evaluate(mesh_p[k:k + 1], mesh_q[k:k + 1])
+        assert alone.tobytes() == batch[k:k + 1].tobytes(), (mesh_p[k], mesh_q[k])
+        assert flags[0] == batch_flags[k]
 
 
 class TestClassicalMoments:
