@@ -4,12 +4,12 @@ Scans and cuts write CSV through one writer, ``_write_csv``, plus a JSON
 sidecar echoing the full configuration; the blind-spot command and the
 verifier write JSON reports. Every number in a CSV is the bytes of
 ``"%.17g" % x`` (doubles round-trip exactly, so identical configurations give
-bit-identical files). The writer formats whole columns with numpy,
-CSV_BLOCK_ROWS rows at a time: a fast path takes the 17 digits of each finite
-value in FAST_RANGE from an exact double-double product, a zero is "0" or
-"-0", and nan, inf, values outside FAST_RANGE and near-ties at the 17th
-digit fall back to ``"%.17g"`` itself, as do a scan's axis columns, once per
-axis value.
+bit-identical files). The writer formats with numpy, a block of rows at a
+time, all of a block's float columns in one call of at most CSV_BLOCK_CELLS
+cells: a fast path takes the 17 digits of each finite value in FAST_RANGE
+from an exact double-double product, a zero is "0" or "-0", and nan, inf,
+values outside FAST_RANGE and near-ties at the 17th digit fall back to
+``"%.17g"`` itself, as do a scan's axis columns, once per axis value.
 Wall-clock timings appear only in JSON, under a key that marks them as
 outside the determinism guarantee.
 
@@ -183,7 +183,7 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
 # outside FAST_RANGE and rounding fractions within TIE_MARGIN of one half
 # (exact ties occur, e.g. 2251799813685247.75) go to "%.17g" itself.
 
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_CELLS = 4096
 FAST_RANGE = (1e-280, 1e280)
 TIE_MARGIN = 1e-9
 
@@ -314,21 +314,28 @@ def _abs2(values: np.ndarray) -> np.ndarray:
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Header line, then one row per entry of the equal-length columns: a float
     column as ``"%.17g"`` writes it, a bytes column as its text. Rows are
-    formatted and written CSV_BLOCK_ROWS at a time."""
+    formatted and written a block at a time, each block's float columns in one
+    _format_floats call of at most CSV_BLOCK_CELLS cells."""
     widths = [_CELL if c.dtype.kind == "f" else c.itemsize for c in columns]
+    starts = np.cumsum([0] + [width + 1 for width in widths])
+    floats = [k for k, c in enumerate(columns) if c.dtype.kind == "f"]
+    block_rows = max(1, CSV_BLOCK_CELLS // max(1, len(floats)))
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            table = np.empty((len(block[0]), sum(widths) + len(widths)), dtype=np.uint8)
-            at = 0
-            for c, width in zip(block, widths):
-                if c.dtype.kind == "f":
-                    _format_floats(c, table[:, at:at + width])
-                else:
-                    table[:, at:at + width] = c.view(np.uint8).reshape(-1, width)
-                table[:, at + width] = ord(",")
-                at += width + 1
+        for start in range(0, len(columns[0]), block_rows):
+            block = [c[start:start + block_rows] for c in columns]
+            rows = len(block[0])
+            table = np.empty((rows, starts[-1]), dtype=np.uint8)
+            if floats:
+                cells = np.empty((len(floats), rows, _CELL), dtype=np.uint8)
+                _format_floats(np.concatenate([block[k] for k in floats]),
+                               cells.reshape(-1, _CELL))
+                for k, text in zip(floats, cells):
+                    table[:, starts[k]:starts[k] + _CELL] = text
+            for k, (c, width) in enumerate(zip(block, widths)):
+                if c.dtype.kind != "f":
+                    table[:, starts[k]:starts[k] + width] = c.view(np.uint8).reshape(-1, width)
+                table[:, starts[k] + width] = ord(",")
             table[:, -1] = ord("\n")
             # NUL pads every cell to its column's width and never occurs in the text
             fh.write(table[table != 0].tobytes())

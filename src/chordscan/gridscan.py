@@ -1,4 +1,12 @@
-"""Chord-function fields on rectangular grids of chords."""
+"""Chord-function fields on rectangular grids of chords.
+
+Translations invert as T(-xi) = T(xi)^dagger, so every state's chord function
+obeys chi(-xi) = chi(xi)*. scan_grid uses this on a grid whose two axes are
+both exactly antisymmetric (``axis(-h, h, n)`` always makes one): it
+evaluates the rows xi_p >= 0 and writes the others as the conjugates of
+their -xi partners, so each +-xi pair costs one evaluation and its two cells
+agree to the last bit.
+"""
 
 from __future__ import annotations
 
@@ -71,16 +79,37 @@ def scan_grid(evaluator, xi_p_axis, xi_q_axis) -> ChordFieldGrid:
     Uses the evaluator's tensor-grid fast path ``grid`` when it has one that
     is not None, and otherwise one ``evaluate`` call on the whole mesh. The
     evaluator must expose ``state`` (a CurveSpec).
+
+    When both axes are exactly antisymmetric, only the rows i >= N // 2
+    (xi_p >= 0) are evaluated. Row i < N // 2 is the conjugate of row
+    N - 1 - i read backwards, with the same flags, since chi(-xi) =
+    chi(xi)* holds exactly for every state; for odd N the xi_q < 0 half of
+    the xi_p = 0 row is mirrored from its other half the same way. Any other
+    grid is evaluated in full.
     """
     xi_p_axis = np.asarray(xi_p_axis, dtype=float)
     xi_q_axis = np.asarray(xi_q_axis, dtype=float)
+    symmetric = all(np.array_equal(a, -a[::-1]) for a in (xi_p_axis, xi_q_axis))
+    lower = xi_p_axis.size // 2 if symmetric else 0
+    rows = xi_p_axis[lower:]
     if getattr(evaluator, "grid", None) is not None:
-        values, flags = evaluator.grid(xi_p_axis, xi_q_axis)
+        computed, computed_flags = evaluator.grid(rows, xi_q_axis)
     else:
-        values, flags = evaluator.evaluate(*np.meshgrid(xi_p_axis, xi_q_axis, indexing="ij"))
-    values = np.asarray(values, dtype=complex)
+        computed, computed_flags = evaluator.evaluate(*np.meshgrid(rows, xi_q_axis,
+                                                                   indexing="ij"))
+    shape = (xi_p_axis.size, xi_q_axis.size)
+    values = np.empty(shape, dtype=complex)
+    flags = np.empty(shape, dtype=np.uint8)
+    values[lower:] = computed
+    flags[lower:] = computed_flags
+    if symmetric:
+        values[:lower] = np.conj(values[::-1, ::-1][:lower])
+        flags[:lower] = flags[::-1, ::-1][:lower]
+        if xi_p_axis.size % 2:
+            half = xi_q_axis.size // 2
+            values[lower, :half] = np.conj(values[lower, ::-1][:half])
+            flags[lower, :half] = flags[lower, ::-1][:half]
     # a grid kernel bypasses evaluate, which applies the rule to its batches
     real_by_symmetry(evaluator.state, values, xi_p_axis)
-    flags = np.asarray(flags, dtype=np.uint8)
     return ChordFieldGrid(xi_p_axis=xi_p_axis, xi_q_axis=xi_q_axis,
                           values=values, flags=flags, hbar=evaluator.state.hbar)

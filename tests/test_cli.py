@@ -255,6 +255,18 @@ def test_bulk_format_matches_the_per_value_format(tmp_path):
     cli._write_csv(out, ["x"], [x])
     assert out.read_text() == "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist())
 
+    # several float columns, formatted in one call per block, around a bytes
+    # column: each column holds every special, shuffled over several blocks
+    # (the last one short)
+    specials = np.concatenate([special, -special])
+    rows = specials.size + cli.CSV_BLOCK_CELLS + 5
+    floats = [rng.permutation(np.resize(rng.permutation(specials), rows)) for _ in range(3)]
+    labels = cli._FLAG_BYTES[rng.integers(0, len(cli._FLAG_BYTES), rows)]
+    cli._write_csv(out, ["a", "flag", "b", "c"], [floats[0], labels, floats[1], floats[2]])
+    expected = "".join(f"{a:.17g},{flag.decode()},{b:.17g},{c:.17g}\n" for a, flag, b, c in
+                       zip(floats[0].tolist(), labels.tolist(), *(f.tolist() for f in floats[1:])))
+    assert out.read_text() == "a,flag,b,c\n" + expected
+
 
 def test_scan_smallest_grid(tmp_path):
     out = tmp_path / "tiny.csv"

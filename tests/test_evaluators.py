@@ -158,6 +158,36 @@ def test_evaluate_matches_one_chord_calls(name, state_name):
     np.testing.assert_array_equal([f for _, f in alone], [FLAG_CODES[out.flag] for out in points])
 
 
+# bound on |chi(-xi) - chi(xi)*| of each route, fixed before measuring: the
+# acceptance battery's tolerances for exact and the stationary-phase sums,
+# round-off for the routes that are sums over the curve
+HERMITIAN_TOL = {"exact": 1e-10, "sp_full": 1e-8, "semiclassical": 1e-8,
+                 "small": 1e-13, "sp_small": 1e-13, "taylor:4": 1e-13}
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+@pytest.mark.parametrize("name", sorted(HERMITIAN_TOL))
+def test_negated_chords_give_the_conjugate(name, t):
+    """chi(-xi) = chi(xi)* for every state, since T(-xi) = T(xi)^dagger.
+
+    scan_grid writes half of a symmetric grid from this identity, so here
+    each chord and its negative are evaluated independently, in one batch.
+    """
+    state = CurveSpec(n=5, hbar=0.1, t=t)
+    chords = batch_chords(state, seed=int(10 * t))
+    if name == "taylor:4":
+        chords = chords * 1e-3  # inside the polynomial's range at t = 5 too
+    values, flags = make_evaluator(name, state).evaluate(
+        np.concatenate([chords[:, 0], -chords[:, 0]]), np.concatenate([chords[:, 1], -chords[:, 1]]))
+    plus, minus = np.split(values, 2)
+    # a near-caustic stationary-phase value is flagged untrusted: its amplitude
+    # diverges there (|chi| = 6.8 at 1e-7 inside the diameter), and so does the
+    # round-off of each member of the pair
+    trusted = np.all(flags.reshape(2, -1) != FLAG_CODES[Flag.NEAR_CAUSTIC], axis=0)
+    assert np.count_nonzero(trusted) >= len(chords) - 3
+    assert np.max(np.abs(minus - np.conj(plus))[trusted]) <= HERMITIAN_TOL[name]
+
+
 @pytest.mark.parametrize("name", EVALUATOR_NAMES)
 def test_evaluate_keeps_the_batch_shape(sheared, name):
     ev = make_evaluator(name, sheared)

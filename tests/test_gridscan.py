@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chordscan import Flag, axis, make_evaluator, scan_grid
+from chordscan import EVALUATOR_NAMES, Flag, axis, make_evaluator, scan_grid
+from chordscan.core import real_by_symmetry
 from chordscan.gridscan import ChordFieldGrid
 
 
@@ -79,3 +80,86 @@ def test_component_selection(sheared):
     np.testing.assert_array_equal(grid.component("abs"), np.abs(grid.values))
     with pytest.raises(ValueError):
         grid.component("phase")
+
+
+# -- the half grid ------------------------------------------------------------
+
+
+class CountingEvaluator:
+    """An evaluator that records the chords each kernel receives."""
+
+    def __init__(self, inner, with_grid):
+        self.name = inner.name
+        self.state = inner.state
+        self.inner = inner
+        self.chords = []
+        if with_grid:
+            self.grid = self._grid
+
+    def evaluate(self, xi_p, xi_q):
+        self.chords.append(xi_p.size)
+        return self.inner.evaluate(xi_p, xi_q)
+
+    def _grid(self, xi_p_axis, xi_q_axis):
+        self.chords.append(xi_p_axis.size * xi_q_axis.size)
+        return self.inner.grid(xi_p_axis, xi_q_axis)
+
+
+@pytest.mark.parametrize("with_grid", [True, False])
+@pytest.mark.parametrize("n, m", [(7, 7), (7, 6), (6, 7), (6, 6)])
+def test_symmetric_grid_evaluates_its_upper_half(sheared, with_grid, n, m):
+    ev = CountingEvaluator(make_evaluator("small", sheared), with_grid)
+    ax_p, ax_q = axis(-0.6, 0.6, n), axis(-0.5, 0.5, m)
+    scan_grid(ev, ax_p, ax_q)
+    assert ev.chords == [(n + 1) // 2 * m]
+
+
+@pytest.mark.parametrize("with_grid", [True, False])
+@pytest.mark.parametrize("ax_p, ax_q", [
+    (axis(-0.6, 0.6, 5), axis(-0.6, 0.7, 6)),
+    (axis(-0.6, 0.7, 5), axis(-0.6, 0.6, 6)),
+    # linspace misses the antisymmetry by round-off (its middle sample is
+    # -5.55e-17), which is enough to fall back to the full grid
+    (np.linspace(-0.45, 0.45, 41), axis(-0.45, 0.45, 41)),
+])
+def test_asymmetric_grid_evaluates_every_chord(sheared, with_grid, ax_p, ax_q):
+    ev = CountingEvaluator(make_evaluator("small", sheared), with_grid)
+    full = scan_grid(ev, ax_p, ax_q)
+    assert ev.chords == [ax_p.size * ax_q.size]
+    assert full.values.shape == (ax_p.size, ax_q.size)
+
+
+@pytest.mark.parametrize("n, m", [(9, 9), (9, 8), (8, 9), (8, 8)])
+@pytest.mark.parametrize("name", EVALUATOR_NAMES)
+def test_half_grid_is_conjugate_mirrored(sheared, name, n, m):
+    """Each cell is the conjugate of its -xi partner to the last bit, with the
+    same flag, and the computed half is what a full evaluation gives."""
+    # the composite's square reaches past the diameter, where its flags vary;
+    # taylor's stays inside the polynomial's range
+    reach = 0.01 if name == "taylor" else 2.3
+    ax_p, ax_q = axis(-reach, reach, n), axis(-reach, reach, m)
+    ev = make_evaluator(name, sheared)
+    grid = scan_grid(ev, ax_p, ax_q)
+    np.testing.assert_array_equal(grid.values, np.conj(grid.values[::-1, ::-1]))
+    np.testing.assert_array_equal(grid.flags, grid.flags[::-1, ::-1])
+    if ev.grid is not None:
+        values, flags = ev.grid(ax_p, ax_q)
+    else:
+        values, flags = ev.evaluate(*np.meshgrid(ax_p, ax_q, indexing="ij"))
+    real_by_symmetry(sheared, values, ax_p)
+    computed = np.zeros((n, m), dtype=bool)
+    computed[n // 2:] = True
+    if n % 2:  # the xi_q < 0 half of the xi_p = 0 row is mirrored too
+        computed[n // 2, :m // 2] = False
+    np.testing.assert_array_equal(grid.values[computed], values[computed])
+    np.testing.assert_array_equal(grid.flags[computed], flags[computed])
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 40, 41, 160, 161, 1000, 1001])
+@pytest.mark.parametrize("reach", [1e-300, 1e-9, 0.1, 0.45, 1.75, 2.3, np.pi, 7.0, 1e300])
+def test_symmetric_axis_is_exactly_antisymmetric(reach, count):
+    """axis(-a, a, n) meets the exact test that sends scan_grid to the half grid."""
+    ax = axis(-reach, reach, count)
+    assert np.array_equal(ax, -ax[::-1])
+    if count % 2:
+        assert ax[count // 2] == 0.0
