@@ -8,11 +8,14 @@ sign), and the segments are chained through integer edge ids.
 Blind spots -- common zeros of both components -- are seeded from cells on
 which each component changes sign or vanishes, and polished by a damped
 Newton iteration on the underlying evaluator, so their final accuracy is set
-by the evaluator, not by the scan resolution. All seeds are polished in
-lockstep, one ``evaluate`` call per stage (Jacobian stencils, each damping
-halving, the final values), so the number of calls is set by the Newton
-steps and not by the number of seeds; the ray scan of ``first_zero_along``
-is one call as well.
+by the evaluator, not by the scan resolution. A seed converges when its own
+Newton step falls below ``STEP_TOL`` cell diagonals, a rule on position that
+no scale of |chi| enters: a seed sliding down the decaying tail, where each
+step stays a fixed fraction of the tail's width, never converges. All seeds
+are polished in lockstep, one ``evaluate`` call per stage (the first values,
+Jacobian stencils, each damping halving, the spots' values), so the number
+of calls is set by the Newton steps and not by the number of seeds; the ray
+scan of ``first_zero_along`` is one call as well.
 
 Both sign tests first clear samples whose modulus is below a noise floor
 (``NOISE_RATIO`` times the field scale) to exactly zero. A component that is
@@ -36,6 +39,9 @@ from .quadrature import NumericalError
 # a component whose largest modulus is this far under the field's own scale
 # is identically zero by symmetry: every point is nodal and no line is defined
 DEGENERACY_RATIO = 1e-8
+
+# a Newton step shorter than this many cell diagonals ends a seed's polish
+STEP_TOL = 1e-6
 
 # samples whose modulus is this far under the field's scale are round-off of
 # a zero and carry no sign
@@ -184,31 +190,31 @@ _HALVINGS = 8
 NEWTON_MAX_ITER = 40  # Newton steps a seed may take before it is rejected
 
 
-def _newton_polish(evaluator, seeds, step, tol, box):
+def _newton_polish(evaluator, seeds, step, cell_diag, box):
     """Damped Newton on (Re chi, Im chi) from every seed at once.
 
     The seeds move in lockstep, one evaluate call per stage: the four-chord
     central-difference Jacobians of all seeds still searching, then one call
     per damping halving over the seeds whose step has not yet reduced |chi|.
-    Each seed follows the rules of a lone iteration: it stops once
-    |chi| < tol (its iteration count is the number of steps taken), when its
-    Jacobian is singular, when _HALVINGS halvings fail to reduce |chi|, when
-    a damped candidate leaves ``box`` = (low, high), the chords with
-    low <= (xi_p, xi_q) <= high componentwise (that candidate is never
-    evaluated), or after NEWTON_MAX_ITER steps.
+    Each seed follows the rules of a lone iteration: it converges when its
+    full Newton step is shorter than STEP_TOL * ``cell_diag``, and then takes
+    that step unevaluated and stops (its iteration count is the number of
+    steps taken). It stops unconverged when its Jacobian is singular, when
+    _HALVINGS halvings fail to reduce |chi|, when a damped candidate leaves
+    ``box`` = (low, high), the chords with low <= (xi_p, xi_q) <= high
+    componentwise (that candidate is never evaluated), or after
+    NEWTON_MAX_ITER steps.
 
-    Returns (xi, mag, iterations): final chords (n, 2), |chi| there (n,) and
-    iteration counts (n,).
+    Returns (xi, converged, iterations): final chords (n, 2), whether each
+    seed converged (n,) and iteration counts (n,).
     """
     xi = np.array(seeds, dtype=float).reshape(-1, 2)
     value = _chi(evaluator, xi)
     mag = np.abs(value)
+    converged = np.zeros(len(xi), dtype=bool)
     iterations = np.full(len(xi), NEWTON_MAX_ITER)
     active = np.arange(len(xi))
     for it in range(1, NEWTON_MAX_ITER + 1):
-        converged = mag[active] < tol
-        iterations[active[converged]] = it - 1
-        active = active[~converged]
         if active.size == 0:
             break
         z = _chi(evaluator, xi[active, None, :] + step * _JACOBIAN_OFFSETS)
@@ -223,8 +229,13 @@ def _newton_polish(evaluator, seeds, step, tol, box):
         trying = active[solvable]
         rhs = -np.stack([value[trying].real, value[trying].imag], axis=-1)
         delta = np.linalg.solve(jac[solvable], rhs[..., None])[..., 0]
+        short = np.hypot(delta[:, 0], delta[:, 1]) < STEP_TOL * cell_diag
+        finished = trying[short]
+        xi[finished] += delta[short]
+        converged[finished] = True
+        trying, delta = trying[~short], delta[~short]
         lam = 1.0
-        stopped = []
+        stopped = [finished]
         for _ in range(_HALVINGS):
             cand = xi[trying] + lam * delta
             inside = np.all((cand >= box[0]) & (cand <= box[1]), axis=1)
@@ -241,10 +252,10 @@ def _newton_polish(evaluator, seeds, step, tol, box):
             mag[taken] = mc[better]
             trying, delta = trying[~better], delta[~better]
             lam *= 0.5
-        stopped = np.concatenate(stopped + [trying])  # left the box, or damping failed
+        stopped = np.concatenate(stopped + [trying])  # converged, left the box, or damping failed
         iterations[stopped] = it
         active = np.setdiff1d(active[solvable], stopped, assume_unique=True)
-    return xi, mag, iterations
+    return xi, converged, iterations
 
 
 def _sign_change_cells(comp: np.ndarray) -> np.ndarray:
@@ -271,8 +282,7 @@ def _seed_chords(grid: ChordFieldGrid) -> np.ndarray:
                      0.5 * (xq[cell_j] + xq[cell_j + 1])], axis=-1)
 
 
-def find_blind_spots(evaluator, grid: ChordFieldGrid,
-                     tol: float = 1e-8) -> BlindSpotSearch:
+def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     """Locate common zeros of Re chi and Im chi inside the scanned region.
 
     A seed cell is one on which each component changes sign or vanishes:
@@ -283,20 +293,18 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
     both sides of a nodal row count. The seed cells' centers, in row-major
     order, start a lockstep damped Newton iteration on the evaluator that
     makes O(Newton steps x halvings) ``evaluate`` calls whatever the number
-    of seeds. The iteration is confined to the scanned region widened by
-    one region width on every side: a seed whose damped step would leave
-    that box stops unevaluated and is rejected, so a near-singular Jacobian
-    cannot fling one chord far outside the state and fail the whole batch.
-    Converged roots closer than one cell diagonal to an earlier seed's root
-    are merged. A root is kept only if it is a resolved zero,
-    |grad chi| * cell diagonal >= ``DEGENERACY_RATIO`` * max|chi| on the
-    grid; this drops points of the decayed tail, where |chi| itself is below
-    ``tol``. Roots outside the scanned region but inside the box are not
-    otherwise dropped. Spots are returned sorted by distance from the
-    origin. ``tol`` must be finite and positive.
+    of seeds. A seed converges when its Newton step is shorter than
+    ``STEP_TOL`` cell diagonals; a seed that runs down the decaying tail
+    keeps taking steps of a fixed fraction of the tail's width and does not.
+    The iteration is confined to the scanned region widened by one region
+    width on every side: a seed whose damped step would leave that box stops
+    unevaluated and is rejected, so a near-singular Jacobian cannot fling
+    one chord far outside the state and fail the whole batch. Converged
+    roots closer than one cell diagonal to an earlier seed's root are
+    merged, and the spots' values are read in one more call. Roots outside
+    the scanned region but inside the box are kept. Spots are returned
+    sorted by distance from the origin.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     seeds = _seed_chords(grid)
     if len(seeds) == 0:
         return BlindSpotSearch(spots=(), n_seeds=0)
@@ -306,23 +314,16 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid,
     step = 1e-6 * width
     cell_diag = math.hypot(xp[1] - xp[0], xq[1] - xq[0])
     box = (np.array([xp[0], xq[0]]) - width, np.array([xp[-1], xq[-1]]) + width)
-    xi, mag, iterations = _newton_polish(evaluator, seeds, step, tol, box)
+    xi, converged, iterations = _newton_polish(evaluator, seeds, step, cell_diag, box)
     kept = []
-    for k in np.flatnonzero(mag < tol):
+    for k in np.flatnonzero(converged):
         if any(math.hypot(xi[k, 0] - xi[j, 0], xi[k, 1] - xi[j, 1]) < cell_diag
                for j in kept):
             continue
         kept.append(k)
-    # one call gives each kept root's value and Jacobian stencil. A root is a
-    # resolved zero only if the field changes across a cell diagonal by
-    # DEGENERACY_RATIO of its scale: in the decayed tail |chi| itself is
-    # below tol and Newton stops wherever it ran to.
-    z = _chi(evaluator, xi[kept, None, :] + step * np.vstack([(0.0, 0.0), _JACOBIAN_OFFSETS]))
-    gradient = np.hypot(np.abs(z[:, 1] - z[:, 2]), np.abs(z[:, 3] - z[:, 4])) / (2.0 * step)
-    resolved = gradient * cell_diag >= DEGENERACY_RATIO * float(np.max(np.abs(grid.values)))
     found = [BlindSpot(chord=Chord(float(xi[k, 0]), float(xi[k, 1])),
                        value=complex(v), iterations=int(iterations[k]))
-             for k, v, ok in zip(kept, z[:, 0], resolved) if ok]
+             for k, v in zip(kept, _chi(evaluator, xi[kept]))]
     found.sort(key=lambda s: s.radius)
     return BlindSpotSearch(spots=tuple(found), n_seeds=len(seeds))
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all
 from .blindspots import find_blind_spots, nodal_contours
-from .core import FLAGS_BY_CODE
+from .core import FLAGS_BY_CODE, veltkamp_split
 from .curves import CurveSpec, InvalidStateError
 from .evaluators import EVALUATOR_NAMES, make_evaluator
 from .gridscan import axis, scan_grid
@@ -93,7 +93,6 @@ _OPTIONS = {
     "direction": (_parse_direction, None, "cut along the direction DP,DQ"),
     "range": (_parse_interval, "0:2.3", "arc-length range LO:HI along the ray"),
     "samples": (int, "401", "sample count"),
-    "tol": (float, "1e-8", "|chi| convergence target"),
 }
 
 _STATE_KEYS = ("n", "hbar", "alpha0", "alpha1", "alpha2", "alpha3", "t")
@@ -104,7 +103,7 @@ _STATE_KEYS = ("n", "hbar", "alpha0", "alpha1", "alpha2", "alpha3", "t")
 _COMMAND_KEYS = {
     "scan": _STATE_KEYS + ("evaluator", "region", "resolution"),
     "cut": _STATE_KEYS + ("evaluator", "slope", "direction", "range", "samples"),
-    "blindspots": _STATE_KEYS + ("evaluator", "region", "resolution", "tol"),
+    "blindspots": _STATE_KEYS + ("evaluator", "region", "resolution"),
 }
 
 
@@ -190,18 +189,11 @@ TIE_MARGIN = 1e-9
 _FLAG_BYTES = np.array([FLAGS_BY_CODE[code].value for code in range(len(FLAGS_BY_CODE))],
                        dtype="S")
 _K_MIN, _K_MAX = -265, 297  # 10^(16-E) for every E of FAST_RANGE, one step to spare
-_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 _E_MIN = -330  # below the least exponent of a double; the exponent table starts here
 # a formatted float's bytes: prefix, digits before the point, point, digits
 # after it, exponent; the longest "%.17g" text has 24
 _CELL = 6 + 17 + 1 + 16 + 5
 _ZERO_TEXT = np.array([b"0", b"-0"], dtype=f"S{_CELL}").view(np.uint8).reshape(2, _CELL)
-
-
-def _split(a):
-    c = _SPLITTER * a
-    high = c - (c - a)
-    return high, a - high
 
 
 @functools.cache
@@ -224,7 +216,7 @@ def _tables():
         high.append(h)
         low.append((p * den - num * q) / (q * den))
     high = np.array(high)
-    powers = np.column_stack([high, low, *_split(high)])
+    powers = np.column_stack([high, low, *veltkamp_split(high)])
     group = np.arange(10000)
     text = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     trailing = sum((group % p == 0).astype(np.int64) for p in (10, 100, 1000, 10000))
@@ -245,7 +237,7 @@ def _scaled(a, e, powers):
     """a 10^(16-e) as an unevaluated sum high + low (Dekker's exact product
     with the table's high part plus a times its low part)."""
     high, low, high_h, high_l = powers.take(16 - e - _K_MIN, axis=0).T
-    a_h, a_l = _split(a)
+    a_h, a_l = veltkamp_split(a)
     p = a * high
     return p, ((a_h * high_h - p) + a_h * high_l + a_l * high_h) + a_l * high_l + a * low
 
@@ -428,8 +420,6 @@ def cmd_blindspots(args) -> int:
     """
     opt = _merge(args)
     out = Path(opt["out"])
-    if not (math.isfinite(opt["tol"]) and opt["tol"] > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {opt['tol']!r}")
     state = _state(opt)
     evaluator = make_evaluator(opt["evaluator"], state)
     # the moments are the state's own, in closed form, whatever the evaluator;
@@ -467,7 +457,7 @@ def cmd_blindspots(args) -> int:
         report["estimated_spots"] = []
         report["located_spots"] = []
     else:
-        search = find_blind_spots(pointlike, grid, tol=opt["tol"])
+        search = find_blind_spots(pointlike, grid)
         report["estimated_spots"] = [[s.xi_p, s.xi_q] for s in estimate.spots]
         report["estimate_radius"] = estimate.radius
         report["located_spots"] = [{

@@ -159,3 +159,14 @@ def wedge(a, b):
     """
     return a[0] * b[1] - a[1] * b[0]
 
+
+# Veltkamp's factor 2^27 + 1: x * _SPLITTER - (x * _SPLITTER - x) is x's upper half
+_SPLITTER = 134217729.0
+
+
+def veltkamp_split(x):
+    """x as high + low, halves of 26 bits or fewer whose products with other
+    such halves are exact in double precision (Veltkamp)."""
+    scaled = _SPLITTER * x
+    high = scaled - (scaled - x)
+    return high, x - high

@@ -110,7 +110,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, PhasePoint, worst_flag_codes
+from .core import (FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, PhasePoint, veltkamp_split,
+                   worst_flag_codes)
 from .curves import CurveSpec
 from .quadrature import NumericalError
 from .smallchord import chi_small
@@ -147,18 +148,9 @@ _HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
                2: np.array([[1.0, -1.0, 0.0],
                             [0.0, 0.0, 2.0],
                             [1.0, 1.0, 0.0]])}
-# Veltkamp's factor 2^27 + 1: x * _SPLIT - (x * _SPLIT - x) is x's upper half
-_SPLIT = 134217729.0
 # a real root that its coefficients' round-off could move by more than
 # _SHAKY eps is refined against coefficients kept to twice double precision
 _SHAKY = 100.0
-
-
-def _split(x):
-    """x as big + small, halves whose products with other halves are exact (Veltkamp)."""
-    scaled = _SPLIT * x
-    big = scaled - (scaled - x)
-    return big, x - big
 
 
 def _tau_map(half_angle):
@@ -169,7 +161,7 @@ def _tau_map(half_angle):
 
     Returns (hi, big, small, lo), each of shape (5, deg + 1), row m for the
     sample m places after the top one: hi + lo is the map to about 32
-    digits, and big + small = hi (_split).
+    digits, and big + small = hi (veltkamp_split).
     """
     with localcontext() as context:
         context.prec = 40
@@ -186,7 +178,7 @@ def _tau_map(half_angle):
                   for coefficient in half_angle] for m in range(5)]
         hi = np.array([[float(value) for value in row] for row in exact])
         lo = np.array([[float(value - Decimal(float(value))) for value in row] for row in exact])
-    return (hi, *_split(hi), lo)
+    return (hi, *veltkamp_split(hi), lo)
 
 
 # per degree, the map from the samples to the tau-coefficients (_tau_map)
@@ -301,7 +293,7 @@ def _tau_coefficients(rolled, deg):
     """
     hi, big, small, lo = (part[:, np.newaxis] for part in _TAU[deg])
     x = rolled.T[:, :, np.newaxis]
-    x_big, x_small = _split(x)
+    x_big, x_small = veltkamp_split(x)
     product = hi * x
     carry = ((big * x_big - product) + big * x_small + small * x_big) + small * x_small + lo * x
     total, carry = product[0], carry.sum(axis=0)
@@ -342,12 +334,12 @@ def _polish(high, low, tau):
     roots can meet; complex roots are returned as they are.
     """
     x = tau.real
-    x_big, x_small = _split(x)
+    x_big, x_small = veltkamp_split(x)
     value, carry, slope = high[:, :1], low[:, :1], 0.0
     for k in range(1, high.shape[1]):
         slope = slope * x + (value + carry)
         product = value * x
-        v_big, v_small = _split(value)
+        v_big, v_small = veltkamp_split(value)
         error = ((v_big * x_big - product) + v_big * x_small + v_small * x_big) + v_small * x_small
         value = product + high[:, k:k + 1]
         back = value - product

@@ -304,7 +304,7 @@ def _report_without_timing(path):
      "--evaluator", "exact,small"),
     ("cut", "--direction", "0.3,1", "--range=-0.5:0.5", "--samples", "5",
      "--evaluator", "small", "--alpha2", "0.5"),
-    ("blindspots", "--region=-0.3:0.3", "--resolution", "15", "--tol", "1e-9"),
+    ("blindspots", "--region=-0.3:0.3", "--resolution", "15"),
 ], ids=["scan", "cut-slope", "cut-direction", "blindspots"])
 def test_sidecar_config_reparses_to_the_same_run(tmp_path, command):
     """The sidecar's config block is itself a valid config file that
@@ -485,14 +485,19 @@ def test_taylor_blindspots_inside_the_polynomial_range(tmp_path):
     assert radii[2] == pytest.approx(0.2296, abs=1e-3)
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-def test_blindspots_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol):
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_blindspots_takes_no_tolerance(tmp_path, where):
+    """Newton stops on its own step, so blindspots has no tol option: the flag
+    is a usage error and the config key an unknown one, each exit 1."""
     out = tmp_path / "spots.json"
-    assert run("blindspots", "--tol", tol, "--region=-0.3:0.3", "--resolution", "11",
-               "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("chordscan: tol must be finite and positive")
-    assert err.count("\n") == 1
+    if where == "flag":
+        with pytest.raises(SystemExit) as exc:
+            run("blindspots", "--tol", "1e-8", "--out", str(out))
+        assert exc.value.code == 1
+    else:
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol=1e-8\n")
+        assert run("blindspots", "--config", str(cfg), "--out", str(out)) == 1
     assert not out.exists()
 
 
