@@ -17,12 +17,12 @@ Jacobian stencils, each damping halving, the spots' values), so the number
 of calls is set by the Newton steps and not by the number of seeds; the ray
 scan of ``first_zero_along`` is one call as well.
 
-Both sign tests first clear samples whose modulus is below a noise floor
-(``NOISE_RATIO`` times the field scale) to exactly zero. A component that is
-zero by symmetry -- Im chi on the xi_p = 0 cut of a sheared state, which is
-the characteristic function of the momentum marginal -- comes out of the
-quadrature as round-off of either sign; without the floor, which cells count
-as crossings would depend on those signs and so on the numpy/BLAS build.
+Both sign tests first clear samples below a noise floor (``NOISE_RATIO``
+times the field scale) to exactly zero, and a component with no sample above
+it is degenerate. Im chi on the xi_p = 0 row is already an exact +0.0
+(``core.real_by_symmetry``); the floor guards the decaying tail, whose
+round-off of either sign would otherwise decide which cells count as
+crossings, and so make them depend on the numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -36,15 +36,12 @@ from .core import Chord
 from .gridscan import ChordFieldGrid
 from .quadrature import NumericalError
 
-# a component whose largest modulus is this far under the field's own scale
-# is identically zero by symmetry: every point is nodal and no line is defined
-DEGENERACY_RATIO = 1e-8
-
-# a Newton step shorter than this many cell diagonals ends a seed's polish
+# a Newton step shorter than this many cell diagonals ends a seed's polish,
+# and converged seeds closer than this are one zero
 STEP_TOL = 1e-6
 
 # samples whose modulus is this far under the field's scale are round-off of
-# a zero and carry no sign
+# a zero and carry no sign; a component with no sample above it is degenerate
 NOISE_RATIO = 1e-12
 
 RAY_SAMPLES = 400  # first_zero_along's ray scan
@@ -77,13 +74,13 @@ def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
     """Trace the nodal lines of one component of a scanned field."""
     comp = grid.component(component)
     scale = float(np.max(np.abs(grid.values)))
-    if float(np.max(np.abs(comp))) < DEGENERACY_RATIO * scale:
+    floored = _floored(comp, scale)
+    if not np.any(floored):
         return NodalSet(curves=(), degenerate=True)
-    # nudge zeros (exact or within the noise floor) off the lattice to one
-    # fixed side, so every cell has 0, 2 or 4 crossings and the traced line
-    # does not follow the signs of round-off
-    tiny = 1e-14 * scale
-    comp = np.where(_floored(comp, scale) == 0.0, tiny, comp)
+    # lift samples below the noise floor (exact zeros or round-off) to the
+    # floor, off the lattice and to one fixed side, so every cell has 0, 2 or
+    # 4 crossings and the traced line does not follow the signs of round-off
+    comp = np.where(floored == 0.0, NOISE_RATIO * scale, comp)
     pos = comp > 0
     xp, xq = grid.xi_p_axis, grid.xi_q_axis
 
@@ -270,12 +267,12 @@ def _seed_chords(grid: ChordFieldGrid) -> np.ndarray:
     scale = float(np.max(np.abs(grid.values)))
     re = _floored(grid.values.real, scale)
     im = _floored(grid.values.imag, scale)
-    if (float(np.max(np.abs(im))) < DEGENERACY_RATIO * scale
-            or float(np.max(np.abs(re))) < DEGENERACY_RATIO * scale):
+    if not (np.any(re) and np.any(im)):
         # a vanishing component turns isolated zeros into whole nodal lines
         raise ValueError(
-            "a field component is identically zero by symmetry; blind spots "
-            "are not isolated points (trace nodal_contours instead)")
+            "a field component is identically zero, every sample below the "
+            "noise floor; blind spots are not isolated points (trace "
+            "nodal_contours instead)")
     xp, xq = grid.xi_p_axis, grid.xi_q_axis
     cell_i, cell_j = np.nonzero(_sign_change_cells(re) & _sign_change_cells(im))
     return np.stack([0.5 * (xp[cell_i] + xp[cell_i + 1]),
@@ -299,11 +296,12 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     The iteration is confined to the scanned region widened by one region
     width on every side: a seed whose damped step would leave that box stops
     unevaluated and is rejected, so a near-singular Jacobian cannot fling
-    one chord far outside the state and fail the whole batch. Converged
-    roots closer than one cell diagonal to an earlier seed's root are
-    merged, and the spots' values are read in one more call. Roots outside
-    the scanned region but inside the box are kept. Spots are returned
-    sorted by distance from the origin.
+    one chord far outside the state and fail the whole batch. A converged
+    root within ``STEP_TOL`` cell diagonals of an earlier seed's root, the
+    resolution of the step rule, is merged into it; distinct zeros may lie
+    closer than a cell. The spots' values are read in one more call. Roots
+    outside the scanned region but inside the box are kept. Spots are
+    returned sorted by distance from the origin.
     """
     seeds = _seed_chords(grid)
     if len(seeds) == 0:
@@ -317,7 +315,7 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     xi, converged, iterations = _newton_polish(evaluator, seeds, step, cell_diag, box)
     kept = []
     for k in np.flatnonzero(converged):
-        if any(math.hypot(xi[k, 0] - xi[j, 0], xi[k, 1] - xi[j, 1]) < cell_diag
+        if any(math.hypot(xi[k, 0] - xi[j, 0], xi[k, 1] - xi[j, 1]) < STEP_TOL * cell_diag
                for j in kept):
             continue
         kept.append(k)

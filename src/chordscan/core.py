@@ -102,14 +102,15 @@ def real_by_symmetry(state, values, xi_p) -> None:
 
     On xi_p = 0, chi is the characteristic function of the momentum
     distribution, which the shear q -> q + t H'(p) leaves at the even
-    |psi_n(p)|^2: chi is real there for every state. An unsheared state
-    (t = 0, or a1 = a2 = a3 = 0) is the number state itself, whose chi is
-    real everywhere. Every route leaves round-off of either sign in Im there,
-    and np.angle reads a negative Re with Im = -0.0 as -pi, so the rule writes
-    +0.0. ``xi_p`` matches the leading axis of ``values``: the chords' own
-    xi_p for a batch, the xi_p axis for a tensor grid.
+    |psi_n(p)|^2: chi is real there for every state. Where t H'(p) is odd
+    (t = 0, or a1 = a3 = 0), the shear keeps the Wigner function even under
+    (p, q) -> (-p, -q), so chi is real everywhere. Every route leaves
+    round-off of either sign in Im there, and np.angle reads a negative Re
+    with Im = -0.0 as -pi, so the rule writes +0.0. ``xi_p`` matches the
+    leading axis of ``values``: the chords' own xi_p for a batch, the xi_p
+    axis for a tensor grid.
     """
-    if state.t == 0.0 or not any(state.alpha[1:]):
+    if state.t == 0.0 or state.alpha[1] == state.alpha[3] == 0.0:
         values.imag[...] = 0.0
     else:
         values.imag[np.asarray(xi_p) == 0.0] = 0.0

@@ -83,19 +83,17 @@ def periodic_mean(f, n0: int, tol: float, max_doublings: int):
     )
 
 
-# Central-difference stencils for the n-th derivative, error O(h^2).
+# Central-difference stencils for the first and second derivative, error O(h^2).
 _STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
 # rows of the Richardson table: the starting step and five halvings of it
 RICHARDSON_LEVELS = 6
 
 
-def richardson_derivative(f, order: int, h0: float, tol: float = 1e-8):
-    """n-th derivative of ``f`` at 0 by central differences + Richardson table.
+def richardson_derivative(f, order: int, h0: float, tol: float):
+    """First or second derivative of ``f`` at 0 by central differences + Richardson table.
 
     ``f`` is vectorized over offsets: it maps an array of offsets s to the
     array of f(s), and is called once, on the stencil points of every level.
@@ -106,7 +104,7 @@ def richardson_derivative(f, order: int, h0: float, tol: float = 1e-8):
     (suggesting a different starting step) if no level's is.
     """
     if order not in _STENCILS:
-        raise ValueError(f"derivative order {order} not supported (1..4)")
+        raise ValueError(f"derivative order {order} not supported (1 or 2)")
     stencil = _STENCILS[order]
     steps = [h0 / 2 ** i for i in range(RICHARDSON_LEVELS)]
     samples = np.asarray(f(np.array([[k * h for k, _ in stencil] for h in steps])))

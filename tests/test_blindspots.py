@@ -73,6 +73,24 @@ class TestNodalContours:
             radii = np.hypot(curve.points[:, 0], curve.points[:, 1])
             assert np.ptp(radii) < 3 * cell  # genuinely circular
 
+    @pytest.mark.parametrize("level,degenerate", [(1e-10, False), (1e-13, True)])
+    def test_degenerate_is_below_the_noise_floor(self, level, degenerate):
+        """A component is degenerate exactly when no sample lies above the
+        noise floor, NOISE_RATIO times the field's scale: an imaginary part
+        at 1e-10 of the scale is traced and seeds a search, one at 1e-13 is
+        refused by both."""
+        xp = axis(-1.0, 1.0, 11)
+        pp, qq = np.meshgrid(xp, xp, indexing="ij")
+        values = (pp - 0.13) + 1j * level * (qq - 0.21)
+        grid = ChordFieldGrid(xp, xp, values, np.zeros(values.shape, np.uint8), 0.1)
+        assert nodal_contours(grid, "imag").degenerate == degenerate
+        assert not nodal_contours(grid, "real").degenerate
+        if degenerate:
+            with pytest.raises(ValueError, match="noise floor"):
+                _seed_chords(grid)
+        else:
+            assert len(_seed_chords(grid)) > 0
+
     def test_symmetric_component_flagged_degenerate(self, ring):
         """The unsheared state is real: its imaginary part carries no nodal
         structure, only the symmetry."""
@@ -313,18 +331,22 @@ class TestBlindSpots:
         assert not converged[0]
         assert xi[0, 1] > 5.0  # it ran on down the tail
 
-    def test_strongly_sheared_spots_pair_up(self):
-        """chi(-xi) = conj chi(xi), so on the t = 1 grid, symmetric under
-        xi -> -xi, every spot has its mirror image among the spots."""
-        state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0)
+    @pytest.mark.parametrize("t,half,count", [(1.0, 1.7, 50), (5.0, 2.5, 72)],
+                             ids=["t1", "t5"])
+    def test_strongly_sheared_spots_pair_up(self, t, half, count):
+        """chi(-xi) = conj chi(xi), so on a 121^2 grid, symmetric under
+        xi -> -xi, every spot has its mirror image among the spots. At t = 5
+        distinct zeros lie as close as 0.73 cell diagonals, so the search
+        must merge only roots its step rule cannot tell apart."""
+        state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
         ev = ExactEvaluator(state)
-        ax = axis(-1.7, 1.7, 121)
+        ax = axis(-half, half, 121)
         found = find_blind_spots(ev, scan_grid(ev, ax, ax))
         spots = np.array([[s.chord.xi_p, s.chord.xi_q] for s in found.spots])
         for row in spots:
             assert np.min(np.hypot(*(spots + row).T)) < 1e-6
         assert max(abs(s.value) for s in found.spots) < 1e-12
-        assert len(found.spots) == 50
+        assert len(found.spots) == count
 
     def test_spots_outside_the_region_are_kept(self):
         """The n = 3 report has a genuine spot beyond its +-0.6 region."""

@@ -238,11 +238,12 @@ def test_batched_radial_miss_guard(sheared):
         _tip_angle(sheared, p, q, foot)
 
 
-# states whose chi is real everywhere (unsheared: t = 0, or H without the
-# p-dependent terms) and the sheared state, real on the xi_p = 0 row only
+# states whose chi is real everywhere (t = 0, or an odd H', which keeps the
+# Wigner function even) and the sheared state, real on the xi_p = 0 row only
 SYMMETRIC_STATES = {
     "ring": CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.0),
     "flat_h": CurveSpec(n=5, hbar=0.1, alpha=(0.3, 0.0, 0.0, 0.0), t=0.1),
+    "odd_drift": CurveSpec(n=5, hbar=0.1, alpha=(0.3, 0.0, 1.0, 0.0), t=0.1),
     "sheared": CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1),
 }
 
