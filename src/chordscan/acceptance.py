@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial.laguerre import lagroots
 from scipy.special import j0
 
 from .blindspots import find_blind_spots, first_zero_along, nodal_contours
@@ -22,7 +21,7 @@ from .core import FLAG_CODES, Flag, real_by_symmetry
 from .curves import CurveSpec
 from .evaluators import make_evaluator
 from .exact import (_closed_form, _overlap, correlation_C, fock_chi_radial,
-                    fourier_invariance_residual)
+                    fourier_invariance_residual, nodal_radii)
 from .gridscan import axis, scan_grid
 from .smallchord import (classical_moments, closest_blind_spot_estimate, moments_from_chi,
                          second_order_from_table, state_moments, taylor_values)
@@ -155,8 +154,7 @@ def criterion_nodal_ring_structure() -> CriterionResult:
     contours = nodal_contours(grid, "real")
     closed = [c for c in contours.curves if c.closed]
 
-    roots = np.sort(lagroots([0.0] * 5 + [1.0]))
-    expected = np.sqrt(2.0 * RING_STATE.hbar * roots)
+    expected = nodal_radii(RING_STATE.n, RING_STATE.hbar)
     cell = 2.0 * half / (RING_RESOLUTION - 1)
     if len(closed) != 5:
         return CriterionResult(name="five closed nodal rings with Laguerre radii",

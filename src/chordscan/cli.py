@@ -35,10 +35,11 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .blindspots import find_blind_spots, nodal_contours
+from .blindspots import find_blind_spots
 from .core import FLAGS_BY_CODE, veltkamp_split
 from .curves import CurveSpec, InvalidStateError
 from .evaluators import EVALUATOR_NAMES, make_evaluator
+from .exact import nodal_radii
 from .gridscan import axis, scan_grid
 from .quadrature import ConvergenceError, NumericalError
 from .smallchord import closest_blind_spot_estimate, state_moments
@@ -415,8 +416,10 @@ def cmd_cut(args) -> int:
 def cmd_blindspots(args) -> int:
     """Moments, ellipse estimate, and located zeros, as a JSON report.
 
-    A symmetric state (vanishing mean) has nodal circles instead of isolated
-    zeros; that is reported as a structured degenerate outcome, not an error.
+    With alpha3 t = 0 the state is a linear shear of the ring, so its zeros
+    are the curves xi_p^2 + (xi_q - 2 t alpha2 xi_p)^2 = rho_k^2 over the ring's
+    Laguerre radii rho_k: that report is degenerate, lists the radii and
+    evaluates no chord. Every other state is scanned and searched.
     """
     opt = _merge(args)
     out = Path(opt["out"])
@@ -427,11 +430,9 @@ def cmd_blindspots(args) -> int:
     # Newton polish runs on the oracle
     pointlike = evaluator if evaluator.name.split(":")[0] in (
         "exact", "small", "semiclassical", "taylor") else make_evaluator("exact", state)
-    lo, hi = opt["region"]
-    grid_axis = axis(lo, hi, opt["resolution"])
+    degenerate = state.t * state.alpha[3] == 0.0
 
     started = time.perf_counter()
-    grid = scan_grid(evaluator, grid_axis, grid_axis)
     moments = state_moments(state)
     estimate = closest_blind_spot_estimate(moments, state.hbar)
     report = {
@@ -444,22 +445,19 @@ def cmd_blindspots(args) -> int:
                        [estimate.matrix[1, 0], estimate.matrix[1, 1]]],
             "level": estimate.level,
         },
-        "degenerate": estimate.degenerate,
+        "degenerate": degenerate,
         "scan_evaluator": evaluator.name,
         "polish_evaluator": pointlike.name,
+        "estimated_spots": [[s.xi_p, s.xi_q] for s in estimate.spots],
     }
-    if estimate.degenerate:
-        # zeros form whole circles; report their radii instead of points
-        nodal = nodal_contours(grid, "real")
-        report["nodal_radii"] = sorted(
-            float(np.mean(np.hypot(c.points[:, 0], c.points[:, 1])))
-            for c in nodal.curves if c.closed)
-        report["estimated_spots"] = []
+    if estimate.spots:
+        report["estimate_radius"] = estimate.radius
+    if degenerate:
+        report["nodal_radii"] = nodal_radii(state.n, state.hbar).tolist()
         report["located_spots"] = []
     else:
-        search = find_blind_spots(pointlike, grid)
-        report["estimated_spots"] = [[s.xi_p, s.xi_q] for s in estimate.spots]
-        report["estimate_radius"] = estimate.radius
+        grid_axis = axis(*opt["region"], opt["resolution"])
+        search = find_blind_spots(pointlike, scan_grid(evaluator, grid_axis, grid_axis))
         report["located_spots"] = [{
             "xi_p": s.chord.xi_p, "xi_q": s.chord.xi_q, "radius": s.radius,
             "residual": abs(s.value), "iterations": s.iterations,
@@ -467,10 +465,10 @@ def cmd_blindspots(args) -> int:
         report["n_seeds"] = search.n_seeds
         if search.spots:
             report["nearest_radius"] = search.nearest().radius
-            report["estimate_over_nearest"] = (estimate.radius
-                                               / search.nearest().radius)
+            if estimate.spots:
+                report["estimate_over_nearest"] = estimate.radius / search.nearest().radius
     _write_report(out, "blindspots", opt, time.perf_counter() - started, report)
-    kind = ("degenerate (nodal circles)" if estimate.degenerate
+    kind = ("degenerate (nodal curves)" if degenerate
             else f"{len(report['located_spots'])} spots")
     print(f"blindspots: {kind} -> {out}")
     return EXIT_OK

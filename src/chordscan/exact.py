@@ -28,16 +28,18 @@ it directly, a tensor grid goes through evolved_chi_grid (the closed form
 built once per xi_p row, the refused chords' rows and columns as one tensor
 quadrature) and one chord through evolved_chi. Those two names stay apart
 only for the benchmark's tracer, until it reads counters kept by the library
-(ROADMAP item 1). fock_chi_radial is the unsheared state's Laguerre form,
-which the tests and the acceptance battery use as an anchor. Grid-level
-certificates (the symplectic Fourier invariance of |chi|^2 and the chord
-correlation) are also implemented here because they only make sense
+(ROADMAP item 1). fock_chi_radial and nodal_radii are the ring's closed
+forms, its Laguerre profile and the radii of its zeros: anchors of the tests
+and the acceptance battery, and the nodal set of each state with alpha3 t = 0.
+Grid-level certificates (the symplectic Fourier invariance of |chi|^2 and the
+chord correlation) are also implemented here because they only make sense
 against the exact field.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.laguerre import lagroots
 from scipy.special import eval_laguerre
 
 from .core import ChordValue, Evaluator, unflagged
@@ -90,6 +92,11 @@ def fock_chi_radial(n: int, hbar: float, rho):
     rho = np.asarray(rho, dtype=float)
     rho2 = rho * rho
     return np.exp(-rho2 / (4.0 * hbar)) * eval_laguerre(n, rho2 / (2.0 * hbar))
+
+
+def nodal_radii(n: int, hbar: float) -> np.ndarray:
+    """The n radii sqrt(2 hbar x_k) of the zeros of fock_chi_radial, ascending."""
+    return np.sqrt(2.0 * hbar * np.sort(lagroots([0.0] * n + [1.0])))
 
 
 BLOCK_ELEMENTS = 2048  # chords x nodes per profile block: 16 rows of a 128-node rule

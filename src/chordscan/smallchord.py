@@ -300,21 +300,19 @@ class BlindSpotEstimate:
 
     The second-order zero condition splits into <x> ∧ xi = 0 (chord aligned
     with the mean) and xi · M xi = 2 hbar^2 (the ellipse); ``spots`` holds the
-    aligned ellipse crossings +/- s u. When the mean vanishes every direction
-    is equivalent and no spot is singled out: ``degenerate`` is set and
-    ``spots`` is empty.
+    aligned ellipse crossings +/- s u. When the mean vanishes no direction is
+    singled out and ``spots`` is empty.
     """
 
     matrix: np.ndarray
     level: float
     spots: tuple[Chord, ...]
-    degenerate: bool
 
     @property
     def radius(self) -> float:
         """Distance |s| of the estimated spots from the origin."""
         if not self.spots:
-            raise ValueError("degenerate estimate has no spots")
+            raise ValueError("an estimate without a mean direction has no spots")
         return self.spots[0].norm
 
 
@@ -328,8 +326,8 @@ def closest_blind_spot_estimate(moments: SecondOrderMoments,
     mp, mq = moments.mean
     norm = math.hypot(mp, mq)
     if norm < 1e-8 * math.sqrt(moments.p2 + moments.q2):
-        return BlindSpotEstimate(matrix=m, level=level, spots=(), degenerate=True)
+        return BlindSpotEstimate(matrix=m, level=level, spots=())
     u = np.array([mp, mq]) / norm
     s = math.sqrt(level / float(u @ m @ u))
     spots = (Chord(s * u[0], s * u[1]), Chord(-s * u[0], -s * u[1]))
-    return BlindSpotEstimate(matrix=m, level=level, spots=spots, degenerate=False)
+    return BlindSpotEstimate(matrix=m, level=level, spots=spots)

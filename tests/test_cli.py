@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chordscan import CurveSpec, axis, cli, make_evaluator, scan_grid
+from chordscan import CurveSpec, axis, blindspots, cli, make_evaluator, scan_grid
 from chordscan.acceptance import CriterionResult
 from chordscan.core import FLAGS_BY_CODE
+
+
+BLINDSPOT_RECIPE = Path(__file__).resolve().parents[1] / "recipes" / "blindspot-report.cfg"
 
 
 def run(*argv):
@@ -444,11 +447,10 @@ def test_stationary_phase_blindspots_polish_with_the_oracle(tmp_path):
 def test_composite_blind_spot_report(tmp_path):
     """The composite scans and polishes the recipe's field itself: its 10
     spots lie within 3e-3 of the exact route's."""
-    recipe = Path(__file__).resolve().parents[1] / "recipes" / "blindspot-report.cfg"
     spots = {}
     for evaluator in ("exact", "semiclassical"):
         out = tmp_path / f"{evaluator}.json"
-        assert run("blindspots", "--config", str(recipe), "--evaluator", evaluator,
+        assert run("blindspots", "--config", str(BLINDSPOT_RECIPE), "--evaluator", evaluator,
                    "--out", str(out)) == 0
         report = json.loads(out.read_text())
         assert report["polish_evaluator"] == evaluator
@@ -473,8 +475,7 @@ def test_taylor_blindspots_inside_the_polynomial_range(tmp_path):
     """taylor:8 locates the innermost spots on a region inside its polynomial's
     range; the recipe's +-0.45 reaches chords where its |chi| exceeds 1."""
     out = tmp_path / "spots.json"
-    recipe = Path(__file__).resolve().parents[1] / "recipes" / "blindspot-report.cfg"
-    assert run("blindspots", "--config", str(recipe), "--evaluator", "taylor:8",
+    assert run("blindspots", "--config", str(BLINDSPOT_RECIPE), "--evaluator", "taylor:8",
                "--region=-0.25:0.25", "--out", str(out)) == 0
     spots = json.loads(out.read_text())["located_spots"]
     assert len(spots) == 6
@@ -501,6 +502,10 @@ def test_blindspots_takes_no_tolerance(tmp_path, where):
     assert not out.exists()
 
 
+# Laguerre-root radii sqrt(2 hbar z_k) of the n = 5 state at hbar = 0.1
+LAGUERRE_RADII = np.sqrt(0.2 * np.sort(np.polynomial.laguerre.lagroots([0, 0, 0, 0, 0, 1])))
+
+
 def test_blindspots_degenerate_outcome(tmp_path):
     """t = 0 is symmetric: the report carries nodal radii, not a failure."""
     out = tmp_path / "rings.json"
@@ -511,10 +516,53 @@ def test_blindspots_degenerate_outcome(tmp_path):
     assert report["located_spots"] == []
     radii = report["nodal_radii"]
     assert len(radii) == 5
-    # Laguerre-root radii sqrt(2 hbar z_k) of the n = 5 state
-    want = np.sqrt(0.2 * np.sort(np.polynomial.laguerre.lagroots(
-        [0, 0, 0, 0, 0, 1])))
-    np.testing.assert_allclose(sorted(radii), want, atol=0.035)
+    np.testing.assert_allclose(radii, LAGUERRE_RADII, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flags,degenerate", [
+    (("--alpha2", "0", "--alpha3", "0"), True),
+    (("--alpha1", "0", "--alpha3", "0", "--t", "1"), True),
+    # alpha1 = -3 alpha3 hbar (n + 1/2)
+    (("--alpha1", "-1.65", "--alpha2", "0", "--alpha3", "1"), False),
+], ids=["linear-H", "alpha2-shear", "zero-mean-cubic"])
+def test_blindspots_degeneracy_is_alpha3_t_zero(tmp_path, flags, degenerate):
+    """A report is degenerate exactly when alpha3 t = 0: such a state has nodal
+    curves at the Laguerre radii, and any other state has isolated zeros,
+    even when its mean, and with it the ellipse estimate, vanishes."""
+    out = tmp_path / "spots.json"
+    assert run("blindspots", "--config", str(BLINDSPOT_RECIPE), *flags,
+               "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["degenerate"] == degenerate
+    if degenerate:
+        assert report["located_spots"] == []
+        np.testing.assert_allclose(report["nodal_radii"], LAGUERRE_RADII, rtol=0, atol=1e-12)
+        return
+    assert "nodal_radii" not in report
+    assert report["estimated_spots"] == []
+    assert "estimate_radius" not in report and "estimate_over_nearest" not in report
+    spots = report["located_spots"]
+    assert len(spots) == 10
+    for s in spots:
+        gap = min(math.hypot(s["xi_p"] + o["xi_p"], s["xi_q"] + o["xi_q"]) for o in spots)
+        assert gap <= 1e-6, (s, gap)
+        assert s["residual"] <= 1e-12, s
+
+
+def test_blindspots_degenerate_report_evaluates_nothing(tmp_path, monkeypatch):
+    """A degenerate report's nodal set is the state's own: it neither scans a
+    grid nor traces contours, so a region no evaluator could cover still
+    exits 0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a degenerate report evaluates no chord")
+    monkeypatch.setattr(cli, "scan_grid", refuse)
+    monkeypatch.setattr(blindspots, "nodal_contours", refuse)
+    out = tmp_path / "rings.json"
+    assert run("blindspots", "--t", "0", "--evaluator", "taylor:4",
+               "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["degenerate"] and report["scan_evaluator"] == "taylor:4"
+    np.testing.assert_allclose(report["nodal_radii"], LAGUERRE_RADII, rtol=0, atol=1e-12)
 
 
 # -- verify -----------------------------------------------------------------------

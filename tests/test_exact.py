@@ -8,7 +8,7 @@ from chordscan import (ConvergenceError, CurveSpec, ExactEvaluator,
                        evolved_chi, evolved_chi_grid,
                        fourier_invariance_residual, hermite_psi, scan_grid)
 from chordscan import exact
-from chordscan.exact import fock_chi_radial
+from chordscan.exact import fock_chi_radial, nodal_radii
 from chordscan.gridscan import axis
 from chordscan.quadrature import _gl_nodes
 
@@ -76,6 +76,30 @@ def test_large_n_grid_matches_closed_form():
     values = evolved_chi_grid(state, ax, ax)
     rho = np.hypot(*np.meshgrid(ax, ax, indexing="ij"))
     assert np.max(np.abs(values - fock_chi_radial(state.n, state.hbar, rho))) < 1e-10
+
+
+@pytest.mark.parametrize("alpha,t", [
+    ((0.0, 0.0, 1.0, 0.0), 1.0), ((0.0, 1.0, 0.0, 0.0), 0.1),
+    ((0.3, 1.0, 1.0, 0.0), 1.0), ((0.0, 1.0, 1.0, 1.0), 0.0)])
+def test_unsheared_zeros_lie_on_the_sheared_laguerre_circles(alpha, t):
+    """With alpha3 t = 0 the evolution is a linear map of the ring, so chi
+    vanishes on xi_p^2 + (xi_q - 2 t alpha2 xi_p)^2 = rho_k^2 for each of the
+    ring's Laguerre radii rho_k."""
+    state = CurveSpec(n=5, hbar=HBAR, alpha=alpha, t=t)
+    rho = nodal_radii(state.n, state.hbar)[:, None]
+    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    xi_p = rho * np.cos(theta)
+    xi_q = rho * np.sin(theta) + 2.0 * t * alpha[2] * xi_p
+    values, _ = ExactEvaluator(state).evaluate(xi_p, xi_q)
+    assert np.max(np.abs(values)) <= 1e-12
+
+
+def test_nodal_radii_are_the_zeros_of_the_laguerre_profile():
+    assert nodal_radii(0, HBAR).size == 0
+    for n, hbar in ((5, HBAR), (80, 0.006832298)):
+        radii = nodal_radii(n, hbar)
+        assert radii.size == n and np.all(np.diff(radii) > 0.0)
+        assert np.max(np.abs(fock_chi_radial(n, hbar, radii))) <= 1e-12
 
 
 def _gauss_legendre_chi(state, xi_p, xi_q, half_width, nodes):
