@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j0
 
 from .blindspots import find_blind_spots, first_zero_along, nodal_contours
 from .core import FLAG_CODES, Flag, real_by_symmetry
@@ -124,6 +123,8 @@ def criterion_sheared_closed_form() -> CriterionResult:
 
 def criterion_small_chord_bessel() -> CriterionResult:
     """The unsheared classical average is a Bessel J0 profile."""
+    from scipy.special import j0  # off the CLI's import path
+
     xi_p, xi_q = np.random.default_rng(7).uniform(-1.6, 1.6, size=(40, 2)).T
     values, _ = make_evaluator("small", RING_STATE).evaluate(xi_p, xi_q)
     reference = j0(RING_STATE.radius * np.hypot(xi_p, xi_q) / RING_STATE.hbar)

@@ -5,11 +5,14 @@ sidecar echoing the full configuration; the blind-spot command and the
 verifier write JSON reports. Every number in a CSV is the bytes of
 ``"%.17g" % x`` (doubles round-trip exactly, so identical configurations give
 bit-identical files). The writer formats with numpy, a block of rows at a
-time, all of a block's float columns in one call of at most CSV_BLOCK_CELLS
-cells: a fast path takes the 17 digits of each finite value in FAST_RANGE
-from an exact double-double product, a zero is "0" or "-0", and nan, inf,
-values outside FAST_RANGE and near-ties at the 17th digit fall back to
-``"%.17g"`` itself, as do a scan's axis columns, once per axis value.
+time, all of a block's float cells that need text in one call of at most
+CSV_BLOCK_CELLS cells: a fast path takes the 17 digits of each finite
+magnitude in FAST_RANGE from an exact double-double product, a zero is "0",
+and nan, inf, magnitudes outside FAST_RANGE and near-ties at the 17th digit
+fall back to ``"%.17g"`` itself, as do a scan's axis columns, once per axis
+value. The sign is a byte of its own, so a cell whose magnitude equals that
+of its row's partner (row size - 1 - r: a symmetric grid's -xi chord, whose
+chi is the conjugate) copies the partner's text instead of formatting it.
 Wall-clock timings appear only in JSON, under a key that marks them as
 outside the determinism guarantee.
 
@@ -175,13 +178,20 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
 # -- CSV -------------------------------------------------------------------------
 # Every number is written as "%.17g" writes it. CPython's routine costs about
 # 1 us a float past 14 digits (its bignum path), so a column is formatted in
-# bulk: for finite FAST_RANGE values the 17 digits round(|x| 10^(16-E)) come
-# from an exact (Dekker) product with a double-double 10^k, whose error is
-# below 1e-14 of the last digit, and the %g layout is put together from masks
-# and text picked from small tables. A zero is "0" or "-0", as "%.17g" writes
-# it (Im chi is 0.0 wherever chi is real by symmetry). Nan, inf, values
-# outside FAST_RANGE and rounding fractions within TIE_MARGIN of one half
-# (exact ties occur, e.g. 2251799813685247.75) go to "%.17g" itself.
+# bulk: for finite FAST_RANGE magnitudes the 17 digits round(|x| 10^(16-E))
+# come from an exact (Dekker) product with a double-double 10^k, whose error
+# is below 1e-14 of the last digit, and the %g layout is put together from
+# masks and text picked from small tables. A zero is "0" (Im chi is 0.0
+# wherever chi is real by symmetry). Nan, inf, magnitudes outside FAST_RANGE
+# and rounding fractions within TIE_MARGIN of one half (exact ties occur, e.g.
+# 2251799813685247.75) go to "%.17g" itself. The sign is its own byte, "-"
+# where signbit(x) and x is not nan ("%.17g" writes -nan as "nan"), so a
+# symmetric grid's mirrored half, whose re, im, abs2 and phase have their -xi
+# partners' magnitudes, copies the text of the computed half: a 161^2 scan
+# formats 12 961 cells of each float column, not 25 921. The text kept for
+# that is the first half's; the NUL padding of each row's cells is then
+# dropped with one mask, which measured faster than a gather from per-cell
+# lengths.
 
 CSV_BLOCK_CELLS = 4096
 FAST_RANGE = (1e-280, 1e280)
@@ -191,10 +201,10 @@ _FLAG_BYTES = np.array([FLAGS_BY_CODE[code].value for code in range(len(FLAGS_BY
                        dtype="S")
 _K_MIN, _K_MAX = -265, 297  # 10^(16-E) for every E of FAST_RANGE, one step to spare
 _E_MIN = -330  # below the least exponent of a double; the exponent table starts here
-# a formatted float's bytes: prefix, digits before the point, point, digits
-# after it, exponent; the longest "%.17g" text has 24
-_CELL = 6 + 17 + 1 + 16 + 5
-_ZERO_TEXT = np.array([b"0", b"-0"], dtype=f"S{_CELL}").view(np.uint8).reshape(2, _CELL)
+# a formatted magnitude's bytes: prefix, digits before the point, point, digits
+# after it, exponent; the longest "%.17g" text of a magnitude has 23
+_CELL = 5 + 17 + 1 + 16 + 5
+_ZERO_TEXT = np.frombuffer(b"0".ljust(_CELL, b"\0"), dtype=np.uint8)
 
 
 @functools.cache
@@ -204,8 +214,8 @@ def _tables():
       exact rational rounded once, low the exact remainder rounded once) with
       the split halves of high, one row per k;
     - the text and trailing-zero count of every 4-digit group;
-    - the prefix of the text, "-" and "0.000" cut to the leading zeros of
-      positional E = -1 ... -4, by (negative, zeros + 1 or 0);
+    - the prefix of the text, "0.000" cut to the leading zeros of positional
+      E = -1 ... -4, by zeros + 1 or 0;
     - the exponent text "e-05", "e+123", by E - _E_MIN, and a last row of NUL;
     - byte masks of the digits before the point, by their count, and after it,
       by the point's position and the count of digits shown."""
@@ -221,8 +231,7 @@ def _tables():
     group = np.arange(10000)
     text = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     trailing = sum((group % p == 0).astype(np.int64) for p in (10, 100, 1000, 10000))
-    prefix = np.array([sign + lead for sign in (b"", b"-")
-                       for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")], dtype="S6")
+    prefix = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], dtype="S5")
     exponent = np.array([b"e%+03d" % e for e in range(_E_MIN, -_E_MIN + 1)] + [b""], dtype="S5")
     place = np.arange(17)
     before = np.where(place < np.arange(18)[:, None], 255, 0).astype(np.uint8)
@@ -230,7 +239,7 @@ def _tables():
     after = np.where((place[1:] >= point[:, None]) & (place[1:] < shown[:, None]),
                      255, 0).astype(np.uint8)
     return (powers, text.view(np.uint32).ravel(), trailing,
-            prefix.view(np.uint8).reshape(-1, 6), exponent.view(np.uint8).reshape(-1, 5),
+            prefix.view(np.uint8).reshape(-1, 5), exponent.view(np.uint8).reshape(-1, 5),
             before, after)
 
 
@@ -243,22 +252,21 @@ def _scaled(a, e, powers):
     return p, ((a_h * high_h - p) + a_h * high_l + a_l * high_h) + a_l * high_l + a * low
 
 
-def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``"%.17g" % v`` of each float of ``x`` into the rows of ``out``
-    (x.size by _CELL bytes), NUL wherever the text has no byte."""
+def _format_floats(a: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.17g" % v`` of each magnitude v of ``a`` (a float >= 0, or
+    nan) into the rows of ``out`` (a.size by _CELL bytes), NUL wherever the
+    text has no byte."""
     powers, group_text, group_trailing, prefix, exponent, before, after = _tables()
-    x = np.asarray(x, dtype=float)
-    a = np.abs(x)
     fast = (a >= FAST_RANGE[0]) & (a <= FAST_RANGE[1])
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    high, low = _scaled(a, e, powers)
+    v = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    high, low = _scaled(v, e, powers)
     # log10 can miss a power of ten by one: step e until 1e16 <= high + low < 1e17
     step = (((high > 1e17) | ((high == 1e17) & (low >= 0))).astype(np.int64)
             - ((high < 1e16) | ((high == 1e16) & (low < 0))))
     if step.any():
         e += step
-        high, low = _scaled(a, e, powers)
+        high, low = _scaled(v, e, powers)
     whole = np.floor(low)
     frac = low - whole
     digits = high.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
@@ -267,12 +275,12 @@ def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
     digits[carry] = 10**16
     e += carry
 
-    groups = np.empty((x.size, 5), dtype=np.int64)  # 20 digits, the first three zero
+    groups = np.empty((a.size, 5), dtype=np.int64)  # 20 digits, the first three zero
     for j in range(4, -1, -1):
         quotient = digits // 10000
         groups[:, j] = digits - 10000 * quotient
         digits = quotient
-    text = group_text.take(groups).view(np.uint8).reshape(x.size, 20)[:, 3:]
+    text = group_text.take(groups).view(np.uint8).reshape(a.size, 20)[:, 3:]
     trailing = group_trailing.take(groups)  # 4 for a group of zeros
     zeros = trailing[:, 0]  # the first group is never 0
     for j in range(1, 5):
@@ -285,17 +293,16 @@ def _format_floats(x: np.ndarray, out: np.ndarray) -> None:
     point = np.where(sci, 1, np.where(e < 0, 17, e + 1))
     shown = np.where(sci | (e < 0), m, np.maximum(m, e + 1))
     lead = np.where(sci | (e >= 0), 0, -e)
-    out[:, :6] = prefix.take((x < 0) * 5 + lead, axis=0)
-    np.bitwise_and(text, before.take(np.minimum(point, shown), axis=0), out=out[:, 6:23])
-    out[:, 23] = np.where(shown > point, ord("."), 0)
-    np.bitwise_and(text[:, 1:], after.take(point * 18 + shown, axis=0), out=out[:, 24:40])
-    out[:, 40:] = exponent.take(np.where(sci, e - _E_MIN, -1), axis=0)
+    out[:, :5] = prefix.take(lead, axis=0)
+    np.bitwise_and(text, before.take(np.minimum(point, shown), axis=0), out=out[:, 5:22])
+    out[:, 22] = np.where(shown > point, ord("."), 0)
+    np.bitwise_and(text[:, 1:], after.take(point * 18 + shown, axis=0), out=out[:, 23:39])
+    out[:, 39:] = exponent.take(np.where(sci, e - _E_MIN, -1), axis=0)
 
-    zero = np.flatnonzero(x == 0.0)
-    out[zero] = _ZERO_TEXT.take(np.signbit(x[zero]).view(np.uint8), axis=0)
-    slow = np.flatnonzero(~fast & (x != 0.0))
+    out[a == 0.0] = _ZERO_TEXT
+    slow = np.flatnonzero(~fast & (a != 0.0))
     if slow.size:
-        slow_text = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype=f"S{_CELL}")
+        slow_text = np.array([b"%.17g" % v for v in a[slow].tolist()], dtype=f"S{_CELL}")
         out[slow] = slow_text.view(np.uint8).reshape(slow.size, _CELL)
 
 
@@ -306,28 +313,62 @@ def _abs2(values: np.ndarray) -> np.ndarray:
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Header line, then one row per entry of the equal-length columns: a float
-    column as ``"%.17g"`` writes it, a bytes column as its text. Rows are
-    formatted and written a block at a time, each block's float columns in one
-    _format_floats call of at most CSV_BLOCK_CELLS cells."""
-    widths = [_CELL if c.dtype.kind == "f" else c.itemsize for c in columns]
+    column as ``"%.17g"`` writes it, a bytes column as its text.
+
+    A float cell is a sign byte and the text of its magnitude. Row r's
+    partner is row size - 1 - r (on a symmetric grid, the -xi chord). The
+    rows up to the middle are written first, and their text is kept; a cell
+    of a later row whose magnitude equals its partner's (float ==, so never
+    for nan) copies the partner's text. Rows are written a block at a time,
+    each block's float cells that need text formatted in one _format_floats
+    call of at most CSV_BLOCK_CELLS cells.
+    """
+    widths = [1 + _CELL if c.dtype.kind == "f" else c.itemsize for c in columns]
     starts = np.cumsum([0] + [width + 1 for width in widths])
-    floats = [k for k, c in enumerate(columns) if c.dtype.kind == "f"]
+    floats = [columns[k] for k, c in enumerate(columns) if c.dtype.kind == "f"]
+    float_starts = [starts[k] for k, c in enumerate(columns) if c.dtype.kind == "f"]
     block_rows = max(1, CSV_BLOCK_CELLS // max(1, len(floats)))
+    size = len(columns[0])
+    half = size - size // 2  # rows from here on have their partner before them
+    kept = np.empty((half, len(floats), _CELL), dtype=np.uint8)
+
+    def float_rows(lo, hi):
+        block = np.empty((hi - lo, len(floats)))
+        for j, c in enumerate(floats):
+            block[:, j] = c[lo:hi]
+        return block
+
+    edges = [*range(0, half, block_rows), *range(half, size, block_rows), size]
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), block_rows):
-            block = [c[start:start + block_rows] for c in columns]
-            rows = len(block[0])
+        for start, stop in zip(edges, edges[1:]):
+            rows = stop - start
+            x = float_rows(start, stop)
+            a = np.abs(x)
+            if start < half:
+                text, fresh = kept[start:stop], None
+            else:
+                # the partners' text, read backwards; each is read only here,
+                # so fresh text may overwrite it
+                text = kept[size - stop:size - start][::-1]
+                fresh = a != np.abs(float_rows(size - stop, size - start)[::-1])
+                if fresh.all():  # nothing to copy, as on an asymmetric grid
+                    text, fresh = np.empty(a.shape + (_CELL,), dtype=np.uint8), None
+            if fresh is None:
+                _format_floats(a.ravel(), text.reshape(-1, _CELL))
+            elif fresh.any():
+                cells = np.empty((np.count_nonzero(fresh), _CELL), dtype=np.uint8)
+                _format_floats(a[fresh], cells)
+                text[fresh] = cells
             table = np.empty((rows, starts[-1]), dtype=np.uint8)
-            if floats:
-                cells = np.empty((len(floats), rows, _CELL), dtype=np.uint8)
-                _format_floats(np.concatenate([block[k] for k in floats]),
-                               cells.reshape(-1, _CELL))
-                for k, text in zip(floats, cells):
-                    table[:, starts[k]:starts[k] + _CELL] = text
-            for k, (c, width) in enumerate(zip(block, widths)):
+            minus = np.where(np.signbit(x) & ~np.isnan(x), ord("-"), 0)
+            for j, s in enumerate(float_starts):
+                table[:, s] = minus[:, j]
+                table[:, s + 1:s + 1 + _CELL] = text[:, j]
+            for k, (c, width) in enumerate(zip(columns, widths)):
                 if c.dtype.kind != "f":
-                    table[:, starts[k]:starts[k] + width] = c.view(np.uint8).reshape(-1, width)
+                    table[:, starts[k]:starts[k] + width] = (
+                        c[start:stop].view(np.uint8).reshape(-1, width))
                 table[:, starts[k] + width] = ord(",")
             table[:, -1] = ord("\n")
             # NUL pads every cell to its column's width and never occurs in the text

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.laguerre import lagroots
-from scipy.special import eval_laguerre
 
 from .core import ChordValue, Evaluator, unflagged
 from .curves import CurveSpec
@@ -89,6 +88,8 @@ def fock_chi_radial(n: int, hbar: float, rho):
     chi_n(xi) = exp(-|xi|^2 / 4 hbar) L_n(|xi|^2 / 2 hbar); the Laguerre
     argument |xi|^2 / 2 hbar is pinned by the t = 0 overlap quadrature.
     """
+    from scipy.special import eval_laguerre  # off the CLI's import path
+
     rho = np.asarray(rho, dtype=float)
     rho2 = rho * rho
     return np.exp(-rho2 / (4.0 * hbar)) * eval_laguerre(n, rho2 / (2.0 * hbar))

@@ -22,10 +22,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-# Gauss-Legendre nodes and weights on [-1, 1], under numpy's name for them.
-# numpy's leggauss solves a dense companion eigenproblem: at 4096 nodes it took
-# 7 s and 312 MB on a 2-core x86 machine, against 0.6 s and 78 MB here.
-from scipy.special import roots_legendre as leggauss
 
 
 class NumericalError(RuntimeError):
@@ -39,6 +35,18 @@ class ConvergenceError(NumericalError):
         super().__init__(message)
         self.last = last
         self.previous = previous
+
+
+def leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], under numpy's name for them.
+
+    numpy's leggauss solves a dense companion eigenproblem: at 4096 nodes it took
+    7 s and 312 MB on a 2-core x86 machine, against 0.6 s and 78 MB with scipy's.
+    scipy.special is imported on the first call, not with the module: no scan,
+    cut or blind-spot report calls this.
+    """
+    from scipy.special import roots_legendre
+    return roots_legendre(n)
 
 
 @lru_cache(maxsize=32)

@@ -271,6 +271,56 @@ def test_bulk_format_matches_the_per_value_format(tmp_path):
     assert out.read_text() == "a,flag,b,c\n" + expected
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """The size of each array the CSV writer passes to _format_floats."""
+    sizes = []
+    format_floats = cli._format_floats
+    monkeypatch.setattr(cli, "_format_floats",
+                        lambda a, out: sizes.append(a.size) or format_floats(a, out))
+    return sizes
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_mirrored_cells_are_the_per_value_format(tmp_path, formatted, extra):
+    """Row r's partner is row size - 1 - r. Over several blocks, odd and even
+    lengths, each pair is (x, -x), (x, x), (+0, -0), (inf, -inf), (nan, -nan),
+    one ulp apart either way or unrelated, and every cell reads as "%.17g"
+    writes it; a cell is formatted unless its magnitude equals its partner's."""
+    rng = np.random.default_rng(20261019)
+    columns = 3
+    pairs = columns * cli.CSV_BLOCK_CELLS // 2 + 7
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e300])
+    rules = [np.negative, np.positive, lambda x: np.nextafter(x, np.inf),
+             lambda x: np.nextafter(x, -np.inf), lambda x: rng.uniform(-3, 3, x.size)]
+    floats = []
+    for _ in range(columns):
+        first = np.concatenate([special, rng.uniform(-3, 3, pairs - special.size)])
+        rule = rng.integers(0, len(rules), pairs)
+        rule[:special.size] = 0  # the specials against their negations
+        second = np.empty(pairs)
+        for k, apply in enumerate(rules):
+            second[rule == k] = apply(first[rule == k])
+        floats.append(np.concatenate([first, [-0.5][:extra], second[::-1]]))
+    rows = 2 * pairs + extra
+    labels = cli._FLAG_BYTES[rng.integers(0, len(cli._FLAG_BYTES), rows)]
+    out = tmp_path / "mirrored.csv"
+    cli._write_csv(out, ["a", "flag", "b", "c"], [floats[0], labels, floats[1], floats[2]])
+    expected = "".join(f"{a:.17g},{flag.decode()},{b:.17g},{c:.17g}\n" for a, flag, b, c in
+                       zip(floats[0].tolist(), labels.tolist(), *(f.tolist() for f in floats[1:])))
+    assert out.read_text() == "a,flag,b,c\n" + expected
+    copied = sum(np.count_nonzero(np.abs(f[:pairs]) == np.abs(f[::-1][:pairs])) for f in floats)
+    assert sum(formatted) == columns * rows - copied
+
+
+def test_a_symmetric_scan_formats_half_its_cells(tmp_path, formatted):
+    """The 161^2 sheared recipe formats each float column's 12 961 computed
+    cells (80 rows and a half, the middle cell too) of 25 921."""
+    recipe = Path(__file__).resolve().parents[1] / "recipes" / "sheared-field.cfg"
+    assert run("scan", "--config", str(recipe), "--out", str(tmp_path / "sheared.csv")) == 0
+    assert sum(formatted) <= 4 * 12961
+
+
 def test_scan_smallest_grid(tmp_path):
     out = tmp_path / "tiny.csv"
     assert run("scan", "--resolution", "2", "--region=-0.1:0.1",

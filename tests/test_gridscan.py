@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chordscan import EVALUATOR_NAMES, Flag, axis, make_evaluator, scan_grid
+from chordscan import EVALUATOR_NAMES, CurveSpec, Flag, axis, cli, make_evaluator, scan_grid
 from chordscan.core import real_by_symmetry
 from chordscan.gridscan import ChordFieldGrid
 
@@ -153,6 +153,24 @@ def test_half_grid_is_conjugate_mirrored(sheared, name, n, m):
         computed[n // 2, :m // 2] = False
     np.testing.assert_array_equal(grid.values[computed], values[computed])
     np.testing.assert_array_equal(grid.flags[computed], flags[computed])
+
+
+@pytest.mark.parametrize("n", [9, 8])
+@pytest.mark.parametrize("t", [0.0, 0.1, 5.0])
+@pytest.mark.parametrize("name", ["exact", "small", "sp_small", "sp_full", "semiclassical",
+                                  "taylor:4"])
+def test_csv_columns_have_their_partners_magnitudes(name, t, n):
+    """The CSV writer copies a cell's text from its -xi partner wherever their
+    magnitudes are equal; on a symmetric grid that is every cell of the re,
+    im, abs2 and phase columns as a scan writes them, bit for bit. Were it
+    not, the output would stay right, but the writer would format each pair twice."""
+    reach = 0.01 if name.startswith("taylor") else 2.3
+    ax = axis(-reach, reach, n)
+    state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
+    values = scan_grid(make_evaluator(name, state), ax, ax).values.ravel()
+    for column in (values.real, values.imag, cli._abs2(values), np.angle(values)):
+        magnitude = np.abs(column).view(np.uint64)
+        np.testing.assert_array_equal(magnitude, magnitude[::-1])
 
 
 @pytest.mark.parametrize("count", [2, 3, 4, 5, 40, 41, 160, 161, 1000, 1001])
