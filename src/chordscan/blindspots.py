@@ -12,10 +12,17 @@ by the evaluator, not by the scan resolution. A seed converges when its own
 Newton step falls below ``STEP_TOL`` cell diagonals, a rule on position that
 no scale of |chi| enters: a seed sliding down the decaying tail, where each
 step stays a fixed fraction of the tail's width, never converges. All seeds
-are polished in lockstep, one ``evaluate`` call per stage (the first values,
-Jacobian stencils, each damping halving, the spots' values), so the number
-of calls is set by the Newton steps and not by the number of seeds; the ray
-scan of ``first_zero_along`` is one call as well.
+are polished in lockstep, one ``evaluate`` call per stage, so the number of
+calls is set by the Newton steps and not by the number of seeds: the seeds
+with their Jacobian stencils; in each iteration the full Newton steps, which
+carry the stencils for the next, a stencil call for the seeds that moved on a
+damped step, and one value-only call per damping halving; last, the spots'
+values. Every kernel but the exact route's quadrature (the chords its closed
+form refuses) is elementwise, so a chord reads the same bits in any batch and
+a seed moves exactly as it would alone. The book-keeping is in arrays: the
+searching seeds are a mask, and the merge of converged roots finds its close
+pairs among the roots sorted by xi_p. The ray scan of ``first_zero_along`` is
+one call as well.
 
 Both sign tests first clear samples below a noise floor (``NOISE_RATIO``
 times the field scale) to exactly zero, and a component with no sample above
@@ -185,20 +192,42 @@ def _chi(evaluator, points):
 _JACOBIAN_OFFSETS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 _HALVINGS = 8
 NEWTON_MAX_ITER = 40  # Newton steps a seed may take before it is rejected
+# stencil chords that seeds whose last step was damped may add to a full-step
+# call: an evaluate call's fixed cost is that of a few hundred exact chords
+_AHEAD_CHORDS = 64
+
+
+def _values_and_stencils(evaluator, xi, step, ahead):
+    """chi at the chords ``xi`` (k, 2), and at the four Jacobian stencil
+    chords of each row where ``ahead`` is set, in one evaluate call.
+
+    Returns the values (k,) and the stencils' values (ahead.sum(), 4).
+    """
+    stencil = xi[ahead, None, :] + step * _JACOBIAN_OFFSETS
+    z = _chi(evaluator, np.concatenate([xi, stencil.reshape(-1, 2)]))
+    return z[:len(xi)], z[len(xi):].reshape(-1, 4)
 
 
 def _newton_polish(evaluator, seeds, step, cell_diag, box):
     """Damped Newton on (Re chi, Im chi) from every seed at once.
 
-    The seeds move in lockstep, one evaluate call per stage: the four-chord
-    central-difference Jacobians of all seeds still searching, then one call
-    per damping halving over the seeds whose step has not yet reduced |chi|.
+    The seeds move in lockstep, one evaluate call per stage: the seeds with
+    their four-chord central-difference Jacobian stencils; then in each
+    iteration a stencil call for the seeds that moved on a damped step, the
+    full-step (lambda = 1) candidates with their stencils, and one
+    value-only call per damping halving over the seeds whose step has not
+    yet reduced |chi|. A seed whose full step is taken starts its next
+    iteration with its Jacobian known. A seed whose last step was damped
+    likely needs damping again, so its full-step candidate goes without a
+    stencil, unless all such stencils together add at most _AHEAD_CHORDS
+    chords (a call costs more than that).
+
     Each seed follows the rules of a lone iteration: it converges when its
-    full Newton step is shorter than STEP_TOL * ``cell_diag``, and then takes
-    that step unevaluated and stops (its iteration count is the number of
-    steps taken). It stops unconverged when its Jacobian is singular, when
-    _HALVINGS halvings fail to reduce |chi|, when a damped candidate leaves
-    ``box`` = (low, high), the chords with low <= (xi_p, xi_q) <= high
+    full Newton step is shorter than STEP_TOL * ``cell_diag``, and then
+    takes that step unevaluated and stops (its iteration count is the number
+    of steps taken). It stops unconverged when its Jacobian is singular,
+    when _HALVINGS halvings fail to reduce |chi|, when a damped candidate
+    leaves ``box`` = (low, high), the chords with low <= (xi_p, xi_q) <= high
     componentwise (that candidate is never evaluated), or after
     NEWTON_MAX_ITER steps.
 
@@ -206,24 +235,30 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
     seed converged (n,) and iteration counts (n,).
     """
     xi = np.array(seeds, dtype=float).reshape(-1, 2)
-    value = _chi(evaluator, xi)
+    full = np.ones(len(xi), dtype=bool)  # the seed's last step was a full one
+    value, stencil = _values_and_stencils(evaluator, xi, step, full)
     mag = np.abs(value)
+    known = np.ones(len(xi), dtype=bool)  # stencil[k] holds chi around xi[k]
     converged = np.zeros(len(xi), dtype=bool)
     iterations = np.full(len(xi), NEWTON_MAX_ITER)
-    active = np.arange(len(xi))
+    active = np.ones(len(xi), dtype=bool)
     for it in range(1, NEWTON_MAX_ITER + 1):
-        if active.size == 0:
+        if not active.any():
             break
-        z = _chi(evaluator, xi[active, None, :] + step * _JACOBIAN_OFFSETS)
-        jac = np.empty((active.size, 2, 2))
+        stale = active & ~known
+        if stale.any():
+            stencil[stale] = _chi(evaluator, xi[stale, None, :] + step * _JACOBIAN_OFFSETS)
+            known[stale] = True
+        searching = np.flatnonzero(active)
+        z = stencil[searching]
+        jac = np.empty((searching.size, 2, 2))
         for k in range(2):
             dz = z[:, 2 * k] - z[:, 2 * k + 1]  # componentwise: f(xi + e_k) - f(xi - e_k)
             jac[:, 0, k] = dz.real / (2.0 * step)
             jac[:, 1, k] = dz.imag / (2.0 * step)
         # a zero LU pivot, which np.linalg.solve refuses, ends the search
         solvable = np.linalg.det(jac) != 0.0
-        iterations[active[~solvable]] = it
-        trying = active[solvable]
+        trying = searching[solvable]
         rhs = -np.stack([value[trying].real, value[trying].imag], axis=-1)
         delta = np.linalg.solve(jac[solvable], rhs[..., None])[..., 0]
         short = np.hypot(delta[:, 0], delta[:, 1]) < STEP_TOL * cell_diag
@@ -231,28 +266,75 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
         xi[finished] += delta[short]
         converged[finished] = True
         trying, delta = trying[~short], delta[~short]
+        # a seed stays active only if it moves; the rest converged, were
+        # singular, left the box or failed to reduce |chi|
+        moved = np.zeros(len(xi), dtype=bool)
         lam = 1.0
-        stopped = [finished]
         for _ in range(_HALVINGS):
             cand = xi[trying] + lam * delta
             inside = np.all((cand >= box[0]) & (cand <= box[1]), axis=1)
-            stopped.append(trying[~inside])
             trying, delta, cand = trying[inside], delta[inside], cand[inside]
             if trying.size == 0:
                 break
-            z = _chi(evaluator, cand)
+            if lam == 1.0:
+                ahead = full[trying]
+                if 4 * np.count_nonzero(~ahead) <= _AHEAD_CHORDS:
+                    ahead[:] = True
+                z, ahead_stencil = _values_and_stencils(evaluator, cand, step, ahead)
+            else:
+                z = _chi(evaluator, cand)
             mc = np.abs(z)
             better = mc < mag[trying]
             taken = trying[better]
             xi[taken] = cand[better]
             value[taken] = z[better]
             mag[taken] = mc[better]
+            moved[taken] = True
+            full[taken] = lam == 1.0
+            known[taken] = False
+            if lam == 1.0:
+                ready = ahead & better
+                stencil[trying[ready]] = ahead_stencil[better[ahead]]
+                known[trying[ready]] = True
             trying, delta = trying[~better], delta[~better]
             lam *= 0.5
-        stopped = np.concatenate(stopped + [trying])  # converged, left the box, or damping failed
-        iterations[stopped] = it
-        active = np.setdiff1d(active[solvable], stopped, assume_unique=True)
+        iterations[active & ~moved] = it
+        active = moved
     return xi, converged, iterations
+
+
+def _merged(xi, tol):
+    """Which roots of ``xi`` (m, 2) the merge keeps, in seed order: each root
+    in turn, unless it lies within ``tol`` of a root kept before it.
+
+    A close pair lies within ``tol`` in xi_p, so with the roots sorted by
+    xi_p each root's partners are among the roots sorted just before it and
+    within 2 ``tol`` in xi_p (a margin for the rounding of the differences).
+    The greedy rule is then decided in rounds: a root with a kept earlier
+    partner is merged, and one whose earlier partners are all merged (or
+    which has none) is kept.
+    """
+    m = len(xi)
+    order = np.argsort(xi[:, 0], kind="stable")
+    p, q = xi[order, 0], xi[order, 1]
+    # sorted root i pairs with i - 1, ..., lo[i]
+    lo = np.searchsorted(p, p - 2.0 * tol)
+    count = np.arange(m) - lo
+    i = np.repeat(np.arange(m), count)
+    j = i - 1 - (np.arange(i.size) - np.repeat(np.cumsum(count) - count, count))
+    close = np.hypot(p[i] - p[j], q[i] - q[j]) < tol
+    i, j = order[i[close]], order[j[close]]
+    earlier, later = np.minimum(i, j), np.maximum(i, j)
+    state = np.zeros(m, dtype=np.int8)  # +1 kept, -1 merged, 0 undecided
+    while not state.all():
+        kept_before = np.zeros(m, dtype=bool)
+        kept_before[later[state[earlier] == 1]] = True
+        open_before = np.zeros(m, dtype=bool)
+        open_before[later[state[earlier] == 0]] = True
+        undecided = state == 0
+        state[undecided & kept_before] = -1
+        state[undecided & ~kept_before & ~open_before] = 1
+    return state == 1
 
 
 def _sign_change_cells(comp: np.ndarray) -> np.ndarray:
@@ -296,12 +378,15 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     The iteration is confined to the scanned region widened by one region
     width on every side: a seed whose damped step would leave that box stops
     unevaluated and is rejected, so a near-singular Jacobian cannot fling
-    one chord far outside the state and fail the whole batch. A converged
-    root within ``STEP_TOL`` cell diagonals of an earlier seed's root, the
-    resolution of the step rule, is merged into it; distinct zeros may lie
-    closer than a cell. The spots' values are read in one more call. Roots
-    outside the scanned region but inside the box are kept. Spots are
-    returned sorted by distance from the origin.
+    one chord far outside the state and fail the whole batch. The calls are
+    the seeds with their Jacobian stencils; per iteration, the full steps
+    with the stencils they need next, a stencil call for the seeds that
+    moved on a damped step, and value-only calls for the damping halvings;
+    and last the spots' values. A converged root within ``STEP_TOL`` cell
+    diagonals of a root kept before it, in seed order, the resolution of the
+    step rule, is merged into it (``_merged``); distinct zeros may lie closer
+    than a cell. Roots outside the scanned region but inside the box are
+    kept. Spots are returned sorted by distance from the origin.
     """
     seeds = _seed_chords(grid)
     if len(seeds) == 0:
@@ -313,12 +398,8 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     cell_diag = math.hypot(xp[1] - xp[0], xq[1] - xq[0])
     box = (np.array([xp[0], xq[0]]) - width, np.array([xp[-1], xq[-1]]) + width)
     xi, converged, iterations = _newton_polish(evaluator, seeds, step, cell_diag, box)
-    kept = []
-    for k in np.flatnonzero(converged):
-        if any(math.hypot(xi[k, 0] - xi[j, 0], xi[k, 1] - xi[j, 1]) < STEP_TOL * cell_diag
-               for j in kept):
-            continue
-        kept.append(k)
+    kept = np.flatnonzero(converged)
+    kept = kept[_merged(xi[kept], STEP_TOL * cell_diag)]
     found = [BlindSpot(chord=Chord(float(xi[k, 0]), float(xi[k, 1])),
                        value=complex(v), iterations=int(iterations[k]))
              for k, v in zip(kept, _chi(evaluator, xi[kept]))]

@@ -236,15 +236,21 @@ def _closed_form(state: CurveSpec, xi_p, xi_q):
         mu = np.empty((2,) + nu.shape, dtype=complex)
         np.add(nu, np.sqrt(2.0) * s, out=mu[0])
         np.subtract(nu, np.sqrt(2.0) * s, out=mu[1])
-        prefactor = scale * np.exp((1j * phi0 - s * s) - phi1 * phi1 * (0.25 * inv_c))
+        # complex products whose second operand is a temporary are explicit
+        # ufunc calls: on a batch of 256 KiB or more numpy would otherwise
+        # reuse the temporary as the output and swap the operands, and a
+        # complex product is not bitwise commutative, so a chord's bits would
+        # depend on the size of its batch
+        prefactor = np.multiply(scale, np.exp((1j * phi0 - s * s) - phi1 * phi1 * (0.25 * inv_c)))
 
         size, size_d, size_c = np.abs(mu), np.abs(d), np.abs(c)
         # E_0 = 1 and E_1 = mu; the sum starts from its m = 0 term, 1
         e_prev, e, m_e_prev, m_e = 1.0, mu, 1.0, size
         total = m_total = weight = m_weight = 1.0
         for m in range(1, n + 1):
-            weight, m_weight = weight * (c * (n + 1 - m)), m_weight * (size_c * (n + 1 - m))
-            total = total + weight * (e[0] * e[1])
+            weight = np.multiply(weight, c * (n + 1 - m))
+            m_weight = m_weight * (size_c * (n + 1 - m))
+            total = total + np.multiply(weight, e[0] * e[1])
             m_total = m_total + m_weight * (m_e[0] * m_e[1])
             if m < n:
                 step = 1.0 / (m + 1)

@@ -9,8 +9,8 @@ from scipy.special import roots_laguerre
 from chordscan import (CurveSpec, ExactEvaluator, NumericalError, axis,
                        find_blind_spots, first_zero_along, nodal_contours,
                        scan_grid)
-from chordscan.blindspots import (_HALVINGS, NOISE_RATIO, _newton_polish,
-                                  _seed_chords)
+from chordscan.blindspots import (_HALVINGS, NOISE_RATIO, STEP_TOL, _merged,
+                                  _newton_polish, _seed_chords)
 from chordscan.gridscan import ChordFieldGrid
 from chordscan.smallchord import moments_from_chi
 
@@ -455,6 +455,28 @@ class TestBatchPaths:
             if converged[k]:
                 assert np.max(np.abs(xi1[0] - xi[k])) < 1e-12
 
+    def test_lone_and_lockstep_polish_agree_past_numpys_elision_size(self):
+        """The t = 5 report's 121^2 grid over +-2.5 seeds 6 424 cells, so its
+        lockstep batches pass 16 384 chords (256 KiB), where numpy reuses
+        temporaries. Each seed must still read the bits it reads alone: the
+        same iterations and the same final chord, bit for bit."""
+        state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=5.0)
+        ev = ExactEvaluator(state)
+        ax = axis(-2.5, 2.5, 121)
+        seeds = _seed_chords(scan_grid(ev, ax, ax))
+        assert 4 * len(seeds) > 16384
+        # as find_blind_spots sets them for this region
+        cell = ax[1] - ax[0]
+        step, cell_diag, box = 5e-6, math.hypot(cell, cell), (np.full(2, -7.5), np.full(2, 7.5))
+        xi, converged, iters = _newton_polish(ev, seeds, step, cell_diag, box)
+        sample = np.r_[0, np.random.default_rng(5).choice(np.arange(1, len(seeds)), 19,
+                                                          replace=False)]
+        assert converged[sample].any() and not converged[sample].all()
+        for k in sample:
+            xi1, converged1, iters1 = _newton_polish(ev, seeds[k:k + 1], step, cell_diag, box)
+            assert (iters1[0], converged1[0]) == (iters[k], converged[k])
+            assert xi1[0].tobytes() == xi[k].tobytes(), k
+
     def test_singular_jacobian_stops_only_its_seed(self):
         """chi = (xi_p + 1) + i xi_p xi_q does not vary with xi_q on xi_p = 0,
         so a seed there stops after one step; its neighbour still converges."""
@@ -531,6 +553,45 @@ class TestBatchPaths:
         assert spot.chord.xi_p == pytest.approx(c - h, abs=1e-12)
         assert spot.chord.xi_q == pytest.approx(0.03, abs=1e-12)
 
+    def test_merge_is_the_greedy_rule_in_seed_order(self):
+        """The merge keeps each converged root in seed order unless it lies
+        within STEP_TOL cell diagonals of a root kept before it. Crafted
+        roots: exact and last-bit duplicates, two zeros half a cell apart, a
+        root sharing another's xi_p far away in xi_q, and chains in which
+        each root lies within the tolerance of the next but not of the one
+        after, so that the outcome depends on the order."""
+        cell = 0.045
+        tol = STEP_TOL * math.hypot(cell, cell)
+        a, b, c = np.array([0.16, 0.13]), np.array([-0.2, 0.05]), np.array([0.3, -0.1])
+        diagonal = np.array([0.6, 0.8]) * 0.6 * tol  # 0.6 tol long
+        along_q = np.array([0.0, 0.7 * tol])
+        roots = np.array([
+            a, a, np.nextafter(a, 1.0), a + 0.3 * tol,  # duplicates of one zero
+            b, b + [0.5 * cell, 0.0],  # two zeros half a cell apart
+            [a[0], -0.4],  # a's xi_p, far in xi_q
+            *(c + k * diagonal for k in range(7)),  # a chain along a diagonal
+            *(b + [0.0, 0.3] + k * along_q for k in (3, 1, 0, 2, 4)),  # a chain in xi_q, shuffled
+        ])
+
+        def greedy(points):
+            kept = []
+            for k, (p, q) in enumerate(points):
+                if all(math.hypot(p - points[j][0], q - points[j][1]) >= tol for j in kept):
+                    kept.append(k)
+            return kept
+
+        got = np.flatnonzero(_merged(roots, tol))
+        assert got.tolist() == greedy(roots.tolist())
+        # a, b, b + half a cell, a's far partner, c + 0, 2, 4 and 6 steps,
+        # and the xi_q chain's 3 and 1 (1.4 tol apart); its 0, 2 and 4 lie
+        # 0.7 tol from one of those
+        assert got.tolist() == [0, 4, 5, 6, 7, 9, 11, 13, 14, 15]
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            shuffled = roots[rng.permutation(len(roots))]
+            assert np.flatnonzero(_merged(shuffled, tol)).tolist() == greedy(shuffled.tolist())
+        assert _merged(roots[:0], tol).shape == (0,)
+
     def test_polish_calls_do_not_grow_with_the_seeds(self):
         """Lockstep polish makes one call per stage: tripling the seeds
         triples the batches, not the calls."""
@@ -553,11 +614,12 @@ class TestBatchPaths:
         again = find_blind_spots(counting, grid)
         assert [s.chord for s in again.spots] == [s.chord for s in search.spots]
         assert counting.single == 0
-        # one batch of seeds, then a Jacobian stencil of 4 chords per seed
-        assert counting.batches[:2] == [54, 4 * 54]
+        # one batch of the seeds, each with its Jacobian stencil of 4 chords
+        assert counting.batches[0] == 5 * 54
         # the last call reads each spot's value
         assert counting.batches[-1] == len(search.spots)
-        assert len(counting.batches) < search.n_seeds
+        # full steps carry their stencils: one call per stage made 22 calls
+        assert len(counting.batches) <= 18
 
     def test_grid_without_seed_cells(self, sheared):
         """Re chi > 0 everywhere: no seed cell, no evaluation, an empty search."""

@@ -158,6 +158,27 @@ def test_evaluate_matches_one_chord_calls(name, state_name):
     np.testing.assert_array_equal([f for _, f in alone], [FLAG_CODES[out.flag] for out in points])
 
 
+@pytest.mark.parametrize("name", EVALUATOR_NAMES)
+def test_a_large_batch_reads_the_bits_of_small_ones(name):
+    """numpy reuses a temporary of 256 KiB or more (16 384 complex values) as
+    the output of a binary operation, and for a product that swaps its
+    operands; a complex product is not bitwise commutative. So each chord of
+    a 20 000-chord batch must read the bits it reads in batches of 1 000 and
+    alone."""
+    state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0)
+    ev = make_evaluator(name, state)
+    # taylor:4 leaves its polynomial's range near |xi| = 0.07 at t = 1
+    reach = 0.01 if name == "taylor" else 1.0
+    xi_p, xi_q = np.random.default_rng(20000).uniform(-1.2 * reach, 1.2 * reach, (2, 20000))
+    batch, batch_flags = ev.evaluate(xi_p, xi_q)
+    parts = [ev.evaluate(xi_p[lo:lo + 1000], xi_q[lo:lo + 1000]) for lo in range(0, 20000, 1000)]
+    assert batch.tobytes() == np.concatenate([v for v, _ in parts]).tobytes()
+    np.testing.assert_array_equal(batch_flags, np.concatenate([f for _, f in parts]))
+    for k in range(0, 20000, 997):
+        alone, _ = ev.evaluate(xi_p[k:k + 1], xi_q[k:k + 1])
+        assert alone.tobytes() == batch[k:k + 1].tobytes(), (xi_p[k], xi_q[k])
+
+
 # bound on |chi(-xi) - chi(xi)*| of each route, fixed before measuring: the
 # acceptance battery's tolerances for exact and the stationary-phase sums,
 # round-off for the routes that are sums over the curve

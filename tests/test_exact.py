@@ -401,6 +401,24 @@ def test_batched_grid_matches_pointwise(state, shape, limit):
     assert np.max(np.abs(batch - values)) < 1e-10
 
 
+@pytest.mark.parametrize("t", [0.1, 5.0])
+def test_a_large_grid_reads_the_bits_of_its_chord_list(t):
+    """A 129 x 129 grid, 16 641 chords, is past numpy's elision of
+    temporaries (256 KiB): the closed form's complex products keep their
+    operand order there too, so the grid, its chords as one list and as
+    lists of 1 000 read the same bits."""
+    state = CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
+    ax = axis(-1.2, 1.2, 129)
+    grid = evolved_chi_grid(state, ax, ax)
+    xi_p, xi_q = (mesh.ravel() for mesh in np.meshgrid(ax, ax, indexing="ij"))
+    ev = ExactEvaluator(state)
+    listed, _ = ev.evaluate(xi_p, xi_q)
+    assert grid.tobytes() == listed.tobytes()
+    parts = [ev.evaluate(xi_p[lo:lo + 1000], xi_q[lo:lo + 1000])[0]
+             for lo in range(0, xi_p.size, 1000)]
+    assert grid.tobytes() == np.concatenate(parts).tobytes()
+
+
 def test_newton_stencils_match_one_chord_calls(sheared):
     """A batch laid out as Newton's Jacobian stencils, (p +- h, q) and
     (p, q +- h) about each seed, repeats each seed's xi_p; the chords that
