@@ -12,17 +12,14 @@ by the evaluator, not by the scan resolution. A seed converges when its own
 Newton step falls below ``STEP_TOL`` cell diagonals, a rule on position that
 no scale of |chi| enters: a seed sliding down the decaying tail, where each
 step stays a fixed fraction of the tail's width, never converges. All seeds
-are polished in lockstep, one ``evaluate`` call per stage, so the number of
-calls is set by the Newton steps and not by the number of seeds: the seeds
-with their Jacobian stencils; in each iteration the full Newton steps, which
-carry the stencils for the next, a stencil call for the seeds that moved on a
-damped step, and one value-only call per damping halving; last, the spots'
-values. Every kernel but the exact route's quadrature (the chords its closed
-form refuses) is elementwise, so a chord reads the same bits in any batch and
-a seed moves exactly as it would alone. The book-keeping is in arrays: the
-searching seeds are a mask, and the merge of converged roots finds its close
-pairs among the roots sorted by xi_p. The ray scan of ``first_zero_along`` is
-one call as well.
+are polished in lockstep, one ``evaluate`` call per stage (``_newton_polish``
+lists them), so the number of calls is set by the Newton steps and not by the
+number of seeds. Every kernel but the exact route's quadrature (the chords its
+closed form refuses) is elementwise, so a chord reads the same bits in any
+batch and a seed moves exactly as it would alone. The book-keeping is in
+arrays: the searching seeds are a mask, and the merge of converged roots finds
+its close pairs among the roots sorted by xi_p. The ray scan of
+``first_zero_along`` is one call as well.
 
 Both sign tests first clear samples below a noise floor (``NOISE_RATIO``
 times the field scale) to exactly zero, and a component with no sample above
@@ -190,7 +187,11 @@ def _chi(evaluator, points):
 
 # Jacobian stencil of one Newton step: the chord offsets +e_p, -e_p, +e_q, -e_q
 _JACOBIAN_OFFSETS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-_HALVINGS = 8
+# the lengths lambda = 1, 1/2, ..., 1/128 of a Newton step, longest first, in
+# the groups that share one evaluate call. The groups double: few seeds need
+# the short lengths, and a call costs as much as a few hundred closed-form
+# chords but only about ten that go to the quadrature (most chords at n = 20)
+_LADDER = ((1.0,), (0.5,), (0.25, 0.125), (1 / 16, 1 / 32, 1 / 64, 1 / 128))
 NEWTON_MAX_ITER = 40  # Newton steps a seed may take before it is rejected
 # stencil chords that seeds whose last step was damped may add to a full-step
 # call: an evaluate call's fixed cost is that of a few hundred exact chords
@@ -213,23 +214,24 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
 
     The seeds move in lockstep, one evaluate call per stage: the seeds with
     their four-chord central-difference Jacobian stencils; then in each
-    iteration a stencil call for the seeds that moved on a damped step, the
-    full-step (lambda = 1) candidates with their stencils, and one
-    value-only call per damping halving over the seeds whose step has not
-    yet reduced |chi|. A seed whose full step is taken starts its next
-    iteration with its Jacobian known. A seed whose last step was damped
-    likely needs damping again, so its full-step candidate goes without a
-    stencil, unless all such stencils together add at most _AHEAD_CHORDS
-    chords (a call costs more than that).
+    iteration a stencil call for the seeds that moved on a damped step, and
+    one call per group of _LADDER over the seeds that no longer step length
+    has moved. A seed takes the first length that reduces |chi|. Full steps
+    (lambda = 1) carry their stencils, so a seed whose full step is taken
+    starts its next iteration with its Jacobian known; a seed whose last
+    step was damped likely needs damping again, so its full step goes
+    without a stencil, unless all such stencils together add at most
+    _AHEAD_CHORDS chords (a call costs more than that).
 
     Each seed follows the rules of a lone iteration: it converges when its
     full Newton step is shorter than STEP_TOL * ``cell_diag``, and then
     takes that step unevaluated and stops (its iteration count is the number
     of steps taken). It stops unconverged when its Jacobian is singular,
-    when _HALVINGS halvings fail to reduce |chi|, when a damped candidate
-    leaves ``box`` = (low, high), the chords with low <= (xi_p, xi_q) <= high
-    componentwise (that candidate is never evaluated), or after
-    NEWTON_MAX_ITER steps.
+    when no length of _LADDER reduces |chi|, when its full step leaves
+    ``box`` = (low, high), the chords with low <= (xi_p, xi_q) <= high
+    componentwise (that step is never evaluated), or after NEWTON_MAX_ITER
+    steps. The box is convex and holds every point a seed stands on, and
+    rounding is monotone, so a damped step lies inside with the full one.
 
     Returns (xi, converged, iterations): final chords (n, 2), whether each
     seed converged (n,) and iteration counts (n,).
@@ -237,8 +239,7 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
     xi = np.array(seeds, dtype=float).reshape(-1, 2)
     full = np.ones(len(xi), dtype=bool)  # the seed's last step was a full one
     value, stencil = _values_and_stencils(evaluator, xi, step, full)
-    mag = np.abs(value)
-    known = np.ones(len(xi), dtype=bool)  # stencil[k] holds chi around xi[k]
+    known = np.ones(len(xi), dtype=bool)  # an active seed's stencil[k] is chi around xi[k]
     converged = np.zeros(len(xi), dtype=bool)
     iterations = np.full(len(xi), NEWTON_MAX_ITER)
     active = np.ones(len(xi), dtype=bool)
@@ -250,12 +251,9 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
             stencil[stale] = _chi(evaluator, xi[stale, None, :] + step * _JACOBIAN_OFFSETS)
             known[stale] = True
         searching = np.flatnonzero(active)
-        z = stencil[searching]
-        jac = np.empty((searching.size, 2, 2))
-        for k in range(2):
-            dz = z[:, 2 * k] - z[:, 2 * k + 1]  # componentwise: f(xi + e_k) - f(xi - e_k)
-            jac[:, 0, k] = dz.real / (2.0 * step)
-            jac[:, 1, k] = dz.imag / (2.0 * step)
+        # column k of the Jacobian, componentwise: f(xi + e_k) - f(xi - e_k)
+        dz = stencil[searching, 0::2] - stencil[searching, 1::2]
+        jac = np.stack([dz.real, dz.imag], axis=1) / (2.0 * step)
         # a zero LU pivot, which np.linalg.solve refuses, ends the search
         solvable = np.linalg.det(jac) != 0.0
         trying = searching[solvable]
@@ -266,38 +264,34 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
         xi[finished] += delta[short]
         converged[finished] = True
         trying, delta = trying[~short], delta[~short]
+        reach = xi[trying] + delta
+        inside = np.all((reach >= box[0]) & (reach <= box[1]), axis=1)
+        trying, delta = trying[inside], delta[inside]
         # a seed stays active only if it moves; the rest converged, were
         # singular, left the box or failed to reduce |chi|
         moved = np.zeros(len(xi), dtype=bool)
-        lam = 1.0
-        for _ in range(_HALVINGS):
-            cand = xi[trying] + lam * delta
-            inside = np.all((cand >= box[0]) & (cand <= box[1]), axis=1)
-            trying, delta, cand = trying[inside], delta[inside], cand[inside]
+        for lams in _LADDER:
             if trying.size == 0:
                 break
-            if lam == 1.0:
-                ahead = full[trying]
-                if 4 * np.count_nonzero(~ahead) <= _AHEAD_CHORDS:
-                    ahead[:] = True
-                z, ahead_stencil = _values_and_stencils(evaluator, cand, step, ahead)
+            # (seeds, lengths, 2)
+            cand = xi[trying, None, :] + np.array(lams)[:, None] * delta[:, None, :]
+            if lams[0] == 1.0:
+                # every stencil sent is kept: a seed whose full step fails
+                # either moves on a damped step, which marks it stale, or stops
+                ahead = full[trying] | (4 * np.count_nonzero(~full[trying]) <= _AHEAD_CHORDS)
+                z, stencil[trying[ahead]] = _values_and_stencils(evaluator, cand[:, 0], step, ahead)
+                z = z[:, None]
             else:
-                z = _chi(evaluator, cand)
-            mc = np.abs(z)
-            better = mc < mag[trying]
-            taken = trying[better]
-            xi[taken] = cand[better]
-            value[taken] = z[better]
-            mag[taken] = mc[better]
+                ahead, z = np.zeros(trying.size, dtype=bool), _chi(evaluator, cand)
+            better = np.abs(z) < np.abs(value[trying, None])
+            hit = better.any(axis=1)
+            first = np.argmax(better[hit], axis=1)  # the longest step that is better
+            taken = trying[hit]
+            xi[taken], value[taken] = cand[hit, first], z[hit, first]
             moved[taken] = True
-            full[taken] = lam == 1.0
-            known[taken] = False
-            if lam == 1.0:
-                ready = ahead & better
-                stencil[trying[ready]] = ahead_stencil[better[ahead]]
-                known[trying[ready]] = True
-            trying, delta = trying[~better], delta[~better]
-            lam *= 0.5
+            full[taken] = lams[0] == 1.0
+            known[taken] = ahead[hit]
+            trying, delta = trying[~hit], delta[~hit]
         iterations[active & ~moved] = it
         active = moved
     return xi, converged, iterations
@@ -370,23 +364,21 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     Im chi each satisfy min <= 0 <= max without being all zero. A component
     that vanishes on a cell edge has a zero in that cell, so the cells on
     both sides of a nodal row count. The seed cells' centers, in row-major
-    order, start a lockstep damped Newton iteration on the evaluator that
-    makes O(Newton steps x halvings) ``evaluate`` calls whatever the number
-    of seeds. A seed converges when its Newton step is shorter than
+    order, start a lockstep damped Newton iteration on the evaluator
+    (``_newton_polish``), whose ``evaluate`` calls are set by the Newton
+    steps whatever the number of seeds; one more call reads the spots'
+    values. A seed converges when its Newton step is shorter than
     ``STEP_TOL`` cell diagonals; a seed that runs down the decaying tail
     keeps taking steps of a fixed fraction of the tail's width and does not.
     The iteration is confined to the scanned region widened by one region
-    width on every side: a seed whose damped step would leave that box stops
-    unevaluated and is rejected, so a near-singular Jacobian cannot fling
-    one chord far outside the state and fail the whole batch. The calls are
-    the seeds with their Jacobian stencils; per iteration, the full steps
-    with the stencils they need next, a stencil call for the seeds that
-    moved on a damped step, and value-only calls for the damping halvings;
-    and last the spots' values. A converged root within ``STEP_TOL`` cell
-    diagonals of a root kept before it, in seed order, the resolution of the
-    step rule, is merged into it (``_merged``); distinct zeros may lie closer
-    than a cell. Roots outside the scanned region but inside the box are
-    kept. Spots are returned sorted by distance from the origin.
+    width on every side: a seed whose full Newton step would leave that box
+    stops unevaluated and is rejected, so a near-singular Jacobian cannot
+    fling one chord far outside the state and fail the whole batch. A
+    converged root within ``STEP_TOL`` cell diagonals of a root kept before
+    it, in seed order, the resolution of the step rule, is merged into it
+    (``_merged``); distinct zeros may lie closer than a cell. Roots outside
+    the scanned region but inside the box are kept. Spots are returned
+    sorted by distance from the origin.
     """
     seeds = _seed_chords(grid)
     if len(seeds) == 0:

@@ -429,6 +429,10 @@ def cmd_cut(args) -> int:
     names = [name.strip() for name in opt["evaluator"].split(",")]
     state = _state(opt)
     evaluators = [make_evaluator(name, state) for name in names]
+    tags = [ev.name for ev in evaluators]
+    if len(set(tags)) < len(tags):
+        # one name's columns twice, which a CSV reader keyed by header merges
+        raise ValueError(f"cut lists an evaluator more than once: {', '.join(tags)}")
     lo, hi = opt["range"]
     if opt["samples"] < 1:
         raise ValueError("cut needs samples >= 1")
@@ -446,11 +450,11 @@ def cmd_cut(args) -> int:
     _write_csv(out, header, columns)
     _write_report(out.with_suffix(".json"), "cut", opt, elapsed, {
         "direction": [float(d[0]), float(d[1])],
-        "evaluators": [ev.name for ev in evaluators],
+        "evaluators": tags,
         "rows": int(ss.size),
     })
     print(f"cut: {ss.size} chords along ({d[0]:.4f}, {d[1]:.4f}) with "
-          f"{', '.join(ev.name for ev in evaluators)} -> {out} in {elapsed:.1f}s")
+          f"{', '.join(tags)} -> {out} in {elapsed:.1f}s")
     return EXIT_OK
 
 

@@ -105,14 +105,18 @@ BLOCK_ELEMENTS = 2048  # chords x nodes per profile block: 16 rows of a 128-node
 
 def _profile(state: CurveSpec, p, xi_p):
     """xi_q-independent factor of the integrand: rows xi_p, columns the nodes p."""
-    # both shifts p +- xi_p/2 in one flat array, so psi_n and H each take one
-    # pass of elementwise calls: their set-up is most of a one-chord batch
+    # both shifts p +- xi_p/2 in one flat array, so psi_n takes one pass of
+    # elementwise calls: its set-up is most of a one-chord batch
     shifted = (p + np.multiply.outer((0.5, -0.5), xi_p)[..., None]).ravel()
     psi = hermite_psi(state.n, state.hbar, shifted).reshape(2, xi_p.size, p.size)
     profile = np.conj(psi[0]) * psi[1]
     if state.t != 0.0:
-        h = state.hamiltonian(shifted).reshape(psi.shape)
-        profile *= np.exp(-1j / state.hbar * state.t * (h[0] - h[1]))
+        # H(p + xi_p/2) - H(p - xi_p/2) in closed form, as _closed_form has
+        # it: alpha0 is a global phase and must not enter even by round-off
+        _, a1, a2, a3 = state.alpha
+        x = xi_p[:, None]
+        dh = x * (a1 + 2.0 * a2 * p + a3 * (3.0 * p * p + 0.25 * x * x))
+        profile *= np.exp(-1j / state.hbar * state.t * dh)
     return profile
 
 

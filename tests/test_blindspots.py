@@ -9,8 +9,8 @@ from scipy.special import roots_laguerre
 from chordscan import (CurveSpec, ExactEvaluator, NumericalError, axis,
                        find_blind_spots, first_zero_along, nodal_contours,
                        scan_grid)
-from chordscan.blindspots import (_HALVINGS, NOISE_RATIO, STEP_TOL, _merged,
-                                  _newton_polish, _seed_chords)
+from chordscan.blindspots import (_JACOBIAN_OFFSETS, _LADDER, NEWTON_MAX_ITER, NOISE_RATIO,
+                                  STEP_TOL, _merged, _newton_polish, _seed_chords)
 from chordscan.gridscan import ChordFieldGrid
 from chordscan.smallchord import moments_from_chi
 
@@ -497,8 +497,9 @@ class TestBatchPaths:
     def test_stuck_seeds_stop_where_damping_fails(self):
         """chi = (1 + xi_p^2) + i xi_q has no zero: |chi| is least, 1, at the
         origin. Near xi_p = 0 the Newton step in xi_p is about 1 / (2 xi_p)
-        long, so once |xi_p| is small even the step halved 8 times overshoots
-        and raises |chi|: each seed stops there, unconverged."""
+        long, so once |xi_p| is small even its shortest length, 2^-7 of it
+        (seven halvings), overshoots and raises |chi|: each seed stops there,
+        unconverged."""
         class Field:
             def evaluate(self, xi_p, xi_q):
                 values = (1.0 + xi_p ** 2) + 1j * xi_q
@@ -512,6 +513,65 @@ class TestBatchPaths:
         assert np.all(np.abs(xi[:, 0]) < 512 ** -0.5)
         for k, seed in enumerate(seeds):
             assert _newton_polish(Field(), seed[None, :], 1e-6, 0.1, UNBOUNDED)[2][0] == iters[k]
+
+    def test_the_ladder_is_the_sequential_line_search(self):
+        """Each seed takes the first of the lengths 1, 1/2, ..., 1/128 of its
+        Newton step that reduces |chi|, as a backtracking loop that evaluates
+        one candidate at a time does (kept here as the reference). On
+        Re chi = (1 + xi_p^2)(xi_p - 4) / 4, |chi| along a step rises and
+        falls; the seeds cover every length, a step on which all eight fail,
+        a full step that leaves the box, and a step taken at 1/4 although
+        1/8 would reduce |chi| further."""
+        class Field:
+            def evaluate(self, xi_p, xi_q):
+                values = (1.0 + xi_p ** 2) * (xi_p - 4.0) / 4.0 + 1j * xi_q
+                return values, np.zeros(np.shape(values), dtype=np.uint8)
+
+        def chi(xi):
+            return complex(Field().evaluate(xi[:1], xi[1:])[0][0])
+
+        def backtracking(seed, step, cell_diag, box, log):
+            xi = np.array(seed)
+            value = chi(xi)
+            for it in range(1, NEWTON_MAX_ITER + 1):
+                z = [chi(xi + step * offset) for offset in _JACOBIAN_OFFSETS]
+                dz = [z[0] - z[1], z[2] - z[3]]
+                jac = np.array([[d.real / (2.0 * step) for d in dz],
+                                [d.imag / (2.0 * step) for d in dz]])
+                if np.linalg.det(jac) == 0.0:
+                    return xi, False, it
+                delta = np.linalg.solve(jac, [-value.real, -value.imag])
+                if np.hypot(delta[0], delta[1]) < STEP_TOL * cell_diag:
+                    return xi + delta, True, it
+                lam = 1.0
+                for halvings in range(8):
+                    cand = xi + lam * delta
+                    if not np.all((cand >= box[0]) & (cand <= box[1])):
+                        log.append("box")
+                        return xi, False, it
+                    if abs(chi(cand)) < abs(value):
+                        if halvings == 2 and abs(chi(xi + 0.125 * delta)) < abs(chi(cand)):
+                            log.append("1/4 over a better 1/8")
+                        log.append(halvings)
+                        xi, value = cand, chi(cand)
+                        break
+                    lam *= 0.5
+                else:
+                    log.append("fail")
+                    return xi, False, it
+            return xi, False, NEWTON_MAX_ITER
+
+        assert [lam for group in _LADDER for lam in group] == [0.5 ** k for k in range(8)]
+        seeds = np.random.default_rng(1).uniform([-1.0, -1.0], [6.0, 1.0], (60, 2))
+        box = (np.full(2, -20.0), np.full(2, 20.0))
+        xi, converged, iters = _newton_polish(Field(), seeds, 1e-6, 0.1, box)
+        log = []
+        for k, seed in enumerate(seeds):
+            xi1, converged1, iters1 = backtracking(seed, 1e-6, 0.1, box, log)
+            assert (iters1, converged1) == (iters[k], converged[k]), k
+            assert xi1.tobytes() == xi[k].tobytes(), k
+        assert set(log) == {*range(8), "fail", "box", "1/4 over a better 1/8"}
+        assert converged.any()
 
     def test_runaway_seed_stops_at_the_box(self):
         """Re chi = (xi_p - c)^2 - h^2 has a root in each of the cells
@@ -605,7 +665,7 @@ class TestBatchPaths:
         np.testing.assert_array_equal(iters3, np.tile(iters, 3))
         assert len(thrice.batches) == len(once.batches)
         assert thrice.batches == [3 * b for b in once.batches]
-        assert len(once.batches) <= 1 + (1 + _HALVINGS) * max(iters)
+        assert len(once.batches) <= 1 + (1 + len(_LADDER)) * max(iters)
         assert once.single == thrice.single == 0
 
     def test_search_calls(self, sheared_scan, search):
@@ -618,8 +678,21 @@ class TestBatchPaths:
         assert counting.batches[0] == 5 * 54
         # the last call reads each spot's value
         assert counting.batches[-1] == len(search.spots)
-        # full steps carry their stencils: one call per stage made 22 calls
-        assert len(counting.batches) <= 18
+        # full steps carry their stencils, and the damped step lengths share
+        # calls in the doubling groups of _LADDER
+        assert len(counting.batches) <= 17
+
+    def test_search_calls_at_strong_shear(self):
+        """CI's t = 1 report: 121^2 cells over +-1.7 seed 348 Newton
+        searches of up to 40 steps, many of them damped, whose step lengths
+        share calls in the doubling groups of _LADDER."""
+        state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0)
+        ax = axis(-1.7, 1.7, 121)
+        counting = CountingEvaluator(ExactEvaluator(state))
+        found = find_blind_spots(counting, scan_grid(counting.evaluator, ax, ax))
+        assert len(found.spots) == 50
+        assert counting.single == 0
+        assert len(counting.batches) <= 110
 
     def test_grid_without_seed_cells(self, sheared):
         """Re chi > 0 everywhere: no seed cell, no evaluation, an empty search."""

@@ -431,6 +431,16 @@ def test_cut_compares_evaluators(tmp_path):
     assert meta["evaluators"] == ["exact", "sp_full"]
 
 
+@pytest.mark.parametrize("names", ["exact,exact", "taylor,taylor:4", "small, exact,small"])
+def test_cut_rejects_a_repeated_evaluator(tmp_path, capsys, names):
+    """Two evaluators of one name would write one set of column names twice."""
+    out = tmp_path / "x.csv"
+    assert run("cut", "--slope", "1", "--range=0:0.5", "--samples", "2",
+               "--evaluator", names, "--out", str(out)) == 1
+    assert "more than once" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cut_single_sample(tmp_path):
     out = tmp_path / "one.csv"
     assert run("cut", "--direction", "0,1", "--range", "0:1", "--samples", "1",

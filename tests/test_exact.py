@@ -264,6 +264,22 @@ def test_refused_chords_go_to_the_quadrature():
                           quadrature[refused[np.ix_(rows, cols)]])
 
 
+@pytest.mark.parametrize("alpha0", [1e6, 1e8])
+def test_the_constant_term_of_h_changes_no_bit(alpha0):
+    """alpha0 adds a global phase to the shear, which the overlap drops: an
+    n = 20 chord list and grid, whose chords mostly go to the quadrature,
+    read the same bits at alpha0 = 0 and far from it."""
+    shifted, plain = (CurveSpec(n=20, hbar=1.1 / 41, alpha=(a0, 1.0, 1.0, 1.0), t=0.1)
+                      for a0 in (alpha0, 0.0))
+    xi_p, xi_q = _seeded_chords(20, 40, 1.0)
+    ax = axis(-1.0, 1.0, 11)
+    _, bound = exact._closed_form(plain, ax[:, np.newaxis], ax)
+    assert np.mean(~(bound <= exact.OVERLAP_TOL)) > 0.5
+    assert (ExactEvaluator(shifted).evaluate(xi_p, xi_q)[0].tobytes()
+            == ExactEvaluator(plain).evaluate(xi_p, xi_q)[0].tobytes())
+    assert evolved_chi_grid(shifted, ax, ax).tobytes() == evolved_chi_grid(plain, ax, ax).tobytes()
+
+
 # -- quadrature controls -------------------------------------------------------
 
 
