@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blindspots import find_blind_spots, first_zero_along, nodal_contours
+from .blindspots import find_blind_spots, nodal_contours
 from .core import FLAG_CODES, Flag, real_by_symmetry
 from .curves import CurveSpec
 from .evaluators import make_evaluator
@@ -70,18 +70,13 @@ def criterion_normalization_and_symmetry() -> CriterionResult:
     """chi(0) = 1 and chi(-xi) = chi(xi)* for the exact and composite routes."""
     rng = np.random.default_rng(SYMMETRY_SEED)
     chords = rng.uniform(-1.9, 1.9, size=(SYMMETRY_CHORDS, 2))
-    exact = make_evaluator("exact", SHEARED_STATE)
-    semi = make_evaluator("semiclassical", SHEARED_STATE)
-
     xi = np.vstack([(0.0, 0.0), chords, -chords])
-    values, _ = exact.evaluate(xi[:, 0], xi[:, 1])
-    plus, minus = values[1:SYMMETRY_CHORDS + 1], values[SYMMETRY_CHORDS + 1:]
-    worst_exact = max(abs(values[0] - 1.0), float(np.max(np.abs(plus - np.conj(minus)))))
-
-    values, _ = semi.evaluate(xi[:, 0], xi[:, 1])
-    plus, minus = values[1:SYMMETRY_CHORDS + 1], values[SYMMETRY_CHORDS + 1:]
-    worst_semi = max(abs(values[0] - 1.0), float(np.max(np.abs(plus - np.conj(minus)))))
-
+    worst = []
+    for name in ("exact", "semiclassical"):
+        values, _ = make_evaluator(name, SHEARED_STATE).evaluate(xi[:, 0], xi[:, 1])
+        plus, minus = values[1:SYMMETRY_CHORDS + 1], values[SYMMETRY_CHORDS + 1:]
+        worst.append(max(abs(values[0] - 1.0), float(np.max(np.abs(plus - np.conj(minus))))))
+    worst_exact, worst_semi = worst
     passed = worst_exact <= 1e-10 and worst_semi <= 1e-8
     return CriterionResult(
         name="normalization and hermitian symmetry",
@@ -134,17 +129,24 @@ def criterion_small_chord_bessel() -> CriterionResult:
 
 
 def criterion_ellipse_accuracy_ratio() -> CriterionResult:
-    """Ellipse estimate over true first nodal radius lands near 0.83."""
-    exact = make_evaluator("exact", SHEARED_STATE)
+    """Ellipse estimate over true first nodal radius lands near 0.83.
+
+    <p> = 0 and H(p) conserves p, so the mean lies on the xi_q axis, where
+    chi(0, xi_q) is the momentum marginal's characteristic function
+    exp(-xi_q^2 / 4 hbar) L_n(xi_q^2 / 2 hbar) for every t. Its first zero is
+    r0 = sqrt(2 hbar x1), x1 the smallest root of L_n (``nodal_radii``), and
+    the estimate along the mean is sqrt(2 hbar / (n + 1/2)), so the ratio is
+    1 / sqrt((n + 1/2) x1) whatever t and alpha are.
+    """
     moments = state_moments(SHEARED_STATE)
     estimate = closest_blind_spot_estimate(moments, SHEARED_STATE.hbar)
-    mp, mq = moments.mean
-    nodal = first_zero_along(exact, (mp, mq), s_max=0.4)
+    nodal = float(nodal_radii(SHEARED_STATE.n, SHEARED_STATE.hbar)[0])
     ratio = estimate.radius / nodal
     return CriterionResult(
         name="ellipse radius to first nodal radius ratio",
         passed=0.80 <= ratio <= 0.86, measured=ratio, tolerance=0.86,
-        detail=f"estimate {estimate.radius:.6f}, nodal {nodal:.6f}, window [0.80, 0.86]")
+        detail=f"estimate {estimate.radius:.6f}, nodal sqrt(2 hbar x1) {nodal:.6f}, "
+               "ratio 1/sqrt((n + 1/2) x1), window [0.80, 0.86]")
 
 
 def criterion_nodal_ring_structure() -> CriterionResult:

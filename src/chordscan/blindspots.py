@@ -331,6 +331,20 @@ def _merged(xi, tol):
     return state == 1
 
 
+def _radius_order(xi, tol):
+    """Order of the roots ``xi`` (m, 2) by distance from the origin.
+
+    Radii within ``tol`` of their neighbour's in that order are a tie, broken
+    by xi_q, then xi_p: the two roots of a +-xi pair have radii equal up to
+    round-off, and the pair on the xi_q axis has xi_p equal up to round-off.
+    """
+    radius = np.hypot(xi[:, 0], xi[:, 1])
+    by_radius = np.argsort(radius)
+    tie = np.empty(len(xi), dtype=int)
+    tie[by_radius] = np.cumsum(np.diff(radius[by_radius], prepend=-np.inf) >= tol)
+    return np.lexsort((xi[:, 0], xi[:, 1], tie))
+
+
 def _sign_change_cells(comp: np.ndarray) -> np.ndarray:
     """Cells [i, i+1] x [j, j+1] whose corners satisfy min <= 0 <= max, not all 0."""
     corners = np.stack([comp[:-1, :-1], comp[1:, :-1], comp[:-1, 1:], comp[1:, 1:]])
@@ -378,7 +392,10 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     it, in seed order, the resolution of the step rule, is merged into it
     (``_merged``); distinct zeros may lie closer than a cell. Roots outside
     the scanned region but inside the box are kept. Spots are returned
-    sorted by distance from the origin.
+    sorted by distance from the origin; radii within that same tolerance
+    are a tie, ordered by xi_q, then xi_p (``_radius_order``), so the two
+    spots of a +-xi pair, whose radii differ in the last bits, keep one
+    order whatever the round-off.
     """
     seeds = _seed_chords(grid)
     if len(seeds) == 0:
@@ -392,11 +409,12 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     xi, converged, iterations = _newton_polish(evaluator, seeds, step, cell_diag, box)
     kept = np.flatnonzero(converged)
     kept = kept[_merged(xi[kept], STEP_TOL * cell_diag)]
-    found = [BlindSpot(chord=Chord(float(xi[k, 0]), float(xi[k, 1])),
-                       value=complex(v), iterations=int(iterations[k]))
-             for k, v in zip(kept, _chi(evaluator, xi[kept]))]
-    found.sort(key=lambda s: s.radius)
-    return BlindSpotSearch(spots=tuple(found), n_seeds=len(seeds))
+    values = _chi(evaluator, xi[kept])
+    order = _radius_order(xi[kept], STEP_TOL * cell_diag)
+    found = tuple(BlindSpot(chord=Chord(float(xi[k, 0]), float(xi[k, 1])),
+                            value=complex(v), iterations=int(iterations[k]))
+                  for k, v in zip(kept[order], values[order]))
+    return BlindSpotSearch(spots=found, n_seeds=len(seeds))
 
 
 def first_zero_along(evaluator, direction, s_max: float) -> float:

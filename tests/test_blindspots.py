@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import lagroots
 from scipy.special import roots_laguerre
 
 from chordscan import (CurveSpec, ExactEvaluator, NumericalError, axis,
                        find_blind_spots, first_zero_along, nodal_contours,
                        scan_grid)
 from chordscan.blindspots import (_JACOBIAN_OFFSETS, _LADDER, NEWTON_MAX_ITER, NOISE_RATIO,
-                                  STEP_TOL, _merged, _newton_polish, _seed_chords)
+                                  STEP_TOL, _merged, _newton_polish, _radius_order,
+                                  _seed_chords)
+from chordscan.evaluators import make_evaluator
+from chordscan.exact import nodal_radii
 from chordscan.gridscan import ChordFieldGrid
-from chordscan.smallchord import moments_from_chi
+from chordscan.smallchord import closest_blind_spot_estimate, moments_from_chi, state_moments
 
 # First zero of the vertical cut of the sheared reference state: the cut is
 # the momentum-marginal characteristic function, left invariant by the shear,
@@ -209,6 +213,11 @@ class TestMarchingSquaresProperties:
             (581, True), (437, True), (309, True), (197, True), (85, True)]
 
 
+def _cell_diagonal(grid):
+    return math.hypot(grid.xi_p_axis[1] - grid.xi_p_axis[0],
+                      grid.xi_q_axis[1] - grid.xi_q_axis[0])
+
+
 @pytest.fixture(scope="module")
 def sheared_scan():
     state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
@@ -235,13 +244,34 @@ class TestBlindSpots:
         for spot in search.spots:
             assert abs(spot.value) < 1e-12
 
-    def test_sorted_by_radius_and_deduplicated(self, search):
-        radii = [s.radius for s in search.spots]
-        assert radii == sorted(radii)
+    def test_sorted_by_radius_and_deduplicated(self, sheared_scan, search):
+        """Ascending in radius; radii within the merge tolerance are a tie,
+        ordered by xi_q, then xi_p."""
+        tol = STEP_TOL * _cell_diagonal(sheared_scan[1])
+        for a, b in zip(search.spots, search.spots[1:]):
+            if abs(b.radius - a.radius) < tol:
+                assert (a.chord.xi_q, a.chord.xi_p) <= (b.chord.xi_q, b.chord.xi_p)
+            else:
+                assert a.radius < b.radius
         for i, a in enumerate(search.spots):
             for b in search.spots[i + 1:]:
                 assert math.hypot(a.chord.xi_p - b.chord.xi_p,
                                   a.chord.xi_q - b.chord.xi_q) > 0.02
+
+    @pytest.mark.parametrize("ulps", [-1, 1])
+    def test_order_does_not_follow_the_round_off_of_radii(self, sheared_scan, search, ulps):
+        """The two spots of a +-xi pair have radii equal up to round-off:
+        moving one member of each pair by an ulp in radius keeps the order."""
+        tol = STEP_TOL * _cell_diagonal(sheared_scan[1])
+        xi = np.array([[s.chord.xi_p, s.chord.xi_q] for s in search.spots])
+        assert _radius_order(xi, tol).tolist() == list(range(len(xi)))
+        radius = np.hypot(xi[:, 0], xi[:, 1])
+        member = xi[:, 1] > 0.0  # one of each pair, as no spot lies on xi_q = 0
+        assert 2 * np.count_nonzero(member) == len(xi)
+        moved = xi.copy()
+        moved[member] *= (np.nextafter(radius, ulps * np.inf) / radius)[member, None]
+        assert np.all(np.hypot(moved[:, 0], moved[:, 1])[member] != radius[member])
+        assert _radius_order(moved, tol).tolist() == list(range(len(xi)))
 
     def test_inversion_symmetry(self, search):
         """chi(-xi) = conj chi(xi): zeros come in +/- pairs."""
@@ -395,6 +425,27 @@ class TestFirstZeroAlong:
         crossing does not make the chord function vanish."""
         with pytest.raises(NumericalError, match="does not carry a real field"):
             first_zero_along(ExactEvaluator(sheared), (1.0, 0.0), s_max=2.0)
+
+
+class TestMeanRayZero:
+    """<p> = 0 and H(p) conserves p, so the mean lies on the xi_q axis, where
+    chi is the momentum marginal's characteristic function for every t: the
+    ray search along the mean lands on the ring's first nodal radius
+    r0 = sqrt(2 hbar x1), and the ellipse estimate there is r0 over
+    sqrt((n + 1/2) x1)."""
+
+    @pytest.mark.parametrize("alpha", [(0.0, 1.0, 1.0, 1.0), (0.0, -1.0, 2.0, 0.5)])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("n, hbar", [(3, 0.1), (5, 0.1), (20, 1.1 / 41), (80, 1.1 / 161)])
+    def test_mean_ray_zero_is_the_first_nodal_radius(self, n, hbar, t, alpha):
+        state = CurveSpec(n=n, hbar=hbar, alpha=alpha, t=t)
+        r0 = float(nodal_radii(n, hbar)[0])
+        moments = state_moments(state)
+        got = first_zero_along(make_evaluator("exact", state), moments.mean, s_max=1.5 * r0)
+        assert abs(got - r0) <= 1e-13
+        x1 = float(np.sort(lagroots([0.0] * n + [1.0]))[0])
+        ratio = closest_blind_spot_estimate(moments, hbar).radius / r0
+        assert abs(ratio - 1.0 / math.sqrt((n + 0.5) * x1)) <= 1e-14
 
 
 class CountingEvaluator:

@@ -12,17 +12,29 @@ PACKAGE = Path(chordscan.__file__).parent
 TESTS = Path(__file__).parent
 
 
+def _fresh_modules(code: str, prefix: str) -> str:
+    """The sorted loaded modules named ``prefix`` or ``prefix.*`` after
+    ``code`` runs in a fresh interpreter, as printed text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             f"if m == {prefix!r} or m.startswith({prefix + '.'!r})))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_cli_loads_no_scipy_module():
     """scipy serves the acceptance battery, the ray zero and the tests, which
     import it where they call it; importing it would add ~0.4 s to every
     chordscan process."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    code = ("import chordscan.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_modules("import chordscan.cli", "scipy") == "[]"
+
+
+def test_verify_loads_no_scipy_optimize():
+    """The battery reads the mean-ray zero off ``nodal_radii``; only
+    ``first_zero_along``, which it does not call, imports scipy.optimize."""
+    code = "from chordscan import acceptance; acceptance.run_all(report=None)"
+    assert _fresh_modules(code, "scipy.optimize") == "[]"
 
 
 def _unused_imports(path: Path) -> list[str]:
