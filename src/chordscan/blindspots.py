@@ -14,7 +14,9 @@ no scale of |chi| enters: a seed sliding down the decaying tail, where each
 step stays a fixed fraction of the tail's width, never converges. All seeds
 are polished in lockstep, one ``evaluate`` call per stage (``_newton_polish``
 lists them), so the number of calls is set by the Newton steps and not by the
-number of seeds. Every kernel but the exact route's quadrature (the chords its
+number of seeds. Every full Newton step is evaluated with its Jacobian
+stencil, and only a seed that moved on a damped step needs a stencil call of
+its own. Every kernel but the exact route's quadrature (the chords its
 closed form refuses) is elementwise, so a chord reads the same bits in any
 batch and a seed moves exactly as it would alone. The book-keeping is in
 arrays: the searching seeds are a mask, and the merge of converged roots finds
@@ -187,26 +189,14 @@ def _chi(evaluator, points):
 
 # Jacobian stencil of one Newton step: the chord offsets +e_p, -e_p, +e_q, -e_q
 _JACOBIAN_OFFSETS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+# a chord, then its Jacobian stencil: the offsets of a full step's evaluate call
+_WITH_STENCIL = np.concatenate([np.zeros((1, 2)), _JACOBIAN_OFFSETS])
 # the lengths lambda = 1, 1/2, ..., 1/128 of a Newton step, longest first, in
 # the groups that share one evaluate call. The groups double: few seeds need
 # the short lengths, and a call costs as much as a few hundred closed-form
 # chords but only about ten that go to the quadrature (most chords at n = 20)
 _LADDER = ((1.0,), (0.5,), (0.25, 0.125), (1 / 16, 1 / 32, 1 / 64, 1 / 128))
 NEWTON_MAX_ITER = 40  # Newton steps a seed may take before it is rejected
-# stencil chords that seeds whose last step was damped may add to a full-step
-# call: an evaluate call's fixed cost is that of a few hundred exact chords
-_AHEAD_CHORDS = 64
-
-
-def _values_and_stencils(evaluator, xi, step, ahead):
-    """chi at the chords ``xi`` (k, 2), and at the four Jacobian stencil
-    chords of each row where ``ahead`` is set, in one evaluate call.
-
-    Returns the values (k,) and the stencils' values (ahead.sum(), 4).
-    """
-    stencil = xi[ahead, None, :] + step * _JACOBIAN_OFFSETS
-    z = _chi(evaluator, np.concatenate([xi, stencil.reshape(-1, 2)]))
-    return z[:len(xi)], z[len(xi):].reshape(-1, 4)
 
 
 def _newton_polish(evaluator, seeds, step, cell_diag, box):
@@ -216,12 +206,9 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
     their four-chord central-difference Jacobian stencils; then in each
     iteration a stencil call for the seeds that moved on a damped step, and
     one call per group of _LADDER over the seeds that no longer step length
-    has moved. A seed takes the first length that reduces |chi|. Full steps
-    (lambda = 1) carry their stencils, so a seed whose full step is taken
-    starts its next iteration with its Jacobian known; a seed whose last
-    step was damped likely needs damping again, so its full step goes
-    without a stencil, unless all such stencils together add at most
-    _AHEAD_CHORDS chords (a call costs more than that).
+    has moved. A seed takes the first length that reduces |chi|. Every full
+    step (lambda = 1) is evaluated with its stencil, so a seed whose full
+    step is taken starts its next iteration with its Jacobian known.
 
     Each seed follows the rules of a lone iteration: it converges when its
     full Newton step is shorter than STEP_TOL * ``cell_diag``, and then
@@ -237,8 +224,8 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
     seed converged (n,) and iteration counts (n,).
     """
     xi = np.array(seeds, dtype=float).reshape(-1, 2)
-    full = np.ones(len(xi), dtype=bool)  # the seed's last step was a full one
-    value, stencil = _values_and_stencils(evaluator, xi, step, full)
+    z = _chi(evaluator, xi[:, None, :] + step * _WITH_STENCIL)
+    value, stencil = z[:, 0], z[:, 1:]
     known = np.ones(len(xi), dtype=bool)  # an active seed's stencil[k] is chi around xi[k]
     converged = np.zeros(len(xi), dtype=bool)
     iterations = np.full(len(xi), NEWTON_MAX_ITER)
@@ -278,19 +265,17 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
             if lams[0] == 1.0:
                 # every stencil sent is kept: a seed whose full step fails
                 # either moves on a damped step, which marks it stale, or stops
-                ahead = full[trying] | (4 * np.count_nonzero(~full[trying]) <= _AHEAD_CHORDS)
-                z, stencil[trying[ahead]] = _values_and_stencils(evaluator, cand[:, 0], step, ahead)
-                z = z[:, None]
+                z = _chi(evaluator, cand + step * _WITH_STENCIL)
+                z, stencil[trying] = z[:, :1], z[:, 1:]
             else:
-                ahead, z = np.zeros(trying.size, dtype=bool), _chi(evaluator, cand)
+                z = _chi(evaluator, cand)
             better = np.abs(z) < np.abs(value[trying, None])
             hit = better.any(axis=1)
             first = np.argmax(better[hit], axis=1)  # the longest step that is better
             taken = trying[hit]
             xi[taken], value[taken] = cand[hit, first], z[hit, first]
             moved[taken] = True
-            full[taken] = lams[0] == 1.0
-            known[taken] = ahead[hit]
+            known[taken] = lams[0] == 1.0
             trying, delta = trying[~hit], delta[~hit]
         iterations[active & ~moved] = it
         active = moved
@@ -304,9 +289,10 @@ def _merged(xi, tol):
     A close pair lies within ``tol`` in xi_p, so with the roots sorted by
     xi_p each root's partners are among the roots sorted just before it and
     within 2 ``tol`` in xi_p (a margin for the rounding of the differences).
-    The greedy rule is then decided in rounds: a root with a kept earlier
-    partner is merged, and one whose earlier partners are all merged (or
-    which has none) is kept.
+    The greedy rule is then a fixed point: a root is merged when one of its
+    earlier partners is not. Iterated from no root merged, it settles each
+    root once its earlier partners have settled, and it stops when the
+    merged set stops changing.
     """
     m = len(xi)
     order = np.argsort(xi[:, 0], kind="stable")
@@ -319,16 +305,13 @@ def _merged(xi, tol):
     close = np.hypot(p[i] - p[j], q[i] - q[j]) < tol
     i, j = order[i[close]], order[j[close]]
     earlier, later = np.minimum(i, j), np.maximum(i, j)
-    state = np.zeros(m, dtype=np.int8)  # +1 kept, -1 merged, 0 undecided
-    while not state.all():
-        kept_before = np.zeros(m, dtype=bool)
-        kept_before[later[state[earlier] == 1]] = True
-        open_before = np.zeros(m, dtype=bool)
-        open_before[later[state[earlier] == 0]] = True
-        undecided = state == 0
-        state[undecided & kept_before] = -1
-        state[undecided & ~kept_before & ~open_before] = 1
-    return state == 1
+    merged = np.zeros(m, dtype=bool)
+    while True:
+        now = np.zeros(m, dtype=bool)
+        now[later[~merged[earlier]]] = True
+        if np.array_equal(now, merged):
+            return ~merged
+        merged = now
 
 
 def _radius_order(xi, tol):

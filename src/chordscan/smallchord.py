@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -89,16 +90,20 @@ def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
 
     Each curve sample contributes the separable factor exp(-i q xi_p / hbar)
     ⊗ exp(i p xi_q / hbar), so the one trapezoid pass, on the largest node
-    count of the grid's chords (a corner's), is a single matrix product.
+    count of the grid's chords (a corner's), is a matrix product, summed in
+    blocks of at most AVERAGE_MAX_NODES // max(rows, cols) nodes so that no
+    factor holds more than AVERAGE_MAX_NODES samples.
     """
     xi_p_axis, xi_q_axis = np.asarray(xi_p_axis, dtype=float), np.asarray(xi_q_axis, dtype=float)
     corner_p, corner_q = np.meshgrid([xi_p_axis.min(), xi_p_axis.max()],
                                      [xi_q_axis.min(), xi_q_axis.max()])
     n = np.max(_average_nodes(curve, corner_p.ravel(), corner_q.ravel()))
     p, q = curve.point(2.0 * np.pi * np.arange(n) / n)
-    left = np.exp(-1j / curve.hbar * np.outer(xi_p_axis, q))
-    right = np.exp(1j / curve.hbar * np.outer(p, xi_q_axis))
-    return (left @ right) / n
+    block = AVERAGE_MAX_NODES // max(xi_p_axis.size, xi_q_axis.size)
+    parts = (np.exp(-1j / curve.hbar * np.outer(xi_p_axis, q[lo:lo + block]))
+             @ np.exp(1j / curve.hbar * np.outer(p[lo:lo + block], xi_q_axis))
+             for lo in range(0, n, block))
+    return reduce(np.add, parts) / n
 
 
 # -- classical moments ----------------------------------------------------

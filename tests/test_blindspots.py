@@ -719,19 +719,26 @@ class TestBatchPaths:
         assert len(once.batches) <= 1 + (1 + len(_LADDER)) * max(iters)
         assert once.single == thrice.single == 0
 
-    def test_search_calls(self, sheared_scan, search):
-        ev, grid = sheared_scan
+    @pytest.mark.parametrize("name", sorted(REPORT_STATES))
+    def test_search_calls(self, name):
+        """The benchmark's two reports: their evaluate calls and the chords
+        those calls carry, exactly."""
+        state, half = REPORT_STATES[name]
+        ev = ExactEvaluator(state)
+        ax = axis(-half, half, 41)
+        grid = scan_grid(ev, ax, ax)
         counting = CountingEvaluator(ev)
         again = find_blind_spots(counting, grid)
-        assert [s.chord for s in again.spots] == [s.chord for s in search.spots]
+        assert [s.chord for s in again.spots] == [s.chord for s in find_blind_spots(ev, grid).spots]
         assert counting.single == 0
         # one batch of the seeds, each with its Jacobian stencil of 4 chords
-        assert counting.batches[0] == 5 * 54
+        assert counting.batches[0] == 5 * again.n_seeds
         # the last call reads each spot's value
-        assert counting.batches[-1] == len(search.spots)
-        # full steps carry their stencils, and the damped step lengths share
-        # calls in the doubling groups of _LADDER
-        assert len(counting.batches) <= 17
+        assert counting.batches[-1] == len(again.spots)
+        # every full step carries its stencil, and the damped step lengths
+        # share calls in the doubling groups of _LADDER
+        calls, chords = {"sheared": (17, 1368), "n3": (18, 1396)}[name]
+        assert (len(counting.batches), sum(counting.batches)) == (calls, chords)
 
     def test_search_calls_at_strong_shear(self):
         """CI's t = 1 report: 121^2 cells over +-1.7 seed 348 Newton

@@ -1,6 +1,7 @@
 """Short-chord route: classical averages, moment tables, ellipse estimate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,29 @@ def test_grid_takes_the_largest_node_count_of_its_chords(sheared, monkeypatch):
     listed = chi_small_points(sheared, mesh_p.ravel(), mesh_q.ravel())
     assert passes == sorted(set(nodes))
     assert np.max(np.abs(grid.ravel() - listed)) < 1e-14
+
+
+def test_grid_node_pass_goes_in_blocks(sheared):
+    """Over +-1000 a 41^2 grid's corner needs 32 768 nodes. The node pass
+    goes in blocks of AVERAGE_MAX_NODES // 41 nodes, so the grid's memory
+    stays bounded (a single pass peaked at 65 MB), and the blocks sum to the
+    single pass, which a few rows of the grid check."""
+    xp = axis(-1000.0, 1000.0, 41)
+    corner_p, corner_q = np.meshgrid([xp[0], xp[-1]], [xp[0], xp[-1]])
+    nodes = np.max(smallchord._average_nodes(sheared, corner_p.ravel(), corner_q.ravel()))
+    assert nodes == 32768 > smallchord.AVERAGE_MAX_NODES // 41
+    tracemalloc.start()
+    try:
+        grid = chi_small_grid(sheared, xp, xp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+    rows = xp[::10]
+    p, q = sheared.point(2.0 * np.pi * np.arange(nodes) / nodes)
+    single = (np.exp(-1j / sheared.hbar * np.outer(rows, q))
+              @ np.exp(1j / sheared.hbar * np.outer(p, xp))) / nodes
+    assert np.max(np.abs(grid[::10] - single)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [5, 20, 80, 160])
