@@ -94,29 +94,33 @@ def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
     # (i, j)-(i, j+1), each row-major; each crossed edge's point once
     cross_p = pos[:-1, :] != pos[1:, :]
     cross_q = pos[:, :-1] != pos[:, 1:]
-    id_p = np.arange(cross_p.size).reshape(cross_p.shape)
-    id_q = cross_p.size + np.arange(cross_q.size).reshape(cross_q.shape)
+    first_q, cols = cross_p.size, comp.shape[1]
     points = np.empty((cross_p.size + cross_q.size, 2))
     i, j = np.nonzero(cross_p)
     va, vb = comp[i, j], comp[i + 1, j]
-    points[id_p[i, j]] = np.stack([xp[i] + va / (va - vb) * (xp[i + 1] - xp[i]), xq[j]], -1)
+    points[i * cols + j] = np.stack([xp[i] + va / (va - vb) * (xp[i + 1] - xp[i]), xq[j]], -1)
     i, j = np.nonzero(cross_q)
     va, vb = comp[i, j], comp[i, j + 1]
-    points[id_q[i, j]] = np.stack([xp[i], xq[j] + va / (va - vb) * (xq[j + 1] - xq[j])], -1)
+    points[first_q + i * (cols - 1) + j] = np.stack(
+        [xp[i], xq[j] + va / (va - vb) * (xq[j + 1] - xq[j])], -1)
 
-    # per cell, its edges in bottom, right, top, left order; a boolean changes
-    # value an even number of times around the four corners, so a cell has
-    # 0, 2 or 4 crossings. Two crossings are joined in that order; a saddle's
-    # center sign decides which corner pair its two segments isolate.
-    edges = np.stack([id_p[:, :-1], id_q[1:, :], id_p[:, 1:], id_q[:-1, :]], -1)
-    crossed = np.stack([cross_p[:, :-1], cross_q[1:, :], cross_p[:, 1:], cross_q[:-1, :]], -1)
+    # per crossed cell, row-major, its edges in bottom, right, top, left
+    # order; a boolean changes value an even number of times around the four
+    # corners, so a cell has 0, 2 or 4 crossings. Two crossings are joined in
+    # that order; a saddle's center sign decides which corner pair its two
+    # segments isolate.
+    i, j = np.nonzero(cross_p[:, :-1] | cross_q[1:, :] | cross_p[:, 1:] | cross_q[:-1, :])
+    left = first_q + i * (cols - 1) + j
+    edges = np.stack([i * cols + j, left + (cols - 1), i * cols + j + 1, left], -1)
+    crossed = np.stack([cross_p[i, j], cross_q[i + 1, j], cross_p[i, j + 1], cross_q[i, j]], -1)
     count = crossed.sum(-1)
-    segments = np.full(count.shape + (2, 2), -1)
+    segments = np.full((i.size, 2, 2), -1)
     segments[count == 2, 0] = edges[count == 2][crossed[count == 2]].reshape(-1, 2)
-    center = 0.25 * (comp[:-1, :-1] + comp[1:, :-1] + comp[1:, 1:] + comp[:-1, 1:])
     saddle = count == 4
+    i, j = i[saddle], j[saddle]
+    center = 0.25 * (comp[i, j] + comp[i + 1, j] + comp[i + 1, j + 1] + comp[i, j + 1])
     bottom, right, top, left = edges[saddle].T
-    same = ((center > 0) == pos[:-1, :-1])[saddle]
+    same = (center > 0) == pos[i, j]
     segments[saddle, 0] = np.stack([bottom, np.where(same, right, left)], -1)
     segments[saddle, 1] = np.where(same[:, None], np.stack([top, left], -1),
                                    np.stack([right, top], -1))
@@ -213,12 +217,13 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
     Each seed follows the rules of a lone iteration: it converges when its
     full Newton step is shorter than STEP_TOL * ``cell_diag``, and then
     takes that step unevaluated and stops (its iteration count is the number
-    of steps taken). It stops unconverged when its Jacobian is singular,
-    when no length of _LADDER reduces |chi|, when its full step leaves
-    ``box`` = (low, high), the chords with low <= (xi_p, xi_q) <= high
-    componentwise (that step is never evaluated), or after NEWTON_MAX_ITER
-    steps. The box is convex and holds every point a seed stands on, and
-    rounding is monotone, so a damped step lies inside with the full one.
+    of steps taken). The step solves the 2 x 2 Jacobian in closed form. A
+    seed stops unconverged when the Jacobian's determinant is 0, when no
+    length of _LADDER reduces |chi|, when its full step leaves ``box`` =
+    (low, high), the chords with low <= (xi_p, xi_q) <= high componentwise
+    (that step is never evaluated), or after NEWTON_MAX_ITER steps. The box
+    is convex and holds every point a seed stands on, and rounding is
+    monotone, so a damped step lies inside with the full one.
 
     Returns (xi, converged, iterations): final chords (n, 2), whether each
     seed converged (n,) and iteration counts (n,).
@@ -238,14 +243,18 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
             stencil[stale] = _chi(evaluator, xi[stale, None, :] + step * _JACOBIAN_OFFSETS)
             known[stale] = True
         searching = np.flatnonzero(active)
-        # column k of the Jacobian, componentwise: f(xi + e_k) - f(xi - e_k)
+        # the Jacobian [[a, b], [c, d]] of (Re chi, Im chi), its column k
+        # f(xi + e_k) - f(xi - e_k) over 2 step; a zero determinant ends the search
         dz = stencil[searching, 0::2] - stencil[searching, 1::2]
-        jac = np.stack([dz.real, dz.imag], axis=1) / (2.0 * step)
-        # a zero LU pivot, which np.linalg.solve refuses, ends the search
-        solvable = np.linalg.det(jac) != 0.0
+        jac = np.concatenate([dz.real, dz.imag], axis=1).T / (2.0 * step)
+        a, b, c, d = jac
+        det = a * d - b * c
+        solvable = det != 0.0
         trying = searching[solvable]
-        rhs = -np.stack([value[trying].real, value[trying].imag], axis=-1)
-        delta = np.linalg.solve(jac[solvable], rhs[..., None])[..., 0]
+        (a, b, c, d), det, f = jac[:, solvable], det[solvable], value[trying]
+        # the step -J^-1 (Re chi, Im chi), by the 2 x 2 inverse
+        delta = np.stack([(b * f.imag - d * f.real) / det, (c * f.real - a * f.imag) / det],
+                         axis=-1)
         short = np.hypot(delta[:, 0], delta[:, 1]) < STEP_TOL * cell_diag
         finished = trying[short]
         xi[finished] += delta[short]

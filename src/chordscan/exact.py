@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.laguerre import lagroots
 
-from .core import ChordValue, Evaluator, unflagged
+from .core import ChordValue, Evaluator, unflagged, veltkamp_split
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
@@ -96,8 +96,62 @@ def fock_chi_radial(n: int, hbar: float, rho):
 
 
 def nodal_radii(n: int, hbar: float) -> np.ndarray:
-    """The n radii sqrt(2 hbar x_k) of the zeros of fock_chi_radial, ascending."""
-    return np.sqrt(2.0 * hbar * np.sort(lagroots([0.0] * n + [1.0])))
+    """The n radii sqrt(2 hbar x_k) of the zeros of fock_chi_radial, ascending.
+
+    numpy's lagroots takes the zeros x_k of L_n as companion-matrix
+    eigenvalues, which are off by up to 1.7e-12 relative at n = 160. Two
+    Newton steps x - x L_n / n (L_n - L_{n-1}), on values of the recurrence
+    carried to twice double precision (_laguerre_pair), put each on its
+    zero to the last bit or so.
+    """
+    x = np.sort(lagroots([0.0] * n + [1.0]))
+    for _ in range(2):
+        value, previous = _laguerre_pair(n, x)
+        x = x - x * value / (n * (value - previous))
+    return np.sqrt(2.0 * hbar * x)
+
+
+def _two_sum(a, b):
+    """a + b as s + e exactly, with s = fl(a + b) (Knuth's TwoSum)."""
+    s = a + b
+    back = s - a
+    return s, (a - (s - back)) + (b - back)
+
+
+def _two_product(a, b):
+    """a b as p + e exactly, with p = fl(a b) (Dekker)."""
+    p = a * b
+    a_big, a_small = veltkamp_split(a)
+    b_big, b_small = veltkamp_split(b)
+    return p, ((a_big * b_big - p) + a_big * b_small + a_small * b_big) + a_small * b_small
+
+
+def _laguerre_pair(n: int, x):
+    """L_n(x) and L_{n-1}(x) for n >= 1, by the recurrence (k + 1) L_{k+1} =
+    (2k + 1 - x) L_k - k L_{k-1}, each L_k carried as high + low parts with
+    every product's and every addition's rounding error kept.
+
+    Near a zero of L_n the recurrence's last step cancels, and the low parts
+    keep the digits that a plain double recurrence loses there.
+    """
+    previous, previous_low = np.ones_like(x), np.zeros_like(x)  # L_0
+    value, value_low = _two_sum(1.0, -x)  # L_1
+    for k in range(1, n):
+        slope, slope_low = _two_sum(2.0 * k + 1.0, -x)
+        first, first_low = _two_product(slope, value)
+        first_low = first_low + (slope * value_low + slope_low * value)
+        second, second_low = _two_product(float(k), previous)
+        second_low = second_low + k * previous_low
+        total, total_low = _two_sum(first, -second)
+        total_low = total_low + (first_low - second_low)
+        # the quotient by k + 1, its remainder taken exactly
+        quotient = total / (k + 1)
+        back, back_low = _two_product(quotient, float(k + 1))
+        rest, rest_low = _two_sum(total, -back)
+        low = (rest + (rest_low - back_low + total_low)) / (k + 1)
+        previous, previous_low = value, value_low
+        value, value_low = _two_sum(quotient, low)
+    return value + value_low, previous + previous_low
 
 
 BLOCK_ELEMENTS = 2048  # chords x nodes per profile block: 16 rows of a 128-node rule
@@ -218,10 +272,15 @@ def _closed_form(state: CurveSpec, xi_p, xi_q):
 
     The recurrences cancel terms of size |mu| ~ |xi| / sqrt(hbar), more so as
     n grows, so each value comes with a bound on its round-off: the same
-    recurrences and sum on magnitudes, times the prefactor's modulus and
-    ROUNDOFF_FACTOR eps (n + 1 + s^2 + |phi0| + phi1^2 / 4|c|), the last
-    terms for the exponent's own round-off. A chord whose prefactor or sum
-    overflows has a bound of inf or nan.
+    recurrences and sum on magnitudes (_magnitude_sum), times the
+    prefactor's modulus and ROUNDOFF_FACTOR eps (n + 1 + s^2 + |phi0| +
+    phi1^2 / 4|c|), the last terms for the exponent's own round-off. The sum
+    on magnitudes is first taken once, at the batch's largest |mu+|, |mu-|,
+    |d| and |c|: a majorant of every chord's. When the bound it gives is
+    within OVERLAP_TOL at every chord, it is the batch's bound; otherwise
+    each chord's own sum is. Either way a chord's bound is at least the one
+    it has alone, and it is refused exactly when it is alone. A chord whose
+    prefactor or sum overflows has a bound of inf or nan.
     """
     _, a1, a2, a3 = state.alpha
     n, t, root = state.n, state.t, np.sqrt(state.hbar)
@@ -247,23 +306,48 @@ def _closed_form(state: CurveSpec, xi_p, xi_q):
         # depend on the size of its batch
         prefactor = np.multiply(scale, np.exp((1j * phi0 - s * s) - phi1 * phi1 * (0.25 * inv_c)))
 
-        size, size_d, size_c = np.abs(mu), np.abs(d), np.abs(c)
         # E_0 = 1 and E_1 = mu; the sum starts from its m = 0 term, 1
-        e_prev, e, m_e_prev, m_e = 1.0, mu, 1.0, size
-        total = m_total = weight = m_weight = 1.0
+        e_prev, e = 1.0, mu
+        total = weight = 1.0
         for m in range(1, n + 1):
             weight = np.multiply(weight, c * (n + 1 - m))
-            m_weight = m_weight * (size_c * (n + 1 - m))
             total = total + np.multiply(weight, e[0] * e[1])
-            m_total = m_total + m_weight * (m_e[0] * m_e[1])
             if m < n:
-                step = 1.0 / (m + 1)
-                e, e_prev = (mu * e + d * e_prev) * step, e
-                m_e, m_e_prev = (size * m_e + size_d * m_e_prev) * step, m_e
+                e, e_prev = (mu * e + d * e_prev) * (1.0 / (m + 1)), e
+        size, size_d, size_c = np.abs(mu), np.abs(d), np.abs(c)
         phase_size = s * s + np.abs(phi0) + phi1 * phi1 / (4.0 * size_c)
-        bound = (np.abs(prefactor) * m_total
-                 * (ROUNDOFF_FACTOR * np.finfo(float).eps * (n + 1.0 + phase_size)))
+        modulus = np.abs(prefactor)
+        roundoff = ROUNDOFF_FACTOR * np.finfo(float).eps * (n + 1.0 + phase_size)
+        # the magnitude sum grows with each of its sizes and rounding is
+        # monotone, so its value at the batch's largest sizes bounds every
+        # chord's; where that bounds every chord within OVERLAP_TOL, it is
+        # the batch's bound, and each chord's own sum is not needed
+        largest = size.reshape(2, -1).max(axis=1, initial=0.0).tolist()
+        bound = modulus * _magnitude_sum(n, *largest, float(size_d.max(initial=0.0)),
+                                         float(size_c.max(initial=0.0))) * roundoff
+        if not np.all(bound <= OVERLAP_TOL):
+            bound = modulus * _magnitude_sum(n, size[0], size[1], size_d, size_c) * roundoff
         return prefactor * total, bound
+
+
+def _magnitude_sum(n: int, size_plus, size_minus, size_d, size_c):
+    """_closed_form's sum on magnitudes: its recurrences and sum with mu+-,
+    d and c replaced by their moduli, elementwise on arrays or on floats.
+
+    Every operation is monotone in its operands, all of them non-negative,
+    so larger sizes give a sum at least as large, in floating point too.
+    """
+    # M_0 = 1 and M_1 = |mu|; the sum starts from its m = 0 term, 1
+    plus_prev, plus, minus_prev, minus = 1.0, size_plus, 1.0, size_minus
+    total = weight = 1.0
+    for m in range(1, n + 1):
+        weight = weight * (size_c * (n + 1 - m))
+        total = total + weight * (plus * minus)
+        if m < n:
+            step = 1.0 / (m + 1)
+            plus, plus_prev = (size_plus * plus + size_d * plus_prev) * step, plus
+            minus, minus_prev = (size_minus * minus + size_d * minus_prev) * step, minus
+    return total
 
 
 def _certified(state: CurveSpec, xi_p, xi_q):
