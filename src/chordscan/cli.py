@@ -5,14 +5,17 @@ sidecar echoing the full configuration; the blind-spot command and the
 verifier write JSON reports. Every number in a CSV is the bytes of
 ``"%.17g" % x`` (doubles round-trip exactly, so identical configurations give
 bit-identical files). The writer formats with numpy, a block of rows at a
-time, all of a block's float cells that need text in one call of at most
-CSV_BLOCK_CELLS cells: a fast path takes the 17 digits of each finite
-magnitude in FAST_RANGE from an exact double-double product, a zero is "0",
-and nan, inf, magnitudes outside FAST_RANGE and near-ties at the 17th digit
-fall back to ``"%.17g"`` itself, as do a scan's axis columns, once per axis
-value. The sign is a byte of its own, so a cell whose magnitude equals that
-of its row's partner (row size - 1 - r: a symmetric grid's -xi chord, whose
-chi is the conjugate) copies the partner's text instead of formatting it.
+time, all of a block's nonzero float cells that need text in one call of at
+most CSV_BLOCK_CELLS cells: a fast path takes the 17 digits of each finite
+magnitude in FAST_RANGE from an exact double-double product and lays out its
+28-byte cell from whole-cell tables, and nan, inf, magnitudes outside
+FAST_RANGE and near-ties at the 17th digit fall back to ``"%.17g"`` itself. A
+zero is "0" and is never formatted. The sign is a byte of its own, so a cell
+whose magnitude equals that of its row's partner (row size - 1 - r: a
+symmetric grid's -xi chord, whose chi is the conjugate) copies the partner's
+text instead of formatting it. A text column is labels and a code per row: a
+scan's axis columns index the axis's values, each formatted once by
+``"%.17g"``, and a flag column indexes the flag names.
 Wall-clock timings appear only in JSON, under a key that marks them as
 outside the determinism guarantee.
 
@@ -178,20 +181,30 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
 # -- CSV -------------------------------------------------------------------------
 # Every number is written as "%.17g" writes it. CPython's routine costs about
 # 1 us a float past 14 digits (its bignum path), so a column is formatted in
-# bulk: for finite FAST_RANGE magnitudes the 17 digits round(|x| 10^(16-E))
-# come from an exact (Dekker) product with a double-double 10^k, whose error
-# is below 1e-14 of the last digit, and the %g layout is put together from
-# masks and text picked from small tables. A zero is "0" (Im chi is 0.0
-# wherever chi is real by symmetry). Nan, inf, magnitudes outside FAST_RANGE
-# and rounding fractions within TIE_MARGIN of one half (exact ties occur, e.g.
-# 2251799813685247.75) go to "%.17g" itself. The sign is its own byte, "-"
-# where signbit(x) and x is not nan ("%.17g" writes -nan as "nan"), so a
-# symmetric grid's mirrored half, whose re, im, abs2 and phase have their -xi
-# partners' magnitudes, copies the text of the computed half: a 161^2 scan
-# formats 12 961 cells of each float column, not 25 921. The text kept for
-# that is the first half's; the NUL padding of each row's cells is then
-# dropped with one mask, which measured faster than a gather from per-cell
-# lengths.
+# bulk: for finite FAST_RANGE magnitudes E is that of the binary exponent's
+# octave, plus one where |x| reaches the least double >= the next power of
+# ten, and the 17 digits round(|x| 10^(16-E)) come from an exact (Dekker)
+# product with a double-double 10^k, whose error is below 1e-14 of the last
+# digit. A magnitude's text fills a _CELL of 28 bytes: the prefix ("0.000" cut
+# to the leading zeros of positional E = -1 ... -4), the digits with the point,
+# the exponent. Two copies of the 17 digits, the second one byte further right,
+# are masked to the digits before the point and after it; the masks and the
+# point byte are whole cells picked by layout, the prefix and exponent bytes a
+# whole cell picked by E, so a cell is row gathers and AND/OR over contiguous
+# words. Nan, inf, magnitudes outside FAST_RANGE and rounding fractions within
+# TIE_MARGIN of one half (exact ties occur, e.g. 2251799813685247.75) go to
+# "%.17g" itself. A zero is "0" and never reaches the formatter (Im chi is 0.0
+# wherever chi is real by symmetry). The sign is its own byte, "-" where
+# signbit(x) and x is not nan ("%.17g" writes -nan as "nan"), so a symmetric
+# grid's mirrored half, whose re, im, abs2 and phase have their -xi partners'
+# magnitudes, copies the text of the computed half: a 161^2 scan formats at
+# most 12 961 cells of each float column, not 25 921. The text kept for that
+# is the first half's. A text column is labels and one code per row (a scan's
+# axis columns index the axis's ticks, each formatted once by "%.17g"; a flag
+# column indexes the flag names), copied by a row gather. One table holds a
+# block of rows, its separators written once; NUL pads every cell to its
+# column's width and is dropped from a block's bytes by bytes.translate, which
+# measured faster than a boolean mask.
 
 CSV_BLOCK_CELLS = 4096
 FAST_RANGE = (1e-280, 1e280)
@@ -199,11 +212,15 @@ TIE_MARGIN = 1e-9
 
 _FLAG_BYTES = np.array([FLAGS_BY_CODE[code].value for code in range(len(FLAGS_BY_CODE))],
                        dtype="S")
-_K_MIN, _K_MAX = -265, 297  # 10^(16-E) for every E of FAST_RANGE, one step to spare
-_E_MIN = -330  # below the least exponent of a double; the exponent table starts here
-# a formatted magnitude's bytes: prefix, digits before the point, point, digits
-# after it, exponent; the longest "%.17g" text of a magnitude has 23
-_CELL = 5 + 17 + 1 + 16 + 5
+# 10^k for the thresholds 10^(E + 1) and the scales 10^(16 - E) of every E of FAST_RANGE
+_K_MIN, _K_MAX = -280, 297
+# the binary exponents (frexp's, x = m 2^b with 1/2 <= m < 1) of FAST_RANGE
+_B_MIN, _B_MAX = (int(np.frexp(x)[1]) for x in FAST_RANGE)
+_E_MIN = -330  # below the least exponent of a double; the tables by E start here
+# a formatted magnitude's bytes: prefix 5, the digits with the point 18 (digit k
+# at 5 + k before the point, at 6 + k after it), exponent 5; the longest
+# "%.17g" text of a magnitude has 23
+_CELL = 5 + 18 + 5
 _ZERO_TEXT = np.frombuffer(b"0".ljust(_CELL, b"\0"), dtype=np.uint8)
 
 
@@ -213,12 +230,16 @@ def _tables():
     - 10^k for k in [_K_MIN, _K_MAX] as double-doubles high + low (high the
       exact rational rounded once, low the exact remainder rounded once) with
       the split halves of high, one row per k;
+    - by binary exponent b - _B_MIN, the E of 2^(b-1) and the least double
+      >= 10^(E+1), so a magnitude's E is the first plus whether it reaches
+      the second;
     - the text and trailing-zero count of every 4-digit group;
-    - the prefix of the text, "0.000" cut to the leading zeros of positional
-      E = -1 ... -4, by zeros + 1 or 0;
-    - the exponent text "e-05", "e+123", by E - _E_MIN, and a last row of NUL;
-    - byte masks of the digits before the point, by their count, and after it,
-      by the point's position and the count of digits shown."""
+    - by layout point * 18 + shown (the digits before the point, and the
+      digits shown), cells masking the digit copy and the shifted copy, and
+      a cell holding the point byte;
+    - by E - _E_MIN, a cell of the prefix and exponent bytes, point * 18, and
+      the least count of digits shown (the integer part of positional E >= 0).
+    The cells are uint32 words, 7 a cell."""
     high, low = [], []
     for k in range(_K_MIN, _K_MAX + 1):
         p, q = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -226,51 +247,53 @@ def _tables():
         num, den = h.as_integer_ratio()
         high.append(h)
         low.append((p * den - num * q) / (q * den))
-    high = np.array(high)
+    high, low = np.array(high), np.array(low)
     powers = np.column_stack([high, low, *veltkamp_split(high)])
+    # log10 of a power of two other than 1 is at least 1e-4 from an integer
+    octave_e = np.floor(np.log10(np.ldexp(1.0, np.arange(_B_MIN - 1, _B_MAX)))).astype(np.int64)
+    octave_next = np.where(low > 0, np.nextafter(high, np.inf), high).take(octave_e + 1 - _K_MIN)
     group = np.arange(10000)
     text = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     trailing = sum((group % p == 0).astype(np.int64) for p in (10, 100, 1000, 10000))
-    prefix = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], dtype="S5")
-    exponent = np.array([b"e%+03d" % e for e in range(_E_MIN, -_E_MIN + 1)] + [b""], dtype="S5")
-    place = np.arange(17)
-    before = np.where(place < np.arange(18)[:, None], 255, 0).astype(np.uint8)
-    point, shown = np.divmod(np.arange(18 * 18), 18)
-    after = np.where((place[1:] >= point[:, None]) & (place[1:] < shown[:, None]),
-                     255, 0).astype(np.uint8)
-    return (powers, text.view(np.uint32).ravel(), trailing,
-            prefix.view(np.uint8).reshape(-1, 5), exponent.view(np.uint8).reshape(-1, 5),
-            before, after)
 
-
-def _scaled(a, e, powers):
-    """a 10^(16-e) as an unevaluated sum high + low (Dekker's exact product
-    with the table's high part plus a times its low part)."""
-    high, low, high_h, high_l = powers.take(16 - e - _K_MIN, axis=0).T
-    a_h, a_l = veltkamp_split(a)
-    p = a * high
-    return p, ((a_h * high_h - p) + a_h * high_l + a_l * high_h) + a_l * high_l + a * low
+    place = np.arange(_CELL)
+    point, shown = (v[:, None] for v in np.divmod(np.arange(18 * 18), 18))
+    before = (place >= 5) & (place < 5 + np.minimum(point, shown))
+    after = (place >= 6 + point) & (place < 6 + shown)
+    dot = np.where((place == 5 + point) & (shown > point), ord("."), 0)
+    e = np.arange(_E_MIN, -_E_MIN + 1)
+    sci = (e < -4) | (e > 16)
+    fixed = np.array([(b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"").ljust(23, b"\0")
+                      + (b"e%+03d" % k if k < -4 or k > 16 else b"") for k in e.tolist()],
+                     dtype=f"S{_CELL}").view(np.uint8).reshape(e.size, _CELL)
+    point18 = 18 * np.where(sci, 1, np.where(e < 0, 17, e + 1))
+    least = np.where(sci | (e < 0), 0, e + 1)
+    return (powers, octave_e, octave_next, text.view(np.uint32).ravel(), trailing,
+            *(np.ascontiguousarray(c, dtype=np.uint8).view(np.uint32)
+              for c in (before * 255, after * 255, dot, fixed)), point18, least)
 
 
 def _format_floats(a: np.ndarray, out: np.ndarray) -> None:
     """Write ``"%.17g" % v`` of each magnitude v of ``a`` (a float >= 0, or
-    nan) into the rows of ``out`` (a.size by _CELL bytes), NUL wherever the
-    text has no byte."""
-    powers, group_text, group_trailing, prefix, exponent, before, after = _tables()
+    nan) into the rows of ``out`` (a C-contiguous a.size by _CELL bytes), NUL
+    wherever the text has no byte. A zero takes the slow path; the writer
+    passes none."""
+    (powers, octave_e, octave_next, group_text, group_trailing, before, after, dot, fixed,
+     point18, least) = _tables()
     fast = (a >= FAST_RANGE[0]) & (a <= FAST_RANGE[1])
     v = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(v)).astype(np.int64)
-    high, low = _scaled(v, e, powers)
-    # log10 can miss a power of ten by one: step e until 1e16 <= high + low < 1e17
-    step = (((high > 1e17) | ((high == 1e17) & (low >= 0))).astype(np.int64)
-            - ((high < 1e16) | ((high == 1e16) & (low < 0))))
-    if step.any():
-        e += step
-        high, low = _scaled(v, e, powers)
-    whole = np.floor(low)
-    frac = low - whole
-    digits = high.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    fast &= (np.abs(frac - 0.5) >= TIE_MARGIN) & (digits >= 10**16) & (digits <= 10**17)
+    octave = np.frexp(v)[1] - _B_MIN
+    e = octave_e.take(octave) + (v >= octave_next.take(octave))
+    # v 10^(16-e) as an unevaluated sum high + low: Dekker's exact product with
+    # the table's high part plus v times its low part
+    high_p, low_p, high_h, high_l = powers.take(16 - e - _K_MIN, axis=0).T
+    v_h, v_l = veltkamp_split(v)
+    high = v * high_p
+    low = ((v_h * high_h - high) + v_h * high_l + v_l * high_h) + v_l * high_l + v * low_p
+    rounded = np.rint(low)
+    digits = high.astype(np.int64) + rounded.astype(np.int64)
+    fast &= ((np.abs(low - rounded) <= 0.5 - TIE_MARGIN)
+             & (digits >= 10**16) & (digits <= 10**17))
     carry = digits == 10**17
     digits[carry] = 10**16
     e += carry
@@ -280,27 +303,29 @@ def _format_floats(a: np.ndarray, out: np.ndarray) -> None:
         quotient = digits // 10000
         groups[:, j] = digits - 10000 * quotient
         digits = quotient
-    text = group_text.take(groups).view(np.uint8).reshape(a.size, 20)[:, 3:]
     trailing = group_trailing.take(groups)  # 4 for a group of zeros
     zeros = trailing[:, 0]  # the first group is never 0
     for j in range(1, 5):
         zeros = np.where(trailing[:, j] == 4, zeros + 4, trailing[:, j])
-    m = 17 - zeros
     # %g: positional for -4 <= E < 17 with the point after digit E + 1 (none for
     # E < 0, whose "0.000" is in the prefix), scientific with the point after
     # digit 1 otherwise; trailing zeros go, those of the integer part stay
-    sci = (e < -4) | (e > 16)
-    point = np.where(sci, 1, np.where(e < 0, 17, e + 1))
-    shown = np.where(sci | (e < 0), m, np.maximum(m, e + 1))
-    lead = np.where(sci | (e >= 0), 0, -e)
-    out[:, :5] = prefix.take(lead, axis=0)
-    np.bitwise_and(text, before.take(np.minimum(point, shown), axis=0), out=out[:, 5:22])
-    out[:, 22] = np.where(shown > point, ord("."), 0)
-    np.bitwise_and(text[:, 1:], after.take(point * 18 + shown, axis=0), out=out[:, 23:39])
-    out[:, 39:] = exponent.take(np.where(sci, e - _E_MIN, -1), axis=0)
+    row = e - _E_MIN
+    layout = point18.take(row) + np.maximum(17 - zeros, least.take(row))
+    # the 20 digits' text with digit k of the 17 at byte 5 + k of a cell, and
+    # the same bytes one further right: cells of one buffer, one byte apart
+    # (the bytes no mask keeps are never set)
+    buffer = np.empty((a.size + 1) * _CELL, dtype=np.uint8)
+    plain = buffer[_CELL:].reshape(a.size, _CELL)
+    plain[:, 2:22] = group_text.take(groups).view(np.uint8).reshape(a.size, 20)
+    shifted = buffer[_CELL - 1:-1].reshape(a.size, _CELL)
+    cell = out.view(np.uint32)
+    np.bitwise_and(plain.view(np.uint32), before.take(layout, axis=0), out=cell)
+    cell |= shifted.view(np.uint32) & after.take(layout, axis=0)
+    cell |= dot.take(layout, axis=0)
+    cell |= fixed.take(row, axis=0)
 
-    out[a == 0.0] = _ZERO_TEXT
-    slow = np.flatnonzero(~fast & (a != 0.0))
+    slow = np.flatnonzero(~fast)
     if slow.size:
         slow_text = np.array([b"%.17g" % v for v in a[slow].tolist()], dtype=f"S{_CELL}")
         out[slow] = slow_text.view(np.uint8).reshape(slow.size, _CELL)
@@ -311,26 +336,36 @@ def _abs2(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag) ** 2
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Header line, then one row per entry of the equal-length columns: a float
-    column as ``"%.17g"`` writes it, a bytes column as its text.
+    column as ``"%.17g"`` writes it, a text column ``(labels, codes)`` (bytes
+    labels, one integer code per row) as ``labels[codes[r]]``. A bytes array
+    is the text column of its own entries.
 
-    A float cell is a sign byte and the text of its magnitude. Row r's
-    partner is row size - 1 - r (on a symmetric grid, the -xi chord). The
-    rows up to the middle are written first, and their text is kept; a cell
-    of a later row whose magnitude equals its partner's (float ==, so never
-    for nan) copies the partner's text. Rows are written a block at a time,
-    each block's float cells that need text formatted in one _format_floats
-    call of at most CSV_BLOCK_CELLS cells.
+    A float cell is a sign byte and the text of its magnitude; a zero's is
+    "0". Row r's partner is row size - 1 - r (on a symmetric grid, the -xi
+    chord). The rows up to the middle are written first, and their text is
+    kept; a cell of a later row whose magnitude equals its partner's (float
+    ==, so never for nan) copies the partner's text. Rows are written a block
+    at a time, each block's nonzero float cells that need text formatted in
+    one _format_floats call of at most CSV_BLOCK_CELLS cells.
     """
-    widths = [1 + _CELL if c.dtype.kind == "f" else c.itemsize for c in columns]
-    starts = np.cumsum([0] + [width + 1 for width in widths])
-    floats = [columns[k] for k, c in enumerate(columns) if c.dtype.kind == "f"]
-    float_starts = [starts[k] for k, c in enumerate(columns) if c.dtype.kind == "f"]
+    columns = [c if isinstance(c, tuple) or c.dtype.kind == "f" else (c, np.arange(c.size))
+               for c in columns]
+    widths = [c[0].itemsize if isinstance(c, tuple) else 1 + _CELL for c in columns]
+    starts = np.cumsum([0] + [width + 1 for width in widths])  # the last is the row's width
+    floats = [c for c in columns if not isinstance(c, tuple)]
+    float_starts = [s for s, c in zip(starts, columns) if not isinstance(c, tuple)]
+    texts = [(c[0].view(np.uint8).reshape(-1, c[0].itemsize), c[1], s)
+             for c, s in zip(columns, starts) if isinstance(c, tuple)]
+    size = len(floats[0]) if floats else len(texts[0][1])
     block_rows = max(1, CSV_BLOCK_CELLS // max(1, len(floats)))
-    size = len(columns[0])
     half = size - size // 2  # rows from here on have their partner before them
     kept = np.empty((half, len(floats), _CELL), dtype=np.uint8)
+    # one block's rows: each block writes its cells, the separators stay
+    table = np.zeros((min(block_rows, size), starts[-1]), dtype=np.uint8)
+    table[:, starts[1:] - 1] = ord(",")
+    table[:, -1] = ord("\n")
 
     def float_rows(lo, hi):
         block = np.empty((hi - lo, len(floats)))
@@ -342,37 +377,43 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start, stop in zip(edges, edges[1:]):
-            rows = stop - start
             x = float_rows(start, stop)
-            a = np.abs(x)
+            # a mirrored block is read in its partners' order, the order of
+            # their kept text
+            order = slice(None, None, 1 if start < half else -1)
+            a = np.abs(x[order]).ravel()
             if start < half:
                 text, fresh = kept[start:stop], None
             else:
-                # the partners' text, read backwards; each is read only here,
-                # so fresh text may overwrite it
-                text = kept[size - stop:size - start][::-1]
-                fresh = a != np.abs(float_rows(size - stop, size - start)[::-1])
+                # each partner's text is read only here, so fresh text may
+                # overwrite it
+                text = kept[size - stop:size - start]
+                fresh = a != np.abs(float_rows(size - stop, size - start)).ravel()
                 if fresh.all():  # nothing to copy, as on an asymmetric grid
-                    text, fresh = np.empty(a.shape + (_CELL,), dtype=np.uint8), None
-            if fresh is None:
-                _format_floats(a.ravel(), text.reshape(-1, _CELL))
-            elif fresh.any():
-                cells = np.empty((np.count_nonzero(fresh), _CELL), dtype=np.uint8)
-                _format_floats(a[fresh], cells)
-                text[fresh] = cells
-            table = np.empty((rows, starts[-1]), dtype=np.uint8)
-            minus = np.where(np.signbit(x) & ~np.isnan(x), ord("-"), 0)
+                    text, fresh = np.empty_like(text), None
+            cells = text.reshape(-1, _CELL)
+            nonzero, zero = a != 0.0, a == 0.0
+            if fresh is not None:
+                nonzero &= fresh
+                zero &= fresh
+            if nonzero.all():
+                _format_floats(a, cells)
+            elif nonzero.any():
+                at = np.flatnonzero(nonzero)
+                fresh_cells = np.empty((at.size, _CELL), dtype=np.uint8)
+                _format_floats(a[at], fresh_cells)
+                cells[at] = fresh_cells
+            cells[np.flatnonzero(zero)] = _ZERO_TEXT
+            text = text[order]
+            block = table[:stop - start]
+            minus = (np.signbit(x) & ~np.isnan(x)).view(np.uint8) * np.uint8(ord("-"))
             for j, s in enumerate(float_starts):
-                table[:, s] = minus[:, j]
-                table[:, s + 1:s + 1 + _CELL] = text[:, j]
-            for k, (c, width) in enumerate(zip(columns, widths)):
-                if c.dtype.kind != "f":
-                    table[:, starts[k]:starts[k] + width] = (
-                        c[start:stop].view(np.uint8).reshape(-1, width))
-                table[:, starts[k] + width] = ord(",")
-            table[:, -1] = ord("\n")
+                block[:, s] = minus[:, j]
+                block[:, s + 1:s + 1 + _CELL] = text[:, j]
+            for labels, codes, s in texts:
+                block[:, s:s + labels.shape[1]] = labels.take(codes[start:stop], axis=0)
             # NUL pads every cell to its column's width and never occurs in the text
-            fh.write(table[table != 0].tobytes())
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def _safe(name: str) -> str:
@@ -394,11 +435,13 @@ def cmd_scan(args) -> int:
     elapsed = time.perf_counter() - started
 
     values = grid.values.ravel()
-    # the axis columns repeat the axis's values: each is formatted once
+    # the axis columns index the axis's values (xp and xq are one axis), each
+    # formatted once
     ticks = np.array([b"%.17g" % v for v in xp.tolist()])
+    row_p, row_q = np.divmod(np.arange(values.size), xq.size)
     _write_csv(out, ["xi_p", "xi_q", "re", "im", "abs2", "phase", "flag"], [
-        np.repeat(ticks, xq.size), np.tile(ticks, xp.size), values.real, values.imag,
-        _abs2(values), np.angle(values), _FLAG_BYTES[grid.flags.ravel()]])
+        (ticks, row_p), (ticks, row_q), values.real, values.imag,
+        _abs2(values), np.angle(values), (_FLAG_BYTES, grid.flags.ravel())])
     _write_report(out.with_suffix(".json"), "scan", opt, elapsed, {
         "evaluator": evaluator.name,
         "flag_counts": {f.value: c for f, c in grid.flag_counts().items()},
@@ -446,7 +489,7 @@ def cmd_cut(args) -> int:
     for ev, (values, flags) in zip(evaluators, outputs):
         tag = _safe(ev.name)
         header += [f"{tag}_re", f"{tag}_im", f"{tag}_abs2", f"{tag}_flag"]
-        columns += [values.real, values.imag, _abs2(values), _FLAG_BYTES[flags]]
+        columns += [values.real, values.imag, _abs2(values), (_FLAG_BYTES, flags)]
     _write_csv(out, header, columns)
     _write_report(out.with_suffix(".json"), "cut", opt, elapsed, {
         "direction": [float(d[0]), float(d[1])],

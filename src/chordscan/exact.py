@@ -52,6 +52,7 @@ OVERLAP_MAX_NODES = 32768  # largest trapezoid rule before ConvergenceError
 BOUNDARY_TOL = 1e-8  # largest |chi|^2 on a grid edge that the certificates accept
 _MODULUS_SLACK = 1e-8  # |chi| may exceed 1 only by the quadrature tolerance
 ROUNDOFF_FACTOR = 8.0  # closed-form round-off, in eps per Hermite order and per unit of exponent
+_EPS = float(np.finfo(float).eps)  # looked up once, not per batch
 
 
 class GridTooSmallError(ValueError):
@@ -317,7 +318,7 @@ def _closed_form(state: CurveSpec, xi_p, xi_q):
         size, size_d, size_c = np.abs(mu), np.abs(d), np.abs(c)
         phase_size = s * s + np.abs(phi0) + phi1 * phi1 / (4.0 * size_c)
         modulus = np.abs(prefactor)
-        roundoff = ROUNDOFF_FACTOR * np.finfo(float).eps * (n + 1.0 + phase_size)
+        roundoff = ROUNDOFF_FACTOR * _EPS * (n + 1.0 + phase_size)
         # the magnitude sum grows with each of its sizes and rounding is
         # monotone, so its value at the batch's largest sizes bounds every
         # chord's; where that bounds every chord within OVERLAP_TOL, it is

@@ -271,14 +271,95 @@ def test_bulk_format_matches_the_per_value_format(tmp_path):
     assert out.read_text() == "a,flag,b,c\n" + expected
 
 
+def _layout(text):
+    """The "%.17g" layout of a magnitude's text: ("scientific", digits shown),
+    ("E < 0", digits shown) for positional -4 <= E < 0, and (E, digits shown)
+    for positional E >= 0, whose shown digits include the integer part's."""
+    mantissa, _, exponent = text.partition("e")
+    if exponent:
+        return "scientific", len(mantissa.replace(".", ""))
+    if mantissa.startswith("0."):
+        return "E < 0", len(mantissa[2:].lstrip("0"))
+    whole = mantissa.partition(".")[0]
+    return len(whole) - 1, len(mantissa.replace(".", ""))
+
+
+def test_every_layout_is_the_per_value_format(tmp_path):
+    """Every layout the formatter puts together from its tables, with its
+    digits exact (odd k 2^j, d 10^p, 10^E + 2^-f, 0.5 + 2^-f):
+    positional E from -4 to 16, scientific E of both signs with one to three
+    exponent digits, and every count of digits shown from 1 to 17, with their
+    negations and +-0, shuffled over several blocks."""
+    pool = np.array(sorted(
+        {float(k) * 2.0**j for k in range(1, 256, 2) for j in range(-80, 81)}
+        # d 10^p is exact where d 5^p < 2^53
+        | {float(d * 10**p) for d in (int("123456789012345"[:m]) for m in range(1, 16))
+           for p in range(30) if d * 5**p < 2**53}
+        | {10.0**e + 2.0**-f for e in range(17) for f in range(1, 17 - e)}
+        | {0.5 + 2.0**-f for f in range(2, 18)}
+        | {10.0**e for e in range(23)}
+        | {2.0**j for j in (-1070, -1000, -400, 400, 1000, 1023)}))
+    layouts = {_layout(f"{v:.17g}") for v in pool.tolist()}
+    assert layouts >= ({("scientific", m) for m in range(1, 18)}
+                       | {("E < 0", m) for m in range(1, 18)}
+                       | {(e, s) for e in range(17) for s in range(e + 1, 18)})
+    exponents = {int(f"{v:.16e}".partition("e")[2]) for v in pool.tolist()}
+    assert set(range(-4, 17)) <= exponents
+    for lo, hi in ((-9, -5), (-99, -10), (-999, -100), (17, 99), (100, 999)):
+        assert any(lo <= e <= hi for e in exponents), (lo, hi)
+    x = np.concatenate([pool, -pool, [0.0, -0.0]])
+    x = np.random.default_rng(20261020).permutation(x)
+    assert x.size > 4 * cli.CSV_BLOCK_CELLS
+    out = tmp_path / "layouts.csv"
+    cli._write_csv(out, ["x"], [x])
+    assert out.read_text() == "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist())
+
+
+def test_a_magnitudes_exponent_is_read_off_its_binary_exponent():
+    """For every binary exponent b of FAST_RANGE the tables hold E of 2^(b-1)
+    and the least double >= 10^(E+1), both as integer arithmetic finds them."""
+    def at_least(num, den, k):  # num / den >= 10^k
+        return num * 10**max(-k, 0) >= den * 10**max(k, 0)
+
+    octave_e, octave_next = cli._tables()[1:3]
+    for b in range(cli._B_MIN, cli._B_MAX + 1):
+        num, den = (2**(b - 1), 1) if b >= 1 else (1, 2**(1 - b))
+        e = len(str(num)) - len(str(den))
+        e -= not at_least(num, den, e)
+        assert at_least(num, den, e) and not at_least(num, den, e + 1)
+        assert octave_e[b - cli._B_MIN] == e, b
+        bound = float(octave_next[b - cli._B_MIN])
+        below = float(np.nextafter(bound, 0.0))
+        assert at_least(*bound.as_integer_ratio(), e + 1), b
+        assert not at_least(*below.as_integer_ratio(), e + 1), b
+
+
+def test_labelled_columns_write_the_materialized_text(tmp_path):
+    """A text column (labels, codes) writes the bytes of labels[codes], with
+    labels of unequal widths and codes out of order, over several blocks."""
+    rng = np.random.default_rng(20261021)
+    ticks = np.array([b"%.17g" % v for v in np.linspace(-2.3, 2.3, 37).tolist()])
+    rows = 2 * cli.CSV_BLOCK_CELLS + 11
+    codes = rng.integers(0, ticks.size, rows)
+    flags = rng.integers(0, len(cli._FLAG_BYTES), rows).astype(np.int8)
+    x = rng.uniform(-3, 3, rows)
+    labelled, materialized = tmp_path / "labelled.csv", tmp_path / "materialized.csv"
+    cli._write_csv(labelled, ["t", "x", "flag"], [(ticks, codes), x, (cli._FLAG_BYTES, flags)])
+    cli._write_csv(materialized, ["t", "x", "flag"], [ticks[codes], x, cli._FLAG_BYTES[flags]])
+    assert labelled.read_bytes() == materialized.read_bytes()
+    assert labelled.read_text() == "t,x,flag\n" + "".join(
+        f"{t.decode()},{v:.17g},{f.decode()}\n"
+        for t, v, f in zip(ticks[codes].tolist(), x.tolist(), cli._FLAG_BYTES[flags].tolist()))
+
+
 @pytest.fixture
 def formatted(monkeypatch):
-    """The size of each array the CSV writer passes to _format_floats."""
-    sizes = []
+    """A copy of each array the CSV writer passes to _format_floats."""
+    arrays = []
     format_floats = cli._format_floats
     monkeypatch.setattr(cli, "_format_floats",
-                        lambda a, out: sizes.append(a.size) or format_floats(a, out))
-    return sizes
+                        lambda a, out: arrays.append(a.copy()) or format_floats(a, out))
+    return arrays
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -309,8 +390,12 @@ def test_mirrored_cells_are_the_per_value_format(tmp_path, formatted, extra):
     expected = "".join(f"{a:.17g},{flag.decode()},{b:.17g},{c:.17g}\n" for a, flag, b, c in
                        zip(floats[0].tolist(), labels.tolist(), *(f.tolist() for f in floats[1:])))
     assert out.read_text() == "a,flag,b,c\n" + expected
-    copied = sum(np.count_nonzero(np.abs(f[:pairs]) == np.abs(f[::-1][:pairs])) for f in floats)
-    assert sum(formatted) == columns * rows - copied
+    mirrored = [np.abs(f[:pairs]) == np.abs(f[::-1][:pairs]) for f in floats]
+    copied = sum(np.count_nonzero(m) for m in mirrored)
+    # a zero is "0" without formatting; one whose partner is a zero is copied
+    zeros = sum(np.count_nonzero(f == 0) - np.count_nonzero(m & (f[:pairs] == 0))
+                for f, m in zip(floats, mirrored))
+    assert sum(a.size for a in formatted) == columns * rows - copied - zeros
 
 
 def test_a_symmetric_scan_formats_half_its_cells(tmp_path, formatted):
@@ -318,7 +403,16 @@ def test_a_symmetric_scan_formats_half_its_cells(tmp_path, formatted):
     cells (80 rows and a half, the middle cell too) of 25 921."""
     recipe = Path(__file__).resolve().parents[1] / "recipes" / "sheared-field.cfg"
     assert run("scan", "--config", str(recipe), "--out", str(tmp_path / "sheared.csv")) == 0
-    assert sum(formatted) <= 4 * 12961
+    assert sum(a.size for a in formatted) <= 4 * 12961
+
+
+def test_a_scan_formats_no_zero(tmp_path, formatted):
+    """The 161^2 ring recipe's 51 844 computed float cells hold 18 202 zeros
+    (every Im, chi being real, and 5 241 phases), and none is formatted."""
+    recipe = Path(__file__).resolve().parents[1] / "recipes" / "ring-field.cfg"
+    assert run("scan", "--config", str(recipe), "--out", str(tmp_path / "ring.csv")) == 0
+    assert not any((a == 0).any() for a in formatted)
+    assert sum(a.size for a in formatted) <= 4 * 12961 - 18202
 
 
 def test_scan_smallest_grid(tmp_path):
