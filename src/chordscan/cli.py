@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all
 from .blindspots import find_blind_spots
-from .core import FLAGS_BY_CODE, veltkamp_split
+from .core import FLAGS_BY_CODE, two_product
 from .curves import CurveSpec, InvalidStateError
 from .evaluators import EVALUATOR_NAMES, make_evaluator
 from .exact import nodal_radii
@@ -183,10 +183,11 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
 # 1 us a float past 14 digits (its bignum path), so a column is formatted in
 # bulk: for finite FAST_RANGE magnitudes E is that of the binary exponent's
 # octave, plus one where |x| reaches the least double >= the next power of
-# ten, and the 17 digits round(|x| 10^(16-E)) come from an exact (Dekker)
-# product with a double-double 10^k, whose error is below 1e-14 of the last
-# digit. A magnitude's text fills a _CELL of 28 bytes: the prefix ("0.000" cut
-# to the leading zeros of positional E = -1 ... -4), the digits with the point,
+# ten, and the 17 digits round(|x| 10^(16-E)) come from Dekker's exact
+# product (core.two_product) with a double-double 10^k, whose error is below
+# 1e-14 of the last digit (FAST_RANGE keeps both factors in its domain). A
+# magnitude's text fills a _CELL of 28 bytes: the prefix ("0.000" cut to the
+# leading zeros of positional E = -1 ... -4), the digits with the point,
 # the exponent. Two copies of the 17 digits, the second one byte further right,
 # are masked to the digits before the point and after it; the masks and the
 # point byte are whole cells picked by layout, the prefix and exponent bytes a
@@ -228,8 +229,8 @@ _ZERO_TEXT = np.frombuffer(b"0".ljust(_CELL, b"\0"), dtype=np.uint8)
 def _tables():
     """Built on first use.
     - 10^k for k in [_K_MIN, _K_MAX] as double-doubles high + low (high the
-      exact rational rounded once, low the exact remainder rounded once) with
-      the split halves of high, one row per k;
+      exact rational rounded once, low the exact remainder rounded once), one
+      row per k;
     - by binary exponent b - _B_MIN, the E of 2^(b-1) and the least double
       >= 10^(E+1), so a magnitude's E is the first plus whether it reaches
       the second;
@@ -248,7 +249,7 @@ def _tables():
         high.append(h)
         low.append((p * den - num * q) / (q * den))
     high, low = np.array(high), np.array(low)
-    powers = np.column_stack([high, low, *veltkamp_split(high)])
+    powers = np.column_stack([high, low])
     # log10 of a power of two other than 1 is at least 1e-4 from an integer
     octave_e = np.floor(np.log10(np.ldexp(1.0, np.arange(_B_MIN - 1, _B_MAX)))).astype(np.int64)
     octave_next = np.where(low > 0, np.nextafter(high, np.inf), high).take(octave_e + 1 - _K_MIN)
@@ -286,10 +287,9 @@ def _format_floats(a: np.ndarray, out: np.ndarray) -> None:
     e = octave_e.take(octave) + (v >= octave_next.take(octave))
     # v 10^(16-e) as an unevaluated sum high + low: Dekker's exact product with
     # the table's high part plus v times its low part
-    high_p, low_p, high_h, high_l = powers.take(16 - e - _K_MIN, axis=0).T
-    v_h, v_l = veltkamp_split(v)
-    high = v * high_p
-    low = ((v_h * high_h - high) + v_h * high_l + v_l * high_h) + v_l * high_l + v * low_p
+    high_p, low_p = powers.take(16 - e - _K_MIN, axis=0).T
+    high, low = two_product(v, high_p)
+    low = low + v * low_p
     rounded = np.rint(low)
     digits = high.astype(np.int64) + rounded.astype(np.int64)
     fast &= ((np.abs(low - rounded) <= 0.5 - TIE_MARGIN)
@@ -339,8 +339,7 @@ def _abs2(values: np.ndarray) -> np.ndarray:
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Header line, then one row per entry of the equal-length columns: a float
     column as ``"%.17g"`` writes it, a text column ``(labels, codes)`` (bytes
-    labels, one integer code per row) as ``labels[codes[r]]``. A bytes array
-    is the text column of its own entries.
+    labels, one integer code per row) as ``labels[codes[r]]``.
 
     A float cell is a sign byte and the text of its magnitude; a zero's is
     "0". Row r's partner is row size - 1 - r (on a symmetric grid, the -xi
@@ -350,8 +349,6 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     at a time, each block's nonzero float cells that need text formatted in
     one _format_floats call of at most CSV_BLOCK_CELLS cells.
     """
-    columns = [c if isinstance(c, tuple) or c.dtype.kind == "f" else (c, np.arange(c.size))
-               for c in columns]
     widths = [c[0].itemsize if isinstance(c, tuple) else 1 + _CELL for c in columns]
     starts = np.cumsum([0] + [width + 1 for width in widths])  # the last is the row's width
     floats = [c for c in columns if not isinstance(c, tuple)]

@@ -8,6 +8,8 @@ Every module in the package builds on the conventions fixed here:
   ``wedge(xi, x) = xi_p * q - xi_q * p``.
 * Units put the oscillator mass and frequency at 1; ``hbar`` is the only
   scale parameter and enters everywhere explicitly.
+* Every sum carried to twice double precision is built on two error-free
+  transformations, ``two_sum`` (Knuth's TwoSum) and ``two_product`` (Dekker's).
 """
 
 from __future__ import annotations
@@ -167,7 +169,26 @@ _SPLITTER = 134217729.0
 
 def veltkamp_split(x):
     """x as high + low, halves of 26 bits or fewer whose products with other
-    such halves are exact in double precision (Veltkamp)."""
+    such halves are exact in double precision (Veltkamp). Exact where
+    (2^27 + 1) x does not overflow."""
     scaled = _SPLITTER * x
     high = scaled - (scaled - x)
     return high, x - high
+
+
+def two_sum(a, b):
+    """a + b as s + e exactly, with s = fl(a + b) (Knuth's TwoSum). Exact for
+    all finite a and b whose sum does not overflow."""
+    s = a + b
+    back = s - a
+    return s, (a - (s - back)) + (b - back)
+
+
+def two_product(a, b):
+    """a b as p + e exactly, with p = fl(a b) (Dekker). Exact where a and b
+    split without overflow (veltkamp_split) and the error e is not
+    subnormal, which |a b| >= 2^-969 ensures."""
+    p = a * b
+    a_big, a_small = veltkamp_split(a)
+    b_big, b_small = veltkamp_split(b)
+    return p, ((a_big * b_big - p) + a_big * b_small + a_small * b_big) + a_small * b_small

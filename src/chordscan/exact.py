@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.laguerre import lagroots
 
-from .core import ChordValue, Evaluator, unflagged, veltkamp_split
+from .core import ChordValue, Evaluator, two_product, two_sum, unflagged
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
@@ -112,46 +112,32 @@ def nodal_radii(n: int, hbar: float) -> np.ndarray:
     return np.sqrt(2.0 * hbar * x)
 
 
-def _two_sum(a, b):
-    """a + b as s + e exactly, with s = fl(a + b) (Knuth's TwoSum)."""
-    s = a + b
-    back = s - a
-    return s, (a - (s - back)) + (b - back)
-
-
-def _two_product(a, b):
-    """a b as p + e exactly, with p = fl(a b) (Dekker)."""
-    p = a * b
-    a_big, a_small = veltkamp_split(a)
-    b_big, b_small = veltkamp_split(b)
-    return p, ((a_big * b_big - p) + a_big * b_small + a_small * b_big) + a_small * b_small
-
-
 def _laguerre_pair(n: int, x):
     """L_n(x) and L_{n-1}(x) for n >= 1, by the recurrence (k + 1) L_{k+1} =
     (2k + 1 - x) L_k - k L_{k-1}, each L_k carried as high + low parts with
-    every product's and every addition's rounding error kept.
+    every product's and every addition's rounding error kept (core's
+    two_product and two_sum).
 
     Near a zero of L_n the recurrence's last step cancels, and the low parts
     keep the digits that a plain double recurrence loses there.
     """
     previous, previous_low = np.ones_like(x), np.zeros_like(x)  # L_0
-    value, value_low = _two_sum(1.0, -x)  # L_1
+    value, value_low = two_sum(1.0, -x)  # L_1
     for k in range(1, n):
-        slope, slope_low = _two_sum(2.0 * k + 1.0, -x)
-        first, first_low = _two_product(slope, value)
+        slope, slope_low = two_sum(2.0 * k + 1.0, -x)
+        first, first_low = two_product(slope, value)
         first_low = first_low + (slope * value_low + slope_low * value)
-        second, second_low = _two_product(float(k), previous)
+        second, second_low = two_product(float(k), previous)
         second_low = second_low + k * previous_low
-        total, total_low = _two_sum(first, -second)
+        total, total_low = two_sum(first, -second)
         total_low = total_low + (first_low - second_low)
         # the quotient by k + 1, its remainder taken exactly
         quotient = total / (k + 1)
-        back, back_low = _two_product(quotient, float(k + 1))
-        rest, rest_low = _two_sum(total, -back)
+        back, back_low = two_product(quotient, float(k + 1))
+        rest, rest_low = two_sum(total, -back)
         low = (rest + (rest_low - back_low + total_low)) / (k + 1)
         previous, previous_low = value, value_low
-        value, value_low = _two_sum(quotient, low)
+        value, value_low = two_sum(quotient, low)
     return value + value_low, previous + previous_low
 
 

@@ -110,8 +110,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, PhasePoint, veltkamp_split,
-                   worst_flag_codes)
+from .core import (FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, PhasePoint, two_product,
+                   two_sum, worst_flag_codes)
 from .curves import CurveSpec
 from .quadrature import NumericalError
 from .smallchord import chi_small
@@ -159,9 +159,8 @@ def _tau_map(half_angle):
     harmonics of rotation 0, from the closed forms of cos and sin at
     multiples of 2 pi / 5 to 40 digits.
 
-    Returns (hi, big, small, lo), each of shape (5, deg + 1), row m for the
-    sample m places after the top one: hi + lo is the map to about 32
-    digits, and big + small = hi (veltkamp_split).
+    Returns (hi, lo), each of shape (5, deg + 1), row m for the sample m
+    places after the top one: hi + lo is the map to about 32 digits.
     """
     with localcontext() as context:
         context.prec = 40
@@ -178,7 +177,7 @@ def _tau_map(half_angle):
                   for coefficient in half_angle] for m in range(5)]
         hi = np.array([[float(value) for value in row] for row in exact])
         lo = np.array([[float(value - Decimal(float(value))) for value in row] for row in exact])
-    return (hi, *veltkamp_split(hi), lo)
+    return hi, lo
 
 
 # per degree, the map from the samples to the tau-coefficients (_tau_map)
@@ -286,22 +285,18 @@ def _tau_coefficients(rolled, deg):
 
     high + low is the samples' exact image under _TAU[deg] to about twice
     double precision: every product's rounding error is recovered exactly
-    (Dekker), every addition's too (Knuth's TwoSum), and the map's own low
-    part is added, as in Ogita, Rump and Oishi's Dot2. The map's sums
-    cancel where the defect is small next to its samples, which is where a
-    near-double root needs them.
+    (core.two_product), every addition's too (core.two_sum), and the map's
+    own low part is added, as in Ogita, Rump and Oishi's Dot2. The map's
+    sums cancel where the defect is small next to its samples, which is
+    where a near-double root needs them.
     """
-    hi, big, small, lo = (part[:, np.newaxis] for part in _TAU[deg])
+    hi, lo = (part[:, np.newaxis] for part in _TAU[deg])
     x = rolled.T[:, :, np.newaxis]
-    x_big, x_small = veltkamp_split(x)
-    product = hi * x
-    carry = ((big * x_big - product) + big * x_small + small * x_big) + small * x_small + lo * x
-    total, carry = product[0], carry.sum(axis=0)
+    product, carry = two_product(hi, x)
+    total, carry = product[0], (carry + lo * x).sum(axis=0)
     for term in product[1:]:
-        added = total + term
-        back = added - total
-        carry += (total - (added - back)) + (term - back)
-        total = added
+        total, error = two_sum(total, term)
+        carry += error
     high = total + carry
     return high, carry - (high - total)
 
@@ -327,24 +322,20 @@ def _polish(high, low, tau):
     high + low, their coefficients in two (K, R + 1) parts.
 
     The residual is Horner's sum with every product's and every addition's
-    rounding error carried along (Graillat, Langlois and Louvet's
-    compensated Horner), so next to a double root, where a plain residual
-    is round-off, it still measures high + low. A step is kept where it is
-    under half the distance to the row's nearest other root, so no two
-    roots can meet; complex roots are returned as they are.
+    rounding error carried along (core.two_product and core.two_sum, in
+    Graillat, Langlois and Louvet's compensated Horner), so next to a double
+    root, where a plain residual is round-off, it still measures high + low.
+    A step is kept where it is under half the distance to the row's nearest
+    other root, so no two roots can meet; complex roots are returned as they
+    are.
     """
     x = tau.real
-    x_big, x_small = veltkamp_split(x)
     value, carry, slope = high[:, :1], low[:, :1], 0.0
     for k in range(1, high.shape[1]):
         slope = slope * x + (value + carry)
-        product = value * x
-        v_big, v_small = veltkamp_split(value)
-        error = ((v_big * x_big - product) + v_big * x_small + v_small * x_big) + v_small * x_small
-        value = product + high[:, k:k + 1]
-        back = value - product
-        error += (product - (value - back)) + (high[:, k:k + 1] - back)
-        carry = carry * x + error + low[:, k:k + 1]
+        product, error = two_product(value, x)
+        value, sum_error = two_sum(product, high[:, k:k + 1])
+        carry = carry * x + (error + sum_error) + low[:, k:k + 1]
     step = (value + carry) / slope
     gap = np.abs(tau[:, :, np.newaxis] - tau[:, np.newaxis, :])
     nearest = np.min(np.where(np.eye(tau.shape[1], dtype=bool), np.inf, gap), axis=2)

@@ -171,6 +171,17 @@ def _cell(x):
     return f"{x:.17g}"
 
 
+def _assert_written(path, expected: str):
+    """``path`` holds the bytes of ``expected``. A mismatch fails with the
+    first line that differs, not with a diff of the whole text."""
+    written, wanted = path.read_bytes().split(b"\n"), expected.encode().split(b"\n")
+    if written != wanted:
+        k = next((k for k, (a, b) in enumerate(zip(written, wanted)) if a != b),
+                 min(len(written), len(wanted)))
+        pytest.fail(f"{path.name} line {k + 1}: written {written[k:k + 1]}, "
+                    f"expected {wanted[k:k + 1]}", pytrace=False)
+
+
 def _branch(cell):
     """The "%.17g" layout a numeric cell took."""
     if float(cell) == 0.0:
@@ -201,7 +212,7 @@ def test_csv_rows_match_the_per_cell_format(tmp_path):
                     _cell(xp[i]), _cell(xq[j]), _cell(v.real), _cell(v.imag),
                     _cell(abs(v) ** 2), _cell(float(np.angle(v))),
                     FLAGS_BY_CODE[int(grid.flags[i, j])].value)))
-        assert scan_out.read_text() == "\n".join(lines) + "\n"
+        _assert_written(scan_out, "\n".join(lines) + "\n")
         numeric += [cell for line in lines[1:] for cell in line.split(",")[:-1]]
         if evaluator == "semiclassical":
             assert {"ok", "evanescent"} <= {line.rsplit(",", 1)[1] for line in lines[1:]}
@@ -225,7 +236,7 @@ def test_csv_rows_match_the_per_cell_format(tmp_path):
             cells += [_cell(v.real), _cell(v.imag), _cell(abs(v) ** 2),
                       FLAGS_BY_CODE[int(flags[k])].value]
         lines.append(",".join(cells))
-    assert cut_out.read_text() == "\n".join(lines) + "\n"
+    _assert_written(cut_out, "\n".join(lines) + "\n")
     numeric += [cell for line in lines[1:] for cell in line.split(",")
                 if not cell[0].isalpha()]
 
@@ -256,19 +267,21 @@ def test_bulk_format_matches_the_per_value_format(tmp_path):
     x = np.concatenate([special, -special, drawn])
     out = tmp_path / "x.csv"
     cli._write_csv(out, ["x"], [x])
-    assert out.read_text() == "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist())
+    _assert_written(out, "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist()))
 
-    # several float columns, formatted in one call per block, around a bytes
+    # several float columns, formatted in one call per block, around a text
     # column: each column holds every special, shuffled over several blocks
     # (the last one short)
     specials = np.concatenate([special, -special])
     rows = specials.size + cli.CSV_BLOCK_CELLS + 5
     floats = [rng.permutation(np.resize(rng.permutation(specials), rows)) for _ in range(3)]
-    labels = cli._FLAG_BYTES[rng.integers(0, len(cli._FLAG_BYTES), rows)]
-    cli._write_csv(out, ["a", "flag", "b", "c"], [floats[0], labels, floats[1], floats[2]])
+    codes = rng.integers(0, len(cli._FLAG_BYTES), rows)
+    labels = cli._FLAG_BYTES[codes]
+    cli._write_csv(out, ["a", "flag", "b", "c"],
+                   [floats[0], (cli._FLAG_BYTES, codes), floats[1], floats[2]])
     expected = "".join(f"{a:.17g},{flag.decode()},{b:.17g},{c:.17g}\n" for a, flag, b, c in
                        zip(floats[0].tolist(), labels.tolist(), *(f.tolist() for f in floats[1:])))
-    assert out.read_text() == "a,flag,b,c\n" + expected
+    _assert_written(out, "a,flag,b,c\n" + expected)
 
 
 def _layout(text):
@@ -312,7 +325,7 @@ def test_every_layout_is_the_per_value_format(tmp_path):
     assert x.size > 4 * cli.CSV_BLOCK_CELLS
     out = tmp_path / "layouts.csv"
     cli._write_csv(out, ["x"], [x])
-    assert out.read_text() == "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist())
+    _assert_written(out, "x\n" + "".join(f"{v:.17g}\n" for v in x.tolist()))
 
 
 def test_a_magnitudes_exponent_is_read_off_its_binary_exponent():
@@ -343,13 +356,11 @@ def test_labelled_columns_write_the_materialized_text(tmp_path):
     codes = rng.integers(0, ticks.size, rows)
     flags = rng.integers(0, len(cli._FLAG_BYTES), rows).astype(np.int8)
     x = rng.uniform(-3, 3, rows)
-    labelled, materialized = tmp_path / "labelled.csv", tmp_path / "materialized.csv"
+    labelled = tmp_path / "labelled.csv"
     cli._write_csv(labelled, ["t", "x", "flag"], [(ticks, codes), x, (cli._FLAG_BYTES, flags)])
-    cli._write_csv(materialized, ["t", "x", "flag"], [ticks[codes], x, cli._FLAG_BYTES[flags]])
-    assert labelled.read_bytes() == materialized.read_bytes()
-    assert labelled.read_text() == "t,x,flag\n" + "".join(
+    _assert_written(labelled, "t,x,flag\n" + "".join(
         f"{t.decode()},{v:.17g},{f.decode()}\n"
-        for t, v, f in zip(ticks[codes].tolist(), x.tolist(), cli._FLAG_BYTES[flags].tolist()))
+        for t, v, f in zip(ticks[codes].tolist(), x.tolist(), cli._FLAG_BYTES[flags].tolist())))
 
 
 @pytest.fixture
@@ -384,12 +395,14 @@ def test_mirrored_cells_are_the_per_value_format(tmp_path, formatted, extra):
             second[rule == k] = apply(first[rule == k])
         floats.append(np.concatenate([first, [-0.5][:extra], second[::-1]]))
     rows = 2 * pairs + extra
-    labels = cli._FLAG_BYTES[rng.integers(0, len(cli._FLAG_BYTES), rows)]
+    codes = rng.integers(0, len(cli._FLAG_BYTES), rows)
+    labels = cli._FLAG_BYTES[codes]
     out = tmp_path / "mirrored.csv"
-    cli._write_csv(out, ["a", "flag", "b", "c"], [floats[0], labels, floats[1], floats[2]])
+    cli._write_csv(out, ["a", "flag", "b", "c"],
+                   [floats[0], (cli._FLAG_BYTES, codes), floats[1], floats[2]])
     expected = "".join(f"{a:.17g},{flag.decode()},{b:.17g},{c:.17g}\n" for a, flag, b, c in
                        zip(floats[0].tolist(), labels.tolist(), *(f.tolist() for f in floats[1:])))
-    assert out.read_text() == "a,flag,b,c\n" + expected
+    _assert_written(out, "a,flag,b,c\n" + expected)
     mirrored = [np.abs(f[:pairs]) == np.abs(f[::-1][:pairs]) for f in floats]
     copied = sum(np.count_nonzero(m) for m in mirrored)
     # a zero is "0" without formatting; one whose partner is a zero is copied

@@ -1,8 +1,12 @@
+import math
+import operator
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from chordscan.core import (FLAG_CODES, FLAGS_BY_CODE, Chord, ChordValue, Flag, wedge,
-                            worst_flag, worst_flag_codes)
+from chordscan.core import (FLAG_CODES, FLAGS_BY_CODE, Chord, ChordValue, Flag, two_product,
+                            two_sum, veltkamp_split, wedge, worst_flag, worst_flag_codes)
 
 
 def test_wedge_antisymmetric():
@@ -53,3 +57,102 @@ def test_worst_flag_codes_is_elementwise_worst_flag():
     want = [[FLAG_CODES[worst_flag(FLAGS_BY_CODE[x], FLAGS_BY_CODE[y])] for x, y in zip(ra, rb)]
             for ra, rb in zip(a, b)]
     np.testing.assert_array_equal(got, want)
+
+
+def _doubles(rng, size, exponents):
+    """Doubles of random sign, mantissa in [1, 2) and binary exponent in ``exponents``."""
+    lo, hi = exponents
+    signs = rng.choice([-1.0, 1.0], size)
+    return signs * np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(lo, hi + 1, size))
+
+
+# powers of two, their neighbours, and both signs
+_EDGES = np.array([x for e in (-60, -1, 0, 1, 26, 27, 52, 53, 300)
+                   for x in (math.ldexp(1.0, e), math.nextafter(math.ldexp(1.0, e), 0.0),
+                             math.nextafter(math.ldexp(1.0, e), math.inf))])
+_EDGES = np.concatenate([_EDGES, -_EDGES])
+
+# binary exponents of the two operands as the callers pass them: the Laguerre
+# recurrence's slopes, k and quotients against values of L_k up to about 1e164
+# (n = 160); the tau map's entries and the Horner values against samples and
+# real roots. A sum's second operand is either drawn alike or within two
+# binades of the first (None).
+_PRODUCT_RANGES = {"laguerre": ((-60, 12), (-200, 560)), "tau": ((-60, 60), (-200, 60))}
+_SUM_RANGES = {"far": ((-200, 560), (-200, 560)), "close": ((-200, 560), None)}
+
+
+def _pairs(rng, first, second):
+    a = _doubles(rng, 2000, first)
+    if second is None:
+        return a, _doubles(rng, 2000, (-2, 2)) * np.ldexp(1.0, np.frexp(a)[1])
+    return a, _doubles(rng, 2000, second)
+
+
+def _assert_error_free(transform, operation, a, b):
+    """transform(a, b) is (fl(a op b), e) with fl(a op b) + e = a op b exactly."""
+    rounded, error = transform(a, b)
+    for a_k, b_k, r_k, e_k in zip(*(np.ravel(v).tolist()
+                                    for v in np.broadcast_arrays(a, b, rounded, error))):
+        assert r_k == operation(a_k, b_k)
+        assert Fraction(r_k) + Fraction(e_k) == operation(Fraction(a_k), Fraction(b_k)), (a_k, b_k)
+
+
+def _assert_two_sum_exact(a, b):
+    _assert_error_free(two_sum, operator.add, a, b)
+
+
+def _assert_two_product_exact(a, b):
+    _assert_error_free(two_product, operator.mul, a, b)
+
+
+@pytest.mark.parametrize("ranges", _SUM_RANGES)
+def test_two_sum_is_exact(ranges):
+    a, b = _pairs(np.random.default_rng(11), *_SUM_RANGES[ranges])
+    _assert_two_sum_exact(a, b)
+
+
+@pytest.mark.parametrize("ranges", _PRODUCT_RANGES)
+def test_two_product_is_exact(ranges):
+    a, b = _pairs(np.random.default_rng(12), *_PRODUCT_RANGES[ranges])
+    _assert_two_product_exact(a, b)
+    _assert_two_product_exact(b, a)
+
+
+def test_two_product_is_exact_on_the_csv_digits():
+    """A magnitude of the CSV writer's FAST_RANGE [1e-280, 1e280] times the
+    double nearest 10^(16 - E), E its decimal exponent: the writer's extremes
+    of both factors."""
+    rng = np.random.default_rng(13)
+    v = np.concatenate([10.0 ** rng.uniform(-280.0, 280.0, 2000), [1e-280, 1e280]])
+    k = 16 - np.floor(np.log10(v)).astype(int)
+    power = np.array([10**j / 1 if j >= 0 else 1 / 10**-j for j in k.tolist()])
+    _assert_two_product_exact(v, power)
+
+
+def test_error_free_transformations_at_powers_of_two_and_ties():
+    a, b = _EDGES[:, None], _EDGES[None, :]
+    _assert_two_sum_exact(a, b)
+    _assert_two_product_exact(a, b)
+    # sums and products that fall halfway between two doubles
+    sum_ties = np.array([(1.0, 2.0**-53), (1.0 + 2.0**-52, 2.0**-53), (-1.0, -(2.0**-53)),
+                         (2.0**53, 1.0), (2.0**53 + 2.0, -1.0)])
+    product_ties = np.array([(2.0**27 + 1.0, 2.0**26 + 1.0), (2.0**27 - 1.0, 2.0**27 + 1.0),
+                             (-(2.0**27 + 1.0), 2.0**-30 * (2.0**26 + 1.0))])
+    for (rounded, error), ties in ((two_sum(*sum_ties.T), sum_ties),
+                                   (two_product(*product_ties.T), product_ties)):
+        for x, e in zip(rounded.tolist(), error.tolist()):  # halfway to the next double
+            assert abs(math.nextafter(x, math.copysign(math.inf, e)) - x) == 2 * abs(e), ties
+    _assert_two_sum_exact(*sum_ties.T)
+    _assert_two_product_exact(*product_ties.T)
+
+
+def test_veltkamp_halves_add_back_with_26_bits_each():
+    rng = np.random.default_rng(14)
+    x = np.concatenate([_doubles(rng, 2000, (-1000, 990)), _EDGES,
+                        np.nextafter(np.ldexp(1.0, 995), 0.0) * np.array([1.0, -1.0])])
+    high, low = veltkamp_split(x)
+    for x_k, high_k, low_k in zip(x.tolist(), high.tolist(), low.tolist()):
+        assert Fraction(high_k) + Fraction(low_k) == Fraction(x_k)
+        for half in (high_k, low_k):
+            m = abs(half.as_integer_ratio()[0])  # the significand, up to powers of two
+            assert m.bit_length() - (m & -m).bit_length() + 1 <= 26, (x_k, half)
