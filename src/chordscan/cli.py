@@ -194,8 +194,10 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
 # whole cell picked by E, so a cell is row gathers and AND/OR over contiguous
 # words. Nan, inf, magnitudes outside FAST_RANGE and rounding fractions within
 # TIE_MARGIN of one half (exact ties occur, e.g. 2251799813685247.75) go to
-# "%.17g" itself. A zero is "0" and never reaches the formatter (Im chi is 0.0
-# wherever chi is real by symmetry). The sign is its own byte, "-" where
+# "%.17g" itself. A zero is "0" and never reaches the formatter; a float
+# column with no nonzero cell (Im chi wherever chi is real by symmetry) is
+# written as a text column of "0" and "-0", coded by signbit, and is no part
+# of a block's cells to format. The sign is its own byte, "-" where
 # signbit(x) and x is not nan ("%.17g" writes -nan as "nan"), so a symmetric
 # grid's mirrored half, whose re, im, abs2 and phase have their -xi partners'
 # magnitudes, copies the text of the computed half: a 161^2 scan formats at
@@ -223,6 +225,7 @@ _E_MIN = -330  # below the least exponent of a double; the tables by E start her
 # "%.17g" text of a magnitude has 23
 _CELL = 5 + 18 + 5
 _ZERO_TEXT = np.frombuffer(b"0".ljust(_CELL, b"\0"), dtype=np.uint8)
+_ZERO_LABELS = np.array([b"0", b"-0"])  # a zero column's text, by signbit
 
 
 @functools.cache
@@ -347,8 +350,11 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     kept; a cell of a later row whose magnitude equals its partner's (float
     ==, so never for nan) copies the partner's text. Rows are written a block
     at a time, each block's nonzero float cells that need text formatted in
-    one _format_floats call of at most CSV_BLOCK_CELLS cells.
+    one _format_floats call of at most CSV_BLOCK_CELLS cells. A float column
+    with no nonzero cell is written as the text column (_ZERO_LABELS, signbit).
     """
+    columns = [(_ZERO_LABELS, np.signbit(c).view(np.uint8))
+               if not isinstance(c, tuple) and not np.count_nonzero(c) else c for c in columns]
     widths = [c[0].itemsize if isinstance(c, tuple) else 1 + _CELL for c in columns]
     starts = np.cumsum([0] + [width + 1 for width in widths])  # the last is the row's width
     floats = [c for c in columns if not isinstance(c, tuple)]

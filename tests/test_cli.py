@@ -428,6 +428,42 @@ def test_a_scan_formats_no_zero(tmp_path, formatted):
     assert sum(a.size for a in formatted) <= 4 * 12961 - 18202
 
 
+def test_the_rings_zero_column_takes_no_share_of_a_block(tmp_path, formatted):
+    """The ring recipe's Im column is all +0.0, so it goes out as a text
+    column: each call formats the nonzero magnitudes of re, abs2 and phase
+    over CSV_BLOCK_CELLS // 3 rows of the computed half, and no Im cell."""
+    recipe = Path(__file__).resolve().parents[1] / "recipes" / "ring-field.cfg"
+    out = tmp_path / "ring.csv"
+    assert run("scan", "--config", str(recipe), "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    assert {row[header.index("im")] for row in rows} == {"0"}
+    cells = np.abs([[float(row[header.index(name)]) for name in ("re", "abs2", "phase")]
+                    for row in rows])
+    half, block_rows = len(rows) - len(rows) // 2, cli.CSV_BLOCK_CELLS // 3
+    blocks = [cells[lo:min(lo + block_rows, half)].ravel() for lo in range(0, half, block_rows)]
+    assert len(formatted) == len(blocks)
+    for a, block in zip(formatted, blocks):
+        assert np.array_equal(a, block[block != 0.0])
+
+
+def test_a_column_of_signed_zeros_is_the_per_value_format(tmp_path, formatted):
+    """A float column of +0.0 and -0.0 writes "0" and "-0" as "%.17g" does,
+    over several blocks beside a float and a text column, and none of its
+    cells reaches the formatter."""
+    rng = np.random.default_rng(20261022)
+    rows = 2 * cli.CSV_BLOCK_CELLS + 3
+    zeros = np.where(rng.random(rows) < 0.5, 0.0, -0.0)
+    x = rng.uniform(-3, 3, rows)
+    codes = rng.integers(0, len(cli._FLAG_BYTES), rows)
+    out = tmp_path / "zeros.csv"
+    cli._write_csv(out, ["x", "z", "flag"], [x, zeros, (cli._FLAG_BYTES, codes)])
+    _assert_written(out, "x,z,flag\n" + "".join(
+        f"{v:.17g},{z:.17g},{f.decode()}\n"
+        for v, z, f in zip(x.tolist(), zeros.tolist(), cli._FLAG_BYTES[codes].tolist())))
+    assert {"0", "-0"} <= {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
+    assert sum(a.size for a in formatted) == rows
+
+
 def test_scan_smallest_grid(tmp_path):
     out = tmp_path / "tiny.csv"
     assert run("scan", "--resolution", "2", "--region=-0.1:0.1",

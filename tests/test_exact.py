@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from chordscan import (ConvergenceError, CurveSpec, ExactEvaluator,
+from chordscan import (ChordFieldGrid, ConvergenceError, CurveSpec, ExactEvaluator,
                        GridTooSmallError, NumericalError, correlation_C,
                        evolved_chi, evolved_chi_grid,
                        fourier_invariance_residual, hermite_psi, scan_grid)
@@ -448,6 +448,58 @@ def test_correlation_equals_modulus_squared(fock1_grid):
     abs2 = np.abs(fock1_grid.values) ** 2
     assert c[40, 40] == pytest.approx(1.0, abs=1e-3)  # purity at the center
     assert np.max(np.abs(c - abs2)) < 1e-3
+
+
+PURITY_STATE = CurveSpec(n=5, hbar=HBAR, alpha=(0.0, 1.0, 1.0, 1.0), t=0.1)
+
+
+def _complex_dft(g, xi_p_axis, xi_q_axis, hbar, sign):
+    """The symplectic DFT as two complex kernel products, built apart from exact."""
+    kernel = np.exp(sign * 1j / hbar * np.outer(xi_p_axis, xi_q_axis))
+    scale = ((xi_p_axis[1] - xi_p_axis[0]) * (xi_q_axis[1] - xi_q_axis[0])
+             / (2.0 * np.pi * hbar))
+    return scale * (kernel @ g.T @ np.conj(kernel))
+
+
+@pytest.mark.parametrize("shape", [(161, 161), (160, 160), (161, 121)],
+                         ids=["odd", "even", "rectangular"])
+def test_folded_transform_matches_the_complex_kernel(shape):
+    """On antisymmetric axes |chi|^2 is exactly even, and its transform is the
+    real folded one, within 1e-15 of max |F| of the complex kernel's, for
+    either sign."""
+    xi_p_axis, xi_q_axis = (axis(-3.2, 3.2, size) for size in shape)
+    grid = scan_grid(ExactEvaluator(PURITY_STATE), xi_p_axis, xi_q_axis)
+    g = np.abs(grid.values) ** 2
+    assert np.array_equal(g, g[::-1, ::-1])
+    for sign in (1, -1):
+        folded = exact._symplectic_dft(g, xi_p_axis, xi_q_axis, HBAR, sign)
+        assert folded.dtype == np.float64
+        assert np.array_equal(folded, folded[::-1, ::-1])
+        reference = _complex_dft(g, xi_p_axis, xi_q_axis, HBAR, sign)
+        assert np.max(np.abs(folded - reference)) <= 1e-15 * np.max(np.abs(folded))
+
+
+def test_off_centre_grid_takes_the_complex_kernel():
+    """A contained grid that is not centred keeps the complex products."""
+    xi_p_axis, xi_q_axis = axis(-3.4, 3.6, 161), axis(-3.2, 3.2, 161)
+    grid = scan_grid(ExactEvaluator(PURITY_STATE), xi_p_axis, xi_q_axis)
+    g = np.abs(grid.values) ** 2
+    for field in (g, g + g[::-1, ::-1]):  # the second is even in its indices, not in xi
+        transformed = exact._symplectic_dft(field, xi_p_axis, xi_q_axis, HBAR, -1)
+        assert transformed.dtype == np.complex128
+        assert np.array_equal(transformed, _complex_dft(field, xi_p_axis, xi_q_axis, HBAR, -1))
+    assert fourier_invariance_residual(grid) < 1e-8
+    assert np.max(np.abs(correlation_C(grid) - g)) < 1e-8
+
+
+def test_correlation_of_a_field_that_is_not_even_is_refused():
+    """|chi|^2 off centre has a complex transform, and correlation_C says so."""
+    ax = axis(-3.2, 3.2, 81)
+    bump = np.exp(-((ax[:, None] - 0.4) ** 2 + (ax - 0.3) ** 2) / (2.0 * HBAR))
+    grid = ChordFieldGrid(xi_p_axis=ax, xi_q_axis=ax, values=bump.astype(complex),
+                          flags=np.zeros(bump.shape, dtype=np.uint8), hbar=HBAR)
+    with pytest.raises(NumericalError, match="non-real"):
+        correlation_C(grid)
 
 
 def test_truncated_region_is_refused(ring):
