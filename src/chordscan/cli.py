@@ -134,13 +134,19 @@ def load_config(path: str, command: str) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    """Resolve options: explicit flags beat config-file values beat defaults.
+    """Resolve options: explicit flags beat config-file values beat defaults,
+    and ``slope`` and ``direction`` are one setting, given once at each level.
     Every command that merges options writes a file, so ``out`` is required."""
     merged = load_config(args.config, args.command) if args.config else {}
+    flags = {key: getattr(args, key) for key in _OPTIONS if getattr(args, key, None) is not None}
+    for level in (merged, flags):
+        if "slope" in level and "direction" in level:
+            raise ValueError(f"{args.command} takes slope or direction, not both")
+    if "slope" in flags or "direction" in flags:
+        merged = {k: v for k, v in merged.items() if k not in ("slope", "direction")}
+    merged.update(flags)
     for key, (convert, default, _) in _OPTIONS.items():
-        if getattr(args, key, None) is not None:
-            merged[key] = getattr(args, key)
-        elif default is not None:
+        if default is not None:
             merged.setdefault(key, convert(default))
     if "out" not in merged:
         raise ValueError(f"{args.command} needs --out FILE")

@@ -70,7 +70,7 @@ def _taylor(state: CurveSpec, order: int) -> Evaluator:
             raise NumericalError(f"{name} value at chord ({xi_p[k]:.6g}, "
                                  f"{xi_q[k]:.6g}) is not finite")
         modulus = np.abs(values)
-        bad = np.flatnonzero(modulus > 1.0 + exact._MODULUS_SLACK)
+        bad = np.flatnonzero(modulus > 1.0 + exact.MODULUS_SLACK)
         if bad.size:
             k = bad[0]
             raise NumericalError(f"{name} |chi| = {modulus[k]:.6g} at chord ({xi_p[k]:.6g}, "

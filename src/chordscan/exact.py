@@ -50,7 +50,7 @@ OVERLAP_TOL = 1e-10  # on chi: the closed form's largest accepted round-off boun
 # quadrature's change between successive doublings, uniform over a batch
 OVERLAP_MAX_NODES = 32768  # largest trapezoid rule before ConvergenceError
 BOUNDARY_TOL = 1e-8  # largest |chi|^2 on a grid edge that the certificates accept
-_MODULUS_SLACK = 1e-8  # |chi| may exceed 1 only by the quadrature tolerance
+MODULUS_SLACK = 1e-8  # how far an exact or taylor:K |chi| may exceed 1 before NumericalError
 ROUNDOFF_FACTOR = 8.0  # closed-form round-off, in eps per Hermite order and per unit of exponent
 _EPS = float(np.finfo(float).eps)  # looked up once, not per batch
 
@@ -349,7 +349,7 @@ def _certified(state: CurveSpec, xi_p, xi_q):
 
 def _modulus_checked(values):
     peak = np.max(np.abs(values), initial=0.0)
-    if peak > 1.0 + _MODULUS_SLACK:
+    if peak > 1.0 + MODULUS_SLACK:
         raise NumericalError(f"max |chi| = {peak} exceeds 1: the exact route is inconsistent")
     return values
 
@@ -406,30 +406,25 @@ class ExactEvaluator(Evaluator):
 # -- grid-level certificates ---------------------------------------------
 
 
-def _symplectic_dft(g, xi_p_axis, xi_q_axis, hbar: float, sign: int):
-    """Discrete F[g](xi) = (1/2 pi hbar) \\int d^2 eta g(eta) e^{sign i xi∧eta / hbar}.
+def _symplectic_dft(g, xi_p_axis, xi_q_axis, hbar: float):
+    """Discrete F[g](xi) = (1/2 pi hbar) \\int d^2 eta g(eta) e^{-i xi∧eta / hbar}.
 
-    The kernel separates, exp(sign*i xi_p eta_q / hbar) * exp(-sign*i xi_q
-    eta_p / hbar), so the double Riemann sum is two dense matrix products;
-    output lands on the input grid. Exact for any centered grid, no
-    reciprocal-grid constraint.
+    The kernel separates, exp(-i xi_p eta_q / hbar) * exp(i xi_q eta_p / hbar),
+    so the double Riemann sum is two dense matrix products; output lands on
+    the input grid. Exact for any centered grid, no reciprocal-grid constraint.
 
     When both axes are exactly antisymmetric and g is exactly even under
     (m, n) -> (-m, -n), as |chi|^2 of every scan_grid field is, F[g] is real
-    and even and ``sign`` drops out. g then folds onto the non-negative
-    quadrant as its even-even part G_ee and odd-odd part G_oo (the centre row
-    and column of an odd axis taken once), and with C and S the cosine and
-    sine of h_p (x) h_q / hbar on the non-negative half-axes, F is
-    scale (C G_ee^T C + S G_oo^T S) on the (+,+) and (-,-) quadrants and
+    and even, the same for either sign of the kernel. g then folds onto the
+    non-negative quadrant as its even-even part G_ee and odd-odd part G_oo
+    (the centre row and column of an odd axis taken once), and with C and S
+    the cosine and sine of h_p (x) h_q / hbar on the non-negative half-axes,
+    F is scale (C G_ee^T C + S G_oo^T S) on the (+,+) and (-,-) quadrants and
     scale (C G_ee^T C - S G_oo^T S) on the mixed ones: four real GEMMs of a
     quarter of the grid, a real array. Any other input takes the complex
     products, and its result is complex.
     """
-    xi_p_axis = np.asarray(xi_p_axis, dtype=float)
-    xi_q_axis = np.asarray(xi_q_axis, dtype=float)
-    dp = xi_p_axis[1] - xi_p_axis[0]
-    dq = xi_q_axis[1] - xi_q_axis[0]
-    scale = dp * dq / (2.0 * np.pi * hbar)
+    scale = (xi_p_axis[1] - xi_p_axis[0]) * (xi_q_axis[1] - xi_q_axis[0]) / (2.0 * np.pi * hbar)
     if (all(np.array_equal(a, -a[::-1]) for a in (xi_p_axis, xi_q_axis))
             and np.array_equal(g, g[::-1, ::-1])):
         lp, lq = xi_p_axis.size // 2, xi_q_axis.size // 2  # the first samples >= 0
@@ -446,33 +441,37 @@ def _symplectic_dft(g, xi_p_axis, xi_q_axis, hbar: float, sign: int):
         out[lp:, lq:] = out[::-1, ::-1][lp:, lq:] = scale * (cc + ss)
         out[::-1][lp:, lq:] = out[:, ::-1][lp:, lq:] = scale * (cc - ss)
         return out
-    kernel = np.exp(sign * 1j / hbar * np.outer(xi_p_axis, xi_q_axis))
+    kernel = np.exp(-1j / hbar * np.outer(xi_p_axis, xi_q_axis))
     # F[a, b] = scale * sum_{m,n} kernel[a, n] g[m, n] conj(kernel)[m, b]
     return scale * (kernel @ g.T @ np.conj(kernel))
 
 
-def _require_contained(abs2):
+def _chord_correlation(grid):
+    """|chi|^2 of a contained grid field and its chord correlation C, from one transform."""
+    abs2 = np.abs(grid.values) ** 2
     edge = max(abs2[0, :].max(), abs2[-1, :].max(), abs2[:, 0].max(), abs2[:, -1].max())
     if edge > BOUNDARY_TOL:
         raise GridTooSmallError(
             f"grid too small: |chi|^2 reaches {edge:.3e} on the boundary "
             f"(tolerance {BOUNDARY_TOL:g}); enlarge the region")
+    c = _symplectic_dft(abs2, grid.xi_p_axis, grid.xi_q_axis, grid.hbar)
+    imag_peak = np.max(np.abs(c.imag))
+    if imag_peak > 1e-9 * max(np.max(np.abs(c.real)), 1e-300):
+        raise NumericalError(f"correlation came out non-real (max imag {imag_peak:.3e})")
+    return abs2, c.real
 
 
 def fourier_invariance_residual(grid) -> float:
     """Relative L2 defect of the self-reciprocity of |chi|^2.
 
-    For a pure state, |chi|^2 is its own symplectic Fourier transform; the
-    residual ||F[|chi|^2] - |chi|^2|| / |||chi|^2|| is a purity certificate
-    for the scanned field (shape only; the normalization certificate is
-    correlation_C at xi = 0). On a scan_grid field (antisymmetric axes) the
-    transform is _symplectic_dft's real fold of the quadrant.
+    For a pure state, |chi|^2 is its own symplectic Fourier transform, the
+    chord correlation C of correlation_C; the residual ||C - |chi|^2|| /
+    |||chi|^2||, read off the same transform, is a purity certificate for the
+    scanned field (shape only; the normalization certificate is C at xi = 0)
+    and refuses every field that correlation_C refuses.
     """
-    abs2 = np.abs(grid.values) ** 2
-    _require_contained(abs2)
-    transformed = _symplectic_dft(abs2, grid.xi_p_axis, grid.xi_q_axis,
-                                  grid.hbar, sign=+1)
-    return float(np.linalg.norm(transformed - abs2) / np.linalg.norm(abs2))
+    abs2, c = _chord_correlation(grid)
+    return float(np.linalg.norm(c - abs2) / np.linalg.norm(abs2))
 
 
 def correlation_C(grid) -> np.ndarray:
@@ -485,11 +484,4 @@ def correlation_C(grid) -> np.ndarray:
     complex products run, and an imaginary part above 1e-9 of max |C|
     raises NumericalError.
     """
-    abs2 = np.abs(grid.values) ** 2
-    _require_contained(abs2)
-    c = _symplectic_dft(abs2, grid.xi_p_axis, grid.xi_q_axis, grid.hbar, sign=-1)
-    imag_peak = np.max(np.abs(c.imag))
-    scale = max(np.max(np.abs(c.real)), 1e-300)
-    if imag_peak > 1e-9 * scale:
-        raise NumericalError(f"correlation came out non-real (max imag {imag_peak:.3e})")
-    return c.real
+    return _chord_correlation(grid)[1]

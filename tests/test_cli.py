@@ -601,6 +601,34 @@ def test_cut_rejects_zero_direction(tmp_path):
     assert run("cut", "--direction", "0,0", "--out", str(tmp_path / "x.csv")) == 1
 
 
+@pytest.mark.parametrize("in_file, flag, xi_p_per_xi_q, echo", [
+    ("direction=1,0", ("--slope", "2"), 2.0, {"slope": "2"}),
+    ("slope=2", ("--direction", "0,1"), 0.0, {"direction": "0,1"}),
+], ids=["slope-over-direction", "direction-over-slope"])
+def test_a_cut_flag_overrides_the_files_other_direction_key(tmp_path, in_file, flag,
+                                                             xi_p_per_xi_q, echo):
+    """slope and direction are one setting: a flag for either drops the file's other key."""
+    cfg, out = tmp_path / "cut.cfg", tmp_path / "cut.csv"
+    cfg.write_text(f"{in_file}\nrange=0.5:1\nsamples=2\nevaluator=small\n")
+    assert run("cut", "--config", str(cfg), *flag, "--out", str(out)) == 0
+    for row in read_csv(out)[1]:
+        assert float(row[1]) == pytest.approx(xi_p_per_xi_q * float(row[2]), abs=1e-15)
+    config = json.loads(out.with_suffix(".json").read_text())["config"]
+    assert {k: v for k, v in config.items() if k in ("slope", "direction")} == echo
+
+
+@pytest.mark.parametrize("flags, in_file", [
+    (("--slope", "2", "--direction", "1,0"), ""),
+    ((), "slope=2\ndirection=1,0\n"),
+], ids=["two-flags", "one-file"])
+def test_cut_rejects_slope_and_direction_at_one_level(tmp_path, capsys, flags, in_file):
+    cfg, out = tmp_path / "cut.cfg", tmp_path / "cut.csv"
+    cfg.write_text(in_file)
+    assert run("cut", "--config", str(cfg), *flags, "--out", str(out)) == 1
+    assert "slope or direction, not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- blindspots ---------------------------------------------------------------------
 
 
@@ -889,7 +917,7 @@ def test_unknown_evaluator_is_a_config_error(tmp_path, capsys, name):
 ])
 def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, capsys, command):
     """A broken guard (here |chi| <= 1 with its slack forced negative) is exit code 3."""
-    monkeypatch.setattr("chordscan.exact._MODULUS_SLACK", -1.0)
+    monkeypatch.setattr("chordscan.exact.MODULUS_SLACK", -1.0)
     assert run(*command, "--out", str(tmp_path / "x.csv")) == 3
     err = capsys.readouterr().err
     assert err.startswith("chordscan: numerical failure:") and "exceeds 1" in err

@@ -461,22 +461,47 @@ def _complex_dft(g, xi_p_axis, xi_q_axis, hbar, sign):
     return scale * (kernel @ g.T @ np.conj(kernel))
 
 
-@pytest.mark.parametrize("shape", [(161, 161), (160, 160), (161, 121)],
-                         ids=["odd", "even", "rectangular"])
-def test_folded_transform_matches_the_complex_kernel(shape):
+@pytest.fixture(scope="module", params=[(161, 161), (160, 160), (161, 121)],
+                ids=["odd", "even", "rectangular"])
+def purity_grid(request):
+    """The purity state on antisymmetric axes over +-3.2 of the given shape."""
+    xi_p_axis, xi_q_axis = (axis(-3.2, 3.2, size) for size in request.param)
+    return scan_grid(ExactEvaluator(PURITY_STATE), xi_p_axis, xi_q_axis)
+
+
+def test_folded_transform_matches_the_complex_kernel(purity_grid):
     """On antisymmetric axes |chi|^2 is exactly even, and its transform is the
-    real folded one, within 1e-15 of max |F| of the complex kernel's, for
+    real folded one, within 1e-15 of max |F| of the complex kernel's of
     either sign."""
-    xi_p_axis, xi_q_axis = (axis(-3.2, 3.2, size) for size in shape)
-    grid = scan_grid(ExactEvaluator(PURITY_STATE), xi_p_axis, xi_q_axis)
-    g = np.abs(grid.values) ** 2
+    xi_p_axis, xi_q_axis = purity_grid.xi_p_axis, purity_grid.xi_q_axis
+    g = np.abs(purity_grid.values) ** 2
     assert np.array_equal(g, g[::-1, ::-1])
+    folded = exact._symplectic_dft(g, xi_p_axis, xi_q_axis, HBAR)
+    assert folded.dtype == np.float64
+    assert np.array_equal(folded, folded[::-1, ::-1])
     for sign in (1, -1):
-        folded = exact._symplectic_dft(g, xi_p_axis, xi_q_axis, HBAR, sign)
-        assert folded.dtype == np.float64
-        assert np.array_equal(folded, folded[::-1, ::-1])
         reference = _complex_dft(g, xi_p_axis, xi_q_axis, HBAR, sign)
         assert np.max(np.abs(folded - reference)) <= 1e-15 * np.max(np.abs(folded))
+
+
+def test_residual_is_the_defect_of_the_correlation(purity_grid):
+    """The self-reciprocity residual is ||C - |chi|^2|| / |||chi|^2||, bit for bit."""
+    abs2 = np.abs(purity_grid.values) ** 2
+    defect = np.linalg.norm(correlation_C(purity_grid) - abs2) / np.linalg.norm(abs2)
+    assert fourier_invariance_residual(purity_grid) == float(defect)
+
+
+@pytest.mark.parametrize("certificate", [fourier_invariance_residual, correlation_C])
+def test_each_certificate_runs_one_transform(purity_grid, certificate, monkeypatch):
+    dft, calls = exact._symplectic_dft, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dft(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_symplectic_dft", counting)
+    certificate(purity_grid)
+    assert len(calls) == 1
 
 
 def test_off_centre_grid_takes_the_complex_kernel():
@@ -485,7 +510,7 @@ def test_off_centre_grid_takes_the_complex_kernel():
     grid = scan_grid(ExactEvaluator(PURITY_STATE), xi_p_axis, xi_q_axis)
     g = np.abs(grid.values) ** 2
     for field in (g, g + g[::-1, ::-1]):  # the second is even in its indices, not in xi
-        transformed = exact._symplectic_dft(field, xi_p_axis, xi_q_axis, HBAR, -1)
+        transformed = exact._symplectic_dft(field, xi_p_axis, xi_q_axis, HBAR)
         assert transformed.dtype == np.complex128
         assert np.array_equal(transformed, _complex_dft(field, xi_p_axis, xi_q_axis, HBAR, -1))
     assert fourier_invariance_residual(grid) < 1e-8
@@ -493,13 +518,14 @@ def test_off_centre_grid_takes_the_complex_kernel():
 
 
 def test_correlation_of_a_field_that_is_not_even_is_refused():
-    """|chi|^2 off centre has a complex transform, and correlation_C says so."""
+    """|chi|^2 off centre has a complex transform, and both certificates say so."""
     ax = axis(-3.2, 3.2, 81)
     bump = np.exp(-((ax[:, None] - 0.4) ** 2 + (ax - 0.3) ** 2) / (2.0 * HBAR))
     grid = ChordFieldGrid(xi_p_axis=ax, xi_q_axis=ax, values=bump.astype(complex),
                           flags=np.zeros(bump.shape, dtype=np.uint8), hbar=HBAR)
-    with pytest.raises(NumericalError, match="non-real"):
-        correlation_C(grid)
+    for certificate in (fourier_invariance_residual, correlation_C):
+        with pytest.raises(NumericalError, match="non-real"):
+            certificate(grid)
 
 
 def test_truncated_region_is_refused(ring):
@@ -641,7 +667,7 @@ def test_seeded_closed_form_at_zero_shear(seed):
 
 
 def test_modulus_guard_raises_numerical_error(sheared, monkeypatch):
-    monkeypatch.setattr("chordscan.exact._MODULUS_SLACK", -1.0)
+    monkeypatch.setattr("chordscan.exact.MODULUS_SLACK", -1.0)
     with pytest.raises(NumericalError, match="exceeds 1"):
         evolved_chi(sheared, (0.3, 0.2))
     with pytest.raises(NumericalError, match="exceeds 1"):
