@@ -83,7 +83,7 @@ def _taylor(state: CurveSpec, order: int) -> Evaluator:
 
 def make_evaluator(name: str, state: CurveSpec) -> Evaluator:
     """Build an evaluator by name; Taylor orders spell ``taylor:K`` with an
-    integer K >= 1, and plain ``taylor`` is ``taylor:4``."""
+    integer 1 <= K <= 170, and plain ``taylor`` is ``taylor:4``."""
     if name == "exact":
         return exact.ExactEvaluator(state)
     if name in _KERNELS:
@@ -92,5 +92,8 @@ def make_evaluator(name: str, state: CurveSpec) -> Evaluator:
                          None if grid is None else partial(grid, state))
     taylor = re.fullmatch(r"taylor(?::([1-9][0-9]*))?", name)
     if taylor:
-        return _taylor(state, int(taylor[1] or 4))
+        order = int(taylor[1] or 4)
+        if order > 170:  # the series divides by K!, which overflows a double past 170
+            raise ValueError(f"{name!r} has a Taylor order above 170, where K! overflows a double")
+        return _taylor(state, order)
     raise ValueError(f"unknown evaluator {name!r}; known: {', '.join(EVALUATOR_NAMES)}")

@@ -53,16 +53,17 @@ Batched evaluation
 Every sum is evaluated for a whole array of chords at once.
 _unit_circle_roots samples a defect at five equispaced angles for all K
 chords, a (K, 5) array. Each row is rotated to g(s) = f(phi + s), with
-phi + pi the angle of its largest |sample|, and one gathered einsum reads
-the exact real harmonics (a0, a1, b1, a2, b2) of g off the samples through
-the fixed 5 x 5 map of the row's rotation. Harmonics that are round-off are
+phi + pi the angle of its largest |sample|, and read once: its samples in
+order from that top one are g at s = pi + 2 pi m / 5 in every rotation,
+and one einsum reads the exact real harmonics (a0, a1, b1, a2, b2) of g
+off them through one fixed 5 x 5 map. Harmonics that are round-off are
 trimmed by their rotation-invariant moduli: c_2 and c_-2 go together, so
 the degree is 4, 2 or 0 (it drops on t = 0 curves, on the xi_p = 0 row and
 when a3 = 0). In tau = tan(s/2), (1 + tau^2)^(deg/2) g is a real polynomial
 whose leading coefficient is g(pi), the largest sample, so no root is lost
 at tau = infinity even where theta = phi + pi is a root. Its coefficients
-come from the samples through one fixed 5 x 5 map per rotation, and its
-roots in closed form: a quartic row splits by Ferrari's resolvent cubic
+come off the same samples through one fixed map per degree, and its roots
+in closed form: a quartic row splits by Ferrari's resolvent cubic
 into two real quadratics, a quadratic row is one, each is solved by the
 quadratic formula without cancellation, and a quartic's roots take one
 Newton step on it. A real root that the coefficients' round-off could move
@@ -132,12 +133,10 @@ ROUND_OFF = 1e-12
 
 # the five sample angles that fix a trig polynomial of degree <= 2
 _ANGLES = TWO_PI * np.arange(5) / 5
-# _HARMONICS[j] maps the five samples of f to the real harmonics
-# (a0, a1, b1, a2, b2) of g(s) = f(_ANGLES[j] - pi + s), the row rotated so
-# that its sample j sits at s = pi
-_SHIFT = _ANGLES[np.newaxis, :] - _ANGLES[:, np.newaxis] + np.pi
-_HARMONICS = np.stack([np.full_like(_SHIFT, 0.2), 0.4 * np.cos(_SHIFT), 0.4 * np.sin(_SHIFT),
-                       0.4 * np.cos(2.0 * _SHIFT), 0.4 * np.sin(2.0 * _SHIFT)], axis=1)
+# _FROM_TOP[j] lists the samples in order from sample j
+_FROM_TOP = (np.arange(5)[:, np.newaxis] + np.arange(5)) % 5
+# exp(i phi) of each rotation: tau = 0 is the angle phi = _ANGLES[j] - pi
+_ROTATION = np.exp(1j * (_ANGLES - np.pi))
 # (1 + tau^2)^(deg/2) g(s) with tau = tan(s/2), as coefficients of tau^deg .. tau^0
 # from the harmonics (a0, a1, b1, a2, b2) it keeps
 _HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
@@ -153,14 +152,15 @@ _HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
 _SHAKY = 100.0
 
 
-def _tau_map(half_angle):
-    """The map from the five samples, in order from the top one, to the
-    coefficients (1 + tau^2)^(deg/2) g keeps: _HALF_ANGLE[deg] times the
-    harmonics of rotation 0, from the closed forms of cos and sin at
-    multiples of 2 pi / 5 to 40 digits.
+def _sample_maps():
+    """The fixed maps from a row's five samples, in order from its top one,
+    to the harmonics (a0, a1, b1, a2, b2) of g and to the tau-coefficients
+    of each degree, both from one 40-digit table of the harmonics, built
+    from the closed forms of cos and sin at multiples of 2 pi / 5.
 
-    Returns (hi, lo), each of shape (5, deg + 1), row m for the sample m
-    places after the top one: hi + lo is the map to about 32 digits.
+    Returns (harmonics, tau): harmonics (5, 5), the table rounded once, and
+    tau[deg] = (hi, lo), each (5, deg + 1), _HALF_ANGLE[deg] times the table
+    to about 32 digits as hi + lo. Row m is for the sample m after the top.
     """
     with localcontext() as context:
         context.prec = 40
@@ -170,26 +170,20 @@ def _tau_map(half_angle):
                -(10 - 2 * root5).sqrt() / 4, -(10 + 2 * root5).sqrt() / 4]
         # (a0, a1, b1, a2, b2) per sample m at s = pi + 2 pi m / 5, where
         # cos k s and sin k s are (-1)^k times their values at 2 pi k m / 5
-        harmonics = [[Decimal(1) / 5] * 5] + [
-            [Decimal(2 * sign) / 5 * table[k * m % 5] for m in range(5)]
-            for k, sign in ((1, -1), (2, 1)) for table in (cos, sin)]
-        exact = [[sum(int(weight) * row[m] for weight, row in zip(coefficient, harmonics))
-                  for coefficient in half_angle] for m in range(5)]
-        hi = np.array([[float(value) for value in row] for row in exact])
-        lo = np.array([[float(value - Decimal(float(value))) for value in row] for row in exact])
-    return hi, lo
+        table = [[Decimal(1) / 5] + [Decimal(2 * sign) / 5 * values[k * m % 5]
+                                     for k, sign in ((1, -1), (2, 1)) for values in (cos, sin)]
+                 for m in range(5)]
+        tau = {}
+        for deg, half_angle in _HALF_ANGLE.items():
+            exact = [[sum(int(weight) * harmonic for weight, harmonic in zip(coefficient, row))
+                      for coefficient in half_angle] for row in table]
+            low = [[value - Decimal(float(value)) for value in row] for row in exact]
+            tau[deg] = np.array(exact, dtype=float), np.array(low, dtype=float)
+    return np.array(table, dtype=float), tau
 
 
-# per degree, the map from the samples to the tau-coefficients (_tau_map)
-_TAU = {deg: _tau_map(half_angle) for deg, half_angle in _HALF_ANGLE.items()}
-# _FROM_TOP[j] lists the samples in order from sample j
-_FROM_TOP = (np.arange(5)[:, np.newaxis] + np.arange(5)) % 5
-# _TAU_ROTATED[deg][j] is _TAU[deg]'s hi for rotation j, coefficient by sample:
-# one fixed map from a row's samples to its tau-coefficients
-_TAU_ROTATED = {deg: np.stack([np.roll(parts[0].T, j, axis=1) for j in range(5)])
-                for deg, parts in _TAU.items()}
-# exp(i phi) of each rotation: tau = 0 is the angle phi = _ANGLES[j] - pi
-_ROTATION = np.exp(1j * (_ANGLES - np.pi))
+# the maps from a row's samples to its harmonics and tau-coefficients
+_HARMONICS, _TAU = _sample_maps()
 
 _OK = FLAG_CODES[Flag.OK]
 _NEAR_CAUSTIC = FLAG_CODES[Flag.NEAR_CAUSTIC]
@@ -351,16 +345,17 @@ def _unit_circle_roots(samples):
     g(s) = f(phi + s) with phi + pi at its largest |sample|; in the half
     angle tau = tan(s/2), (1 + tau^2)^2 g is a real quartic whose leading
     coefficient is that sample, so it never vanishes and no root runs off
-    to tau = infinity. Leading harmonics that are round-off are trimmed
-    first (a real defect loses c_2 and c_-2 together, leaving degree 4, 2
-    or 0). The coefficients come through the fixed map _TAU_ROTATED of the
-    row's rotation. Quartic rows are solved in closed form by Ferrari's
-    split into two real quadratics (_quartic_roots), quadratic rows by the
-    quadratic formula, and rows with a root that round-off could move far
-    (_shaky) are refined in twice double precision (_tau_coefficients,
-    _polish). A root tau is the point
-    z = exp(i phi) (1 + i tau) / (1 - i tau) of the unit-circle quartic
-    z^2 f(z), and real angles are its roots on the circle.
+    to tau = infinity. Each row is read once, its samples gathered in order
+    from the top one, and its harmonics and tau-coefficients come off them
+    through the fixed maps _HARMONICS and _TAU[deg], the same for every
+    rotation. Leading harmonics that are round-off are trimmed first (a
+    real defect loses c_2 and c_-2 together, leaving degree 4, 2 or 0).
+    Quartic rows are solved in closed form by Ferrari's split into two real
+    quadratics (_quartic_roots), quadratic rows by the quadratic formula,
+    and rows with a root that round-off could move far (_shaky) are refined
+    in twice double precision (_tau_coefficients, _polish). A root tau is
+    the point z = exp(i phi) (1 + i tau) / (1 - i tau) of the unit-circle
+    quartic z^2 f(z), and real angles are its roots on the circle.
 
     Returns (chord, theta, miss, slope): the row and the angle in [0, 2 pi)
     of every real root, the roots of each row in ascending angle (the order
@@ -369,7 +364,8 @@ def _unit_circle_roots(samples):
     """
     count = samples.shape[0]
     top = np.argmax(np.abs(samples), axis=1)
-    harmonics = np.einsum("khj,kj->kh", _HARMONICS[top], samples)
+    rolled = np.take_along_axis(samples, _FROM_TOP[top], axis=1)
+    harmonics = np.einsum("kj,jh->kh", rolled, _HARMONICS)
     pair = 0.5 * np.hypot(harmonics[:, 1::2], harmonics[:, 2::2])  # |c_1|, |c_2|
     floor = ROUND_OFF * np.maximum(np.abs(harmonics[:, 0]), np.max(pair, axis=1))
     degree = np.where(pair[:, 1] > floor, 4, np.where(pair[:, 0] > floor, 2, 0))
@@ -379,16 +375,14 @@ def _unit_circle_roots(samples):
         rows = np.flatnonzero(degree == deg)
         if rows.size == 0:
             continue
-        coeffs = np.einsum("kdj,kj->kd", _TAU_ROTATED[deg][top[rows]], samples[rows])
+        coeffs = np.einsum("kj,jd->kd", rolled[rows], _TAU[deg][0])
         if deg == 4:
             tau = _quartic_roots(coeffs)
         else:
             tau = _quadratic_roots(coeffs[:, 1] / coeffs[:, 0], coeffs[:, 2] / coeffs[:, 0])
         shaky = np.flatnonzero(_shaky(tau))
         if shaky.size:
-            # those rows' samples in order from their top one
-            rolled = samples[rows[shaky, np.newaxis], _FROM_TOP[top[rows[shaky]]]]
-            tau[shaky] = _polish(*_tau_coefficients(rolled, deg), tau[shaky])
+            tau[shaky] = _polish(*_tau_coefficients(rolled[rows[shaky]], deg), tau[shaky])
         roots = _ROTATION[top[rows], np.newaxis] * (1.0 + 1j * tau) / (1.0 - 1j * tau)
         log_radius = np.abs(np.log(np.abs(roots)))
         on_circle = log_radius <= math.sqrt(ROUND_OFF)

@@ -1,6 +1,7 @@
 """Closed-form chord geometry: trig-polynomial roots and the arc area."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from scipy.integrate import quad
 from chordscan import (CurveSpec, Flag, axis, chord_realizations, make_evaluator,
                        tangency_points, wedge)
 from chordscan.core import FLAG_CODES, FLAGS_BY_CODE
-from chordscan.semiclassical import (_ANGLES, _HARMONICS, _TAU_ROTATED, REL_CAUSTIC_TOL, ROUND_OFF,
-                                     _arc_area, _quartic_roots, _unit_circle_roots)
+from chordscan.semiclassical import (_ANGLES, _FROM_TOP, _HALF_ANGLE, _HARMONICS, _TAU,
+                                     REL_CAUSTIC_TOL, ROUND_OFF, _arc_area, _quartic_roots,
+                                     _unit_circle_roots)
 
 # The ring (t = 0) and a3 = 0 keep both defects at degree 1 in theta, and
 # so does the xi_p = 0 row on every state: the quartic in z drops to a
@@ -230,6 +232,50 @@ def test_every_rotation_gives_the_same_roots():
         assert tops == set(range(5))
 
 
+# pi to 60 digits, for references that do not go through the code's closed
+# forms of cos and sin at multiples of 2 pi / 5
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def decimal_cos_sin(x):
+    """cos x and sin x by their Taylor series, x first reduced to [-pi, pi]."""
+    x -= 2 * PI * round(x / (2 * PI))
+    terms = [Decimal(1)]
+    while abs(terms[-1]) > Decimal("1e-60"):
+        terms.append(terms[-1] * x / len(terms))
+    return (sum((-1) ** (n // 2) * term for n, term in enumerate(terms) if n % 2 == 0),
+            sum((-1) ** (n // 2) * term for n, term in enumerate(terms) if n % 2 == 1))
+
+
+def test_sample_maps_are_one_table_correctly_rounded():
+    """Row m of _HARMONICS weighs sample m after the top one, g at
+    s = pi + 2 pi m / 5, into the harmonics (a0, a1, b1, a2, b2) of g: 1/5,
+    2/5 cos k s and 2/5 sin k s, each correctly rounded, and exactly 0 where
+    sin k pi vanishes. Each _TAU[deg] hi + lo is _HALF_ANGLE[deg] times the
+    same table to 30 digits. The references are 50-digit Taylor series."""
+    assert _HARMONICS.shape == (5, 5)
+    with localcontext() as context:
+        context.prec = 50
+        table = []
+        for m in range(5):
+            s = PI + 2 * PI * m / 5
+            (cos1, sin1), (cos2, sin2) = decimal_cos_sin(s), decimal_cos_sin(2 * s)
+            table.append([Decimal(1) / 5] + [2 * value / 5 for value in (cos1, sin1, cos2, sin2)])
+        for m, row in enumerate(table):
+            for h, value in enumerate(row):
+                if m == 0 and h in (2, 4):  # sin pi and sin 2 pi
+                    assert abs(value) < Decimal("1e-45") and _HARMONICS[m, h] == 0.0
+                else:
+                    assert _HARMONICS[m, h] == float(value), (m, h)
+        for deg, half_angle in _HALF_ANGLE.items():
+            hi, lo = _TAU[deg]
+            assert hi.shape == lo.shape == (5, deg + 1)
+            for m, row in enumerate(table):
+                for d, coefficient in enumerate(half_angle):
+                    want = sum(Decimal(weight) * value for weight, value in zip(coefficient, row))
+                    assert abs(Decimal(hi[m, d]) + Decimal(lo[m, d]) - want) < Decimal("1e-30")
+
+
 # Rows on which a closed-form quartic solve can lose accuracy, with the
 # angle tolerance each root is fixed to. The first two biquadratic rows are
 # even about _ANGLES[3], their largest sample, so the rotated quartic in tau
@@ -287,12 +333,12 @@ def test_quartic_roots_are_backward_stable(name):
     |p(tau)| <= BACKWARD_EPS eps sum_k |c_k| |tau|^(4 - k): a relative test,
     which the angles hide for a root near tau = 0."""
     for row in HARD_ROWS[name][0]:
-        top = int(np.argmax(np.abs(row)))
-        harmonics = _HARMONICS[top] @ row
+        rolled = row[_FROM_TOP[int(np.argmax(np.abs(row)))]]
+        harmonics = rolled @ _HARMONICS
         pair = 0.5 * np.hypot(harmonics[1::2], harmonics[2::2])
         if pair[1] <= ROUND_OFF * max(abs(harmonics[0]), pair.max()):
             continue  # a quadratic row
-        coeffs = _TAU_ROTATED[4][top] @ row
+        coeffs = rolled @ _TAU[4][0]
         tau = _quartic_roots(coeffs[np.newaxis, :])[0]
         backward = np.abs(np.polyval(coeffs, tau)) / np.polyval(np.abs(coeffs), np.abs(tau))
         assert np.all(backward < BACKWARD_EPS * np.finfo(float).eps), f"{tau}: {backward}"

@@ -210,7 +210,7 @@ def test_csv_rows_match_the_per_cell_format(tmp_path):
                 v = grid.values[i, j]
                 lines.append(",".join((
                     _cell(xp[i]), _cell(xq[j]), _cell(v.real), _cell(v.imag),
-                    _cell(abs(v) ** 2), _cell(float(np.angle(v))),
+                    _cell(abs(v) * abs(v)), _cell(float(np.angle(v))),
                     FLAGS_BY_CODE[int(grid.flags[i, j])].value)))
         _assert_written(scan_out, "\n".join(lines) + "\n")
         numeric += [cell for line in lines[1:] for cell in line.split(",")[:-1]]
@@ -233,7 +233,7 @@ def test_csv_rows_match_the_per_cell_format(tmp_path):
         cells = [_cell(s), _cell(s * d[0]), _cell(s * d[1])]
         for values, flags in columns:
             v = complex(values[k])
-            cells += [_cell(v.real), _cell(v.imag), _cell(abs(v) ** 2),
+            cells += [_cell(v.real), _cell(v.imag), _cell(abs(v) * abs(v)),
                       FLAGS_BY_CODE[int(flags[k])].value]
         lines.append(",".join(cells))
     _assert_written(cut_out, "\n".join(lines) + "\n")
@@ -909,6 +909,19 @@ def test_unknown_evaluator_is_a_config_error(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err == (f"chordscan: unknown evaluator {name!r}; known: exact, small, "
                    "semiclassical, sp_small, sp_full, taylor\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("cut", "--slope", "1", "--range=0:0.01", "--samples", "3", "--evaluator", "taylor:171"),
+    ("scan", "--resolution", "3", "--evaluator", "taylor:99999"),
+])
+def test_taylor_order_above_170_is_a_config_error(tmp_path, capsys, command):
+    """K! overflows a double past K = 170: such an order exits 1 before any
+    moment table is built, with one line on stderr."""
+    assert run(*command, "--out", str(tmp_path / "x.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chordscan: 'taylor:") and "above 170" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -49,6 +49,14 @@ def test_unknown_name_rejected(sheared):
             make_evaluator(name, sheared)
 
 
+def test_taylor_order_above_170_is_refused(sheared):
+    """K! overflows a double past K = 170, so taylor:170 is the highest order."""
+    for name in ("taylor:171", "taylor:99999"):
+        with pytest.raises(ValueError, match="above 170"):
+            make_evaluator(name, sheared)
+    assert make_evaluator("taylor:170", sheared).name == "taylor:170"
+
+
 def test_routes_agree_at_short_chords(sheared):
     """exact, classical average and Taylor polynomial must coincide where
     every expansion is in its comfort zone."""
