@@ -18,10 +18,10 @@ number of seeds. Every full Newton step is evaluated with its Jacobian
 stencil, and only a seed that moved on a damped step needs a stencil call of
 its own. Every kernel but the exact route's quadrature (the chords its
 closed form refuses) is elementwise, so a chord reads the same bits in any
-batch and a seed moves exactly as it would alone. The book-keeping is in
-arrays: the searching seeds are a mask, and the merge of converged roots finds
-its close pairs among the roots sorted by xi_p. The ray scan of
-``first_zero_along`` is one call as well.
+batch and a seed moves exactly as it would alone. The searching seeds are a
+mask; the converged roots are merged by one loop over them in seed order,
+which runs once per search. The ray scan of ``first_zero_along`` is one call
+as well.
 
 Both sign tests first clear samples below a noise floor (``NOISE_RATIO``
 times the field scale) to exactly zero, and a component with no sample above
@@ -292,35 +292,13 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
 
 
 def _merged(xi, tol):
-    """Which roots of ``xi`` (m, 2) the merge keeps, in seed order: each root
-    in turn, unless it lies within ``tol`` of a root kept before it.
-
-    A close pair lies within ``tol`` in xi_p, so with the roots sorted by
-    xi_p each root's partners are among the roots sorted just before it and
-    within 2 ``tol`` in xi_p (a margin for the rounding of the differences).
-    The greedy rule is then a fixed point: a root is merged when one of its
-    earlier partners is not. Iterated from no root merged, it settles each
-    root once its earlier partners have settled, and it stops when the
-    merged set stops changing.
-    """
-    m = len(xi)
-    order = np.argsort(xi[:, 0], kind="stable")
-    p, q = xi[order, 0], xi[order, 1]
-    # sorted root i pairs with i - 1, ..., lo[i]
-    lo = np.searchsorted(p, p - 2.0 * tol)
-    count = np.arange(m) - lo
-    i = np.repeat(np.arange(m), count)
-    j = i - 1 - (np.arange(i.size) - np.repeat(np.cumsum(count) - count, count))
-    close = np.hypot(p[i] - p[j], q[i] - q[j]) < tol
-    i, j = order[i[close]], order[j[close]]
-    earlier, later = np.minimum(i, j), np.maximum(i, j)
-    merged = np.zeros(m, dtype=bool)
-    while True:
-        now = np.zeros(m, dtype=bool)
-        now[later[~merged[earlier]]] = True
-        if np.array_equal(now, merged):
-            return ~merged
-        merged = now
+    """The indices of the roots of ``xi`` (m, 2) that the merge keeps: each
+    root in seed order, unless it lies within ``tol`` of a root kept before it."""
+    kept = {}
+    for k, (p, q) in enumerate(xi.tolist()):
+        if all(math.hypot(p - kp, q - kq) >= tol for kp, kq in kept.values()):
+            kept[k] = p, q
+    return np.fromiter(kept, dtype=int, count=len(kept))
 
 
 def _radius_order(xi, tol):
@@ -380,14 +358,14 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     width on every side: a seed whose full Newton step would leave that box
     stops unevaluated and is rejected, so a near-singular Jacobian cannot
     fling one chord far outside the state and fail the whole batch. A
-    converged root within ``STEP_TOL`` cell diagonals of a root kept before
-    it, in seed order, the resolution of the step rule, is merged into it
-    (``_merged``); distinct zeros may lie closer than a cell. Roots outside
-    the scanned region but inside the box are kept. Spots are returned
-    sorted by distance from the origin; radii within that same tolerance
-    are a tie, ordered by xi_q, then xi_p (``_radius_order``), so the two
-    spots of a +-xi pair, whose radii differ in the last bits, keep one
-    order whatever the round-off.
+    converged root within ``STEP_TOL`` cell diagonals (the step rule's
+    resolution) of a root kept before it in seed order is merged into it
+    (``_merged``), so no two spots lie that close; distinct zeros may lie
+    closer than a cell. Roots outside the scanned region but inside the box
+    are kept. Spots are returned sorted by distance from the origin; radii
+    within that same tolerance are a tie, ordered by xi_q, then xi_p
+    (``_radius_order``), so the two spots of a +-xi pair, whose radii differ
+    in the last bits, keep one order whatever the round-off.
     """
     seeds = _seed_chords(grid)
     if len(seeds) == 0:
@@ -399,8 +377,7 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     cell_diag = math.hypot(xp[1] - xp[0], xq[1] - xq[0])
     box = (np.array([xp[0], xq[0]]) - width, np.array([xp[-1], xq[-1]]) + width)
     xi, converged, iterations = _newton_polish(evaluator, seeds, step, cell_diag, box)
-    kept = np.flatnonzero(converged)
-    kept = kept[_merged(xi[kept], STEP_TOL * cell_diag)]
+    kept = np.flatnonzero(converged)[_merged(xi[converged], STEP_TOL * cell_diag)]
     values = _chi(evaluator, xi[kept])
     order = _radius_order(xi[kept], STEP_TOL * cell_diag)
     found = tuple(BlindSpot(chord=Chord(float(xi[k, 0]), float(xi[k, 1])),

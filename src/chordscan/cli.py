@@ -636,6 +636,9 @@ def main(argv=None) -> int:
     except (InvalidStateError, ValueError, OSError) as exc:
         print(f"chordscan: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a grid or cut too large: the sizes asked for are at fault
+        print(f"chordscan: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"chordscan: did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

@@ -92,8 +92,9 @@ def make_evaluator(name: str, state: CurveSpec) -> Evaluator:
                          None if grid is None else partial(grid, state))
     taylor = re.fullmatch(r"taylor(?::([1-9][0-9]*))?", name)
     if taylor:
-        order = int(taylor[1] or 4)
-        if order > 170:  # the series divides by K!, which overflows a double past 170
+        digits = taylor[1] or "4"
+        # K! overflows a double past 170; int() refuses more than 4300 digits
+        if len(digits) > 3 or int(digits) > 170:
             raise ValueError(f"{name!r} has a Taylor order above 170, where K! overflows a double")
-        return _taylor(state, order)
+        return _taylor(state, int(digits))
     raise ValueError(f"unknown evaluator {name!r}; known: {', '.join(EVALUATOR_NAMES)}")

@@ -28,9 +28,9 @@ it directly, a tensor grid goes through evolved_chi_grid (the closed form
 built once per xi_p row, the refused chords' rows and columns as one tensor
 quadrature) and one chord through evolved_chi. Those two names stay apart
 only for the benchmark's tracer, until it reads counters kept by the library
-(ROADMAP item 1). fock_chi_radial and nodal_radii are the ring's closed
-forms, its Laguerre profile and the radii of its zeros: anchors of the tests
-and the acceptance battery, and the nodal set of each state with alpha3 t = 0.
+(ROADMAP item 1). fock_chi_radial and nodal_radii are the ring's Laguerre
+profile and the radii of its zeros, polished in 40-digit decimal: anchors of
+the tests and the verify battery, and the nodal set when alpha3 t = 0.
 Grid-level certificates (the symplectic Fourier invariance of |chi|^2 and the
 chord correlation) are also implemented here because they only make sense
 against the exact field.
@@ -38,10 +38,12 @@ against the exact field.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 from numpy.polynomial.laguerre import lagroots
 
-from .core import ChordValue, Evaluator, two_product, two_sum, unflagged
+from .core import ChordValue, Evaluator, unflagged
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
@@ -101,44 +103,20 @@ def nodal_radii(n: int, hbar: float) -> np.ndarray:
 
     numpy's lagroots takes the zeros x_k of L_n as companion-matrix
     eigenvalues, which are off by up to 1.7e-12 relative at n = 160. Two
-    Newton steps x - x L_n / n (L_n - L_{n-1}), on values of the recurrence
-    carried to twice double precision (_laguerre_pair), put each on its
-    zero to the last bit or so.
+    Newton steps x - x L_n / n (L_n - L_{n-1}), each on the recurrence
+    (k + 1) L_{k+1} = (2k + 1 - x) L_k - k L_{k-1} in 40-digit decimal and
+    rounded once, put each on its zero to the last bit or so.
     """
-    x = np.sort(lagroots([0.0] * n + [1.0]))
-    for _ in range(2):
-        value, previous = _laguerre_pair(n, x)
-        x = x - x * value / (n * (value - previous))
-    return np.sqrt(2.0 * hbar * x)
-
-
-def _laguerre_pair(n: int, x):
-    """L_n(x) and L_{n-1}(x) for n >= 1, by the recurrence (k + 1) L_{k+1} =
-    (2k + 1 - x) L_k - k L_{k-1}, each L_k carried as high + low parts with
-    every product's and every addition's rounding error kept (core's
-    two_product and two_sum).
-
-    Near a zero of L_n the recurrence's last step cancels, and the low parts
-    keep the digits that a plain double recurrence loses there.
-    """
-    previous, previous_low = np.ones_like(x), np.zeros_like(x)  # L_0
-    value, value_low = two_sum(1.0, -x)  # L_1
-    for k in range(1, n):
-        slope, slope_low = two_sum(2.0 * k + 1.0, -x)
-        first, first_low = two_product(slope, value)
-        first_low = first_low + (slope * value_low + slope_low * value)
-        second, second_low = two_product(float(k), previous)
-        second_low = second_low + k * previous_low
-        total, total_low = two_sum(first, -second)
-        total_low = total_low + (first_low - second_low)
-        # the quotient by k + 1, its remainder taken exactly
-        quotient = total / (k + 1)
-        back, back_low = two_product(quotient, float(k + 1))
-        rest, rest_low = two_sum(total, -back)
-        low = (rest + (rest_low - back_low + total_low)) / (k + 1)
-        previous, previous_low = value, value_low
-        value, value_low = two_sum(quotient, low)
-    return value + value_low, previous + previous_low
+    x = np.sort(lagroots([0.0] * n + [1.0])).tolist()
+    with localcontext() as context:
+        context.prec = 40
+        for _ in range(2):
+            for i, root in enumerate(map(Decimal, x)):
+                previous, value = Decimal(1), 1 - root
+                for k in range(1, n):
+                    previous, value = value, ((2 * k + 1 - root) * value - k * previous) / (k + 1)
+                x[i] = float(root - root * value / (n * (value - previous)))
+    return np.sqrt(2.0 * hbar * np.array(x))
 
 
 BLOCK_ELEMENTS = 2048  # chords x nodes per profile block: 16 rows of a 128-node rule
@@ -470,7 +448,11 @@ def fourier_invariance_residual(grid) -> float:
     scanned field (shape only; the normalization certificate is C at xi = 0)
     and refuses every field that correlation_C refuses.
     """
-    abs2, c = _chord_correlation(grid)
+    return _invariance_residual(*_chord_correlation(grid))
+
+
+def _invariance_residual(abs2, c) -> float:
+    """||C - |chi|^2|| / |||chi|^2||, from _chord_correlation's pair."""
     return float(np.linalg.norm(c - abs2) / np.linalg.norm(abs2))
 
 

@@ -7,8 +7,10 @@ claim it broke.
 
 import time
 
+import numpy as np
 import pytest
 
+from chordscan import axis, make_evaluator, scan_grid
 from chordscan.acceptance import CRITERIA
 
 
@@ -48,3 +50,27 @@ def test_run_all_reports_one_line_per_criterion(monkeypatch):
     assert lines[0].startswith("PASS  stub_ok")
     assert lines[1].startswith("FAIL  stub_bad")
     assert "still reported" in lines[1]
+
+
+def test_purity_criterion_runs_one_transform(monkeypatch):
+    """The residual and the pointwise defect are read off one transform, and
+    the criterion measures what its two certificates would."""
+    from chordscan import acceptance, exact
+
+    dft, calls = exact._symplectic_dft, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dft(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_symplectic_dft", counting)
+    result = acceptance.criterion_purity_invariance()
+    assert len(calls) == 1
+    monkeypatch.setattr(exact, "_symplectic_dft", dft)
+    ax = axis(-3.2, 3.2, 161)
+    grid = scan_grid(make_evaluator("exact", acceptance.SHEARED_STATE), ax, ax)
+    residual = exact.fourier_invariance_residual(grid)
+    pointwise = float(np.max(np.abs(exact.correlation_C(grid) - np.abs(grid.values) ** 2)))
+    assert result.measured == max(residual, pointwise)
+    assert result.detail == (f"transform residual {residual:.1e}, "
+                             f"correlation defect {pointwise:.1e}")

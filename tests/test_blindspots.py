@@ -1,5 +1,6 @@
 """Nodal-line tracing and blind-spot (isolated zero) location."""
 
+import itertools
 import math
 
 import numpy as np
@@ -687,23 +688,28 @@ class TestBatchPaths:
             *(b + [0.0, 0.3] + k * along_q for k in (3, 1, 0, 2, 4)),  # a chain in xi_q, shuffled
         ])
 
-        def greedy(points):
-            kept = []
-            for k, (p, q) in enumerate(points):
-                if all(math.hypot(p - points[j][0], q - points[j][1]) >= tol for j in kept):
-                    kept.append(k)
-            return kept
+        def assert_greedy(points, kept):
+            """No two kept roots lie within tol, and every dropped root lies
+            within tol of a kept root of smaller index: the two properties
+            that fix the rule in seed order."""
+            def gap(i, j):
+                return math.hypot(*(points[i] - points[j]))
 
-        got = np.flatnonzero(_merged(roots, tol))
-        assert got.tolist() == greedy(roots.tolist())
+            for i, j in itertools.combinations(kept, 2):
+                assert gap(i, j) >= tol, (i, j)
+            for k in sorted(set(range(len(points))) - set(kept)):
+                assert any(gap(k, j) < tol for j in kept if j < k), k
+
+        kept = _merged(roots, tol)
+        assert_greedy(roots, kept)
         # a, b, b + half a cell, a's far partner, c + 0, 2, 4 and 6 steps,
         # and the xi_q chain's 3 and 1 (1.4 tol apart); its 0, 2 and 4 lie
         # 0.7 tol from one of those
-        assert got.tolist() == [0, 4, 5, 6, 7, 9, 11, 13, 14, 15]
+        assert kept.tolist() == [0, 4, 5, 6, 7, 9, 11, 13, 14, 15]
         rng = np.random.default_rng(29)
         for _ in range(20):
             shuffled = roots[rng.permutation(len(roots))]
-            assert np.flatnonzero(_merged(shuffled, tol)).tolist() == greedy(shuffled.tolist())
+            assert_greedy(shuffled, _merged(shuffled, tol))
         assert _merged(roots[:0], tol).shape == (0,)
 
     def test_polish_calls_do_not_grow_with_the_seeds(self):

@@ -914,6 +914,8 @@ def test_unknown_evaluator_is_a_config_error(tmp_path, capsys, name):
 @pytest.mark.parametrize("command", [
     ("cut", "--slope", "1", "--range=0:0.01", "--samples", "3", "--evaluator", "taylor:171"),
     ("scan", "--resolution", "3", "--evaluator", "taylor:99999"),
+    ("cut", "--slope", "1", "--range=0:0.01", "--samples", "3", "--evaluator",
+     "taylor:" + "9" * 5000),
 ])
 def test_taylor_order_above_170_is_a_config_error(tmp_path, capsys, command):
     """K! overflows a double past K = 170: such an order exits 1 before any
@@ -922,6 +924,20 @@ def test_taylor_order_above_170_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("chordscan: 'taylor:") and "above 170" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_out_of_memory_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """A grid too large to allocate exits 1 with one line, not a traceback:
+    the sizes asked for are at fault. No array is allocated here."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (10001, 20001)")
+
+    monkeypatch.setattr(cli, "scan_grid", refuse)
+    assert run("scan", "--resolution", "20001", "--out", str(tmp_path / "x.csv")) == 1
+    err = capsys.readouterr().err
+    assert err == ("chordscan: out of memory: Unable to allocate 2.98 GiB for an array "
+                   "with shape (10001, 20001)\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -51,7 +51,8 @@ def test_unknown_name_rejected(sheared):
 
 def test_taylor_order_above_170_is_refused(sheared):
     """K! overflows a double past K = 170, so taylor:170 is the highest order."""
-    for name in ("taylor:171", "taylor:99999"):
+    # past 4300 digits int() would refuse the order with a message of its own
+    for name in ("taylor:171", "taylor:99999", "taylor:1000", "taylor:" + "9" * 5000):
         with pytest.raises(ValueError, match="above 170"):
             make_evaluator(name, sheared)
     assert make_evaluator("taylor:170", sheared).name == "taylor:170"

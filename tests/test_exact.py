@@ -98,6 +98,8 @@ def test_unsheared_zeros_lie_on_the_sheared_laguerre_circles(alpha, t):
 
 def test_nodal_radii_are_the_zeros_of_the_laguerre_profile():
     assert nodal_radii(0, HBAR).size == 0
+    # L_1 = 1 - x: its one zero x_1 = 1 sits at radius sqrt(2 hbar)
+    assert nodal_radii(1, HBAR).tolist() == [np.sqrt(2.0 * HBAR)]
     for n, hbar in ((5, HBAR), (80, 0.006832298)):
         radii = nodal_radii(n, hbar)
         assert radii.size == n and np.all(np.diff(radii) > 0.0)
@@ -127,7 +129,7 @@ def test_nodal_radii_land_on_the_laguerre_zeros(n):
     np.testing.assert_allclose(radii[:4], want, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [5, 20, 80, 160])
+@pytest.mark.parametrize("n", [1, 5, 20, 80, 160])
 def test_every_nodal_radius_lands_on_its_laguerre_zero(n):
     """Every radius against a 40-digit zero of L_n: five Newton steps on its
     recurrence in decimal arithmetic from scipy's Gauss-Laguerre nodes, which
