@@ -12,11 +12,10 @@ by the evaluator, not by the scan resolution. A seed converges when its own
 Newton step falls below ``STEP_TOL`` cell diagonals, a rule on position that
 no scale of |chi| enters: a seed sliding down the decaying tail, where each
 step stays a fixed fraction of the tail's width, never converges. All seeds
-are polished in lockstep, one ``evaluate`` call per stage (``_newton_polish``
-lists them), so the number of calls is set by the Newton steps and not by the
-number of seeds. Every full Newton step is evaluated with its Jacobian
-stencil, and only a seed that moved on a damped step needs a stencil call of
-its own. Every kernel but the exact route's quadrature (the chords its
+are polished in lockstep, at most three ``evaluate`` calls per Newton step
+(the Jacobian stencils, the full steps, the damped steps; ``_newton_polish``),
+so the number of calls is set by the Newton steps and not by the number of
+seeds. Every kernel but the exact route's quadrature (the chords its
 closed form refuses) is elementwise, so a chord reads the same bits in any
 batch and a seed moves exactly as it would alone. The searching seeds are a
 mask; the converged roots are merged by one loop over them in seed order,
@@ -193,26 +192,21 @@ def _chi(evaluator, points):
 
 # Jacobian stencil of one Newton step: the chord offsets +e_p, -e_p, +e_q, -e_q
 _JACOBIAN_OFFSETS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-# a chord, then its Jacobian stencil: the offsets of a full step's evaluate call
-_WITH_STENCIL = np.concatenate([np.zeros((1, 2)), _JACOBIAN_OFFSETS])
 # the lengths lambda = 1, 1/2, ..., 1/128 of a Newton step, longest first, in
-# the groups that share one evaluate call. The groups double: few seeds need
-# the short lengths, and a call costs as much as a few hundred closed-form
-# chords but only about ten that go to the quadrature (most chords at n = 20)
-_LADDER = ((1.0,), (0.5,), (0.25, 0.125), (1 / 16, 1 / 32, 1 / 64, 1 / 128))
+# the groups that share one evaluate call: the full step, which most seeds
+# take, then the seven damped lengths of the seeds whose full step failed
+_LADDER = ((1.0,), (1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128))
 NEWTON_MAX_ITER = 40  # Newton steps a seed may take before it is rejected
 
 
 def _newton_polish(evaluator, seeds, step, cell_diag, box):
     """Damped Newton on (Re chi, Im chi) from every seed at once.
 
-    The seeds move in lockstep, one evaluate call per stage: the seeds with
-    their four-chord central-difference Jacobian stencils; then in each
-    iteration a stencil call for the seeds that moved on a damped step, and
-    one call per group of _LADDER over the seeds that no longer step length
-    has moved. A seed takes the first length that reduces |chi|. Every full
-    step (lambda = 1) is evaluated with its stencil, so a seed whose full
-    step is taken starts its next iteration with its Jacobian known.
+    The seeds move in lockstep, one evaluate call per stage: the seeds'
+    values; then in each iteration the four-chord central-difference
+    Jacobian stencils around the searching seeds' current points, and one
+    call per group of _LADDER over the seeds that no longer step length has
+    moved. A seed takes the first length that reduces |chi|.
 
     Each seed follows the rules of a lone iteration: it converges when its
     full Newton step is shorter than STEP_TOL * ``cell_diag``, and then
@@ -229,23 +223,18 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
     seed converged (n,) and iteration counts (n,).
     """
     xi = np.array(seeds, dtype=float).reshape(-1, 2)
-    z = _chi(evaluator, xi[:, None, :] + step * _WITH_STENCIL)
-    value, stencil = z[:, 0], z[:, 1:]
-    known = np.ones(len(xi), dtype=bool)  # an active seed's stencil[k] is chi around xi[k]
+    value = _chi(evaluator, xi)
     converged = np.zeros(len(xi), dtype=bool)
     iterations = np.full(len(xi), NEWTON_MAX_ITER)
     active = np.ones(len(xi), dtype=bool)
     for it in range(1, NEWTON_MAX_ITER + 1):
-        if not active.any():
-            break
-        stale = active & ~known
-        if stale.any():
-            stencil[stale] = _chi(evaluator, xi[stale, None, :] + step * _JACOBIAN_OFFSETS)
-            known[stale] = True
         searching = np.flatnonzero(active)
+        if searching.size == 0:
+            break
         # the Jacobian [[a, b], [c, d]] of (Re chi, Im chi), its column k
         # f(xi + e_k) - f(xi - e_k) over 2 step; a zero determinant ends the search
-        dz = stencil[searching, 0::2] - stencil[searching, 1::2]
+        stencil = _chi(evaluator, xi[searching, None, :] + step * _JACOBIAN_OFFSETS)
+        dz = stencil[:, 0::2] - stencil[:, 1::2]
         jac = np.concatenate([dz.real, dz.imag], axis=1).T / (2.0 * step)
         a, b, c, d = jac
         det = a * d - b * c
@@ -271,20 +260,13 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
                 break
             # (seeds, lengths, 2)
             cand = xi[trying, None, :] + np.array(lams)[:, None] * delta[:, None, :]
-            if lams[0] == 1.0:
-                # every stencil sent is kept: a seed whose full step fails
-                # either moves on a damped step, which marks it stale, or stops
-                z = _chi(evaluator, cand + step * _WITH_STENCIL)
-                z, stencil[trying] = z[:, :1], z[:, 1:]
-            else:
-                z = _chi(evaluator, cand)
+            z = _chi(evaluator, cand)
             better = np.abs(z) < np.abs(value[trying, None])
             hit = better.any(axis=1)
             first = np.argmax(better[hit], axis=1)  # the longest step that is better
             taken = trying[hit]
             xi[taken], value[taken] = cand[hit, first], z[hit, first]
             moved[taken] = True
-            known[taken] = lams[0] == 1.0
             trying, delta = trying[~hit], delta[~hit]
         iterations[active & ~moved] = it
         active = moved
@@ -349,11 +331,12 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     that vanishes on a cell edge has a zero in that cell, so the cells on
     both sides of a nodal row count. The seed cells' centers, in row-major
     order, start a lockstep damped Newton iteration on the evaluator
-    (``_newton_polish``), whose ``evaluate`` calls are set by the Newton
-    steps whatever the number of seeds; one more call reads the spots'
-    values. A seed converges when its Newton step is shorter than
-    ``STEP_TOL`` cell diagonals; a seed that runs down the decaying tail
-    keeps taking steps of a fixed fraction of the tail's width and does not.
+    (``_newton_polish``): one ``evaluate`` call for the seeds' values and
+    at most three per Newton step whatever the number of seeds; one more
+    call reads the spots' values. A seed converges when its Newton step is
+    shorter than ``STEP_TOL`` cell diagonals; a seed that runs down the
+    decaying tail keeps taking steps of a fixed fraction of the tail's width
+    and does not.
     The iteration is confined to the scanned region widened by one region
     width on every side: a seed whose full Newton step would leave that box
     stops unevaluated and is rejected, so a near-singular Jacobian cannot

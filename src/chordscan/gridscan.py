@@ -57,13 +57,15 @@ class ChordFieldGrid:
 
 
 def axis(lo: float, hi: float, count: int) -> np.ndarray:
-    """``count`` evenly spaced samples from ``lo`` to ``hi`` inclusive; hi - lo > 0 and finite.
+    """``count`` evenly spaced samples from ``lo`` to ``hi`` inclusive; hi - lo > 0
+    and finite, and ``count`` an integer of at least 2.
 
     Samples are placed symmetrically about the midpoint, so a symmetric axis
     is exactly antisymmetric and, for an odd count, its middle sample is
     exactly 0 (``np.linspace(-0.45, 0.45, 41)`` puts it at -5.55e-17).
     """
-    if count < 2 or not (hi > lo and np.isfinite(hi - lo)):
+    if (not isinstance(count, (int, np.integer)) or count < 2
+            or not (hi > lo and np.isfinite(hi - lo))):
         raise ValueError(f"bad axis [{lo}, {hi}] x {count}")
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)

@@ -567,23 +567,25 @@ class TestBatchPaths:
         for k, seed in enumerate(seeds):
             assert _newton_polish(Field(), seed[None, :], 1e-6, 0.1, UNBOUNDED)[2][0] == iters[k]
 
-    def test_the_ladder_is_the_sequential_line_search(self):
+    def test_the_ladder_is_the_sequential_line_search(self, sheared_scan):
         """Each seed takes the first of the lengths 1, 1/2, ..., 1/128 of its
         Newton step that reduces |chi|, as a backtracking loop that evaluates
         one candidate at a time does (kept here as the reference). On
         Re chi = (1 + xi_p^2)(xi_p - 4) / 4, |chi| along a step rises and
         falls; the seeds cover every length, a step on which all eight fail,
         a full step that leaves the box, and a step taken at 1/4 although
-        1/8 would reduce |chi| further."""
+        1/8 would reduce |chi| further. On the exact route, the recipe
+        report's seeds, polished as find_blind_spots sets them up, follow the
+        reference bit for bit as well."""
         class Field:
             def evaluate(self, xi_p, xi_q):
                 values = (1.0 + xi_p ** 2) * (xi_p - 4.0) / 4.0 + 1j * xi_q
                 return values, np.zeros(np.shape(values), dtype=np.uint8)
 
-        def chi(xi):
-            return complex(Field().evaluate(xi[:1], xi[1:])[0][0])
+        def backtracking(evaluator, seed, step, cell_diag, box, log):
+            def chi(xi):
+                return complex(evaluator.evaluate(xi[:1], xi[1:])[0][0])
 
-        def backtracking(seed, step, cell_diag, box, log):
             xi = np.array(seed)
             value = chi(xi)
             for it in range(1, NEWTON_MAX_ITER + 1):
@@ -616,17 +618,33 @@ class TestBatchPaths:
                     return xi, False, it
             return xi, False, NEWTON_MAX_ITER
 
+        def assert_sequential(evaluator, seeds, step, cell_diag, box):
+            """The lockstep polish against the reference, seed by seed;
+            returns which seeds converged and the reference's log."""
+            xi, converged, iters = _newton_polish(evaluator, seeds, step, cell_diag, box)
+            log = []
+            for k, seed in enumerate(seeds):
+                xi1, converged1, iters1 = backtracking(evaluator, seed, step, cell_diag, box, log)
+                assert (iters1, converged1) == (iters[k], converged[k]), k
+                assert xi1.tobytes() == xi[k].tobytes(), k
+            return converged, log
+
         assert [lam for group in _LADDER for lam in group] == [0.5 ** k for k in range(8)]
         seeds = np.random.default_rng(1).uniform([-1.0, -1.0], [6.0, 1.0], (60, 2))
         box = (np.full(2, -20.0), np.full(2, 20.0))
-        xi, converged, iters = _newton_polish(Field(), seeds, 1e-6, 0.1, box)
-        log = []
-        for k, seed in enumerate(seeds):
-            xi1, converged1, iters1 = backtracking(seed, 1e-6, 0.1, box, log)
-            assert (iters1, converged1) == (iters[k], converged[k]), k
-            assert xi1.tobytes() == xi[k].tobytes(), k
+        converged, log = assert_sequential(Field(), seeds, 1e-6, 0.1, box)
         assert set(log) == {*range(8), "fail", "box", "1/4 over a better 1/8"}
         assert converged.any()
+
+        ev, grid = sheared_scan
+        seeds = _seed_chords(grid)
+        assert len(seeds) == 54
+        # as find_blind_spots sets them for this region
+        xp, xq = grid.xi_p_axis, grid.xi_q_axis
+        width = max(xp[-1] - xp[0], xq[-1] - xq[0])
+        box = (np.array([xp[0], xq[0]]) - width, np.array([xp[-1], xq[-1]]) + width)
+        converged, _ = assert_sequential(ev, seeds, 1e-6 * width, _cell_diagonal(grid), box)
+        assert converged.all()
 
     def test_runaway_seed_stops_at_the_box(self):
         """Re chi = (xi_p - c)^2 - h^2 has a root in each of the cells
@@ -740,26 +758,37 @@ class TestBatchPaths:
         again = find_blind_spots(counting, grid)
         assert [s.chord for s in again.spots] == [s.chord for s in find_blind_spots(ev, grid).spots]
         assert counting.single == 0
-        # one batch of the seeds, each with its Jacobian stencil of 4 chords
-        assert counting.batches[0] == 5 * again.n_seeds
+        # the seeds' values, then their Jacobian stencils of 4 chords each
+        assert counting.batches[:2] == [again.n_seeds, 4 * again.n_seeds]
         # the last call reads each spot's value
         assert counting.batches[-1] == len(again.spots)
-        # every full step carries its stencil, and the damped step lengths
-        # share calls in the doubling groups of _LADDER
-        calls, chords = {"sheared": (17, 1368), "n3": (18, 1396)}[name]
+        calls, chords = {"sheared": (18, 1372), "n3": (21, 1412)}[name]
         assert (len(counting.batches), sum(counting.batches)) == (calls, chords)
 
     def test_search_calls_at_strong_shear(self):
         """CI's t = 1 report: 121^2 cells over +-1.7 seed 348 Newton
-        searches of up to 40 steps, many of them damped, whose step lengths
-        share calls in the doubling groups of _LADDER."""
+        searches of up to 40 steps, many of them damped, whose seven damped
+        lengths share one call."""
         state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=1.0)
         ax = axis(-1.7, 1.7, 121)
         counting = CountingEvaluator(ExactEvaluator(state))
         found = find_blind_spots(counting, scan_grid(counting.evaluator, ax, ax))
         assert len(found.spots) == 50
         assert counting.single == 0
-        assert len(counting.batches) <= 110
+        assert len(counting.batches) <= 100
+
+    def test_runaway_report_calls(self):
+        """CI's runaway report (t = 0.001, 241^2 cells over +-1.7) keeps
+        seeds searching for all NEWTON_MAX_ITER steps, so it makes the most
+        calls a search may: the seeds' values, three stages per step (the
+        stencils, the full steps, the damped lengths) and the spots' values."""
+        state = CurveSpec(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, 1.0), t=0.001)
+        ax = axis(-1.7, 1.7, 241)
+        counting = CountingEvaluator(ExactEvaluator(state))
+        found = find_blind_spots(counting, scan_grid(counting.evaluator, ax, ax))
+        assert len(found.spots) == 30
+        assert counting.single == 0
+        assert len(counting.batches) <= 1 + 3 * NEWTON_MAX_ITER + 1
 
     def test_grid_without_seed_cells(self, sheared):
         """Re chi > 0 everywhere: no seed cell, no evaluation, an empty search."""

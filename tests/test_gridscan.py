@@ -11,6 +11,9 @@ def test_axis_rejects_bad_ranges():
         axis(1.0, -1.0, 10)
     with pytest.raises(ValueError):
         axis(0.0, 1.0, 1)
+    # 5.5 samples would make 6 whose last spacing is half the others
+    with pytest.raises(ValueError, match="bad axis"):
+        axis(-1.0, 1.0, 5.5)
 
 
 @pytest.mark.parametrize("lo, hi", [
