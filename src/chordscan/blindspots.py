@@ -205,8 +205,8 @@ def _newton_polish(evaluator, seeds, step, cell_diag, box):
     The seeds move in lockstep, one evaluate call per stage: the seeds'
     values; then in each iteration the four-chord central-difference
     Jacobian stencils around the searching seeds' current points, and one
-    call per group of _LADDER over the seeds that no longer step length has
-    moved. A seed takes the first length that reduces |chi|.
+    call per group of _LADDER, for the seeds that no longer length has moved
+    yet. A seed takes the first length that reduces |chi|.
 
     Each seed follows the rules of a lone iteration: it converges when its
     full Newton step is shorter than STEP_TOL * ``cell_diag``, and then

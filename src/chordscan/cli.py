@@ -116,7 +116,8 @@ _COMMAND_KEYS = {
 
 def load_config(path: str, command: str) -> dict:
     """Read KEY=VALUE lines of ``command``'s options; '#' starts a comment,
-    blank lines are skipped, and a key the command does not take is an error."""
+    blank lines are skipped, and a key the command does not take or a value
+    its converter refuses is an error naming the file and line."""
     keys = _COMMAND_KEYS[command] + ("out",)
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -129,7 +130,10 @@ def load_config(path: str, command: str) -> dict:
         key = key.strip()
         if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} for {command}")
-        values[key] = _OPTIONS[key][0](value.strip())
+        try:
+            values[key] = _OPTIONS[key][0](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 

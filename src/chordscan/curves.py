@@ -44,7 +44,9 @@ class CurveSpec:
     t: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
+        # a bool is an int to isinstance, but True is no quantum number
+        if not (isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool)
+                and self.n >= 0):
             raise InvalidStateError(f"quantum number must be a non-negative integer, got {self.n!r}")
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise InvalidStateError(f"hbar must be finite and positive, got {self.hbar!r}")

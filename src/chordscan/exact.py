@@ -23,14 +23,15 @@ per node pass, and one certificate covers the whole batch.
 
 An accepted value depends on its chord alone; a refused one depends on the
 other refused chords of its call, through the shared window and certificate.
-ExactEvaluator is the core.Evaluator of the two routes: a chord batch calls
-it directly, a tensor grid goes through evolved_chi_grid (the closed form
-built once per xi_p row, the refused chords' rows and columns as one tensor
-quadrature) and one chord through evolved_chi. Those two names stay apart
-only for the benchmark's tracer, until it reads counters kept by the library
-(ROADMAP item 1). fock_chi_radial and nodal_radii are the ring's Laguerre
-profile and the radii of its zeros, polished in 40-digit decimal: anchors of
-the tests and the verify battery, and the nodal set when alpha3 t = 0.
+ExactEvaluator is the core.Evaluator of the two routes. One kernel, _exact,
+serves its chord lists and tensor grids alike: the closed form (built once
+per xi_p row of a grid), the refusal rule, one quadrature for the refused
+chords and the |chi| check. A grid goes through evolved_chi_grid and one
+chord through evolved_chi, names kept apart only for the benchmark's tracer
+until it reads counters kept by the library (ROADMAP item 1). fock_chi_radial
+and nodal_radii are the ring's Laguerre profile and the radii of its zeros,
+polished in 40-digit decimal: anchors of the tests and the verify battery,
+and the nodal set when alpha3 t = 0.
 Grid-level certificates (the symplectic Fourier invariance of |chi|^2 and the
 chord correlation) are also implemented here because they only make sense
 against the exact field.
@@ -315,29 +316,30 @@ def _magnitude_sum(n: int, size_plus, size_minus, size_d, size_c):
     return total
 
 
-def _certified(state: CurveSpec, xi_p, xi_q):
-    """Closed-form values at chords broadcast from xi_p and xi_q, and where their bound refuses them.
+def _exact(state: CurveSpec, xi_p, xi_q):
+    """The exact chord function at a chord list or a tensor grid.
 
-    A chord is refused when its round-off bound exceeds OVERLAP_TOL, the
-    quadrature's own tolerance, or is not finite, or its value is not finite.
+    The chords are two 1-d arrays paired elementwise, or xi_p as a column
+    and xi_q as a row. The closed form takes each chord whose round-off bound
+    is within OVERLAP_TOL, the quadrature's own tolerance, and whose value is
+    finite. A list's refused chords go to one chord-list quadrature; a grid's
+    go to one tensor quadrature over the rows and columns that hold them. A
+    |chi| above 1 + MODULUS_SLACK raises NumericalError.
     """
     values, bound = _closed_form(state, xi_p, xi_q)
-    return values, ~((bound <= OVERLAP_TOL) & np.isfinite(values))
-
-
-def _modulus_checked(values):
+    refused = ~((bound <= OVERLAP_TOL) & np.isfinite(values))
+    if refused.any():
+        if refused.ndim == 1:
+            values[refused] = _overlap(state, xi_p[refused], xi_q[refused], tensor=False)
+        else:
+            rows, cols = refused.any(axis=1), refused.any(axis=0)
+            block = np.ix_(rows, cols)
+            quadrature = _overlap(state, xi_p[rows], xi_q[cols], tensor=True)
+            values[block] = np.where(refused[block], quadrature, values[block])
     peak = np.max(np.abs(values), initial=0.0)
     if peak > 1.0 + MODULUS_SLACK:
         raise NumericalError(f"max |chi| = {peak} exceeds 1: the exact route is inconsistent")
     return values
-
-
-def _exact_chords(state: CurveSpec, xi_p, xi_q):
-    """Chord-list kernel: the closed form, and the quadrature for the chords it refuses."""
-    values, refused = _certified(state, xi_p, xi_q)
-    if refused.any():
-        values[refused] = _overlap(state, xi_p[refused], xi_q[refused], tensor=False)
-    return _modulus_checked(values)
 
 
 def evolved_chi(state: CurveSpec, xi) -> ChordValue:
@@ -347,34 +349,23 @@ def evolved_chi(state: CurveSpec, xi) -> ChordValue:
 
 
 def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
-    """Chord-function values on the tensor grid xi_p_axis x xi_q_axis.
-
-    The closed form takes every chord its bound accepts. The refused chords
-    go to one tensor quadrature over the rows and columns that hold them.
-    """
-    xi_p_axis = np.asarray(xi_p_axis, dtype=float).ravel()
-    xi_q_axis = np.asarray(xi_q_axis, dtype=float).ravel()
-    values, refused = _certified(state, xi_p_axis[:, np.newaxis], xi_q_axis)
-    if refused.any():
-        rows, cols = refused.any(axis=1), refused.any(axis=0)
-        block = np.ix_(rows, cols)
-        quadrature = _overlap(state, xi_p_axis[rows], xi_q_axis[cols], tensor=True)
-        values[block] = np.where(refused[block], quadrature, values[block])
-    return _modulus_checked(values)
+    """Chord-function values on the tensor grid xi_p_axis x xi_q_axis."""
+    return _exact(state, np.asarray(xi_p_axis, dtype=float).reshape(-1, 1),
+                  np.asarray(xi_q_axis, dtype=float).ravel())
 
 
 class ExactEvaluator(Evaluator):
     """The exact chord function as an evaluator of ``state``.
 
-    A chord batch takes one ``_exact_chords`` call and a tensor grid one
-    evolved_chi_grid call; a single chord goes through evolved_chi. Every
-    value is flagged OK.
+    A chord batch and a tensor grid (through evolved_chi_grid) each take one
+    _exact call; a single chord goes through evolved_chi. Every value is
+    flagged OK.
     """
 
     def __init__(self, state: CurveSpec):
         super().__init__(
             "exact", state,
-            lambda xi_p, xi_q: unflagged(_exact_chords(state, xi_p, xi_q)),
+            lambda xi_p, xi_q: unflagged(_exact(state, xi_p, xi_q)),
             lambda xi_p_axis, xi_q_axis: unflagged(evolved_chi_grid(state, xi_p_axis, xi_q_axis)))
 
     def __call__(self, xi) -> ChordValue:

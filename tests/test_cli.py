@@ -97,6 +97,21 @@ def test_config_key_of_another_command_is_a_config_error(tmp_path, capsys, comma
     assert run(command, "--config", str(cfg), "--out", str(out)) == 0
 
 
+@pytest.mark.parametrize("line, key, reason", [
+    ("resolution=abc", "resolution", "invalid literal for int() with base 10: 'abc'"),
+    ("region=1:0", "region", "interval '1:0' must have LO < HI"),
+], ids=["resolution", "region"])
+def test_bad_config_value_names_the_file_line_and_key(tmp_path, capsys, line, key, reason):
+    """A value the key's converter refuses is one stderr line naming the
+    file, the line and the key, as an unknown key is."""
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(f"t=0.1\n{line}\n")
+    out = tmp_path / "x.csv"
+    assert run("scan", "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"chordscan: {cfg}:2: bad value for {key!r}: {reason}\n"
+    assert not out.exists()
+
+
 def test_load_config_rejects_bare_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("small\n")

@@ -17,6 +17,8 @@ RADIUS = math.sqrt(1.1)  # n = 5 at hbar = 0.1: I = 0.55, r = sqrt(2 I)
     dict(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0)),
     dict(n=5, hbar=0.1, alpha=(0.0, 1.0, 1.0, float("inf"))),
     dict(n=5, hbar=0.1, t=float("inf")),
+    dict(n=True, hbar=0.1),
+    dict(n=False, hbar=0.1),
 ])
 def test_rejects_bad_parameters(kwargs):
     with pytest.raises(InvalidStateError):

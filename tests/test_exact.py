@@ -357,6 +357,30 @@ def test_refused_chords_go_to_the_quadrature():
                           quadrature[refused[np.ix_(rows, cols)]])
 
 
+@pytest.mark.parametrize("t, count", [(0.1, 100), (1.0, 134)])
+def test_the_grid_and_the_chord_list_refuse_the_same_chords(t, count):
+    """Both shapes share one refusal rule: at n = 20 the closed form refuses
+    the same chords of a 16^2 grid over +-3 as a column x row and as the
+    meshed list (an even count, so no chord has xi_p = 0 and is made real).
+    The grid and the list read the same bits where the closed form is
+    accepted, and the tensor and chord-list quadratures agree to round-off
+    where it is refused."""
+    state = CurveSpec(n=20, hbar=1.1 / 41, alpha=(0.0, 1.0, 1.0, 1.0), t=t)
+    ax = axis(-3.0, 3.0, 16)
+    xi_p, xi_q = (mesh.ravel() for mesh in np.meshgrid(ax, ax, indexing="ij"))
+
+    def refused(values, bound):
+        return ~((bound <= exact.OVERLAP_TOL) & np.isfinite(values))
+
+    grid_refused = refused(*exact._closed_form(state, ax[:, np.newaxis], ax)).ravel()
+    assert np.array_equal(grid_refused, refused(*exact._closed_form(state, xi_p, xi_q)))
+    assert grid_refused.sum() == count
+    grid = evolved_chi_grid(state, ax, ax).ravel()
+    listed, _ = ExactEvaluator(state).evaluate(xi_p, xi_q)
+    assert grid[~grid_refused].tobytes() == listed[~grid_refused].tobytes()
+    assert np.max(np.abs(grid[grid_refused] - listed[grid_refused])) <= 1e-12
+
+
 @pytest.mark.parametrize("alpha0", [1e6, 1e8])
 def test_the_constant_term_of_h_changes_no_bit(alpha0):
     """alpha0 adds a global phase to the shear, which the overlap drops: an
