@@ -4,18 +4,19 @@ Scans and cuts write CSV through one writer, ``_write_csv``, plus a JSON
 sidecar echoing the full configuration; the blind-spot command and the
 verifier write JSON reports. Every number in a CSV is the bytes of
 ``"%.17g" % x`` (doubles round-trip exactly, so identical configurations give
-bit-identical files). The writer formats with numpy, a block of rows at a
-time, all of a block's nonzero float cells that need text in one call of at
-most CSV_BLOCK_CELLS cells: a fast path takes the 17 digits of each finite
+bit-identical files). The writer works a block of rows at a time. A float
+cell is a sign byte and the text of its magnitude, and that text comes by
+one rule: a cell whose magnitude equals that of its row's partner (row
+size - 1 - r, written before it: a symmetric grid's -xi chord, whose chi is
+the conjugate) copies the partner's text, any other zero is "0", and every
+other cell is formatted with numpy in the block's one call of at most
+CSV_BLOCK_CELLS cells. There a fast path takes the 17 digits of each finite
 magnitude in FAST_RANGE from an exact double-double product and lays out its
 28-byte cell from whole-cell tables, and nan, inf, magnitudes outside
-FAST_RANGE and near-ties at the 17th digit fall back to ``"%.17g"`` itself. A
-zero is "0" and is never formatted. The sign is a byte of its own, so a cell
-whose magnitude equals that of its row's partner (row size - 1 - r: a
-symmetric grid's -xi chord, whose chi is the conjugate) copies the partner's
-text instead of formatting it. A text column is labels and a code per row: a
-scan's axis columns index the axis's values, each formatted once by
-``"%.17g"``, and a flag column indexes the flag names.
+FAST_RANGE and near-ties at the 17th digit fall back to ``"%.17g"`` itself.
+A text column is labels and a code per row: a scan's axis columns index the
+axis's values, each formatted once by ``"%.17g"``, and a flag column indexes
+the flag names.
 Wall-clock timings appear only in JSON, under a key that marks them as
 outside the determinism guarantee.
 
@@ -204,15 +205,15 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
 # whole cell picked by E, so a cell is row gathers and AND/OR over contiguous
 # words. Nan, inf, magnitudes outside FAST_RANGE and rounding fractions within
 # TIE_MARGIN of one half (exact ties occur, e.g. 2251799813685247.75) go to
-# "%.17g" itself. A zero is "0" and never reaches the formatter; a float
-# column with no nonzero cell (Im chi wherever chi is real by symmetry) is
-# written as a text column of "0" and "-0", coded by signbit, and is no part
-# of a block's cells to format. The sign is its own byte, "-" where
-# signbit(x) and x is not nan ("%.17g" writes -nan as "nan"), so a symmetric
-# grid's mirrored half, whose re, im, abs2 and phase have their -xi partners'
-# magnitudes, copies the text of the computed half: a 161^2 scan formats at
-# most 12 961 cells of each float column, not 25 921. The text kept for that
-# is the first half's. A text column is labels and one code per row (a scan's
+# "%.17g" itself. The sign is its own byte, "-" where signbit(x) and x is
+# not nan ("%.17g" writes -nan as "nan"), and a float cell's text is decided
+# by one rule: a second-half cell whose magnitude equals its partner's copies
+# the partner's kept text, any other zero is "0", and only the rest reach
+# the formatter. So a symmetric grid's mirrored half, whose re, im, abs2 and
+# phase have their -xi partners' magnitudes, copies the text of the computed
+# half (a 161^2 scan formats at most 12 961 cells of each float column, not
+# 25 921), and a column of zeros (Im chi wherever chi is real by symmetry)
+# formats none. A text column is labels and one code per row (a scan's
 # axis columns index the axis's ticks, each formatted once by "%.17g"; a flag
 # column indexes the flag names), copied by a row gather. One table holds a
 # block of rows, its separators written once; NUL pads every cell to its
@@ -235,7 +236,6 @@ _E_MIN = -330  # below the least exponent of a double; the tables by E start her
 # "%.17g" text of a magnitude has 23
 _CELL = 5 + 18 + 5
 _ZERO_TEXT = np.frombuffer(b"0".ljust(_CELL, b"\0"), dtype=np.uint8)
-_ZERO_LABELS = np.array([b"0", b"-0"])  # a zero column's text, by signbit
 
 
 @functools.cache
@@ -354,17 +354,15 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     column as ``"%.17g"`` writes it, a text column ``(labels, codes)`` (bytes
     labels, one integer code per row) as ``labels[codes[r]]``.
 
-    A float cell is a sign byte and the text of its magnitude; a zero's is
-    "0". Row r's partner is row size - 1 - r (on a symmetric grid, the -xi
-    chord). The rows up to the middle are written first, and their text is
-    kept; a cell of a later row whose magnitude equals its partner's (float
-    ==, so never for nan) copies the partner's text. Rows are written a block
-    at a time, each block's nonzero float cells that need text formatted in
-    one _format_floats call of at most CSV_BLOCK_CELLS cells. A float column
-    with no nonzero cell is written as the text column (_ZERO_LABELS, signbit).
+    A float cell is a sign byte and the text of its magnitude. Row r's partner
+    is row size - 1 - r (on a symmetric grid, the -xi chord). The rows up to
+    the middle are written first, and their text is kept. Rows are written a
+    block at a time, and each float cell of a block takes its text by one
+    rule: a cell of a later row whose magnitude equals its partner's (float
+    ==, so never for nan) copies the partner's text, any other zero is "0",
+    and every other cell is formatted, in the block's one _format_floats call
+    of at most CSV_BLOCK_CELLS cells.
     """
-    columns = [(_ZERO_LABELS, np.signbit(c).view(np.uint8))
-               if not isinstance(c, tuple) and not np.count_nonzero(c) else c for c in columns]
     widths = [c[0].itemsize if isinstance(c, tuple) else 1 + _CELL for c in columns]
     starts = np.cumsum([0] + [width + 1 for width in widths])  # the last is the row's width
     floats = [c for c in columns if not isinstance(c, tuple)]
@@ -392,31 +390,25 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
         for start, stop in zip(edges, edges[1:]):
             x = float_rows(start, stop)
             # a mirrored block is read in its partners' order, the order of
-            # their kept text
+            # their kept text; each partner's text is read only here, so the
+            # block's own text may overwrite it
             order = slice(None, None, 1 if start < half else -1)
             a = np.abs(x[order]).ravel()
             if start < half:
-                text, fresh = kept[start:stop], None
+                text, copied = kept[start:stop], np.zeros(a.size, dtype=bool)
             else:
-                # each partner's text is read only here, so fresh text may
-                # overwrite it
                 text = kept[size - stop:size - start]
-                fresh = a != np.abs(float_rows(size - stop, size - start)).ravel()
-                if fresh.all():  # nothing to copy, as on an asymmetric grid
-                    text, fresh = np.empty_like(text), None
-            cells = text.reshape(-1, _CELL)
-            nonzero, zero = a != 0.0, a == 0.0
-            if fresh is not None:
-                nonzero &= fresh
-                zero &= fresh
-            if nonzero.all():
-                _format_floats(a, cells)
-            elif nonzero.any():
-                at = np.flatnonzero(nonzero)
-                fresh_cells = np.empty((at.size, _CELL), dtype=np.uint8)
-                _format_floats(a[at], fresh_cells)
-                cells[at] = fresh_cells
-            cells[np.flatnonzero(zero)] = _ZERO_TEXT
+                copied = a == np.abs(float_rows(size - stop, size - start)).ravel()
+            # cells as single 28-byte items, which a scatter copies about twice
+            # as fast as rows of 28 bytes
+            cells = text.reshape(-1, _CELL).view(f"V{_CELL}")[:, 0]
+            zero = ~copied & (a == 0.0)
+            at = np.flatnonzero(~(copied | zero))
+            if at.size:
+                fresh = np.empty((at.size, _CELL), dtype=np.uint8)
+                _format_floats(a[at], fresh)
+                cells[at] = fresh.view(cells.dtype)[:, 0]
+            cells[zero] = _ZERO_TEXT.view(cells.dtype)
             text = text[order]
             block = table[:stop - start]
             minus = (np.signbit(x) & ~np.isnan(x)).view(np.uint8) * np.uint8(ord("-"))

@@ -118,6 +118,17 @@ def real_by_symmetry(state, values, xi_p) -> None:
         values.imag[np.asarray(xi_p) == 0.0] = 0.0
 
 
+def refuse_non_finite(xi_p, xi_q) -> None:
+    """Refuse chords with a NaN or infinite component: a ValueError naming
+    the first, in C order of xi_p and xi_q broadcast together. Every route
+    refuses them alike, before any of its own work."""
+    finite = np.isfinite(xi_p) & np.isfinite(xi_q)
+    if not finite.all():
+        k = np.argmin(finite)  # the first False
+        xi_p, xi_q = np.broadcast_arrays(xi_p, xi_q)
+        raise ValueError(f"chord ({xi_p.flat[k]:.6g}, {xi_q.flat[k]:.6g}) is not finite")
+
+
 class Evaluator:
     """One route to the chord function of ``state``: a name plus a batch kernel.
 
@@ -137,11 +148,13 @@ class Evaluator:
     def evaluate(self, xi_p, xi_q) -> tuple[np.ndarray, np.ndarray]:
         """(values, flag codes) at the chords (xi_p[k], xi_q[k]) of two same-shape arrays.
 
-        Mismatched shapes are a ValueError; an empty batch gives empty arrays.
+        Mismatched shapes and a non-finite chord (refuse_non_finite) are a
+        ValueError; an empty batch gives empty arrays.
         """
         xi_p, xi_q = np.asarray(xi_p, dtype=float), np.asarray(xi_q, dtype=float)
         if xi_p.shape != xi_q.shape:
             raise ValueError(f"chord components differ in shape: {xi_p.shape} and {xi_q.shape}")
+        refuse_non_finite(xi_p, xi_q)
         if xi_p.size == 0:
             return unflagged(np.zeros(xi_p.shape, dtype=complex))
         values, flags = self.kernel(xi_p.ravel(), xi_q.ravel())

@@ -1,8 +1,9 @@
 """Every chord-function route by name: ``make_evaluator(name, state)``.
 
 Each route is one core.Evaluator, a name plus a batch kernel (exact, small
-and semiclassical add a tensor-grid kernel), so shape checks, empty batches,
-the Im = +0.0 rule where chi is real and the one-chord call are written once.
+and semiclassical add a tensor-grid kernel), so shape checks, the refusal of
+non-finite chords, empty batches, the Im = +0.0 rule where chi is real and the
+one-chord call are written once.
 ``evaluate`` is the one evaluation path: scan_grid, the blind-spot polish and
 moments_from_chi need nothing else. small and semiclassical size chi_s's
 trapezoid rule per chord, so a chord reads the same bits alone as in any

@@ -12,7 +12,7 @@ integral of two Hermite functions with an O(n) closed form per chord
 (_closed_form). That sum cancels terms that grow with |xi| / sqrt(hbar) and
 with n, so each value carries a bound on its round-off, and a chord takes the
 closed form only where the bound is within OVERLAP_TOL. Every other chord
-(at large n most chords inside the ring, and every non-finite one) goes to
+(at large n most chords inside the ring, and every overflowing one) goes to
 the certified overlap quadrature, _overlap: the chords of a call share one p
 window and one nested trapezoid rule, run by quadrature.periodic_mean over the
 window mapped onto [0, 2 pi). The integrand is entire, and past the classical
@@ -167,8 +167,6 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
     xi_p = np.asarray(xi_p, dtype=float).ravel()
     xi_q = np.asarray(xi_q, dtype=float).ravel()
     shape = (xi_p.size, xi_q.size) if tensor else xi_p.shape
-    if 0 in shape:
-        return np.zeros(shape, dtype=complex)
     radius = state.radius
     half_width = radius + OVERLAP_TAIL * np.sqrt(state.hbar) + 0.5 * np.max(np.abs(xi_p))
     reach = np.max(np.abs(xi_q)) + 4.0 * radius

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FLAGS_BY_CODE, Flag, real_by_symmetry
+from .core import FLAGS_BY_CODE, Flag, real_by_symmetry, refuse_non_finite
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,12 @@ def scan_grid(evaluator, xi_p_axis, xi_q_axis) -> ChordFieldGrid:
     N - 1 - i read backwards, with the same flags, since chi(-xi) =
     chi(xi)* holds exactly for every state; for odd N the xi_q < 0 half of
     the xi_p = 0 row is mirrored from its other half the same way. Any other
-    grid is evaluated in full.
+    grid is evaluated in full. A non-finite chord is a ValueError
+    (core.refuse_non_finite), as in ``evaluate``.
     """
     xi_p_axis = np.asarray(xi_p_axis, dtype=float)
     xi_q_axis = np.asarray(xi_q_axis, dtype=float)
+    refuse_non_finite(xi_p_axis[:, None], xi_q_axis)
     symmetric = all(np.array_equal(a, -a[::-1]) for a in (xi_p_axis, xi_q_axis))
     lower = xi_p_axis.size // 2 if symmetric else 0
     rows = xi_p_axis[lower:]

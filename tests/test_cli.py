@@ -119,10 +119,17 @@ def test_load_config_rejects_bare_line(tmp_path):
         cli.load_config(str(cfg), "scan")
 
 
-def test_bad_flag_value_is_a_config_error(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run("scan", "--region", "bad", "--out", str(tmp_path / "x.csv"))
-    assert err.value.code == 1
+def test_bad_flag_value_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    # refused by the flag's converter: a region without LO:HI, a direction without DP,DQ
+    for argv in (["scan", "--region", "bad"], ["cut", "--direction", "1"]):
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--out", str(out))
+        assert err.value.code == 1
+    capsys.readouterr()
+    assert run("cut", "--slope", "1", "--samples", "0", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "chordscan: cut needs samples >= 1\n"
+    assert not out.exists()
 
 
 def test_unknown_command_is_a_config_error():
@@ -443,18 +450,20 @@ def test_a_scan_formats_no_zero(tmp_path, formatted):
     assert sum(a.size for a in formatted) <= 4 * 12961 - 18202
 
 
-def test_the_rings_zero_column_takes_no_share_of_a_block(tmp_path, formatted):
-    """The ring recipe's Im column is all +0.0, so it goes out as a text
-    column: each call formats the nonzero magnitudes of re, abs2 and phase
-    over CSV_BLOCK_CELLS // 3 rows of the computed half, and no Im cell."""
+def test_the_rings_formatter_calls_are_its_nonzero_computed_cells(tmp_path, formatted):
+    """The ring recipe's chi is real and even, so its mirrored half copies
+    every cell and its Im column is all +0.0: each call formats the nonzero
+    re, im, abs2 and phase magnitudes of one block of CSV_BLOCK_CELLS // 4
+    rows of the computed half, and no Im cell."""
     recipe = Path(__file__).resolve().parents[1] / "recipes" / "ring-field.cfg"
     out = tmp_path / "ring.csv"
     assert run("scan", "--config", str(recipe), "--out", str(out)) == 0
     header, rows = read_csv(out)
     assert {row[header.index("im")] for row in rows} == {"0"}
-    cells = np.abs([[float(row[header.index(name)]) for name in ("re", "abs2", "phase")]
+    cells = np.abs([[float(row[header.index(name)]) for name in ("re", "im", "abs2", "phase")]
                     for row in rows])
-    half, block_rows = len(rows) - len(rows) // 2, cli.CSV_BLOCK_CELLS // 3
+    assert not cells[:, 1].any()
+    half, block_rows = len(rows) - len(rows) // 2, cli.CSV_BLOCK_CELLS // 4
     blocks = [cells[lo:min(lo + block_rows, half)].ravel() for lo in range(0, half, block_rows)]
     assert len(formatted) == len(blocks)
     for a, block in zip(formatted, blocks):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -248,6 +249,20 @@ def test_taylor_refuses_values_above_one(state_name):
 def test_evaluate_rejects_mismatched_shapes(sheared, name):
     with pytest.raises(ValueError, match="differ in shape"):
         make_evaluator(name, sheared).evaluate(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("name", ["exact", "small", "semiclassical",
+                                  "sp_small", "sp_full", "taylor:4"])
+def test_every_route_refuses_a_non_finite_chord(sheared, name):
+    """A chord with a NaN or infinite component is one ValueError naming the
+    first such chord, from evaluate and from scan_grid's axes alike."""
+    ev = make_evaluator(name, sheared)
+    for bad in (np.nan, np.inf, -np.inf):
+        text = re.escape(f"{bad:.6g}")
+        with pytest.raises(ValueError, match=rf"chord \(0\.1, {text}\) is not finite"):
+            ev.evaluate(np.array([0.0, 0.1, bad]), np.array([0.0, bad, 0.2]))
+        with pytest.raises(ValueError, match=rf"chord \({text}, 0\.2\) is not finite"):
+            scan_grid(ev, np.array([0.1, bad]), np.array([0.2, 0.3]))
 
 
 @pytest.mark.parametrize("name", EVALUATOR_NAMES)
