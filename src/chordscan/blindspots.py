@@ -8,7 +8,13 @@ sign), and the segments are chained through integer edge ids.
 Blind spots -- common zeros of both components -- are seeded from cells on
 which each component changes sign or vanishes, and polished by a damped
 Newton iteration on the underlying evaluator, so their final accuracy is set
-by the evaluator, not by the scan resolution. A seed converges when its own
+by the evaluator, not by the scan resolution. Where the grid resolves the
+state (``resolution_ratio``: its cells against the shortest half period of
+chi, from the curve's extent), a cell seeds where the bilinear models of the
+two components, the marching-squares model of the nodal lines, cross inside
+it: one quadratic per cell, solved for all cells at once, so about one
+seed starts next to each zero. On a coarser grid that model misses zeros,
+and every seed cell seeds at its center. A seed converges when its own
 Newton step falls below ``STEP_TOL`` cell diagonals, a rule on position that
 no scale of |chi| enters: a seed sliding down the decaying tail, where each
 step stays a fixed fraction of the tail's width, never converges. All seeds
@@ -18,9 +24,9 @@ so the number of calls is set by the Newton steps and not by the number of
 seeds. Every kernel but the exact route's quadrature (the chords its
 closed form refuses) is elementwise, so a chord reads the same bits in any
 batch and a seed moves exactly as it would alone. The searching seeds are a
-mask; the converged roots are merged by one loop over them in seed order,
-which runs once per search. The ray scan of ``first_zero_along`` is one call
-as well.
+mask; the converged roots inside the scanned region are merged by one loop
+over them in seed order, which runs once per search. The ray scan of
+``first_zero_along`` is one call as well.
 
 Both sign tests first clear samples below a noise floor (``NOISE_RATIO``
 times the field scale) to exactly zero, and a component with no sample above
@@ -38,8 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Chord
+from .curves import CurveSpec
 from .gridscan import ChordFieldGrid
 from .quadrature import NumericalError
+from .semiclassical import q_extent
 
 # a Newton step shorter than this many cell diagonals ends a seed's polish,
 # and converged seeds closer than this are one zero
@@ -48,6 +56,17 @@ STEP_TOL = 1e-6
 # samples whose modulus is this far under the field's scale are round-off of
 # a zero and carry no sign; a component with no sample above it is degenerate
 NOISE_RATIO = 1e-12
+
+# a grid whose resolution_ratio exceeds this on either axis is under-resolved:
+# its seeds are the seed cells' centers, not their bilinear crossings
+RESOLVED_RATIO = 0.5
+
+# a cell's bilinear crossing counts as in the cell up to this fraction of the
+# cell past its edges, so a zero on an edge (the axis zeros of an odd
+# symmetric grid) seeds both cells beside it: with no slack, round-off of a
+# few ulps would decide whether the twin seed exists, and with it n_seeds
+# and the search's calls
+EDGE_SLACK = 1e-12
 
 RAY_SAMPLES = 400  # first_zero_along's ray scan
 RAY_TOL = 1e-9  # largest |chi| first_zero_along accepts at a root
@@ -177,6 +196,11 @@ class BlindSpot:
 class BlindSpotSearch:
     spots: tuple[BlindSpot, ...]
     n_seeds: int
+    resolution_ratio: tuple[float, float]  # (xi_p, xi_q), as resolution_ratio gives it
+
+    @property
+    def under_resolved(self) -> bool:
+        return max(self.resolution_ratio) > RESOLVED_RATIO
 
     def nearest(self) -> BlindSpot:
         if not self.spots:
@@ -304,8 +328,48 @@ def _sign_change_cells(comp: np.ndarray) -> np.ndarray:
             & corners.any(axis=0))
 
 
-def _seed_chords(grid: ChordFieldGrid) -> np.ndarray:
-    """Centers (n, 2) of the seed cells of ``find_blind_spots``, row-major."""
+@np.errstate(divide="ignore", invalid="ignore")
+def _bilinear_zeros(f, g):
+    """Common zeros of the bilinear models of two components on unit cells.
+
+    ``f`` and ``g`` (4, m) hold each cell's corner values at (u, v) = (0, 0),
+    (1, 0), (0, 1), (1, 1). With F = a0 + a1 u + a2 v + a3 u v and G alike in
+    b, F = 0 gives v = -(a0 + a1 u) / (a2 + a3 u), and G = 0 then reads
+    A u^2 + B u + C = 0, solved without cancellation as in
+    semiclassical._quadratic_roots (a vanishing A leaves one finite root).
+    v comes from whichever of F and G has the larger denominator relative to
+    its corner scale.
+
+    Returns (u, v, degenerate): u and v (m, 2), nan or inf where a root is
+    not real, and per cell whether A, B and C are all below ``NOISE_RATIO``
+    times the product of the two corner scales: round-off of a system that
+    fixes no isolated zero, as where F and G are one model.
+    """
+    a0, a1, a2, a3 = f[0], f[1] - f[0], f[2] - f[0], f[0] - f[1] - f[2] + f[3]
+    b0, b1, b2, b3 = g[0], g[1] - g[0], g[2] - g[0], g[0] - g[1] - g[2] + g[3]
+    big_a = b1 * a3 - b3 * a1
+    big_b = b0 * a3 + b1 * a2 - b2 * a1 - b3 * a0
+    big_c = b0 * a2 - b2 * a0
+    far = -0.5 * (big_b + np.copysign(np.sqrt(big_b * big_b - 4.0 * big_a * big_c), big_b))
+    u = np.stack([far / big_a, big_c / far], axis=-1)
+    f_scale, g_scale = np.max(np.abs(f), axis=0), np.max(np.abs(g), axis=0)
+    f_den, g_den = a2[:, None] + a3[:, None] * u, b2[:, None] + b3[:, None] * u
+    v = np.where(np.abs(f_den) * g_scale[:, None] >= np.abs(g_den) * f_scale[:, None],
+                 -(a0[:, None] + a1[:, None] * u) / f_den,
+                 -(b0[:, None] + b1[:, None] * u) / g_den)
+    largest = np.maximum(np.maximum(np.abs(big_a), np.abs(big_b)), np.abs(big_c))
+    return u, v, largest <= NOISE_RATIO * f_scale * g_scale
+
+
+def _seed_chords(grid: ChordFieldGrid, crossing: bool = False) -> np.ndarray:
+    """Seeds (n, 2) of ``find_blind_spots``, cell by cell in row-major order.
+
+    Without ``crossing``, the centers of the seed cells. With it, each seed
+    cell's common zeros of the bilinear interpolants of Re chi and Im chi
+    (the marching-squares model of ``nodal_contours``) that lie in the
+    closed cell, widened by ``EDGE_SLACK``, so a zero on a cell edge seeds
+    both cells; a cell whose bilinear system is degenerate keeps its center.
+    """
     scale = float(np.max(np.abs(grid.values)))
     re = _floored(grid.values.real, scale)
     im = _floored(grid.values.imag, scale)
@@ -317,8 +381,38 @@ def _seed_chords(grid: ChordFieldGrid) -> np.ndarray:
             "nodal_contours instead)")
     xp, xq = grid.xi_p_axis, grid.xi_q_axis
     cell_i, cell_j = np.nonzero(_sign_change_cells(re) & _sign_change_cells(im))
-    return np.stack([0.5 * (xp[cell_i] + xp[cell_i + 1]),
-                     0.5 * (xq[cell_j] + xq[cell_j + 1])], axis=-1)
+    centers = np.stack([0.5 * (xp[cell_i] + xp[cell_i + 1]),
+                        0.5 * (xq[cell_j] + xq[cell_j + 1])], axis=-1)
+    if not crossing:
+        return centers
+    corners = ((cell_i, cell_j), (cell_i + 1, cell_j), (cell_i, cell_j + 1),
+               (cell_i + 1, cell_j + 1))
+    u, v, degenerate = _bilinear_zeros(np.stack([re[c] for c in corners]),
+                                       np.stack([im[c] for c in corners]))
+    inside = ((np.abs(u - 0.5) <= 0.5 + EDGE_SLACK) & (np.abs(v - 0.5) <= 0.5 + EDGE_SLACK))
+    crossings = np.stack([xp[cell_i, None] + u * (xp[cell_i + 1] - xp[cell_i])[:, None],
+                          xq[cell_j, None] + v * (xq[cell_j + 1] - xq[cell_j])[:, None]],
+                         axis=-1)
+    # per cell its center, kept where degenerate, then its two crossings
+    seeds = np.concatenate([centers[:, None, :], crossings], axis=1)
+    keep = np.concatenate([degenerate[:, None], inside & ~degenerate[:, None]], axis=1)
+    return seeds[keep]
+
+
+def resolution_ratio(state: CurveSpec, xi_p_axis, xi_q_axis) -> tuple[float, float]:
+    """The grid's largest cell along xi_p and along xi_q, each over the
+    shortest half period of chi along that axis.
+
+    chi(xi) is the mean of exp(i (xi_p q - xi_q p) / hbar) over a state that
+    lives on its curve, so along xi_p it oscillates at up to max|q| / hbar,
+    and along xi_q at up to max|p| / hbar = r / hbar: the half periods are
+    pi hbar / max|q| (semiclassical.q_extent) and pi hbar / r. A ratio near 1
+    leaves one sample per sign of the fastest oscillation.
+    """
+    half_p = math.pi * state.hbar / q_extent(state)
+    half_q = math.pi * state.hbar / state.radius
+    return (float(np.max(np.diff(xi_p_axis))) / half_p,
+            float(np.max(np.diff(xi_q_axis))) / half_q)
 
 
 def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
@@ -329,44 +423,55 @@ def find_blind_spots(evaluator, grid: ChordFieldGrid) -> BlindSpotSearch:
     scale) are set to zero, the cell's four corner values of Re chi and of
     Im chi each satisfy min <= 0 <= max without being all zero. A component
     that vanishes on a cell edge has a zero in that cell, so the cells on
-    both sides of a nodal row count. The seed cells' centers, in row-major
-    order, start a lockstep damped Newton iteration on the evaluator
-    (``_newton_polish``): one ``evaluate`` call for the seeds' values and
-    at most three per Newton step whatever the number of seeds; one more
-    call reads the spots' values. A seed converges when its Newton step is
-    shorter than ``STEP_TOL`` cell diagonals; a seed that runs down the
-    decaying tail keeps taking steps of a fixed fraction of the tail's width
-    and does not.
+    both sides of a nodal row count. On a grid that resolves the state
+    (``resolution_ratio`` of the evaluator's state at most ``RESOLVED_RATIO``
+    on both axes), each seed cell seeds Newton at the common zeros of the
+    bilinear interpolants of Re chi and Im chi that lie in the closed cell,
+    and a cell with none seeds nothing; a cell whose bilinear system is
+    degenerate seeds at its center. On an under-resolved grid the bilinear
+    model misses zeros, and every seed cell seeds at its center. The seeds,
+    cell by cell in row-major order, start a lockstep damped Newton
+    iteration on the evaluator (``_newton_polish``): one ``evaluate`` call
+    for the seeds' values and at most three per Newton step whatever the
+    number of seeds; one more call reads the spots' values. A seed converges
+    when its Newton step is shorter than ``STEP_TOL`` cell diagonals; a seed
+    that runs down the decaying tail keeps taking steps of a fixed fraction
+    of the tail's width and does not.
     The iteration is confined to the scanned region widened by one region
     width on every side: a seed whose full Newton step would leave that box
     stops unevaluated and is rejected, so a near-singular Jacobian cannot
-    fling one chord far outside the state and fail the whole batch. A
-    converged root within ``STEP_TOL`` cell diagonals (the step rule's
+    fling one chord far outside the state and fail the whole batch. Only
+    converged roots inside the scanned region (closed) are spots: Newton may
+    reach a zero outside it, but the region's zeros are the ones the scan
+    answers for. A root within ``STEP_TOL`` cell diagonals (the step rule's
     resolution) of a root kept before it in seed order is merged into it
     (``_merged``), so no two spots lie that close; distinct zeros may lie
-    closer than a cell. Roots outside the scanned region but inside the box
-    are kept. Spots are returned sorted by distance from the origin; radii
-    within that same tolerance are a tie, ordered by xi_q, then xi_p
+    closer than a cell, and a zero on a cell edge, seeded from both cells,
+    is one spot. Spots are returned sorted by distance from the origin;
+    radii within that same tolerance are a tie, ordered by xi_q, then xi_p
     (``_radius_order``), so the two spots of a +-xi pair, whose radii differ
     in the last bits, keep one order whatever the round-off.
     """
-    seeds = _seed_chords(grid)
-    if len(seeds) == 0:
-        return BlindSpotSearch(spots=(), n_seeds=0)
-
     xp, xq = grid.xi_p_axis, grid.xi_q_axis
+    ratio = resolution_ratio(evaluator.state, xp, xq)
+    seeds = _seed_chords(grid, crossing=max(ratio) <= RESOLVED_RATIO)
+    if len(seeds) == 0:
+        return BlindSpotSearch(spots=(), n_seeds=0, resolution_ratio=ratio)
+
     width = max(xp[-1] - xp[0], xq[-1] - xq[0])
     step = 1e-6 * width
     cell_diag = math.hypot(xp[1] - xp[0], xq[1] - xq[0])
-    box = (np.array([xp[0], xq[0]]) - width, np.array([xp[-1], xq[-1]]) + width)
-    xi, converged, iterations = _newton_polish(evaluator, seeds, step, cell_diag, box)
-    kept = np.flatnonzero(converged)[_merged(xi[converged], STEP_TOL * cell_diag)]
+    low, high = np.array([xp[0], xq[0]]), np.array([xp[-1], xq[-1]])
+    xi, converged, iterations = _newton_polish(evaluator, seeds, step, cell_diag,
+                                               (low - width, high + width))
+    inside = np.flatnonzero(converged & np.all((xi >= low) & (xi <= high), axis=1))
+    kept = inside[_merged(xi[inside], STEP_TOL * cell_diag)]
     values = _chi(evaluator, xi[kept])
     order = _radius_order(xi[kept], STEP_TOL * cell_diag)
     found = tuple(BlindSpot(chord=Chord(float(xi[k, 0]), float(xi[k, 1])),
                             value=complex(v), iterations=int(iterations[k]))
                   for k, v in zip(kept[order], values[order]))
-    return BlindSpotSearch(spots=found, n_seeds=len(seeds))
+    return BlindSpotSearch(spots=found, n_seeds=len(seeds), resolution_ratio=ratio)
 
 
 def first_zero_along(evaluator, direction, s_max: float) -> float:

@@ -556,6 +556,8 @@ def cmd_blindspots(args) -> int:
             "residual": abs(s.value), "iterations": s.iterations,
         } for s in search.spots]
         report["n_seeds"] = search.n_seeds
+        report["resolution_ratio"] = dict(zip(("xi_p", "xi_q"), search.resolution_ratio))
+        report["under_resolved"] = search.under_resolved
         if search.spots:
             report["nearest_radius"] = search.nearest().radius
             if estimate.spots:
@@ -597,7 +599,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _flag_type(convert):
+    """``convert`` as an argparse type: a value it refuses is a usage error
+    that gives its reason, as a config file's bad value does."""
+    def flag(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return flag
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args reads nothing into it, and
+    each call fills a new namespace."""
     parser = _Parser(prog="chordscan",
                      description="Chord-function scans of Bohr-quantized states")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -613,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="KEY=VALUE file; flags override it")
         for key in _COMMAND_KEYS[command] + ("out",):
             convert, default, text = _OPTIONS[key]
-            p.add_argument(f"--{key}", type=convert, help=text if default is None
+            p.add_argument(f"--{key}", type=_flag_type(convert), help=text if default is None
                            else f"{text} (default {default})")
         p.set_defaults(func=func)
 

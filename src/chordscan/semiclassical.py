@@ -470,6 +470,19 @@ def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Roots:
     return _Roots(chord, theta, p * xi_q[chord] - q * xi_p[chord], curv)
 
 
+def q_extent(curve: CurveSpec) -> float:
+    """max |q| over the curve, in closed form.
+
+    q(theta) = r sin(theta) + t H'(r cos(theta)) is extreme where
+    dq/dtheta = r cos(theta) - 2 t a2 r sin(theta) - 3 t a3 r^2 sin(2 theta)
+    vanishes, a trig polynomial of degree 2: one _unit_circle_roots row on
+    its five samples gives every such angle.
+    """
+    _, dq = curve.velocity(_ANGLES)
+    _, theta, _, _ = _unit_circle_roots(dq[np.newaxis, :])
+    return float(np.max(np.abs(curve.point(theta)[1])))
+
+
 def tangency_points(curve: CurveSpec, xi) -> list[Tangency]:
     roots = _tangencies(curve, *_single(xi))
     p, q = curve.point(roots.theta)

@@ -120,16 +120,46 @@ def test_load_config_rejects_bare_line(tmp_path):
 
 
 def test_bad_flag_value_is_a_config_error(tmp_path, capsys):
+    """A value the flag's converter refuses is a usage error, exit 1, whose
+    last stderr line gives the reason a config file's line would give."""
     out = tmp_path / "x.csv"
-    # refused by the flag's converter: a region without LO:HI, a direction without DP,DQ
-    for argv in (["scan", "--region", "bad"], ["cut", "--direction", "1"]):
+    for argv, error in (
+            (["scan", "--region", "bad"],
+             "chordscan scan: error: argument --region: interval 'bad' must be LO:HI"),
+            (["scan", "--region=1:0"],
+             "chordscan scan: error: argument --region: interval '1:0' must have LO < HI"),
+            (["cut", "--direction", "1"],
+             "chordscan cut: error: argument --direction: direction '1' must be DP,DQ"),
+            (["scan", "--resolution", "abc"],
+             "chordscan scan: error: argument --resolution: invalid literal for int() "
+             "with base 10: 'abc'")):
         with pytest.raises(SystemExit) as err:
             run(*argv, "--out", str(out))
         assert err.value.code == 1
-    capsys.readouterr()
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: chordscan {argv[0]} [-h]")
+        assert lines[-1] == error
     assert run("cut", "--slope", "1", "--samples", "0", "--out", str(out)) == 1
     assert capsys.readouterr().err == "chordscan: cut needs samples >= 1\n"
     assert not out.exists()
+
+
+def test_successive_calls_share_no_values(tmp_path):
+    """One parser serves every main call of a process; each call reads only
+    its own flags, so a flag given once does not reach the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run("scan", "--region=-0.4:0.4", "--resolution", "3", "--t", "5",
+               "--evaluator", "small", "--out", str(first)) == 0
+    assert run("cut", "--slope", "1", "--samples", "3", "--out", str(second)) == 0
+    assert run("scan", "--resolution", "5", "--out", str(first)) == 0
+    # the defaults, not the first scan's flags
+    config = json.loads(first.with_suffix(".json").read_text())["config"]
+    assert (config["t"], config["evaluator"], config["region"], config["resolution"]) == (
+        f"{0.1:.17g}", "exact", f"{-2.3:.17g}:{2.3:.17g}", "5")
+    parse = cli.build_parser().parse_args
+    assert parse(["cut", "--direction", "1,0", "--out", "x"]).direction == (1.0, 0.0)
+    assert parse(["cut", "--slope", "2", "--out", "x"]).direction is None
 
 
 def test_unknown_command_is_a_config_error():
@@ -675,6 +705,10 @@ def test_blindspots_report(tmp_path):
         assert np.min(np.hypot(*(arr + row).T)) < 1e-6
     assert report["polish_evaluator"] == "exact"
     assert 0.5 < report["estimate_over_nearest"] < 1.0
+    # cell 0.02 against pi hbar / max|q| = 0.262 and pi hbar / r = 0.300
+    assert report["resolution_ratio"] == pytest.approx({"xi_p": 0.0763, "xi_q": 0.0668},
+                                                       abs=1e-4)
+    assert report["under_resolved"] is False
 
 
 def test_stationary_phase_blindspots_polish_with_the_oracle(tmp_path):
@@ -689,9 +723,12 @@ def test_stationary_phase_blindspots_polish_with_the_oracle(tmp_path):
     assert report["polish_evaluator"] == "exact"
     assert report["moments"]["mean_q"] == pytest.approx(0.265, abs=1e-6)
     spots = np.array([[s["xi_p"], s["xi_q"]] for s in report["located_spots"]])
-    # two seeds head for the pair at (0, +-1.59), past the Newton box of +-0.9,
-    # and stop there
-    assert (report["n_seeds"], len(spots)) == (28, 6)
+    # the grid resolves the state, so the seeds are the crossings of the
+    # cells' bilinear models: sp_full reads 0 at the origin, where the four
+    # cells around it seed, and exact Re chi peaks there, so their Jacobian is
+    # singular and they stop; the other 8 reach the 6 zeros in the region,
+    # the two on the xi_p = 0 row from both cells beside it
+    assert (report["n_seeds"], len(spots)) == (12, 6)
     exact = make_evaluator("exact", CurveSpec(n=5, hbar=0.1, t=0.1))
     values, _ = exact.evaluate(spots[:, 0], spots[:, 1])
     assert np.all(np.abs(values) < 1e-6)
