@@ -12,7 +12,8 @@ function useful: moments, nodal lines, and blind spots (isolated zeros).
 Each route is one ``Evaluator`` (``make_evaluator``): a name plus a batch
 kernel. The one-chord functions evolved_chi, chi_small, chi_semiclassical,
 tangency_points and chord_realizations stay only for the benchmark's tracer,
-until it reads counters kept by the library (ROADMAP item 1).
+until it reads counters kept by the library (ROADMAP item 1); the two
+geometry calls return their chord's records of the batch root solve.
 
 Quick start::
 

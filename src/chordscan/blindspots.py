@@ -47,7 +47,7 @@ from .core import Chord
 from .curves import CurveSpec
 from .gridscan import ChordFieldGrid
 from .quadrature import NumericalError
-from .semiclassical import q_extent
+from .semiclassical import _tangencies
 
 # a Newton step shorter than this many cell diagonals ends a seed's polish,
 # and converged seeds closer than this are one zero
@@ -95,7 +95,7 @@ class NodalSet:
 
 
 def nodal_contours(grid: ChordFieldGrid, component: str = "real") -> NodalSet:
-    """Trace the nodal lines of one component of a scanned field."""
+    """Trace the nodal lines of one component, "real" or "imag", of a scanned field."""
     comp = grid.component(component)
     scale = float(np.max(np.abs(grid.values)))
     floored = _floored(comp, scale)
@@ -406,10 +406,13 @@ def resolution_ratio(state: CurveSpec, xi_p_axis, xi_q_axis) -> tuple[float, flo
     chi(xi) is the mean of exp(i (xi_p q - xi_q p) / hbar) over a state that
     lives on its curve, so along xi_p it oscillates at up to max|q| / hbar,
     and along xi_q at up to max|p| / hbar = r / hbar: the half periods are
-    pi hbar / max|q| (semiclassical.q_extent) and pi hbar / r. A ratio near 1
-    leaves one sample per sign of the fastest oscillation.
+    pi hbar / max|q| and pi hbar / r. A ratio near 1 leaves one sample per
+    sign of the fastest oscillation. The curve is tangent to the chord (1, 0)
+    exactly where q is extreme, and the action x ∧ xi there is -q, so max|q|
+    is the largest |action| among that chord's tangencies.
     """
-    half_p = math.pi * state.hbar / q_extent(state)
+    q_max = float(np.max(np.abs(_tangencies(state, np.ones(1), np.zeros(1)).action)))
+    half_p = math.pi * state.hbar / q_max
     half_q = math.pi * state.hbar / state.radius
     return (float(np.max(np.diff(xi_p_axis))) / half_p,
             float(np.max(np.diff(xi_q_axis))) / half_q)

@@ -11,10 +11,12 @@ batch; their grid kernels take the grid's largest rule. A blind-spot
 report's moments come from smallchord.state_moments; ``taylor:K`` is the
 Taylor polynomial of the classical curve's moments. A kernel looks library
 functions up when it runs, so a wrapper installed later sees every call: the
-benchmark's tracer wraps evolved_chi, evolved_chi_grid and chi_small_grid.
+benchmark's tracer wraps evolved_chi, evolved_chi_grid and chi_small_grid,
+and the two grid functions refuse a non-finite chord as evaluate does.
 Those names, with chi_small, chi_semiclassical, tangency_points and
 chord_realizations, stay only until the benchmark reads counters kept by the
-library (ROADMAP item 1).
+library (ROADMAP item 1); the last two return their chord's records of the
+semiclassical batch root solve.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 from numpy.polynomial.laguerre import lagroots
 
-from .core import ChordValue, Evaluator, unflagged
+from .core import ChordValue, Evaluator, refuse_non_finite, unflagged
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
@@ -347,9 +347,12 @@ def evolved_chi(state: CurveSpec, xi) -> ChordValue:
 
 
 def evolved_chi_grid(state: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
-    """Chord-function values on the tensor grid xi_p_axis x xi_q_axis."""
-    return _exact(state, np.asarray(xi_p_axis, dtype=float).reshape(-1, 1),
-                  np.asarray(xi_q_axis, dtype=float).ravel())
+    """Chord-function values on the tensor grid xi_p_axis x xi_q_axis. A
+    non-finite chord is a ValueError (core.refuse_non_finite), as in evaluate."""
+    xi_p = np.asarray(xi_p_axis, dtype=float).reshape(-1, 1)
+    xi_q = np.asarray(xi_q_axis, dtype=float).ravel()
+    refuse_non_finite(xi_p, xi_q)
+    return _exact(state, xi_p, xi_q)
 
 
 class ExactEvaluator(Evaluator):

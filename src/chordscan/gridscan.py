@@ -51,9 +51,7 @@ class ChordFieldGrid:
             return self.values.real
         if name == "imag":
             return self.values.imag
-        if name == "abs":
-            return np.abs(self.values)
-        raise ValueError(f"unknown component {name!r} (want real/imag/abs)")
+        raise ValueError(f"unknown component {name!r} (want real/imag)")
 
 
 def axis(lo: float, hi: float, count: int) -> np.ndarray:

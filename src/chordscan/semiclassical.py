@@ -82,7 +82,9 @@ m = 0 for sp_small and -2 for sp_full, into per-chord sums in each chord's
 root order. sp_small_values, sp_full_values and semiclassical_values are its
 batch entry points, the evaluators' kernels. The one-chord calls
 tangency_points, chord_realizations and chi_semiclassical stay only for the
-benchmark's tracer, until it reads library counters (ROADMAP item 1).
+benchmark's tracer, until it reads library counters (ROADMAP item 1); the
+first two return one _Roots record per root of their chord, from the same
+batch solves.
 
 The composite evaluator subtracts the asymptotics of the classical average
 and adds the full stationary-phase value,
@@ -96,7 +98,7 @@ square-root amplitudes diverge; values there are flagged NEAR_CAUSTIC and no
 uniform (Airy-type) repair is attempted. A caustic is two realizations
 merging, two roots meeting on the unit circle; past it they leave the circle
 as a complex pair (z, 1/conj(z)). A chord whose roots include such a pair
-with |ln|z|| < REL_CAUSTIC_TOL grazes the curve (RealizationSet.grazing);
+with |ln|z|| < REL_CAUSTIC_TOL grazes the curve (_realizations' grazing);
 with no real realizations left its value is flagged NEAR_CAUSTIC, and
 farther out, where no realization exists, sp_full is zero and the value is
 flagged EVANESCENT.
@@ -105,14 +107,13 @@ flagged EVANESCENT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, PhasePoint, two_product,
-                   two_sum, worst_flag_codes)
+from .core import (FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, two_product, two_sum,
+                   worst_flag_codes)
 from .curves import CurveSpec
 from .quadrature import NumericalError
 from .smallchord import chi_small
@@ -408,12 +409,18 @@ def _single(xi):
 
 
 class _Roots(NamedTuple):
-    """The stationary points of a chord batch, one entry per root."""
+    """The stationary points of a chord batch, one entry per root: the one
+    record of a tangency and of a realization foot alike."""
 
     chord: np.ndarray
     theta: np.ndarray
     action: np.ndarray  # hbar times the stationary phase
     slope: np.ndarray  # the defect's slope at the root: the stationary-phase denominator
+
+
+def _per_root(roots):
+    """The batch records of one chord, split into one _Roots record per root."""
+    return tuple(map(_Roots._make, zip(*roots)))
 
 
 def _caustic(curve: CurveSpec, slope):
@@ -451,16 +458,6 @@ def _stationary_sum(curve: CurveSpec, roots: _Roots, maslov: int, xi_p, xi_q):
 # -- tangencies and the short-chord asymptotics ----------------------------
 
 
-@dataclass(frozen=True)
-class Tangency:
-    """Angle where the curve velocity is parallel to the chord."""
-
-    theta: float
-    point: PhasePoint
-    curvature_wedge: float  # x''(theta) ∧ xi, the stationary-phase denominator
-    flag: Flag
-
-
 def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Roots:
     """Every tangency of a chord batch, its action x ∧ xi and curvature wedge x'' ∧ xi."""
     dp, dq = curve.velocity(_ANGLES)
@@ -470,27 +467,8 @@ def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Roots:
     return _Roots(chord, theta, p * xi_q[chord] - q * xi_p[chord], curv)
 
 
-def q_extent(curve: CurveSpec) -> float:
-    """max |q| over the curve, in closed form.
-
-    q(theta) = r sin(theta) + t H'(r cos(theta)) is extreme where
-    dq/dtheta = r cos(theta) - 2 t a2 r sin(theta) - 3 t a3 r^2 sin(2 theta)
-    vanishes, a trig polynomial of degree 2: one _unit_circle_roots row on
-    its five samples gives every such angle.
-    """
-    _, dq = curve.velocity(_ANGLES)
-    _, theta, _, _ = _unit_circle_roots(dq[np.newaxis, :])
-    return float(np.max(np.abs(curve.point(theta)[1])))
-
-
-def tangency_points(curve: CurveSpec, xi) -> list[Tangency]:
-    roots = _tangencies(curve, *_single(xi))
-    p, q = curve.point(roots.theta)
-    return [Tangency(theta=float(theta), point=PhasePoint(float(p), float(q)),
-                     curvature_wedge=float(curv),
-                     flag=Flag.NEAR_CAUSTIC if caustic else Flag.OK)
-            for theta, p, q, curv, caustic in zip(roots.theta, p, q, roots.slope,
-                                                  _caustic(curve, roots.slope))]
+def tangency_points(curve: CurveSpec, xi) -> tuple[_Roots, ...]:
+    return _per_root(_tangencies(curve, *_single(xi)))
 
 
 def sp_small_values(curve: CurveSpec, xi_p, xi_q):
@@ -512,24 +490,8 @@ def sp_small_values(curve: CurveSpec, xi_p, xi_q):
 # -- chord realizations and the full stationary phase ----------------------
 
 
-@dataclass(frozen=True)
-class Realization:
-    """A chord of the curve equal to xi, with its stationary-phase data."""
-
-    theta_foot: float
-    theta_tip: float
-    foot: PhasePoint
-    tip: PhasePoint
-    h_prime: float
-    sigma: float
-    action: float
-    flag: Flag
-
-
-@dataclass(frozen=True)
-class RealizationSet:
-    realizations: tuple[Realization, ...]
-    grazing: bool  # a complex pair of roots lies within REL_CAUSTIC_TOL of the unit circle
+class RealizationSet(NamedTuple):
+    realizations: tuple[_Roots, ...]  # one record per realization
 
 
 def _tip_angle(curve: CurveSpec, tip_p, tip_q, theta_foot):
@@ -592,23 +554,7 @@ def _realizations(curve: CurveSpec, xi_p, xi_q):
 
 
 def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
-    xi_p, xi_q = _single(xi)
-    roots, grazing = _realizations(curve, xi_p, xi_q)
-    foot_p, foot_q = curve.point(roots.theta)
-    tip_p, tip_q = foot_p + xi_p, foot_q + xi_q
-    theta_tip = _tip_angle(curve, tip_p, tip_q, roots.theta)
-    caustic = _caustic(curve, roots.slope)
-    return RealizationSet(
-        realizations=tuple(
-            Realization(theta_foot=float(roots.theta[k]), theta_tip=float(theta_tip[k]),
-                        foot=PhasePoint(float(foot_p[k]), float(foot_q[k])),
-                        tip=PhasePoint(float(tip_p[k]), float(tip_q[k])),
-                        h_prime=float(roots.slope[k]),
-                        sigma=math.copysign(1.0, roots.slope[k]),
-                        action=float(roots.action[k]),
-                        flag=Flag.NEAR_CAUSTIC if caustic[k] else Flag.OK)
-            for k in range(roots.theta.size)),
-        grazing=bool(grazing[0]))
+    return RealizationSet(_per_root(_realizations(curve, *_single(xi))[0]))
 
 
 def sp_full_values(curve: CurveSpec, xi_p, xi_q):

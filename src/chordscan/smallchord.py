@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import Chord, ChordValue, PhasePoint
+from .core import Chord, ChordValue, PhasePoint, refuse_non_finite
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, richardson_derivative
 
@@ -92,9 +92,11 @@ def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
     ⊗ exp(i p xi_q / hbar), so the one trapezoid pass, on the largest node
     count of the grid's chords (a corner's), is a matrix product, summed in
     blocks of at most AVERAGE_MAX_NODES // max(rows, cols) nodes so that no
-    factor holds more than AVERAGE_MAX_NODES samples.
+    factor holds more than AVERAGE_MAX_NODES samples. A non-finite chord is a
+    ValueError (core.refuse_non_finite), as in evaluate.
     """
     xi_p_axis, xi_q_axis = np.asarray(xi_p_axis, dtype=float), np.asarray(xi_q_axis, dtype=float)
+    refuse_non_finite(xi_p_axis[:, None], xi_q_axis)
     corner_p, corner_q = np.meshgrid([xi_p_axis.min(), xi_p_axis.max()],
                                      [xi_q_axis.min(), xi_q_axis.max()])
     n = np.max(_average_nodes(curve, corner_p.ravel(), corner_q.ravel()))

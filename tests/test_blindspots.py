@@ -17,7 +17,7 @@ from chordscan.blindspots import (_JACOBIAN_OFFSETS, _LADDER, NEWTON_MAX_ITER, N
 from chordscan.evaluators import make_evaluator
 from chordscan.exact import nodal_radii
 from chordscan.gridscan import ChordFieldGrid
-from chordscan.semiclassical import q_extent
+from chordscan.semiclassical import _tangencies
 from chordscan.smallchord import closest_blind_spot_estimate, moments_from_chi, state_moments
 
 # First zero of the vertical cut of the sheared reference state: the cut is
@@ -452,13 +452,15 @@ class TestResolutionRatio:
                              ids=["cubic", "alpha3=0"])
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 5.0])
     def test_q_extent_is_the_dense_maximum(self, t, alpha):
-        """max|q| from the zeros of dq/dtheta matches 10^6 + 1 samples of the
+        """max|q|, the largest |action| among the tangencies of the chord
+        (1, 0), where the action is -q, matches 10^6 + 1 samples of the
         curve; their maximum falls short of the true one by at most
         (pi 1e-6)^2 |q''| / 2, below 1e-11 of max|q| here."""
         curve = CurveSpec(n=5, hbar=0.1, alpha=alpha, t=t)
         dense = float(np.max(np.abs(curve.point(np.linspace(0.0, 2 * np.pi, 10 ** 6 + 1))[1])))
-        assert q_extent(curve) == pytest.approx(dense, rel=1e-9, abs=0)
-        assert q_extent(curve) >= dense * (1.0 - 1e-15)
+        reach = np.max(np.abs(_tangencies(curve, np.ones(1), np.zeros(1)).action))
+        assert reach == pytest.approx(dense, rel=1e-9, abs=0)
+        assert reach >= dense * (1.0 - 1e-15)
 
     @pytest.mark.parametrize("name, ratio", [
         ("recipe", 0.086), ("n3", 0.118), ("runaway", 0.047), ("t1-241", 0.291),

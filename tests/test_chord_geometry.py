@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chordscan import (CurveSpec, Flag, axis, chord_realizations, make_evaluator,
-                       tangency_points, wedge)
+from chordscan import CurveSpec, Flag, axis, make_evaluator, wedge
 from chordscan.core import FLAG_CODES, FLAGS_BY_CODE
 from chordscan.semiclassical import (_ANGLES, _FROM_TOP, _HALF_ANGLE, _HARMONICS, _TAU,
                                      REL_CAUSTIC_TOL, ROUND_OFF, _arc_area, _quartic_roots,
-                                     _unit_circle_roots)
+                                     _realizations, _tangencies, _unit_circle_roots)
 
 # The ring (t = 0) and a3 = 0 keep both defects at degree 1 in theta, and
 # so does the xi_p = 0 row on every state: the quartic in z drops to a
@@ -35,11 +34,11 @@ def level_defect(curve, xi, theta):
 
 
 def tangency_angles(curve, xi):
-    return [tp.theta for tp in tangency_points(curve, xi)]
+    return list(_tangencies(curve, np.array([xi[0]]), np.array([xi[1]])).theta)
 
 
 def realization_angles(curve, xi):
-    return [real.theta_foot for real in chord_realizations(curve, xi).realizations]
+    return list(_realizations(curve, np.array([xi[0]]), np.array([xi[1]]))[0].theta)
 
 
 EQUATIONS = {
@@ -353,7 +352,7 @@ def test_feet_near_a_caustic_match_a_40_digit_solve():
     level defect on the exact curve and the stationary-phase sum over them."""
     curve = ROOT_STATES["t5"]
     xi = (-1.40875, 1.46625)
-    feet = [real.theta_foot for real in chord_realizations(curve, xi).realizations]
+    feet = realization_angles(curve, xi)
     np.testing.assert_allclose(feet, [5.062909530829972578474326, 5.063091242038196785684541],
                                rtol=0.0, atol=5e-14)
     value = make_evaluator("sp_full", curve)(xi).value

@@ -265,6 +265,18 @@ def test_every_route_refuses_a_non_finite_chord(sheared, name):
             scan_grid(ev, np.array([0.1, bad]), np.array([0.2, 0.3]))
 
 
+@pytest.mark.parametrize("grid", [exact.evolved_chi_grid, smallchord.chi_small_grid])
+def test_grid_functions_refuse_a_non_finite_chord(sheared, grid):
+    """The public tensor-grid functions give evaluate's ValueError, not a
+    quadrature or plane-wave error, for a non-finite chord on either axis."""
+    for bad in (np.nan, np.inf, -np.inf):
+        text = re.escape(f"{bad:.6g}")
+        with pytest.raises(ValueError, match=rf"chord \({text}, 0\.2\) is not finite"):
+            grid(sheared, np.array([bad, 0.1]), np.array([0.2]))
+        with pytest.raises(ValueError, match=rf"chord \(0\.1, {text}\) is not finite"):
+            grid(sheared, np.array([0.1]), np.array([0.2, bad]))
+
+
 @pytest.mark.parametrize("name", EVALUATOR_NAMES)
 def test_evaluate_on_an_empty_batch(sheared, name):
     values, flags = make_evaluator(name, sheared).evaluate(np.zeros(0), np.zeros(0))

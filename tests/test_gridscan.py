@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chordscan import EVALUATOR_NAMES, CurveSpec, Flag, axis, cli, make_evaluator, scan_grid
+from chordscan import (EVALUATOR_NAMES, CurveSpec, Flag, axis, cli, make_evaluator, nodal_contours,
+                       scan_grid)
 from chordscan.core import real_by_symmetry
 from chordscan.gridscan import ChordFieldGrid
 
@@ -80,9 +81,11 @@ def test_component_selection(sheared):
                      axis(-0.5, 0.5, 4))
     np.testing.assert_array_equal(grid.component("real"), grid.values.real)
     np.testing.assert_array_equal(grid.component("imag"), grid.values.imag)
-    np.testing.assert_array_equal(grid.component("abs"), np.abs(grid.values))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="want real/imag"):
         grid.component("phase")
+    # |chi| never changes sign, so it has no nodal lines to trace
+    with pytest.raises(ValueError, match="unknown component 'abs' \\(want real/imag\\)"):
+        nodal_contours(grid, "abs")
 
 
 # -- the half grid ------------------------------------------------------------

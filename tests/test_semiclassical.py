@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from chordscan import (Flag, chi_semiclassical, chi_small,
-                       chord_realizations, evolved_chi, make_evaluator, tangency_points, wedge)
+                       chord_realizations, evolved_chi, make_evaluator, tangency_points,
+                       wedge)
 from chordscan.exact import fock_chi_radial
-from chordscan.semiclassical import DENOMINATOR_FLOOR, _realizations, _Roots, _stationary_sum
+from chordscan.semiclassical import (DENOMINATOR_FLOOR, _caustic, _realizations, _Roots,
+                                     _stationary_sum, _tangencies, _tip_angle)
+
+
+def one_chord(xi):
+    """The chord xi as the pair of one-element arrays the batch solves take."""
+    return np.array([xi[0]]), np.array([xi[1]])
 
 
 # -- tangencies ----------------------------------------------------------------
@@ -17,23 +24,33 @@ from chordscan.semiclassical import DENOMINATOR_FLOOR, _realizations, _Roots, _s
 @pytest.mark.parametrize("xi", [(0.0, 1.0), (0.6, 0.5), (-1.0, 0.3)])
 def test_ring_has_two_tangencies(ring, xi):
     """A convex loop is tangent to any direction at exactly two points."""
-    tps = tangency_points(ring, xi)
-    assert len(tps) == 2
+    tps = _tangencies(ring, *one_chord(xi))
+    assert tps.theta.size == 2
     norm = math.hypot(*xi)
-    for tp in tps:
+    for theta, curvature_wedge in zip(tps.theta, tps.slope):
         # the velocity really is parallel to xi there ...
-        assert abs(wedge(ring.velocity(tp.theta), xi)) < 1e-9
+        assert abs(wedge(ring.velocity(theta), xi)) < 1e-9
         # ... and the curvature wedge matches r |xi| in magnitude
-        assert abs(tp.curvature_wedge) == pytest.approx(ring.radius * norm,
-                                                        rel=1e-9)
-        assert tp.flag is Flag.OK
+        assert abs(curvature_wedge) == pytest.approx(ring.radius * norm, rel=1e-9)
+    assert not _caustic(ring, tps.slope).any()
     # opposite sides of the loop carry opposite curvature signs
-    assert tps[0].curvature_wedge * tps[1].curvature_wedge < 0
+    assert tps.slope[0] * tps.slope[1] < 0
+
+
+@pytest.mark.parametrize("xi", [(0.0, 1.0), (0.6, 0.5)])
+def test_tangency_points_lists_the_batch_tangencies(sheared, xi):
+    """The one-chord call keeps one record per tangency of the batch solve."""
+    found = _tangencies(sheared, *one_chord(xi))
+    assert found.theta.size == 2
+    listed = tangency_points(sheared, xi)
+    assert len(listed) == 2
+    assert listed == tuple(zip(*found))
+    assert all(isinstance(record, _Roots) for record in listed)
 
 
 def test_tangency_on_the_angle_seam(ring):
     """xi = (0, 1) puts one tangency exactly at theta = 0 (the 2 pi seam)."""
-    thetas = sorted(tp.theta % (2 * math.pi) for tp in tangency_points(ring, (0.0, 1.0)))
+    thetas = sorted(_tangencies(ring, *one_chord((0.0, 1.0))).theta % (2 * math.pi))
     assert min(thetas[0], 2 * math.pi - thetas[0]) < 1e-9
     assert thetas[1] == pytest.approx(math.pi, abs=1e-9)
 
@@ -43,26 +60,36 @@ def test_tangency_on_the_angle_seam(ring):
 
 def test_mid_ring_chord_has_two_realizations(sheared):
     xi = (0.6, 0.5)
-    found = chord_realizations(sheared, xi)
-    assert len(found.realizations) == 2
-    assert not found.grazing
-    for real in found.realizations:
-        # foot and tip both sit on the curve
-        assert sheared.action_value(real.foot) == pytest.approx(sheared.action,
-                                                                abs=1e-10)
-        assert sheared.action_value(real.tip) == pytest.approx(sheared.action,
-                                                               abs=1e-10)
-        np.testing.assert_allclose(real.tip, np.add(real.foot, xi), atol=1e-9)
-        assert real.sigma in (-1.0, 1.0)
-        assert abs(real.h_prime) > 1e-3
-    sigmas = sorted(r.sigma for r in found.realizations)
-    assert sigmas == [-1.0, 1.0]
+    found, grazing = _realizations(sheared, *one_chord(xi))
+    assert found.theta.size == 2
+    assert not grazing[0]
+    foot = sheared.point(found.theta)
+    tip = (foot[0] + xi[0], foot[1] + xi[1])
+    # foot and tip = foot + xi both sit on the curve
+    np.testing.assert_allclose(sheared.action_value(foot), sheared.action, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(sheared.action_value(tip), sheared.action, rtol=0, atol=1e-10)
+    # ... and the tip is the curve's point at its tip angle
+    np.testing.assert_allclose(sheared.point(_tip_angle(sheared, *tip, found.theta)), tip,
+                               rtol=0, atol=1e-9)
+    assert np.all(np.abs(found.slope) > 1e-3)
+    assert sorted(np.copysign(1.0, found.slope)) == [-1.0, 1.0]
 
 
 def test_chord_longer_than_diameter_has_no_realizations(ring):
-    found = chord_realizations(ring, (0.0, 2 * ring.radius + 0.3))
-    assert found.realizations == ()
-    assert not found.grazing
+    found, grazing = _realizations(ring, *one_chord((0.0, 2 * ring.radius + 0.3)))
+    assert found.theta.size == 0
+    assert not grazing[0]
+
+
+@pytest.mark.parametrize("xi, count", [((0.0, 2.3), 0), ((0.6, 0.5), 2)])
+def test_chord_realizations_lists_the_batch_realizations(sheared, xi, count):
+    """The one-chord call keeps one record per realization of the batch solve."""
+    found, _ = _realizations(sheared, *one_chord(xi))
+    assert found.theta.size == count
+    listed = chord_realizations(sheared, xi).realizations
+    assert len(listed) == count
+    assert listed == tuple(zip(*found))
+    assert all(isinstance(record, _Roots) for record in listed)
 
 
 # -- bare stationary-phase sums ---------------------------------------------------
