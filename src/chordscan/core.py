@@ -99,6 +99,16 @@ def unflagged(values) -> tuple[np.ndarray, np.ndarray]:
     return values, np.zeros(values.shape, dtype=np.uint8)  # FLAG_CODES[Flag.OK] == 0
 
 
+def plane_wave(phase) -> np.ndarray:
+    """exp(i phase) of a real array as a complex array, from one np.cos and
+    one np.sin pass: the bits of np.exp(1j * phase), without its complex
+    product and complex exponential."""
+    wave = np.empty(np.shape(phase), dtype=complex)
+    np.cos(phase, out=wave.real)
+    np.sin(phase, out=wave.imag)
+    return wave
+
+
 def real_by_symmetry(state, values, xi_p) -> None:
     """Set Im to +0.0, in place, wherever a symmetry makes the chord function real.
 

@@ -44,7 +44,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 from numpy.polynomial.laguerre import lagroots
 
-from .core import ChordValue, Evaluator, refuse_non_finite, unflagged
+from .core import ChordValue, Evaluator, plane_wave, refuse_non_finite, unflagged
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, periodic_mean
 
@@ -136,7 +136,7 @@ def _profile(state: CurveSpec, p, xi_p):
         _, a1, a2, a3 = state.alpha
         x = xi_p[:, None]
         dh = x * (a1 + 2.0 * a2 * p + a3 * (3.0 * p * p + 0.25 * x * x))
-        profile *= np.exp(-1j / state.hbar * state.t * dh)
+        profile *= plane_wave(-1.0 / state.hbar * state.t * dh)
     return profile
 
 
@@ -189,7 +189,7 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
         rows = max(1, BLOCK_ELEMENTS // p.size)
         sums = np.empty(shape, dtype=complex)
         if tensor:
-            wave = np.exp(1j / state.hbar * np.outer(p, xi_q))
+            wave = plane_wave((1.0 / state.hbar) * np.outer(p, xi_q))
             for lo in range(0, xi_p.size, rows):
                 block = slice(lo, lo + rows)
                 sums[block] = _profile(state, p, xi_p[block]) @ wave
@@ -198,7 +198,7 @@ def _overlap(state: CurveSpec, xi_p, xi_q, tensor: bool):
                 chords, ids = order[lo:lo + rows], group[lo:lo + rows]
                 first = ids[0]
                 profile = _profile(state, p, distinct[first:ids[-1] + 1])[ids - first]
-                wave = np.exp(1j / state.hbar * np.outer(xi_q[chords], p))
+                wave = plane_wave((1.0 / state.hbar) * np.outer(xi_q[chords], p))
                 sums[chords] = np.einsum("kn,kn->k", profile, wave)
         return (2.0 * half_width * sums)[..., np.newaxis]
 

@@ -63,28 +63,36 @@ when a3 = 0). In tau = tan(s/2), (1 + tau^2)^(deg/2) g is a real polynomial
 whose leading coefficient is g(pi), the largest sample, so no root is lost
 at tau = infinity even where theta = phi + pi is a root. Its coefficients
 come off the same samples through one fixed map per degree, and its roots
-in closed form: a quartic row splits by Ferrari's resolvent cubic
-into two real quadratics, a quadratic row is one, each is solved by the
-quadratic formula without cancellation, and a quartic's roots take one
-Newton step on it. A real root that the coefficients' round-off could move
-by more than _SHAKY eps (next to a double root: near caustics) takes one
-more Newton step, against coefficients kept to twice double precision
-and with a compensated residual, so its angle answers to the samples. No
-iterative eigenvalue solve (and no BLAS or LAPACK call) is involved. Each
-root maps back to z = exp(i phi) (1 + i tau) / (1 - i tau), and counts as a
-real angle when |ln|z|| <= sqrt(ROUND_OFF): a double root splits by the
-square root of the coefficients' round-off. h' and x'' ∧ xi are the
-defects' slopes g'(s) at their roots, read off the same harmonics. Each
-root is then one record (chord, theta, action, slope), and one sum serves
-tangencies and realizations alike: np.bincount folds
+in closed form, in real arithmetic (no complex array is formed): a quartic
+row splits by Ferrari's resolvent cubic into two real quadratics, a
+quadratic row is one, and each quadratic gives a pair, two real roots by
+the quadratic formula without cancellation or a conjugate pair x +- i y.
+A quartic's real roots take one Newton step on it, and one root x + i y of
+each conjugate pair takes its own. A real root that the coefficients'
+round-off could move by more than _SHAKY eps (next to a double root: near
+caustics; its spread is read from the pairs) takes one more Newton step,
+against coefficients kept to twice double precision and with a
+compensated residual, so its angle answers to the samples. No iterative
+eigenvalue solve (and no BLAS or LAPACK call) is involved. A real root is
+the angle theta = phi + 2 arctan(tau). A conjugate pair stands for two
+roots z and 1/conj(z) of the unit-circle quartic, at one angle and
+|ln|z|| = |ln(((1 - y)^2 + x^2) / ((1 + y)^2 + x^2))| / 2 off the circle;
+within sqrt(ROUND_OFF) it counts as a double real angle, since a double
+root splits by the square root of the coefficients' round-off. h' and
+x'' ∧ xi are the defects' slopes g'(s) at their roots, read off the same
+harmonics. Each row's roots depend on that row alone, so the composite
+solves its chords' tangency and level defects as rows of one call and
+splits the roots by row. Each root is then one record (chord, theta,
+action, slope), and one sum serves tangencies and realizations alike:
+np.bincount folds
 sqrt(2 pi hbar / |slope|) / (2 pi) exp[i action / hbar + i (pi/4) (sign(slope) + m)],
 m = 0 for sp_small and -2 for sp_full, into per-chord sums in each chord's
 root order. sp_small_values, sp_full_values and semiclassical_values are its
-batch entry points, the evaluators' kernels. The one-chord calls
-tangency_points, chord_realizations and chi_semiclassical stay only for the
-benchmark's tracer, until it reads library counters (ROADMAP item 1); the
-first two return one _Roots record per root of their chord, from the same
-batch solves.
+batch entry points, the evaluators' kernels, and refuse a non-finite chord
+as evaluate does. The one-chord calls tangency_points, chord_realizations
+and chi_semiclassical stay only for the benchmark's tracer, until it reads
+library counters (ROADMAP item 1); the first two return one _Roots record
+per root of their chord, from the same batch solves.
 
 The composite evaluator subtracts the asymptotics of the classical average
 and adds the full stationary-phase value,
@@ -112,11 +120,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, two_product, two_sum,
-                   worst_flag_codes)
+from .core import (FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, refuse_non_finite,
+                   two_product, two_sum, worst_flag_codes)
 from .curves import CurveSpec
 from .quadrature import NumericalError
-from .smallchord import chi_small
+from .smallchord import chi_small_points
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,8 +144,6 @@ ROUND_OFF = 1e-12
 _ANGLES = TWO_PI * np.arange(5) / 5
 # _FROM_TOP[j] lists the samples in order from sample j
 _FROM_TOP = (np.arange(5)[:, np.newaxis] + np.arange(5)) % 5
-# exp(i phi) of each rotation: tau = 0 is the angle phi = _ANGLES[j] - pi
-_ROTATION = np.exp(1j * (_ANGLES - np.pi))
 # (1 + tau^2)^(deg/2) g(s) with tau = tan(s/2), as coefficients of tau^deg .. tau^0
 # from the harmonics (a0, a1, b1, a2, b2) it keeps
 _HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
@@ -151,6 +157,9 @@ _HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
 # a real root that its coefficients' round-off could move by more than
 # _SHAKY eps is refined against coefficients kept to twice double precision
 _SHAKY = 100.0
+# the two quadratic factors of a quartic, as rows: (y^2 + s y + u)(y^2 - s y + v)
+_SIGN = np.array([[1.0], [-1.0]])
+_SECOND = np.array([[False], [True]])
 
 
 def _sample_maps():
@@ -192,13 +201,21 @@ _EVANESCENT = FLAG_CODES[Flag.EVANESCENT]
 
 
 def _quadratic_roots(b, c):
-    """Both roots of tau^2 + b tau + c for real arrays b and c: complex, shape b.shape + (2,).
+    """The roots of tau^2 + b tau + c for real (P, K) arrays b and c, as
+    pairs (tau, real): tau (P, 2, K) and real (P, K).
 
-    The root of larger modulus, -b/2 - sign(b) sqrt(b^2/4 - c), adds terms
-    of one sign, and the other is c over it, so neither cancels.
+    Where ``real``, tau[j, :, k] holds two real roots: the one of larger
+    modulus, -b/2 - sign(b) sqrt(b^2/4 - c), adds terms of one sign, and the
+    other is c over it, so neither cancels. Elsewhere it holds (x, y), y > 0,
+    of the conjugate pair x +- i y.
     """
-    big = -0.5 * b - np.copysign(1.0, b) * np.sqrt(0.25 * b * b - c + 0j)
-    return np.stack([big, np.where(big == 0.0, 0.0, c / big)], axis=-1)
+    half = -0.5 * b
+    disc = half * half - c
+    real = disc >= 0.0
+    root = np.sqrt(np.abs(disc))
+    big = half - np.copysign(root, b)
+    return (np.stack([np.where(real, big, half),
+                      np.where(real, np.where(big == 0.0, 0.0, c / big), root)], axis=1), real)
 
 
 def _resolvent_root(p, q, r):
@@ -226,26 +243,45 @@ def _resolvent_root(p, q, r):
     return np.maximum(np.where(better, step, s), 0.0)
 
 
+def _divide_by_pair(monic, x, y):
+    """The monic quartics tau^4 + a tau^3 + b tau^2 + c tau + d, (a, b, c, d)
+    the rows of ``monic`` (4, K), divided by (tau - z)(tau - conj z) =
+    tau^2 - S tau + P for z = x + i y, x and y (P, K) arrays: the remainder
+    r1 tau + r0 and the quotient Q(z) = lead z + rest, in real arithmetic.
+
+    So p(z) = r1 z + r0 and p'(z) = (z - conj z) Q(z) + r1 = 2 i y Q(z) + r1.
+    """
+    a, b, c, d = monic
+    s, p = 2.0 * x, x * x + y * y
+    q1 = a + s
+    q0 = b + s * q1 - p
+    r1 = c + s * q0 - p * q1
+    return r1, d - p * q0, s + q1, q0 - p
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _quartic_roots(coeffs):
-    """The four complex roots of each real quartic coeffs[k, 0] tau^4 + ... + coeffs[k, 4].
+    """The roots of the real quartics coeffs[0, k] tau^4 + ... + coeffs[4, k]
+    as two pairs (tau, real) per quartic, laid out as _quadratic_roots has
+    them: tau (2, 2, K), real (2, K).
 
     Ferrari: with tau = y - a/4 the monic quartic becomes y^4 + p y^2 + q y + r,
     which splits into the real quadratics (y^2 + s y + u)(y^2 - s y + v) with
     s^2 = S, the largest root of the resolvent cubic, u + v = p + S,
     s (v - u) = q and uv = r. As s -> 0 (q -> 0, a biquadratic) v - u = q/s
     is ill-conditioned; u and v are then better read as the roots of
-    x^2 - (p + S) x + r, v - u with the sign of q. Each row keeps the pair
-    that misses its unused relation (uv = r, or s (v - u) = q) least: a
+    x^2 - (p + S) x + r, v - u with the sign of q. Each quartic keeps the
+    pair that misses its unused relation (uv = r, or s (v - u) = q) least: a
     simplified form of Orellana & De Michele's Algorithm 1010 (ACM TOMS
     46(2), 2020), which picks among split formulas by the error each leaves
-    in the quartic's coefficients. One Newton step on the quartic, kept
-    where it lowers the residual, then polishes each root: the split's
-    roots can be off by far more than the quartic's round-off relative to
-    their own size, which a root near tau = 0 shows.
+    in the quartic's coefficients. One Newton step on the quartic then
+    polishes each real root, kept where it lowers the residual, and one root
+    x + i y of each conjugate pair (_divide_by_pair): the split's roots can
+    be off by far more than the quartic's round-off relative to their own
+    size, which a root near tau = 0 and a near-double pair show.
     """
-    monic = coeffs[:, 1:] / coeffs[:, :1]
-    a, b, c, d = monic.T
+    monic = coeffs[1:] / coeffs[0]
+    a, b, c, d = monic
     a2 = a * a
     p = b - 0.375 * a2
     q = c - 0.5 * a * b + 0.125 * a2 * a
@@ -259,19 +295,34 @@ def _quartic_roots(coeffs):
     far = half + np.copysign(np.sqrt(np.maximum(half * half - r, 0.0)), half)
     near = np.where(far == 0.0, 0.0, r / far)
     agree = np.signbit(q) == np.signbit(half)
-    u2, v2 = np.where(agree, near, far), np.where(agree, far, near)
-    split = np.abs((half - gap) * (half + gap) - r) <= np.abs(s * (v2 - u2) - q)
-    factors = np.stack([np.where(split, half - gap, u2), np.where(split, half + gap, v2)], axis=1)
-    tau = _quadratic_roots(np.stack([s, -s], axis=1), factors).reshape(-1, 4) - 0.25 * a[:, None]
-    # the quartic and its slope at tau, by Horner
-    a, b, c, d = (column[:, None] for column in (a, b, c, d))
+    # rows u and v of the two factors, the first with slope s
+    uv = np.where(agree ^ _SECOND, near, far)
+    split = np.abs((half - gap) * (half + gap) - r) <= np.abs(s * (uv[1] - uv[0]) - q)
+    tau, real = _quadratic_roots(_SIGN * s, np.where(split, half - _SIGN * gap, uv))
+    shift = 0.25 * a
+    tau[:, 0] -= shift
+    tau[:, 1] -= shift * real
+    # the real roots: the quartic and its slope at tau, by Horner
     value, slope = tau + a, 1.0
     for coefficient in (b, c, d):
         slope = slope * tau + value
         value = value * tau + coefficient
     step = tau - value / slope
     moved = (((step + a) * step + b) * step + c) * step + d
-    return np.where(np.abs(moved) < np.abs(value), step, tau)
+    tau = np.where(real[:, np.newaxis] & (np.abs(moved) < np.abs(value)), step, tau)
+    # one root x + i y of each conjugate pair: Newton's step p(z) / p'(z),
+    # kept where it is under half the distance to x - i y, so the pair cannot
+    # merge; a longer step is the round-off of a near-double pair
+    x, y = tau[:, 0], tau[:, 1]
+    r1, r0, lead, rest = _divide_by_pair(monic, x, y)
+    value_re, value_im = r1 * x + r0, r1 * y
+    slope_re, slope_im = r1 - 2.0 * y * (lead * y), 2.0 * y * (lead * x + rest)
+    size = slope_re * slope_re + slope_im * slope_im
+    step_x = (value_re * slope_re + value_im * slope_im) / size
+    step_y = (value_im * slope_re - value_re * slope_im) / size
+    better = ~real & (step_x * step_x + step_y * step_y < y * y)
+    tau[:, 0], tau[:, 1] = np.where(better, x - step_x, x), np.where(better, y - step_y, y)
+    return tau, real
 
 
 def _tau_coefficients(rolled, deg):
@@ -296,45 +347,61 @@ def _tau_coefficients(rolled, deg):
     return high, carry - (high - total)
 
 
-def _shaky(tau):
-    """Rows of ``tau`` (K, R), the roots of polynomials of degree R, with a real
-    root that their coefficients' round-off could move by more than _SHAKY eps.
+def _shaky(tau, real):
+    """Rows of the root pairs ``tau`` (P, 2, K), ``real`` (P, K), the roots of
+    K polynomials of degree R = 2P, with a real root that their
+    coefficients' round-off could move by more than _SHAKY eps.
 
     The leading coefficient c_0 is the row's largest sample, the scale of
     every coefficient's round-off, so a root tau_i moves by up to about
     eps |c_0| sum_k |tau_i|^k / |p'(tau_i)|, and p'(tau_i) is
     c_0 prod_{j != i} (tau_i - tau_j): at most eps (1 + |tau_i|)^R over the
-    product of its distances to the other roots.
+    product of its distances to the other roots: its partner's, and the
+    other pair's, (tau_i - o_0)(tau_i - o_1) for real roots o_0 and o_1, and
+    (tau_i - x)^2 + y^2 for x +- i y.
     """
-    gap = np.abs(tau[:, :, np.newaxis] - tau[:, np.newaxis, :])
-    spread = np.prod(np.where(np.eye(tau.shape[1], dtype=bool), 1.0, gap), axis=2)
-    return np.any((tau.imag == 0.0) & ((1.0 + np.abs(tau.real)) ** tau.shape[1] > _SHAKY * spread),
-                  axis=1)
+    spread = np.abs(tau[:, :1] - tau[:, 1:])
+    size = (1.0 + np.abs(tau)) ** 2
+    if tau.shape[0] == 2:
+        other = tau[::-1, np.newaxis]
+        apart = tau[:, :, np.newaxis] - other
+        spread = spread * np.abs(np.where(real[::-1, np.newaxis], apart[:, :, 0] * apart[:, :, 1],
+                                          apart[:, :, 0] ** 2 + other[:, :, 1] ** 2))
+        size = size * size
+    shaky = real[:, np.newaxis] & (size > _SHAKY * spread)
+    return shaky.reshape(-1, tau.shape[2]).any(axis=0)
 
 
-def _polish(high, low, tau):
-    """Each real root in ``tau`` (K, R) after one Newton step on the polynomials
-    high + low, their coefficients in two (K, R + 1) parts.
+def _polish(high, low, tau, real):
+    """Each real root of the pairs ``tau`` (P, 2, K), ``real`` (P, K), after
+    one Newton step on the polynomials high + low, their coefficients in two
+    (K, 2P + 1) parts.
 
     The residual is Horner's sum with every product's and every addition's
     rounding error carried along (core.two_product and core.two_sum, in
     Graillat, Langlois and Louvet's compensated Horner), so next to a double
     root, where a plain residual is round-off, it still measures high + low.
     A step is kept where it is under half the distance to the row's nearest
-    other root, so no two roots can meet; complex roots are returned as they
-    are.
+    other root, so no two roots can meet; conjugate pairs are returned as
+    they are.
     """
-    x = tau.real
-    value, carry, slope = high[:, :1], low[:, :1], 0.0
+    x = tau.reshape(-1, tau.shape[2])
+    value, carry, slope = high[:, 0], low[:, 0], 0.0
     for k in range(1, high.shape[1]):
         slope = slope * x + (value + carry)
         product, error = two_product(value, x)
-        value, sum_error = two_sum(product, high[:, k:k + 1])
-        carry = carry * x + (error + sum_error) + low[:, k:k + 1]
-    step = (value + carry) / slope
-    gap = np.abs(tau[:, :, np.newaxis] - tau[:, np.newaxis, :])
-    nearest = np.min(np.where(np.eye(tau.shape[1], dtype=bool), np.inf, gap), axis=2)
-    return np.where((tau.imag == 0.0) & (np.abs(step) < 0.5 * nearest), x - step, tau)
+        value, sum_error = two_sum(product, high[:, k])
+        carry = carry * x + (error + sum_error) + low[:, k]
+    step = ((value + carry) / slope).reshape(tau.shape)
+    nearest = np.abs(tau[:, :1] - tau[:, 1:])  # the partner
+    if tau.shape[0] == 2:
+        other = tau[::-1, np.newaxis]
+        apart = tau[:, :, np.newaxis] - other
+        # x +- i y lie at one distance from a real root
+        to_other = np.where(real[::-1, np.newaxis, np.newaxis], np.abs(apart),
+                            np.hypot(apart[:, :, :1], other[:, :, 1:]))
+        nearest = np.minimum(nearest, np.min(to_other, axis=2))
+    return np.where(real[:, np.newaxis] & (np.abs(step) < 0.5 * nearest), tau - step, tau)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -352,16 +419,23 @@ def _unit_circle_roots(samples):
     rotation. Leading harmonics that are round-off are trimmed first (a
     real defect loses c_2 and c_-2 together, leaving degree 4, 2 or 0).
     Quartic rows are solved in closed form by Ferrari's split into two real
-    quadratics (_quartic_roots), quadratic rows by the quadratic formula,
-    and rows with a root that round-off could move far (_shaky) are refined
-    in twice double precision (_tau_coefficients, _polish). A root tau is
-    the point z = exp(i phi) (1 + i tau) / (1 - i tau) of the unit-circle
-    quartic z^2 f(z), and real angles are its roots on the circle.
+    quadratics (_quartic_roots), quadratic rows by the quadratic formula;
+    each quadratic gives a real pair or a conjugate pair x +- i y, and
+    rows with a real root that round-off could move far (_shaky) are
+    refined in twice double precision (_tau_coefficients, _polish). A real
+    root is the angle theta = phi + 2 arctan(tau). A conjugate pair is the
+    roots z = exp(i phi) (1 + i tau) / (1 - i tau) and 1 / conj(z) of the
+    unit-circle quartic z^2 f(z), both at the angle
+    phi + atan2(2x, 1 - x^2 - y^2) and
+    |ln|z|| = |ln(((1 - y)^2 + x^2) / ((1 + y)^2 + x^2))| / 2 off the circle:
+    within sqrt(ROUND_OFF) it is a double root that round-off split, two
+    real angles, and otherwise a miss. No complex array is formed.
 
     Returns (chord, theta, miss, slope): the row and the angle in [0, 2 pi)
     of every real root, the roots of each row in ascending angle (the order
     of its sums); per row the smallest |ln|z|| among the roots off the
     circle (inf if there are none); and per root its defect's slope there.
+    Each row's roots depend on that row alone.
     """
     count = samples.shape[0]
     top = np.argmax(np.abs(samples), axis=1)
@@ -376,36 +450,51 @@ def _unit_circle_roots(samples):
         rows = np.flatnonzero(degree == deg)
         if rows.size == 0:
             continue
-        coeffs = np.einsum("kj,jd->kd", rolled[rows], _TAU[deg][0])
+        coeffs = np.einsum("kj,jd->kd", rolled[rows], _TAU[deg][0]).T
         if deg == 4:
-            tau = _quartic_roots(coeffs)
+            tau, real = _quartic_roots(coeffs)
         else:
-            tau = _quadratic_roots(coeffs[:, 1] / coeffs[:, 0], coeffs[:, 2] / coeffs[:, 0])
-        shaky = np.flatnonzero(_shaky(tau))
+            tau, real = _quadratic_roots(coeffs[1:2] / coeffs[0], coeffs[2:] / coeffs[0])
+        shaky = np.flatnonzero(_shaky(tau, real))
         if shaky.size:
-            tau[shaky] = _polish(*_tau_coefficients(rolled[rows[shaky]], deg), tau[shaky])
-        roots = _ROTATION[top[rows], np.newaxis] * (1.0 + 1j * tau) / (1.0 - 1j * tau)
-        log_radius = np.abs(np.log(np.abs(roots)))
-        on_circle = log_radius <= math.sqrt(ROUND_OFF)
-        miss[rows] = np.min(np.where(on_circle, np.inf, log_radius), axis=1)
-        # off-circle roots sort last as inf and are dropped
-        theta = np.sort(np.where(on_circle, np.angle(roots) % TWO_PI, np.inf), axis=1)
-        real = np.isfinite(theta)
-        chord = np.broadcast_to(rows[:, np.newaxis], theta.shape)[real]
+            tau[..., shaky] = _polish(*_tau_coefficients(rolled[rows[shaky]], deg),
+                                      tau[..., shaky], real[:, shaky])
+        x, y = tau[:, 0], tau[:, 1]
+        log_radius = 0.5 * np.abs(np.log1p(-4.0 * y / ((1.0 + y) * (1.0 + y) + x * x)))
+        double = ~real & (log_radius <= math.sqrt(ROUND_OFF))
+        on_circle = real | double
+        miss[rows] = np.min(np.where(on_circle, np.inf, log_radius), axis=0)
+        # theta - phi of each real root, and of both roots of a double pair
+        turn = 2.0 * np.arctan(tau)
+        if double.any():
+            x, y = x[double], y[double]
+            turn.transpose(0, 2, 1)[double] = np.arctan2(
+                2.0 * x, (1.0 - x) * (1.0 + x) - y * y)[:, np.newaxis]
+        theta = turn + (_ANGLES[top[rows]] - np.pi)
+        theta += TWO_PI * (theta < 0.0)
+        # roots off the circle sort last as inf and are dropped; the rows'
+        # first roots come first, then their second, ...
+        theta = np.sort(np.where(on_circle[:, np.newaxis], theta, np.inf).reshape(-1, rows.size),
+                        axis=0)
+        found = np.isfinite(theta)
+        chord = np.broadcast_to(rows, theta.shape)[found]
         # df/dtheta = g'(s) at s = theta - phi, from the harmonics the quartic kept
         _, a1, b1, a2, b2 = (harmonics[chord] * (np.arange(5) <= deg)).T
-        s = (theta - _ANGLES[top[rows], np.newaxis] + np.pi)[real]
+        s = (theta - _ANGLES[top[rows]] + np.pi)[found]
         cos, sin = np.cos(s), np.sin(s)
         slopes.append(b1 * cos - a1 * sin
                       + 2.0 * b2 * (cos + sin) * (cos - sin) - 4.0 * a2 * sin * cos)
         chords.append(chord)
-        thetas.append(theta[real])
+        thetas.append(theta[found])
     return np.concatenate(chords), np.concatenate(thetas), miss, np.concatenate(slopes)
 
 
 def _single(xi):
-    """One chord as the pair of one-element component arrays the kernel takes."""
-    return np.array([float(xi[0])]), np.array([float(xi[1])])
+    """One chord as the pair of one-element component arrays the kernel takes;
+    a non-finite chord is a ValueError (core.refuse_non_finite), as in evaluate."""
+    xi_p, xi_q = np.array([float(xi[0])]), np.array([float(xi[1])])
+    refuse_non_finite(xi_p, xi_q)
+    return xi_p, xi_q
 
 
 class _Roots(NamedTuple):
@@ -435,22 +524,24 @@ def _stationary_sum(curve: CurveSpec, roots: _Roots, maslov: int, xi_p, xi_q):
 
     added in root order, roots with |slope| below DENOMINATOR_FLOOR left out;
     and whether any of its roots is caustic. A term that is not finite (the
-    phase of a chord far past the curve overflows) raises NumericalError.
+    phase of a chord far past the curve overflows) raises NumericalError,
+    naming the first such chord of the batch.
     """
     count = xi_p.size
     kept = np.abs(roots.slope) >= DENOMINATOR_FLOOR
     chord, slope = roots.chord[kept], roots.slope[kept]
     with np.errstate(over="ignore", invalid="ignore"):
         phase = roots.action[kept] / curve.hbar + 0.25 * np.pi * (np.copysign(1.0, slope) + maslov)
-        terms = np.sqrt(TWO_PI * curve.hbar / np.abs(slope)) / TWO_PI * np.exp(1j * phase)
-    bad = np.flatnonzero(~np.isfinite(terms))
-    if bad.size:
-        k = chord[bad[0]]
+        amplitude = np.sqrt(TWO_PI * curve.hbar / np.abs(slope)) / TWO_PI
+        real, imag = amplitude * np.cos(phase), amplitude * np.sin(phase)
+    bad = ~(np.isfinite(real) & np.isfinite(imag))
+    if bad.any():
+        k = np.min(chord[bad])
         raise NumericalError(f"stationary-phase term at chord ({xi_p[k]:.6g}, {xi_q[k]:.6g}) "
                              "is not finite")
     values = np.empty(count, dtype=complex)
-    values.real = np.bincount(chord, weights=terms.real, minlength=count)
-    values.imag = np.bincount(chord, weights=terms.imag, minlength=count)
+    values.real = np.bincount(chord, weights=real, minlength=count)
+    values.imag = np.bincount(chord, weights=imag, minlength=count)
     caustic = np.bincount(roots.chord[_caustic(curve, roots.slope)], minlength=count) > 0
     return values, caustic
 
@@ -458,17 +549,36 @@ def _stationary_sum(curve: CurveSpec, roots: _Roots, maslov: int, xi_p, xi_q):
 # -- tangencies and the short-chord asymptotics ----------------------------
 
 
+def _tangency_samples(curve: CurveSpec, xi_p, xi_q):
+    """The tangency defect x' ∧ xi of each chord at the five sample angles, (K, 5)."""
+    dp, dq = curve.velocity(_ANGLES)
+    return dp * xi_q[:, None] - dq * xi_p[:, None]
+
+
+def _tangency_records(curve: CurveSpec, xi_p, xi_q, chord, theta, slope) -> _Roots:
+    """The tangencies at the roots (chord, theta) of the tangency defect, with
+    their action x ∧ xi; the defect's slope is the curvature wedge x'' ∧ xi."""
+    p, q = curve.point(theta)
+    return _Roots(chord, theta, p * xi_q[chord] - q * xi_p[chord], slope)
+
+
 def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Roots:
     """Every tangency of a chord batch, its action x ∧ xi and curvature wedge x'' ∧ xi."""
-    dp, dq = curve.velocity(_ANGLES)
-    # the slope of the defect x' ∧ xi is the curvature wedge x'' ∧ xi
-    chord, theta, _, curv = _unit_circle_roots(dp * xi_q[:, None] - dq * xi_p[:, None])
-    p, q = curve.point(theta)
-    return _Roots(chord, theta, p * xi_q[chord] - q * xi_p[chord], curv)
+    chord, theta, _, slope = _unit_circle_roots(_tangency_samples(curve, xi_p, xi_q))
+    return _tangency_records(curve, xi_p, xi_q, chord, theta, slope)
 
 
 def tangency_points(curve: CurveSpec, xi) -> tuple[_Roots, ...]:
     return _per_root(_tangencies(curve, *_single(xi)))
+
+
+def _sp_small(curve: CurveSpec, tangencies: _Roots, xi_p, xi_q):
+    """sp_small's (values, flag codes) from the batch's tangencies."""
+    values, caustic = _stationary_sum(curve, tangencies, 0, xi_p, xi_q)
+    # a closed curve is tangent to every direction at least twice; no
+    # tangency means xi = 0, where every angle is stationary
+    caustic |= np.bincount(tangencies.chord, minlength=xi_p.size) == 0
+    return values, np.where(caustic, _NEAR_CAUSTIC, _OK).astype(np.uint8)
 
 
 def sp_small_values(curve: CurveSpec, xi_p, xi_q):
@@ -478,13 +588,10 @@ def sp_small_values(curve: CurveSpec, xi_p, xi_q):
     sum over tangencies of
         sqrt(2 pi hbar / |x'' ∧ xi|)
             exp[i x ∧ xi / hbar + i (pi/4) sign(x'' ∧ xi)].
+    A non-finite chord is a ValueError (core.refuse_non_finite).
     """
-    roots = _tangencies(curve, xi_p, xi_q)
-    values, caustic = _stationary_sum(curve, roots, 0, xi_p, xi_q)
-    # a closed curve is tangent to every direction at least twice; no
-    # tangency means xi = 0, where every angle is stationary
-    caustic |= np.bincount(roots.chord, minlength=xi_p.size) == 0
-    return values, np.where(caustic, _NEAR_CAUSTIC, _OK).astype(np.uint8)
+    refuse_non_finite(xi_p, xi_q)
+    return _sp_small(curve, _tangencies(curve, xi_p, xi_q), xi_p, xi_q)
 
 
 # -- chord realizations and the full stationary phase ----------------------
@@ -530,19 +637,25 @@ def _arc_area(curve: CurveSpec, theta0, theta1):
             + curve.t * (a3 * (p1 ** 3 - p0 ** 3) - a1 * (p1 - p0)))
 
 
-def _realizations(curve: CurveSpec, xi_p, xi_q):
-    """(roots, grazing): every realization foot of a chord batch, its action
-    (1/2) [arc + foot ∧ xi] and h', and per chord whether a complex root pair
-    lies within REL_CAUSTIC_TOL of the unit circle."""
+def _level_samples(curve: CurveSpec, xi_p, xi_q):
+    """(moving, samples): the chords other than xi = 0, and their realization
+    defect I(x(theta) + xi) - I at the five sample angles, (moving.size, 5)."""
     # at xi = 0 every foot is its own tip and the level defect is pure
-    # round-off: no realizations, and the chord counts as grazing
+    # round-off: that chord is not solved
     moving = np.flatnonzero((xi_p != 0.0) | (xi_q != 0.0))
     p, q = curve.point(_ANGLES)
     # far past the curve the defect's quartic overflows: those rows get
     # non-finite harmonics, which trim to degree 0, so no roots and no grazing
     with np.errstate(over="ignore", invalid="ignore"):
         level = curve.action_value((p + xi_p[moving, None], q + xi_q[moving, None])) - curve.action
-        chord, theta, miss, h_prime = _unit_circle_roots(level)
+    return moving, level
+
+
+def _realization_records(curve: CurveSpec, xi_p, xi_q, moving, chord, theta, miss, slope):
+    """(roots, grazing) from the roots of the level defects of the chords
+    ``moving``, numbered as its rows: every realization foot with its action
+    (1/2) [arc + foot ∧ xi] and its slope h', and per chord whether a complex
+    root pair lies within REL_CAUSTIC_TOL of the unit circle (xi = 0 grazes)."""
     grazing = np.ones(xi_p.size, dtype=bool)
     grazing[moving] = miss < REL_CAUSTIC_TOL
     chord = moving[chord]
@@ -550,11 +663,27 @@ def _realizations(curve: CurveSpec, xi_p, xi_q):
     dp, dq = xi_p[chord], xi_q[chord]
     theta_tip = _tip_angle(curve, foot_p + dp, foot_q + dq, theta)
     action = 0.5 * (_arc_area(curve, theta, theta_tip) + (foot_p * dq - foot_q * dp))
-    return _Roots(chord, theta, action, h_prime), grazing
+    return _Roots(chord, theta, action, slope), grazing
+
+
+def _realizations(curve: CurveSpec, xi_p, xi_q):
+    """(roots, grazing): every realization foot of a chord batch, its action
+    and h', and per chord whether it grazes the curve (_realization_records)."""
+    moving, level = _level_samples(curve, xi_p, xi_q)
+    return _realization_records(curve, xi_p, xi_q, moving, *_unit_circle_roots(level))
 
 
 def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
     return RealizationSet(_per_root(_realizations(curve, *_single(xi))[0]))
+
+
+def _sp_full(curve: CurveSpec, realizations: _Roots, grazing, xi_p, xi_q):
+    """sp_full's (values, flag codes) from the batch's realizations and grazing."""
+    values, caustic = _stationary_sum(curve, realizations, -2, xi_p, xi_q)
+    found = np.bincount(realizations.chord, minlength=xi_p.size) > 0
+    flags = np.where(found, np.where(caustic, _NEAR_CAUSTIC, _OK),
+                     np.where(grazing, _NEAR_CAUSTIC, _EVANESCENT)).astype(np.uint8)
+    return values, flags
 
 
 def sp_full_values(curve: CurveSpec, xi_p, xi_q):
@@ -562,23 +691,40 @@ def sp_full_values(curve: CurveSpec, xi_p, xi_q):
 
     At every chord (xi_p[k], xi_q[k]) of two 1-d arrays, each realization
     weighted as in the module docstring, Maslov phase (pi/4)(sigma - 2)
-    included.
+    included. A non-finite chord is a ValueError (core.refuse_non_finite).
     """
-    roots, grazing = _realizations(curve, xi_p, xi_q)
-    values, caustic = _stationary_sum(curve, roots, -2, xi_p, xi_q)
-    found = np.bincount(roots.chord, minlength=xi_p.size) > 0
-    flags = np.where(found, np.where(caustic, _NEAR_CAUSTIC, _OK),
-                     np.where(grazing, _NEAR_CAUSTIC, _EVANESCENT)).astype(np.uint8)
-    return values, flags
+    refuse_non_finite(xi_p, xi_q)
+    return _sp_full(curve, *_realizations(curve, xi_p, xi_q), xi_p, xi_q)
+
+
+def _stationary_points(curve: CurveSpec, xi_p, xi_q):
+    """(tangencies, realizations, grazing) of a chord batch from one root
+    solve: its tangency defects and its level defects are rows of one
+    _unit_circle_roots call, whose roots are then split by row. Each row's
+    roots depend on that row alone, so the records are those of
+    _tangencies and _realizations."""
+    count = xi_p.size
+    moving, level = _level_samples(curve, xi_p, xi_q)
+    chord, theta, miss, slope = _unit_circle_roots(
+        np.concatenate([_tangency_samples(curve, xi_p, xi_q), level]))
+    tangency = chord < count
+    foot = ~tangency
+    return (_tangency_records(curve, xi_p, xi_q, chord[tangency], theta[tangency],
+                              slope[tangency]),
+            *_realization_records(curve, xi_p, xi_q, moving, chord[foot] - count, theta[foot],
+                                  miss[count:], slope[foot]))
 
 
 def semiclassical_values(curve: CurveSpec, xi_p, xi_q, classical):
     """The composite chi_s - sp_small + sp_full of two 1-d chord arrays: (values, flag codes).
 
-    ``classical`` holds chi_s at the same chords.
+    ``classical`` holds chi_s at the same chords. A non-finite chord is a
+    ValueError (core.refuse_non_finite).
     """
-    asym, asym_flags = sp_small_values(curve, xi_p, xi_q)
-    full, full_flags = sp_full_values(curve, xi_p, xi_q)
+    refuse_non_finite(xi_p, xi_q)
+    tangencies, realizations, grazing = _stationary_points(curve, xi_p, xi_q)
+    asym, asym_flags = _sp_small(curve, tangencies, xi_p, xi_q)
+    full, full_flags = _sp_full(curve, realizations, grazing, xi_p, xi_q)
     # where both stationary-phase pieces are unreliable the classical average
     # is the only trustworthy value (and is accurate for short chords, which
     # is where this fires outside the caustic rim)
@@ -593,6 +739,6 @@ def semiclassical_values(curve: CurveSpec, xi_p, xi_q, classical):
 
 def chi_semiclassical(curve: CurveSpec, xi) -> ChordValue:
     """Composite semiclassical chord function chi_s - sp_small + sp_full."""
-    classical = chi_small(curve, xi).value
-    values, flags = semiclassical_values(curve, *_single(xi), np.array([classical]))
+    xi_p, xi_q = _single(xi)
+    values, flags = semiclassical_values(curve, xi_p, xi_q, chi_small_points(curve, xi_p, xi_q))
     return ChordValue(complex(values[0]), FLAGS_BY_CODE[int(flags[0])])

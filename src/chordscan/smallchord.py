@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import Chord, ChordValue, PhasePoint, refuse_non_finite
+from .core import Chord, ChordValue, PhasePoint, plane_wave, refuse_non_finite
 from .curves import CurveSpec
 from .quadrature import ConvergenceError, NumericalError, richardson_derivative
 
@@ -76,7 +76,7 @@ def chi_small_points(curve: CurveSpec, xi_p, xi_q) -> np.ndarray:
         chords = np.flatnonzero(nodes == n)
         for lo in range(0, chords.size, AVERAGE_MAX_NODES // n):
             k = chords[lo:lo + AVERAGE_MAX_NODES // n, np.newaxis]
-            mean[k[:, 0]] = np.exp(1j / curve.hbar * (p * xi_q[k] - q * xi_p[k])).sum(-1) / n
+            mean[k[:, 0]] = plane_wave((1.0 / curve.hbar) * (p * xi_q[k] - q * xi_p[k])).sum(-1) / n
     return mean
 
 
@@ -102,8 +102,8 @@ def chi_small_grid(curve: CurveSpec, xi_p_axis, xi_q_axis) -> np.ndarray:
     n = np.max(_average_nodes(curve, corner_p.ravel(), corner_q.ravel()))
     p, q = curve.point(2.0 * np.pi * np.arange(n) / n)
     block = AVERAGE_MAX_NODES // max(xi_p_axis.size, xi_q_axis.size)
-    parts = (np.exp(-1j / curve.hbar * np.outer(xi_p_axis, q[lo:lo + block]))
-             @ np.exp(1j / curve.hbar * np.outer(p[lo:lo + block], xi_q_axis))
+    parts = (plane_wave((-1.0 / curve.hbar) * np.outer(xi_p_axis, q[lo:lo + block]))
+             @ plane_wave((1.0 / curve.hbar) * np.outer(p[lo:lo + block], xi_q_axis))
              for lo in range(0, n, block))
     return reduce(np.add, parts) / n
 

@@ -338,7 +338,10 @@ def test_quartic_roots_are_backward_stable(name):
         if pair[1] <= ROUND_OFF * max(abs(harmonics[0]), pair.max()):
             continue  # a quadratic row
         coeffs = rolled @ _TAU[4][0]
-        tau = _quartic_roots(coeffs[np.newaxis, :])[0]
+        pairs, real = _quartic_roots(coeffs[:, np.newaxis])
+        # each pair as its two roots: real, or x +- i y
+        tau = np.concatenate([pair if is_real else pair[0] + np.array([1j, -1j]) * pair[1]
+                              for pair, is_real in zip(pairs[..., 0], real[:, 0])])
         backward = np.abs(np.polyval(coeffs, tau)) / np.polyval(np.abs(coeffs), np.abs(tau))
         assert np.all(backward < BACKWARD_EPS * np.finfo(float).eps), f"{tau}: {backward}"
 

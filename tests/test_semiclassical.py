@@ -1,16 +1,19 @@
 """Stationary-phase evaluators: tangencies, realizations, composite."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from chordscan import (Flag, chi_semiclassical, chi_small,
-                       chord_realizations, evolved_chi, make_evaluator, tangency_points,
-                       wedge)
+from chordscan import (CurveSpec, Flag, axis, chi_semiclassical, chi_small, chord_realizations,
+                       evolved_chi, make_evaluator, tangency_points, wedge)
 from chordscan.exact import fock_chi_radial
 from chordscan.semiclassical import (DENOMINATOR_FLOOR, _caustic, _realizations, _Roots,
-                                     _stationary_sum, _tangencies, _tip_angle)
+                                     _stationary_points, _stationary_sum, _tangencies,
+                                     _tip_angle, semiclassical_values, sp_full_values,
+                                     sp_small_values)
+from chordscan.smallchord import chi_small_points
 
 
 def one_chord(xi):
@@ -201,3 +204,53 @@ def test_composite_tracks_the_oracle(sheared):
         assert abs(out.value - complex(evolved_chi(sheared, xi))) < 0.02
         checked += 1
     assert checked > 20  # the caustic shadow must not swallow the sample
+
+
+# -- one root solve per batch -------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+def test_each_chord_reads_the_same_bits_alone_as_in_the_batch(t):
+    """On the 41^2 grid over +-2.3, the composite's one root solve for both
+    defects gives the records of separate tangency and realization solves,
+    and a chord's composite, sp_small and sp_full value and flag is the same
+    alone as in the batch, bit for bit: every chord's composite, whose solve
+    holds both defects' rows, and every fifth chord's sp_small and sp_full.
+    The classical average is the batch's, so the composite checks the
+    stationary-phase part alone."""
+    state = CurveSpec(n=5, hbar=0.1, t=t)
+    mesh_p, mesh_q = np.meshgrid(axis(-2.3, 2.3, 41), axis(-2.3, 2.3, 41), indexing="ij")
+    xi_p, xi_q = mesh_p.ravel(), mesh_q.ravel()
+    tangencies, realizations, grazing = _stationary_points(state, xi_p, xi_q)
+    feet, feet_grazing = _realizations(state, xi_p, xi_q)
+    for merged, separate in ((tangencies, _tangencies(state, xi_p, xi_q)), (realizations, feet)):
+        for got, want in zip(merged, separate):
+            assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(grazing, feet_grazing)
+    classical = chi_small_points(state, xi_p, xi_q)
+    routes = {"semiclassical": (1, lambda k: semiclassical_values(state, xi_p[k], xi_q[k],
+                                                                  classical[k])),
+              "sp_small": (5, lambda k: sp_small_values(state, xi_p[k], xi_q[k])),
+              "sp_full": (5, lambda k: sp_full_values(state, xi_p[k], xi_q[k]))}
+    for name, (stride, route) in routes.items():
+        values, flags = route(slice(None))
+        alone = [route(slice(k, k + 1)) for k in range(0, xi_p.size, stride)]
+        assert np.concatenate([v for v, _ in alone]).tobytes() == values[::stride].tobytes(), name
+        assert np.concatenate([f for _, f in alone]).tobytes() == flags[::stride].tobytes(), name
+
+
+def test_semiclassical_functions_refuse_a_non_finite_chord(sheared):
+    """The batch functions and the one-chord calls give evaluate's ValueError,
+    not an empty record set or a near_caustic flag, for a non-finite chord."""
+    for bad in (np.nan, np.inf, -np.inf):
+        text = re.escape(f"{bad:.6g}")
+        message = rf"chord \({text}, 0\.1\) is not finite"
+        xi_p, xi_q = np.array([0.2, bad]), np.array([0.3, 0.1])
+        for batch in (sp_small_values, sp_full_values):
+            with pytest.raises(ValueError, match=message):
+                batch(sheared, xi_p, xi_q)
+        with pytest.raises(ValueError, match=message):
+            semiclassical_values(sheared, xi_p, xi_q, np.ones(2, dtype=complex))
+        for one_chord in (tangency_points, chord_realizations, chi_semiclassical):
+            with pytest.raises(ValueError, match=message):
+                one_chord(sheared, (bad, 0.1))
