@@ -8,8 +8,8 @@ Every module in the package builds on the conventions fixed here:
   ``wedge(xi, x) = xi_p * q - xi_q * p``.
 * Units put the oscillator mass and frequency at 1; ``hbar`` is the only
   scale parameter and enters everywhere explicitly.
-* Every sum carried to twice double precision is built on two error-free
-  transformations, ``two_sum`` (Knuth's TwoSum) and ``two_product`` (Dekker's).
+* Every product carried to twice double precision (the CSV writer's digits)
+  is the one error-free transformation ``two_product`` (Dekker's).
 """
 
 from __future__ import annotations
@@ -197,14 +197,6 @@ def veltkamp_split(x):
     scaled = _SPLITTER * x
     high = scaled - (scaled - x)
     return high, x - high
-
-
-def two_sum(a, b):
-    """a + b as s + e exactly, with s = fl(a + b) (Knuth's TwoSum). Exact for
-    all finite a and b whose sum does not overflow."""
-    s = a + b
-    back = s - a
-    return s, (a - (s - back)) + (b - back)
 
 
 def two_product(a, b):

@@ -70,10 +70,12 @@ the quadratic formula without cancellation or a conjugate pair x +- i y.
 A quartic's real roots take one Newton step on it, and one root x + i y of
 each conjugate pair takes its own. A real root that the coefficients'
 round-off could move by more than _SHAKY eps (next to a double root: near
-caustics; its spread is read from the pairs) takes one more Newton step,
-against coefficients kept to twice double precision and with a
-compensated residual, so its angle answers to the samples. No iterative
-eigenvalue solve (and no BLAS or LAPACK call) is involved. A real root is
+caustics; its spread is read from the pairs) takes one Newton step in
+theta on the defect itself, evaluated on the curve, over the slope read
+off the harmonics, so its angle answers to the curve and not to the five
+float samples. Each defect is one function of (row, theta), which gives
+both its samples and its value at such a root. No iterative eigenvalue
+solve (and no BLAS or LAPACK call) is involved. A real root is
 the angle theta = phi + 2 arctan(tau). A conjugate pair stands for two
 roots z and 1/conj(z) of the unit-circle quartic, at one angle and
 |ln|z|| = |ln(((1 - y)^2 + x^2) / ((1 + y)^2 + x^2))| / 2 off the circle;
@@ -120,8 +122,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, refuse_non_finite,
-                   two_product, two_sum, worst_flag_codes)
+from .core import FLAG_CODES, FLAGS_BY_CODE, ChordValue, Flag, refuse_non_finite, worst_flag_codes
 from .curves import CurveSpec
 from .quadrature import NumericalError
 from .smallchord import chi_small_points
@@ -155,7 +156,7 @@ _HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
                             [0.0, 0.0, 2.0],
                             [1.0, 1.0, 0.0]])}
 # a real root that its coefficients' round-off could move by more than
-# _SHAKY eps is refined against coefficients kept to twice double precision
+# _SHAKY eps takes one Newton step on its defect, evaluated on the curve
 _SHAKY = 100.0
 # the two quadratic factors of a quartic, as rows: (y^2 + s y + u)(y^2 - s y + v)
 _SIGN = np.array([[1.0], [-1.0]])
@@ -169,8 +170,8 @@ def _sample_maps():
     from the closed forms of cos and sin at multiples of 2 pi / 5.
 
     Returns (harmonics, tau): harmonics (5, 5), the table rounded once, and
-    tau[deg] = (hi, lo), each (5, deg + 1), _HALF_ANGLE[deg] times the table
-    to about 32 digits as hi + lo. Row m is for the sample m after the top.
+    tau[deg] (5, deg + 1), _HALF_ANGLE[deg] times the table, rounded once.
+    Row m is for the sample m after the top.
     """
     with localcontext() as context:
         context.prec = 40
@@ -183,12 +184,10 @@ def _sample_maps():
         table = [[Decimal(1) / 5] + [Decimal(2 * sign) / 5 * values[k * m % 5]
                                      for k, sign in ((1, -1), (2, 1)) for values in (cos, sin)]
                  for m in range(5)]
-        tau = {}
-        for deg, half_angle in _HALF_ANGLE.items():
-            exact = [[sum(int(weight) * harmonic for weight, harmonic in zip(coefficient, row))
-                      for coefficient in half_angle] for row in table]
-            low = [[value - Decimal(float(value)) for value in row] for row in exact]
-            tau[deg] = np.array(exact, dtype=float), np.array(low, dtype=float)
+        tau = {deg: np.array([[sum(int(weight) * harmonic
+                                   for weight, harmonic in zip(coefficient, row))
+                               for coefficient in half_angle] for row in table], dtype=float)
+               for deg, half_angle in _HALF_ANGLE.items()}
     return np.array(table, dtype=float), tau
 
 
@@ -325,28 +324,6 @@ def _quartic_roots(coeffs):
     return tau, real
 
 
-def _tau_coefficients(rolled, deg):
-    """The tau-coefficients of the rows ``rolled`` (K, 5), samples in order from
-    the top one, as (high, low), each (K, deg + 1).
-
-    high + low is the samples' exact image under _TAU[deg] to about twice
-    double precision: every product's rounding error is recovered exactly
-    (core.two_product), every addition's too (core.two_sum), and the map's
-    own low part is added, as in Ogita, Rump and Oishi's Dot2. The map's
-    sums cancel where the defect is small next to its samples, which is
-    where a near-double root needs them.
-    """
-    hi, lo = (part[:, np.newaxis] for part in _TAU[deg])
-    x = rolled.T[:, :, np.newaxis]
-    product, carry = two_product(hi, x)
-    total, carry = product[0], (carry + lo * x).sum(axis=0)
-    for term in product[1:]:
-        total, error = two_sum(total, term)
-        carry += error
-    high = total + carry
-    return high, carry - (high - total)
-
-
 def _shaky(tau, real):
     """Rows of the root pairs ``tau`` (P, 2, K), ``real`` (P, K), the roots of
     K polynomials of degree R = 2P, with a real root that their
@@ -372,44 +349,13 @@ def _shaky(tau, real):
     return shaky.reshape(-1, tau.shape[2]).any(axis=0)
 
 
-def _polish(high, low, tau, real):
-    """Each real root of the pairs ``tau`` (P, 2, K), ``real`` (P, K), after
-    one Newton step on the polynomials high + low, their coefficients in two
-    (K, 2P + 1) parts.
-
-    The residual is Horner's sum with every product's and every addition's
-    rounding error carried along (core.two_product and core.two_sum, in
-    Graillat, Langlois and Louvet's compensated Horner), so next to a double
-    root, where a plain residual is round-off, it still measures high + low.
-    A step is kept where it is under half the distance to the row's nearest
-    other root, so no two roots can meet; conjugate pairs are returned as
-    they are.
-    """
-    x = tau.reshape(-1, tau.shape[2])
-    value, carry, slope = high[:, 0], low[:, 0], 0.0
-    for k in range(1, high.shape[1]):
-        slope = slope * x + (value + carry)
-        product, error = two_product(value, x)
-        value, sum_error = two_sum(product, high[:, k])
-        carry = carry * x + (error + sum_error) + low[:, k]
-    step = ((value + carry) / slope).reshape(tau.shape)
-    nearest = np.abs(tau[:, :1] - tau[:, 1:])  # the partner
-    if tau.shape[0] == 2:
-        other = tau[::-1, np.newaxis]
-        apart = tau[:, :, np.newaxis] - other
-        # x +- i y lie at one distance from a real root
-        to_other = np.where(real[::-1, np.newaxis, np.newaxis], np.abs(apart),
-                            np.hypot(apart[:, :, :1], other[:, :, 1:]))
-        nearest = np.minimum(nearest, np.min(to_other, axis=2))
-    return np.where(real[:, np.newaxis] & (np.abs(step) < 0.5 * nearest), tau - step, tau)
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _unit_circle_roots(samples):
+def _unit_circle_roots(samples, defect):
     """Real roots of K trig polynomials of degree <= 2, and each one's nearest miss.
 
     Row k of the (K, 5) array ``samples`` holds defect k at the angles
-    2 pi j / 5, which fix it exactly. Each row is rotated to
+    2 pi j / 5, which fix it exactly, and defect(k, theta) is its value at
+    the angles theta (1-d arrays k and theta alike). Each row is rotated to
     g(s) = f(phi + s) with phi + pi at its largest |sample|; in the half
     angle tau = tan(s/2), (1 + tau^2)^2 g is a real quartic whose leading
     coefficient is that sample, so it never vanishes and no root runs off
@@ -420,16 +366,20 @@ def _unit_circle_roots(samples):
     real defect loses c_2 and c_-2 together, leaving degree 4, 2 or 0).
     Quartic rows are solved in closed form by Ferrari's split into two real
     quadratics (_quartic_roots), quadratic rows by the quadratic formula;
-    each quadratic gives a real pair or a conjugate pair x +- i y, and
-    rows with a real root that round-off could move far (_shaky) are
-    refined in twice double precision (_tau_coefficients, _polish). A real
+    each quadratic gives a real pair or a conjugate pair x +- i y. A real
     root is the angle theta = phi + 2 arctan(tau). A conjugate pair is the
     roots z = exp(i phi) (1 + i tau) / (1 - i tau) and 1 / conj(z) of the
     unit-circle quartic z^2 f(z), both at the angle
     phi + atan2(2x, 1 - x^2 - y^2) and
     |ln|z|| = |ln(((1 - y)^2 + x^2) / ((1 + y)^2 + x^2))| / 2 off the circle:
     within sqrt(ROUND_OFF) it is a double root that round-off split, two
-    real angles, and otherwise a miss. No complex array is formed.
+    real angles, and otherwise a miss. No complex array is formed. In rows
+    with a real root that the coefficients' round-off could move far
+    (_shaky: near a double root), each real root takes one Newton step
+    -f/g' on the defect evaluated on the curve, ``defect``, and not on the
+    samples, kept where it changes the slope by less than half,
+    |step g''| < |g'| / 2 (near a double root, a quarter of the roots'
+    gap, so no two roots can cross); its slope becomes g' - g'' step.
 
     Returns (chord, theta, miss, slope): the row and the angle in [0, 2 pi)
     of every real root, the roots of each row in ascending angle (the order
@@ -450,15 +400,11 @@ def _unit_circle_roots(samples):
         rows = np.flatnonzero(degree == deg)
         if rows.size == 0:
             continue
-        coeffs = np.einsum("kj,jd->kd", rolled[rows], _TAU[deg][0]).T
+        coeffs = np.einsum("kj,jd->kd", rolled[rows], _TAU[deg]).T
         if deg == 4:
             tau, real = _quartic_roots(coeffs)
         else:
             tau, real = _quadratic_roots(coeffs[1:2] / coeffs[0], coeffs[2:] / coeffs[0])
-        shaky = np.flatnonzero(_shaky(tau, real))
-        if shaky.size:
-            tau[..., shaky] = _polish(*_tau_coefficients(rolled[rows[shaky]], deg),
-                                      tau[..., shaky], real[:, shaky])
         x, y = tau[:, 0], tau[:, 1]
         log_radius = 0.5 * np.abs(np.log1p(-4.0 * y / ((1.0 + y) * (1.0 + y) + x * x)))
         double = ~real & (log_radius <= math.sqrt(ROUND_OFF))
@@ -474,18 +420,33 @@ def _unit_circle_roots(samples):
         theta += TWO_PI * (theta < 0.0)
         # roots off the circle sort last as inf and are dropped; the rows'
         # first roots come first, then their second, ...
-        theta = np.sort(np.where(on_circle[:, np.newaxis], theta, np.inf).reshape(-1, rows.size),
-                        axis=0)
+        keyed = np.where(on_circle[:, np.newaxis], theta, np.inf).reshape(-1, rows.size)
+        theta = np.sort(keyed, axis=0)
         found = np.isfinite(theta)
         chord = np.broadcast_to(rows, theta.shape)[found]
         # df/dtheta = g'(s) at s = theta - phi, from the harmonics the quartic kept
         _, a1, b1, a2, b2 = (harmonics[chord] * (np.arange(5) <= deg)).T
         s = (theta - _ANGLES[top[rows]] + np.pi)[found]
         cos, sin = np.cos(s), np.sin(s)
-        slopes.append(b1 * cos - a1 * sin
-                      + 2.0 * b2 * (cos + sin) * (cos - sin) - 4.0 * a2 * sin * cos)
+        slope = b1 * cos - a1 * sin + 2.0 * b2 * (cos + sin) * (cos - sin) - 4.0 * a2 * sin * cos
+        theta = theta[found]
+        shaky = np.flatnonzero(_shaky(tau, real))
+        if shaky.size:
+            # where the sort put the real roots of the shaky rows
+            stepped = np.zeros(found.shape, dtype=bool)
+            stepped[:, shaky] = np.take_along_axis(np.repeat(real[:, shaky], 2, axis=0),
+                                                   np.argsort(keyed[:, shaky], axis=0), axis=0)
+            k = np.flatnonzero(stepped[found])
+            cos, sin = cos[k], sin[k]
+            second = (-a1[k] * cos - b1[k] * sin
+                      - 4.0 * a2[k] * (cos + sin) * (cos - sin) - 8.0 * b2[k] * sin * cos)
+            step = defect(chord[k], theta[k]) / slope[k]
+            keep = np.abs(step * second) < 0.5 * np.abs(slope[k])
+            theta[k] = np.where(keep, (theta[k] - step) % TWO_PI, theta[k])
+            slope[k] = np.where(keep, slope[k] - second * step, slope[k])
         chords.append(chord)
-        thetas.append(theta[found])
+        thetas.append(theta)
+        slopes.append(slope)
     return np.concatenate(chords), np.concatenate(thetas), miss, np.concatenate(slopes)
 
 
@@ -549,10 +510,21 @@ def _stationary_sum(curve: CurveSpec, roots: _Roots, maslov: int, xi_p, xi_q):
 # -- tangencies and the short-chord asymptotics ----------------------------
 
 
-def _tangency_samples(curve: CurveSpec, xi_p, xi_q):
-    """The tangency defect x' ∧ xi of each chord at the five sample angles, (K, 5)."""
-    dp, dq = curve.velocity(_ANGLES)
-    return dp * xi_q[:, None] - dq * xi_p[:, None]
+def _samples(defect, count):
+    """The rows 0 .. count - 1 of ``defect``, a function of (row, theta), at
+    the five sample angles: (count, 5)."""
+    return defect(np.arange(count)[:, np.newaxis], _ANGLES)
+
+
+def _tangency_defect(curve: CurveSpec, xi_p, xi_q):
+    """The tangency defect x'(theta) ∧ xi, a function of (row, theta), row k
+    for the chord k."""
+
+    def defect(row, theta):
+        dp, dq = curve.velocity(theta)
+        return dp * xi_q[row] - dq * xi_p[row]
+
+    return defect
 
 
 def _tangency_records(curve: CurveSpec, xi_p, xi_q, chord, theta, slope) -> _Roots:
@@ -564,7 +536,8 @@ def _tangency_records(curve: CurveSpec, xi_p, xi_q, chord, theta, slope) -> _Roo
 
 def _tangencies(curve: CurveSpec, xi_p, xi_q) -> _Roots:
     """Every tangency of a chord batch, its action x ∧ xi and curvature wedge x'' ∧ xi."""
-    chord, theta, _, slope = _unit_circle_roots(_tangency_samples(curve, xi_p, xi_q))
+    defect = _tangency_defect(curve, xi_p, xi_q)
+    chord, theta, _, slope = _unit_circle_roots(_samples(defect, xi_p.size), defect)
     return _tangency_records(curve, xi_p, xi_q, chord, theta, slope)
 
 
@@ -637,18 +610,23 @@ def _arc_area(curve: CurveSpec, theta0, theta1):
             + curve.t * (a3 * (p1 ** 3 - p0 ** 3) - a1 * (p1 - p0)))
 
 
-def _level_samples(curve: CurveSpec, xi_p, xi_q):
-    """(moving, samples): the chords other than xi = 0, and their realization
-    defect I(x(theta) + xi) - I at the five sample angles, (moving.size, 5)."""
+def _level_defect(curve: CurveSpec, xi_p, xi_q):
+    """(moving, defect): the chords other than xi = 0, and their realization
+    defect I(x(theta) + xi) - I, a function of (row, theta), row k for the
+    chord moving[k]."""
     # at xi = 0 every foot is its own tip and the level defect is pure
     # round-off: that chord is not solved
     moving = np.flatnonzero((xi_p != 0.0) | (xi_q != 0.0))
-    p, q = curve.point(_ANGLES)
-    # far past the curve the defect's quartic overflows: those rows get
-    # non-finite harmonics, which trim to degree 0, so no roots and no grazing
-    with np.errstate(over="ignore", invalid="ignore"):
-        level = curve.action_value((p + xi_p[moving, None], q + xi_q[moving, None])) - curve.action
-    return moving, level
+    xi_p, xi_q = xi_p[moving], xi_q[moving]
+
+    def defect(row, theta):
+        p, q = curve.point(theta)
+        # far past the curve the defect's quartic overflows: those rows get
+        # non-finite harmonics, which trim to degree 0, so no roots and no grazing
+        with np.errstate(over="ignore", invalid="ignore"):
+            return curve.action_value((p + xi_p[row], q + xi_q[row])) - curve.action
+
+    return moving, defect
 
 
 def _realization_records(curve: CurveSpec, xi_p, xi_q, moving, chord, theta, miss, slope):
@@ -669,8 +647,9 @@ def _realization_records(curve: CurveSpec, xi_p, xi_q, moving, chord, theta, mis
 def _realizations(curve: CurveSpec, xi_p, xi_q):
     """(roots, grazing): every realization foot of a chord batch, its action
     and h', and per chord whether it grazes the curve (_realization_records)."""
-    moving, level = _level_samples(curve, xi_p, xi_q)
-    return _realization_records(curve, xi_p, xi_q, moving, *_unit_circle_roots(level))
+    moving, level = _level_defect(curve, xi_p, xi_q)
+    return _realization_records(curve, xi_p, xi_q, moving,
+                                *_unit_circle_roots(_samples(level, moving.size), level))
 
 
 def chord_realizations(curve: CurveSpec, xi) -> RealizationSet:
@@ -700,13 +679,23 @@ def sp_full_values(curve: CurveSpec, xi_p, xi_q):
 def _stationary_points(curve: CurveSpec, xi_p, xi_q):
     """(tangencies, realizations, grazing) of a chord batch from one root
     solve: its tangency defects and its level defects are rows of one
-    _unit_circle_roots call, whose roots are then split by row. Each row's
-    roots depend on that row alone, so the records are those of
-    _tangencies and _realizations."""
+    _unit_circle_roots call, with one defect function that splits its rows
+    at the chord count, and its roots are then split by row. Each row's
+    roots depend on that row alone, so the records are those of _tangencies
+    and _realizations."""
     count = xi_p.size
-    moving, level = _level_samples(curve, xi_p, xi_q)
+    tangent = _tangency_defect(curve, xi_p, xi_q)
+    moving, level = _level_defect(curve, xi_p, xi_q)
+
+    def defect(row, theta):
+        value = np.empty(row.shape)
+        first = row < count
+        value[first] = tangent(row[first], theta[first])
+        value[~first] = level(row[~first] - count, theta[~first])
+        return value
+
     chord, theta, miss, slope = _unit_circle_roots(
-        np.concatenate([_tangency_samples(curve, xi_p, xi_q), level]))
+        np.concatenate([_samples(tangent, count), _samples(level, moving.size)]), defect)
     tangency = chord < count
     foot = ~tangency
     return (_tangency_records(curve, xi_p, xi_q, chord[tangency], theta[tangency],

@@ -113,12 +113,22 @@ BACKWARD_EPS = 16
 
 
 def defect_samples(curve, xi_p, xi_q):
-    """Both defects of a chord batch at the five sample angles, as the kernel builds them."""
-    dp, dq = curve.velocity(_ANGLES)
-    p, q = curve.point(_ANGLES)
-    tangency = dp * xi_q[:, None] - dq * xi_p[:, None]
-    level = curve.action_value((p + xi_p[:, None], q + xi_q[:, None])) - curve.action
-    return np.concatenate([tangency, level])
+    """(samples, defect): both defects of a chord batch, tangency rows first,
+    at the five sample angles as the kernel builds them, and as the one
+    function of (row, theta) the kernel's Newton step evaluates."""
+    count = xi_p.size
+
+    def defect(row, theta):
+        xi = (xi_p[row % count], xi_q[row % count])
+        return np.where(row < count, parallel_defect(curve, xi, theta),
+                        level_defect(curve, xi, theta))
+
+    return defect(np.arange(2 * count)[:, np.newaxis], _ANGLES), defect
+
+
+def unrefined(row, theta):
+    """The defect of rows with no real root that takes a Newton step: never evaluated."""
+    raise AssertionError("a row with no shaky real root was refined")
 
 
 def reference_polynomial(row):
@@ -146,10 +156,10 @@ def reference_roots(row):
     return np.sort(np.angle(roots[on_circle]) % (2.0 * np.pi)), miss
 
 
-def assert_matches_reference(samples, tol=1e-10):
+def assert_matches_reference(samples, defect, tol=1e-10):
     """Every row's real roots match np.roots within ``tol`` in angle, and each
     root's backward error, |z^2 f(z)| over the sum of |c_k|, is a few eps."""
-    chord, theta, miss, _ = _unit_circle_roots(samples)
+    chord, theta, miss, _ = _unit_circle_roots(samples, defect)
     for k, row in enumerate(samples):
         want, want_miss = reference_roots(row)
         got = theta[chord == k]
@@ -173,10 +183,10 @@ def test_roots_match_np_roots_on_the_complex_quartic(name):
     chords = np.random.default_rng(10 + sorted(ROOT_STATES).index(name)).uniform(
         -scale, scale, size=(300, 2))
     chords[:20, 0] = 0.0
-    samples = defect_samples(curve, chords[:, 0], chords[:, 1])
+    samples, defect = defect_samples(curve, chords[:, 0], chords[:, 1])
     # every row is rotated to its largest sample: all five rotations occur
     assert set(np.argmax(np.abs(samples), axis=1)) == set(range(5))
-    assert_matches_reference(samples)
+    assert_matches_reference(samples, defect)
 
 
 @pytest.mark.parametrize("name", ROOT_STATES)
@@ -188,8 +198,8 @@ def test_root_slopes_are_the_stationary_phase_denominators(name):
     scale = 2.6 * curve.radius
     chords = np.random.default_rng(20 + sorted(ROOT_STATES).index(name)).uniform(
         -scale, scale, size=(300, 2))
-    samples = defect_samples(curve, chords[:, 0], chords[:, 1])
-    row, theta, _, slope = _unit_circle_roots(samples)
+    samples, defect = defect_samples(curve, chords[:, 0], chords[:, 1])
+    row, theta, _, slope = _unit_circle_roots(samples, defect)
     size = np.max(np.abs(samples), axis=1)[row]
     xi_p, xi_q = chords[row % len(chords)].T
     tangency = row < len(chords)
@@ -215,14 +225,15 @@ def test_every_rotation_gives_the_same_roots():
     largest sample, and so the rotation, through all five indices, and
     rotates the roots by -2 pi m / 5."""
     curve = STATES["t1"]
-    samples = defect_samples(curve, np.array([0.7]), np.array([-0.4]))
-    for row in samples:
-        _, base, base_miss, _ = _unit_circle_roots(row[None, :])
+    samples, defect = defect_samples(curve, np.array([0.7]), np.array([-0.4]))
+    for k, row in enumerate(samples):
+        _, base, base_miss, _ = _unit_circle_roots(row[None, :], lambda _, theta: defect(k, theta))
         tops = set()
         for m in range(5):
             shifted = np.roll(row, -m)[None, :]
             tops.add(int(np.argmax(np.abs(shifted))))
-            _, theta, miss, _ = _unit_circle_roots(shifted)
+            _, theta, miss, _ = _unit_circle_roots(
+                shifted, lambda _, theta: defect(k, theta + 2.0 * np.pi * m / 5))
             assert theta.size == base.size
             moved = np.sort((base - 2.0 * np.pi * m / 5) % (2.0 * np.pi))
             gap = np.abs(np.angle(np.exp(1j * (theta[:, None] - moved[None, :]))))
@@ -250,8 +261,9 @@ def test_sample_maps_are_one_table_correctly_rounded():
     """Row m of _HARMONICS weighs sample m after the top one, g at
     s = pi + 2 pi m / 5, into the harmonics (a0, a1, b1, a2, b2) of g: 1/5,
     2/5 cos k s and 2/5 sin k s, each correctly rounded, and exactly 0 where
-    sin k pi vanishes. Each _TAU[deg] hi + lo is _HALF_ANGLE[deg] times the
-    same table to 30 digits. The references are 50-digit Taylor series."""
+    sin k pi vanishes. Each _TAU[deg] is _HALF_ANGLE[deg] times the same
+    table, correctly rounded, and exactly 0 where that product is 0. The
+    references are 50-digit Taylor series."""
     assert _HARMONICS.shape == (5, 5)
     with localcontext() as context:
         context.prec = 50
@@ -267,63 +279,72 @@ def test_sample_maps_are_one_table_correctly_rounded():
                 else:
                     assert _HARMONICS[m, h] == float(value), (m, h)
         for deg, half_angle in _HALF_ANGLE.items():
-            hi, lo = _TAU[deg]
-            assert hi.shape == lo.shape == (5, deg + 1)
+            assert _TAU[deg].shape == (5, deg + 1)
             for m, row in enumerate(table):
                 for d, coefficient in enumerate(half_angle):
                     want = sum(Decimal(weight) * value for weight, value in zip(coefficient, row))
-                    assert abs(Decimal(hi[m, d]) + Decimal(lo[m, d]) - want) < Decimal("1e-30")
+                    if abs(want) < Decimal("1e-45"):
+                        assert _TAU[deg][m, d] == 0.0, (deg, m, d)
+                    else:
+                        assert _TAU[deg][m, d] == float(want), (deg, m, d)
 
 
 # Rows on which a closed-form quartic solve can lose accuracy, with the
-# angle tolerance each root is fixed to. The first two biquadratic rows are
-# even about _ANGLES[3], their largest sample, so the rotated quartic in tau
-# has no odd powers up to round-off (q ~ 1e-15 in Ferrari's split); in the
-# second f(phi) and f(phi + pi) differ in sign, so the resolvent's largest
-# root is about q^2 and the split's slope s = sqrt(S) about 1e-16.
+# function they sample and the angle tolerance each root is fixed to. The
+# first two biquadratic rows are even about _ANGLES[3], their largest
+# sample, so the rotated quartic in tau has no odd powers up to round-off
+# (q ~ 1e-15 in Ferrari's split); in the second f(phi) and f(phi + pi)
+# differ in sign, so the resolvent's largest root is about q^2 and the
+# split's slope s = sqrt(S) about 1e-16.
 EVEN = _ANGLES[3]
 
 
 def trig_row(f):
-    return f(_ANGLES)[np.newaxis, :]
+    """(samples, defect) of the trig polynomial f as one row."""
+    return f(_ANGLES)[np.newaxis, :], lambda row, theta: f(theta)
+
+
+T5_CAUSTIC = defect_samples(ROOT_STATES["t5"], np.array([-1.40875]), np.array([1.46625]))
+NEAR_TAU_ZERO = defect_samples(ROOT_STATES["t1"], np.array([-0.9903044602161104]),
+                               np.array([-0.376633789790795]))
 
 
 HARD_ROWS = {
-    "biquadratic": (trig_row(lambda th: np.cos(2 * (th - EVEN)) + 0.3 * np.cos(th - EVEN) - 0.2),
+    "biquadratic": (*trig_row(lambda th: np.cos(2 * (th - EVEN)) + 0.3 * np.cos(th - EVEN) - 0.2),
                     1e-10),
     "biquadratic with s ~ 1e-16": (
-        trig_row(lambda th: np.cos(th - EVEN) + 0.3 * np.cos(2 * (th - EVEN))), 1e-10),
+        *trig_row(lambda th: np.cos(th - EVEN) + 0.3 * np.cos(2 * (th - EVEN))), 1e-10),
     # even about its largest sample, angle 0, with b1 = b2 = 0 exactly: q = 0,
-    # and since f(0) f(pi) < 0 the resolvent's largest root is 0, so q/s is 0/0
+    # and since f(0) f(pi) < 0 the resolvent's largest root is 0, so q/s is 0/0;
+    # given as samples alone, its roots are not near enough to be refined
     "exact biquadratic": (np.array([[-0.2551051925430211, -0.014356350703761858,
                                      0.11282986206319016, 0.11282986206319019,
-                                     -0.014356350703761782]]), 1e-10),
+                                     -0.014356350703761782]]), unrefined, 1e-10),
     # a double root is fixed only to sqrt(eps), by np.roots too
-    "double root": (trig_row(lambda th: (1 - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))), 1e-7),
+    "double root": (*trig_row(lambda th: (1 - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))),
+                    1e-7),
     "near-double root": (
-        trig_row(lambda th: (np.cos(1e-5) - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))), 1e-10),
+        *trig_row(lambda th: (np.cos(1e-5) - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))), 1e-10),
     "near-double pair off the circle": (
-        trig_row(lambda th: (1 + 1e-10 - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))), 1e-10),
+        *trig_row(lambda th: (1 + 1e-10 - np.cos(th - 0.7)) * (0.3 + np.cos(th - 2.9))), 1e-10),
     # both defects of the t = 5 chord whose two realizations lie 1.8e-4 apart in theta
-    "t = 5 caustic chord": (defect_samples(ROOT_STATES["t5"], np.array([-1.40875]),
-                                           np.array([1.46625])), 1e-10),
+    "t = 5 caustic chord": (*T5_CAUSTIC, 1e-10),
     # a t = 1 tangency defect with a root near tau = 0, which Ferrari's split
     # alone leaves 1e-8 off relative to its size
-    "root near tau = 0": (defect_samples(ROOT_STATES["t1"], np.array([-0.9903044602161104]),
-                                         np.array([-0.376633789790795]))[:1], 1e-10),
+    "root near tau = 0": (NEAR_TAU_ZERO[0][:1], NEAR_TAU_ZERO[1], 1e-10),
     # c_2 = 1e-7 c_1: two roots near z = 0 and z = infinity, where tau is near -+i
     "roots near tau = +-i": (
-        trig_row(lambda th: np.cos(th - 1.1) + 0.3 + 1e-7 * np.cos(2 * th + 0.4)), 1e-10),
+        *trig_row(lambda th: np.cos(th - 1.1) + 0.3 + 1e-7 * np.cos(2 * th + 0.4)), 1e-10),
     # four roots 0.03 apart, at 1.3 + (-0.045, -0.015, 0.015, 0.045)
-    "clustered quadruple root": (trig_row(lambda th: (np.cos(0.03) - np.cos(th - 1.285))
-                                          * (np.cos(0.03) - np.cos(th - 1.315))), 1e-10),
+    "clustered quadruple root": (*trig_row(lambda th: (np.cos(0.03) - np.cos(th - 1.285))
+                                           * (np.cos(0.03) - np.cos(th - 1.315))), 1e-10),
 }
 
 
 @pytest.mark.parametrize("name", HARD_ROWS)
 def test_hard_rows_match_np_roots(name):
-    samples, tol = HARD_ROWS[name]
-    assert_matches_reference(samples, tol=tol)
+    samples, defect, tol = HARD_ROWS[name]
+    assert_matches_reference(samples, defect, tol=tol)
 
 
 @pytest.mark.parametrize("name", HARD_ROWS)
@@ -337,7 +358,7 @@ def test_quartic_roots_are_backward_stable(name):
         pair = 0.5 * np.hypot(harmonics[1::2], harmonics[2::2])
         if pair[1] <= ROUND_OFF * max(abs(harmonics[0]), pair.max()):
             continue  # a quadratic row
-        coeffs = rolled @ _TAU[4][0]
+        coeffs = rolled @ _TAU[4]
         pairs, real = _quartic_roots(coeffs[:, np.newaxis])
         # each pair as its two roots: real, or x +- i y
         tau = np.concatenate([pair if is_real else pair[0] + np.array([1j, -1j]) * pair[1]
@@ -346,20 +367,33 @@ def test_quartic_roots_are_backward_stable(name):
         assert np.all(backward < BACKWARD_EPS * np.finfo(float).eps), f"{tau}: {backward}"
 
 
+# Two t = 5 chords whose two realizations nearly coalesce: the grid chord,
+# 1.8e-4 apart in theta with h' = -+0.16, and one 6.0e-5 apart with
+# h' = -+0.052. Per chord its 40-digit mpmath references on the exact curve
+# (the roots of the level defect and the stationary-phase sum over them)
+# and the bound on sp_full's error.
+CAUSTIC_CHORDS = {
+    "1.8e-4 apart": ((-1.40875, 1.46625),
+                     [5.062909530829972578474326, 5.063091242038196785684541],
+                     -0.44131060676662443666 - 0.062024860540003245117j, 1e-11),
+    "6.0e-5 apart": ((-1.4087619, 1.4662624),
+                     [5.062976457657132695985629, 5.063035880309851574467481],
+                     -0.77158626186933636511 - 0.10936665919808112143j, 2e-11),
+}
+
+
 def test_feet_near_a_caustic_match_a_40_digit_solve():
-    """At the t = 5 grid chord (-1.40875, 1.46625) the two realizations lie
-    1.8e-4 apart with h' = -+0.16, where the float tau-coefficients' round-off
-    moves each foot by 1.5e-12 and sp_full by 3.6e-9. Refined against the
-    coefficients kept to twice double precision, the feet are as close as
-    the samples allow. The references are 40-digit mpmath roots of the
-    level defect on the exact curve and the stationary-phase sum over them."""
+    """Off the float samples' harmonics these feet are 1.2e-12 and 1.5e-12
+    off, and sp_full 2.9e-9 and 1.9e-8. One Newton step on the level
+    defect, evaluated on the curve, brings the feet to the last bits.
+    sp_full's remaining error, 2.0e-12 and 1.2e-11, is the slope h' read
+    off the harmonics: about 1e-12, 2e-11 relative at h' = 0.052, where the
+    samples reach 1.3e3 (6.9e-12 on correctly rounded samples)."""
     curve = ROOT_STATES["t5"]
-    xi = (-1.40875, 1.46625)
-    feet = realization_angles(curve, xi)
-    np.testing.assert_allclose(feet, [5.062909530829972578474326, 5.063091242038196785684541],
-                               rtol=0.0, atol=5e-14)
-    value = make_evaluator("sp_full", curve)(xi).value
-    assert abs(value - (-0.44131060676662443666 - 0.062024860540003245117j)) < 2e-10
+    sp_full = make_evaluator("sp_full", curve)
+    for xi, want_feet, want_value, bound in CAUSTIC_CHORDS.values():
+        np.testing.assert_allclose(realization_angles(curve, xi), want_feet, rtol=0.0, atol=5e-15)
+        assert abs(sp_full(xi).value - want_value) < bound, xi
 
 
 SEVEN_STATES = {
@@ -397,18 +431,18 @@ def test_degree_two_rows(name, xi_p):
     """On the ring and on the xi_p = 0 row both defects have degree 1 in
     theta: two real roots or none, from the quadratic formula."""
     curve = ROOT_STATES[name]
-    samples = defect_samples(curve, np.array(xi_p), np.array([0.3, -1.1, 2.0, 5.0]))
+    samples, defect = defect_samples(curve, np.array(xi_p), np.array([0.3, -1.1, 2.0, 5.0]))
     harmonics = np.fft.fft(samples, axis=1) / 5
     assert np.all(np.abs(harmonics[:, 2]) <= ROUND_OFF * np.max(np.abs(harmonics), axis=1))
-    chord, _, _, _ = _unit_circle_roots(samples)
+    chord, _, _, _ = _unit_circle_roots(samples, defect)
     assert set(np.bincount(chord, minlength=len(samples))) <= {0, 2}
-    assert_matches_reference(samples)
+    assert_matches_reference(samples, defect)
 
 
 def test_degree_zero_rows_have_no_roots():
     """Constant rows (xi = 0's tangency defect is all zeros) trim to degree 0."""
     samples = np.array([[0.0] * 5, [1.5] * 5, [-2.0 + 1e-15, -2.0, -2.0, -2.0, -2.0]])
-    chord, theta, miss, _ = _unit_circle_roots(samples)
+    chord, theta, miss, _ = _unit_circle_roots(samples, unrefined)
     assert chord.size == 0 and theta.size == 0
     assert np.all(miss == np.inf)
 
@@ -419,8 +453,7 @@ def test_ill_scaled_chord_at_large_n():
     near z = 0 and infinity."""
     curve = CurveSpec(n=80, hbar=0.006832298, t=0.1)
     xi = (7.97e-6, -2.5249)
-    samples = defect_samples(curve, np.array([xi[0]]), np.array([xi[1]]))
-    assert_matches_reference(samples)
+    assert_matches_reference(*defect_samples(curve, np.array([xi[0]]), np.array([xi[1]])))
     angles = tangency_angles(curve, xi)
     assert len(angles) == 2
     dense = 2.0 * np.pi * (np.arange(20000) + 0.5) / 20000

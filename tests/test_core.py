@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chordscan.core import (FLAG_CODES, FLAGS_BY_CODE, Chord, ChordValue, Flag, two_product,
-                            two_sum, veltkamp_split, wedge, worst_flag, worst_flag_codes)
+                            veltkamp_split, wedge, worst_flag, worst_flag_codes)
 
 
 def test_wedge_antisymmetric():
@@ -72,20 +72,13 @@ _EDGES = np.array([x for e in (-60, -1, 0, 1, 26, 27, 52, 53, 300)
                              math.nextafter(math.ldexp(1.0, e), math.inf))])
 _EDGES = np.concatenate([_EDGES, -_EDGES])
 
-# binary exponents of the two operands as the callers pass them: the Laguerre
-# recurrence's slopes, k and quotients against values of L_k up to about 1e164
-# (n = 160); the tau map's entries and the Horner values against samples and
-# real roots. A sum's second operand is either drawn alike or within two
-# binades of the first (None).
+# binary exponents of the two operands: factors up to 2^12 against values up
+# to 2^560 ("laguerre"), and factors up to 2^60 against values up to 2^60 ("tau")
 _PRODUCT_RANGES = {"laguerre": ((-60, 12), (-200, 560)), "tau": ((-60, 60), (-200, 60))}
-_SUM_RANGES = {"far": ((-200, 560), (-200, 560)), "close": ((-200, 560), None)}
 
 
 def _pairs(rng, first, second):
-    a = _doubles(rng, 2000, first)
-    if second is None:
-        return a, _doubles(rng, 2000, (-2, 2)) * np.ldexp(1.0, np.frexp(a)[1])
-    return a, _doubles(rng, 2000, second)
+    return _doubles(rng, 2000, first), _doubles(rng, 2000, second)
 
 
 def _assert_error_free(transform, operation, a, b):
@@ -97,18 +90,8 @@ def _assert_error_free(transform, operation, a, b):
         assert Fraction(r_k) + Fraction(e_k) == operation(Fraction(a_k), Fraction(b_k)), (a_k, b_k)
 
 
-def _assert_two_sum_exact(a, b):
-    _assert_error_free(two_sum, operator.add, a, b)
-
-
 def _assert_two_product_exact(a, b):
     _assert_error_free(two_product, operator.mul, a, b)
-
-
-@pytest.mark.parametrize("ranges", _SUM_RANGES)
-def test_two_sum_is_exact(ranges):
-    a, b = _pairs(np.random.default_rng(11), *_SUM_RANGES[ranges])
-    _assert_two_sum_exact(a, b)
 
 
 @pytest.mark.parametrize("ranges", _PRODUCT_RANGES)
@@ -131,19 +114,14 @@ def test_two_product_is_exact_on_the_csv_digits():
 
 def test_error_free_transformations_at_powers_of_two_and_ties():
     a, b = _EDGES[:, None], _EDGES[None, :]
-    _assert_two_sum_exact(a, b)
     _assert_two_product_exact(a, b)
-    # sums and products that fall halfway between two doubles
-    sum_ties = np.array([(1.0, 2.0**-53), (1.0 + 2.0**-52, 2.0**-53), (-1.0, -(2.0**-53)),
-                         (2.0**53, 1.0), (2.0**53 + 2.0, -1.0)])
-    product_ties = np.array([(2.0**27 + 1.0, 2.0**26 + 1.0), (2.0**27 - 1.0, 2.0**27 + 1.0),
-                             (-(2.0**27 + 1.0), 2.0**-30 * (2.0**26 + 1.0))])
-    for (rounded, error), ties in ((two_sum(*sum_ties.T), sum_ties),
-                                   (two_product(*product_ties.T), product_ties)):
-        for x, e in zip(rounded.tolist(), error.tolist()):  # halfway to the next double
-            assert abs(math.nextafter(x, math.copysign(math.inf, e)) - x) == 2 * abs(e), ties
-    _assert_two_sum_exact(*sum_ties.T)
-    _assert_two_product_exact(*product_ties.T)
+    # products that fall halfway between two doubles
+    ties = np.array([(2.0**27 + 1.0, 2.0**26 + 1.0), (2.0**27 - 1.0, 2.0**27 + 1.0),
+                     (-(2.0**27 + 1.0), 2.0**-30 * (2.0**26 + 1.0))])
+    rounded, error = two_product(*ties.T)
+    for x, e in zip(rounded.tolist(), error.tolist()):  # halfway to the next double
+        assert abs(math.nextafter(x, math.copysign(math.inf, e)) - x) == 2 * abs(e), ties
+    _assert_two_product_exact(*ties.T)
 
 
 def test_veltkamp_halves_add_back_with_26_bits_each():
