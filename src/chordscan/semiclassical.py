@@ -68,25 +68,26 @@ row splits by Ferrari's resolvent cubic into two real quadratics, a
 quadratic row is one, and each quadratic gives a pair, two real roots by
 the quadratic formula without cancellation or a conjugate pair x +- i y.
 A quartic's real roots take one Newton step on it, and one root x + i y of
-each conjugate pair takes its own. A real root that the coefficients'
-round-off could move by more than _SHAKY eps (next to a double root: near
-caustics; its spread is read from the pairs) takes one Newton step in
-theta on the defect itself, evaluated on the curve, over the slope read
-off the harmonics, so its angle answers to the curve and not to the five
-float samples. Each defect is one function of (row, theta), which gives
-both its samples and its value at such a root. No iterative eigenvalue
-solve (and no BLAS or LAPACK call) is involved. A real root is
-the angle theta = phi + 2 arctan(tau). A conjugate pair stands for two
-roots z and 1/conj(z) of the unit-circle quartic, at one angle and
+each conjugate pair takes its own. The samples' round-off, about eps times
+the largest sample, moves a real root by about that over its slope g', so a
+real root with _SHAKY |g'| below the row's largest |sample| (next to a double
+root: near caustics) takes one Newton step in theta on the defect itself,
+evaluated on the curve, over the slope read off the harmonics, so its angle
+answers to the curve and not to the five float samples. Each defect is one
+function of (row, theta), which gives both its samples and its value at
+such a root. No iterative eigenvalue solve (and no BLAS or LAPACK call) is
+involved. A real root is the angle theta = phi + 2 arctan(tau). A conjugate
+pair stands for two roots z and 1/conj(z) of the unit-circle quartic, at one
+angle and
 |ln|z|| = |ln(((1 - y)^2 + x^2) / ((1 + y)^2 + x^2))| / 2 off the circle;
 within sqrt(ROUND_OFF) it counts as a double real angle, since a double
 root splits by the square root of the coefficients' round-off. h' and
 x'' ∧ xi are the defects' slopes g'(s) at their roots, read off the same
-harmonics. Each row's roots depend on that row alone, so the composite
-solves its chords' tangency and level defects as rows of one call and
-splits the roots by row. Each root is then one record (chord, theta,
-action, slope), and one sum serves tangencies and realizations alike:
-np.bincount folds
+harmonics. Each row's roots leave the solve in its own (pair, member)
+order, not in angle, and depend on that row alone, so the composite solves
+its chords' tangency and level defects as rows of one call and splits the
+roots by row. Each root is then one record (chord, theta, action, slope),
+and one sum serves tangencies and realizations alike: np.bincount folds
 sqrt(2 pi hbar / |slope|) / (2 pi) exp[i action / hbar + i (pi/4) (sign(slope) + m)],
 m = 0 for sp_small and -2 for sp_full, into per-chord sums in each chord's
 root order. sp_small_values, sp_full_values and semiclassical_values are its
@@ -155,8 +156,9 @@ _HALF_ANGLE = {4: np.array([[1.0, -1.0, 0.0, 1.0, 0.0],
                2: np.array([[1.0, -1.0, 0.0],
                             [0.0, 0.0, 2.0],
                             [1.0, 1.0, 0.0]])}
-# a real root that its coefficients' round-off could move by more than
-# _SHAKY eps takes one Newton step on its defect, evaluated on the curve
+# a real root whose slope is below 1/_SHAKY of its row's largest sample,
+# which round-off could move by more than _SHAKY eps, takes one Newton step
+# on its defect, evaluated on the curve
 _SHAKY = 100.0
 # the two quadratic factors of a quartic, as rows: (y^2 + s y + u)(y^2 - s y + v)
 _SIGN = np.array([[1.0], [-1.0]])
@@ -324,31 +326,6 @@ def _quartic_roots(coeffs):
     return tau, real
 
 
-def _shaky(tau, real):
-    """Rows of the root pairs ``tau`` (P, 2, K), ``real`` (P, K), the roots of
-    K polynomials of degree R = 2P, with a real root that their
-    coefficients' round-off could move by more than _SHAKY eps.
-
-    The leading coefficient c_0 is the row's largest sample, the scale of
-    every coefficient's round-off, so a root tau_i moves by up to about
-    eps |c_0| sum_k |tau_i|^k / |p'(tau_i)|, and p'(tau_i) is
-    c_0 prod_{j != i} (tau_i - tau_j): at most eps (1 + |tau_i|)^R over the
-    product of its distances to the other roots: its partner's, and the
-    other pair's, (tau_i - o_0)(tau_i - o_1) for real roots o_0 and o_1, and
-    (tau_i - x)^2 + y^2 for x +- i y.
-    """
-    spread = np.abs(tau[:, :1] - tau[:, 1:])
-    size = (1.0 + np.abs(tau)) ** 2
-    if tau.shape[0] == 2:
-        other = tau[::-1, np.newaxis]
-        apart = tau[:, :, np.newaxis] - other
-        spread = spread * np.abs(np.where(real[::-1, np.newaxis], apart[:, :, 0] * apart[:, :, 1],
-                                          apart[:, :, 0] ** 2 + other[:, :, 1] ** 2))
-        size = size * size
-    shaky = real[:, np.newaxis] & (size > _SHAKY * spread)
-    return shaky.reshape(-1, tau.shape[2]).any(axis=0)
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _unit_circle_roots(samples, defect):
     """Real roots of K trig polynomials of degree <= 2, and each one's nearest miss.
@@ -373,19 +350,20 @@ def _unit_circle_roots(samples, defect):
     phi + atan2(2x, 1 - x^2 - y^2) and
     |ln|z|| = |ln(((1 - y)^2 + x^2) / ((1 + y)^2 + x^2))| / 2 off the circle:
     within sqrt(ROUND_OFF) it is a double root that round-off split, two
-    real angles, and otherwise a miss. No complex array is formed. In rows
-    with a real root that the coefficients' round-off could move far
-    (_shaky: near a double root), each real root takes one Newton step
-    -f/g' on the defect evaluated on the curve, ``defect``, and not on the
-    samples, kept where it changes the slope by less than half,
+    real angles, and otherwise a miss. No complex array is formed. A real
+    root with _SHAKY |g'| < |g(pi)|, the row's largest sample (its round-off
+    moves the root by more than _SHAKY eps: near a double root), takes one
+    Newton step -f/g' on the defect evaluated on the curve, ``defect``, and
+    not on the samples, kept where it changes the slope by less than half,
     |step g''| < |g'| / 2 (near a double root, a quarter of the roots'
     gap, so no two roots can cross); its slope becomes g' - g'' step.
 
     Returns (chord, theta, miss, slope): the row and the angle in [0, 2 pi)
-    of every real root, the roots of each row in ascending angle (the order
-    of its sums); per row the smallest |ln|z|| among the roots off the
-    circle (inf if there are none); and per root its defect's slope there.
-    Each row's roots depend on that row alone.
+    of every real root, laid out (pair, member, row), so each row's roots
+    come in its own (pair, member) order (the order of its sums); per row
+    the smallest |ln|z|| among the roots off the circle (inf if there are
+    none); and per root its defect's slope there. Each row's roots depend on
+    that row alone.
     """
     count = samples.shape[0]
     top = np.argmax(np.abs(samples), axis=1)
@@ -418,25 +396,19 @@ def _unit_circle_roots(samples, defect):
                 2.0 * x, (1.0 - x) * (1.0 + x) - y * y)[:, np.newaxis]
         theta = turn + (_ANGLES[top[rows]] - np.pi)
         theta += TWO_PI * (theta < 0.0)
-        # roots off the circle sort last as inf and are dropped; the rows'
-        # first roots come first, then their second, ...
-        keyed = np.where(on_circle[:, np.newaxis], theta, np.inf).reshape(-1, rows.size)
-        theta = np.sort(keyed, axis=0)
-        found = np.isfinite(theta)
+        # the roots on the circle, each row's in its own (pair, member) order
+        found = np.broadcast_to(on_circle[:, np.newaxis], theta.shape)
         chord = np.broadcast_to(rows, theta.shape)[found]
+        theta = theta[found]
         # df/dtheta = g'(s) at s = theta - phi, from the harmonics the quartic kept
         _, a1, b1, a2, b2 = (harmonics[chord] * (np.arange(5) <= deg)).T
-        s = (theta - _ANGLES[top[rows]] + np.pi)[found]
+        s = theta - _ANGLES[top[chord]] + np.pi
         cos, sin = np.cos(s), np.sin(s)
         slope = b1 * cos - a1 * sin + 2.0 * b2 * (cos + sin) * (cos - sin) - 4.0 * a2 * sin * cos
-        theta = theta[found]
-        shaky = np.flatnonzero(_shaky(tau, real))
-        if shaky.size:
-            # where the sort put the real roots of the shaky rows
-            stepped = np.zeros(found.shape, dtype=bool)
-            stepped[:, shaky] = np.take_along_axis(np.repeat(real[:, shaky], 2, axis=0),
-                                                   np.argsort(keyed[:, shaky], axis=0), axis=0)
-            k = np.flatnonzero(stepped[found])
+        # the real roots that the samples' round-off moves by more than _SHAKY eps
+        k = np.flatnonzero(np.broadcast_to(real[:, np.newaxis], found.shape)[found]
+                           & (_SHAKY * np.abs(slope) < np.abs(rolled[chord, 0])))
+        if k.size:
             cos, sin = cos[k], sin[k]
             second = (-a1[k] * cos - b1[k] * sin
                       - 4.0 * a2[k] * (cos + sin) * (cos - sin) - 8.0 * b2[k] * sin * cos)
