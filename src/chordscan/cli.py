@@ -18,7 +18,8 @@ A text column is labels and a code per row: a scan's axis columns index the
 axis's values, each formatted once by ``"%.17g"``, and a flag column indexes
 the flag names.
 Wall-clock timings appear only in JSON, under a key that marks them as
-outside the determinism guarantee.
+outside the determinism guarantee. Every file, CSV or JSON, is written by
+``_overwrite``: over the old file's bytes, then cut to the length written.
 
 Options may come from ``KEY=VALUE`` lines of the command's own keys in a
 config file (``--config``); explicit flags win over the file, and the
@@ -31,9 +32,12 @@ configuration or parameter error, 2 failed verification, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -187,6 +191,27 @@ def _write_report(path: Path, command: str, opt: dict, elapsed: float,
     _write_json(path, {"command": command, "version": __version__,
                        "config": _config_echo(opt, command),
                        "elapsed_seconds_nondeterministic": elapsed, **fields})
+
+
+# -- Output files ----------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _overwrite(path: Path):
+    """Open ``path`` for binary writing over its old bytes, creating it if need
+    be, and when the block ends, normally or by an exception, cut a regular
+    file to the bytes written. Truncating to zero first, as ``open("wb")``
+    does, cost about 2 ms on a 2.7 MB file that writing over the old bytes
+    does not. A pipe or a device such as /dev/stdout is written as by
+    ``open("wb")``. A process killed mid-write leaves the new bytes followed
+    by the old file's tail."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), fh.tell())
 
 
 # -- CSV -------------------------------------------------------------------------
@@ -385,7 +410,7 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
         return block
 
     edges = [*range(0, half, block_rows), *range(half, size, block_rows), size]
-    with path.open("wb") as fh:
+    with _overwrite(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for start, stop in zip(edges, edges[1:]):
             x = float_rows(start, stop)
@@ -425,13 +450,27 @@ def _safe(name: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in name)
 
 
+def _csv_paths(opt: dict, command: str) -> tuple[Path, Path]:
+    """The CSV ``--out`` and its JSON sidecar, the same path with suffix .json;
+    an ``--out`` that already has that suffix would be replaced by its own
+    sidecar, so it is an error."""
+    out = Path(opt["out"])
+    sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        raise ValueError(f"{command} --out {out}: the CSV would be replaced by its "
+                         "JSON sidecar; give it another suffix")
+    return out, sidecar
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _overwrite(path) as fh:
+        # ASCII, since json.dumps escapes every other character
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def cmd_scan(args) -> int:
     opt = _merge(args)
-    out = Path(opt["out"])
+    out, sidecar = _csv_paths(opt, "scan")
     lo, hi = opt["region"]
     xp = xq = axis(lo, hi, opt["resolution"])
     evaluator = make_evaluator(opt["evaluator"], _state(opt))
@@ -447,13 +486,13 @@ def cmd_scan(args) -> int:
     _write_csv(out, ["xi_p", "xi_q", "re", "im", "abs2", "phase", "flag"], [
         (ticks, row_p), (ticks, row_q), values.real, values.imag,
         _abs2(values), np.angle(values), (_FLAG_BYTES, grid.flags.ravel())])
-    _write_report(out.with_suffix(".json"), "scan", opt, elapsed, {
+    _write_report(sidecar, "scan", opt, elapsed, {
         "evaluator": evaluator.name,
         "flag_counts": {f.value: c for f, c in grid.flag_counts().items()},
         "rows": int(xp.size * xq.size),
     })
     print(f"scan: {xp.size} x {xq.size} chords with {evaluator.name} -> "
-          f"{out} (+ {out.with_suffix('.json').name}) in {elapsed:.1f}s")
+          f"{out} (+ {sidecar.name}) in {elapsed:.1f}s")
     return EXIT_OK
 
 
@@ -472,7 +511,7 @@ def _cut_direction(opt: dict) -> np.ndarray:
 
 def cmd_cut(args) -> int:
     opt = _merge(args)
-    out = Path(opt["out"])
+    out, sidecar = _csv_paths(opt, "cut")
     d = _cut_direction(opt)
     names = [name.strip() for name in opt["evaluator"].split(",")]
     state = _state(opt)
@@ -496,7 +535,7 @@ def cmd_cut(args) -> int:
         header += [f"{tag}_re", f"{tag}_im", f"{tag}_abs2", f"{tag}_flag"]
         columns += [values.real, values.imag, _abs2(values), (_FLAG_BYTES, flags)]
     _write_csv(out, header, columns)
-    _write_report(out.with_suffix(".json"), "cut", opt, elapsed, {
+    _write_report(sidecar, "cut", opt, elapsed, {
         "direction": [float(d[0]), float(d[1])],
         "evaluators": tags,
         "rows": int(ss.size),

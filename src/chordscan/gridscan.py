@@ -43,8 +43,8 @@ class ChordFieldGrid:
         return FLAGS_BY_CODE[int(np.max(self.flags))]  # codes ascend with severity
 
     def flag_counts(self) -> dict[Flag, int]:
-        codes, counts = np.unique(self.flags, return_counts=True)
-        return {FLAGS_BY_CODE[int(c)]: int(k) for c, k in zip(codes, counts)}
+        counts = np.bincount(self.flags.ravel(), minlength=len(FLAGS_BY_CODE))
+        return {FLAGS_BY_CODE[c]: k for c, k in enumerate(counts.tolist()) if k}
 
     def component(self, name: str) -> np.ndarray:
         if name == "real":

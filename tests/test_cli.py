@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from chordscan.core import FLAGS_BY_CODE
 
 
 BLINDSPOT_RECIPE = Path(__file__).resolve().parents[1] / "recipes" / "blindspot-report.cfg"
+SHEARED_RECIPE = BLINDSPOT_RECIPE.with_name("sheared-field.cfg")
 
 
 def run(*argv):
@@ -1012,3 +1015,125 @@ def test_numerical_failure_exits_3_without_traceback(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("chordscan: numerical failure:") and "exceeds 1" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# -- output files -----------------------------------------------------------------
+
+
+def _report(path):
+    data = json.loads(path.read_text())
+    del data["elapsed_seconds_nondeterministic"]
+    return data
+
+
+@pytest.mark.parametrize("command", [
+    ("scan", "--resolution", "5", "--region=-0.5:0.5"),
+    ("cut", "--slope", "0.8", "--samples", "4", "--range", "0:0.5"),
+])
+def test_a_csv_out_that_is_its_own_sidecar_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                             command):
+    """The sidecar goes to --out with suffix .json, which would replace a
+    CSV written there; the run stops before evaluating a chord."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an --out the sidecar replaces evaluates no chord")
+    monkeypatch.setattr(cli, "make_evaluator", refuse)
+    out = tmp_path / "field.json"
+    assert run(*command, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "JSON sidecar" in err and str(out) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_shorter_output_over_a_longer_file_is_a_fresh_write(tmp_path):
+    over, fresh = tmp_path / "over.csv", tmp_path / "fresh.csv"
+    assert run("scan", "--config", str(SHEARED_RECIPE), "--out", str(over)) == 0
+    long_size = over.stat().st_size
+    for out in (over, fresh):
+        assert run("scan", "--config", str(SHEARED_RECIPE), "--resolution", "41",
+                   "--out", str(out)) == 0
+    assert over.stat().st_size < long_size
+    assert over.read_bytes() == fresh.read_bytes()
+    assert _report(over.with_suffix(".json")) == _report(fresh.with_suffix(".json"))
+
+
+def test_an_error_mid_write_leaves_the_bytes_written_before_it(tmp_path, monkeypatch):
+    """Nothing of the old file is left: the first block's rows and no more."""
+    x = np.random.default_rng(49).random(3 * cli.CSV_BLOCK_CELLS) + 0.5
+    fresh = tmp_path / "fresh.csv"
+    cli._write_csv(fresh, ["x"], [x])
+    first_block = b"".join(fresh.read_bytes().splitlines(keepends=True)[:1 + cli.CSV_BLOCK_CELLS])
+
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"9" * 2 * fresh.stat().st_size)
+    calls = []
+    format_floats = cli._format_floats
+
+    def fail_second(a, cells):
+        calls.append(a.size)
+        if len(calls) == 2:
+            raise RuntimeError("formatting failed")
+        format_floats(a, cells)
+    monkeypatch.setattr(cli, "_format_floats", fail_second)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli._write_csv(out, ["x"], [x])
+    assert calls[0] == cli.CSV_BLOCK_CELLS and len(calls) == 2
+    assert out.read_bytes() == first_block
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_a_new_output_gets_the_mode_of_open_wb(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with cli._overwrite(tmp_path / "new.csv") as fh:
+            fh.write(b"x\n")
+        with open(tmp_path / "plain.csv", "wb") as fh:
+            fh.write(b"x\n")
+    finally:
+        os.umask(old)
+    mode, plain = (stat.S_IMODE((tmp_path / name).stat().st_mode)
+                   for name in ("new.csv", "plain.csv"))
+    assert mode == plain == 0o666 & ~umask
+
+
+def test_a_symlinked_out_is_written_through_the_link(tmp_path):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    target.write_bytes(b"old\n" * 10000)
+    link.symlink_to(target)
+    for out in (link, fresh):
+        assert run("scan", "--resolution", "5", "--region=-0.5:0.5", "--out", str(out)) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_the_output_routine_writes_to_the_null_device():
+    with cli._overwrite(Path(os.devnull)) as fh:
+        fh.write(b"x\n" * 1000)
+    cli._write_json(Path(os.devnull), {"a": 1})
+
+
+def test_no_command_writes_through_path_methods(tmp_path, monkeypatch):
+    """Every output goes through cli._overwrite; Path.open may still read."""
+    path_open = Path.open
+
+    def read_only(self, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            raise AssertionError(f"{self} opened with mode {mode!r}")
+        return path_open(self, mode, *args, **kwargs)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{self} written through a Path method")
+    monkeypatch.setattr(Path, "open", read_only)
+    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(Path, "write_bytes", refuse)
+    monkeypatch.setattr(cli, "run_all", lambda report: _fake_results(True))
+    cfg = tmp_path / "scan.cfg"
+    with open(cfg, "w") as fh:
+        fh.write("resolution=5\nregion=-0.5:0.5\n")
+    for argv in (("scan", "--config", str(cfg), "--out", str(tmp_path / "s.csv")),
+                 ("cut", "--slope", "0.8", "--samples", "4", "--range", "0:0.5",
+                  "--out", str(tmp_path / "c.csv")),
+                 ("blindspots", "--t", "0", "--out", str(tmp_path / "b.json")),
+                 ("verify", "--out", str(tmp_path / "v.json"))):
+        assert run(*argv) == 0, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "b.json", "c.csv", "c.json", "s.csv", "s.json", "scan.cfg", "v.json"]

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from chordscan import (EVALUATOR_NAMES, CurveSpec, Flag, axis, cli, make_evaluator, nodal_contours,
                        scan_grid)
-from chordscan.core import real_by_symmetry
+from chordscan.core import FLAGS_BY_CODE, real_by_symmetry
 from chordscan.gridscan import ChordFieldGrid
 
 
@@ -74,6 +76,25 @@ def test_flag_bookkeeping(ring):
     assert sum(counts.values()) == 9
     assert grid.worst_flag is not Flag.OK
     assert counts.get(Flag.EVANESCENT, 0) > 0
+
+
+def _hand_built_flags():
+    """Every code, code c 2c + 1 times, in a scrambled 1 x N grid."""
+    codes = np.repeat(np.arange(len(FLAGS_BY_CODE), dtype=np.uint8),
+                      2 * np.arange(len(FLAGS_BY_CODE)) + 1)
+    flags = np.random.default_rng(45).permutation(codes)[None, :]
+    return ChordFieldGrid(xi_p_axis=np.zeros(1), xi_q_axis=np.arange(flags.size, dtype=float),
+                          values=np.zeros(flags.shape, dtype=complex), flags=flags, hbar=0.1)
+
+
+@pytest.mark.parametrize("kind", ["every-code", "composite"])
+def test_flag_counts_match_a_counter(sheared, kind):
+    grid = (_hand_built_flags() if kind == "every-code" else
+            scan_grid(make_evaluator("semiclassical", sheared), axis(-2.3, 2.3, 41),
+                      axis(-2.3, 2.3, 41)))
+    expected = Counter(FLAGS_BY_CODE[c] for c in grid.flags.ravel().tolist())
+    assert grid.flag_counts() == expected
+    assert all(type(k) is int for k in grid.flag_counts().values())
 
 
 def test_component_selection(sheared):
